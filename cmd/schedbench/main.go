@@ -30,7 +30,7 @@ func main() { os.Exit(realMain()) }
 // body would silently truncate the profiles.
 func realMain() int {
 	var (
-		exp     = flag.String("exp", "all", "experiment id (E1..E20) or 'all'")
+		exp     = flag.String("exp", "all", "experiment id (E1..E21) or 'all'")
 		quick   = flag.Bool("quick", false, "run scaled-down instances")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")

@@ -61,13 +61,14 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/front"
 	"repro/internal/obs"
+	"repro/internal/policy"
 	"repro/internal/snapshot"
 )
 
 func main() {
 	var (
 		listen   = flag.String("listen", ":8080", "HTTP listen address")
-		policy   = flag.String("policy", "flowtime", "flowtime|wflow|speedscale|srpt|wsrpt")
+		polName  = flag.String("policy", "flowtime", policy.Usage())
 		eps      = flag.Float64("eps", 0.2, "scheduler rejection parameter ε")
 		alpha    = flag.Float64("alpha", 0, "power exponent (speedscale)")
 		machines = flag.Int("machines", 8, "machines per shard session")
@@ -108,7 +109,7 @@ func main() {
 	}
 
 	cfg := front.Config{
-		Policy:     *policy,
+		Policy:     *polName,
 		Epsilon:    *eps,
 		Alpha:      *alpha,
 		Machines:   *machines,
@@ -187,7 +188,7 @@ func main() {
 	httpDone := make(chan error, 1)
 	go func() { httpDone <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "schedserve: %s ε=%v on %s (m=%d × %d shards)\n",
-		*policy, *eps, *listen, *machines, *shards)
+		*polName, *eps, *listen, *machines, *shards)
 
 	var ds *http.Server
 	if *debugAddr != "" {

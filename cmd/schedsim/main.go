@@ -62,13 +62,13 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core/energymin"
 	"repro/internal/core/flowtime"
-	"repro/internal/core/speedscale"
 	"repro/internal/core/srpt"
 	"repro/internal/core/wflow"
 	"repro/internal/engine"
 	"repro/internal/gantt"
 	"repro/internal/lowerbound"
 	"repro/internal/obs"
+	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/snapshot"
 	"repro/internal/stats"
@@ -77,7 +77,7 @@ import (
 
 func main() {
 	var (
-		policy   = flag.String("policy", "flowtime", "flowtime|wflow|speedscale|srpt|wsrpt|energymin|avr|greedy|fcfs|leastloaded|speedaug|immediate")
+		polName  = flag.String("policy", "flowtime", policy.Usage()+"|energymin|avr|greedy|fcfs|leastloaded|speedaug|immediate")
 		eps      = flag.Float64("eps", 0.2, "rejection parameter ε")
 		alpha    = flag.Float64("alpha", 0, "power exponent override (0: use trace)")
 		epsS     = flag.Float64("epsS", 0.2, "speed augmentation (speedaug)")
@@ -110,7 +110,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "usage: schedsim -compare [-policy flowtime|wflow] [flags] trace.json")
 			os.Exit(2)
 		}
-		runCompare(*policy, *eps, *parallel, flag.Arg(0))
+		runCompare(*polName, *eps, *parallel, flag.Arg(0))
 		return
 	}
 	if *stream {
@@ -126,7 +126,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "schedsim: -checkpoint-every/-checkpoint-deltas/-checkpoint-keep/-stop-after need -checkpoint FILE")
 			os.Exit(2)
 		}
-		runStream(*policy, *eps, *alpha, *parallel, *batch, *eventq, flag.Arg(0), *dump, *progress,
+		runStream(*polName, *eps, *alpha, *parallel, *batch, *eventq, flag.Arg(0), *dump, *progress,
 			streamCheckpoints{File: *ckpt, Every: *ckptN, Deltas: *ckptD, Keep: *ckptK, StopAfter: *stopN, Resume: *resume})
 		return
 	}
@@ -145,64 +145,38 @@ func main() {
 
 	var out *sched.Outcome
 	mode := sched.ValidateMode{}
-	switch *policy {
-	case "flowtime":
-		res, err := flowtime.Run(ins, flowtime.Options{Epsilon: *eps, ParallelDispatch: *parallel, EventQueue: *eventq})
-		if err != nil {
-			fatal(err)
+	if e, ok := policy.Lookup(*polName); ok {
+		a := *alpha
+		if a == 0 {
+			a = ins.Alpha
 		}
-		out = res.Outcome
-		mode.RequireUnitSpeed = true
-	case "wflow":
-		res, err := wflow.Run(ins, wflow.Options{Epsilon: *eps, ParallelDispatch: *parallel, EventQueue: *eventq})
-		if err != nil {
-			fatal(err)
+		out, err = e.Run(ins, policy.Params{Epsilon: *eps, Alpha: a, ParallelDispatch: *parallel, EventQueue: *eventq})
+		mode = e.Mode
+	} else {
+		// Batch-only comparators that are not hosted on the engine.
+		switch *polName {
+		case "energymin", "avr":
+			res, err := energymin.Run(ins, energymin.Options{Alpha: *alpha, FullWindowOnly: *polName == "avr"})
+			if err != nil {
+				fatal(err)
+			}
+			out = res.Outcome
+			mode.AllowParallel = true
+			mode.RequireDeadlines = true
+		case "greedy":
+			out, err = baseline.GreedySPT(ins)
+		case "fcfs":
+			out, err = baseline.FCFS(ins)
+		case "leastloaded":
+			out, err = baseline.LeastLoaded(ins)
+		case "speedaug":
+			out, err = baseline.SpeedAugmented(ins, *epsS, *eps)
+		case "immediate":
+			out, err = baseline.ImmediateReject(ins, *eps, 3)
+		default:
+			fmt.Fprintf(os.Stderr, "schedsim: unknown policy %q\n", *polName)
+			os.Exit(2)
 		}
-		out = res.Outcome
-		mode.RequireUnitSpeed = true
-	case "speedscale":
-		res, err := speedscale.Run(ins, speedscale.Options{Epsilon: *eps, Alpha: *alpha, ParallelDispatch: *parallel, EventQueue: *eventq})
-		if err != nil {
-			fatal(err)
-		}
-		out = res.Outcome
-	case "srpt":
-		res, err := srpt.Run(ins, srpt.Options{ParallelDispatch: *parallel, EventQueue: *eventq})
-		if err != nil {
-			fatal(err)
-		}
-		out = res.Outcome
-		mode.AllowPreemption = true
-		mode.RequireUnitSpeed = true
-	case "wsrpt":
-		res, err := srpt.RunWeighted(ins, srpt.WeightedOptions{EventQueue: *eventq})
-		if err != nil {
-			fatal(err)
-		}
-		out = res.Outcome
-		mode.AllowMigration = true
-		mode.RequireUnitSpeed = true
-	case "energymin", "avr":
-		res, err := energymin.Run(ins, energymin.Options{Alpha: *alpha, FullWindowOnly: *policy == "avr"})
-		if err != nil {
-			fatal(err)
-		}
-		out = res.Outcome
-		mode.AllowParallel = true
-		mode.RequireDeadlines = true
-	case "greedy":
-		out, err = baseline.GreedySPT(ins)
-	case "fcfs":
-		out, err = baseline.FCFS(ins)
-	case "leastloaded":
-		out, err = baseline.LeastLoaded(ins)
-	case "speedaug":
-		out, err = baseline.SpeedAugmented(ins, *epsS, *eps)
-	case "immediate":
-		out, err = baseline.ImmediateReject(ins, *eps, 3)
-	default:
-		fmt.Fprintf(os.Stderr, "schedsim: unknown policy %q\n", *policy)
-		os.Exit(2)
 	}
 	if err != nil {
 		fatal(err)
@@ -215,7 +189,7 @@ func main() {
 		fatal(err)
 	}
 
-	t := stats.NewTable(fmt.Sprintf("schedsim: %s on %s (n=%d, m=%d)", *policy, flag.Arg(0), len(ins.Jobs), ins.Machines),
+	t := stats.NewTable(fmt.Sprintf("schedsim: %s on %s (n=%d, m=%d)", *polName, flag.Arg(0), len(ins.Jobs), ins.Machines),
 		"metric", "value")
 	t.AddRowf("total flow", m.TotalFlow)
 	t.AddRowf("weighted flow", m.WeightedFlow)
@@ -256,17 +230,6 @@ type jobFact struct {
 	id      int
 	release float64
 	weight  float64
-}
-
-// streamSession is what the checkpointing stream loop needs of a scheduler
-// session: batched feeding, freezing to a durable snapshot, and the count of
-// jobs already absorbed (which, on a resumed session, is the number of trace
-// jobs to skip).
-type streamSession interface {
-	engine.BatchFeeder
-	Snapshot(w io.Writer) error
-	Fed() int
-	SetTelemetry(t engine.Telemetry)
 }
 
 // streamCheckpoints carries the checkpoint/resume configuration of a
@@ -344,7 +307,7 @@ func streamProgress(reg *obs.Registry, every time.Duration, stop <-chan struct{}
 	}
 }
 
-func runStream(policy string, eps, alpha float64, parallel, batch int, eventq, path, dump string, progress time.Duration, ck streamCheckpoints) {
+func runStream(polName string, eps, alpha float64, parallel, batch int, eventq, path, dump string, progress time.Duration, ck streamCheckpoints) {
 	in := io.Reader(os.Stdin)
 	name := "stdin"
 	if path != "" && path != "-" {
@@ -382,120 +345,24 @@ func runStream(policy string, eps, alpha float64, parallel, batch int, eventq, p
 		}
 	}
 
-	var (
-		fd     streamSession
-		finish func() (*sched.Outcome, error)
-	)
-	switch policy {
-	case "flowtime":
-		opt := flowtime.Options{Epsilon: eps, ParallelDispatch: parallel, SizeHint: r.Jobs(), EventQueue: eventq}
-		var s *flowtime.Session
-		var err error
-		if resumeFrom != nil {
-			s, err = flowtime.Restore(resumeFrom, opt)
-		} else {
-			s, err = flowtime.NewSession(r.Machines(), opt)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fd = s
-		finish = func() (*sched.Outcome, error) {
-			res, err := s.Close()
-			if err != nil {
-				return nil, err
-			}
-			return res.Outcome, nil
-		}
-	case "wflow":
-		opt := wflow.Options{Epsilon: eps, ParallelDispatch: parallel, SizeHint: r.Jobs(), EventQueue: eventq}
-		var s *wflow.Session
-		var err error
-		if resumeFrom != nil {
-			s, err = wflow.Restore(resumeFrom, opt)
-		} else {
-			s, err = wflow.NewSession(r.Machines(), opt)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fd = s
-		finish = func() (*sched.Outcome, error) {
-			res, err := s.Close()
-			if err != nil {
-				return nil, err
-			}
-			return res.Outcome, nil
-		}
-	case "speedscale":
-		a := alpha
-		if a == 0 {
-			a = r.Alpha()
-		}
-		opt := speedscale.Options{Epsilon: eps, Alpha: a, ParallelDispatch: parallel, SizeHint: r.Jobs(), EventQueue: eventq}
-		var s *speedscale.Session
-		var err error
-		if resumeFrom != nil {
-			s, err = speedscale.Restore(resumeFrom, opt)
-		} else {
-			s, err = speedscale.NewSession(r.Machines(), opt)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fd = s
-		finish = func() (*sched.Outcome, error) {
-			res, err := s.Close()
-			if err != nil {
-				return nil, err
-			}
-			return res.Outcome, nil
-		}
-	case "srpt":
-		opt := srpt.Options{ParallelDispatch: parallel, SizeHint: r.Jobs(), EventQueue: eventq}
-		var s *srpt.Session
-		var err error
-		if resumeFrom != nil {
-			s, err = srpt.Restore(resumeFrom, opt)
-		} else {
-			s, err = srpt.NewSession(r.Machines(), opt)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fd = s
-		finish = func() (*sched.Outcome, error) {
-			res, err := s.Close()
-			if err != nil {
-				return nil, err
-			}
-			return res.Outcome, nil
-		}
-	case "wsrpt":
-		var s *srpt.WeightedSession
-		var err error
-		if resumeFrom != nil {
-			s, err = srpt.RestoreWeighted(resumeFrom, srpt.WeightedOptions{EventQueue: eventq})
-		} else {
-			s, err = srpt.NewWeightedSession(r.Machines(), srpt.WeightedOptions{SizeHint: r.Jobs(), EventQueue: eventq})
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fd = s
-		finish = func() (*sched.Outcome, error) {
-			res, err := s.Close()
-			if err != nil {
-				return nil, err
-			}
-			return res.Outcome, nil
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "schedsim: policy %q does not support -stream (use flowtime|wflow|speedscale|srpt|wsrpt)\n", policy)
+	e, ok := policy.Lookup(polName)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "schedsim: policy %q does not support -stream (use %s)\n", polName, policy.Usage())
 		os.Exit(2)
 	}
+	if alpha == 0 {
+		alpha = r.Alpha() // a stream has no instance to fall back on, only its header
+	}
+	params := policy.Params{Epsilon: eps, Alpha: alpha, ParallelDispatch: parallel, SizeHint: r.Jobs(), EventQueue: eventq}
+	var fd policy.Session
 	if resumeFrom != nil {
+		fd, err = e.Restore(resumeFrom, params)
 		resumeFrom.Close()
+	} else {
+		fd, err = e.New(r.Machines(), params)
+	}
+	if err != nil {
+		fatal(err)
 	}
 
 	// -progress wires the session to a private obs registry and prints a
@@ -654,7 +521,7 @@ func runStream(policy string, eps, alpha float64, parallel, batch int, eventq, p
 	if skip > 0 {
 		fatal(fmt.Errorf("snapshot absorbed %d more jobs than the trace provides — resuming against a different trace?", skip))
 	}
-	out, err := finish()
+	out, err := fd.Close()
 	if err != nil {
 		fatal(err)
 	}
@@ -682,7 +549,7 @@ func runStream(policy string, eps, alpha float64, parallel, batch int, eventq, p
 		}
 	}
 
-	t := stats.NewTable(fmt.Sprintf("schedsim: %s streaming %s (n=%d, m=%d)", policy, name, len(facts), r.Machines()),
+	t := stats.NewTable(fmt.Sprintf("schedsim: %s streaming %s (n=%d, m=%d)", polName, name, len(facts), r.Machines()),
 		"metric", "value")
 	t.AddRowf("total flow", totalFlow)
 	t.AddRowf("weighted flow", weightedFlow)
@@ -722,7 +589,7 @@ func runStream(policy string, eps, alpha float64, parallel, batch int, eventq, p
 // their rejection instant (the paper's accounting), this ratio can dip
 // below 1 under overload — rejection substituting for preemption, the §1
 // claim E15 quantifies across workload families.
-func runCompare(policy string, eps float64, parallel int, path string) {
+func runCompare(polName string, eps float64, parallel int, path string) {
 	ins, err := trace.LoadInstance(path)
 	if err != nil {
 		fatal(err)
@@ -737,7 +604,7 @@ func runCompare(policy string, eps float64, parallel int, path string) {
 		objective        string
 		costOf           func(sched.Metrics) float64
 	)
-	switch policy {
+	switch polName {
 	case "flowtime":
 		nonName, preName, objective = "flowtime (non-preemptive)", "srpt (preemptive)", "total flow"
 		costOf = func(m sched.Metrics) float64 { return m.TotalFlow }
@@ -767,7 +634,7 @@ func runCompare(policy string, eps float64, parallel int, path string) {
 		rejected, preempt, migrate = nres.Rule1Rejections+nres.Rule2Rejections, pres.Preemptions, pres.Migrations
 		preMode = sched.ValidateMode{AllowMigration: true, RequireUnitSpeed: true}
 	default:
-		fmt.Fprintf(os.Stderr, "schedsim: -compare pairs flowtime or wflow with a preemptive counterpart, not %q\n", policy)
+		fmt.Fprintf(os.Stderr, "schedsim: -compare pairs flowtime or wflow with a preemptive counterpart, not %q\n", polName)
 		os.Exit(2)
 	}
 
@@ -799,7 +666,7 @@ func runCompare(policy string, eps float64, parallel int, path string) {
 	nonCost, preCost, greedyCost := costOf(nm), costOf(pm), costOf(gm)
 	bound := lowerbound.SRPTBound(ins)
 
-	t := stats.NewTable(fmt.Sprintf("schedsim -compare: %s on %s (n=%d, m=%d, ε=%v)", policy, path, len(ins.Jobs), ins.Machines, eps),
+	t := stats.NewTable(fmt.Sprintf("schedsim -compare: %s on %s (n=%d, m=%d, ε=%v)", polName, path, len(ins.Jobs), ins.Machines, eps),
 		"metric", "value")
 	t.AddRowf(fmt.Sprintf("%s %s", nonName, objective), nonCost)
 	t.AddRowf(fmt.Sprintf("greedy SPT (non-preemptive, no rejections) %s", objective), greedyCost)
@@ -817,7 +684,7 @@ func runCompare(policy string, eps float64, parallel int, path string) {
 	}
 	t.AddRowf("rejected (non-preemptive)", rejected)
 	t.AddRowf("preemptions", preempt)
-	if policy == "wflow" {
+	if polName == "wflow" {
 		t.AddRowf("migrations", migrate)
 	}
 	fmt.Println(t)
@@ -827,7 +694,7 @@ func runCompare(policy string, eps float64, parallel int, path string) {
 // written to a sibling temp file, fsynced, and renamed over path, so a crash
 // mid-write leaves the previous checkpoint intact and a reader never sees a
 // half-written file.
-func writeCheckpoint(path string, s streamSession) error {
+func writeCheckpoint(path string, s policy.Session) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {

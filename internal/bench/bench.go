@@ -31,7 +31,7 @@ func (c Config) scale(full, quick int) int {
 
 // Experiment is one reproducible table or figure.
 type Experiment struct {
-	// ID is the experiment identifier (E1..E14).
+	// ID is the experiment identifier (E1..E21).
 	ID string
 	// Kind is "table" or "figure".
 	Kind string

@@ -36,8 +36,8 @@ func init() {
 	})
 	register(Experiment{
 		ID: "E19", Kind: "table",
-		Title: "Event-queue A/B (heap vs calendar) + pooled session reuse on the batched shard path",
-		Claim: "perf: the calendar queue and warm-pool session recycling cut per-run overhead on release-ordered streams with bit-identical outcomes",
+		Title: "Event-queue A/B (heap vs calendar) on the batched shard path",
+		Claim: "perf: the calendar queue cuts per-run overhead on release-ordered streams with bit-identical outcomes",
 		Run:   runE19,
 	})
 }
@@ -275,87 +275,19 @@ func runE18(cfg Config) (fmt.Stringer, error) {
 	return t, nil
 }
 
-// churnRun models a long-lived server restarting sessions between runs: gens
-// consecutive generations of the hinted E18 workload on one shard, each
-// generation feeding the whole instance through a fresh (pool == nil) or
-// warm-pool-recycled session. The timed window covers the per-generation
-// session acquisition — exactly the cost the pool exists to amortize — and
-// the first pooled generation is run untimed to warm the pool, so the pooled
-// rows measure the steady state of a server that has restarted at least
-// once. Returns the total wall time, the last generation's outcome (every
-// generation must match it bit-for-bit), and allocations per generation.
-func churnRun(ins *sched.Instance, m, gens int, pool *engine.SessionPool) (time.Duration, *sched.Outcome, float64, error) {
-	const key = "flowtime/e19"
-	opt := flowtime.Options{Epsilon: 0.2, SizeHint: len(ins.Jobs)}
-	oneGen := func() (*sched.Outcome, error) {
-		var s *flowtime.Session
-		if pool != nil {
-			s, _ = pool.Get(key).(*flowtime.Session)
-		}
-		if s == nil {
-			var err error
-			s, err = flowtime.NewSession(m, opt)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if err := s.FeedBatch(ins.Jobs); err != nil {
-			return nil, err
-		}
-		res, err := s.Close()
-		if err != nil {
-			return nil, err
-		}
-		if pool != nil {
-			pool.Put(key, s)
-		}
-		return res.Outcome, nil
-	}
-	var ref *sched.Outcome
-	if pool != nil {
-		out, err := oneGen() // warm the pool outside the timed window
-		if err != nil {
-			return 0, nil, 0, err
-		}
-		ref = out
-	}
-	var msBefore, msAfter runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
-	start := time.Now()
-	for g := 0; g < gens; g++ {
-		out, err := oneGen()
-		if err != nil {
-			return 0, nil, 0, err
-		}
-		if ref == nil {
-			ref = out
-		} else if !reflect.DeepEqual(out, ref) {
-			return 0, nil, 0, fmt.Errorf("generation %d outcome differs from the reference", g)
-		}
-	}
-	el := time.Since(start)
-	runtime.ReadMemStats(&msAfter)
-	return el, ref, float64(msAfter.Mallocs-msBefore.Mallocs) / float64(gens), nil
-}
-
-// runE19 answers two questions the compute-floor work left open. First, the
-// event-queue A/B: the same hinted batched shard runs as E18 with the 4-ary
-// heap versus the calendar queue (eventq.Calendar), whose O(1) bucket insert
-// replaces the heap's log-depth sift on the release-ordered stream; outcomes
-// must be bit-identical (the queues share one pop-order contract) and the
-// ratio column reports what the calendar buys end to end — the queue is only
-// a slice of the per-event cost, so the fleet-level ratio is far smaller
-// than the ~2.6× queue-level microbenchmark gap. Second, session churn: a
-// long-lived server that restarts runs pays session construction per
-// generation; the pooled rows recycle one warm session through
-// engine.SessionPool (Reset retains every grown allocation) and report the
-// per-generation allocation collapse against fresh construction, again with
-// bit-identical outcomes.
+// runE19 is the event-queue A/B the compute-floor work left open: the same
+// hinted batched shard runs as E18 with the 4-ary heap versus the calendar
+// queue (eventq.Calendar), whose O(1) bucket insert replaces the heap's
+// log-depth sift on the release-ordered stream; outcomes must be
+// bit-identical (the queues share one pop-order contract) and the ratio
+// column reports what the calendar buys end to end — the queue is only a
+// slice of the per-event cost, so the fleet-level ratio is far smaller than
+// the ~2.6× queue-level microbenchmark gap.
 func runE19(cfg Config) (fmt.Stringer, error) {
 	ins, m := throughputWorkload(cfg)
 	n := len(ins.Jobs)
 
-	t := stats.NewTable(fmt.Sprintf("E19 — event-queue A/B + pooled session churn (n=%d, m=%d per shard, slab=256, ε=0.2, hinted)", n, m),
+	t := stats.NewTable(fmt.Sprintf("E19 — event-queue A/B (n=%d, m=%d per shard, slab=256, ε=0.2, hinted)", n, m),
 		"row", "wall ms", "jobs/sec", "ratio", "allocs/job", "same")
 	for _, shards := range []int{1, 2, 4, 8} {
 		hint := engine.PerShardHint(n, shards)
@@ -375,28 +307,5 @@ func runE19(cfg Config) (fmt.Stringer, error) {
 		t.AddRowf(fmt.Sprintf("calendar ×%d shards", shards), float64(calEl.Microseconds())/1000,
 			calRate, calRate/heapRate, calAllocs/float64(n), okMark(identical))
 	}
-
-	gens := 6
-	if cfg.Quick {
-		gens = 3
-	}
-	freshEl, freshOut, freshAllocs, err := churnRun(ins, m, gens, nil)
-	if err != nil {
-		return nil, fmt.Errorf("E19: fresh churn: %w", err)
-	}
-	pool := engine.NewSessionPool(0)
-	poolEl, poolOut, poolAllocs, err := churnRun(ins, m, gens, pool)
-	if err != nil {
-		return nil, fmt.Errorf("E19: pooled churn: %w", err)
-	}
-	if !reflect.DeepEqual(poolOut, freshOut) {
-		return nil, fmt.Errorf("E19: pooled churn outcome differs from fresh construction")
-	}
-	freshRate := float64(n) * float64(gens) / freshEl.Seconds()
-	poolRate := float64(n) * float64(gens) / poolEl.Seconds()
-	t.AddRowf(fmt.Sprintf("churn fresh ×%d gens", gens), float64(freshEl.Microseconds())/1000,
-		freshRate, 1.0, freshAllocs/float64(n), okMark(true))
-	t.AddRowf(fmt.Sprintf("churn pooled ×%d gens", gens), float64(poolEl.Microseconds())/1000,
-		poolRate, poolRate/freshRate, poolAllocs/float64(n), okMark(true))
 	return t, nil
 }

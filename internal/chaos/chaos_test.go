@@ -97,6 +97,10 @@ func (s *feedServer) handle(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.streams++
 	s.mu.Unlock()
+	// Acks stream out while the body streams in; without full duplex an
+	// HTTP/1.x server closes the unread body at the first ack (cf.
+	// internal/front's feed handler).
+	http.NewResponseController(w).EnableFullDuplex()
 	nr, err := trace.NewNDJSONReader(r.Body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)

@@ -206,29 +206,6 @@ func (p *policy) Bind(c *engine.Core) { p.c = c }
 
 func (p *policy) Close() { p.pool.Close() }
 
-// Reset returns the policy to its freshly-constructed state, retaining the
-// pending-index arenas and dual slices' capacity and reviving the dispatch
-// pool Close released (engine.ResettablePolicy; see Session recycling).
-func (p *policy) Reset() {
-	for i := range p.mach {
-		m := &p.mach[i]
-		m.pending.Reset()
-		m.runVictims, m.counter = 0, 0
-		m.remnantAcc = 0
-		m.occ, m.occLast, m.occInt = 0, 0, 0
-		m.bpTimes = m.bpTimes[:0]
-		m.bpValues = m.bpValues[:0]
-	}
-	p.snap = p.snap[:0]
-	p.ctilde = p.ctilde[:0]
-	p.lambda = p.lambda[:0]
-	p.curJob = nil
-	// The previous Result (and the Outcome inside it) was handed to the
-	// caller at Close; the recycled run records into a fresh one.
-	p.res = &Result{}
-	p.pool = dispatch.NewPool(dispatch.Workers(p.opt.ParallelDispatch, len(p.mach)), len(p.mach))
-}
-
 func (p *policy) Audit() error {
 	for i := range p.mach {
 		m := &p.mach[i]

@@ -9,12 +9,14 @@ import (
 
 // Session is a streaming run of the §2 algorithm: jobs are fed one at a
 // time in release order and scheduled online, with no knowledge of the
-// future — exactly the model the paper analyzes. A session with the same
-// options produces an Outcome bit-identical to a batch Run over the same
-// jobs (pinned by the equivalence tests in stream_test.go).
+// future — exactly the model the paper analyzes. The embedded engine
+// session supplies Feed, FeedBatch, AdvanceTo, Fed, Pending, EachFed,
+// SetTelemetry and Snapshot; only Close is typed here. A session with the
+// same options produces a Result bit-identical to a batch Run over the same
+// jobs (pinned by internal/policy's conformance suite).
 type Session struct {
-	es *engine.Session
-	p  *policy
+	*engine.Session
+	p *policy
 }
 
 // NewSession starts a streaming run on the given number of machines,
@@ -44,41 +46,12 @@ func newSession(machines int, opt Options, hint int) (*Session, error) {
 		p.Close()
 		return nil, err
 	}
-	return &Session{es: es, p: p}, nil
+	return &Session{Session: es, p: p}, nil
 }
-
-// Feed admits the next job of the stream (releases must be non-decreasing)
-// and advances the simulation as far as the fed releases allow.
-func (s *Session) Feed(j sched.Job) error { return s.es.Feed(j) }
-
-// FeedBatch admits a release-ordered batch of jobs in one call, observably
-// identical to feeding them one Feed at a time but with the per-job
-// ingestion overhead amortized (see engine.Session.FeedBatch).
-func (s *Session) FeedBatch(jobs []sched.Job) error { return s.es.FeedBatch(jobs) }
-
-// AdvanceTo declares that no job released before t will ever be fed and
-// advances the simulation through time t.
-func (s *Session) AdvanceTo(t float64) error { return s.es.AdvanceTo(t) }
-
-// Fed reports the number of jobs admitted so far (see engine.Session.Fed).
-func (s *Session) Fed() int { return s.es.Fed() }
-
-// SetTelemetry attaches engine telemetry to the underlying session
-// (outcome-neutral; see engine.Telemetry).
-func (s *Session) SetTelemetry(t engine.Telemetry) { s.es.SetTelemetry(t) }
-
-// Pending reports the number of jobs admitted but not yet completed or
-// rejected — the backpressure signal of engine.Session.Pending.
-func (s *Session) Pending() int { return s.es.Pending() }
-
-// EachFed visits every admitted job in feed order (see
-// engine.Session.EachFed); call it only from the owning goroutine, or after
-// a Shard Quiesce/Wait barrier.
-func (s *Session) EachFed(f func(j *sched.Job)) { s.es.EachFed(f) }
 
 // Close drains the run to completion and returns the audited result.
 func (s *Session) Close() (*Result, error) {
-	out, err := s.es.Close()
+	out, err := s.Session.Close()
 	if err != nil {
 		return nil, err
 	}
@@ -90,19 +63,10 @@ func (s *Session) Close() (*Result, error) {
 	return res, nil
 }
 
-// Reset recycles the closed session for a fresh run, retaining every grown
-// allocation — job table, outcome arrays, pending-index arenas, event-queue
-// storage (engine.Recyclable; park it in an engine.SessionPool). The
-// recycled session behaves exactly like a new one with the same options.
-func (s *Session) Reset() error { return s.es.Reset() }
-
 // Run executes the algorithm on the instance and returns the audited
 // result. It is a thin wrapper over a Session fed the instance's job slice
 // in one batch, with storage preallocated for the known size.
 func Run(ins *sched.Instance, opt Options) (*Result, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
 	if err := ins.Validate(); err != nil {
 		return nil, err
 	}

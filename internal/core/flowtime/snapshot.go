@@ -138,14 +138,6 @@ func (p *policy) LoadState(d *snapshot.Decoder) error {
 	return d.Err()
 }
 
-// Snapshot freezes the streaming session into w as a durable, CRC-guarded
-// binary snapshot. The session stays live: Snapshot observes, never mutates,
-// so periodic checkpoints between feeds are safe at any watermark. Restore
-// the snapshot with flowtime.Restore (same Options) in this or a fresh
-// process; feeding the remaining stream there yields a Result bit-identical
-// to an uninterrupted run's.
-func (s *Session) Snapshot(w io.Writer) error { return s.es.Snapshot(w) }
-
 // Restore reconstructs a streaming session from a snapshot written by
 // Session.Snapshot. opt must carry the same semantic configuration the donor
 // ran with (Epsilon, rule switches, TrackDual) — a mismatch is detected from
@@ -164,5 +156,5 @@ func Restore(r io.Reader, opt Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{es: es, p: p}, nil
+	return &Session{Session: es, p: p}, nil
 }

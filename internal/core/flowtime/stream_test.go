@@ -1,153 +1,12 @@
 package flowtime
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
-
-// streamInstance feeds the instance's jobs through a Session, optionally
-// interleaving AdvanceTo calls between feeds.
-func streamInstance(t *testing.T, ins *sched.Instance, opt Options, advance bool) *Result {
-	t.Helper()
-	s, err := NewSession(ins.Machines, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range ins.Jobs {
-		if advance && k%3 == 0 {
-			// Promise nothing earlier than this release will arrive, which
-			// advances the simulation right up to the next arrival.
-			if err := s.AdvanceTo(ins.Jobs[k].Release); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Feed(ins.Jobs[k]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := s.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-func equivInstances(t *testing.T) []*sched.Instance {
-	t.Helper()
-	var out []*sched.Instance
-	for seed := int64(0); seed < 4; seed++ {
-		cfg := workload.DefaultConfig(500, 5, seed)
-		cfg.Load = 1.3
-		out = append(out, workload.Random(cfg))
-	}
-	// Bursty bimodal: many equal releases and equal processing times, the
-	// tie-break-heavy regime.
-	cfg := workload.DefaultConfig(400, 4, 9)
-	cfg.Sizes = workload.SizeBimodal
-	cfg.Arrivals = workload.ArrivalsBursty
-	cfg.BurstSize = 30
-	cfg.Load = 1.5
-	out = append(out, workload.Random(cfg))
-	// Adversarial Lemma 1 family.
-	out = append(out, workload.Lemma1Instance(10, 0.4))
-	return out
-}
-
-// TestSessionMatchesRun is the streaming equivalence golden test: a Session
-// fed one job at a time must produce an Outcome (intervals, completions,
-// rejections, assignments) and rule counters bit-identical to the batch Run,
-// with and without dual tracking and parallel dispatch, with and without
-// interleaved AdvanceTo calls.
-func TestSessionMatchesRun(t *testing.T) {
-	for n, ins := range equivInstances(t) {
-		for _, opt := range []Options{
-			{Epsilon: 0.2},
-			{Epsilon: 0.2, TrackDual: true},
-			{Epsilon: 0.4, TrackDual: true, ParallelDispatch: 4},
-			{Epsilon: 0.1, ParallelDispatch: 3},
-		} {
-			batch, err := Run(ins, opt)
-			if err != nil {
-				t.Fatalf("instance %d: batch: %v", n, err)
-			}
-			for _, advance := range []bool{false, true} {
-				stream := streamInstance(t, ins, opt, advance)
-				if !reflect.DeepEqual(batch.Outcome, stream.Outcome) {
-					t.Fatalf("instance %d opt %+v advance %v: streaming outcome diverges from batch", n, opt, advance)
-				}
-				if batch.Dispatches != stream.Dispatches ||
-					batch.Rule1Rejections != stream.Rule1Rejections ||
-					batch.Rule2Rejections != stream.Rule2Rejections {
-					t.Fatalf("instance %d opt %+v advance %v: counters diverge", n, opt, advance)
-				}
-				if opt.TrackDual {
-					if !reflect.DeepEqual(batch.Dual.Lambda, stream.Dual.Lambda) ||
-						!reflect.DeepEqual(batch.Dual.CTilde, stream.Dual.CTilde) ||
-						batch.Dual.BetaIntegral != stream.Dual.BetaIntegral {
-						t.Fatalf("instance %d opt %+v advance %v: dual report diverges", n, opt, advance)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestFeedBatchMatchesRun extends the equivalence matrix to the batched
-// ingestion path: for every instance × option configuration, feeding the
-// stream in random batch splits (FeedBatch) must reproduce the batch Run
-// outcome and counters bit-for-bit — including splits landing between
-// within-Eps releases, which the bursty instance provides.
-func TestFeedBatchMatchesRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for n, ins := range equivInstances(t) {
-		for _, opt := range []Options{
-			{Epsilon: 0.2},
-			{Epsilon: 0.2, TrackDual: true},
-			{Epsilon: 0.4, TrackDual: true, ParallelDispatch: 4},
-			{Epsilon: 0.1, ParallelDispatch: 3},
-		} {
-			batch, err := Run(ins, opt)
-			if err != nil {
-				t.Fatalf("instance %d: batch: %v", n, err)
-			}
-			for trial := 0; trial < 3; trial++ {
-				s, err := NewSession(ins.Machines, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for lo := 0; lo < len(ins.Jobs); {
-					hi := lo + 1 + rng.Intn(120)
-					if hi > len(ins.Jobs) {
-						hi = len(ins.Jobs)
-					}
-					if err := s.FeedBatch(ins.Jobs[lo:hi]); err != nil {
-						t.Fatal(err)
-					}
-					lo = hi
-				}
-				stream, err := s.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(batch.Outcome, stream.Outcome) {
-					t.Fatalf("instance %d opt %+v: batched-split outcome diverges from Run", n, opt)
-				}
-				if batch.Dispatches != stream.Dispatches ||
-					batch.Rule1Rejections != stream.Rule1Rejections ||
-					batch.Rule2Rejections != stream.Rule2Rejections {
-					t.Fatalf("instance %d opt %+v: counters diverge under batched feeding", n, opt)
-				}
-				if opt.TrackDual && !reflect.DeepEqual(batch.Dual.Lambda, stream.Dual.Lambda) {
-					t.Fatalf("instance %d opt %+v: dual report diverges under batched feeding", n, opt)
-				}
-			}
-		}
-	}
-}
 
 // TestSessionFinalAdvance pins that AdvanceTo far beyond the horizon drains
 // everything before Close, and Close still audits cleanly.

@@ -23,12 +23,6 @@ type DualReport struct {
 	// Lambda maps job id -> λ_j.
 	Lambda map[int]float64
 	execs  map[int]*execRecord
-	// slab is the current allocation chunk for execRecords. Records are
-	// handed out by alloc from chunks that are never reallocated once full
-	// (a full chunk is dropped and a fresh one created), so the pointers in
-	// execs stay valid while a dual-tracked run costs O(log n) record
-	// allocations instead of one per dispatch.
-	slab []execRecord
 }
 
 type execRecord struct {
@@ -45,18 +39,13 @@ type execRecord struct {
 	finished  bool
 }
 
-// dualSlabMin is the smallest execRecord chunk; later chunks double, so an
-// unhinted run of n dispatches makes O(log n) chunk allocations.
-const dualSlabMin = 64
-
-// newDualReport builds an empty report; hint presizes the per-job maps and
-// the first record chunk for a stream of about that many dispatches.
+// newDualReport builds an empty report; hint presizes the per-job maps for a
+// stream of about that many dispatches.
 func newDualReport(eps, alpha, gamma float64, hint int) *DualReport {
 	d := &DualReport{Epsilon: eps, Alpha: alpha, Gamma: gamma}
 	if hint > 0 {
 		d.Lambda = make(map[int]float64, hint)
 		d.execs = make(map[int]*execRecord, hint)
-		d.slab = make([]execRecord, 0, hint)
 	} else {
 		d.Lambda = make(map[int]float64)
 		d.execs = make(map[int]*execRecord)
@@ -64,23 +53,35 @@ func newDualReport(eps, alpha, gamma float64, hint int) *DualReport {
 	return d
 }
 
-// alloc returns a zeroed execRecord from the slab, starting a fresh chunk
-// when the current one is full.
-func (d *DualReport) alloc() *execRecord {
-	if len(d.slab) == cap(d.slab) {
-		n := 2 * cap(d.slab)
+// execSlab is the allocator of a dual-tracked run's execRecords. Records are
+// handed out from chunks that are never reallocated once full (a full chunk
+// is dropped and a fresh one created), so the pointers in DualReport.execs
+// stay valid while the run costs O(log n) record allocations instead of one
+// per dispatch. It belongs to the policy, not the report: two runs that made
+// the same decisions hand out equal reports however their storage was
+// chunked.
+type execSlab []execRecord
+
+// dualSlabMin is the smallest execRecord chunk; later chunks double, so an
+// unhinted run of n dispatches makes O(log n) chunk allocations.
+const dualSlabMin = 64
+
+// alloc returns a zeroed execRecord, starting a fresh chunk when the current
+// one is full.
+func (s *execSlab) alloc() *execRecord {
+	if len(*s) == cap(*s) {
+		n := 2 * cap(*s)
 		if n < dualSlabMin {
 			n = dualSlabMin
 		}
-		d.slab = make([]execRecord, 0, n)
+		*s = make([]execRecord, 0, n)
 	}
-	d.slab = append(d.slab, execRecord{})
-	return &d.slab[len(d.slab)-1]
+	*s = append(*s, execRecord{})
+	return &(*s)[len(*s)-1]
 }
 
-func (d *DualReport) noteDispatch(j *sched.Job, machine int, lambda float64) {
+func (d *DualReport) noteDispatch(e *execRecord, j *sched.Job, machine int, lambda float64) {
 	d.Lambda[j.ID] = lambda
-	e := d.alloc()
 	e.machine = machine
 	e.release = j.Release
 	e.weight = j.Weight

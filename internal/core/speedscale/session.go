@@ -8,14 +8,15 @@ import (
 )
 
 // Session is a streaming run of the §3 algorithm: jobs are fed one at a
-// time in release order and scheduled online. A session with the same
-// options produces an Outcome bit-identical to a batch Run over the same
-// jobs (pinned by the equivalence tests in stream_test.go). Because a
-// stream has no instance to fall back on, Options.Alpha must be set
-// explicitly.
+// time in release order and scheduled online. The embedded engine session
+// supplies Feed, FeedBatch, AdvanceTo, Fed, Pending, EachFed, SetTelemetry
+// and Snapshot; only Close is typed here. A session with the same options
+// produces a Result bit-identical to a batch Run over the same jobs (pinned
+// by internal/policy's conformance suite). Because a stream has no instance
+// to fall back on, Options.Alpha must be set explicitly.
 type Session struct {
-	es *engine.Session
-	p  *spolicy
+	*engine.Session
+	p *spolicy
 }
 
 // NewSession starts a streaming run on the given number of machines,
@@ -26,21 +27,12 @@ func NewSession(machines int, opt Options) (*Session, error) {
 }
 
 func newSession(machines int, opt Options, hint int) (*Session, error) {
-	if !(opt.Epsilon > 0 && opt.Epsilon < 1) {
-		return nil, fmt.Errorf("speedscale: epsilon must be in (0,1), got %v", opt.Epsilon)
+	gamma, err := opt.validate()
+	if err != nil {
+		return nil, err
 	}
 	if hint < 0 {
 		hint = 0
-	}
-	if !(opt.Alpha > 1) {
-		return nil, fmt.Errorf("speedscale: alpha must exceed 1, got %v", opt.Alpha)
-	}
-	gamma := opt.Gamma
-	if gamma == 0 {
-		gamma = DefaultGamma(opt.Epsilon, opt.Alpha)
-	}
-	if !(gamma > 0) {
-		return nil, fmt.Errorf("speedscale: gamma must be positive, got %v", gamma)
 	}
 	if machines <= 0 {
 		return nil, fmt.Errorf("speedscale: session needs at least one machine, got %d", machines)
@@ -51,41 +43,12 @@ func newSession(machines int, opt Options, hint int) (*Session, error) {
 		p.Close()
 		return nil, err
 	}
-	return &Session{es: es, p: p}, nil
+	return &Session{Session: es, p: p}, nil
 }
-
-// Feed admits the next job of the stream (releases must be non-decreasing)
-// and advances the simulation as far as the fed releases allow.
-func (s *Session) Feed(j sched.Job) error { return s.es.Feed(j) }
-
-// FeedBatch admits a release-ordered batch of jobs in one call, observably
-// identical to feeding them one Feed at a time but with the per-job
-// ingestion overhead amortized (see engine.Session.FeedBatch).
-func (s *Session) FeedBatch(jobs []sched.Job) error { return s.es.FeedBatch(jobs) }
-
-// AdvanceTo declares that no job released before t will ever be fed and
-// advances the simulation through time t.
-func (s *Session) AdvanceTo(t float64) error { return s.es.AdvanceTo(t) }
-
-// Fed reports the number of jobs admitted so far (see engine.Session.Fed).
-func (s *Session) Fed() int { return s.es.Fed() }
-
-// SetTelemetry attaches engine telemetry to the underlying session
-// (outcome-neutral; see engine.Telemetry).
-func (s *Session) SetTelemetry(t engine.Telemetry) { s.es.SetTelemetry(t) }
-
-// Pending reports the number of jobs admitted but not yet completed or
-// rejected — the backpressure signal of engine.Session.Pending.
-func (s *Session) Pending() int { return s.es.Pending() }
-
-// EachFed visits every admitted job in feed order (see
-// engine.Session.EachFed); call it only from the owning goroutine, or after
-// a Shard Quiesce/Wait barrier.
-func (s *Session) EachFed(f func(j *sched.Job)) { s.es.EachFed(f) }
 
 // Close drains the run to completion and returns the audited result.
 func (s *Session) Close() (*Result, error) {
-	out, err := s.es.Close()
+	out, err := s.Session.Close()
 	if err != nil {
 		return nil, err
 	}
@@ -94,11 +57,6 @@ func (s *Session) Close() (*Result, error) {
 	res.Dual = s.p.dual
 	return res, nil
 }
-
-// Reset recycles the closed session for a fresh run, retaining every grown
-// allocation (engine.Recyclable; park it in an engine.SessionPool). The
-// recycled session behaves exactly like a new one with the same options.
-func (s *Session) Reset() error { return s.es.Reset() }
 
 // Run executes the algorithm on the instance: a thin wrapper over a Session
 // fed from the instance's job slice, with Alpha resolved from the instance

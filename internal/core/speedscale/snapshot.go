@@ -140,7 +140,7 @@ func (p *spolicy) LoadState(d *snapshot.Decoder) error {
 		for k := 0; k < cnt; k++ {
 			id := d.Int()
 			lambda := d.F64()
-			r := p.dual.alloc()
+			r := p.slab.alloc()
 			r.machine = int(int32(d.U32()))
 			r.release = d.F64()
 			r.weight = d.F64()
@@ -166,28 +166,15 @@ func (p *spolicy) LoadState(d *snapshot.Decoder) error {
 	return d.Err()
 }
 
-// Snapshot freezes the streaming session into w (read-only; resumable
-// bit-identically via Restore).
-func (s *Session) Snapshot(w io.Writer) error { return s.es.Snapshot(w) }
-
 // Restore reconstructs a streaming session from a snapshot written by
 // Session.Snapshot. opt must resolve to the donor's (ε, α, γ, TrackDual) —
 // Alpha is required, exactly as in NewSession, and γ defaults the same way —
 // which the snapshot's configuration echo verifies; ParallelDispatch is
 // performance-only and may differ.
 func Restore(r io.Reader, opt Options) (*Session, error) {
-	if !(opt.Epsilon > 0 && opt.Epsilon < 1) {
-		return nil, fmt.Errorf("speedscale: epsilon must be in (0,1), got %v", opt.Epsilon)
-	}
-	if !(opt.Alpha > 1) {
-		return nil, fmt.Errorf("speedscale: alpha must exceed 1, got %v", opt.Alpha)
-	}
-	gamma := opt.Gamma
-	if gamma == 0 {
-		gamma = DefaultGamma(opt.Epsilon, opt.Alpha)
-	}
-	if !(gamma > 0) {
-		return nil, fmt.Errorf("speedscale: gamma must be positive, got %v", gamma)
+	gamma, err := opt.validate()
+	if err != nil {
+		return nil, err
 	}
 	var p *spolicy
 	es, err := engine.RestoreOpts(r, engine.Options{EventQueue: opt.EventQueue}, func(machines int) (engine.Policy, error) {
@@ -197,5 +184,5 @@ func Restore(r io.Reader, opt Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{es: es, p: p}, nil
+	return &Session{Session: es, p: p}, nil
 }

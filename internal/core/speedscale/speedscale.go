@@ -68,6 +68,25 @@ type Options struct {
 	EventQueue string
 }
 
+// validate checks the option ranges and resolves γ (zero selects
+// DefaultGamma).
+func (o Options) validate() (gamma float64, err error) {
+	if !(o.Epsilon > 0 && o.Epsilon < 1) {
+		return 0, fmt.Errorf("speedscale: epsilon must be in (0,1), got %v", o.Epsilon)
+	}
+	if !(o.Alpha > 1) {
+		return 0, fmt.Errorf("speedscale: alpha must exceed 1, got %v", o.Alpha)
+	}
+	gamma = o.Gamma
+	if gamma == 0 {
+		gamma = DefaultGamma(o.Epsilon, o.Alpha)
+	}
+	if !(gamma > 0) {
+		return 0, fmt.Errorf("speedscale: gamma must be positive, got %v", gamma)
+	}
+	return gamma, nil
+}
+
 // DefaultGamma returns the paper's γ(ε, α) (with the documented fallback for
 // small α).
 func DefaultGamma(eps, alpha float64) float64 {
@@ -153,6 +172,7 @@ type spolicy struct {
 	curIdx int               // compact index of curJob
 	evalFn func(int) float64 // evalCur bound once per run (a method value allocates)
 	dual   *DualReport
+	slab   execSlab // execRecord storage behind dual
 }
 
 func newPolicy(opt Options, alpha, gamma float64, machines, hint int) *spolicy {
@@ -161,6 +181,7 @@ func newPolicy(opt Options, alpha, gamma float64, machines, hint int) *spolicy {
 	if opt.TrackDual {
 		p.snap = make([]float64, 0, hint)
 		p.dual = newDualReport(opt.Epsilon, alpha, gamma, hint)
+		p.slab = make(execSlab, 0, hint)
 	}
 	p.mach = make([]smachine, machines)
 	p.pool = dispatch.NewPool(dispatch.Workers(opt.ParallelDispatch, machines), machines)
@@ -171,26 +192,6 @@ func newPolicy(opt Options, alpha, gamma float64, machines, hint int) *spolicy {
 func (p *spolicy) Bind(c *engine.Core) { p.c = c }
 
 func (p *spolicy) Close() { p.pool.Close() }
-
-// Reset returns the policy to its freshly-constructed state, retaining the
-// pending slices' capacity and reviving the dispatch pool Close released
-// (engine.ResettablePolicy; see Session recycling).
-func (p *spolicy) Reset() {
-	for i := range p.mach {
-		m := &p.mach[i]
-		m.pending = m.pending[:0]
-		m.victimW = 0
-		m.remTimeAcc = 0
-	}
-	p.snap = p.snap[:0]
-	p.curJob, p.curIdx = nil, 0
-	// The previous Result (and DualReport) was handed to the caller at Close.
-	p.res = &Result{Gamma: p.gamma, Alpha: p.alpha}
-	if p.opt.TrackDual {
-		p.dual = newDualReport(p.opt.Epsilon, p.alpha, p.gamma, cap(p.snap))
-	}
-	p.pool = dispatch.NewPool(dispatch.Workers(p.opt.ParallelDispatch, len(p.mach)), len(p.mach))
-}
 
 func (p *spolicy) Audit() error {
 	for i := range p.mach {
@@ -260,7 +261,7 @@ func (p *spolicy) OnArrival(t float64, jk int) {
 			p.snap = append(p.snap, 0)
 		}
 		p.snap[jk] = m.remTimeAcc
-		p.dual.noteDispatch(j, best, p.opt.Epsilon/(1+p.opt.Epsilon)*bestLambda)
+		p.dual.noteDispatch(p.slab.alloc(), j, best, p.opt.Epsilon/(1+p.opt.Epsilon)*bestLambda)
 	}
 	m.insert(pitem{id: jk, w: j.Weight, p: j.Proc[best], density: j.Weight / j.Proc[best], release: j.Release})
 

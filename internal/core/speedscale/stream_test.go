@@ -1,82 +1,10 @@
 package speedscale
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/sched"
-	"repro/internal/workload"
 )
-
-// TestSessionMatchesRun pins streaming/batch equivalence for the §3
-// algorithm: identical outcomes (including speeds), rejection counters and
-// dual records, with and without dual tracking and parallel dispatch, with
-// and without interleaved AdvanceTo calls. Sessions need an explicit Alpha;
-// the batch run uses the same value so both resolve identical γ.
-func TestSessionMatchesRun(t *testing.T) {
-	var instances []*sched.Instance
-	for seed := int64(0); seed < 4; seed++ {
-		cfg := workload.DefaultConfig(400, 4, seed)
-		cfg.Load = 1.2
-		cfg.Weighted = true
-		ins := workload.Random(cfg)
-		ins.Alpha = 2
-		instances = append(instances, ins)
-	}
-	cfg := workload.DefaultConfig(300, 3, 9)
-	cfg.Sizes = workload.SizeBimodal
-	cfg.Arrivals = workload.ArrivalsBursty
-	cfg.BurstSize = 20
-	cfg.Load = 1.5
-	cfg.Weighted = true
-	ins := workload.Random(cfg)
-	ins.Alpha = 3
-	instances = append(instances, ins)
-
-	for n, ins := range instances {
-		for _, opt := range []Options{
-			{Epsilon: 0.3, Alpha: ins.Alpha},
-			{Epsilon: 0.3, Alpha: ins.Alpha, TrackDual: true},
-			{Epsilon: 0.15, Alpha: ins.Alpha, ParallelDispatch: 4},
-		} {
-			batch, err := Run(ins, opt)
-			if err != nil {
-				t.Fatalf("instance %d: batch: %v", n, err)
-			}
-			for _, advance := range []bool{false, true} {
-				s, err := NewSession(ins.Machines, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for k := range ins.Jobs {
-					if advance && k%5 == 0 {
-						if err := s.AdvanceTo(ins.Jobs[k].Release); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := s.Feed(ins.Jobs[k]); err != nil {
-						t.Fatal(err)
-					}
-				}
-				stream, err := s.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(batch.Outcome, stream.Outcome) {
-					t.Fatalf("instance %d opt %+v advance %v: streaming outcome diverges from batch", n, opt, advance)
-				}
-				if batch.Rejections != stream.Rejections ||
-					batch.RejectedWeight != stream.RejectedWeight ||
-					batch.Gamma != stream.Gamma || batch.Alpha != stream.Alpha {
-					t.Fatalf("instance %d opt %+v advance %v: counters diverge", n, opt, advance)
-				}
-				if opt.TrackDual && !reflect.DeepEqual(batch.Dual.Lambda, stream.Dual.Lambda) {
-					t.Fatalf("instance %d opt %+v advance %v: dual λ diverges", n, opt, advance)
-				}
-			}
-		}
-	}
-}
 
 // TestDualTrackingWithinEpsReleases regresses the arrival-order/feed-order
 // mismatch (cf. the flowtime test of the same name): a later-fed job whose

@@ -68,10 +68,6 @@ func (p *policy) LoadState(d *snapshot.Decoder) error {
 	return d.Err()
 }
 
-// Snapshot freezes the streaming session into w (read-only; resumable
-// bit-identically via Restore).
-func (s *Session) Snapshot(w io.Writer) error { return s.es.Snapshot(w) }
-
 // Restore reconstructs a streaming per-machine SRPT session from a snapshot
 // written by Session.Snapshot. The machine count comes from the snapshot;
 // opt.ParallelDispatch is performance-only and may differ from the donor's.
@@ -84,7 +80,7 @@ func Restore(r io.Reader, opt Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{es: es, p: p}, nil
+	return &Session{Session: es, p: p}, nil
 }
 
 // SnapshotTag identifies the migratory weighted-SRPT policy wire format.
@@ -165,10 +161,6 @@ func (p *wpolicy) LoadState(d *snapshot.Decoder) error {
 	return d.Err()
 }
 
-// Snapshot freezes the streaming session into w (read-only; resumable
-// bit-identically via RestoreWeighted).
-func (s *WeightedSession) Snapshot(w io.Writer) error { return s.es.Snapshot(w) }
-
 // RestoreWeighted reconstructs a streaming migratory weighted-SRPT session
 // from a snapshot written by WeightedSession.Snapshot.
 func RestoreWeighted(r io.Reader, opt WeightedOptions) (*WeightedSession, error) {
@@ -180,5 +172,5 @@ func RestoreWeighted(r io.Reader, opt WeightedOptions) (*WeightedSession, error)
 	if err != nil {
 		return nil, err
 	}
-	return &WeightedSession{es: es, p: p}, nil
+	return &WeightedSession{Session: es, p: p}, nil
 }

@@ -96,19 +96,6 @@ func (p *policy) Bind(c *engine.Core) { p.c = c }
 
 func (p *policy) Close() { p.pool.Close() }
 
-// Reset returns the policy to its freshly-constructed state: each waiting
-// treap empties into its node arena and reseeds with its original per-machine
-// seed, so a recycled run's tree shapes — and decisions — are exactly a new
-// policy's (engine.ResettablePolicy; see Session recycling).
-func (p *policy) Reset() {
-	for i := range p.mach {
-		p.mach[i].waiting.Reset(uint64(0x5e11) + uint64(i))
-	}
-	p.curJob, p.curT = nil, 0
-	p.res = &Result{} // the previous Result was handed to the caller at Close
-	p.pool = dispatch.NewPool(dispatch.Workers(p.opt.ParallelDispatch, len(p.mach)), len(p.mach))
-}
-
 func (p *policy) Audit() error {
 	for i := range p.mach {
 		if p.mach[i].waiting.Len() != 0 {

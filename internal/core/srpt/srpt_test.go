@@ -2,8 +2,6 @@ package srpt
 
 import (
 	"math"
-	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/lowerbound"
@@ -77,110 +75,6 @@ func TestSRPTSingleMachineMatchesBound(t *testing.T) {
 	}
 }
 
-// TestSRPTSessionMatchesRun is the streaming equivalence golden test: a
-// Session fed one job at a time must match the batch Run bit for bit, with
-// and without parallel dispatch and interleaved AdvanceTo calls.
-func TestSRPTSessionMatchesRun(t *testing.T) {
-	for n, ins := range goldenInstances() {
-		for _, opt := range []Options{{}, {ParallelDispatch: 4}} {
-			batch, err := Run(ins, opt)
-			if err != nil {
-				t.Fatalf("instance %d: batch: %v", n, err)
-			}
-			for _, advance := range []bool{false, true} {
-				s, err := NewSession(ins.Machines, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for k := range ins.Jobs {
-					if advance && k%3 == 0 {
-						if err := s.AdvanceTo(ins.Jobs[k].Release); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := s.Feed(ins.Jobs[k]); err != nil {
-						t.Fatal(err)
-					}
-				}
-				stream, err := s.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(batch.Outcome, stream.Outcome) {
-					t.Fatalf("instance %d opt %+v advance %v: streaming outcome diverges from batch", n, opt, advance)
-				}
-				if batch.Preemptions != stream.Preemptions {
-					t.Fatalf("instance %d: preemption counters diverge (%d vs %d)", n, batch.Preemptions, stream.Preemptions)
-				}
-			}
-		}
-	}
-}
-
-// TestSRPTFeedBatchSplitsMatchRun pins the batched ingestion path on the
-// preemption-heavy policies: random FeedBatch splits must reproduce the Run
-// outcome bit-for-bit, for per-machine SRPT and the migratory comparator.
-func TestSRPTFeedBatchSplitsMatchRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	splits := func(n int) []int {
-		var cuts []int
-		for lo := 0; lo < n; {
-			lo += 1 + rng.Intn(90)
-			if lo < n {
-				cuts = append(cuts, lo)
-			}
-		}
-		return cuts
-	}
-	for n, ins := range goldenInstances() {
-		batch, err := Run(ins, Options{})
-		if err != nil {
-			t.Fatalf("instance %d: batch: %v", n, err)
-		}
-		s, err := NewSession(ins.Machines, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prev := 0
-		for _, cut := range append(splits(len(ins.Jobs)), len(ins.Jobs)) {
-			if err := s.FeedBatch(ins.Jobs[prev:cut]); err != nil {
-				t.Fatal(err)
-			}
-			prev = cut
-		}
-		stream, err := s.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(batch.Outcome, stream.Outcome) {
-			t.Fatalf("instance %d: batched-split SRPT outcome diverges from Run", n)
-		}
-
-		wbatch, err := RunWeighted(ins, WeightedOptions{})
-		if err != nil {
-			t.Fatalf("instance %d: weighted batch: %v", n, err)
-		}
-		ws, err := NewWeightedSession(ins.Machines, WeightedOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prev = 0
-		for _, cut := range append(splits(len(ins.Jobs)), len(ins.Jobs)) {
-			if err := ws.FeedBatch(ins.Jobs[prev:cut]); err != nil {
-				t.Fatal(err)
-			}
-			prev = cut
-		}
-		wstream, err := ws.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(wbatch.Outcome, wstream.Outcome) {
-			t.Fatalf("instance %d: batched-split WSRPT outcome diverges from RunWeighted", n)
-		}
-	}
-}
-
 func TestWSRPTSingleMachineUnitWeightsMatchesBound(t *testing.T) {
 	// With unit weights on one machine the migratory policy degenerates to
 	// exact preemptive SRPT, which is optimal: flow == SRPTBound.
@@ -247,40 +141,6 @@ func TestWSRPTPrefersHeavyJobs(t *testing.T) {
 	}
 	if res.Outcome.Completed[0] != 4 || res.Outcome.Completed[1] != 8 {
 		t.Fatalf("completions %v, want heavy@4 light@8", res.Outcome.Completed)
-	}
-}
-
-// TestWSRPTSessionMatchesRun pins streaming/batch equivalence for the
-// migratory policy.
-func TestWSRPTSessionMatchesRun(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		cfg := workload.DefaultConfig(300, 4, seed)
-		cfg.Load = 1.3
-		cfg.Weighted = true
-		ins := workload.Random(cfg)
-		batch, err := RunWeighted(ins, WeightedOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewWeightedSession(ins.Machines, WeightedOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range ins.Jobs {
-			if err := s.Feed(ins.Jobs[k]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		stream, err := s.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(batch.Outcome, stream.Outcome) {
-			t.Fatalf("seed %d: streaming outcome diverges from batch", seed)
-		}
-		if batch.Preemptions != stream.Preemptions || batch.Migrations != stream.Migrations {
-			t.Fatalf("seed %d: counters diverge", seed)
-		}
 	}
 }
 

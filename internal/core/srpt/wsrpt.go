@@ -74,18 +74,6 @@ func (p *wpolicy) Bind(c *engine.Core) { p.c = c }
 
 func (p *wpolicy) Close() {}
 
-// Reset returns the policy to its freshly-constructed state: the global
-// density pool empties into its node arena and reseeds with the original
-// seed, and the dense per-job slices truncate in place
-// (engine.ResettablePolicy; see WeightedSession recycling).
-func (p *wpolicy) Reset() {
-	p.pending.Reset(0x3197)
-	p.frac = p.frac[:0]
-	p.pmin = p.pmin[:0]
-	p.lastMach = p.lastMach[:0]
-	p.res = &WeightedResult{} // the previous Result was handed out at Close
-}
-
 func (p *wpolicy) Audit() error {
 	if n := p.pending.Len(); n != 0 {
 		return fmt.Errorf("srpt: internal invariant violated: %d jobs still pending at end of run", n)

@@ -83,16 +83,12 @@ func (p *wpolicy) LoadState(d *snapshot.Decoder) error {
 	return d.Err()
 }
 
-// Snapshot freezes the streaming session into w (see flowtime.Session.Snapshot
-// for the contract: read-only, resumable bit-identically via Restore).
-func (s *Session) Snapshot(w io.Writer) error { return s.es.Snapshot(w) }
-
 // Restore reconstructs a streaming session from a snapshot written by
 // Session.Snapshot. opt.Epsilon must match the donor's (checked against the
 // snapshot's echo); ParallelDispatch is performance-only and may differ.
 func Restore(r io.Reader, opt Options) (*Session, error) {
-	if !(opt.Epsilon > 0 && opt.Epsilon < 1) {
-		return nil, fmt.Errorf("wflow: epsilon must be in (0,1), got %v", opt.Epsilon)
+	if err := opt.validate(); err != nil {
+		return nil, err
 	}
 	var p *wpolicy
 	es, err := engine.RestoreOpts(r, engine.Options{EventQueue: opt.EventQueue}, func(machines int) (engine.Policy, error) {
@@ -102,5 +98,5 @@ func Restore(r io.Reader, opt Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{es: es, p: p}, nil
+	return &Session{Session: es, p: p}, nil
 }

@@ -61,6 +61,13 @@ type Options struct {
 	EventQueue string
 }
 
+func (o Options) validate() error {
+	if !(o.Epsilon > 0 && o.Epsilon < 1) {
+		return fmt.Errorf("wflow: epsilon must be in (0,1), got %v", o.Epsilon)
+	}
+	return nil
+}
+
 // Result is the audited output of a run.
 type Result struct {
 	Outcome *sched.Outcome
@@ -126,21 +133,6 @@ func pendingHint(hint, machines int) int {
 func (p *wpolicy) Bind(c *engine.Core) { p.c = c }
 
 func (p *wpolicy) Close() { p.pool.Close() }
-
-// Reset returns the policy to its freshly-constructed state, retaining both
-// pending indexes' arenas and reviving the dispatch pool Close released
-// (engine.ResettablePolicy; see Session recycling).
-func (p *wpolicy) Reset() {
-	for i := range p.mach {
-		m := &p.mach[i]
-		m.pending.Reset()
-		m.byProc.Reset()
-		m.victimW, m.counterW = 0, 0
-	}
-	p.curJob = nil
-	p.res = &Result{} // the previous Result was handed to the caller at Close
-	p.pool = dispatch.NewPool(dispatch.Workers(p.opt.ParallelDispatch, len(p.mach)), len(p.mach))
-}
 
 func (p *wpolicy) Audit() error {
 	for i := range p.mach {

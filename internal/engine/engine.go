@@ -167,7 +167,7 @@ type Core struct {
 	rec *sched.OutcomeRecorder
 	seq int32
 	// tel is the instrumentation bundle (zero value = disabled). It is
-	// outcome-neutral and deliberately survives Session.Reset.
+	// outcome-neutral.
 	tel Telemetry
 }
 

@@ -20,19 +20,6 @@ func (ix *idIndex) reserve(n int) {
 	}
 }
 
-// reset empties the index, retaining the dense table's capacity. An index
-// that migrated to map mode stays there (clear keeps the buckets): migration
-// was triggered by the id shape of the workload, and a recycled session
-// typically replays the same shape.
-func (ix *idIndex) reset() {
-	ix.n = 0
-	ix.minID = 0
-	ix.dense = ix.dense[:0]
-	if ix.byID != nil {
-		clear(ix.byID)
-	}
-}
-
 // add assigns the next compact index to id, returning (index, true), or
 // (-1, false) if the id was already added.
 func (ix *idIndex) add(id int) (int, bool) {

@@ -44,51 +44,6 @@ func NewSession(pol Policy, opt Options) (*Session, error) {
 	return s, nil
 }
 
-// ResettablePolicy is the recycling hook of a Policy: Reset must return the
-// policy to its freshly-constructed, already-Bound state — every decision
-// counter, accumulator and index emptied, every arena retained — and revive
-// any resources Close released (dispatch pools). All five scheduling
-// policies of internal/core implement it.
-type ResettablePolicy interface {
-	Policy
-	Reset()
-}
-
-// Reset recycles a closed session for a fresh run, retaining every grown
-// allocation: the job table, conservation array, id index, dense outcome
-// arrays and event-queue storage all keep their capacity, so a recycled
-// session's feed path re-pays none of the doubling-growth allocations a new
-// session does. The policy must implement ResettablePolicy (its arenas are
-// recycled the same way). After Reset the session behaves exactly like a
-// freshly constructed one — same validation, same deterministic event order —
-// which the heap-vs-recycled equivalence tests pin.
-//
-// Only a closed session can be recycled: an open one still owes its caller an
-// Outcome, and its policy resources are live.
-func (s *Session) Reset() error {
-	if !s.closed {
-		return errors.New("engine: reset of a session that is not closed")
-	}
-	rp, ok := s.core.pol.(ResettablePolicy)
-	if !ok {
-		return fmt.Errorf("engine: policy %T does not implement ResettablePolicy; session cannot be recycled", s.core.pol)
-	}
-	rp.Reset()
-	c := &s.core
-	for i := range c.mach {
-		c.mach[i] = MachineState{Running: -1}
-	}
-	c.jobs = c.jobs[:0]
-	c.done = c.done[:0]
-	c.ids.reset()
-	c.rec.Reset()
-	c.q.Reset()
-	c.seq = 0
-	s.last, s.floor = 0, 0
-	s.closed = false
-	return nil
-}
-
 // Feed accepts the next job of the stream. It validates the job against the
 // same structural rules as sched.Instance.Validate (machine-count-many
 // positive finite processing times, positive weight, sane release and

@@ -52,8 +52,7 @@ func NewTelemetry(r *obs.Registry, shard string) Telemetry {
 }
 
 // SetTelemetry attaches (or replaces) the session's metric bundle. It
-// is outcome-neutral — telemetry never changes a scheduling decision —
-// and survives Reset, so a pooled session keeps reporting after
-// recycling. Call it between construction and the first Feed; it must
-// not race a concurrently draining session.
+// is outcome-neutral — telemetry never changes a scheduling decision.
+// Call it between construction and the first Feed; it must not race a
+// concurrently draining session.
 func (s *Session) SetTelemetry(t Telemetry) { s.core.tel = t }

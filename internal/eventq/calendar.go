@@ -87,24 +87,6 @@ func (c *Calendar) Push(e Event) {
 	c.place(e)
 }
 
-// PushBatch inserts a batch, assigning insertion sequence in slice order —
-// pop order identical to pushing each event individually. The slice is
-// copied, not retained.
-func (c *Calendar) PushBatch(events []Event) {
-	c.Grow(len(events))
-	for _, e := range events {
-		c.Push(e)
-	}
-}
-
-// Init replaces the queue contents with the batch, assigning insertion
-// sequence in slice order; the sequence counter keeps running, exactly as
-// Queue.Init.
-func (c *Calendar) Init(events []Event) {
-	c.clear()
-	c.PushBatch(events)
-}
-
 // Grow reserves capacity for n additional events in the staging rung. Unlike
 // the heap the calendar cannot presize individual buckets (their fill is
 // workload-dependent), but the overflow rung is where cold pushes land, so
@@ -324,8 +306,8 @@ func (c *Calendar) Scan(fn func(e *Event) bool) {
 	}
 }
 
-// clear empties every rung and forgets the window, retaining all storage.
-// The sequence counter is left alone (Init semantics).
+// clear empties every rung and forgets the window, retaining all storage;
+// Restore sets the sequence counter itself.
 func (c *Calendar) clear() {
 	c.n = 0
 	c.mloc = locNone
@@ -336,13 +318,6 @@ func (c *Calendar) clear() {
 	for i := range c.buckets {
 		c.buckets[i] = c.buckets[i][:0]
 	}
-}
-
-// Reset empties the queue and resets the insertion-sequence counter,
-// retaining buckets, rungs and the spare list for reuse.
-func (c *Calendar) Reset() {
-	c.clear()
-	c.seq = 0
 }
 
 // collectSorted gathers every pending event into the scratch slice in

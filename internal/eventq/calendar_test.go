@@ -82,33 +82,6 @@ func TestCalendarMatchesHeapRandom(t *testing.T) {
 	}
 }
 
-// TestCalendarBatchAndInitMatchHeap covers the PushBatch and Init sequence
-// assignment against the heap's.
-func TestCalendarBatchAndInitMatchHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	events := make([]Event, 400)
-	for i := range events {
-		events[i] = Event{Time: float64(rng.Intn(9)), Kind: Kind(rng.Intn(3)), Job: int32(i)}
-	}
-	var h Queue
-	var c Calendar
-	h.Init(events[:150])
-	c.Init(events[:150])
-	h.PushBatch(events[150:])
-	c.PushBatch(events[150:])
-	h.Push(Event{Time: 4, Kind: KindArrival, Job: 9999})
-	c.Push(Event{Time: 4, Kind: KindArrival, Job: 9999})
-	for h.Len() > 0 {
-		a, b := h.Pop(), c.Pop()
-		if a != b {
-			t.Fatalf("batch stream diverged: heap %+v calendar %+v", a, b)
-		}
-	}
-	if c.Len() != 0 {
-		t.Fatalf("calendar holds %d leftover events", c.Len())
-	}
-}
-
 // TestCalendarBoundaryTies is the pop-order property test of the satellite
 // task: events sharing one exact timestamp must pop by (Kind, seq) no matter
 // where that timestamp falls relative to the calendar's bucket boundaries.
@@ -290,61 +263,8 @@ func TestCalendarRestoreRejectsCorruptSemantics(t *testing.T) {
 		e.U32(^uint32(0))
 		e.U32(0)
 	})
-	c.Reset()
 	if err := c.Restore(d); err == nil {
 		t.Fatal("seq above counter accepted")
-	}
-}
-
-// TestResetRetainsCapacityAndRestartsSeq covers the Reset contract of both
-// implementations: emptied, seq back to zero (fresh-queue pop order), and no
-// growth allocations on refill.
-func TestResetRetainsCapacityAndRestartsSeq(t *testing.T) {
-	impls := []struct {
-		name string
-		q    Interface
-	}{
-		{"heap", &Queue{}},
-		{"calendar", &Calendar{}},
-	}
-	for _, im := range impls {
-		t.Run(im.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			fill := func() {
-				for i := 0; i < 500; i++ {
-					im.q.Push(Event{Time: float64(rng.Intn(20)), Kind: Kind(rng.Intn(3)), Job: int32(i)})
-				}
-			}
-			fill()
-			for i := 0; i < 100; i++ {
-				im.q.Pop()
-			}
-			im.q.Reset()
-			if im.q.Len() != 0 {
-				t.Fatalf("Reset left %d events", im.q.Len())
-			}
-			// A reset queue must behave exactly like a fresh one: same-time
-			// pushes pop in insertion order starting from seq 0.
-			im.q.Push(Event{Time: 1, Kind: KindArrival, Job: 10})
-			im.q.Push(Event{Time: 1, Kind: KindArrival, Job: 11})
-			if e := im.q.Pop(); e.Job != 10 {
-				t.Fatalf("post-Reset seq order broken: got job %d", e.Job)
-			}
-			im.q.Pop()
-			// Refill must not allocate: capacity was retained.
-			allocs := testing.AllocsPerRun(3, func() {
-				im.q.Reset()
-				for i := 0; i < 400; i++ {
-					im.q.Push(Event{Time: float64(i % 20), Kind: KindArrival, Job: int32(i)})
-				}
-				for im.q.Len() > 0 {
-					im.q.Pop()
-				}
-			})
-			if allocs > 0 {
-				t.Fatalf("refill after Reset allocated %.1f times per run", allocs)
-			}
-		})
 	}
 }
 

@@ -9,8 +9,7 @@
 //
 // The queue is a hand-rolled 4-ary min-heap: compared to container/heap it
 // avoids the interface boxing that allocates on every Push, halves the sift
-// depth, and keeps the hot comparison inlineable. Init heapifies an initial
-// event batch in O(n).
+// depth, and keeps the hot comparison inlineable.
 package eventq
 
 // Kind orders simultaneous events. Lower kinds pop first.
@@ -32,7 +31,7 @@ const (
 type Event struct {
 	Time float64
 	// ord packs (Kind, insertion sequence) into one word, so the tie-break
-	// after Time is a single integer compare. Maintained by Push/Init.
+	// after Time is a single integer compare. Maintained by Push.
 	ord     uint64
 	Job     int32 // job id or compact job index, or -1
 	Machine int32 // machine index, or -1
@@ -67,49 +66,6 @@ func (q *Queue) Push(e Event) {
 	q.seq++
 	q.h = append(q.h, e)
 	q.siftUp(len(q.h) - 1)
-}
-
-// PushBatch inserts a batch of events, assigning insertion sequence in slice
-// order, exactly as if each event had been pushed individually: the pop order
-// of the queue is identical (it depends only on the (Time, Kind, seq) total
-// order, never on heap layout). The slice is copied, not retained.
-//
-// It amortizes the capacity check over the batch and, when the queue is
-// empty, heapifies bottom-up in O(n) instead of n sift-ups. The engine's
-// FeedBatch deliberately does NOT use it: staging arrivals for a bulk push
-// ran the dispatch of each arrival colder in cache than pushing and
-// draining in small chunks (see engine.feedChunk), so PushBatch serves
-// callers that already hold an event slice — e.g. seeding a queue from a
-// precomputed schedule — not the session hot path.
-func (q *Queue) PushBatch(events []Event) {
-	q.Grow(len(events))
-	if len(q.h) == 0 && len(events) > 2 {
-		q.Init(events)
-		return
-	}
-	for _, e := range events {
-		e.ord = uint64(e.Kind)<<ordShift | q.seq
-		q.seq++
-		q.h = append(q.h, e)
-		q.siftUp(len(q.h) - 1)
-	}
-}
-
-// Init replaces the queue contents with the given batch, assigning insertion
-// sequence in slice order and heapifying in O(n). The slice is copied, not
-// retained.
-func (q *Queue) Init(events []Event) {
-	q.h = append(q.h[:0], events...)
-	for i := range q.h {
-		q.h[i].ord = uint64(q.h[i].Kind)<<ordShift | q.seq
-		q.seq++
-	}
-	if len(q.h) < 2 {
-		return // nothing to heapify; (0-2)/arity would also truncate to 0
-	}
-	for i := (len(q.h) - 2) / arity; i >= 0; i-- {
-		q.siftDown(i)
-	}
 }
 
 // Grow ensures capacity for n additional events without reallocation.

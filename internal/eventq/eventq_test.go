@@ -103,82 +103,6 @@ func TestInterleavedPushPop(t *testing.T) {
 	}
 }
 
-func TestInitMatchesPushes(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	events := make([]Event, 500)
-	for i := range events {
-		events[i] = Event{Time: rng.Float64() * 100, Kind: Kind(rng.Intn(3)), Job: int32(i)}
-	}
-	var bulk, oneByOne Queue
-	bulk.Init(events)
-	for _, e := range events {
-		oneByOne.Push(e)
-	}
-	for oneByOne.Len() > 0 {
-		a, b := bulk.Pop(), oneByOne.Pop()
-		if a != b {
-			t.Fatalf("bulk Init diverged from pushes: %+v vs %+v", a, b)
-		}
-	}
-	if bulk.Len() != 0 {
-		t.Fatalf("bulk queue has %d leftover events", bulk.Len())
-	}
-}
-
-func TestPushBatchMatchesPushes(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	// Both the empty-queue heapify path and the incremental sift path, with
-	// tie-heavy times so sequence order is load-bearing.
-	for _, preload := range []int{0, 1, 37} {
-		events := make([]Event, 300)
-		for i := range events {
-			events[i] = Event{Time: float64(rng.Intn(20)), Kind: Kind(rng.Intn(3)), Job: int32(i)}
-		}
-		var bulk, oneByOne Queue
-		for i := 0; i < preload; i++ {
-			e := Event{Time: float64(rng.Intn(20)), Kind: Kind(rng.Intn(3)), Job: int32(1000 + i)}
-			bulk.Push(e)
-			oneByOne.Push(e)
-		}
-		bulk.PushBatch(events)
-		for _, e := range events {
-			oneByOne.Push(e)
-		}
-		for oneByOne.Len() > 0 {
-			a, b := bulk.Pop(), oneByOne.Pop()
-			if a != b {
-				t.Fatalf("preload %d: PushBatch diverged from pushes: %+v vs %+v", preload, a, b)
-			}
-		}
-		if bulk.Len() != 0 {
-			t.Fatalf("preload %d: bulk queue has %d leftover events", preload, bulk.Len())
-		}
-	}
-}
-
-func TestPushBatchThenPushKeepsSequenceOrder(t *testing.T) {
-	var q Queue
-	q.PushBatch([]Event{{Time: 1, Kind: KindArrival, Job: 0}, {Time: 1, Kind: KindArrival, Job: 1}, {Time: 1, Kind: KindArrival, Job: 2}})
-	q.Push(Event{Time: 1, Kind: KindArrival, Job: 3})
-	q.PushBatch([]Event{{Time: 1, Kind: KindArrival, Job: 4}})
-	for want := int32(0); want < 5; want++ {
-		if e := q.Pop(); e.Job != want {
-			t.Fatalf("got job %d, want %d", e.Job, want)
-		}
-	}
-}
-
-func TestInitThenPushKeepsSequenceOrder(t *testing.T) {
-	var q Queue
-	q.Init([]Event{{Time: 1, Kind: KindArrival, Job: 0}, {Time: 1, Kind: KindArrival, Job: 1}})
-	q.Push(Event{Time: 1, Kind: KindArrival, Job: 2})
-	for want := int32(0); want < 3; want++ {
-		if e := q.Pop(); e.Job != want {
-			t.Fatalf("got job %d, want %d", e.Job, want)
-		}
-	}
-}
-
 func TestGrowPreservesContents(t *testing.T) {
 	var q Queue
 	q.Push(Event{Time: 2, Job: 1})
@@ -186,17 +110,5 @@ func TestGrowPreservesContents(t *testing.T) {
 	q.Push(Event{Time: 1, Job: 2})
 	if e := q.Pop(); e.Job != 2 || q.Len() != 1 {
 		t.Fatalf("Grow corrupted the queue: %+v len=%d", e, q.Len())
-	}
-}
-
-func TestInitEmptyAndSingle(t *testing.T) {
-	var q Queue
-	q.Init(nil) // must not panic
-	if q.Len() != 0 {
-		t.Fatalf("empty Init: len %d", q.Len())
-	}
-	q.Init([]Event{{Time: 3, Job: 1}})
-	if e := q.Pop(); e.Job != 1 || q.Len() != 0 {
-		t.Fatalf("single Init broken: %+v", e)
 	}
 }

@@ -5,10 +5,9 @@ import "repro/internal/snapshot"
 // Interface is the seam between the engine and an event-queue
 // implementation. Both Queue (the 4-ary heap) and Calendar (the bucketed
 // ladder queue) satisfy it with the exact same observable contract: events
-// pop in (Time, Kind, insertion-seq) order, PushBatch/Init assign insertion
-// sequence in slice order, and Snapshot/Restore speak one shared wire format
-// (see snapshot.go) so a run frozen under either implementation resumes
-// bit-identically under the other.
+// pop in (Time, Kind, insertion-seq) order, and Snapshot/Restore speak one
+// shared wire format (see snapshot.go) so a run frozen under either
+// implementation resumes bit-identically under the other.
 //
 // The seam is deliberately narrow — exactly the surface the engine consumes —
 // so implementations stay swappable behind engine.Options.EventQueue without
@@ -16,12 +15,6 @@ import "repro/internal/snapshot"
 type Interface interface {
 	// Push inserts an event, assigning the next insertion sequence.
 	Push(e Event)
-	// PushBatch inserts a batch, assigning sequence in slice order; the pop
-	// order is identical to pushing each event individually.
-	PushBatch(events []Event)
-	// Init replaces the contents with the batch (sequence assignment as in
-	// PushBatch); the insertion-sequence counter keeps running.
-	Init(events []Event)
 	// Grow reserves capacity for n additional events where the
 	// implementation can (a heap presizes its array; a calendar presizes its
 	// staging storage — per-bucket capacity is workload-dependent).
@@ -37,21 +30,10 @@ type Interface interface {
 	// Scan calls fn on every pending event in an implementation-defined
 	// order (NOT pop order), stopping early when fn returns false. Read-only.
 	Scan(fn func(e *Event) bool)
-	// Reset empties the queue and resets the insertion-sequence counter to
-	// zero, retaining every backing allocation for reuse.
-	Reset()
 	// Snapshot serializes the pending events with their ord words into the
 	// shared EVTQ wire format.
 	Snapshot(e *snapshot.Encoder)
 	// Restore replaces the contents with a snapshot written by any
 	// implementation's Snapshot, validating as it decodes.
 	Restore(d *snapshot.Decoder) error
-}
-
-// Reset empties the queue and resets the insertion-sequence counter,
-// retaining the backing array: a recycled session reuses the same heap
-// storage instead of re-paying the doubling growth from scratch.
-func (q *Queue) Reset() {
-	q.h = q.h[:0]
-	q.seq = 0
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/engine"
+	"repro/internal/policy"
 	"repro/internal/snapshot"
 )
 
@@ -116,7 +117,7 @@ func Restore(cfg Config, r io.Reader) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	policy := d.Str()
+	polName := d.Str()
 	machines := int(d.U32())
 	shards := int(d.U32())
 	eps := d.F64()
@@ -138,10 +139,10 @@ func Restore(cfg Config, r io.Reader) (*Server, error) {
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	if policy != cfg.Policy || machines != cfg.Machines ||
+	if polName != cfg.Policy || machines != cfg.Machines ||
 		eps != cfg.Epsilon || alpha != cfg.Alpha {
 		return nil, fmt.Errorf("front: checkpoint taken by %s (m=%d, ε=%v, α=%v), restoring into %s (m=%d, ε=%v, α=%v)",
-			policy, machines, eps, alpha,
+			polName, machines, eps, alpha,
 			cfg.Policy, cfg.Machines, cfg.Epsilon, cfg.Alpha)
 	}
 	cfg.Shards = shards
@@ -234,14 +235,11 @@ func Restore(cfg Config, r io.Reader) (*Server, error) {
 		return nil, err
 	}
 
-	sessions := make([]*policySession, shards)
-	got, err := engine.RestoreFleet(bytes.NewReader(fleetBytes), func(k int, r io.Reader) error {
-		ps, err := buildSession(policy, machines, eps, alpha, 0, cfg.EventQueue, r)
-		if err != nil {
-			return err
-		}
-		sessions[k] = ps
-		return nil
+	// The header echo above pinned cfg to the donor's policy, m, ε and α.
+	sessions := make([]policy.Session, shards)
+	got, err := engine.RestoreFleet(bytes.NewReader(fleetBytes), func(k int, r io.Reader) (err error) {
+		sessions[k], err = openSession(&cfg, 0, r)
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -54,6 +54,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strconv"
@@ -65,13 +66,14 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/snapshot"
 )
 
 // Config parameterizes a Server.
 type Config struct {
-	Policy   string  // flowtime|wflow|speedscale|srpt|wsrpt
+	Policy   string  // a name registered in internal/policy
 	Epsilon  float64 // scheduler rejection parameter ε
 	Alpha    float64 // power exponent (speedscale)
 	Machines int     // machines per shard session
@@ -92,14 +94,6 @@ type Config struct {
 	// empty selects the heap). Performance-only: reports are bit-identical
 	// either way.
 	EventQueue string
-
-	// Pool, when non-nil, recycles shard sessions across server generations:
-	// New draws warm sessions from it (keyed by every outcome-relevant
-	// construction parameter, so a hit is bit-identical to a fresh build) and
-	// a successful Drain parks the closed sessions back. Restores always
-	// build from the snapshot and bypass the pool on the way in, but still
-	// park their sessions on the way out. Performance-only.
-	Pool *engine.SessionPool
 
 	CheckpointPath  string // durable snapshot path ("" disables checkpointing)
 	CheckpointEvery int    // fed jobs between periodic checkpoints (0: final only)
@@ -211,7 +205,7 @@ type Server struct {
 	// Sequencer-owned state (single goroutine; read by others only after
 	// the drained barrier).
 	fleet     *engine.Shard
-	sessions  []*policySession
+	sessions  []policy.Session
 	adm       *admission.Controller
 	decided   map[int]struct{} // gid of every acked verdict (fed or pre-rejected)
 	preRej    []preReject
@@ -268,28 +262,38 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// openSession constructs (restore == nil) or restores one shard's scheduler
+// session through the policy registry. Dispatch runs sequentially inside
+// each session: the shard fleet is the parallelism. sizeHint preallocates
+// per-job storage for a stream of about that many jobs (0 grows on demand);
+// a restored session sizes itself from the snapshot.
+func openSession(cfg *Config, sizeHint int, restore io.Reader) (policy.Session, error) {
+	e, ok := policy.Lookup(cfg.Policy)
+	if !ok {
+		return nil, fmt.Errorf("front: policy %q cannot serve (use %s)", cfg.Policy, policy.Usage())
+	}
+	p := policy.Params{Epsilon: cfg.Epsilon, Alpha: cfg.Alpha, ParallelDispatch: 1, SizeHint: sizeHint, EventQueue: cfg.EventQueue}
+	if restore != nil {
+		return e.Restore(restore, p)
+	}
+	return e.New(cfg.Machines, p)
+}
+
 // build assembles the server around pre-restored sessions (nil for fresh).
 // The caller starts the sequencer once any restore-time state is in place.
-func build(cfg Config, restored []*policySession) (*Server, error) {
+func build(cfg Config, restored []policy.Session) (*Server, error) {
 	adm, err := admission.New(cfg.Admission)
 	if err != nil {
 		return nil, err
 	}
 	sessions := restored
 	if sessions == nil {
-		key := sessionKey(cfg.Policy, cfg.Machines, cfg.Epsilon, cfg.Alpha, cfg.EventQueue)
-		sessions = make([]*policySession, cfg.Shards)
+		sessions = make([]policy.Session, cfg.Shards)
 		for k := range sessions {
-			if cfg.Pool != nil {
-				if ps, ok := cfg.Pool.Get(key).(*policySession); ok {
-					sessions[k] = ps
-					continue
-				}
-			}
-			sessions[k], err = buildSession(cfg.Policy, cfg.Machines, cfg.Epsilon, cfg.Alpha, engine.PerShardHint(cfg.SizeHint, cfg.Shards), cfg.EventQueue, nil)
+			sessions[k], err = openSession(&cfg, engine.PerShardHint(cfg.SizeHint, cfg.Shards), nil)
 			if err != nil {
 				for _, s := range sessions[:k] {
-					s.finish()
+					s.Close()
 				}
 				return nil, err
 			}
@@ -317,9 +321,8 @@ func build(cfg Config, restored []*policySession) (*Server, error) {
 		shardHist: []int{cfg.Shards},
 	}
 	s.cond = sync.NewCond(&s.mu)
-	// Telemetry attaches to every session regardless of origin (fresh,
-	// pooled, restored); with Obs nil the zero bundle also scrubs any
-	// stale telemetry a pooled session carried from a previous server.
+	// Telemetry attaches to every session regardless of origin (fresh or
+	// restored).
 	for k := range sessions {
 		sessions[k].SetTelemetry(s.shardTelemetry(k))
 	}
@@ -331,7 +334,7 @@ func build(cfg Config, restored []*policySession) (*Server, error) {
 		l, err := snapshot.OpenLineage(cfg.CheckpointPath, lineageOptions(cfg))
 		if err != nil {
 			for _, ps := range sessions {
-				ps.finish()
+				ps.Close()
 			}
 			return nil, err
 		}
@@ -790,8 +793,7 @@ func (s *Server) doResize(to int) error {
 	s.crashPoint("pre")
 
 	old := s.sessions
-	fresh := make([]*policySession, to)
-	key := sessionKey(s.cfg.Policy, s.cfg.Machines, s.cfg.Epsilon, s.cfg.Alpha, s.cfg.EventQueue)
+	fresh := make([]policy.Session, to)
 	fleet, err := engine.ResizeFleet(s.fleet, to, engine.ShardOptions{Route: s.route},
 		func(k int, _ engine.Feeder) error {
 			ps := old[k]
@@ -799,7 +801,7 @@ func (s *Server) doResize(to int) error {
 			ps.EachFed(func(j *sched.Job) {
 				facts[j.ID] = jobFact{release: j.Release, weight: j.Weight}
 			})
-			out, err := ps.finish()
+			out, err := ps.Close()
 			if err != nil {
 				return err
 			}
@@ -816,23 +818,12 @@ func (s *Server) doResize(to int) error {
 					s.carriedMakespan = end
 				}
 			}
-			if s.cfg.Pool != nil {
-				s.cfg.Pool.Put(key, ps)
-			}
 			return nil
 		},
 		func(k int) (engine.Feeder, error) {
-			var ps *policySession
-			if s.cfg.Pool != nil {
-				ps, _ = s.cfg.Pool.Get(key).(*policySession)
-			}
-			if ps == nil {
-				var err error
-				ps, err = buildSession(s.cfg.Policy, s.cfg.Machines, s.cfg.Epsilon, s.cfg.Alpha,
-					engine.PerShardHint(s.cfg.SizeHint, to), s.cfg.EventQueue, nil)
-				if err != nil {
-					return nil, err
-				}
+			ps, err := openSession(&s.cfg, engine.PerShardHint(s.cfg.SizeHint, to), nil)
+			if err != nil {
+				return nil, err
 			}
 			ps.SetTelemetry(s.shardTelemetry(k))
 			fresh[k] = ps
@@ -872,15 +863,6 @@ func (s *Server) doResize(to int) error {
 // shutdown runs on the sequencer goroutine after the last stream is reaped.
 func (s *Server) shutdown() {
 	rep, err := s.buildReport()
-	if err == nil && s.cfg.Pool != nil {
-		// The report is frozen and every session closed; park them for the
-		// next server generation. Put resets each session (dropping any whose
-		// reset fails) so a pool hit is indistinguishable from a fresh build.
-		key := sessionKey(s.cfg.Policy, s.cfg.Machines, s.cfg.Epsilon, s.cfg.Alpha, s.cfg.EventQueue)
-		for _, ps := range s.sessions {
-			s.cfg.Pool.Put(key, ps)
-		}
-	}
 	s.mu.Lock()
 	s.report, s.repErr = rep, err
 	s.mu.Unlock()
@@ -923,7 +905,7 @@ func (s *Server) buildReport() (*Report, error) {
 	rows := make([]verdictRow, 0, len(facts)+len(s.carried))
 	makespan := s.carriedMakespan
 	for _, ps := range s.sessions {
-		out, err := ps.finish()
+		out, err := ps.Close()
 		if err != nil {
 			return nil, err
 		}

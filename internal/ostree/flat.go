@@ -106,20 +106,6 @@ func NewFlatHint(hint int) *Flat {
 	}
 }
 
-// Reset empties the index for a fresh run, retaining the leaf arena, the
-// summary slices and the free list's capacity. Unlike the treap no seed is
-// involved: the structure is a pure function of the operation sequence, so a
-// recycled index is indistinguishable from a new one.
-func (f *Flat) Reset() {
-	f.leaves = f.leaves[:0]
-	f.order = f.order[:0]
-	f.metas = f.metas[:0]
-	f.groups = f.groups[:0]
-	f.free = f.free[:0]
-	f.n = 0
-	f.sumP, f.sumA, f.sumB = 0, 0, 0
-}
-
 // Len reports the number of stored elements.
 func (f *Flat) Len() int { return f.n }
 

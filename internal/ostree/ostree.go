@@ -124,30 +124,6 @@ func (t *Tree) recycle(n *node) {
 	t.free = n
 }
 
-// Reset empties the tree and reseeds the priority stream, retaining the node
-// arena: every stored node moves to the free list, so a recycled tree — like
-// a recycled session — replays a fresh run without re-paying arena growth,
-// and with the original seed its future structure is exactly a new tree's.
-func (t *Tree) Reset(seed uint64) {
-	releaseAll(t, t.root)
-	t.root = nil
-	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
-	}
-	t.rng = seed
-}
-
-// releaseAll recycles a whole subtree. Post-order: the children are walked
-// before recycle rewrites the node's right pointer into the free-list chain.
-func releaseAll(t *Tree, n *node) {
-	if n == nil {
-		return
-	}
-	releaseAll(t, n.left)
-	releaseAll(t, n.right)
-	t.recycle(n)
-}
-
 // Len reports the number of stored elements.
 func (t *Tree) Len() int {
 	if t.root == nil {

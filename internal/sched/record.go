@@ -34,10 +34,6 @@ type OutcomeRecorder struct {
 	machine   []int32
 	completed int
 	rejected  int
-	// finalized marks that the interval log was handed over to an Outcome
-	// (Finalize does not copy it); Reset must then start a fresh log instead
-	// of truncating the one the Outcome now owns.
-	finalized bool
 }
 
 // NewOutcomeRecorder returns a recorder with storage preallocated for a run
@@ -113,25 +109,6 @@ func (r *OutcomeRecorder) When(jk int) float64 { return r.when[jk] }
 // Machine reports the machine job jk was dispatched to, NoMachine if none.
 func (r *OutcomeRecorder) Machine(jk int) int32 { return r.machine[jk] }
 
-// Reset empties the recorder for a fresh run, retaining the per-job array
-// capacity. The interval log is likewise truncated in place — unless
-// Finalize ran, in which case the previous log now belongs to the returned
-// Outcome and a fresh slice (with the old capacity as its size class) is
-// allocated instead: one allocation per recycle, outside any feed path.
-func (r *OutcomeRecorder) Reset() {
-	if r.finalized {
-		r.intervals = make([]Interval, 0, cap(r.intervals))
-		r.finalized = false
-	} else {
-		r.intervals = r.intervals[:0]
-	}
-	r.state = r.state[:0]
-	r.when = r.when[:0]
-	r.machine = r.machine[:0]
-	r.completed = 0
-	r.rejected = 0
-}
-
 // CompletedCount reports the number of completed jobs.
 func (r *OutcomeRecorder) CompletedCount() int { return r.completed }
 
@@ -144,7 +121,6 @@ func (r *OutcomeRecorder) RejectedCount() int { return r.rejected }
 // single point where per-job map inserts happen — once per run, with maps
 // pre-sized exactly, instead of once per event inside the loop.
 func (r *OutcomeRecorder) Finalize(idOf func(jk int) int) *Outcome {
-	r.finalized = true
 	out := &Outcome{
 		Intervals: r.intervals,
 		Completed: make(map[int]float64, r.completed),

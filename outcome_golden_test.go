@@ -2,23 +2,20 @@ package repro
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"testing"
 
-	"repro/internal/core/flowtime"
-	"repro/internal/core/speedscale"
-	"repro/internal/core/srpt"
-	"repro/internal/core/wflow"
-	"repro/internal/sched"
+	"repro/internal/policy"
 	"repro/internal/workload"
 )
 
-// goldenSession is the slice of the five policies' session APIs the dense
-// outcome goldens need: batched feeding, a mid-stream checkpoint, and a
-// close that surfaces the Outcome.
-type goldenSession interface {
-	FeedBatch(jobs []sched.Job) error
+// goldenParams are the per-policy parameters of the cross-policy goldens
+// (this file and resize_golden_test.go): each paper algorithm at its own ε,
+// the shared power exponent speedscale needs (the others ignore it), and the
+// event queue under test.
+func goldenParams(name, eventQueue string) policy.Params {
+	eps := map[string]float64{"flowtime": 0.2, "wflow": 0.25, "speedscale": 0.3}
+	return policy.Params{Epsilon: eps[name], Alpha: 2, EventQueue: eventQueue}
 }
 
 // TestDenseOutcomeGoldens pins the dense outcome-recording path (the
@@ -27,9 +24,9 @@ type goldenSession interface {
 // the golden, and both a batch-split feed — the job slice cut into several
 // FeedBatch calls — and a kill-resume run — snapshot after the first cut,
 // restore into a fresh session, feed the rest — must reproduce its Outcome
-// bit-identically. The per-policy equivalence suites cover these paths in
-// more depth individually; this test exists so a change to the shared
-// recording path cannot pass by fixing one policy and regressing another.
+// bit-identically. The conformance suite (internal/policy) covers these
+// paths in more depth on the typed results; this test drives them through
+// the registry's erased sessions, the form the front door and schedsim use.
 func TestDenseOutcomeGoldens(t *testing.T) {
 	const m = 4
 	cfg := workload.DefaultConfig(600, m, 21)
@@ -38,168 +35,24 @@ func TestDenseOutcomeGoldens(t *testing.T) {
 	ins := workload.Random(cfg)
 	ins.Alpha = 2 // speedscale needs a power exponent; the others ignore it
 
-	type harness struct {
-		open    func() (goldenSession, func() (*sched.Outcome, error), func(io.Writer) error, error)
-		restore func(io.Reader) (goldenSession, func() (*sched.Outcome, error), error)
-	}
-	policies := map[string]harness{
-		"flowtime": {
-			open: func() (goldenSession, func() (*sched.Outcome, error), func(io.Writer) error, error) {
-				s, err := flowtime.NewSession(m, flowtime.Options{Epsilon: 0.2})
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				return s, func() (*sched.Outcome, error) {
-					res, err := s.Close()
-					if err != nil {
-						return nil, err
-					}
-					return res.Outcome, nil
-				}, s.Snapshot, nil
-			},
-			restore: func(r io.Reader) (goldenSession, func() (*sched.Outcome, error), error) {
-				s, err := flowtime.Restore(r, flowtime.Options{Epsilon: 0.2})
-				if err != nil {
-					return nil, nil, err
-				}
-				return s, func() (*sched.Outcome, error) {
-					res, err := s.Close()
-					if err != nil {
-						return nil, err
-					}
-					return res.Outcome, nil
-				}, nil
-			},
-		},
-		"wflow": {
-			open: func() (goldenSession, func() (*sched.Outcome, error), func(io.Writer) error, error) {
-				s, err := wflow.NewSession(m, wflow.Options{Epsilon: 0.25})
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				return s, func() (*sched.Outcome, error) {
-					res, err := s.Close()
-					if err != nil {
-						return nil, err
-					}
-					return res.Outcome, nil
-				}, s.Snapshot, nil
-			},
-			restore: func(r io.Reader) (goldenSession, func() (*sched.Outcome, error), error) {
-				s, err := wflow.Restore(r, wflow.Options{Epsilon: 0.25})
-				if err != nil {
-					return nil, nil, err
-				}
-				return s, func() (*sched.Outcome, error) {
-					res, err := s.Close()
-					if err != nil {
-						return nil, err
-					}
-					return res.Outcome, nil
-				}, nil
-			},
-		},
-		"speedscale": {
-			open: func() (goldenSession, func() (*sched.Outcome, error), func(io.Writer) error, error) {
-				s, err := speedscale.NewSession(m, speedscale.Options{Epsilon: 0.3, Alpha: 2})
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				return s, func() (*sched.Outcome, error) {
-					res, err := s.Close()
-					if err != nil {
-						return nil, err
-					}
-					return res.Outcome, nil
-				}, s.Snapshot, nil
-			},
-			restore: func(r io.Reader) (goldenSession, func() (*sched.Outcome, error), error) {
-				s, err := speedscale.Restore(r, speedscale.Options{Epsilon: 0.3, Alpha: 2})
-				if err != nil {
-					return nil, nil, err
-				}
-				return s, func() (*sched.Outcome, error) {
-					res, err := s.Close()
-					if err != nil {
-						return nil, err
-					}
-					return res.Outcome, nil
-				}, nil
-			},
-		},
-		"srpt": {
-			open: func() (goldenSession, func() (*sched.Outcome, error), func(io.Writer) error, error) {
-				s, err := srpt.NewSession(m, srpt.Options{})
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				return s, func() (*sched.Outcome, error) {
-					res, err := s.Close()
-					if err != nil {
-						return nil, err
-					}
-					return res.Outcome, nil
-				}, s.Snapshot, nil
-			},
-			restore: func(r io.Reader) (goldenSession, func() (*sched.Outcome, error), error) {
-				s, err := srpt.Restore(r, srpt.Options{})
-				if err != nil {
-					return nil, nil, err
-				}
-				return s, func() (*sched.Outcome, error) {
-					res, err := s.Close()
-					if err != nil {
-						return nil, err
-					}
-					return res.Outcome, nil
-				}, nil
-			},
-		},
-		"wsrpt": {
-			open: func() (goldenSession, func() (*sched.Outcome, error), func(io.Writer) error, error) {
-				s, err := srpt.NewWeightedSession(m, srpt.WeightedOptions{})
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				return s, func() (*sched.Outcome, error) {
-					res, err := s.Close()
-					if err != nil {
-						return nil, err
-					}
-					return res.Outcome, nil
-				}, s.Snapshot, nil
-			},
-			restore: func(r io.Reader) (goldenSession, func() (*sched.Outcome, error), error) {
-				s, err := srpt.RestoreWeighted(r, srpt.WeightedOptions{})
-				if err != nil {
-					return nil, nil, err
-				}
-				return s, func() (*sched.Outcome, error) {
-					res, err := s.Close()
-					if err != nil {
-						return nil, err
-					}
-					return res.Outcome, nil
-				}, nil
-			},
-		},
-	}
-
 	// Split points for the batch-split feed and the checkpoint cut; jobs are
 	// release-sorted, so any slice boundary is a legal FeedBatch boundary.
 	splits := []int{0, 113, 250, 251, 480, len(ins.Jobs)}
 
-	for name, h := range policies {
+	for _, name := range policy.Names() {
 		t.Run(name, func(t *testing.T) {
+			e, _ := policy.Lookup(name)
+			p := goldenParams(name, "")
+
 			// Golden: one session, one FeedBatch.
-			s, closeFn, _, err := h.open()
+			s, err := e.New(m, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := s.FeedBatch(ins.Jobs); err != nil {
 				t.Fatal(err)
 			}
-			golden, err := closeFn()
+			golden, err := s.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,7 +62,7 @@ func TestDenseOutcomeGoldens(t *testing.T) {
 			}
 
 			// Batch-split: the same jobs across several FeedBatch calls.
-			s, closeFn, _, err = h.open()
+			s, err = e.New(m, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,7 +71,7 @@ func TestDenseOutcomeGoldens(t *testing.T) {
 					t.Fatalf("split %d: %v", i, err)
 				}
 			}
-			split, err := closeFn()
+			split, err := s.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,7 +81,7 @@ func TestDenseOutcomeGoldens(t *testing.T) {
 
 			// Kill-resume: checkpoint mid-stream, restore, feed the rest.
 			cut := splits[2]
-			s, _, snap, err := h.open()
+			s, err = e.New(m, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,17 +89,17 @@ func TestDenseOutcomeGoldens(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := snap(&buf); err != nil {
+			if err := s.Snapshot(&buf); err != nil {
 				t.Fatal(err)
 			}
-			rs, closeFn, err := h.restore(&buf)
+			rs, err := e.Restore(&buf, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := rs.FeedBatch(ins.Jobs[cut:]); err != nil {
 				t.Fatal(err)
 			}
-			resumed, err := closeFn()
+			resumed, err := rs.Close()
 			if err != nil {
 				t.Fatal(err)
 			}

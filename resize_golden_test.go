@@ -5,93 +5,21 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core/flowtime"
-	"repro/internal/core/speedscale"
-	"repro/internal/core/srpt"
-	"repro/internal/core/wflow"
 	"repro/internal/engine"
+	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
-// resizeShardSession pairs one shard's live scheduler session with the
-// policy-specific close, erased to the shared Outcome — the slice of the
-// session APIs the resize goldens need.
-type resizeShardSession struct {
-	feeder engine.Feeder
-	finish func() (*sched.Outcome, error)
-}
-
 // openResizeSession constructs one shard session for the named policy with
 // the event queue under test. Parameters mirror the front door's defaults so
 // the goldens here and the serving path exercise the same session shapes.
-func openResizeSession(policy string, machines int, eq string) (*resizeShardSession, error) {
-	wrap := func(feeder engine.Feeder, finish func() (*sched.Outcome, error)) *resizeShardSession {
-		return &resizeShardSession{feeder: feeder, finish: finish}
+func openResizeSession(name string, machines int, eq string) (policy.Session, error) {
+	e, ok := policy.Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown policy %q", name)
 	}
-	switch policy {
-	case "flowtime":
-		s, err := flowtime.NewSession(machines, flowtime.Options{Epsilon: 0.2, EventQueue: eq})
-		if err != nil {
-			return nil, err
-		}
-		return wrap(s, func() (*sched.Outcome, error) {
-			res, err := s.Close()
-			if err != nil {
-				return nil, err
-			}
-			return res.Outcome, nil
-		}), nil
-	case "wflow":
-		s, err := wflow.NewSession(machines, wflow.Options{Epsilon: 0.25, EventQueue: eq})
-		if err != nil {
-			return nil, err
-		}
-		return wrap(s, func() (*sched.Outcome, error) {
-			res, err := s.Close()
-			if err != nil {
-				return nil, err
-			}
-			return res.Outcome, nil
-		}), nil
-	case "speedscale":
-		s, err := speedscale.NewSession(machines, speedscale.Options{Epsilon: 0.3, Alpha: 2, EventQueue: eq})
-		if err != nil {
-			return nil, err
-		}
-		return wrap(s, func() (*sched.Outcome, error) {
-			res, err := s.Close()
-			if err != nil {
-				return nil, err
-			}
-			return res.Outcome, nil
-		}), nil
-	case "srpt":
-		s, err := srpt.NewSession(machines, srpt.Options{EventQueue: eq})
-		if err != nil {
-			return nil, err
-		}
-		return wrap(s, func() (*sched.Outcome, error) {
-			res, err := s.Close()
-			if err != nil {
-				return nil, err
-			}
-			return res.Outcome, nil
-		}), nil
-	case "wsrpt":
-		s, err := srpt.NewWeightedSession(machines, srpt.WeightedOptions{EventQueue: eq})
-		if err != nil {
-			return nil, err
-		}
-		return wrap(s, func() (*sched.Outcome, error) {
-			res, err := s.Close()
-			if err != nil {
-				return nil, err
-			}
-			return res.Outcome, nil
-		}), nil
-	}
-	return nil, fmt.Errorf("unknown policy %q", policy)
+	return e.New(machines, goldenParams(name, eq))
 }
 
 // cutSegments slices a release-ordered stream into n contiguous segments.
@@ -139,22 +67,22 @@ func TestResizeFleetGoldens(t *testing.T) {
 	// uses it across a resize.
 	route := engine.RouteByTenant(func(j *sched.Job) int { return j.ID })
 
-	policies := []string{"flowtime", "wflow", "speedscale", "srpt", "wsrpt"}
+	policies := policy.Names()
 	queues := []string{engine.EventQueueHeap, engine.EventQueueCalendar}
 	chains := [][]int{{2, 3}, {3, 2}, {2, 2}, {2, 3, 2}}
 
 	// freshOutcomes runs a fleet born at shards on one segment and returns
 	// its per-shard Outcomes — the golden for that (segment, count) pair.
-	freshOutcomes := func(t *testing.T, policy, eq string, shards int, seg []sched.Job) []*sched.Outcome {
+	freshOutcomes := func(t *testing.T, name, eq string, shards int, seg []sched.Job) []*sched.Outcome {
 		t.Helper()
-		sessions := make([]*resizeShardSession, shards)
+		sessions := make([]policy.Session, shards)
 		feeders := make([]engine.Feeder, shards)
 		for k := range sessions {
-			s, err := openResizeSession(policy, machines, eq)
+			s, err := openResizeSession(name, machines, eq)
 			if err != nil {
 				t.Fatalf("opening fresh shard %d: %v", k, err)
 			}
-			sessions[k], feeders[k] = s, s.feeder
+			sessions[k], feeders[k] = s, s
 		}
 		fleet := engine.NewShardOpts(feeders, engine.ShardOptions{Route: route})
 		if err := fleet.FeedBatch(seg); err != nil {
@@ -165,7 +93,7 @@ func TestResizeFleetGoldens(t *testing.T) {
 		}
 		outs := make([]*sched.Outcome, shards)
 		for k, s := range sessions {
-			out, err := s.finish()
+			out, err := s.Close()
 			if err != nil {
 				t.Fatalf("sealing fresh shard %d: %v", k, err)
 			}
@@ -175,22 +103,21 @@ func TestResizeFleetGoldens(t *testing.T) {
 	}
 
 	for _, eq := range queues {
-		for _, policy := range policies {
+		for _, name := range policies {
 			for _, chain := range chains {
-				name := fmt.Sprintf("%s/%s/%v", eq, policy, chain)
-				t.Run(name, func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/%v", eq, name, chain), func(t *testing.T) {
 					segs := cutSegments(jobs, len(chain))
 
 					// The resized universe: one fleet carried through the
 					// whole chain, retiring and rebuilding at each boundary.
-					cur := make([]*resizeShardSession, chain[0])
+					cur := make([]policy.Session, chain[0])
 					feeders := make([]engine.Feeder, chain[0])
 					for k := range cur {
-						s, err := openResizeSession(policy, machines, eq)
+						s, err := openResizeSession(name, machines, eq)
 						if err != nil {
 							t.Fatalf("opening shard %d: %v", k, err)
 						}
-						cur[k], feeders[k] = s, s.feeder
+						cur[k], feeders[k] = s, s
 					}
 					fleet := engine.NewShardOpts(feeders, engine.ShardOptions{Route: route})
 
@@ -201,11 +128,11 @@ func TestResizeFleetGoldens(t *testing.T) {
 						}
 						got[i] = make([]*sched.Outcome, chain[i])
 						if i+1 < len(chain) {
-							next := make([]*resizeShardSession, chain[i+1])
+							next := make([]policy.Session, chain[i+1])
 							var err error
 							fleet, err = engine.ResizeFleet(fleet, chain[i+1], engine.ShardOptions{Route: route},
 								func(k int, _ engine.Feeder) error {
-									out, err := cur[k].finish()
+									out, err := cur[k].Close()
 									if err != nil {
 										return err
 									}
@@ -213,12 +140,12 @@ func TestResizeFleetGoldens(t *testing.T) {
 									return nil
 								},
 								func(k int) (engine.Feeder, error) {
-									s, err := openResizeSession(policy, machines, eq)
+									s, err := openResizeSession(name, machines, eq)
 									if err != nil {
 										return nil, err
 									}
 									next[k] = s
-									return s.feeder, nil
+									return s, nil
 								})
 							if err != nil {
 								t.Fatalf("segment %d: resize %d→%d: %v", i, chain[i], chain[i+1], err)
@@ -229,7 +156,7 @@ func TestResizeFleetGoldens(t *testing.T) {
 								t.Fatalf("closing final fleet: %v", err)
 							}
 							for k, s := range cur {
-								out, err := s.finish()
+								out, err := s.Close()
 								if err != nil {
 									t.Fatalf("sealing final shard %d: %v", k, err)
 								}
@@ -241,7 +168,7 @@ func TestResizeFleetGoldens(t *testing.T) {
 					// Every segment of the chain must match a fleet born at
 					// that segment's count and fed only that segment.
 					for i, K := range chain {
-						want := freshOutcomes(t, policy, eq, K, segs[i])
+						want := freshOutcomes(t, name, eq, K, segs[i])
 						if !reflect.DeepEqual(got[i], want) {
 							t.Fatalf("segment %d (fleet of %d): resized fleet's outcomes differ from a %d-born fleet fed the same segment", i, K, K)
 						}
