@@ -85,7 +85,7 @@ func main() {
 
 		queueDepth    = flag.Int("queue-depth", 256, "per-stream sequencer queue depth (jobs)")
 		awaitTenants  = flag.Int("await-tenants", 0, "hold the merge until this many tenants connect")
-		readTimeout   = flag.Duration("read-timeout", 30*time.Second, "per-frame read deadline on feed connections")
+		readTimeout   = flag.Duration("read-timeout", 30*time.Second, "deadline of each read on a feed connection")
 		throttleDelay = flag.Duration("throttle-delay", time.Millisecond, "per-job intake delay while throttling")
 
 		ckpt       = flag.String("checkpoint", "", "write durable snapshots to this file")
@@ -124,10 +124,10 @@ func main() {
 			Burst:           *admBurst,
 			MaxQueuedWeight: *maxQueuedW,
 		},
-		QueueDepth:      *queueDepth,
-		AwaitTenants:    *awaitTenants,
-		ReadTimeout:     *readTimeout,
-		ThrottleDelay:   *throttleDelay,
+		QueueDepth:       *queueDepth,
+		AwaitTenants:     *awaitTenants,
+		ReadTimeout:      *readTimeout,
+		ThrottleDelay:    *throttleDelay,
 		CheckpointPath:   *ckpt,
 		CheckpointEvery:  *ckptN,
 		CheckpointDeltas: *ckptDeltas,

@@ -25,7 +25,11 @@ import (
 //	                 ids tenant-local.
 //	  response body: a stream of NDJSON ack lines, one per job line:
 //	                 {"id":L,"st":"ok"|"rej"|"dup"} — fed, pre-rejected, or
-//	                 already decided (an at-least-once replay). A clean end
+//	                 already decided (an at-least-once replay). The line's
+//	                 bytes are exactly that: `{"id":`, L in decimal,
+//	                 `,"st":"`, the status, `"}`, '\n' — no whitespace, keys
+//	                 in this order (front.AppendAck writes them; a client
+//	                 may scan for them without a JSON parser). A clean end
 //	                 of stream is acknowledged with {"done":true}; a stream
 //	                 refused mid-flight ends with {"error":"..."}.
 //	  errors:        non-200 with a JSON {"error":"..."} body — 409 when the

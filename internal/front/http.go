@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/trace"
@@ -40,13 +41,71 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// AppendAck appends a's wire line — {"id":N,"st":"S"} and a newline, the
+// bytes json.Encoder produces for it — to dst. St must be one of the
+// chaos.Ack* constants: it is appended unescaped.
+func AppendAck(dst []byte, a Ack) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendInt(dst, int64(a.ID), 10)
+	dst = append(dst, `,"st":"`...)
+	dst = append(dst, a.St...)
+	return append(dst, '"', '}', '\n')
+}
+
+// writeAcks streams acks to w until the channel closes, calling flush (after
+// flushing its own buffer) whenever no further ack is pending. After the
+// first failed write or flush — the client is gone — it stops encoding but
+// keeps receiving, because the sequencer must never block on this stream;
+// that first error is returned.
+func writeAcks(acks <-chan Ack, w io.Writer, flush func() error) error {
+	bw := bufio.NewWriter(w)
+	var err error
+	for a := range acks {
+		if err != nil {
+			continue
+		}
+		if _, err = bw.Write(AppendAck(bw.AvailableBuffer(), a)); err == nil && len(acks) == 0 {
+			if err = bw.Flush(); err == nil {
+				err = flush()
+			}
+		}
+	}
+	return err
+}
+
+// deadlineReader arms the connection's read deadline before every read of
+// the request body, so the timeout bounds each wait on the client and frames
+// already buffered cost nothing.
+type deadlineReader struct {
+	body    io.Reader
+	rc      *http.ResponseController
+	timeout time.Duration
+	expired atomic.Bool
+}
+
+func (d *deadlineReader) Read(p []byte) (int, error) {
+	d.rc.SetReadDeadline(time.Now().Add(d.timeout))
+	if d.expired.Load() {
+		// expire ran before or during the arming above, which may have
+		// overwritten its deadline; whichever call lands last says "now".
+		d.rc.SetReadDeadline(time.Now())
+	}
+	return d.body.Read(p)
+}
+
+// expire cuts short the read in progress and fails every later one.
+func (d *deadlineReader) expire() {
+	d.expired.Store(true)
+	d.rc.SetReadDeadline(time.Now())
+}
+
 // handleFeed is the ingestion endpoint: it parses the tenant's NDJSON
 // stream through the strict reader (duplicate ids and release dips are
 // refused at the frame), pushes jobs into the tenant's merge queue, and
 // streams the sequencer's acks back as they happen. A read deadline is
-// armed before every frame, so a stalled client is cut off instead of
-// wedging the merge; the sequencer separately kills streams whose ack
-// consumer stops reading.
+// armed before every read of the body, so a stalled client is cut off
+// instead of wedging the merge; the sequencer separately kills streams whose
+// ack consumer stops reading.
 func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 	// One stream, one connection — including refusals. A feed request's body
 	// is already streaming when the handler answers, and handing a conn with
@@ -66,8 +125,8 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 	// once the first ack is written, tearing frames out from under the
 	// parser. (HTTP/2 is duplex by nature; an unsupported error is fine.)
 	rc.EnableFullDuplex()
-	rc.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-	nr, err := trace.NewNDJSONReader(r.Body)
+	body := &deadlineReader{body: r.Body, rc: rc, timeout: s.cfg.ReadTimeout}
+	nr, err := trace.NewNDJSONReader(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -102,7 +161,6 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer close(parserDone)
 		for {
-			rc.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 			j, err := nr.Next()
 			if err != nil {
 				switch {
@@ -125,15 +183,7 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for a := range st.Acks() {
-		enc.Encode(a)
-		if len(st.Acks()) == 0 {
-			bw.Flush()
-			rc.Flush()
-		}
-	}
+	writeErr := writeAcks(st.Acks(), w, rc.Flush)
 	// The acks are done: the stream finished, was killed, or the server is
 	// draining. The parser may still be blocked mid-read on a live body
 	// (killed stream, client still sending) — expire its read and join it
@@ -143,9 +193,13 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 	select {
 	case <-parserDone:
 	default:
-		rc.SetReadDeadline(time.Now())
+		body.expire()
 		<-parserDone
 	}
+	if writeErr != nil {
+		return // the client is gone; there is no one to send a trailer to
+	}
+	enc := json.NewEncoder(w)
 	switch {
 	case parseErr != nil:
 		enc.Encode(map[string]string{"error": parseErr.Error()})
@@ -154,7 +208,6 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 	default:
 		enc.Encode(map[string]bool{"done": true})
 	}
-	bw.Flush()
 	rc.Flush()
 }
 

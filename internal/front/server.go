@@ -83,7 +83,7 @@ type Config struct {
 
 	QueueDepth    int           // per-stream sequencer queue, jobs (default 256)
 	AwaitTenants  int           // merge cold-start barrier: this many live streams before the first pop of each wave (0: none)
-	ReadTimeout   time.Duration // per-frame read deadline on feed connections (default 30s)
+	ReadTimeout   time.Duration // deadline of each read on a feed connection (default 30s)
 	ThrottleDelay time.Duration // per-job intake delay in the Throttle state (default 1ms, <0 disables)
 	AckTimeout    time.Duration // grace window for a full ack channel before the stream is killed (default 250ms, <0 kills instantly)
 

@@ -92,6 +92,21 @@ func FuzzNDJSON(f *testing.F) {
 	})
 }
 
+// FuzzScanVsJSON is the differential half: on arbitrary bytes, for a narrow
+// and a wider machine count, the job-line scanner either declines or agrees
+// with strictUnmarshal — the oracle that defines the format — on acceptance
+// and on every decoded field bit for bit. Seeds: scanCorpus, the edge of the
+// canonical grammar from both sides.
+func FuzzScanVsJSON(f *testing.F) {
+	for _, tc := range scanCorpus {
+		f.Add([]byte(tc.line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		scanVsJSON(t, line, 1)
+		scanVsJSON(t, line, 4)
+	})
+}
+
 // FuzzReadOutcome ensures outcome decoding never panics.
 func FuzzReadOutcome(f *testing.F) {
 	o := sched.NewOutcome()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"repro/internal/sched"
 )
@@ -58,9 +59,16 @@ type NDJSONReader struct {
 	machines int
 	alpha    float64
 	jobs     int
-	last     float64 // latest release seen
-	line     int     // current physical line, for error messages
+	last     float64     // latest release seen
+	line     int         // current physical line, for error messages
 	seen     map[int]int // strict mode: job id -> first line, nil otherwise
+	// seenRun spares strict mode the map for the usual numbering: ids that
+	// arrive as 0, 1, 2, … are remembered as seenRun[id] = first line, and
+	// only ids that break the run go into seen.
+	seenRun []int
+	// slab backs the Proc rows of scanned jobs (see scan.go): len is the
+	// committed prefix, owned by jobs already returned; the rest is free.
+	slab []float64
 }
 
 // NewNDJSONReader parses the header line and returns a streaming reader.
@@ -125,6 +133,13 @@ func (r *NDJSONReader) Strict() *NDJSONReader {
 
 // Next returns the next job of the trace, or io.EOF at the end of the
 // stream. Any other error is positioned (line number) and permanent.
+//
+// Canonical lines are decoded by the allocation-free scanner of scan.go,
+// their Proc rows carved out of a slab shared by up to slabRows consecutive
+// jobs (each row's capacity clipped to its length, so jobs never alias; a
+// job that outlives the stream keeps its slab alive). Any line the scanner
+// declines goes through encoding/json, which alone defines what is accepted
+// and every decode error.
 func (r *NDJSONReader) Next() (sched.Job, error) {
 	for r.sc.Scan() {
 		r.line++
@@ -132,13 +147,13 @@ func (r *NDJSONReader) Next() (sched.Job, error) {
 		if len(b) == 0 {
 			continue
 		}
-		var jj jobJSON
-		if err := strictUnmarshal(b, &jj); err != nil {
-			return sched.Job{}, fmt.Errorf("trace: ndjson line %d: bad job: %w", r.line, err)
-		}
-		j := sched.Job{ID: jj.ID, Release: jj.Release, Weight: jj.Weight, Proc: jj.Proc, Deadline: sched.NoDeadline}
-		if jj.Deadline != nil {
-			j.Deadline = *jj.Deadline
+		j, scanned := r.scanJob(b)
+		if !scanned {
+			var jj jobJSON
+			if err := strictUnmarshal(b, &jj); err != nil {
+				return sched.Job{}, fmt.Errorf("trace: ndjson line %d: bad job: %w", r.line, err)
+			}
+			j = jj.job()
 		}
 		if j.Weight == 0 {
 			j.Weight = 1
@@ -147,16 +162,23 @@ func (r *NDJSONReader) Next() (sched.Job, error) {
 			return sched.Job{}, fmt.Errorf("trace: ndjson line %d: %w", r.line, err)
 		}
 		if r.seen != nil {
-			if first, dup := r.seen[j.ID]; dup {
+			if first, dup := r.firstSeen(j.ID); dup {
 				return sched.Job{}, fmt.Errorf("trace: ndjson line %d: duplicate job id %d (first seen on line %d)", r.line, j.ID, first)
 			}
 			if j.Release < r.last {
 				return sched.Job{}, fmt.Errorf("trace: ndjson line %d: job %d released at %v after the stream reached %v (strict mode requires non-decreasing releases)", r.line, j.ID, j.Release, r.last)
 			}
-			r.seen[j.ID] = r.line
+			if j.ID == len(r.seenRun) {
+				r.seenRun = append(r.seenRun, r.line)
+			} else {
+				r.seen[j.ID] = r.line
+			}
 		}
 		if j.Release > r.last {
 			r.last = j.Release
+		}
+		if scanned {
+			r.slab = r.slab[:len(r.slab)+len(j.Proc)] // commit the row
 		}
 		return j, nil
 	}
@@ -164,6 +186,15 @@ func (r *NDJSONReader) Next() (sched.Job, error) {
 		return sched.Job{}, fmt.Errorf("trace: ndjson: %w", err)
 	}
 	return sched.Job{}, io.EOF
+}
+
+// firstSeen reports the line on which strict mode first saw id.
+func (r *NDJSONReader) firstSeen(id int) (line int, ok bool) {
+	if 0 <= id && id < len(r.seenRun) {
+		return r.seenRun[id], true
+	}
+	line, ok = r.seen[id]
+	return line, ok
 }
 
 // NextBatch appends up to max jobs (≤ 0 selects 256) from the trace to buf
@@ -211,7 +242,7 @@ func strictUnmarshal(b []byte, v any) error {
 // NDJSONWriter streams jobs to an NDJSON trace.
 type NDJSONWriter struct {
 	w   *bufio.Writer
-	enc *json.Encoder
+	buf []byte // scratch for one job line
 }
 
 // NewNDJSONWriter writes the header line and returns a streaming writer.
@@ -232,21 +263,68 @@ func NewNDJSONWriterHint(w io.Writer, machines int, alpha float64, jobs int) (*N
 		return nil, fmt.Errorf("trace: ndjson: negative job count hint %d", jobs)
 	}
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(ndjsonHeader{Machines: machines, Alpha: alpha, Jobs: jobs}); err != nil {
+	if err := json.NewEncoder(bw).Encode(ndjsonHeader{Machines: machines, Alpha: alpha, Jobs: jobs}); err != nil {
 		return nil, err
 	}
-	return &NDJSONWriter{w: bw, enc: enc}, nil
+	return &NDJSONWriter{w: bw}, nil
 }
 
-// Write appends one job line.
+// Write appends one job line: the bytes json.Encoder produces for the job's
+// jobJSON, built with strconv instead of reflection. A NaN or infinite value
+// (an infinite deadline is the absent field) is json's error, and nothing is
+// written.
 func (w *NDJSONWriter) Write(j *sched.Job) error {
-	jj := jobJSON{ID: j.ID, Release: j.Release, Weight: j.Weight, Proc: j.Proc}
-	if !math.IsInf(j.Deadline, 1) {
-		d := j.Deadline
-		jj.Deadline = &d
+	finite := isFinite(j.Release) && isFinite(j.Weight) && (isFinite(j.Deadline) || math.IsInf(j.Deadline, 1))
+	for _, p := range j.Proc {
+		finite = finite && isFinite(p)
 	}
-	return w.enc.Encode(jj)
+	if !finite {
+		// Cold path: let encoding/json name the unsupported value.
+		_, err := json.Marshal(wireJob(j))
+		return err
+	}
+	b := append(w.buf[:0], `{"id":`...)
+	b = strconv.AppendInt(b, int64(j.ID), 10)
+	b = appendFloat(append(b, `,"release":`...), j.Release)
+	b = appendFloat(append(b, `,"weight":`...), j.Weight)
+	if !math.IsInf(j.Deadline, 1) {
+		b = appendFloat(append(b, `,"deadline":`...), j.Deadline)
+	}
+	b = append(b, `,"proc":`...)
+	if j.Proc == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, p := range j.Proc {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendFloat(b, p)
+		}
+		b = append(b, ']')
+	}
+	w.buf = append(b, '}', '\n')
+	_, err := w.w.Write(w.buf)
+	return err
+}
+
+func isFinite(f float64) bool { return f-f == 0 }
+
+// appendFloat appends a finite f as encoding/json formats a float64:
+// shortest round-trip digits, 'f' form unless |f| < 1e-6 or ≥ 1e21, then 'e'
+// form with a two-digit negative exponent's leading zero dropped
+// ("e-09" → "e-9").
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // Flush flushes the underlying buffer.

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
+	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -61,6 +64,78 @@ func TestNDJSONJobsHint(t *testing.T) {
 	}
 	if _, err := NewNDJSONWriterHint(io.Discard, 2, 0, -1); err == nil {
 		t.Fatal("negative jobs hint written")
+	}
+}
+
+// TestNDJSONWriterMatchesJSON pins the strconv-built job line to the bytes
+// json.Encoder produces for the same jobJSON — json's float rule included
+// ('f' form unless |x| < 1e-6 or >= 1e21, then 'e' with "e-0N" shortened to
+// "e-N"), the omitted infinite deadline, a nil and an empty proc — and to
+// json's error, with nothing written, for values JSON cannot carry.
+func TestNDJSONWriterMatchesJSON(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1.0 / 3, 123456789.125,
+		1e-6, 9.999999999999999e-7, 1e-7, 1.5e-9, 1e-10, 1.234e-100, 5e-324,
+		1e20, 9.999999999999999e20, 1e21, 1.5e21, 1e22, 1e100, math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, 1 << 53, 1<<53 + 2, 4503599627370497.5}
+	rng := rand.New(rand.NewSource(1))
+	for len(floats) < 4000 {
+		floats = append(floats, math.Float64frombits(rng.Uint64()), rng.NormFloat64()*math.Pow(10, float64(rng.Intn(60)-30)))
+	}
+	var jobs []sched.Job
+	for k := 0; k+4 <= len(floats); k += 4 {
+		j := sched.Job{ID: int(rng.Int63()) - 1<<62, Release: floats[k], Weight: floats[k+1], Deadline: floats[k+2], Proc: floats[k+3 : k+4 : k+4]}
+		switch k % 3 {
+		case 1:
+			j.Deadline = sched.NoDeadline
+			j.Proc = floats[k : k+4]
+		case 2:
+			j.Proc = nil
+		}
+		jobs = append(jobs, j)
+	}
+	jobs = append(jobs, sched.Job{ID: math.MinInt64, Proc: []float64{}, Deadline: sched.NoDeadline}, sched.Job{ID: math.MaxInt64, Deadline: sched.NoDeadline})
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		jobs = append(jobs,
+			sched.Job{Release: bad, Weight: 1, Deadline: 2, Proc: []float64{1}},
+			sched.Job{Release: 1, Weight: bad, Deadline: 2, Proc: []float64{1}},
+			sched.Job{Release: 1, Weight: 1, Deadline: bad, Proc: []float64{1}}, // +Inf: the absent field
+			sched.Job{Release: 1, Weight: 1, Deadline: 2, Proc: []float64{1, bad}})
+	}
+
+	var got, want bytes.Buffer
+	w, err := NewNDJSONWriter(&got, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got.Reset()
+	enc := json.NewEncoder(&want)
+	written, refused := 0, 0
+	for k := range jobs {
+		j := &jobs[k]
+		got.Reset()
+		want.Reset()
+		wantErr := enc.Encode(wireJob(j))
+		gotErr := w.Write(j)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("job %+v: err %v, json %v", *j, gotErr, wantErr)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("job %+v:\n got %q\nwant %q", *j, got.String(), want.String())
+		}
+		if gotErr != nil {
+			refused++
+		} else {
+			written++
+		}
+	}
+	if written < 500 || refused < 11 {
+		t.Fatalf("corpus too one-sided: %d lines written, %d refused", written, refused)
 	}
 }
 
@@ -288,6 +363,32 @@ func TestNDJSONStrictMode(t *testing.T) {
 	_, err = r.Next()
 	if err == nil || !strings.Contains(err.Error(), "line 4") || !strings.Contains(err.Error(), "duplicate job id 0") || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("strict duplicate error = %v, want positioned duplicate-id error", err)
+	}
+
+	// Ids need not arrive as 0, 1, 2, …: whether a repeat's first sighting
+	// was on the run or off it, it is refused naming that line.
+	for _, tc := range []struct{ ids, want string }{
+		{"0 2 1 2", "line 5: duplicate job id 2 (first seen on line 3)"},
+		{"0 2 1 3 1", "line 6: duplicate job id 1 (first seen on line 4)"},
+		{"7 -3 0 7", "line 5: duplicate job id 7 (first seen on line 2)"},
+		{"-1 0 1 -1", "line 5: duplicate job id -1 (first seen on line 2)"},
+		{"1 0 1", "line 4: duplicate job id 1 (first seen on line 2)"},
+	} {
+		in := "{\"machines\":1}\n"
+		for _, id := range strings.Fields(tc.ids) {
+			in += "{\"id\":" + id + ",\"release\":0,\"proc\":[1]}\n"
+		}
+		r, err := NewNDJSONReader(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Strict()
+		for err == nil {
+			_, err = r.Next()
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("ids %s: err = %v, want %q", tc.ids, err, tc.want)
+		}
 	}
 
 	// A release dip within sched.Eps: lenient tolerates, strict refuses.

@@ -23,6 +23,26 @@ type jobJSON struct {
 	Proc     []float64 `json:"proc"`
 }
 
+// job converts the wire form: an absent deadline is sched.NoDeadline. (The
+// weight default is the reader's, applied after decoding.)
+func (jj *jobJSON) job() sched.Job {
+	j := sched.Job{ID: jj.ID, Release: jj.Release, Weight: jj.Weight, Proc: jj.Proc, Deadline: sched.NoDeadline}
+	if jj.Deadline != nil {
+		j.Deadline = *jj.Deadline
+	}
+	return j
+}
+
+// wireJob is the inverse: an infinite deadline is the absent field.
+func wireJob(j *sched.Job) jobJSON {
+	jj := jobJSON{ID: j.ID, Release: j.Release, Weight: j.Weight, Proc: j.Proc}
+	if !math.IsInf(j.Deadline, 1) {
+		d := j.Deadline
+		jj.Deadline = &d
+	}
+	return jj
+}
+
 type instanceJSON struct {
 	Machines int       `json:"machines"`
 	Alpha    float64   `json:"alpha,omitempty"`
@@ -33,13 +53,7 @@ type instanceJSON struct {
 func WriteInstance(w io.Writer, ins *sched.Instance) error {
 	out := instanceJSON{Machines: ins.Machines, Alpha: ins.Alpha}
 	for k := range ins.Jobs {
-		j := &ins.Jobs[k]
-		jj := jobJSON{ID: j.ID, Release: j.Release, Weight: j.Weight, Proc: j.Proc}
-		if !math.IsInf(j.Deadline, 1) {
-			d := j.Deadline
-			jj.Deadline = &d
-		}
-		out.Jobs = append(out.Jobs, jj)
+		out.Jobs = append(out.Jobs, wireJob(&ins.Jobs[k]))
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -55,11 +69,8 @@ func ReadInstance(r io.Reader) (*sched.Instance, error) {
 		return nil, fmt.Errorf("trace: decode instance: %w", err)
 	}
 	ins := &sched.Instance{Machines: in.Machines, Alpha: in.Alpha}
-	for _, jj := range in.Jobs {
-		j := sched.Job{ID: jj.ID, Release: jj.Release, Weight: jj.Weight, Proc: jj.Proc, Deadline: sched.NoDeadline}
-		if jj.Deadline != nil {
-			j.Deadline = *jj.Deadline
-		}
+	for k := range in.Jobs {
+		j := in.Jobs[k].job()
 		if j.Weight == 0 {
 			j.Weight = 1
 		}
