@@ -7,10 +7,10 @@
 //
 //	schedserve -listen :8080 -policy flowtime -eps 0.2 -machines 8 -shards 4
 //	schedserve -listen :8080 -throttle-depth 2048 -reject-depth 8192 -adm-eps 0.2
-//	schedserve -listen :8080 -checkpoint serve.snap -checkpoint-every 50000
+//	schedserve -listen :8080 -checkpoint serve.ck -checkpoint-every 50000
 //	schedserve -listen :8080 -checkpoint serve.ck -checkpoint-every 50000 \
-//	           -checkpoint-deltas 8 -checkpoint-keep 3   # delta lineage mode
-//	schedserve -listen :8080 -resume serve.snap               # after a crash
+//	           -checkpoint-deltas 8 -checkpoint-keep 3   # deltas between fulls
+//	schedserve -listen :8080 -resume serve.ck                 # after a crash
 //	schedserve -listen :8080 -stall-every 64 -stall-delay 2ms # fault injection
 //
 // Wire protocol (reference client: internal/chaos.Client, load driver:
@@ -30,10 +30,12 @@
 //	GET /debug/vars          the same registry as expvar-style JSON
 //	GET /debug/pprof/...     net/http/pprof (profile, heap, trace, ...)
 //
-// With -checkpoint-deltas/-checkpoint-keep the checkpoint path becomes a
-// delta lineage (base.N.full / base.N.delta plus a base.lineage manifest);
-// -resume detects a lineage at the path automatically and self-heals from
-// torn or bit-flipped members by falling back along the chain.
+// -checkpoint P roots a checkpoint lineage at P (members P.N.full /
+// P.N.delta plus the manifest P.lineage; see internal/snapshot): every
+// checkpoint is a full unless -checkpoint-deltas allows deltas between
+// fulls, and the newest -checkpoint-keep full generations are retained.
+// -resume P recovers the newest intact checkpoint of that lineage, falling
+// back along the chain past torn or bit-flipped members.
 //
 // SIGTERM or SIGINT drains gracefully: live streams are refused and aborted,
 // queued jobs get their verdicts, the fleet quiesces, a final checkpoint is
@@ -88,11 +90,11 @@ func main() {
 		readTimeout   = flag.Duration("read-timeout", 30*time.Second, "deadline of each read on a feed connection")
 		throttleDelay = flag.Duration("throttle-delay", time.Millisecond, "per-job intake delay while throttling")
 
-		ckpt       = flag.String("checkpoint", "", "write durable snapshots to this file")
-		ckptN      = flag.Int("checkpoint-every", 0, "checkpoint every N fed jobs (0: final drain only)")
-		ckptDeltas = flag.Int("checkpoint-deltas", 0, "lineage mode: up to N delta checkpoints between fulls (0: single-file snapshots)")
-		ckptKeep   = flag.Int("checkpoint-keep", 0, "lineage mode: retain only the newest N full generations (0: keep all)")
-		resume     = flag.String("resume", "", "restore the server from this snapshot (or checkpoint lineage) before serving")
+		ckpt       = flag.String("checkpoint", "", "root a checkpoint lineage at this path (P.N.full, P.N.delta, P.lineage)")
+		ckptN      = flag.Int("checkpoint-every", 0, "checkpoint every N fed jobs (0: resizes and final drain only)")
+		ckptDeltas = flag.Int("checkpoint-deltas", 0, "up to N delta checkpoints between fulls (0: fulls only)")
+		ckptKeep   = flag.Int("checkpoint-keep", 0, "retain only the newest N full generations (0: 2)")
+		resume     = flag.String("resume", "", "restore the server from the checkpoint lineage rooted at this path before serving")
 
 		stallEvery    = flag.Int("stall-every", 0, "fault injection: stall each shard feeder every N jobs (0 disables)")
 		stallDelay    = flag.Duration("stall-delay", 0, "fault injection: stall duration")
@@ -142,37 +144,28 @@ func main() {
 		err error
 	)
 	if *resume != "" {
-		if snapshot.LineageExists(*resume) {
-			// The path names a checkpoint lineage: recover the newest intact
-			// payload, falling back along the chain past torn or corrupt
-			// members, and restore from the reassembled bytes.
-			payload, info, rerr := snapshot.RecoverLineage(*resume)
-			if rerr != nil {
-				fatal(rerr)
-			}
-			if info.FellBack {
-				fmt.Fprintf(os.Stderr, "schedserve: lineage fell back to seq %d (%d newer checkpoints dropped as corrupt)\n",
-					info.Seq, info.Dropped)
-			}
-			if reg != nil {
-				// Seed the recovery counters so the first scrape already tells
-				// the story of how this process came back.
-				if info.FellBack {
-					reg.Counter("lineage_fallbacks_total").Inc()
-				}
-				reg.Counter("lineage_dropped_total").Add(int64(info.Dropped))
-				reg.Counter("lineage_deltas_applied_total").Add(int64(info.Applied))
-				reg.Gauge("lineage_recovered_seq").Set(float64(info.Seq))
-			}
-			srv, err = front.Restore(cfg, bytes.NewReader(payload))
-		} else {
-			f, ferr := os.Open(*resume)
-			if ferr != nil {
-				fatal(ferr)
-			}
-			srv, err = front.Restore(cfg, f)
-			f.Close()
+		// Recover the newest intact payload, falling back along the chain
+		// past torn or corrupt members, and restore from the reassembled
+		// bytes.
+		payload, info, rerr := snapshot.RecoverLineage(*resume)
+		if rerr != nil {
+			fatal(rerr)
 		}
+		if info.FellBack {
+			fmt.Fprintf(os.Stderr, "schedserve: lineage fell back to seq %d (%d newer checkpoints dropped as corrupt)\n",
+				info.Seq, info.Dropped)
+		}
+		if reg != nil {
+			// Seed the recovery counters so the first scrape already tells
+			// the story of how this process came back.
+			if info.FellBack {
+				reg.Counter("lineage_fallbacks_total").Inc()
+			}
+			reg.Counter("lineage_dropped_total").Add(int64(info.Dropped))
+			reg.Counter("lineage_deltas_applied_total").Add(int64(info.Applied))
+			reg.Gauge("lineage_recovered_seq").Set(float64(info.Seq))
+		}
+		srv, err = front.Restore(cfg, bytes.NewReader(payload))
 		if err == nil {
 			fmt.Fprintf(os.Stderr, "schedserve: resumed from %s: %d fed, %d pre-rejected\n",
 				*resume, srv.Stats().Fed, srv.Stats().PreRejected)

@@ -15,29 +15,33 @@
 // consumed incrementally — from a file or stdin ("-" or no argument) —
 // feeding jobs into a streaming scheduler session at read time, never
 // materializing the instance. Ingestion is batched: slabs of -batch jobs
-// (default 256) move through one FeedBatch call each, which is observably
-// identical to per-job feeding but amortizes the per-job overhead; -batch 1
-// selects the per-job Feed path. Only the session-backed policies (flowtime,
-// wflow, speedscale, srpt, wsrpt) support this mode:
+// (default 256) are decoded and moved through one FeedBatch call each, which
+// is observably identical at every slab size; -batch 1 hands each job over
+// as it is read (checkpoints, -stop-after and signals act at slab
+// boundaries, so a slow pipe wants a small slab). Only the session-backed
+// policies (flowtime, wflow, speedscale, srpt, wsrpt) support this mode:
 //
 //	tracegen -ndjson -n 100000 | schedsim -stream -policy flowtime -eps 0.2
 //	tracegen -ndjson -n 100000 | schedsim -stream -batch 1024 -policy srpt
 //
 // Streaming sessions checkpoint and resume (see internal/snapshot and
-// DESIGN.md): -checkpoint FILE -checkpoint-every N atomically rewrites FILE
-// with a durable snapshot of the live session every N fed jobs (at batch
-// boundaries); SIGINT or SIGTERM mid-stream also writes a final checkpoint
-// to -checkpoint before exiting nonzero (status 3), so an orchestrator's
-// shutdown is a resumable event rather than lost work; -stop-after N stops
-// feeding after about N jobs, writes a
-// final checkpoint and exits without a report, modeling a killed process;
-// -resume FILE reconstructs the session from a snapshot and replays the
-// trace, skipping the jobs the snapshot already absorbed — the final report
-// is bit-identical to an uninterrupted run over the same trace:
+// DESIGN.md): -checkpoint P roots a checkpoint lineage at P (members
+// P.N.full / P.N.delta plus the manifest P.lineage) and -checkpoint-every N
+// appends a durable checkpoint of the live session every N fed jobs (at
+// slab boundaries) — fulls only unless -checkpoint-deltas allows deltas
+// between them, the newest -checkpoint-keep full generations retained;
+// SIGINT or SIGTERM mid-stream also writes a final checkpoint before
+// exiting nonzero (status 3), so an orchestrator's shutdown is a resumable
+// event rather than lost work; -stop-after N stops feeding after about N
+// jobs, writes a final checkpoint and exits without a report, modeling a
+// killed process; -resume P recovers the newest intact checkpoint of the
+// lineage at P and replays the trace, skipping the jobs the checkpoint
+// already absorbed — the final report is bit-identical to an uninterrupted
+// run over the same trace:
 //
-//	schedsim -stream -policy flowtime -eps 0.2 -checkpoint ck.snap -checkpoint-every 50000 big.ndjson
-//	schedsim -stream -policy flowtime -eps 0.2 -checkpoint ck.snap -stop-after 300000 big.ndjson
-//	schedsim -stream -policy flowtime -eps 0.2 -resume ck.snap big.ndjson
+//	schedsim -stream -policy flowtime -eps 0.2 -checkpoint ck -checkpoint-every 50000 big.ndjson
+//	schedsim -stream -policy flowtime -eps 0.2 -checkpoint ck -stop-after 300000 big.ndjson
+//	schedsim -stream -policy flowtime -eps 0.2 -resume ck big.ndjson
 //
 // With -compare the chosen non-preemptive policy (flowtime or wflow), its
 // preemptive engine-hosted counterpart (srpt or migratory wsrpt) and the
@@ -84,13 +88,13 @@ func main() {
 		parallel = flag.Int("parallel", 0, "dispatch worker count for the λ-dispatch policies (0: auto, 1: sequential)")
 		eventq   = flag.String("eventq", "", "engine event-queue implementation for the session-backed policies: heap|calendar (empty: heap; performance-only)")
 		stream   = flag.Bool("stream", false, "consume an NDJSON trace incrementally (file or stdin)")
-		batch    = flag.Int("batch", 256, "stream ingestion batch size (1: per-job Feed path)")
-		ckpt     = flag.String("checkpoint", "", "stream mode: write session snapshots to this file")
-		ckptN    = flag.Int("checkpoint-every", 0, "stream mode: rewrite -checkpoint every N fed jobs")
-		ckptD    = flag.Int("checkpoint-deltas", 0, "stream mode: lineage checkpoints, up to N deltas between fulls (0: single-file)")
-		ckptK    = flag.Int("checkpoint-keep", 0, "stream mode: lineage retention, newest N full generations (0: keep all)")
+		batch    = flag.Int("batch", 256, "stream mode: jobs per ingestion slab")
+		ckpt     = flag.String("checkpoint", "", "stream mode: root a checkpoint lineage at this path (P.N.full, P.N.delta, P.lineage)")
+		ckptN    = flag.Int("checkpoint-every", 0, "stream mode: checkpoint every N fed jobs")
+		ckptD    = flag.Int("checkpoint-deltas", 0, "stream mode: up to N delta checkpoints between fulls (0: fulls only)")
+		ckptK    = flag.Int("checkpoint-keep", 0, "stream mode: retain only the newest N full generations (0: 2)")
 		stopN    = flag.Int("stop-after", 0, "stream mode: stop after about N jobs, write a final -checkpoint, exit without a report")
-		resume   = flag.String("resume", "", "stream mode: restore the session from this snapshot and skip the jobs it already absorbed")
+		resume   = flag.String("resume", "", "stream mode: restore the session from the checkpoint lineage rooted at this path and skip the jobs it already absorbed")
 		compare  = flag.Bool("compare", false, "run the policy, its preemptive counterpart and the SRPT bound on the same instance")
 		dump     = flag.String("dump", "", "write the outcome JSON to this file")
 		progress = flag.Duration("progress", 0, "stream mode: print a periodic status line (jobs fed, pending, events/s, checkpoint seq) to stderr (0 disables)")
@@ -235,33 +239,25 @@ type jobFact struct {
 // streamCheckpoints carries the checkpoint/resume configuration of a
 // streaming run.
 type streamCheckpoints struct {
-	File      string // snapshot path ("" disables checkpointing)
-	Every     int    // rewrite File every this many fed jobs (0: only on StopAfter)
-	Deltas    int    // lineage mode: up to this many delta checkpoints between fulls
-	Keep      int    // lineage mode: retain only the newest N full generations
+	File      string // lineage base path ("" disables checkpointing)
+	Every     int    // checkpoint every this many fed jobs (0: only on StopAfter or a signal)
+	Deltas    int    // up to this many delta checkpoints between fulls (0: fulls only)
+	Keep      int    // retain only the newest N full generations (0: 2)
 	StopAfter int    // stop feeding after about N jobs (0: run to EOF)
-	Resume    string // snapshot or lineage to restore the session from ("" starts fresh)
-}
-
-// lineageMode reports whether File names a checkpoint lineage rather than a
-// single rewritten snapshot file.
-func (ck streamCheckpoints) lineageMode() bool {
-	return ck.File != "" && (ck.Deltas > 0 || ck.Keep > 0)
+	Resume    string // lineage to restore the session from ("" starts fresh)
 }
 
 // runStream consumes an NDJSON trace incrementally and feeds a streaming
-// scheduler session — in slabs of `batch` jobs through the FeedBatch fast
-// path (batch ≤ 1 selects the per-job Feed path) — then reports flow
-// metrics computed from the outcome and the O(1)-per-job facts logged at
-// feed time. A non-empty dump path receives the outcome JSON, as in batch
-// mode.
+// scheduler session in slabs of `batch` jobs, then reports flow metrics
+// computed from the outcome and the O(1)-per-job facts logged at feed time.
+// A non-empty dump path receives the outcome JSON, as in batch mode.
 //
-// With ck.Resume the session is reconstructed from a snapshot and the trace
-// replays from the top, logging facts but skipping the session.Fed() jobs
-// the snapshot already absorbed; with ck.File the live session is frozen to
-// disk every ck.Every fed jobs (and before a ck.StopAfter exit), each
-// snapshot written to a temp file, fsynced and renamed into place so a crash
-// mid-checkpoint never corrupts the previous one.
+// With ck.Resume the session is reconstructed from the lineage's newest
+// intact checkpoint and the trace replays from the top, logging facts but
+// skipping the session.Fed() jobs the checkpoint already absorbed; with
+// ck.File the live session is appended to the lineage every ck.Every fed
+// jobs (and before a ck.StopAfter exit).
+//
 // streamProgress prints one status line per tick to stderr — plus a
 // final one on stop, so even a run shorter than the interval leaves a
 // trace — reading only the obs registry (atomics), never the session.
@@ -324,25 +320,17 @@ func runStream(polName string, eps, alpha float64, parallel, batch int, eventq, 
 		fatal(err)
 	}
 
-	var resumeFrom io.ReadCloser
+	var resumeFrom io.Reader
 	if ck.Resume != "" {
-		if snapshot.LineageExists(ck.Resume) {
-			payload, info, err := snapshot.RecoverLineage(ck.Resume)
-			if err != nil {
-				fatal(err)
-			}
-			if info.FellBack {
-				fmt.Fprintf(os.Stderr, "schedsim: lineage fell back to seq %d (%d newer checkpoints dropped as corrupt)\n",
-					info.Seq, info.Dropped)
-			}
-			resumeFrom = io.NopCloser(bytes.NewReader(payload))
-		} else {
-			f, err := os.Open(ck.Resume)
-			if err != nil {
-				fatal(err)
-			}
-			resumeFrom = f
+		payload, info, err := snapshot.RecoverLineage(ck.Resume)
+		if err != nil {
+			fatal(err)
 		}
+		if info.FellBack {
+			fmt.Fprintf(os.Stderr, "schedsim: lineage fell back to seq %d (%d newer checkpoints dropped as corrupt)\n",
+				info.Seq, info.Dropped)
+		}
+		resumeFrom = bytes.NewReader(payload)
 	}
 
 	e, ok := policy.Lookup(polName)
@@ -357,7 +345,6 @@ func runStream(polName string, eps, alpha float64, parallel, batch int, eventq, 
 	var fd policy.Session
 	if resumeFrom != nil {
 		fd, err = e.Restore(resumeFrom, params)
-		resumeFrom.Close()
 	} else {
 		fd, err = e.New(r.Machines(), params)
 	}
@@ -384,33 +371,27 @@ func runStream(polName string, eps, alpha float64, parallel, batch int, eventq, 
 		}()
 	}
 
-	// save freezes the session durably: single-file mode rewrites ck.File
-	// atomically; lineage mode appends a full or delta checkpoint to the
-	// chain. force pins a full — the final checkpoint of an interrupted or
-	// stopped run is a recovery anchor, never a delta.
+	// save appends a checkpoint of the session to the lineage. force pins a
+	// full — the final checkpoint of an interrupted or stopped run is a
+	// recovery anchor, never a delta.
 	var lin *snapshot.Lineage
-	if ck.lineageMode() {
-		var err error
-		lin, err = snapshot.OpenLineage(ck.File, snapshot.LineageOptions{Keep: ck.Keep, DeltaEvery: ck.Deltas})
+	if ck.File != "" {
+		keep := ck.Keep
+		if keep <= 0 {
+			keep = 2 // as front.Config.CheckpointKeep: the fewest that survive a corrupt full
+		}
+		lin, err = snapshot.OpenLineage(ck.File, snapshot.LineageOptions{Keep: keep, DeltaEvery: ck.Deltas})
 		if err != nil {
 			fatal(err)
 		}
 	}
-	saveN := 0
+	var ckptBuf bytes.Buffer
 	save := func(force bool) error {
-		if lin == nil {
-			if err := writeCheckpoint(ck.File, fd); err != nil {
-				return err
-			}
-			saveN++
-			ckptSeq.Set(float64(saveN))
-			return nil
-		}
-		var buf bytes.Buffer
-		if err := fd.Snapshot(&buf); err != nil {
+		ckptBuf.Reset()
+		if err := fd.Snapshot(&ckptBuf); err != nil {
 			return fmt.Errorf("writing checkpoint: %w", err)
 		}
-		entry, err := lin.Write(buf.Bytes(), force)
+		entry, err := lin.Write(ckptBuf.Bytes(), force)
 		if err != nil {
 			return err
 		}
@@ -485,34 +466,19 @@ func runStream(polName string, eps, alpha float64, parallel, batch int, eventq, 
 		}
 	}
 
-	if batch <= 1 {
-		one := make([]sched.Job, 1)
-		for !stopped && !interrupted() {
-			j, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				fatal(err)
-			}
-			one[0] = j
-			ingest(one)
+	// Decode a slab, feed it in one FeedBatch call, reuse the slab. FeedBatch
+	// copies the jobs, so recycling the buffer is safe; each job's Proc slice
+	// is freshly decoded and stays owned by the session.
+	batch = max(batch, 1)
+	slab := make([]sched.Job, 0, batch)
+	for !stopped && !interrupted() {
+		slab, err = r.NextBatch(slab[:0], batch)
+		if err != nil && err != io.EOF {
+			fatal(err)
 		}
-	} else {
-		// Batched ingestion: decode a slab, feed it in one FeedBatch call,
-		// reuse the slab. FeedBatch copies the jobs, so recycling the buffer
-		// is safe; each job's Proc slice is freshly decoded and stays owned
-		// by the session.
-		slab := make([]sched.Job, 0, batch)
-		for !stopped && !interrupted() {
-			slab, err = r.NextBatch(slab[:0], batch)
-			if err != nil && err != io.EOF {
-				fatal(err)
-			}
-			ingest(slab)
-			if err == io.EOF {
-				break
-			}
+		ingest(slab)
+		if err == io.EOF {
+			break
 		}
 	}
 	if stopped {
@@ -688,33 +654,6 @@ func runCompare(polName string, eps float64, parallel int, path string) {
 		t.AddRowf("migrations", migrate)
 	}
 	fmt.Println(t)
-}
-
-// writeCheckpoint freezes the session into path atomically: the snapshot is
-// written to a sibling temp file, fsynced, and renamed over path, so a crash
-// mid-write leaves the previous checkpoint intact and a reader never sees a
-// half-written file.
-func writeCheckpoint(path string, s policy.Session) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := s.Snapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("writing checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 func fatal(err error) {

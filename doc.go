@@ -6,14 +6,17 @@
 // The library lives under internal/ (see DESIGN.md for the system
 // inventory), the runnable entry points are:
 //
-//   - cmd/schedbench — regenerate every experiment table/figure
+//   - cmd/schedbench — regenerate the paper-derived tables and figures of
+//     EXPERIMENTS.md
 //   - cmd/tracegen, cmd/schedsim — generate workload traces and replay them
 //     under any implemented policy, in batch or streaming (-stream, NDJSON)
 //     form; schedsim -compare prices non-preemption against the
 //     engine-hosted preemptive SRPT comparators
+//   - cmd/schedserve, cmd/loadgen — the network front door and its load
+//     driver
 //   - examples/* — six runnable scenarios built on the library API
 //
-// The benchmarks in bench_test.go (this package) drive the experiment suite
-// through `go test -bench`, one benchmark per table/figure of
-// EXPERIMENTS.md.
+// Performance is measured by `go run ./benchmark` (BENCHMARK.json); the
+// benchmarks in bench_test.go (this package) are end-to-end runs for
+// profiling and record nothing.
 package repro

@@ -55,7 +55,7 @@ func main() {
 		}
 		feeders[k] = sessions[k]
 	}
-	sh := engine.NewShard(feeders, nil, 0)
+	sh := engine.NewShardOpts(feeders, engine.ShardOptions{})
 	for _, j := range jobs {
 		if err := sh.Feed(j); err != nil {
 			log.Fatal(err)

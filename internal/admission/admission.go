@@ -13,6 +13,8 @@
 //	   ▲          │            │                ▼
 //	   └──────────┴────────────┴── depth ≤ ResumeDepth
 //
+// In each state:
+//
 //   - Accept: every job is fed to the scheduler.
 //   - Throttle: jobs are still fed, but the front door slows its intake
 //     (bounded per-connection queues plus a per-job delay), pushing

@@ -1,10 +1,6 @@
 package admission
 
-import (
-	"testing"
-
-	"repro/internal/obs"
-)
+import "testing"
 
 func mustNew(t *testing.T, cfg Config) *Controller {
 	t.Helper()
@@ -177,24 +173,5 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Fatalf("config %d (%+v) unexpectedly accepted", i, cfg)
 		}
-	}
-}
-
-// BenchmarkAdmissionDecide is the hot-path gate: one Observe+Decide pair per
-// ingested job must stay allocation-free in steady state (tenant ledgers
-// allocate once, on first sight). Telemetry is attached, so the gate covers
-// the instrumented path: transition counters, the state gauge, and the
-// O(1) budget/fed-weight gauge maintenance inside Decide.
-func BenchmarkAdmissionDecide(b *testing.B) {
-	c, err := New(Config{ThrottleDepth: 1 << 10, RejectDepth: 1 << 12, Epsilon: 0.2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c.SetTelemetry(NewTelemetry(obs.NewRegistry()))
-	b.ReportAllocs()
-	b.ResetTimer() // registry + telemetry construction is setup, not the gated path
-	for i := 0; i < b.N; i++ {
-		c.Observe(i & 0xfff)
-		c.Decide(i&7, 1)
 	}
 }

@@ -5,8 +5,8 @@
 // synthetic workloads against honest optimum lower bounds.
 //
 // Each experiment regenerates one "table" or "figure" documented in
-// EXPERIMENTS.md and is runnable three ways: the root bench_test.go
-// benchmarks, `go run ./cmd/schedbench -exp <id>`, and the package API here.
+// EXPERIMENTS.md; `go run ./cmd/schedbench -exp <id>` runs one. Performance
+// is not measured here: `go run ./benchmark` is the one instrument for that.
 package bench
 
 import (
@@ -31,7 +31,8 @@ func (c Config) scale(full, quick int) int {
 
 // Experiment is one reproducible table or figure.
 type Experiment struct {
-	// ID is the experiment identifier (E1..E21).
+	// ID is the experiment identifier (E1..E9, E11..E13, E15, E17; ids of
+	// retired experiments are not reused).
 	ID string
 	// Kind is "table" or "figure".
 	Kind string
@@ -61,7 +62,7 @@ func All() []Experiment {
 	sort.Slice(out, func(a, b int) bool {
 		ea, eb := out[a].ID, out[b].ID
 		if len(ea) != len(eb) {
-			return len(ea) < len(eb) // E2 < E10
+			return len(ea) < len(eb) // E2 < E11
 		}
 		return ea < eb
 	})

@@ -56,7 +56,7 @@ func TestShardDepthAndQuiesce(t *testing.T) {
 		sessions[k], feeders[k] = s, s
 	}
 	// Big slabs: nothing flushes on its own, so every fed job stays buffered.
-	sh := NewShardOpts(feeders, ShardOptions{MaxBatch: 1024, Slabs: 2})
+	sh := newShard(feeders, nil, 1024, 2)
 	const n = 40
 	for id := 0; id < n; id++ {
 		if err := sh.Feed(job(id, float64(id), 1)); err != nil {
@@ -104,7 +104,7 @@ func TestQuiesceSurfacesFeedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := NewShardOpts([]Feeder{s}, ShardOptions{MaxBatch: 4, Slabs: 2})
+	sh := newShard([]Feeder{s}, nil, 4, 2)
 	for i := 0; i < 3; i++ {
 		if err := sh.Feed(job(7, 1, 1)); err != nil { // duplicate ids
 			t.Fatal(err)
@@ -147,9 +147,9 @@ func TestDepthSignalsUnderConcurrentFeeding(t *testing.T) {
 				}
 				sessions[k], feeders[k] = s, s
 			}
-			// MaxBatch 4, Slabs 2: every few feeds hands a slab across the
+			// 4-job slabs, 2 per lane: every few feeds hands a slab across the
 			// channel and reclaims a drained one.
-			sh := NewShardOpts(feeders, ShardOptions{MaxBatch: 4, Slabs: 2})
+			sh := newShard(feeders, nil, 4, 2)
 			for id := 0; id < jobs; id++ {
 				if err := sh.Feed(job(id, float64(id)*0.01, 1)); err != nil {
 					t.Error(err)

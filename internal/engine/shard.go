@@ -79,25 +79,23 @@ func PerShardHint(total, shards int) int {
 	return int(mean+3*math.Sqrt(mean)) + 1
 }
 
-// ShardOptions configures the batched fan-out.
+// ShardOptions configures the fan-out.
 type ShardOptions struct {
 	// Route picks the shard for each job; nil selects RouteByID.
 	Route RouteFunc
-	// MaxBatch is the slab capacity: a shard's pending slab is handed to its
-	// worker when it reaches this many jobs. ≤ 0 selects 256.
-	MaxBatch int
-	// Slabs is the number of job slabs circulating per shard; ≥ 2 gives
-	// true double buffering (the producer fills one while the worker
-	// drains another), 1 is legal but fully serializes producer and
-	// worker on each slab. ≤ 0 selects 4.
-	Slabs int
-	// FlushEvery, when positive, flushes every shard's pending slab after
-	// this many Feed calls in total, bounding how long a job can sit
-	// unscheduled in a producer-side buffer on a slow stream. Zero means
-	// slabs flush only when full, on an explicit Flush, or at Wait — the
-	// pure-throughput mode.
-	FlushEvery int
 }
+
+// The slab geometry is fixed: each lane circulates slabCount slabs of
+// slabJobs jobs. At 256 jobs a slab the channel handoff and worker wakeup
+// amortize to nothing against ~0.5 µs of scheduling per job, and 4 slabs let
+// the producer run a full slab ahead of a worker that is one slab behind.
+// Every served and measured path ran these values; the per-job handoff they
+// replaced was 1.2× slower with bit-identical outcomes (DESIGN.md, "Negative
+// results").
+const (
+	slabJobs  = 256
+	slabCount = 4
+)
 
 // shardLane is the per-shard half of the fan-out: a work channel of filled
 // slabs, a free channel recycling drained ones, and the producer-side slab
@@ -118,73 +116,56 @@ type shardLane struct {
 // own goroutine — the scale-out unit of the engine: one session per shard of
 // machines, jobs partitioned by a stable route. Jobs move in slabs: the
 // producer fills a per-shard slab and hands it over in one channel operation
-// when it fills (or on Flush/Wait), while the worker drains a previously
-// filled slab into its session via one FeedBatch call — double buffering
-// that replaces the per-job channel handoff, and with it the per-job
-// goroutine wakeup, with one of each per MaxBatch jobs. Drained slabs recycle
-// through the free channel, so the steady state allocates nothing.
+// when it fills (or at Quiesce/Wait), while the worker drains a previously
+// filled slab into its session via one FeedBatch call, so there is one
+// channel handoff and one goroutine wakeup per slab rather than per job.
+// Drained slabs recycle through the free channel, so the steady state
+// allocates nothing.
 //
 // Feed never blocks on scheduling work, only on all of a shard's slabs being
 // in flight; Wait flushes, joins the workers and reports the first feed
 // error. The caller closes the individual sessions afterwards and merges
 // their outcomes (sched.MergeMetrics aggregates per-shard metrics).
 //
-// Feed, FeedBatch, Flush and Wait must be called from a single producer
+// Feed, FeedBatch, Quiesce and Wait must be called from a single producer
 // goroutine.
 type Shard struct {
-	lanes      []shardLane
-	feeders    []Feeder
-	route      RouteFunc
-	maxBatch   int
-	slabs      int
-	flushEvery int
-	sinceFlush int
-	wg         sync.WaitGroup
-	done       bool
-}
-
-// NewShard starts one worker per feeder with the given route and per-shard
-// job buffer (≤ 0 selects the defaults). It is the compatibility form of
-// NewShardOpts: buf jobs of buffering per shard, split across the default
-// slab rotation.
-func NewShard(feeders []Feeder, route RouteFunc, buf int) *Shard {
-	opt := ShardOptions{Route: route}
-	if buf > 0 {
-		opt.Slabs = 4
-		if opt.MaxBatch = buf / opt.Slabs; opt.MaxBatch < 1 {
-			opt.MaxBatch = 1
-		}
-	}
-	return NewShardOpts(feeders, opt)
+	lanes    []shardLane
+	feeders  []Feeder
+	route    RouteFunc
+	slabJobs int
+	slabs    int
+	wg       sync.WaitGroup
+	done     bool
 }
 
 // NewShardOpts starts one worker per feeder. Feeders that implement
 // BatchFeeder (all session types in this repository) ingest each slab in one
 // FeedBatch call; plain Feeders get the slab replayed job by job.
 func NewShardOpts(feeders []Feeder, opt ShardOptions) *Shard {
-	if opt.Route == nil {
-		opt.Route = RouteByID
-	}
-	if opt.MaxBatch <= 0 {
-		opt.MaxBatch = 256
-	}
-	if opt.Slabs < 1 {
-		opt.Slabs = 4
+	return newShard(feeders, opt.Route, slabJobs, slabCount)
+}
+
+// newShard is NewShardOpts with the slab geometry as arguments, so in-package
+// tests can force slab boundaries, full lanes and single-slab serialization
+// on small inputs.
+func newShard(feeders []Feeder, route RouteFunc, slabJobs, slabs int) *Shard {
+	if route == nil {
+		route = RouteByID
 	}
 	sh := &Shard{
-		lanes:      make([]shardLane, len(feeders)),
-		feeders:    append([]Feeder(nil), feeders...),
-		route:      opt.Route,
-		maxBatch:   opt.MaxBatch,
-		slabs:      opt.Slabs,
-		flushEvery: opt.FlushEvery,
+		lanes:    make([]shardLane, len(feeders)),
+		feeders:  append([]Feeder(nil), feeders...),
+		route:    route,
+		slabJobs: slabJobs,
+		slabs:    slabs,
 	}
 	for k := range feeders {
 		ln := &sh.lanes[k]
-		ln.work = make(chan []sched.Job, opt.Slabs)
-		ln.free = make(chan []sched.Job, opt.Slabs)
-		for s := 0; s < opt.Slabs; s++ {
-			ln.free <- make([]sched.Job, 0, opt.MaxBatch)
+		ln.work = make(chan []sched.Job, slabs)
+		ln.free = make(chan []sched.Job, slabs)
+		for s := 0; s < slabs; s++ {
+			ln.free <- make([]sched.Job, 0, slabJobs)
 		}
 		sh.wg.Add(1)
 		go func(ln *shardLane, f Feeder) {
@@ -233,14 +214,9 @@ func (sh *Shard) Feed(j sched.Job) error {
 	}
 	ln.pending = append(ln.pending, j)
 	ln.fed++
-	if len(ln.pending) >= sh.maxBatch {
+	if len(ln.pending) >= sh.slabJobs {
 		ln.work <- ln.pending
 		ln.pending = nil
-	}
-	if sh.flushEvery > 0 {
-		if sh.sinceFlush++; sh.sinceFlush >= sh.flushEvery {
-			sh.flush()
-		}
 	}
 	return nil
 }
@@ -257,17 +233,7 @@ func (sh *Shard) FeedBatch(jobs []sched.Job) error {
 	return nil
 }
 
-// Flush hands every non-empty pending slab to its worker, trading batch
-// amortization for ingestion latency (e.g. when the producer knows the
-// stream is pausing).
-func (sh *Shard) Flush() error {
-	if sh.done {
-		return ErrClosed
-	}
-	sh.flush()
-	return nil
-}
-
+// flush hands every non-empty pending slab to its worker.
 func (sh *Shard) flush() {
 	for k := range sh.lanes {
 		ln := &sh.lanes[k]
@@ -276,7 +242,6 @@ func (sh *Shard) flush() {
 			ln.pending = nil
 		}
 	}
-	sh.sinceFlush = 0
 }
 
 // Depth reports, per shard, the number of jobs admitted by Feed but not yet

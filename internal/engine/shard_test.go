@@ -52,7 +52,7 @@ func TestShardMatchesSequentialRouting(t *testing.T) {
 
 	// Shard runner: same routing, worker goroutines.
 	sessions, feeders := shardSetup(t, K, ins.Machines)
-	sh := NewShard(feeders, nil, 0)
+	sh := NewShardOpts(feeders, ShardOptions{})
 	for k := range ins.Jobs {
 		if err := sh.Feed(ins.Jobs[k]); err != nil {
 			t.Fatal(err)
@@ -79,7 +79,7 @@ func TestShardMatchesSequentialRouting(t *testing.T) {
 
 func TestShardFeedErrorSurfacesInWait(t *testing.T) {
 	sessions, feeders := shardSetup(t, 2, 1)
-	sh := NewShard(feeders, nil, 4)
+	sh := newShard(feeders, nil, 1, 4)
 	if err := sh.Feed(job(0, 5, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +105,10 @@ type plainFeeder struct{ s *Session }
 
 func (p plainFeeder) Feed(j sched.Job) error { return p.s.Feed(j) }
 
-// TestShardOptionsMatchReference pins that every slab geometry — tiny and
-// huge MaxBatch, FlushEvery cadences, few and many slabs, and the per-job
-// fallback for feeders without FeedBatch — produces outcomes bit-identical
-// to inline sequential routing.
+// TestShardOptionsMatchReference pins that the slab geometry is not
+// behaviour: one-job and never-filling slabs, one slab and many, the fixed
+// production geometry, and the per-job fallback for feeders without
+// FeedBatch all produce outcomes bit-identical to inline sequential routing.
 func TestShardOptionsMatchReference(t *testing.T) {
 	cfg := workload.DefaultConfig(500, 3, 5)
 	cfg.Load = 1.3
@@ -131,23 +131,22 @@ func TestShardOptionsMatchReference(t *testing.T) {
 		refOut[k] = out
 	}
 
-	opts := []ShardOptions{
-		{MaxBatch: 1},
-		{MaxBatch: 7, Slabs: 2},
-		{MaxBatch: 16, Slabs: 1}, // single slab: fully serialized handoff
-		{MaxBatch: 4096},
-		{MaxBatch: 64, FlushEvery: 10},
-		{MaxBatch: 256, Slabs: 8, FlushEvery: 1},
+	geometries := []struct{ slabJobs, slabs int }{
+		{1, 4},
+		{7, 2},
+		{16, 1}, // single slab: fully serialized handoff
+		{4096, 4},
+		{slabJobs, slabCount},
 	}
 	for _, plain := range []bool{false, true} {
-		for _, opt := range opts {
+		for _, g := range geometries {
 			sessions, feeders := shardSetup(t, K, ins.Machines)
 			if plain {
 				for k := range feeders {
 					feeders[k] = plainFeeder{sessions[k]}
 				}
 			}
-			sh := NewShardOpts(feeders, opt)
+			sh := newShard(feeders, nil, g.slabJobs, g.slabs)
 			for k := range ins.Jobs {
 				if err := sh.Feed(ins.Jobs[k]); err != nil {
 					t.Fatal(err)
@@ -162,7 +161,7 @@ func TestShardOptionsMatchReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(out, refOut[k]) {
-					t.Fatalf("opts %+v plain=%v: shard %d outcome diverges from sequential routing", opt, plain, k)
+					t.Fatalf("geometry %+v plain=%v: shard %d outcome diverges from sequential routing", g, plain, k)
 				}
 			}
 		}
@@ -186,14 +185,14 @@ func TestShardFeedBatchCoalesces(t *testing.T) {
 		}
 	}
 	sessions, feeders := shardSetup(t, K, ins.Machines)
-	sh := NewShardOpts(feeders, ShardOptions{MaxBatch: 32})
+	sh := newShard(feeders, nil, 32, 4)
 	for lo := 0; lo < len(ins.Jobs); lo += 17 {
 		hi := min(lo+17, len(ins.Jobs))
 		if err := sh.FeedBatch(ins.Jobs[lo:hi]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := sh.Flush(); err != nil { // exercise the explicit flush path
+	if err := sh.Quiesce(); err != nil { // hands over the partial slabs
 		t.Fatal(err)
 	}
 	if err := sh.Wait(); err != nil {
@@ -237,7 +236,7 @@ func TestRouteByTenantAffinityAndSpread(t *testing.T) {
 }
 
 func TestShardWithoutFeedersErrors(t *testing.T) {
-	sh := NewShard(nil, nil, 0)
+	sh := NewShardOpts(nil, ShardOptions{})
 	if err := sh.Feed(job(0, 0, 1)); err == nil {
 		t.Fatal("Feed on an empty shard must error, not panic")
 	}

@@ -286,7 +286,7 @@ func TestShardSnapshotRestoreFleet(t *testing.T) {
 			}
 			sessions[k], feeders[k] = s, s
 		}
-		sh := NewShardOpts(feeders, ShardOptions{MaxBatch: 16, Slabs: 2})
+		sh := newShard(feeders, nil, 16, 2)
 		var snap []byte
 		jobs := ins.Jobs
 		if snapshotAt > 0 {
@@ -345,7 +345,7 @@ func TestShardSnapshotRestoreFleet(t *testing.T) {
 	for k, s := range restored {
 		feeders[k] = s
 	}
-	sh := NewShardOpts(feeders, ShardOptions{MaxBatch: 16, Slabs: 2})
+	sh := newShard(feeders, nil, 16, 2)
 	for k := 250; k < len(ins.Jobs); k++ {
 		if err := sh.Feed(ins.Jobs[k]); err != nil {
 			t.Fatal(err)

@@ -348,34 +348,3 @@ func FuzzCalendarVsHeap(f *testing.F) {
 		}
 	})
 }
-
-// benchFill pushes a release-ordered stream with completion-style jitter —
-// the engine's access pattern — and drains it, b.N events total.
-func benchPushPop(b *testing.B, q Interface) {
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(1))
-	q.Grow(1024)
-	now := 0.0
-	for i := 0; i < b.N; i++ {
-		if q.Len() >= 1024 {
-			e := q.Pop()
-			if e.Time > now {
-				now = e.Time
-			}
-			continue
-		}
-		// Arrivals march forward; completions land a bounded lead ahead.
-		now += 0.01
-		lead := rng.Float64() * 3
-		q.Push(Event{Time: now + lead, Kind: Kind(rng.Intn(3)), Job: int32(i)})
-	}
-	for q.Len() > 0 {
-		q.Pop()
-	}
-}
-
-// BenchmarkCalendarPushPop is the gated calendar benchmark of the satellite
-// task; BenchmarkHeapPushPop is its A/B partner on the identical stream.
-func BenchmarkCalendarPushPop(b *testing.B) { benchPushPop(b, &Calendar{}) }
-
-func BenchmarkHeapPushPop(b *testing.B) { benchPushPop(b, &Queue{}) }

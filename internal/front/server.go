@@ -43,11 +43,12 @@
 // whole-stream replay (the chaos client's retry strategy) idempotent. A job
 // arriving with a release below the merge watermark — possible only on a
 // mid-run reconnect — is restamped to the watermark, preserving the
-// engine's release-order invariant. Checkpoints (atomic tmp+fsync+rename)
-// embed the fleet snapshot plus the front door's own state (admission
-// ledgers, pre-rejection ledger, watermark); a server restored from a
-// checkpoint and re-fed the same streams converges to the exact report of
-// an uninterrupted run.
+// engine's release-order invariant. Checkpoints (members of a
+// snapshot.Lineage, each landed by tmp+fsync+rename) embed the fleet
+// snapshot plus the front door's own state (admission ledgers,
+// pre-rejection ledger, watermark); a server restored from a checkpoint and
+// re-fed the same streams converges to the exact report of an uninterrupted
+// run.
 package front
 
 import (
@@ -95,18 +96,17 @@ type Config struct {
 	// either way.
 	EventQueue string
 
-	CheckpointPath  string // durable snapshot path ("" disables checkpointing)
-	CheckpointEvery int    // fed jobs between periodic checkpoints (0: final only)
-
-	// CheckpointDeltas switches checkpointing to lineage mode: CheckpointPath
-	// becomes the base path of a checkpoint lineage (snapshot.Lineage) and up
-	// to this many delta checkpoints are written between fulls, so the
-	// periodic cadence pays for per-interval churn instead of the whole live
-	// state. 0 with CheckpointKeep 0 keeps the legacy single-file behavior.
+	// CheckpointPath roots the checkpoint lineage (snapshot.Lineage: members
+	// P.<seq>.full / P.<seq>.delta plus the manifest P.lineage); "" disables
+	// checkpointing.
+	CheckpointPath  string
+	CheckpointEvery int // fed jobs between periodic checkpoints (0: resize brackets and final drain only)
+	// CheckpointDeltas is how many delta checkpoints are written between
+	// fulls, so the periodic cadence pays for per-interval churn instead of
+	// the whole live state; 0 writes only fulls.
 	CheckpointDeltas int
-	// CheckpointKeep bounds lineage retention to this many newest full
-	// generations (0 keeps all). Setting it alone (deltas off) still selects
-	// lineage mode: every checkpoint is a full, old ones rotate out.
+	// CheckpointKeep bounds retention to this many newest full generations;
+	// 0 selects 2, the fewest that can still fall back past a corrupt full.
 	CheckpointKeep int
 
 	Stall chaos.Stall // fault injection: stall every shard feeder on this schedule
@@ -124,11 +124,6 @@ type Config struct {
 	// outcome-neutral — reports and checkpoints are byte-identical with it
 	// on or off.
 	Obs *obs.Registry
-}
-
-// lineageMode reports whether checkpoints go through a snapshot.Lineage.
-func (c *Config) lineageMode() bool {
-	return c.CheckpointPath != "" && (c.CheckpointDeltas > 0 || c.CheckpointKeep > 0)
 }
 
 // maxTenant and maxLocalID bound the gid packing (gid = tenant<<32 | local).
@@ -211,8 +206,8 @@ type Server struct {
 	preRej    []preReject
 	watermark float64
 	sinceCkpt int
-	lineage   *snapshot.Lineage // non-nil in lineage checkpoint mode
-	ckptBuf   bytes.Buffer      // serialization scratch for lineage checkpoints
+	lineage   *snapshot.Lineage // non-nil when CheckpointPath is set
+	ckptBuf   bytes.Buffer      // checkpoint serialization scratch
 
 	// Carried outcome ledger: verdicts of sessions retired by a resize.
 	// Their sessions are gone by drain time, so release/weight ride along
@@ -330,7 +325,7 @@ func build(cfg Config, restored []policy.Session) (*Server, error) {
 		s.obs = newServerObs(cfg.Obs, s)
 		adm.SetTelemetry(admission.NewTelemetry(cfg.Obs))
 	}
-	if cfg.lineageMode() {
+	if cfg.CheckpointPath != "" {
 		l, err := snapshot.OpenLineage(cfg.CheckpointPath, lineageOptions(cfg))
 		if err != nil {
 			for _, ps := range sessions {
@@ -354,7 +349,11 @@ func build(cfg Config, restored []policy.Session) (*Server, error) {
 
 // lineageOptions maps the config's checkpoint knobs onto the lineage's.
 func lineageOptions(cfg Config) snapshot.LineageOptions {
-	return snapshot.LineageOptions{Keep: cfg.CheckpointKeep, DeltaEvery: cfg.CheckpointDeltas}
+	keep := cfg.CheckpointKeep
+	if keep <= 0 {
+		keep = 2
+	}
+	return snapshot.LineageOptions{Keep: keep, DeltaEvery: cfg.CheckpointDeltas}
 }
 
 // Stream is one tenant's live feed: a bounded job queue into the sequencer
@@ -992,61 +991,29 @@ func (s *Server) buildReport() (*Report, error) {
 	return rep, nil
 }
 
-// writeCheckpoint freezes the whole front door durably. Legacy mode writes
-// CheckpointPath atomically (temp file, fsync, rename — a SIGKILL at any
-// instant leaves either the previous checkpoint or the new one, never a
-// torn file). Lineage mode serializes into a reusable buffer and hands the
-// bytes to the checkpoint lineage, which picks full vs delta and rotates
-// old generations; forceFull pins the write to a full snapshot (the resize
-// brackets and the final drain checkpoint — recovery anchors).
+// writeCheckpoint freezes the whole front door durably: it serializes into
+// a reusable buffer and hands the bytes to the checkpoint lineage, which
+// picks full vs delta, lands the member atomically (a SIGKILL at any instant
+// leaves the previous members intact) and rotates old generations.
+// forceFull pins the write to a full snapshot (the resize brackets and the
+// final drain checkpoint — recovery anchors).
 func (s *Server) writeCheckpoint(forceFull bool) error {
 	if o := s.obs; o != nil {
 		t0 := time.Now()
 		defer func() { o.ckptNS.Record(float64(time.Since(t0))) }()
 	}
-	if s.lineage != nil {
-		s.ckptBuf.Reset()
-		if err := s.snapshotTo(&s.ckptBuf); err != nil {
-			return fmt.Errorf("front: writing checkpoint: %w", err)
-		}
-		entry, err := s.lineage.Write(s.ckptBuf.Bytes(), forceFull)
-		if o := s.obs; o != nil && err == nil {
-			o.ckptBytes.Record(float64(entry.Size))
-			if entry.Kind == "delta" && s.ckptBuf.Len() > 0 {
-				o.deltaRatio.Set(float64(entry.Size) / float64(s.ckptBuf.Len()))
-			}
-		}
-		return err
-	}
-	path := s.cfg.CheckpointPath
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := s.snapshotTo(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	s.ckptBuf.Reset()
+	if err := s.snapshotTo(&s.ckptBuf); err != nil {
 		return fmt.Errorf("front: writing checkpoint: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if o := s.obs; o != nil {
-		if fi, err := os.Stat(path); err == nil {
-			o.ckptBytes.Record(float64(fi.Size()))
+	entry, err := s.lineage.Write(s.ckptBuf.Bytes(), forceFull)
+	if o := s.obs; o != nil && err == nil {
+		o.ckptBytes.Record(float64(entry.Size))
+		if entry.Kind == "delta" && s.ckptBuf.Len() > 0 {
+			o.deltaRatio.Set(float64(entry.Size) / float64(s.ckptBuf.Len()))
 		}
 	}
-	return nil
+	return err
 }
 
 // Stats is the live counter set served by /v1/stats. Everything here is

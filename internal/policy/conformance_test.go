@@ -13,6 +13,7 @@ import (
 	"repro/internal/core/srpt"
 	"repro/internal/core/wflow"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -22,7 +23,8 @@ import (
 // streamed job by job (with and without AdvanceTo promises), fed in random
 // batch splits, killed at a snapshot and resumed in a fresh session, run
 // under either event queue, frozen under one queue and thawed under the
-// other — must yield the batch Run's typed Result bit for bit, compared
+// other, observed by live telemetry, presized from a size hint that is wrong
+// in either direction — must yield the batch Run's typed Result bit for bit, compared
 // with reflect.DeepEqual over every field (outcome, rule counters, rejected
 // weight, preemption and migration tallies, dual report), and a snapshot
 // must refuse to resume under a different ε/α/γ/dual echo.
@@ -48,12 +50,17 @@ type echo[O any] struct {
 
 var queues = []string{engine.EventQueueHeap, engine.EventQueueCalendar}
 
-// withQueue returns opt with its EventQueue field set. Every policy's
-// options carry that field and every result an Outcome field (outcomeOf);
-// the suite reaches both by name so that a row is only the package's own
-// three functions.
+// withQueue returns opt with its EventQueue field set, withHint with its
+// SizeHint. Every policy's options carry those fields and every result an
+// Outcome field (outcomeOf); the suite reaches them by name so that a row is
+// only the package's own three functions.
 func withQueue[O any](opt O, q string) O {
 	reflect.ValueOf(&opt).Elem().FieldByName("EventQueue").SetString(q)
+	return opt
+}
+
+func withHint[O any](opt O, n int) O {
+	reflect.ValueOf(&opt).Elem().FieldByName("SizeHint").SetInt(int64(n))
 	return opt
 }
 
@@ -232,6 +239,40 @@ func conform[O any, S typed[R], R any](policy string,
 						if res := finish(t, heir); !reflect.DeepEqual(golden, res) {
 							t.Errorf("%s→%s resume diverged from the uninterrupted run", donorQ, heirQ)
 						}
+					}
+				}
+			})
+		})
+
+		// Telemetry observes, never decides; and what it counted must add up.
+		t.Run("telemetry", func(t *testing.T) {
+			each(t, func(t *testing.T, ins *sched.Instance, opt O, golden R) {
+				reg := obs.NewRegistry()
+				s := start(t, ins, opt)
+				s.SetTelemetry(engine.NewTelemetry(reg, ""))
+				feed(t, s, ins.Jobs)
+				if res := finish(t, s); !reflect.DeepEqual(golden, res) {
+					t.Errorf("result with telemetry attached diverges from the run without")
+				}
+				fed := reg.Counter("engine_jobs_fed_total").Value()
+				done := reg.Counter("engine_jobs_completed_total").Value() + reg.Counter("engine_jobs_rejected_total").Value()
+				if fed != int64(len(ins.Jobs)) || fed != done {
+					t.Errorf("registry counted %d fed, %d completed+rejected, want %d of each", fed, done, len(ins.Jobs))
+				}
+			})
+		})
+
+		// A size hint is advisory capacity. The stream check covers no hint
+		// and (through Run) the exact one; a served session gets
+		// engine.PerShardHint's estimate, which is wrong in either direction.
+		t.Run("mishint", func(t *testing.T) {
+			each(t, func(t *testing.T, ins *sched.Instance, opt O, golden R) {
+				n := len(ins.Jobs)
+				for _, hint := range []int{n / 3, 2*n + 7} {
+					s := start(t, ins, withHint(opt, hint))
+					feed(t, s, ins.Jobs)
+					if res := finish(t, s); !reflect.DeepEqual(golden, res) {
+						t.Errorf("size hint %d for %d jobs changed the result", hint, n)
 					}
 				}
 			})

@@ -58,7 +58,7 @@ func TestOutcomeRecorderFinalize(t *testing.T) {
 // BenchmarkOutcomeRecord measures the dense recording path end to end: one
 // op is a 10k-job run's worth of assignment/completion writes plus the
 // single Finalize materialization — the work the engine's event loop and
-// Close do per session. Gated on allocs/op in CI (cmd/benchcheck).
+// Close do per session.
 func BenchmarkOutcomeRecord(b *testing.B) {
 	const n = 10000
 	b.ReportAllocs()

@@ -10,10 +10,15 @@ import (
 // ids are idBase and idBase+stride, so consecutive Scratch calls see
 // different id spaces and a large stride forces the sparse map fallback.
 func scratchPairInstance(idBase, stride, machines int) (*Instance, *Outcome) {
+	return scratchInstance(2, idBase, stride, machines)
+}
+
+// scratchInstance is scratchPairInstance with n jobs.
+func scratchInstance(n, idBase, stride, machines int) (*Instance, *Outcome) {
 	ins := &Instance{Machines: machines}
 	o := NewOutcome()
 	t := 0.0
-	for k := 0; k < 2; k++ {
+	for k := 0; k < n; k++ {
 		proc := make([]float64, machines)
 		for i := range proc {
 			proc[i] = 2

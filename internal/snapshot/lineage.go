@@ -71,22 +71,12 @@ type Lineage struct {
 
 	nextSeq   uint64
 	sinceFull int
-	prev      []byte // last written (or recovered) payload, the delta base
+	prev      []byte // last written (or recovered) payload, the delta base; nil while DeltaEvery is 0
 	prevSeq   uint64
 }
 
 // manifestPath returns the manifest file for a lineage base path.
 func manifestPath(path string) string { return path + ".lineage" }
-
-// LineageExists reports whether path looks like a lineage root: a manifest
-// or at least one member file exists. Resume paths use it to pick between
-// lineage recovery and a plain single-file checkpoint.
-func LineageExists(path string) bool {
-	if _, err := os.Stat(manifestPath(path)); err == nil {
-		return true
-	}
-	return len(scanLineage(path)) > 0
-}
 
 // OpenLineage opens (or starts) the lineage rooted at path. An existing
 // manifest is loaded so sequence numbers continue; a corrupt or missing
@@ -251,14 +241,23 @@ func (l *Lineage) Write(payload []byte, forceFull bool) (LineageEntry, error) {
 		os.Remove(l.memberPath(e))
 	}
 	l.nextSeq = seq + 1
-	l.prev = append(l.prev[:0], payload...)
-	l.prevSeq = seq
+	l.setBase(payload, seq)
 	if kind == "full" {
 		l.sinceFull = 0
 	} else {
 		l.sinceFull++
 	}
 	return entry, nil
+}
+
+// setBase retains payload as the base the next delta encodes against. A
+// fulls-only lineage never encodes one, so it holds no second copy of the
+// state it checkpoints.
+func (l *Lineage) setBase(payload []byte, seq uint64) {
+	if l.opt.DeltaEvery > 0 {
+		l.prev = append(l.prev[:0], payload...)
+		l.prevSeq = seq
+	}
 }
 
 // prune trims entries beyond the Keep newest full generations, returning
@@ -309,6 +308,9 @@ type RecoverInfo struct {
 func (l *Lineage) Recover() ([]byte, RecoverInfo, error) {
 	entries := l.entries
 	if len(entries) == 0 {
+		if fi, err := os.Stat(l.path); err == nil && fi.Mode().IsRegular() {
+			return nil, RecoverInfo{}, fmt.Errorf("snapshot: %s is a single file, not the root of a checkpoint lineage (no %s or %s.<seq>.full beside it)", l.path, manifestPath(l.path), l.path)
+		}
 		return nil, RecoverInfo{}, fmt.Errorf("snapshot: lineage %s has no checkpoints", l.path)
 	}
 	// Generation start indices, newest first.
@@ -369,8 +371,7 @@ func (l *Lineage) Recover() ([]byte, RecoverInfo, error) {
 		if info.Dropped > 0 {
 			info.FellBack = true
 		}
-		l.prev = append([]byte(nil), cur...)
-		l.prevSeq = curSeq
+		l.setBase(cur, curSeq)
 		// Force the next write to be a full: the dropped tail may still sit
 		// on disk, and a delta chained across it would confuse a later scan.
 		if info.FellBack {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -288,10 +289,60 @@ func TestLineageForceFull(t *testing.T) {
 	if e.Kind != "full" {
 		t.Fatalf("forceFull wrote a %s", e.Kind)
 	}
-	if !LineageExists(path) {
-		t.Fatal("LineageExists = false on a live lineage")
+}
+
+// TestLineageRecoverRefusesBareFile pins the error a pre-lineage single-file
+// checkpoint gets: it must name the path and say what was expected there.
+func TestLineageRecoverRefusesBareFile(t *testing.T) {
+	bare := filepath.Join(t.TempDir(), "old.snap")
+	if err := os.WriteFile(bare, payloadN(t, 0), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if LineageExists(filepath.Join(t.TempDir(), "nothing")) {
-		t.Fatal("LineageExists = true on an empty directory")
+	_, _, err := RecoverLineage(bare)
+	if err == nil || !strings.Contains(err.Error(), bare) || !strings.Contains(err.Error(), "lineage") {
+		t.Fatalf("recovering a bare file: %v, want an error naming %s and the lineage layout", err, bare)
+	}
+	nothing := filepath.Join(t.TempDir(), "nothing")
+	if _, _, err := RecoverLineage(nothing); err == nil || !strings.Contains(err.Error(), nothing) {
+		t.Fatalf("recovering an empty directory: %v", err)
+	}
+}
+
+// TestLineageFullsOnlyRetainsNoBase pins that a lineage that never encodes a
+// delta keeps no second copy of the payload — neither after Write nor after
+// Recover — and that turning deltas on at reopen still starts with a full.
+func TestLineageFullsOnlyRetainsNoBase(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt")
+	l := openL(t, path, LineageOptions{Keep: 2})
+	for i := 0; i < 3; i++ {
+		e, err := l.Write(payloadN(t, i), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Kind != "full" || l.prev != nil {
+			t.Fatalf("write %d: kind %s, %d base bytes retained", i, e.Kind, len(l.prev))
+		}
+	}
+	l2 := openL(t, path, LineageOptions{Keep: 2})
+	if _, _, err := l2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if l2.prev != nil {
+		t.Fatalf("fulls-only recover retained %d base bytes", len(l2.prev))
+	}
+
+	l3 := openL(t, path, LineageOptions{Keep: 2, DeltaEvery: 4})
+	for i, want := range []string{"full", "delta"} {
+		e, err := l3.Write(payloadN(t, 3+i), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Kind != want {
+			t.Fatalf("deltas turned on at reopen: write %d is a %s, want %s", i, e.Kind, want)
+		}
+	}
+	got, info, err := RecoverLineage(path)
+	if err != nil || !bytes.Equal(got, payloadN(t, 4)) || info.Applied != 1 {
+		t.Fatalf("recovery across the switch: %v (info %+v)", err, info)
 	}
 }
