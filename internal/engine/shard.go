@@ -137,6 +137,9 @@ type Shard struct {
 	slabs    int
 	wg       sync.WaitGroup
 	done     bool
+	// routed is the job Feed hands the route func: passing the address of
+	// Feed's own parameter to a func value would move every job to the heap.
+	routed sched.Job
 }
 
 // NewShardOpts starts one worker per feeder. Feeders that implement
@@ -204,7 +207,8 @@ func (sh *Shard) Feed(j sched.Job) error {
 	if len(sh.lanes) == 0 {
 		return fmt.Errorf("engine: shard has no feeders")
 	}
-	k := sh.route(&j, len(sh.lanes))
+	sh.routed = j
+	k := sh.route(&sh.routed, len(sh.lanes))
 	if k < 0 || k >= len(sh.lanes) {
 		return fmt.Errorf("engine: route returned shard %d of %d", k, len(sh.lanes))
 	}

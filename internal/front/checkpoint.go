@@ -263,12 +263,12 @@ func Restore(cfg Config, r io.Reader) (*Server, error) {
 	s.carried = carried
 	s.carriedMakespan = carriedMakespan
 	for _, v := range carried {
-		s.decided[v.gid] = struct{}{}
+		s.markDecided(v.gid)
 	}
 	s.fedN.Add(int64(len(carried)))
 	s.preRej = ledger
 	for _, pr := range ledger {
-		s.decided[pr.gid] = struct{}{}
+		s.markDecided(pr.gid)
 	}
 	s.preRejN.Store(int64(len(ledger)))
 	for _, t := range tenants {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"path/filepath"
 	"slices"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/chaos"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/snapshot"
 )
@@ -538,5 +540,124 @@ func TestHTTPRefusals(t *testing.T) {
 	}
 	if code, _ := post("/v1/feed?tenant=1", `{"machines":2}`+"\n"); code != 503 {
 		t.Fatalf("draining feed: %d", code)
+	}
+}
+
+// TestIDSetRunWatermark pins the decided-id set: ids arriving out of order
+// park in extra until the run reaches them, an id far past the run stays
+// sparse, and every decided id reports as such.
+func TestIDSetRunWatermark(t *testing.T) {
+	var d idSet
+	order := []int{5, 3, 0, 1, 2, 4}
+	for _, id := range order {
+		if d.has(id) {
+			t.Fatalf("id %d decided before it arrived", id)
+		}
+		d.add(id)
+	}
+	if d.run != 6 || len(d.extra) != 0 {
+		t.Fatalf("after %v: run %d, extra %v; want run 6, extra empty", order, d.run, d.extra)
+	}
+	d.add(maxLocalID)
+	if d.run != 6 || len(d.extra) != 1 || !d.has(maxLocalID) {
+		t.Fatalf("id %d: run %d, extra %v; want it sparse in extra", maxLocalID, d.run, d.extra)
+	}
+	for _, id := range append(order, maxLocalID) {
+		if !d.has(id) {
+			t.Fatalf("replayed id %d not reported as decided", id)
+		}
+	}
+	for _, id := range []int{6, 7, maxLocalID - 1} {
+		if d.has(id) {
+			t.Fatalf("undecided id %d reported as decided", id)
+		}
+	}
+}
+
+// TestKillMidRunStallsOnce: a consumer that stops reading its acks while the
+// sequencer holds a popped run of its jobs costs the merge one AckTimeout,
+// not one per job of the run. The killed stream ends with ErrStreamKilled
+// and the other tenant's acks keep flowing.
+func TestKillMidRunStallsOnce(t *testing.T) {
+	cfg := testConfig(2, 1)
+	cfg.QueueDepth = 256 // acks buffer 512: the third full run overflows
+	cfg.AckTimeout = 500 * time.Millisecond
+	cfg.AwaitTenants = 2
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, err := s.OpenStream(1) // nobody reads its acks
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := s.OpenStream(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every dead-tenant job sorts before every live-tenant job, so the
+	// sequencer pops the dead tenant's full queue as one run at a time.
+	deadJobs := genJobs(1, 8*cfg.QueueDepth, 2)
+	liveJobs := shiftJobs(genJobs(2, 300, 2), 0, 1e6)
+	start := time.Now()
+	deadErr := make(chan error, 1)
+	go func() { deadErr <- dead.PushBatch(deadJobs) }()
+	go func() {
+		if err := live.PushBatch(liveJobs); err != nil {
+			t.Errorf("live push: %v", err)
+		}
+		live.CloseSend()
+	}()
+	ok := 0
+	for a := range live.Acks() {
+		if a.St == chaos.AckOK {
+			ok++
+		}
+	}
+	elapsed := time.Since(start)
+	if err := <-deadErr; !errors.Is(err, ErrStreamKilled) {
+		t.Fatalf("dead tenant's push ended with %v, want ErrStreamKilled", err)
+	}
+	if err := dead.Err(); !errors.Is(err, ErrStreamKilled) {
+		t.Fatalf("dead stream ended with %v, want ErrStreamKilled", err)
+	}
+	if ok != len(liveJobs) {
+		t.Fatalf("live tenant got %d ok acks, want %d", ok, len(liveJobs))
+	}
+	if elapsed >= 2*cfg.AckTimeout {
+		t.Fatalf("merge took %v with one dead consumer, want < 2 × AckTimeout (%v)", elapsed, cfg.AckTimeout)
+	}
+	if n := s.Stats().AckOverflows; n != 1 {
+		t.Fatalf("%d ack overflows, want 1", n)
+	}
+	if _, err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTelemetryCountsPerJob: the sequencer pops jobs in runs, but the
+// decide, merge-pop-wait and ack histograms keep one sample per popped job,
+// so their means stay per-job costs.
+func TestTelemetryCountsPerJob(t *testing.T) {
+	cfg := testConfig(2, 2)
+	cfg.Obs = obs.NewRegistry()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := map[int][]sched.Job{1: genJobs(3, 400, 2), 2: genJobs(4, 300, 2)}
+	feedInProcess(t, s, jobs)
+	feedInProcess(t, s, map[int][]sched.Job{1: jobs[1][:100]}) // dups are popped too
+	if _, err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	const popped = 400 + 300 + 100
+	for _, name := range []string{"front_decide_ns", "front_merge_pop_wait_ns", "front_ack_ns"} {
+		if n := cfg.Obs.Histogram(name).Snapshot().Count; n != popped {
+			t.Errorf("%s holds %d samples, want one per popped job (%d)", name, n, popped)
+		}
+	}
+	if cfg.Obs.Counter("front_sequencer_busy_ns_total").Value() <= 0 {
+		t.Error("front_sequencer_busy_ns_total did not accumulate")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -75,15 +76,23 @@ func writeAcks(acks <-chan Ack, w io.Writer, flush func() error) error {
 
 // deadlineReader arms the connection's read deadline before every read of
 // the request body, so the timeout bounds each wait on the client and frames
-// already buffered cost nothing.
+// already buffered cost nothing. Every read may block on the socket, so it
+// first runs beforeRead, when set: the parser's hand-off of the jobs it has
+// decoded so far, so no job waits on the client's next bytes.
 type deadlineReader struct {
-	body    io.Reader
-	rc      *http.ResponseController
-	timeout time.Duration
-	expired atomic.Bool
+	body       io.Reader
+	rc         *http.ResponseController
+	timeout    time.Duration
+	expired    atomic.Bool
+	beforeRead func() error
 }
 
 func (d *deadlineReader) Read(p []byte) (int, error) {
+	if d.beforeRead != nil {
+		if err := d.beforeRead(); err != nil {
+			return 0, err
+		}
+	}
 	d.rc.SetReadDeadline(time.Now().Add(d.timeout))
 	if d.expired.Load() {
 		// expire ran before or during the arming above, which may have
@@ -98,6 +107,10 @@ func (d *deadlineReader) expire() {
 	d.expired.Store(true)
 	d.rc.SetReadDeadline(time.Now())
 }
+
+// feedBatch is the most parsed jobs a feed connection holds before handing
+// them to its stream.
+const feedBatch = 64
 
 // handleFeed is the ingestion endpoint: it parses the tenant's NDJSON
 // stream through the strict reader (duplicate ids and release dips are
@@ -155,15 +168,29 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 
 	// The parser goroutine owns the request body (and its read deadline);
 	// this goroutine owns the response. parseErr is read only after
-	// parserDone closes.
+	// parserDone closes. Parsed jobs are handed to the stream in batches:
+	// when feedBatch of them are ready, and before every read of the body.
 	var parseErr error
 	parserDone := make(chan struct{})
+	batch := make([]sched.Job, 0, feedBatch)
+	var pushErr error // the stream refused a batch: killed or draining
+	handOff := func() error {
+		if len(batch) > 0 && pushErr == nil {
+			pushErr = st.PushBatch(batch)
+			batch = batch[:0]
+		}
+		return pushErr
+	}
+	body.beforeRead = handOff
 	go func() {
 		defer close(parserDone)
 		for {
 			j, err := nr.Next()
 			if err != nil {
 				switch {
+				case handOff() != nil:
+					// Stream killed or server draining; the ack loop
+					// reports it.
 				case errors.Is(err, io.EOF):
 					st.CloseSend()
 				case st.Err() != nil:
@@ -176,8 +203,7 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 				}
 				return
 			}
-			if err := st.Push(j); err != nil {
-				// Stream killed or server draining; the ack loop reports it.
+			if batch = append(batch, j); len(batch) == feedBatch && handOff() != nil {
 				return
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/chaos"
 	"repro/internal/sched"
 	"repro/internal/snapshot"
@@ -208,6 +209,62 @@ func TestResizeKillRestoreEquivalence(t *testing.T) {
 		t.Fatalf("post-resize recovery diverged from the uninterrupted run:\n%s\nvs\n%s", repB, repA)
 	}
 	b1.Drain() // release universe B's first server (report unused)
+}
+
+// TestRestoreDupsEveryDecidedGid: the decided-id sets are rebuilt, never
+// serialized, from three sources — the live fleet's fed jobs, the PREJ
+// ledger and the CARR ledger. An overloaded run sheds jobs, resizes (its
+// phase-1 verdicts move to the carried ledger) and drains; a server restored
+// from the final checkpoint must ack every job of both phases as a dup and
+// drain to the same report.
+func TestRestoreDupsEveryDecidedGid(t *testing.T) {
+	cfg := testConfig(2, 2)
+	cfg.Admission = admission.Config{ThrottleDepth: 8, RejectDepth: 24, Epsilon: 0.4, Burst: 1}
+	cfg.QueueDepth = 16
+	cfg.Stall = chaos.Stall{Every: 8, Delay: 2 * time.Millisecond}
+	cfg.AwaitTenants = 2
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "ck")
+	phase1 := map[int][]sched.Job{1: genJobs(51, 300, 2), 2: genJobs(52, 300, 2)}
+	phase2 := map[int][]sched.Job{
+		1: shiftJobs(genJobs(151, 200, 2), 100000, 1000),
+		2: shiftJobs(genJobs(152, 200, 2), 100000, 1000),
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedInProcess(t, s, phase1)
+	if err := s.Resize(3); err != nil {
+		t.Fatal(err)
+	}
+	feedInProcess(t, s, phase2)
+	want := drainJSON(t, s)
+	var rep Report
+	json.Unmarshal(want, &rep)
+	if rep.PreRejected == 0 || len(s.carried) == 0 {
+		t.Fatalf("run shed %d and carried %d verdicts; the test needs both", rep.PreRejected, len(s.carried))
+	}
+
+	payload, _, err := snapshot.RecoverLineage(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Restore(cfg, bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, phase := range []map[int][]sched.Job{phase1, phase2} {
+		for tenant, m := range feedInProcess(t, r, phase) {
+			for id, st := range m {
+				if st != chaos.AckDup {
+					t.Fatalf("replayed tenant %d job %d acked %q, want dup", tenant, id, st)
+				}
+			}
+		}
+	}
+	if got := drainJSON(t, r); !bytes.Equal(got, want) {
+		t.Fatalf("replay into the restored server changed the report:\n%s\nvs\n%s", got, want)
+	}
 }
 
 // TestResizeTornCheckpointFallsBack kills the newest (post-resize) lineage

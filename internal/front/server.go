@@ -202,7 +202,7 @@ type Server struct {
 	fleet     *engine.Shard
 	sessions  []policy.Session
 	adm       *admission.Controller
-	decided   map[int]struct{} // gid of every acked verdict (fed or pre-rejected)
+	decided   map[int]*idSet // per tenant: local ids of every acked verdict (fed or pre-rejected)
 	preRej    []preReject
 	watermark float64
 	sinceCkpt int
@@ -232,6 +232,58 @@ type Server struct {
 
 	// obs is the telemetry bundle (nil = disabled; see telemetry.go).
 	obs *serverObs
+}
+
+// idSet is one tenant's decided local ids: every id below run, plus the
+// out-of-order ones above it in extra. Clients number 0, 1, 2, …, so the
+// common case costs a compare and an increment, and extra stays empty.
+type idSet struct {
+	run   int
+	extra map[int]struct{}
+}
+
+func (d *idSet) has(id int) bool {
+	if id < d.run {
+		return true
+	}
+	_, ok := d.extra[id]
+	return ok
+}
+
+func (d *idSet) add(id int) {
+	if id < d.run {
+		return
+	}
+	if id > d.run {
+		if d.extra == nil {
+			d.extra = make(map[int]struct{})
+		}
+		d.extra[id] = struct{}{}
+		return
+	}
+	d.run++
+	for len(d.extra) > 0 {
+		if _, ok := d.extra[d.run]; !ok {
+			return
+		}
+		delete(d.extra, d.run)
+		d.run++
+	}
+}
+
+// decidedSet returns the tenant's decided-id set, creating it on first use.
+func (s *Server) decidedSet(tenant int) *idSet {
+	d := s.decided[tenant]
+	if d == nil {
+		d = &idSet{}
+		s.decided[tenant] = d
+	}
+	return d
+}
+
+// markDecided records a gid rebuilt from restored state.
+func (s *Server) markDecided(gid int) {
+	s.decidedSet(gid >> 32).add(gid & maxLocalID)
 }
 
 // verdictRow is one decided job: its identity, the release/weight facts the
@@ -311,7 +363,7 @@ func build(cfg Config, restored []policy.Session) (*Server, error) {
 		fleet:     engine.NewShardOpts(feeders, engine.ShardOptions{Route: route}),
 		sessions:  sessions,
 		adm:       adm,
-		decided:   make(map[int]struct{}, cfg.SizeHint),
+		decided:   make(map[int]*idSet),
 		drained:   make(chan struct{}),
 		shardHist: []int{cfg.Shards},
 	}
@@ -337,13 +389,13 @@ func build(cfg Config, restored []policy.Session) (*Server, error) {
 	}
 	for _, ps := range sessions {
 		ps.EachFed(func(j *sched.Job) {
-			s.decided[j.ID] = struct{}{}
+			s.markDecided(j.ID)
+			s.fedN.Add(1)
 			if j.Release > s.watermark {
 				s.watermark = j.Release
 			}
 		})
 	}
-	s.fedN.Store(int64(len(s.decided)))
 	return s, nil
 }
 
@@ -373,6 +425,12 @@ type Stream struct {
 	// telemetry is on; nil otherwise. Created before Server.mu is ever
 	// held (registry lock ordering) and updated under it (atomic set).
 	qGauge *obs.Gauge
+
+	// Sequencer-owned: the tenant's decided-id set, looked up on the
+	// stream's first verdict, and whether the sequencer killed the stream
+	// (later acks of jobs it had already popped are then dropped).
+	decided *idSet
+	killed  bool
 }
 
 // OpenStream registers a live stream for the tenant. One stream per tenant:
@@ -423,33 +481,53 @@ func (st *Stream) pop() sched.Job {
 // admission cap — the front door's per-tenant backpressure — and fails once
 // the stream is closed, killed, or the server drains.
 func (st *Stream) Push(j sched.Job) error {
-	if j.ID < 0 || j.ID > maxLocalID {
-		return fmt.Errorf("front: job id %d out of range [0, %d]", j.ID, maxLocalID)
-	}
-	if j.Weight == 0 {
-		j.Weight = 1
-	}
+	return st.PushBatch([]sched.Job{j})
+}
+
+// PushBatch is Push on each job in order, stopping at the first error, but
+// it takes the lock once per run of jobs that fit and wakes the sequencer
+// once per run. The per-job rules are Push's: a job fits while the queue is
+// below QueueDepth and the queued weight stays within MaxQueuedWeight, and
+// the first job into an empty queue always fits.
+func (st *Stream) PushBatch(jobs []sched.Job) error {
 	s := st.srv
+	capW := s.cfg.Admission.MaxQueuedWeight
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		if st.closed {
-			if st.err != nil {
-				return st.err
-			}
-			return ErrDraining
+	added := 0 // queued since the last wake-up
+	wake := func() {
+		if added > 0 {
+			st.qGauge.Set(float64(st.size()))
+			s.cond.Broadcast()
+			added = 0
 		}
-		capW := s.cfg.Admission.MaxQueuedWeight
-		if st.size() < s.cfg.QueueDepth && (capW <= 0 || st.size() == 0 || st.queuedW+j.Weight <= capW) {
-			break
-		}
-		s.cond.Wait()
 	}
-	st.buf = append(st.buf, j)
-	st.queuedW += j.Weight
-	s.queued++
-	st.qGauge.Set(float64(st.size()))
-	s.cond.Broadcast()
+	defer wake()
+	for _, j := range jobs {
+		if j.ID < 0 || j.ID > maxLocalID {
+			return fmt.Errorf("front: job id %d out of range [0, %d]", j.ID, maxLocalID)
+		}
+		if j.Weight == 0 {
+			j.Weight = 1
+		}
+		for {
+			if st.closed {
+				if st.err != nil {
+					return st.err
+				}
+				return ErrDraining
+			}
+			if st.size() < s.cfg.QueueDepth && (capW <= 0 || st.size() == 0 || st.queuedW+j.Weight <= capW) {
+				break
+			}
+			wake()
+			s.cond.Wait()
+		}
+		st.buf = append(st.buf, j)
+		st.queuedW += j.Weight
+		s.queued++
+		added++
+	}
 	return nil
 }
 
@@ -507,8 +585,12 @@ func (st *Stream) Err() error {
 // descheduled consumer drains them, and an instant kill would discard that
 // consumer's queued jobs over a scheduling hiccup. Only a consumer that
 // stays wedged past the window is ruled dead: its stream aborts, and the
-// sequencer's worst-case stall is one window per killed stream.
+// sequencer's worst-case stall is one window per killed stream — the rest
+// of a popped run's acks to a killed stream are dropped unsent.
 func (st *Stream) ack(a Ack) {
+	if st.killed {
+		return
+	}
 	select {
 	case st.acks <- a:
 		return
@@ -524,6 +606,7 @@ func (st *Stream) ack(a Ack) {
 		}
 	}
 	st.srv.overflowN.Add(1)
+	st.killed = true
 	s := st.srv
 	s.mu.Lock()
 	st.abortLocked(ErrStreamKilled)
@@ -541,10 +624,42 @@ func headLess(a, b *Stream) bool {
 	return a.tenant < b.tenant
 }
 
+// nextHead returns the stream holding the minimum head, or nil unless every
+// open stream has one (an open stream with an empty queue owes a head that
+// may sort first).
+func (s *Server) nextHead() *Stream {
+	var st *Stream
+	for _, c := range s.streams {
+		if c.size() == 0 {
+			if !c.closed {
+				return nil
+			}
+			continue
+		}
+		if st == nil || headLess(c, st) {
+			st = c
+		}
+	}
+	return st
+}
+
+// maxRun bounds the jobs the sequencer pops under one lock hold.
+const maxRun = 256
+
+// popped is one merged job awaiting its verdict.
+type popped struct {
+	st *Stream
+	j  sched.Job
+}
+
 // sequence is the merge loop: one goroutine owns the fleet, the admission
-// controller and every piece of verdict state, popping the minimum head
-// whenever all open streams have one.
+// controller and every piece of verdict state. It pops a run of minimum
+// heads under one lock hold, re-checking before every pop that all open
+// streams have a head, so the merged order is exactly the one-at-a-time
+// order; then it wakes the producers once and rules on the run outside the
+// lock. Resizes, reaping and the drain land between runs.
 func (s *Server) sequence() {
+	run := make([]popped, 0, maxRun)
 	for {
 		var waitStart time.Time
 		if s.obs != nil {
@@ -554,7 +669,7 @@ func (s *Server) sequence() {
 		var st *Stream
 		for {
 			if req := s.resize; req != nil && !s.draining {
-				// A resize executes here, between merge pops: the sequencer
+				// A resize executes here, between runs: the sequencer
 				// owns the fleet, so no job can be in flight past this point
 				// and the resize lands at a deterministic spot in the merged
 				// order (after every job processed so far, before the next
@@ -602,46 +717,44 @@ func (s *Server) sequence() {
 				}
 				s.await = 0
 			}
-			if len(s.streams) > 0 {
-				ready := true
-				for _, c := range s.streams {
-					if c.size() == 0 {
-						if !c.closed {
-							ready = false // an open stream owes a head: wait
-						}
-						continue
-					}
-					if ready && (st == nil || headLess(c, st)) {
-						st = c
-					}
-				}
-				if !ready {
-					st = nil
-				}
-			}
-			if st != nil {
+			if st = s.nextHead(); st != nil {
 				break
 			}
 			s.cond.Wait()
 		}
-		j := st.pop()
-		s.queued--
+		for st != nil && len(run) < maxRun {
+			run = append(run, popped{st, st.pop()})
+			st = s.nextHead()
+		}
+		s.queued -= len(run)
 		queued := s.queued
 		s.cond.Broadcast()
 		s.mu.Unlock()
-		if o := s.obs; o != nil {
-			// Merge-pop latency (lock + head wait) and sequencer occupancy:
-			// busyNS accumulates process() wall time, and the busy-fraction
-			// gauge divides it by wall clock — the saturation signal.
-			o.popWaitNS.Record(float64(time.Since(waitStart)))
-			t0 := time.Now()
-			s.process(st, j, queued)
-			d := time.Since(t0)
-			o.decideNS.Record(float64(d))
-			o.busyNS.Add(int64(d))
-			continue
+		var wait float64
+		if s.obs != nil {
+			wait = float64(time.Since(waitStart)) / float64(len(run))
 		}
-		s.process(st, j, queued)
+		for k := range run {
+			// The admission depth counts the run's unruled tail as still
+			// queued, as a one-job-per-pop merge would have seen it.
+			st, j, queued := run[k].st, run[k].j, queued+len(run)-1-k
+			if o := s.obs; o != nil {
+				// Merge-pop latency (lock + head wait, one amortized sample
+				// per popped job) and sequencer occupancy: busyNS
+				// accumulates process() wall time, and the busy-fraction
+				// gauge divides it by wall clock — the saturation signal.
+				o.popWaitNS.Record(wait)
+				t0 := time.Now()
+				s.process(st, j, queued)
+				d := time.Since(t0)
+				o.decideNS.Record(float64(d))
+				o.busyNS.Add(int64(d))
+				continue
+			}
+			s.process(st, j, queued)
+		}
+		clear(run)
+		run = run[:0]
 	}
 }
 
@@ -649,7 +762,10 @@ func (s *Server) sequence() {
 // then the throttle delay and the checkpoint cadence.
 func (s *Server) process(st *Stream, j sched.Job, queued int) {
 	gid := st.tenant<<32 | j.ID
-	if _, dup := s.decided[gid]; dup {
+	if st.decided == nil {
+		st.decided = s.decidedSet(st.tenant)
+	}
+	if st.decided.has(j.ID) {
 		s.dupN.Add(1)
 		s.sendAck(st, Ack{ID: j.ID, St: chaos.AckDup})
 		return
@@ -668,7 +784,7 @@ func (s *Server) process(st *Stream, j sched.Job, queued int) {
 		o.depth.Set(float64(depth))
 	}
 	if s.adm.Decide(st.tenant, j.Weight) == admission.PreReject {
-		s.decided[gid] = struct{}{}
+		st.decided.add(j.ID)
 		s.preRej = append(s.preRej, preReject{gid: gid, release: j.Release, weight: j.Weight})
 		s.preRejN.Add(1)
 		s.sendAck(st, Ack{ID: j.ID, St: chaos.AckRej})
@@ -684,7 +800,7 @@ func (s *Server) process(st *Stream, j sched.Job, queued int) {
 		s.mu.Unlock()
 		return
 	}
-	s.decided[gid] = struct{}{}
+	st.decided.add(local)
 	if j.Release > s.watermark {
 		s.watermark = j.Release
 	}
@@ -887,7 +1003,11 @@ func (s *Server) buildReport() (*Report, error) {
 	} else if err := s.fleet.Quiesce(); err != nil {
 		return nil, err
 	}
-	facts := make(map[int]jobFact, len(s.decided))
+	fed := 0
+	for _, ps := range s.sessions {
+		fed += ps.Fed()
+	}
+	facts := make(map[int]jobFact, fed)
 	for _, ps := range s.sessions {
 		ps.EachFed(func(j *sched.Job) {
 			facts[j.ID] = jobFact{release: j.Release, weight: j.Weight}

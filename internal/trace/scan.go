@@ -19,7 +19,8 @@ import (
 //
 // with every key spelled exactly (lowercase, no escapes), at most once, in
 // any order, and a proc row of at most `machines` entries. Floats go through
-// strconv.ParseFloat on the literal — the call encoding/json makes — so the
+// scanFloat (atof.go), which decodes each literal in one pass to the bits
+// strconv.ParseFloat — the call encoding/json makes — gives it, so the
 // decoded values are bit-identical to the json path's.
 //
 // The scanner never reports an error: a line outside the grammar, malformed
@@ -157,18 +158,6 @@ func (r *NDJSONReader) scanRow(b []byte, i int, j *sched.Job) (int, bool) {
 			return i, false
 		}
 	}
-}
-
-// scanFloat decodes the JSON number literal at b[i] the way encoding/json
-// does, and returns the index past it. ok is false when there is no literal
-// or ParseFloat refuses it (out of range).
-func scanFloat(b []byte, i int) (f float64, end int, ok bool) {
-	end, _ = scanNumber(b, i)
-	if end == i {
-		return 0, i, false
-	}
-	f, err := strconv.ParseFloat(string(b[i:end]), 64)
-	return f, end, err == nil
 }
 
 // skipWS returns the index of the first non-whitespace byte at or after i.
