@@ -46,7 +46,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -165,7 +164,7 @@ func main() {
 			reg.Counter("lineage_deltas_applied_total").Add(int64(info.Applied))
 			reg.Gauge("lineage_recovered_seq").Set(float64(info.Seq))
 		}
-		srv, err = front.Restore(cfg, bytes.NewReader(payload))
+		srv, err = front.Restore(cfg, snapshot.InPlace(payload))
 		if err == nil {
 			fmt.Fprintf(os.Stderr, "schedserve: resumed from %s: %d fed, %d pre-rejected\n",
 				*resume, srv.Stats().Fed, srv.Stats().PreRejected)

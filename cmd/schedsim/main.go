@@ -54,7 +54,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -330,7 +329,7 @@ func runStream(polName string, eps, alpha float64, parallel, batch int, eventq, 
 			fmt.Fprintf(os.Stderr, "schedsim: lineage fell back to seq %d (%d newer checkpoints dropped as corrupt)\n",
 				info.Seq, info.Dropped)
 		}
-		resumeFrom = bytes.NewReader(payload)
+		resumeFrom = snapshot.InPlace(payload)
 	}
 
 	e, ok := policy.Lookup(polName)
@@ -385,13 +384,13 @@ func runStream(polName string, eps, alpha float64, parallel, batch int, eventq, 
 			fatal(err)
 		}
 	}
-	var ckptBuf bytes.Buffer
+	var ckptBuf []byte // capture buffer, reused by every checkpoint
 	save := func(force bool) error {
-		ckptBuf.Reset()
-		if err := fd.Snapshot(&ckptBuf); err != nil {
+		var err error
+		if ckptBuf, err = fd.AppendSnapshot(ckptBuf[:0]); err != nil {
 			return fmt.Errorf("writing checkpoint: %w", err)
 		}
-		entry, err := lin.Write(ckptBuf.Bytes(), force)
+		entry, err := lin.Write(ckptBuf, force)
 		if err != nil {
 			return err
 		}

@@ -12,7 +12,6 @@ package chaos
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -63,10 +62,10 @@ type Stall struct {
 func (s Stall) Enabled() bool { return s.Every > 0 && s.Delay > 0 }
 
 // StallFeeder wraps a shard feeder with a Stall. It forwards the batched
-// ingestion path when the inner feeder supports it and forwards Snapshot, so
-// a stalled fleet still checkpoints (engine.Shard requires its feeders to be
-// SessionSnapshotters). The stall runs on the shard worker's goroutine —
-// exactly where a real slow worker would burn the time.
+// ingestion path when the inner feeder supports it and forwards
+// AppendSnapshot, so a stalled fleet still checkpoints (engine.Shard requires
+// its feeders to be SessionSnapshotters). The stall runs on the shard
+// worker's goroutine — exactly where a real slow worker would burn the time.
 type StallFeeder struct {
 	inner engine.Feeder
 	stall Stall
@@ -112,12 +111,12 @@ func (f *StallFeeder) FeedBatch(jobs []sched.Job) error {
 	return nil
 }
 
-// Snapshot forwards to the inner feeder's snapshotter.
-func (f *StallFeeder) Snapshot(w io.Writer) error {
+// AppendSnapshot forwards to the inner feeder's in-place capture.
+func (f *StallFeeder) AppendSnapshot(dst []byte) ([]byte, error) {
 	if ss, ok := f.inner.(engine.SessionSnapshotter); ok {
-		return ss.Snapshot(w)
+		return ss.AppendSnapshot(dst)
 	}
-	return fmt.Errorf("chaos: inner feeder %T cannot be snapshotted", f.inner)
+	return dst, fmt.Errorf("chaos: inner feeder %T cannot be snapshotted", f.inner)
 }
 
 // CorruptFile flips one byte at off (mod the file's size) in path — the

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -54,13 +53,12 @@ type countFeeder struct {
 
 func (c *countFeeder) Feed(sched.Job) error { c.fed++; return nil }
 
-func (c *countFeeder) Snapshot(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "fed=%d", c.fed)
-	return err
+func (c *countFeeder) AppendSnapshot(dst []byte) ([]byte, error) {
+	return fmt.Appendf(dst, "fed=%d", c.fed), nil
 }
 
 // TestStallFeederForwards pins that the wrapper forwards single and batched
-// feeds, counts stall boundaries across batches, and forwards Snapshot.
+// feeds, counts stall boundaries across batches, and forwards AppendSnapshot.
 func TestStallFeederForwards(t *testing.T) {
 	inner := &countFeeder{}
 	f := NewStallFeeder(inner, Stall{Every: 4, Delay: time.Microsecond})
@@ -75,12 +73,8 @@ func TestStallFeederForwards(t *testing.T) {
 	if inner.fed != 8 {
 		t.Fatalf("inner saw %d jobs, want 8", inner.fed)
 	}
-	var buf bytes.Buffer
-	if err := f.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != "fed=8" {
-		t.Fatalf("snapshot %q", buf.String())
+	if got, err := f.AppendSnapshot([]byte("kept ")); err != nil || string(got) != "kept fed=8" {
+		t.Fatalf("snapshot %q: %v", got, err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -64,16 +63,48 @@ const (
 // The policy must implement StatefulPolicy; engine.Restore with a freshly
 // constructed policy of the same configuration rebuilds a session whose
 // future behavior — and final Outcome — is bit-identical to this one's.
+//
+// Snapshot writes to w once per section. AppendSnapshot is the in-place form
+// that checkpoint capture uses.
 func (s *Session) Snapshot(w io.Writer) error {
+	sp, err := s.stateful()
+	if err != nil {
+		return err
+	}
+	return s.encode(snapshot.NewWriter(w), sp)
+}
+
+// AppendSnapshot appends the snapshot Snapshot would write to dst, encoding
+// every section straight into it, and returns the extended slice. Bytes are
+// identical to Snapshot's; a capture loop that passes the previous result
+// back in (truncated to length 0) snapshots with no allocation once the
+// buffer has grown to the session's size.
+func (s *Session) AppendSnapshot(dst []byte) ([]byte, error) {
+	sp, err := s.stateful()
+	if err != nil {
+		return dst, err
+	}
+	sw := snapshot.AppendWriter(dst)
+	err = s.encode(sw, sp)
+	return sw.Bytes(), err
+}
+
+// stateful returns the session's policy as a StatefulPolicy, failing when
+// the session is closed or the policy cannot be snapshotted.
+func (s *Session) stateful() (StatefulPolicy, error) {
 	if s.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
-	c := &s.core
-	sp, ok := c.pol.(StatefulPolicy)
+	sp, ok := s.core.pol.(StatefulPolicy)
 	if !ok {
-		return fmt.Errorf("engine: policy %T does not implement StatefulPolicy; session cannot be snapshotted", c.pol)
+		return nil, fmt.Errorf("engine: policy %T does not implement StatefulPolicy; session cannot be snapshotted", s.core.pol)
 	}
-	sw := snapshot.NewWriter(w)
+	return sp, nil
+}
+
+// encode writes the session's sections to sw and closes it.
+func (s *Session) encode(sw *snapshot.Writer, sp StatefulPolicy) error {
+	c := &s.core
 	sw.Section(tagSession, func(e *snapshot.Encoder) {
 		e.U32(uint32(len(c.mach)))
 		e.U64(uint64(len(c.jobs)))
@@ -168,6 +199,8 @@ func Restore(r io.Reader, newPolicy func(machines int) (Policy, error)) (*Sessio
 // (both speak the same EVTQ wire format, so a snapshot taken under either
 // restores under either) and opt.EventHint presizes it. Machines and
 // SizeHint come from the snapshot itself; opt's values for them are ignored.
+// r is read once into memory (snapshot.NewReader); a snapshot.InPlace
+// reader is decoded where it lies, and the session keeps no reference to it.
 func RestoreOpts(r io.Reader, opt Options, newPolicy func(machines int) (Policy, error)) (*Session, error) {
 	sr, err := snapshot.NewReader(r)
 	if err != nil {
@@ -391,12 +424,13 @@ func ValidateTreeIDs(c *Core, t KeyIndex, d *snapshot.Decoder, what string) erro
 	return d.Err()
 }
 
-// SessionSnapshotter is a Feeder whose state can be frozen with Snapshot —
-// engine.Session and every scheduler session of internal/core implement it.
-// Shard.Snapshot requires it of each of its feeders.
+// SessionSnapshotter is a Feeder whose state can be captured in place with
+// AppendSnapshot — engine.Session, every scheduler session of internal/core
+// (which embed it) and the chaos stall wrapper implement it.
+// Shard.AppendSnapshot requires it of each of its feeders.
 type SessionSnapshotter interface {
 	Feeder
-	Snapshot(w io.Writer) error
+	AppendSnapshot(dst []byte) ([]byte, error)
 }
 
 // Fleet snapshot tags: a fleet header followed by one nested session
@@ -407,38 +441,55 @@ const (
 	tagShard = "SHRD"
 )
 
-// Snapshot freezes the whole fleet into w: the shard quiesces (pending slabs
-// flush and every worker drains, so each session is at a consistent
-// watermark), every session is then serialized concurrently — one encoder
-// goroutine per shard, safe because quiesced workers are parked on their
-// empty work queues — and the per-shard snapshots are framed into one fleet
-// stream in shard order. Feeding may resume after Snapshot returns.
+// AppendSnapshot freezes the whole fleet, appending the fleet container to
+// dst: the shard quiesces (pending slabs flush and every worker drains, so
+// each session is at a consistent watermark), every session is then encoded
+// concurrently — one goroutine per shard, safe because quiesced workers are
+// parked on their empty work queues — into a capture buffer the Shard keeps
+// for its lifetime, and the per-shard snapshots are framed into one fleet
+// container in shard order. A periodic checkpoint therefore re-encodes each
+// session into storage it already owns and copies each byte once more, into
+// dst. Feeding may resume after AppendSnapshot returns.
 //
 // The route function and slab sizing are not serialized (routes are code,
 // and slab knobs are performance-only): RestoreFleet's caller reattaches the
 // same route when rebuilding the Shard over the restored sessions, exactly
 // as it supplied it to NewShardOpts. Restoring under a different route would
 // break the per-shard release-order invariant and fail at the first feed.
-func (sh *Shard) Snapshot(w io.Writer) error {
+func (sh *Shard) AppendSnapshot(dst []byte) ([]byte, error) {
+	if err := sh.capture(); err != nil {
+		return dst, err
+	}
+	sw := snapshot.AppendWriter(dst)
+	sw.Section(tagFleet, func(e *snapshot.Encoder) { e.U32(uint32(len(sh.snaps))) })
+	for _, b := range sh.snaps {
+		sw.Frame(tagShard, b)
+	}
+	err := sw.Close()
+	return sw.Bytes(), err
+}
+
+// capture quiesces the shard and encodes every session into its reused
+// capture buffer, concurrently.
+func (sh *Shard) capture() error {
 	if err := sh.Quiesce(); err != nil {
 		return err
 	}
-	snaps := make([]SessionSnapshotter, len(sh.feeders))
 	for k, f := range sh.feeders {
-		ss, ok := f.(SessionSnapshotter)
-		if !ok {
+		if _, ok := f.(SessionSnapshotter); !ok {
 			return fmt.Errorf("engine: shard %d feeder %T cannot be snapshotted", k, f)
 		}
-		snaps[k] = ss
 	}
-	bufs := make([]bytes.Buffer, len(snaps))
-	errs := make([]error, len(snaps))
+	if len(sh.snaps) != len(sh.feeders) {
+		sh.snaps = make([][]byte, len(sh.feeders))
+	}
+	errs := make([]error, len(sh.feeders))
 	var wg sync.WaitGroup
-	for k := range snaps {
+	for k := range sh.feeders {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			errs[k] = snaps[k].Snapshot(&bufs[k])
+			sh.snaps[k], errs[k] = sh.feeders[k].(SessionSnapshotter).AppendSnapshot(sh.snaps[k][:0])
 		}(k)
 	}
 	wg.Wait()
@@ -447,20 +498,19 @@ func (sh *Shard) Snapshot(w io.Writer) error {
 			return fmt.Errorf("engine: snapshotting shard %d: %w", k, err)
 		}
 	}
-	sw := snapshot.NewWriter(w)
-	sw.Section(tagFleet, func(e *snapshot.Encoder) { e.U32(uint32(len(snaps))) })
-	for k := range bufs {
-		sw.Section(tagShard, func(e *snapshot.Encoder) { e.Raw(bufs[k].Bytes()) })
-	}
-	return sw.Close()
+	return nil
 }
 
-// RestoreFleet walks a fleet snapshot written by Shard.Snapshot, invoking
+// RestoreFleet walks a fleet snapshot written by Shard.AppendSnapshot, invoking
 // restore once per shard with a reader positioned over that shard's complete
 // nested session snapshot. The callback restores the session with the
 // matching policy package's Restore (collecting it for the caller to rebuild
 // a Shard via NewShardOpts with the original route); any callback error
 // aborts the walk. It returns the shard count declared by the fleet header.
+//
+// The per-shard readers are snapshot.InPlace views of the fleet bytes, so
+// restores through snapshot.NewReader walk them without copying (and when r
+// is itself a snapshot.InPlace reader, the fleet is never copied at all).
 func RestoreFleet(r io.Reader, restore func(shard int, r io.Reader) error) (int, error) {
 	sr, err := snapshot.NewReader(r)
 	if err != nil {
@@ -487,7 +537,7 @@ func RestoreFleet(r io.Reader, restore func(shard int, r io.Reader) error) (int,
 		if err := d.Done(); err != nil {
 			return 0, err
 		}
-		if err := restore(k, bytes.NewReader(payload)); err != nil {
+		if err := restore(k, snapshot.InPlace(payload)); err != nil {
 			return 0, fmt.Errorf("snapshot: restoring shard %d of %d: %w", k, shards, err)
 		}
 	}

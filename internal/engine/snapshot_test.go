@@ -295,11 +295,10 @@ func TestShardSnapshotRestoreFleet(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			var buf bytes.Buffer
-			if err := sh.Snapshot(&buf); err != nil {
+			var err error
+			if snap, err = sh.AppendSnapshot(nil); err != nil {
 				t.Fatal(err)
 			}
-			snap = buf.Bytes()
 			jobs = jobs[snapshotAt:]
 		}
 		for k := range jobs {

@@ -3,6 +3,8 @@
 package front
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/obs"
@@ -82,5 +84,51 @@ func TestIngestAllocsPerJob(t *testing.T) {
 				t.Fatalf("ingest: %v allocs/job, want ≤ 0.05", perJob)
 			}
 		})
+	}
+}
+
+// TestCaptureReusesBuffers pins the steady state of checkpoint capture: a
+// second capture at the same merged prefix, with nothing fed in between,
+// re-encodes every session into the capture buffer its shard kept and frames
+// the fleet into the reused checkpoint buffer — O(shards) small allocations,
+// and under 1/8 of the checkpoint's size in bytes.
+func TestCaptureReusesBuffers(t *testing.T) {
+	const shards = 4
+	cfg := testConfig(2, shards)
+	cfg.AwaitTenants = shards
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make(map[int][]sched.Job)
+	for tenant := range shards {
+		jobs[tenant] = genJobs(uint64(tenant+1), 3000, 2)
+	}
+	// Every stream closes, so the sequencer parks and capture may run here.
+	feedInProcess(t, s, jobs)
+	first, err := s.appendSnapshot(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(first)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	again, err := s.appendSnapshot(first[:0])
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, want) {
+		t.Fatal("a second capture at the same prefix wrote different bytes")
+	}
+	if objs, limit := after.Mallocs-before.Mallocs, uint64(16*shards+32); objs > limit {
+		t.Errorf("second capture allocated %d objects, want ≤ %d (O(shards))", objs, limit)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > uint64(len(want)/8) {
+		t.Errorf("second capture allocated %d bytes for a %d-byte checkpoint, want under 1/8", b, len(want))
+	}
+	if _, err := s.Drain(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,7 +1,6 @@
 package front
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -21,7 +20,7 @@ import (
 //	PREJ — pre-rejection ledger (gid, release, weight), in decision order
 //	CARR — carried outcome ledger: verdicts of sessions retired by resizes
 //	       (their makespan high-water mark, then rows sorted by gid)
-//	FLTB — the engine fleet snapshot (Shard.Snapshot), embedded raw
+//	FLTB — the engine fleet snapshot (Shard.AppendSnapshot), embedded raw
 //
 // The duplicate-suppression set is NOT serialized: it is exactly the union
 // of the fleet's fed jobs (recovered via EachFed), the PREJ ledger and the
@@ -35,15 +34,14 @@ const (
 	tagFleet   = "FLTB"
 )
 
-// snapshotTo freezes the front door into w. Sequencer-owned state is read
-// directly: this runs on the sequencer goroutine (periodic cadence or
-// drain), never concurrently with processing.
-func (s *Server) snapshotTo(w io.Writer) error {
-	var fleetBuf bytes.Buffer
-	if err := s.fleet.Snapshot(&fleetBuf); err != nil {
-		return err
-	}
-	sw := snapshot.NewWriter(w)
+// appendSnapshot appends the front door's checkpoint container to dst.
+// Sequencer-owned state is read directly: this runs on the sequencer
+// goroutine (periodic cadence or drain), never concurrently with processing.
+// The fleet container is framed in place inside FLTB (Shard.AppendSnapshot
+// appends it straight into dst), so each session's bytes are encoded once
+// into the shard's capture buffer and copied once, into dst.
+func (s *Server) appendSnapshot(dst []byte) ([]byte, error) {
+	sw := snapshot.AppendWriter(dst)
 	sw.Section(tagFront, func(e *snapshot.Encoder) {
 		e.Str(s.cfg.Policy)
 		e.U32(uint32(s.cfg.Machines))
@@ -89,8 +87,9 @@ func (s *Server) snapshotTo(w io.Writer) error {
 			e.Bool(v.rejected)
 		}
 	})
-	sw.Section(tagFleet, func(e *snapshot.Encoder) { e.Raw(fleetBuf.Bytes()) })
-	return sw.Close()
+	sw.Nest(tagFleet, s.fleet.AppendSnapshot)
+	err := sw.Close()
+	return sw.Bytes(), err
 }
 
 // Restore rebuilds a front door from a checkpoint written by its periodic
@@ -107,6 +106,10 @@ func (s *Server) snapshotTo(w io.Writer) error {
 // The restored server resumes exactly at the checkpoint's merge prefix:
 // replayed jobs the prefix already decided come back as dup acks, and
 // everything after converges to the uninterrupted run's report.
+//
+// r is read into memory once (snapshot.NewReader), or not at all when it is
+// a snapshot.InPlace reader; every nested session restores from a view of
+// those bytes, and the restored server keeps no reference to them.
 func Restore(cfg Config, r io.Reader) (*Server, error) {
 	cfg.defaults()
 	sr, err := snapshot.NewReader(r)
@@ -237,7 +240,7 @@ func Restore(cfg Config, r io.Reader) (*Server, error) {
 
 	// The header echo above pinned cfg to the donor's policy, m, ε and α.
 	sessions := make([]policy.Session, shards)
-	got, err := engine.RestoreFleet(bytes.NewReader(fleetBytes), func(k int, r io.Reader) (err error) {
+	got, err := engine.RestoreFleet(snapshot.InPlace(fleetBytes), func(k int, r io.Reader) (err error) {
 		sessions[k], err = openSession(&cfg, 0, r)
 		return err
 	})

@@ -229,14 +229,7 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := jobs[0], jobs[9]
-	na, nb := 0, 0
-	for na+nb < 200 {
-		if na < len(a) && (nb >= len(b) || a[na].Release <= b[nb].Release) {
-			na++ // ties break toward the lower tenant id, matching the merge
-		} else {
-			nb++
-		}
-	}
+	na, nb := mergedPrefix(a, b, 200)
 	prefix := map[int][]sched.Job{
 		0: a[:na],
 		9: b[:nb],

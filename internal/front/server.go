@@ -52,7 +52,6 @@
 package front
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -207,7 +206,7 @@ type Server struct {
 	watermark float64
 	sinceCkpt int
 	lineage   *snapshot.Lineage // non-nil when CheckpointPath is set
-	ckptBuf   bytes.Buffer      // checkpoint serialization scratch
+	ckptBuf   []byte            // checkpoint capture buffer, reused by every checkpoint
 
 	// Carried outcome ledger: verdicts of sessions retired by a resize.
 	// Their sessions are gone by drain time, so release/weight ride along
@@ -1111,26 +1110,42 @@ func (s *Server) buildReport() (*Report, error) {
 	return rep, nil
 }
 
-// writeCheckpoint freezes the whole front door durably: it serializes into
-// a reusable buffer and hands the bytes to the checkpoint lineage, which
+// writeCheckpoint freezes the whole front door durably: it captures into a
+// reusable buffer and hands the bytes to the checkpoint lineage, which
 // picks full vs delta, lands the member atomically (a SIGKILL at any instant
 // leaves the previous members intact) and rotates old generations.
 // forceFull pins the write to a full snapshot (the resize brackets and the
-// final drain checkpoint — recovery anchors).
+// final drain checkpoint — recovery anchors). With telemetry on, the two
+// halves are timed apart: capture (quiesce plus encode) and persist
+// (Lineage.Write: delta encode, self-check, write, fsync).
 func (s *Server) writeCheckpoint(forceFull bool) error {
-	if o := s.obs; o != nil {
-		t0 := time.Now()
-		defer func() { o.ckptNS.Record(float64(time.Since(t0))) }()
+	o := s.obs
+	var t0, t1 time.Time
+	if o != nil {
+		t0 = time.Now()
 	}
-	s.ckptBuf.Reset()
-	if err := s.snapshotTo(&s.ckptBuf); err != nil {
+	buf, err := s.appendSnapshot(s.ckptBuf[:0])
+	s.ckptBuf = buf
+	if o != nil {
+		t1 = time.Now()
+		o.ckptCaptureNS.Record(float64(t1.Sub(t0)))
+	}
+	if err != nil {
+		if o != nil {
+			o.ckptNS.Record(float64(t1.Sub(t0)))
+		}
 		return fmt.Errorf("front: writing checkpoint: %w", err)
 	}
-	entry, err := s.lineage.Write(s.ckptBuf.Bytes(), forceFull)
-	if o := s.obs; o != nil && err == nil {
-		o.ckptBytes.Record(float64(entry.Size))
-		if entry.Kind == "delta" && s.ckptBuf.Len() > 0 {
-			o.deltaRatio.Set(float64(entry.Size) / float64(s.ckptBuf.Len()))
+	entry, err := s.lineage.Write(s.ckptBuf, forceFull)
+	if o != nil {
+		t2 := time.Now()
+		o.ckptPersistNS.Record(float64(t2.Sub(t1)))
+		o.ckptNS.Record(float64(t2.Sub(t0)))
+		if err == nil {
+			o.ckptBytes.Record(float64(entry.Size))
+			if entry.Kind == "delta" && len(s.ckptBuf) > 0 {
+				o.deltaRatio.Set(float64(entry.Size) / float64(len(s.ckptBuf)))
+			}
 		}
 	}
 	return err

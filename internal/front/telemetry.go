@@ -30,9 +30,14 @@ type serverObs struct {
 	popWaitNS *obs.Histogram
 	// ackNS times verdict delivery into the stream's ack channel.
 	ackNS *obs.Histogram
-	// ckptNS/ckptBytes time and size each checkpoint write.
-	ckptNS    *obs.Histogram
-	ckptBytes *obs.Histogram
+	// ckptNS/ckptBytes time and size each checkpoint write; ckptCaptureNS
+	// and ckptPersistNS split ckptNS into its two halves: capture (fleet
+	// quiesce plus encode, on the sequencer) and persist (Lineage.Write:
+	// delta encode, self-check, write and fsync).
+	ckptNS        *obs.Histogram
+	ckptCaptureNS *obs.Histogram
+	ckptPersistNS *obs.Histogram
+	ckptBytes     *obs.Histogram
 	// resizeNS times each completed fleet resize.
 	resizeNS *obs.Histogram
 	// busyNS accumulates sequencer occupancy (process() wall time).
@@ -54,16 +59,18 @@ type serverObs struct {
 // attaches admission telemetry, and the busy-fraction gauge.
 func newServerObs(r *obs.Registry, s *Server) *serverObs {
 	o := &serverObs{
-		decideNS:   r.Histogram("front_decide_ns"),
-		popWaitNS:  r.Histogram("front_merge_pop_wait_ns"),
-		ackNS:      r.Histogram("front_ack_ns"),
-		ckptNS:     r.Histogram("front_checkpoint_ns"),
-		ckptBytes:  r.Histogram("front_checkpoint_bytes"),
-		resizeNS:   r.Histogram("front_resize_ns"),
-		busyNS:     r.Counter("front_sequencer_busy_ns_total"),
-		depth:      r.Gauge("front_depth"),
-		deltaRatio: r.Gauge("front_checkpoint_delta_ratio"),
-		start:      time.Now(),
+		decideNS:      r.Histogram("front_decide_ns"),
+		popWaitNS:     r.Histogram("front_merge_pop_wait_ns"),
+		ackNS:         r.Histogram("front_ack_ns"),
+		ckptNS:        r.Histogram("front_checkpoint_ns"),
+		ckptCaptureNS: r.Histogram("front_checkpoint_capture_ns"),
+		ckptPersistNS: r.Histogram("front_checkpoint_persist_ns"),
+		ckptBytes:     r.Histogram("front_checkpoint_bytes"),
+		resizeNS:      r.Histogram("front_resize_ns"),
+		busyNS:        r.Counter("front_sequencer_busy_ns_total"),
+		depth:         r.Gauge("front_depth"),
+		deltaRatio:    r.Gauge("front_checkpoint_delta_ratio"),
+		start:         time.Now(),
 	}
 	r.RegisterCounter("front_fed_total", &s.fedN)
 	r.RegisterCounter("front_prerejected_total", &s.preRejN)

@@ -15,13 +15,15 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/snapshot"
 	"repro/internal/workload"
 )
 
 // The conformance suite is the one executable statement of what it means to
 // be an engine-hosted policy. Every path from a job sequence to a result —
 // streamed job by job (with and without AdvanceTo promises), fed in random
-// batch splits, killed at a snapshot and resumed in a fresh session, run
+// batch splits, killed at a snapshot and resumed in a fresh session (captured
+// and restored in place or through a copy), run
 // under either event queue, frozen under one queue and thawed under the
 // other, observed by live telemetry, presized from a size hint that is wrong
 // in either direction — must yield the batch Run's typed Result bit for bit, compared
@@ -206,6 +208,46 @@ func conform[O any, S typed[R], R any](policy string,
 					if res := finish(t, donor); !reflect.DeepEqual(golden, res) {
 						t.Errorf("cut %d: Snapshot perturbed the donor", cut)
 					}
+				}
+			})
+		})
+
+		// The in-place capture is the checkpoint path: it must append exactly
+		// Snapshot's bytes, again when its buffer is reused, and a restore
+		// that walks the snapshot in place (restore 1) must match one from a
+		// copy (restore 0) — in the restored state's own snapshot and in the
+		// resumed result.
+		t.Run("snapshot", func(t *testing.T) {
+			each(t, func(t *testing.T, ins *sched.Instance, opt O, golden R) {
+				cut := len(ins.Jobs) / 3
+				donor, snap := freeze(t, ins, opt, ins.Jobs[:cut])
+				got, err := donor.AppendSnapshot([]byte("kept"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got[:4]) != "kept" || !bytes.Equal(got[4:], snap) {
+					t.Errorf("AppendSnapshot wrote %d bytes after its prefix, Snapshot %d, and they differ", len(got)-4, len(snap))
+				}
+				if again, err := donor.AppendSnapshot(got[:0]); err != nil || !bytes.Equal(again, snap) {
+					t.Errorf("AppendSnapshot into a reused buffer diverged from Snapshot: %v", err)
+				}
+				finish(t, donor)
+				var resnaps [2][]byte
+				for k, r := range []io.Reader{bytes.NewReader(snap), snapshot.InPlace(snap)} {
+					heir, err := restore(r, opt)
+					if err != nil {
+						t.Fatalf("restore %d: %v", k, err)
+					}
+					if resnaps[k], err = heir.AppendSnapshot(nil); err != nil {
+						t.Fatal(err)
+					}
+					feed(t, heir, ins.Jobs[cut:])
+					if res := finish(t, heir); !reflect.DeepEqual(golden, res) {
+						t.Errorf("restore %d: resumed result diverges from the uninterrupted run", k)
+					}
+				}
+				if !bytes.Equal(resnaps[0], resnaps[1]) {
+					t.Errorf("restoring in place and from a copy left different states")
 				}
 			})
 		})

@@ -41,6 +41,7 @@ type stream interface {
 	EachFed(f func(j *sched.Job))
 	SetTelemetry(t engine.Telemetry)
 	Snapshot(w io.Writer) error
+	AppendSnapshot(dst []byte) ([]byte, error)
 }
 
 // Session is a live streaming run of a registered policy, with the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strings"
 )
 
 // Delta checkpoints: instead of paying O(live state) bytes per periodic
@@ -58,11 +59,22 @@ const maxDeltaNodes = 1 << 22
 
 // deltaNode is one section of a parsed container: a leaf holds its payload,
 // a container holds its children (its payload is their serialization).
+// Payloads alias the parsed bytes. occ is the section's occurrence index
+// among its same-tag siblings: (tag, occ) at every level names a section by
+// role ("FLTB#0/SHRD#2/JOBS#0"), so two checkpoints' leaves match by role
+// even where sibling tags repeat (the fleet's SHRD frames).
 type deltaNode struct {
 	tag      string
+	occ      int
 	payload  []byte
 	children []deltaNode
 	isLeaf   bool
+	byRole   map[role]int // children by role, built on the first lookup that misses its hint
+}
+
+type role struct {
+	tag string
+	occ int
 }
 
 // parseDeltaTree parses data as a snapshot container, recursing into any
@@ -71,58 +83,77 @@ type deltaNode struct {
 // bit-flip / trailing-garbage detector the lineage recovery needs.
 func parseDeltaTree(data []byte) (*deltaNode, error) {
 	root := &deltaNode{}
-	sr, err := NewReader(bytes.NewReader(data))
-	if err != nil {
+	if err := root.parse(data); err != nil {
 		return nil, err
 	}
+	return root, nil
+}
+
+// parse fills n's children from the container bytes data.
+func (n *deltaNode) parse(data []byte) error {
+	sr, err := newReader(data)
+	if err != nil {
+		return err
+	}
 	sr.AllowDuplicates()
+	var seen map[string]int
 	for {
 		tag, d, err := sr.Next()
 		if err == io.EOF {
-			return root, nil
+			return nil
 		}
 		if err != nil {
-			return nil, err
+			n.children = nil
+			return err
 		}
-		payload := d.Rest()
-		child := deltaNode{tag: tag, payload: payload, isLeaf: true}
+		if seen == nil {
+			seen = make(map[string]int, 8)
+		}
+		child := deltaNode{tag: tag, occ: seen[tag], payload: d.Rest(), isLeaf: true}
+		seen[tag]++
 		// A nested container always starts with the 8-byte magic; a leaf
 		// payload cannot collide with it by accident (its first 8 bytes
 		// would have to spell "SCHSNAP\0"), and even then the full parse
 		// below arbitrates: only a completely well-formed container recurses.
-		if len(payload) >= 10 && bytes.Equal(payload[:8], magic[:]) {
-			if sub, err := parseDeltaTree(payload); err == nil {
-				child.children = sub.children
-				child.isLeaf = false
-			}
+		if len(child.payload) >= 10 && bytes.Equal(child.payload[:8], magic[:]) && child.parse(child.payload) == nil {
+			child.isLeaf = false
 		}
-		root.children = append(root.children, child)
+		n.children = append(n.children, child)
 	}
 }
 
-// leafPaths walks the tree pre-order and returns every leaf with a path that
-// names it structurally: tag plus per-parent occurrence index at each level
-// ("FLTB#0/SHRD#2/JOBS#0"), so two checkpoints' leaves match by role even
-// when sibling sections repeat (the fleet's SHRD frames).
-type deltaLeaf struct {
-	path    string
-	payload []byte
-}
-
-func leafPaths(n *deltaNode, prefix string, out []deltaLeaf) []deltaLeaf {
-	occ := make(map[string]int, len(n.children))
-	for k := range n.children {
-		c := &n.children[k]
-		i := occ[c.tag]
-		occ[c.tag] = i + 1
-		p := fmt.Sprintf("%s%s#%d", prefix, c.tag, i)
-		if c.isLeaf {
-			out = append(out, deltaLeaf{path: p, payload: c.payload})
-		} else {
-			out = leafPaths(c, p+"/", out)
+// find returns n's child in role (tag, occ), or nil when n is nil or has
+// none. hint is the child index to try first: two checkpoints of one system
+// list their sections in the same order, so the hint almost always hits.
+func (n *deltaNode) find(tag string, occ, hint int) *deltaNode {
+	if n == nil {
+		return nil
+	}
+	if hint < len(n.children) {
+		if c := &n.children[hint]; c.tag == tag && c.occ == occ {
+			return c
 		}
 	}
-	return out
+	if n.byRole == nil {
+		n.byRole = make(map[role]int, len(n.children))
+		for k := range n.children {
+			n.byRole[role{n.children[k].tag, n.children[k].occ}] = k
+		}
+	}
+	if k, ok := n.byRole[role{tag, occ}]; ok {
+		return &n.children[k]
+	}
+	return nil
+}
+
+// counterpart is find narrowed to the kind of section the caller needs: a
+// base leaf for a new leaf, a base container for a new container.
+func (n *deltaNode) counterpart(tag string, occ int, isLeaf bool, hint int) *deltaNode {
+	b := n.find(tag, occ, hint)
+	if b != nil && b.isLeaf != isLeaf {
+		return nil
+	}
+	return b
 }
 
 // countNodes returns the number of sections in the tree (excluding the
@@ -153,6 +184,67 @@ func encodeSkeleton(e *Encoder, n *deltaNode, depth int) {
 	}
 }
 
+// leafPlan is how one leaf of the new container is carried by the delta.
+type leafPlan struct {
+	payload []byte // the new leaf
+	mode    uint8
+	dirty   []int // chunk indexes to patch (leafPatch)
+}
+
+// planDelta walks the new container n pre-order beside base, its
+// counterpart in the base tree (nil: none), and appends one plan per leaf.
+func planDelta(n, base *deltaNode, chunk int, plans []leafPlan) []leafPlan {
+	for k := range n.children {
+		c := &n.children[k]
+		b := base.counterpart(c.tag, c.occ, c.isLeaf, k)
+		if c.isLeaf {
+			plans = append(plans, planLeaf(c.payload, b, chunk))
+		} else {
+			plans = planDelta(c, b, chunk, plans)
+		}
+	}
+	return plans
+}
+
+// planLeaf diffs one leaf against its base counterpart (nil: none).
+func planLeaf(payload []byte, b *deltaNode, chunk int) leafPlan {
+	p := leafPlan{payload: payload, mode: leafWhole}
+	if b == nil {
+		return p
+	}
+	base := b.payload
+	if bytes.Equal(base, payload) {
+		p.mode = leafSame
+		return p
+	}
+	// Chunk-compare against the base leaf. A chunk differs when its bytes
+	// differ or its extent does (the boundary chunk of a grown or shrunk
+	// leaf always differs). Once the patches would cost the whole leaf, it
+	// is sent whole. A pure truncation on a chunk boundary yields zero dirty
+	// chunks; the recorded leaf length alone reconstructs it.
+	patchedBytes := 0
+	for lo := 0; lo < len(payload); lo += chunk {
+		hi := min(lo+chunk, len(payload))
+		var bchunk []byte
+		if lo < len(base) {
+			bchunk = base[lo:min(lo+chunk, len(base))]
+		}
+		if !bytes.Equal(payload[lo:hi], bchunk) {
+			p.dirty = append(p.dirty, lo/chunk)
+			patchedBytes += (hi - lo) + 8 // payload + per-patch framing
+			if patchedBytes >= len(payload) {
+				p.dirty = nil
+				return p
+			}
+		}
+	}
+	if patchedBytes >= len(payload) {
+		return p
+	}
+	p.mode = leafPatch
+	return p
+}
+
 // EncodeDelta writes a delta container to w that reconstructs newData from
 // baseData. Both must be snapshot containers (as written by Writer); chunk
 // ≤ 0 selects DefaultDeltaChunk. baseSeq and seq are the lineage sequence
@@ -160,73 +252,32 @@ func encodeSkeleton(e *Encoder, n *deltaNode, depth int) {
 // It returns the number of leaves emitted as patches or whole payloads
 // (0 means the two containers are byte-identical outside framing).
 func EncodeDelta(w io.Writer, baseData, newData []byte, baseSeq, seq uint64, chunk int) (changed int, err error) {
+	out, changed, err := appendDelta(nil, baseData, newData, baseSeq, seq, chunk)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := w.Write(out); err != nil {
+		return 0, fmt.Errorf("snapshot: writing delta: %w", err)
+	}
+	return changed, nil
+}
+
+// appendDelta is EncodeDelta appending the delta container to dst.
+func appendDelta(dst, baseData, newData []byte, baseSeq, seq uint64, chunk int) ([]byte, int, error) {
 	if chunk <= 0 {
 		chunk = DefaultDeltaChunk
 	}
 	baseTree, err := parseDeltaTree(baseData)
 	if err != nil {
-		return 0, fmt.Errorf("snapshot: delta base is not a valid container: %w", err)
+		return dst, 0, fmt.Errorf("snapshot: delta base is not a valid container: %w", err)
 	}
 	newTree, err := parseDeltaTree(newData)
 	if err != nil {
-		return 0, fmt.Errorf("snapshot: delta target is not a valid container: %w", err)
+		return dst, 0, fmt.Errorf("snapshot: delta target is not a valid container: %w", err)
 	}
-	baseLeaves := leafPaths(baseTree, "", nil)
-	baseByPath := make(map[string][]byte, len(baseLeaves))
-	for _, l := range baseLeaves {
-		baseByPath[l.path] = l.payload
-	}
-	newLeaves := leafPaths(newTree, "", nil)
+	plans := planDelta(newTree, baseTree, chunk, nil)
 
-	type patchSet struct {
-		leaf    int // index into newLeaves
-		chunks  []int
-		whole   bool
-		payload []byte
-	}
-	modes := make([]uint8, len(newLeaves))
-	var emits []patchSet
-	for i, l := range newLeaves {
-		base, ok := baseByPath[l.path]
-		if ok && bytes.Equal(base, l.payload) {
-			modes[i] = leafSame
-			continue
-		}
-		if !ok {
-			modes[i] = leafWhole
-			emits = append(emits, patchSet{leaf: i, whole: true, payload: l.payload})
-			continue
-		}
-		// Chunk-compare against the base leaf. A chunk differs when its
-		// bytes differ or its extent does (the boundary chunk of a grown
-		// or shrunk leaf always differs).
-		var dirty []int
-		patchedBytes := 0
-		nChunks := (len(l.payload) + chunk - 1) / chunk
-		for c := 0; c < nChunks; c++ {
-			lo := c * chunk
-			hi := min(lo+chunk, len(l.payload))
-			var bchunk []byte
-			if lo < len(base) {
-				bchunk = base[lo:min(lo+chunk, len(base))]
-			}
-			if !bytes.Equal(l.payload[lo:hi], bchunk) {
-				dirty = append(dirty, c)
-				patchedBytes += (hi - lo) + 8 // payload + per-patch framing
-			}
-		}
-		// A pure truncation on a chunk boundary yields zero dirty chunks;
-		// the recorded leaf length alone reconstructs it.
-		if patchedBytes >= len(l.payload) {
-			modes[i] = leafWhole
-			emits = append(emits, patchSet{leaf: i, whole: true, payload: l.payload})
-		} else {
-			modes[i] = leafPatch
-			emits = append(emits, patchSet{leaf: i, chunks: dirty})
-		}
-	}
-
-	sw := NewWriter(w)
+	sw := AppendWriter(dst)
 	sw.Section(tagDeltaHdr, func(e *Encoder) {
 		e.U64(baseSeq)
 		e.U64(seq)
@@ -236,30 +287,36 @@ func EncodeDelta(w io.Writer, baseData, newData []byte, baseSeq, seq uint64, chu
 		e.U64(uint64(len(newData)))
 		e.U64(uint64(countNodes(newTree)))
 		encodeSkeleton(e, newTree, 0)
-		e.U64(uint64(len(newLeaves)))
-		for i := range newLeaves {
-			e.U8(modes[i])
-			e.U64(uint64(len(newLeaves[i].payload)))
+		e.U64(uint64(len(plans)))
+		for i := range plans {
+			e.U8(plans[i].mode)
+			e.U64(uint64(len(plans[i].payload)))
 		}
 	})
-	for _, ps := range emits {
-		l := newLeaves[ps.leaf]
-		if ps.whole {
-			sw.Section(tagWhole, func(e *Encoder) { e.Raw(ps.payload) })
+	changed := 0
+	for i := range plans {
+		p := &plans[i]
+		switch p.mode {
+		case leafWhole:
+			sw.Frame(tagWhole, p.payload)
+		case leafPatch:
+			sw.Section(tagPatch, func(e *Encoder) {
+				e.U64(uint64(len(p.dirty)))
+				for _, c := range p.dirty {
+					lo := c * chunk
+					hi := min(lo+chunk, len(p.payload))
+					e.U32(uint32(c))
+					e.U32(uint32(hi - lo))
+					e.Raw(p.payload[lo:hi])
+				}
+			})
+		default:
 			continue
 		}
-		sw.Section(tagPatch, func(e *Encoder) {
-			e.U64(uint64(len(ps.chunks)))
-			for _, c := range ps.chunks {
-				lo := c * chunk
-				hi := min(lo+chunk, len(l.payload))
-				e.U32(uint32(c))
-				e.U32(uint32(hi - lo))
-				e.Raw(l.payload[lo:hi])
-			}
-		})
+		changed++
 	}
-	return len(emits), sw.Close()
+	err = sw.Close()
+	return sw.Bytes(), changed, err
 }
 
 // DeltaInfo reports what a parsed delta chains to.
@@ -270,43 +327,30 @@ type DeltaInfo struct {
 	NewCRC  uint32
 }
 
-// skeletonNode mirrors deltaNode during reassembly.
-type skeletonNode struct {
-	tag      string
-	isLeaf   bool
-	children []*skeletonNode
-	leafIdx  int // index into the leaf descriptor table, leaves only
-}
-
-// readSkeleton decodes n pre-order (depth, tag, leaf) entries into a tree,
-// numbering leaves in pre-order.
-func readSkeleton(d *Decoder, n int) (*skeletonNode, error) {
-	root := &skeletonNode{}
-	stack := []*skeletonNode{root} // stack[d] = open container at depth d
-	leaves := 0
+// skeletonLeaves validates n pre-order (depth, tag, leaf) skeleton entries —
+// each node's depth must name an open container — and returns the number of
+// leaves among them.
+func skeletonLeaves(d *Decoder, n int) (int, error) {
+	open, leaves := 1, 0 // open containers, the synthetic root included
 	for k := 0; k < n; k++ {
 		depth := int(d.U8())
-		tagB := d.take(4, "section tag")
+		d.take(4, "section tag")
 		leaf := d.U8()
 		if d.Err() != nil {
-			return nil, d.Err()
+			return 0, d.Err()
 		}
-		if depth+1 > len(stack) {
+		if depth+1 > open {
 			d.Failf("skeleton node %d at depth %d with no open parent", k, depth)
-			return nil, d.Err()
+			return 0, d.Err()
 		}
-		stack = stack[:depth+1]
-		node := &skeletonNode{tag: string(tagB), isLeaf: leaf == 1}
-		if node.isLeaf {
-			node.leafIdx = leaves
+		open = depth + 1
+		if leaf == 1 {
 			leaves++
 		} else {
-			stack = append(stack, node)
+			open++
 		}
-		parent := stack[depth]
-		parent.children = append(parent.children, node)
 	}
-	return root, nil
+	return leaves, nil
 }
 
 // ApplyDelta reconstructs the full container a delta was encoded against:
@@ -315,8 +359,21 @@ func readSkeleton(d *Decoder, n int) (*skeletonNode, error) {
 // the CRC recorded at encode time, so the result is bit-identical to the
 // donor's serialization or the call fails.
 func ApplyDelta(baseData []byte, delta io.Reader) ([]byte, DeltaInfo, error) {
+	data, err := readAll(delta)
+	if err != nil {
+		return nil, DeltaInfo{}, fmt.Errorf("snapshot: reading delta: %w", err)
+	}
+	return applyDelta(nil, baseData, data)
+}
+
+// applyDelta is ApplyDelta over an in-memory delta, reassembling into dst's
+// storage when it is large enough (its contents are discarded). The result
+// is written once: unchanged and patched leaves are copied from the base
+// straight into their frames in the output, patch chunks are overlaid there,
+// and nested containers are framed in place around their children.
+func applyDelta(dst, baseData, delta []byte) ([]byte, DeltaInfo, error) {
 	var info DeltaInfo
-	sr, err := NewReader(delta)
+	sr, err := newReader(delta)
 	if err != nil {
 		return nil, info, err
 	}
@@ -343,166 +400,158 @@ func ApplyDelta(baseData []byte, delta io.Reader) ([]byte, DeltaInfo, error) {
 		d.Failf("delta skeleton declares %d sections", nNodes)
 		return nil, info, d.Err()
 	}
+	// Every byte of a reconstruction comes from the base, from the delta,
+	// or is framing worth less than 5 bytes per 6-byte skeleton entry, so a
+	// larger declared length is corrupt and must not drive the allocation.
+	if limit := uint64(len(baseData)) + 5*uint64(len(delta)) + 10; totalLen > limit {
+		d.Failf("delta declares a %d-byte result from a %d-byte base and a %d-byte delta", totalLen, len(baseData), len(delta))
+		return nil, info, d.Err()
+	}
 	if got := Checksum(baseData); got != info.BaseCRC {
 		return nil, info, fmt.Errorf("snapshot: delta %d chains to base %d with CRC %08x, supplied base has %08x",
 			info.Seq, info.BaseSeq, info.BaseCRC, got)
 	}
-	skel, err := readSkeleton(d, int(nNodes))
+	skelStart := d.off
+	nLeaves, err := skeletonLeaves(d, int(nNodes))
 	if err != nil {
 		return nil, info, err
 	}
+	skel := Decoder{tag: d.tag, buf: d.buf[:d.off], off: skelStart}
 	type leafDesc struct {
 		mode uint8
 		size uint64
 	}
-	nLeaves := d.Count(9)
-	descs := make([]leafDesc, nLeaves)
-	var needEmit int
+	descs := make([]leafDesc, d.Count(9))
+	var sized uint64
 	for i := range descs {
 		descs[i] = leafDesc{mode: d.U8(), size: d.U64()}
 		if descs[i].mode > leafWhole {
 			d.Failf("leaf %d has unknown mode %d", i, descs[i].mode)
 		}
-		if descs[i].mode != leafSame {
-			needEmit++
+		if descs[i].size > totalLen-sized {
+			d.Failf("leaf %d of %d bytes overflows the declared %d-byte result", i, descs[i].size, totalLen)
 		}
+		sized += descs[i].size
 	}
 	if err := d.Done(); err != nil {
 		return nil, info, err
 	}
-	// Count leaves in the skeleton and cross-check.
-	var countLeaves func(n *skeletonNode) int
-	countLeaves = func(n *skeletonNode) int {
-		t := 0
-		for _, c := range n.children {
-			if c.isLeaf {
-				t++
-			} else {
-				t += countLeaves(c)
-			}
-		}
-		return t
+	if nLeaves != len(descs) {
+		return nil, info, fmt.Errorf("snapshot: delta skeleton holds %d leaves, descriptor table %d", nLeaves, len(descs))
 	}
-	if got := countLeaves(skel); got != nLeaves {
-		return nil, info, fmt.Errorf("snapshot: delta skeleton holds %d leaves, descriptor table %d", got, nLeaves)
-	}
-
 	baseTree, err := parseDeltaTree(baseData)
 	if err != nil {
 		return nil, info, fmt.Errorf("snapshot: delta base is not a valid container: %w", err)
 	}
-	baseByPath := make(map[string][]byte)
-	for _, l := range leafPaths(baseTree, "", nil) {
-		baseByPath[l.path] = l.payload
-	}
 
-	// Resolve leaf payloads pre-order, consuming PTCH/WHOL sections in the
-	// same order they were emitted.
-	payloads := make([][]byte, nLeaves)
-	var resolve func(n *skeletonNode, prefix string) error
-	resolve = func(n *skeletonNode, prefix string) error {
-		occ := make(map[string]int, len(n.children))
-		for _, c := range n.children {
-			i := occ[c.tag]
-			occ[c.tag] = i + 1
-			p := fmt.Sprintf("%s%s#%d", prefix, c.tag, i)
-			if !c.isLeaf {
-				if err := resolve(c, p+"/"); err != nil {
-					return err
-				}
-				continue
-			}
-			desc := descs[c.leafIdx]
-			switch desc.mode {
-			case leafSame:
-				base, ok := baseByPath[p]
-				if !ok {
-					return fmt.Errorf("snapshot: delta marks leaf %s unchanged but the base has no such section", p)
-				}
-				if uint64(len(base)) != desc.size {
-					return fmt.Errorf("snapshot: delta leaf %s declares %d bytes, base holds %d", p, desc.size, len(base))
-				}
-				payloads[c.leafIdx] = base
-			case leafWhole:
-				pd, err := sr.Section(tagWhole)
-				if err != nil {
-					return fmt.Errorf("snapshot: delta leaf %s: %w", p, err)
-				}
-				b := pd.Rest()
-				if err := pd.Done(); err != nil {
-					return err
-				}
-				if uint64(len(b)) != desc.size {
-					return fmt.Errorf("snapshot: delta leaf %s declares %d bytes, whole payload holds %d", p, desc.size, len(b))
-				}
-				payloads[c.leafIdx] = b
-			case leafPatch:
-				base, ok := baseByPath[p]
-				if !ok {
-					return fmt.Errorf("snapshot: delta patches leaf %s but the base has no such section", p)
-				}
-				pd, err := sr.Section(tagPatch)
-				if err != nil {
-					return fmt.Errorf("snapshot: delta leaf %s: %w", p, err)
-				}
-				out := make([]byte, desc.size)
-				copy(out, base)
-				nPatch := pd.Count(8)
-				for k := 0; k < nPatch; k++ {
-					idx := int(pd.U32())
-					ln := int(pd.U32())
-					b := pd.take(ln, "patch chunk")
-					if pd.Err() != nil {
-						return pd.Err()
-					}
-					lo := idx * chunk
-					if lo < 0 || lo > len(out) || lo+ln > len(out) {
-						pd.Failf("patch chunk %d ([%d,%d)) outside leaf of %d bytes", idx, lo, lo+ln, len(out))
-						return pd.Err()
-					}
-					wantLn := min(chunk, len(out)-lo)
-					if ln != wantLn {
-						pd.Failf("patch chunk %d carries %d bytes, extent is %d", idx, ln, wantLn)
-						return pd.Err()
-					}
-					copy(out[lo:lo+ln], b)
-				}
-				if err := pd.Done(); err != nil {
-					return err
-				}
-				payloads[c.leafIdx] = out
-			}
-		}
-		return nil
+	// Reassemble pre-order, consuming PTCH/WHOL sections in the order they
+	// were emitted. stack[d] is the open container at depth d with its base
+	// counterpart; the Writer's framing is canonical, so the result is the
+	// donor's exact bytes — verified by the recorded CRC.
+	if uint64(cap(dst)) < totalLen {
+		dst = make([]byte, 0, totalLen)
 	}
-	if err := resolve(skel, ""); err != nil {
-		return nil, info, err
+	sw := AppendWriter(dst[:0])
+	type level struct {
+		tag   string
+		occ   int
+		start int // frame offset in the output (nested containers)
+		base  *deltaNode
+		seen  map[string]int
+		next  int // children so far
+	}
+	stack := []level{{base: baseTree}}
+	path := func(tag string, occ int) string {
+		var b strings.Builder
+		for _, lv := range stack[1:] {
+			fmt.Fprintf(&b, "%s#%d/", lv.tag, lv.occ)
+		}
+		fmt.Fprintf(&b, "%s#%d", tag, occ)
+		return b.String()
+	}
+	leaf := 0
+	for k := 0; k < int(nNodes); k++ {
+		depth := int(skel.U8())
+		tag := string(skel.take(4, "section tag"))
+		isLeaf := skel.U8() == 1
+		for len(stack) > depth+1 {
+			top := stack[len(stack)-1]
+			sw.closeNested(top.tag, top.start)
+			stack = stack[:len(stack)-1]
+		}
+		lv := &stack[depth]
+		if lv.seen == nil {
+			lv.seen = make(map[string]int, 8)
+		}
+		occ := lv.seen[tag]
+		lv.seen[tag]++
+		b := lv.base.counterpart(tag, occ, isLeaf, lv.next)
+		lv.next++
+		if !isLeaf {
+			start, err := sw.openNested(tag)
+			if err != nil {
+				return nil, info, err
+			}
+			stack = append(stack, level{tag: tag, occ: occ, start: start, base: b})
+			continue
+		}
+		desc := descs[leaf]
+		leaf++
+		switch desc.mode {
+		case leafSame:
+			if b == nil {
+				return nil, info, fmt.Errorf("snapshot: delta marks leaf %s unchanged but the base has no such section", path(tag, occ))
+			}
+			if uint64(len(b.payload)) != desc.size {
+				return nil, info, fmt.Errorf("snapshot: delta leaf %s declares %d bytes, base holds %d", path(tag, occ), desc.size, len(b.payload))
+			}
+			sw.Frame(tag, b.payload)
+		case leafWhole:
+			pd, err := sr.Section(tagWhole)
+			if err != nil {
+				return nil, info, fmt.Errorf("snapshot: delta leaf %s: %w", path(tag, occ), err)
+			}
+			body := pd.Rest()
+			if uint64(len(body)) != desc.size {
+				return nil, info, fmt.Errorf("snapshot: delta leaf %s declares %d bytes, whole payload holds %d", path(tag, occ), desc.size, len(body))
+			}
+			sw.Frame(tag, body)
+		case leafPatch:
+			if b == nil {
+				return nil, info, fmt.Errorf("snapshot: delta patches leaf %s but the base has no such section", path(tag, occ))
+			}
+			pd, err := sr.Section(tagPatch)
+			if err != nil {
+				return nil, info, fmt.Errorf("snapshot: delta leaf %s: %w", path(tag, occ), err)
+			}
+			start, err := sw.open(tag)
+			if err != nil {
+				return nil, info, err
+			}
+			size := int(desc.size)
+			lo := len(sw.enc.buf)
+			sw.enc.buf = append(sw.enc.buf, b.payload[:min(len(b.payload), size)]...)
+			if size > len(b.payload) {
+				sw.enc.buf = append(sw.enc.buf, make([]byte, size-len(b.payload))...)
+			}
+			if err := overlay(pd, sw.enc.buf[lo:], chunk); err != nil {
+				return nil, info, err
+			}
+			sw.seal(tag, start)
+		}
+	}
+	for len(stack) > 1 {
+		top := stack[len(stack)-1]
+		sw.closeNested(top.tag, top.start)
+		stack = stack[:len(stack)-1]
 	}
 	if err := sr.End(); err != nil {
 		return nil, info, err
 	}
-
-	// Reassemble bottom-up: a container's payload is its children's
-	// serialization, and the Writer's framing is canonical, so the result
-	// is the donor's exact bytes — verified by the recorded CRC.
-	var assemble func(n *skeletonNode) []byte
-	assemble = func(n *skeletonNode) []byte {
-		var buf bytes.Buffer
-		buf.Grow(int(totalLen) / 2)
-		sw := NewWriter(&buf)
-		for _, c := range n.children {
-			var body []byte
-			if c.isLeaf {
-				body = payloads[c.leafIdx]
-			} else {
-				body = assemble(c)
-			}
-			sw.Section(c.tag, func(e *Encoder) { e.Raw(body) })
-		}
-		sw.Close()
-		return buf.Bytes()
+	if err := sw.Close(); err != nil {
+		return nil, info, err
 	}
-	out := assemble(skel)
+	out := sw.Bytes()
 	if uint64(len(out)) != totalLen {
 		return nil, info, fmt.Errorf("snapshot: delta reassembled %d bytes, expected %d", len(out), totalLen)
 	}
@@ -512,10 +561,35 @@ func ApplyDelta(baseData []byte, delta io.Reader) ([]byte, DeltaInfo, error) {
 	return out, info, nil
 }
 
+// overlay applies one PTCH section's chunks to leaf, which already holds the
+// base leaf's bytes at the new length.
+func overlay(pd *Decoder, leaf []byte, chunk int) error {
+	nPatch := pd.Count(8)
+	for k := 0; k < nPatch; k++ {
+		idx := int(pd.U32())
+		ln := int(pd.U32())
+		b := pd.take(ln, "patch chunk")
+		if pd.Err() != nil {
+			return pd.Err()
+		}
+		lo := idx * chunk
+		if lo < 0 || lo > len(leaf) || lo+ln > len(leaf) {
+			pd.Failf("patch chunk %d ([%d,%d)) outside leaf of %d bytes", idx, lo, lo+ln, len(leaf))
+			return pd.Err()
+		}
+		if wantLn := min(chunk, len(leaf)-lo); ln != wantLn {
+			pd.Failf("patch chunk %d carries %d bytes, extent is %d", idx, ln, wantLn)
+			return pd.Err()
+		}
+		copy(leaf[lo:], b)
+	}
+	return pd.Done()
+}
+
 // PeekDelta reports whether data is a delta container (first section DLTA)
 // and, if so, its chain info. A plain full checkpoint returns ok=false.
 func PeekDelta(data []byte) (info DeltaInfo, ok bool) {
-	sr, err := NewReader(bytes.NewReader(data))
+	sr, err := newReader(data)
 	if err != nil {
 		return info, false
 	}
@@ -537,8 +611,21 @@ func PeekDelta(data []byte) (info DeltaInfo, ok bool) {
 
 // VerifyContainer fully parses data as a snapshot container — every frame's
 // CRC, the END terminator, no trailing bytes. It is the integrity check the
-// lineage recovery runs on a full checkpoint before trusting it.
+// lineage recovery runs on a full checkpoint before trusting it. Nested
+// containers need no walk of their own: their bytes are inside a frame whose
+// CRC covers them.
 func VerifyContainer(data []byte) error {
-	_, err := parseDeltaTree(data)
-	return err
+	sr, err := newReader(data)
+	if err != nil {
+		return err
+	}
+	sr.AllowDuplicates()
+	for {
+		if _, _, err := sr.Next(); err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+	}
 }

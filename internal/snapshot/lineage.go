@@ -73,6 +73,12 @@ type Lineage struct {
 	sinceFull int
 	prev      []byte // last written (or recovered) payload, the delta base; nil while DeltaEvery is 0
 	prevSeq   uint64
+
+	// Scratch reused by every delta Write: the encoded delta, and the
+	// self-check's reconstruction, which becomes the next base when it
+	// matches the payload (the old base becomes the next scratch).
+	delta []byte
+	spare []byte
 }
 
 // manifestPath returns the manifest file for a lineage base path.
@@ -197,28 +203,20 @@ func (l *Lineage) entryName(seq uint64, kind string) string {
 // downgrades to a full, trading bytes for certainty); forceFull overrides
 // the cadence (resize barriers and final drains always write fulls).
 func (l *Lineage) Write(payload []byte, forceFull bool) (LineageEntry, error) {
-	kind := "delta"
-	var fileBytes []byte
-	if forceFull || l.prev == nil || l.opt.DeltaEvery <= 0 || l.sinceFull >= l.opt.DeltaEvery {
-		kind = "full"
-	} else {
-		var buf bytes.Buffer
-		_, err := EncodeDelta(&buf, l.prev, payload, l.prevSeq, l.nextSeq, l.opt.Chunk)
+	kind, fileBytes := "full", payload
+	if !forceFull && l.prev != nil && l.opt.DeltaEvery > 0 && l.sinceFull < l.opt.DeltaEvery {
+		delta, _, err := appendDelta(l.delta[:0], l.prev, payload, l.prevSeq, l.nextSeq, l.opt.Chunk)
+		l.delta = delta
 		if err == nil {
-			if back, _, aerr := ApplyDelta(l.prev, bytes.NewReader(buf.Bytes())); aerr != nil || !bytes.Equal(back, payload) {
-				err = fmt.Errorf("snapshot: delta self-check failed")
+			back, _, aerr := applyDelta(l.spare, l.prev, delta)
+			if back != nil {
+				l.spare = back
+			}
+			if aerr == nil && bytes.Equal(back, payload) {
+				kind, fileBytes = "delta", delta
 			}
 		}
-		if err != nil {
-			kind = "full"
-		} else {
-			fileBytes = buf.Bytes()
-		}
 	}
-	if kind == "full" {
-		fileBytes = payload
-	}
-
 	seq := l.nextSeq
 	entry := LineageEntry{
 		Seq: seq, Kind: kind, File: l.entryName(seq, kind),
@@ -241,10 +239,14 @@ func (l *Lineage) Write(payload []byte, forceFull bool) (LineageEntry, error) {
 		os.Remove(l.memberPath(e))
 	}
 	l.nextSeq = seq + 1
-	l.setBase(payload, seq)
 	if kind == "full" {
+		l.setBase(payload, seq)
 		l.sinceFull = 0
 	} else {
+		// The self-check's reconstruction is byte-equal to payload: it is
+		// the next base, with no copy.
+		l.prev, l.spare = l.spare, l.prev
+		l.prevSeq = seq
 		l.sinceFull++
 	}
 	return entry, nil
@@ -349,7 +351,7 @@ func (l *Lineage) Recover() ([]byte, RecoverInfo, error) {
 			if err == nil {
 				var next []byte
 				var dinfo DeltaInfo
-				next, dinfo, err = ApplyDelta(cur, bytes.NewReader(data))
+				next, dinfo, err = applyDelta(nil, cur, data)
 				if err == nil && dinfo.BaseSeq != curSeq {
 					err = fmt.Errorf("delta %d chains to seq %d, chain is at %d", e.Seq, dinfo.BaseSeq, curSeq)
 				}
@@ -372,8 +374,11 @@ func (l *Lineage) Recover() ([]byte, RecoverInfo, error) {
 			info.FellBack = true
 		}
 		l.setBase(cur, curSeq)
-		// Force the next write to be a full: the dropped tail may still sit
-		// on disk, and a delta chained across it would confuse a later scan.
+		// The recovered generation already holds Applied deltas, which count
+		// toward DeltaEvery like deltas this process wrote. After a fallback
+		// the next write is a full: the dropped tail may still sit on disk,
+		// and a delta chained across it would confuse a later scan.
+		l.sinceFull = info.Applied
 		if info.FellBack {
 			l.sinceFull = l.opt.DeltaEvery
 		}

@@ -276,6 +276,32 @@ func TestLineageReopenContinuesSequence(t *testing.T) {
 	}
 }
 
+// TestLineageRecoverKeepsChainLength pins that deltas recovered from disk
+// count toward DeltaEvery: a generation holding 3 deltas under DeltaEvery 4
+// takes one more delta after a restart, then a full — never 4 more.
+func TestLineageRecoverKeepsChainLength(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt")
+	l := openL(t, path, LineageOptions{DeltaEvery: 4})
+	for i := 0; i < 4; i++ { // full, delta, delta, delta
+		if _, err := l.Write(payloadN(t, i), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l2 := openL(t, path, LineageOptions{DeltaEvery: 4})
+	if _, info, err := l2.Recover(); err != nil || info.Applied != 3 {
+		t.Fatalf("recover: %v (info %+v)", err, info)
+	}
+	for i, want := range []string{"delta", "full"} {
+		e, err := l2.Write(payloadN(t, 4+i), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Kind != want {
+			t.Fatalf("write %d after recovering 3 deltas: %s, want %s", i, e.Kind, want)
+		}
+	}
+}
+
 func TestLineageForceFull(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt")
 	l := openL(t, path, LineageOptions{DeltaEvery: 100})

@@ -16,9 +16,11 @@
 // interpreted. Sections are length-prefixed and the per-section Decoder is
 // bounds-checked on every primitive read, so truncated or corrupted input
 // fails with a positioned error ("section "JOBS": byte 17: …") — it can
-// never misparse into a plausible-looking wrong state. Count prefixes are
-// validated against the bytes remaining in the section before any slice is
-// allocated, so a hostile length cannot balloon memory.
+// never misparse into a plausible-looking wrong state. The Reader walks one
+// in-memory slice, so a frame length beyond the remaining bytes fails before
+// anything is allocated, and count prefixes are validated against the bytes
+// remaining in the section before any slice is allocated: a hostile length
+// cannot balloon memory.
 //
 // All integers are little-endian and fixed-width; float64s are serialized as
 // their IEEE-754 bit patterns (math.Float64bits), which makes encode→decode
@@ -29,6 +31,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -48,23 +51,11 @@ const EndTag = "END\x00"
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// maxInitialPayload caps the upfront allocation for one section's payload;
-// larger (legitimate) sections grow as bytes actually arrive, so a corrupt
-// length prefix on a truncated stream cannot demand gigabytes before the
-// read fails.
-const maxInitialPayload = 1 << 20
-
-// Encoder accumulates one section's payload. The zero value is ready; Reset
-// recycles the buffer across sections.
+// Encoder appends one section's payload. Writer.Section hands one to its
+// fill, appending straight into the frame being written.
 type Encoder struct {
 	buf []byte
 }
-
-// Reset empties the encoder, keeping its storage.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
-
-// Bytes returns the accumulated payload.
-func (e *Encoder) Bytes() []byte { return e.buf }
 
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
@@ -100,72 +91,161 @@ func (e *Encoder) Str(s string) {
 }
 
 // Raw appends b verbatim, without a length prefix — for sections whose whole
-// payload is an embedded byte blob (e.g. a nested per-shard snapshot inside
-// a fleet snapshot); the section frame itself carries the length.
+// payload is an embedded byte blob; the section frame itself carries the
+// length.
 func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
 
-// Writer frames encoded sections onto an io.Writer. Errors are sticky: the
-// first write failure poisons every later call, so callers may check once at
-// Close.
+// Writer frames sections in place: a section reserves its 8-byte header in
+// the output, the payload is appended directly after it, and the frame is
+// closed by patching in the length and appending the CRC. Every payload byte
+// is therefore encoded once, into its final position, and CRC'd once.
+//
+// AppendWriter builds the whole container in one caller-owned slice (a
+// checkpoint capture buffer that is reused across captures). NewWriter sends
+// each finished frame to an io.Writer in one Write call, from a scratch
+// buffer that the Writer reuses from section to section.
+//
+// Errors are sticky: the first failure poisons every later call, so callers
+// may check once at Close.
 type Writer struct {
-	w      io.Writer
-	enc    Encoder
+	w      io.Writer // nil: append mode, the output is enc.buf
+	enc    Encoder   // the output (append mode) or the frame being written
 	err    error
 	closed bool
 }
 
-// NewWriter writes the stream header and returns a section writer.
+// appendHeader appends the stream header (magic and version).
+func appendHeader(b []byte) []byte {
+	b = append(b, magic[:]...)
+	return binary.LittleEndian.AppendUint16(b, Version)
+}
+
+// NewWriter writes the stream header to w and returns a section writer that
+// writes each section to w as one frame.
 func NewWriter(w io.Writer) *Writer {
 	sw := &Writer{w: w}
-	var hdr [10]byte
-	copy(hdr[:], magic[:])
-	binary.LittleEndian.PutUint16(hdr[8:], Version)
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(appendHeader(nil)); err != nil {
 		sw.err = fmt.Errorf("snapshot: writing header: %w", err)
 	}
 	return sw
 }
 
-// Section encodes one section: fill populates the payload, then the frame
-// (tag, length, payload, CRC) is written. tag must be exactly 4 bytes.
+// AppendWriter returns a section writer that appends the stream header and
+// then every section to dst. Bytes returns the result.
+func AppendWriter(dst []byte) *Writer {
+	return &Writer{enc: Encoder{buf: appendHeader(dst)}}
+}
+
+// Bytes returns what an AppendWriter has built: dst followed by the stream
+// so far (the whole container once Close has returned nil).
+func (sw *Writer) Bytes() []byte { return sw.enc.buf }
+
+// Section encodes one section: fill appends the payload, then the frame
+// (tag, length, payload, CRC) is closed. tag must be exactly 4 bytes.
 func (sw *Writer) Section(tag string, fill func(e *Encoder)) error {
+	start, err := sw.open(tag)
+	if err != nil {
+		return err
+	}
+	fill(&sw.enc)
+	return sw.seal(tag, start)
+}
+
+// Frame writes one section whose payload is already encoded (e.g. a nested
+// per-shard snapshot captured elsewhere), copying it straight into the frame.
+func (sw *Writer) Frame(tag string, payload []byte) error {
+	start, err := sw.open(tag)
+	if err != nil {
+		return err
+	}
+	sw.enc.buf = append(sw.enc.buf, payload...)
+	return sw.seal(tag, start)
+}
+
+// Nest writes one section whose payload fill appends to dst in place — a
+// nested container built by an append-style encoder such as
+// engine.Shard.AppendSnapshot — so the nested bytes land in their final
+// position with no intermediate buffer. fill returns dst extended by the
+// payload; its error poisons the writer.
+func (sw *Writer) Nest(tag string, fill func(dst []byte) ([]byte, error)) error {
+	start, err := sw.open(tag)
+	if err != nil {
+		return err
+	}
+	b, err := fill(sw.enc.buf)
+	if err != nil {
+		sw.err = err
+		return err
+	}
+	sw.enc.buf = b
+	return sw.seal(tag, start)
+}
+
+// open reserves a frame header for tag and returns its offset in enc.buf.
+func (sw *Writer) open(tag string) (int, error) {
 	if len(tag) != 4 {
 		panic(fmt.Sprintf("snapshot: section tag %q must be exactly 4 bytes", tag))
 	}
 	if sw.err != nil {
-		return sw.err
+		return 0, sw.err
 	}
 	if sw.closed {
 		sw.err = fmt.Errorf("snapshot: section %q after Close", tag)
+		return 0, sw.err
+	}
+	if sw.w != nil {
+		sw.enc.buf = sw.enc.buf[:0]
+	}
+	start := len(sw.enc.buf)
+	sw.enc.buf = append(append(sw.enc.buf, tag...), 0, 0, 0, 0)
+	return start, nil
+}
+
+// seal closes the frame opened at start: it patches the payload length into
+// the header, appends the CRC over tag and payload, and in stream mode writes
+// the frame out.
+func (sw *Writer) seal(tag string, start int) error {
+	b := sw.enc.buf
+	n := len(b) - start - 8
+	if uint64(n) > math.MaxUint32 {
+		sw.err = fmt.Errorf("snapshot: section %q payload of %d bytes exceeds the u32 frame limit", tag, n)
 		return sw.err
 	}
-	sw.enc.Reset()
-	fill(&sw.enc)
-	sw.err = sw.frame(tag, sw.enc.Bytes())
+	binary.LittleEndian.PutUint32(b[start+4:], uint32(n))
+	crc := crc32.Update(crc32.Checksum(b[start:start+4], crcTable), crcTable, b[start+8:])
+	sw.enc.buf = binary.LittleEndian.AppendUint32(b, crc)
+	if sw.w != nil {
+		if _, err := sw.w.Write(sw.enc.buf); err != nil {
+			sw.err = fmt.Errorf("snapshot: writing section %q: %w", tag, err)
+		}
+	}
 	return sw.err
 }
 
-// frame writes one (tag, length, payload, crc) frame.
-func (sw *Writer) frame(tag string, payload []byte) error {
-	if len(payload) > math.MaxUint32 {
-		return fmt.Errorf("snapshot: section %q payload of %d bytes exceeds the u32 frame limit", tag, len(payload))
+// openNested opens a section whose payload is a nested container, writing
+// the container's stream header; the sections that follow land inside it
+// until closeNested. Append mode only: a stream-mode frame is written out
+// whole at seal.
+func (sw *Writer) openNested(tag string) (int, error) {
+	start, err := sw.open(tag)
+	if err != nil {
+		return 0, err
 	}
-	crc := crc32.Update(crc32.Checksum([]byte(tag), crcTable), crcTable, payload)
-	var hdr [8]byte
-	copy(hdr[:4], tag)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	if _, err := sw.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("snapshot: writing section %q: %w", tag, err)
+	sw.enc.buf = appendHeader(sw.enc.buf)
+	return start, nil
+}
+
+// closeNested ends the nested container opened at start with its end
+// section and seals the enclosing frame.
+func (sw *Writer) closeNested(tag string, start int) error {
+	end, err := sw.open(EndTag)
+	if err != nil {
+		return err
 	}
-	if _, err := sw.w.Write(payload); err != nil {
-		return fmt.Errorf("snapshot: writing section %q: %w", tag, err)
+	if err := sw.seal(EndTag, end); err != nil {
+		return err
 	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	if _, err := sw.w.Write(tail[:]); err != nil {
-		return fmt.Errorf("snapshot: writing section %q: %w", tag, err)
-	}
-	return nil
+	return sw.seal(tag, start)
 }
 
 // Close writes the end section. It does not close the underlying writer.
@@ -176,9 +256,12 @@ func (sw *Writer) Close() error {
 	if sw.closed {
 		return nil
 	}
+	start, err := sw.open(EndTag)
+	if err != nil {
+		return err
+	}
 	sw.closed = true
-	sw.err = sw.frame(EndTag, nil)
-	return sw.err
+	return sw.seal(EndTag, start)
 }
 
 // Checksum returns the CRC32-C of b — the same polynomial that guards every
@@ -186,14 +269,25 @@ func (sw *Writer) Close() error {
 // lineage manifest stores one per checkpoint file).
 func Checksum(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
 
-// Reader walks the sections of a snapshot stream. A tag appearing twice is
-// rejected by default: no writer in this repository emits the same section
-// twice at one nesting level except the fleet's SHRD frames, and a duplicated
-// section in anyone else's stream means a corrupt or hostile file whose
-// second copy would otherwise silently win (or lose) depending on caller
-// order. Walkers over legitimately repeated tags opt in via Repeatable.
+// Reader walks the sections of a snapshot held in one byte slice. Payloads
+// are never copied: every Decoder reads a subslice of the input, and a nested
+// container (Decoder.Rest) is a subslice too, so restoring it is another walk
+// over the same bytes.
+//
+// Lifetime rule: a payload aliases the input. A caller that keeps payload
+// bytes past the input's lifetime — or hands the input to code that will
+// modify it — copies them first. Decoded scalars and strings are copies and
+// carry no such rule.
+//
+// A tag appearing twice is rejected by default: no writer in this repository
+// emits the same section twice at one nesting level except the fleet's SHRD
+// frames, and a duplicated section in anyone else's stream means a corrupt or
+// hostile file whose second copy would otherwise silently win (or lose)
+// depending on caller order. Walkers over legitimately repeated tags opt in
+// via Repeatable.
 type Reader struct {
-	r      io.Reader
+	data   []byte
+	off    int
 	ended  bool
 	seen   map[string]bool
 	repeat map[string]bool
@@ -217,48 +311,113 @@ func (sr *Reader) Repeatable(tags ...string) {
 // section vocabulary they do not know. Semantic restores never use this.
 func (sr *Reader) AllowDuplicates() { sr.anyDup = true }
 
-// NewReader checks the stream header and returns a section reader.
+// InPlace returns an io.Reader over b that NewReader walks without copying:
+// every payload of the resulting Reader aliases b (see Reader's lifetime
+// rule). Other consumers read it like a bytes.Reader.
+func InPlace(b []byte) io.Reader { return &inPlace{b: b} }
+
+type inPlace struct {
+	b   []byte
+	off int
+}
+
+func (r *inPlace) Read(p []byte) (int, error) {
+	if r.off >= len(r.b) {
+		return 0, io.EOF
+	}
+	n := copy(p, r.b[r.off:])
+	r.off += n
+	return n, nil
+}
+
+// NewReader materialises r once and checks the stream header. An InPlace
+// reader is walked where it lies; any other reader is read to its end, in one
+// exact-size read when it reports its length (bytes.Reader, bytes.Buffer,
+// strings.Reader).
 func NewReader(r io.Reader) (*Reader, error) {
-	var hdr [10]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("snapshot: reading header: %w", noEOF(err))
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: reading: %w", err)
 	}
-	if !bytes.Equal(hdr[:8], magic[:]) {
-		return nil, fmt.Errorf("snapshot: bad magic %q (not a snapshot stream)", hdr[:8])
+	return newReader(data)
+}
+
+// readAll returns r's remaining bytes, aliasing them for an InPlace reader.
+func readAll(r io.Reader) ([]byte, error) {
+	if ip, ok := r.(*inPlace); ok {
+		b := ip.b[min(ip.off, len(ip.b)):]
+		ip.off = len(ip.b)
+		return b, nil
 	}
-	if v := binary.LittleEndian.Uint16(hdr[8:]); v != Version {
+	l, ok := r.(interface{ Len() int })
+	if !ok {
+		return io.ReadAll(r)
+	}
+	// Room for the whole input plus ReadFrom's final probe for EOF, so the
+	// read lands in one allocation.
+	var buf bytes.Buffer
+	buf.Grow(l.Len() + bytes.MinRead)
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// newReader checks the stream header of data and returns a Reader over it.
+func newReader(data []byte) (*Reader, error) {
+	if len(data) < 10 {
+		return nil, fmt.Errorf("snapshot: reading header: %w", errTruncated)
+	}
+	if !bytes.Equal(data[:8], magic[:]) {
+		return nil, fmt.Errorf("snapshot: bad magic %q (not a snapshot stream)", data[:8])
+	}
+	if v := binary.LittleEndian.Uint16(data[8:]); v != Version {
 		return nil, fmt.Errorf("snapshot: unsupported format version %d (this build reads version %d)", v, Version)
 	}
-	return &Reader{r: r}, nil
+	return &Reader{data: data, off: 10}, nil
 }
+
+// errTruncated is the one descriptive truncation error, so callers never
+// mistake a mid-frame end of input for a clean end of stream.
+var errTruncated = errors.New("unexpected end of snapshot (truncated)")
 
 // Next reads the next section frame, verifies its CRC and returns its tag
 // and a Decoder over the payload. At the end section it returns io.EOF after
-// checking that no trailing bytes follow.
+// checking that no trailing bytes follow. A length prefix beyond the bytes
+// remaining fails here, before anything is allocated.
 func (sr *Reader) Next() (string, *Decoder, error) {
 	if sr.ended {
 		return "", nil, io.EOF
 	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(sr.r, hdr[:]); err != nil {
-		return "", nil, fmt.Errorf("snapshot: reading section header: %w", noEOF(err))
+	rest := sr.data[sr.off:]
+	if len(rest) < 8 {
+		return "", nil, fmt.Errorf("snapshot: reading section header: %w", errTruncated)
 	}
-	tag := string(hdr[:4])
-	n := binary.LittleEndian.Uint32(hdr[4:])
-	payload, err := readPayload(sr.r, int(n))
-	if err != nil {
-		return "", nil, fmt.Errorf("snapshot: section %q: %w", tag, err)
+	tag := string(rest[:4])
+	n := uint64(binary.LittleEndian.Uint32(rest[4:8]))
+	if avail := uint64(len(rest) - 8); n > avail {
+		return "", nil, fmt.Errorf("snapshot: section %q: payload truncated (want %d bytes, %d remain): %w", tag, n, avail, errTruncated)
 	}
-	var tail [4]byte
-	if _, err := io.ReadFull(sr.r, tail[:]); err != nil {
-		return "", nil, fmt.Errorf("snapshot: section %q: reading checksum: %w", tag, noEOF(err))
+	end := 8 + int(n)
+	payload := rest[8:end:end] // capped: an append through it cannot clobber the CRC
+	if len(rest)-end < 4 {
+		return "", nil, fmt.Errorf("snapshot: section %q: reading checksum: %w", tag, errTruncated)
 	}
-	want := binary.LittleEndian.Uint32(tail[:])
-	got := crc32.Update(crc32.Checksum(hdr[:4], crcTable), crcTable, payload)
+	want := binary.LittleEndian.Uint32(rest[end:])
+	got := crc32.Update(crc32.Checksum(rest[:4], crcTable), crcTable, payload)
 	if got != want {
 		return "", nil, fmt.Errorf("snapshot: section %q: checksum mismatch (stored %08x, computed %08x): snapshot corrupted", tag, want, got)
 	}
-	if tag != EndTag && !sr.anyDup && !sr.repeat[tag] {
+	sr.off += end + 4
+	if tag == EndTag {
+		sr.ended = true
+		if n != 0 {
+			return "", nil, fmt.Errorf("snapshot: end section carries %d payload bytes", n)
+		}
+		if sr.off != len(sr.data) {
+			return "", nil, fmt.Errorf("snapshot: trailing data after end section")
+		}
+		return "", nil, io.EOF
+	}
+	if !sr.anyDup && !sr.repeat[tag] {
 		if sr.seen[tag] {
 			return "", nil, fmt.Errorf("snapshot: duplicate section %q: snapshot corrupted", tag)
 		}
@@ -266,21 +425,6 @@ func (sr *Reader) Next() (string, *Decoder, error) {
 			sr.seen = make(map[string]bool, 8)
 		}
 		sr.seen[tag] = true
-	}
-	if tag == EndTag {
-		sr.ended = true
-		if len(payload) != 0 {
-			return "", nil, fmt.Errorf("snapshot: end section carries %d payload bytes", len(payload))
-		}
-		var one [1]byte
-		switch _, err := io.ReadFull(sr.r, one[:]); err {
-		case io.EOF: // clean end of stream
-		case nil:
-			return "", nil, fmt.Errorf("snapshot: trailing data after end section")
-		default:
-			return "", nil, fmt.Errorf("snapshot: reading past end section: %w", err)
-		}
-		return "", nil, io.EOF
 	}
 	return tag, &Decoder{tag: tag, buf: payload}, nil
 }
@@ -311,41 +455,6 @@ func (sr *Reader) End() error {
 		return err
 	}
 	return fmt.Errorf("snapshot: want end of stream, found section %q", got)
-}
-
-// readPayload reads exactly n bytes, growing the buffer as bytes arrive so a
-// corrupt length prefix on a short stream fails cheaply instead of
-// allocating n upfront.
-func readPayload(r io.Reader, n int) ([]byte, error) {
-	if n <= maxInitialPayload {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("payload truncated (want %d bytes): %w", n, noEOF(err))
-		}
-		return buf, nil
-	}
-	buf := make([]byte, 0, maxInitialPayload)
-	for len(buf) < n {
-		chunk := n - len(buf)
-		if chunk > maxInitialPayload {
-			chunk = maxInitialPayload
-		}
-		buf = append(buf, make([]byte, chunk)...)
-		if _, err := io.ReadFull(r, buf[len(buf)-chunk:]); err != nil {
-			return nil, fmt.Errorf("payload truncated at %d of %d bytes: %w", len(buf)-chunk, n, noEOF(err))
-		}
-	}
-	return buf, nil
-}
-
-// noEOF converts io.EOF / io.ErrUnexpectedEOF into a single descriptive
-// truncation error, so callers never mistake a mid-frame EOF for a clean end
-// of stream.
-func noEOF(err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return fmt.Errorf("unexpected end of snapshot (truncated)")
-	}
-	return err
 }
 
 // Decoder reads one section's payload with sticky, positioned errors: the
