@@ -75,7 +75,6 @@ func main() {
 		machines = flag.Int("machines", 8, "machines per shard session")
 		shards   = flag.Int("shards", 1, "scheduler shard count")
 		sizeHint = flag.Int("size-hint", 0, "expected total jobs across all streams (preallocation hint, 0 grows on demand)")
-		eventq   = flag.String("eventq", "", "engine event-queue implementation: heap|calendar (empty: heap; performance-only)")
 
 		throttleDepth = flag.Int("throttle-depth", 0, "depth watermark: accept → throttle (0 disables)")
 		rejectDepth   = flag.Int("reject-depth", 0, "depth watermark: throttle → pre-reject (0 disables)")
@@ -110,13 +109,12 @@ func main() {
 	}
 
 	cfg := front.Config{
-		Policy:     *polName,
-		Epsilon:    *eps,
-		Alpha:      *alpha,
-		Machines:   *machines,
-		Shards:     *shards,
-		SizeHint:   *sizeHint,
-		EventQueue: *eventq,
+		Policy:   *polName,
+		Epsilon:  *eps,
+		Alpha:    *alpha,
+		Machines: *machines,
+		Shards:   *shards,
+		SizeHint: *sizeHint,
 		Admission: admission.Config{
 			ThrottleDepth:   *throttleDepth,
 			RejectDepth:     *rejectDepth,

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	schedsim -policy flowtime -eps 0.2 trace.json
-//	schedsim -policy wflow -eps 0.2 -parallel 4 trace.json
+//	schedsim -policy wflow -eps 0.2 trace.json
 //	schedsim -policy speedscale -eps 0.3 -alpha 2 trace.json
 //	schedsim -policy srpt trace.json
 //	schedsim -policy energymin deadline.json
@@ -84,8 +84,6 @@ func main() {
 		eps      = flag.Float64("eps", 0.2, "rejection parameter ε")
 		alpha    = flag.Float64("alpha", 0, "power exponent override (0: use trace)")
 		epsS     = flag.Float64("epsS", 0.2, "speed augmentation (speedaug)")
-		parallel = flag.Int("parallel", 0, "dispatch worker count for the λ-dispatch policies (0: auto, 1: sequential)")
-		eventq   = flag.String("eventq", "", "engine event-queue implementation for the session-backed policies: heap|calendar (empty: heap; performance-only)")
 		stream   = flag.Bool("stream", false, "consume an NDJSON trace incrementally (file or stdin)")
 		batch    = flag.Int("batch", 256, "stream mode: jobs per ingestion slab")
 		ckpt     = flag.String("checkpoint", "", "stream mode: root a checkpoint lineage at this path (P.N.full, P.N.delta, P.lineage)")
@@ -113,7 +111,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "usage: schedsim -compare [-policy flowtime|wflow] [flags] trace.json")
 			os.Exit(2)
 		}
-		runCompare(*polName, *eps, *parallel, flag.Arg(0))
+		runCompare(*polName, *eps, flag.Arg(0))
 		return
 	}
 	if *stream {
@@ -129,7 +127,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "schedsim: -checkpoint-every/-checkpoint-deltas/-checkpoint-keep/-stop-after need -checkpoint FILE")
 			os.Exit(2)
 		}
-		runStream(*polName, *eps, *alpha, *parallel, *batch, *eventq, flag.Arg(0), *dump, *progress,
+		runStream(*polName, *eps, *alpha, *batch, flag.Arg(0), *dump, *progress,
 			streamCheckpoints{File: *ckpt, Every: *ckptN, Deltas: *ckptD, Keep: *ckptK, StopAfter: *stopN, Resume: *resume})
 		return
 	}
@@ -153,7 +151,7 @@ func main() {
 		if a == 0 {
 			a = ins.Alpha
 		}
-		out, err = e.Run(ins, policy.Params{Epsilon: *eps, Alpha: a, ParallelDispatch: *parallel, EventQueue: *eventq})
+		out, err = e.Run(ins, policy.Params{Epsilon: *eps, Alpha: a})
 		mode = e.Mode
 	} else {
 		// Batch-only comparators that are not hosted on the engine.
@@ -302,7 +300,7 @@ func streamProgress(reg *obs.Registry, every time.Duration, stop <-chan struct{}
 	}
 }
 
-func runStream(polName string, eps, alpha float64, parallel, batch int, eventq, path, dump string, progress time.Duration, ck streamCheckpoints) {
+func runStream(polName string, eps, alpha float64, batch int, path, dump string, progress time.Duration, ck streamCheckpoints) {
 	in := io.Reader(os.Stdin)
 	name := "stdin"
 	if path != "" && path != "-" {
@@ -340,7 +338,7 @@ func runStream(polName string, eps, alpha float64, parallel, batch int, eventq, 
 	if alpha == 0 {
 		alpha = r.Alpha() // a stream has no instance to fall back on, only its header
 	}
-	params := policy.Params{Epsilon: eps, Alpha: alpha, ParallelDispatch: parallel, SizeHint: r.Jobs(), EventQueue: eventq}
+	params := policy.Params{Epsilon: eps, Alpha: alpha, SizeHint: r.Jobs()}
 	var fd policy.Session
 	if resumeFrom != nil {
 		fd, err = e.Restore(resumeFrom, params)
@@ -554,7 +552,7 @@ func runStream(polName string, eps, alpha float64, parallel, batch int, eventq, 
 // their rejection instant (the paper's accounting), this ratio can dip
 // below 1 under overload — rejection substituting for preemption, the §1
 // claim E15 quantifies across workload families.
-func runCompare(polName string, eps float64, parallel int, path string) {
+func runCompare(polName string, eps float64, path string) {
 	ins, err := trace.LoadInstance(path)
 	if err != nil {
 		fatal(err)
@@ -573,11 +571,11 @@ func runCompare(polName string, eps float64, parallel int, path string) {
 	case "flowtime":
 		nonName, preName, objective = "flowtime (non-preemptive)", "srpt (preemptive)", "total flow"
 		costOf = func(m sched.Metrics) float64 { return m.TotalFlow }
-		nres, err := flowtime.Run(ins, flowtime.Options{Epsilon: eps, ParallelDispatch: parallel})
+		nres, err := flowtime.Run(ins, flowtime.Options{Epsilon: eps})
 		if err != nil {
 			fatal(err)
 		}
-		pres, err := srpt.Run(ins, srpt.Options{ParallelDispatch: parallel})
+		pres, err := srpt.Run(ins, srpt.Options{})
 		if err != nil {
 			fatal(err)
 		}
@@ -587,7 +585,7 @@ func runCompare(polName string, eps float64, parallel int, path string) {
 	case "wflow":
 		nonName, preName, objective = "wflow (non-preemptive)", "wsrpt (preemptive, migratory)", "weighted flow"
 		costOf = func(m sched.Metrics) float64 { return m.WeightedFlow }
-		nres, err := wflow.Run(ins, wflow.Options{Epsilon: eps, ParallelDispatch: parallel})
+		nres, err := wflow.Run(ins, wflow.Options{Epsilon: eps})
 		if err != nil {
 			fatal(err)
 		}

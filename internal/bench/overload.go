@@ -27,7 +27,8 @@ func init() {
 // server degrades from accept through throttle to pre-reject. Tenants push
 // concurrently through the same Stream seam the HTTP handler uses, measuring
 // per-job ingest latency (the Push call: queue admission under backpressure)
-// and decision latency (Push return to ack: the merge + admission verdict).
+// and decision latency (Push call to ack: admission, the merge and the
+// verdict).
 // One row per admission ε: how much weight was shed, that it stayed within
 // the paper-shaped budget ε·(fed weight) + burst, and what the latency tails
 // looked like while the server was refusing work.
@@ -104,7 +105,7 @@ func overloadRun(cfg Config, eps float64, tenants, perTenant, machines, shards i
 	var (
 		mu      sync.Mutex
 		ingest  []float64 // µs per Push call
-		decide  []float64 // µs from Push return to ack
+		decide  []float64 // µs from the Push call to the ack
 		wg      sync.WaitGroup
 		runErrs = make([]error, tenants)
 	)
@@ -127,12 +128,14 @@ func overloadRun(cfg Config, eps float64, tenants, perTenant, machines, shards i
 			defer wg.Done()
 			locIngest := make([]float64, 0, len(jobs))
 			for _, j := range jobs {
+				// Stamped before Push: the stream lock and the ack channel
+				// then order this write before the ack reader's read.
 				start := time.Now()
+				pushed[j.ID] = start
 				if err := st.Push(j); err != nil {
 					runErrs[ten] = err
 					return
 				}
-				pushed[j.ID] = time.Now()
 				locIngest = append(locIngest, float64(time.Since(start))/float64(time.Microsecond))
 			}
 			st.CloseSend()

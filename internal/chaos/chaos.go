@@ -61,8 +61,7 @@ type Stall struct {
 // Enabled reports whether the stall does anything.
 func (s Stall) Enabled() bool { return s.Every > 0 && s.Delay > 0 }
 
-// StallFeeder wraps a shard feeder with a Stall. It forwards the batched
-// ingestion path when the inner feeder supports it and forwards
+// StallFeeder wraps a shard feeder with a Stall. It forwards FeedBatch and
 // AppendSnapshot, so a stalled fleet still checkpoints (engine.Shard requires
 // its feeders to be SessionSnapshotters). The stall runs on the shard
 // worker's goroutine — exactly where a real slow worker would burn the time.
@@ -90,25 +89,11 @@ func (f *StallFeeder) tick(n int) {
 	}
 }
 
-// Feed forwards one job, stalling on schedule.
-func (f *StallFeeder) Feed(j sched.Job) error {
-	f.tick(1)
-	return f.inner.Feed(j)
-}
-
-// FeedBatch forwards a batch through the inner feeder's batched path when it
-// has one, stalling once per schedule boundary the batch crosses.
+// FeedBatch forwards a batch, stalling once per schedule boundary the batch
+// crosses.
 func (f *StallFeeder) FeedBatch(jobs []sched.Job) error {
 	f.tick(len(jobs))
-	if bf, ok := f.inner.(engine.BatchFeeder); ok {
-		return bf.FeedBatch(jobs)
-	}
-	for k := range jobs {
-		if err := f.inner.Feed(jobs[k]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.inner.FeedBatch(jobs)
 }
 
 // AppendSnapshot forwards to the inner feeder's in-place capture.

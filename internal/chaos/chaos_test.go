@@ -51,19 +51,19 @@ type countFeeder struct {
 	fed int
 }
 
-func (c *countFeeder) Feed(sched.Job) error { c.fed++; return nil }
+func (c *countFeeder) FeedBatch(jobs []sched.Job) error { c.fed += len(jobs); return nil }
 
 func (c *countFeeder) AppendSnapshot(dst []byte) ([]byte, error) {
 	return fmt.Appendf(dst, "fed=%d", c.fed), nil
 }
 
-// TestStallFeederForwards pins that the wrapper forwards single and batched
-// feeds, counts stall boundaries across batches, and forwards AppendSnapshot.
+// TestStallFeederForwards pins that the wrapper forwards batches of any
+// size, counts stall boundaries across batches, and forwards AppendSnapshot.
 func TestStallFeederForwards(t *testing.T) {
 	inner := &countFeeder{}
 	f := NewStallFeeder(inner, Stall{Every: 4, Delay: time.Microsecond})
 	for i := 0; i < 3; i++ {
-		if err := f.Feed(sched.Job{ID: i}); err != nil {
+		if err := f.FeedBatch([]sched.Job{{ID: i}}); err != nil {
 			t.Fatal(err)
 		}
 	}

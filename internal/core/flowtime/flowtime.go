@@ -28,9 +28,8 @@
 // instance; Session (see session.go) streams jobs online with bit-identical
 // outcomes. Hot-path layout as before: per-job state lives in dense slices
 // indexed by the compact feed-order index, and the machine-selection argmin
-// is sharded across the internal/dispatch worker pool for wide instances
-// (Options.ParallelDispatch), with outputs bit-identical to the sequential
-// scan.
+// is a serial scan unless Options.ParallelDispatch asks for an
+// internal/dispatch worker pool, with outputs bit-identical either way.
 package flowtime
 
 import (
@@ -57,9 +56,9 @@ type Options struct {
 	// functions (small constant overhead per event).
 	TrackDual bool
 	// ParallelDispatch sets the number of workers sharding the arrival-time
-	// argmin_i λ_ij: 0 selects automatically (sequential below
-	// dispatch.DefaultThreshold machines), 1 forces sequential. The choice
-	// never changes the output (see internal/dispatch).
+	// argmin_i λ_ij: 0 or 1 scans serially, ≥ 2 starts a worker pool of
+	// that size. The choice never changes the output (see
+	// internal/dispatch).
 	ParallelDispatch int
 	// SizeHint preallocates per-job storage for a stream of about this many
 	// jobs (see engine.Options.SizeHint). Zero is valid — storage grows on
@@ -182,7 +181,7 @@ func newPolicy(opt Options, machines, hint int) *policy {
 	for i := range p.mach {
 		p.mach[i] = machine{pending: ostree.NewFlatHint(pendingHint(hint, machines))}
 	}
-	p.pool = dispatch.NewPool(dispatch.Workers(opt.ParallelDispatch, machines), machines)
+	p.pool = dispatch.NewPool(opt.ParallelDispatch, machines)
 	p.evalFn = p.evalCur
 	return p
 }

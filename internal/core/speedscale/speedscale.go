@@ -54,8 +54,9 @@ type Options struct {
 	// TrackDual records per-job execution info for the Lemma 6 audit.
 	TrackDual bool
 	// ParallelDispatch sets the number of workers sharding the arrival-time
-	// argmin_i λ_ij; 0 selects automatically, 1 forces sequential. The
-	// choice never changes the output (see internal/dispatch).
+	// argmin_i λ_ij: 0 or 1 scans serially, ≥ 2 starts a worker pool of
+	// that size. The choice never changes the output (see
+	// internal/dispatch).
 	ParallelDispatch int
 	// SizeHint preallocates per-job storage for a stream of about this many
 	// jobs (see engine.Options.SizeHint). Zero is valid — storage grows on
@@ -184,7 +185,7 @@ func newPolicy(opt Options, alpha, gamma float64, machines, hint int) *spolicy {
 		p.slab = make(execSlab, 0, hint)
 	}
 	p.mach = make([]smachine, machines)
-	p.pool = dispatch.NewPool(dispatch.Workers(opt.ParallelDispatch, machines), machines)
+	p.pool = dispatch.NewPool(opt.ParallelDispatch, machines)
 	p.evalFn = p.evalCur
 	return p
 }

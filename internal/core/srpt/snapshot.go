@@ -17,15 +17,18 @@ var (
 	_ engine.StatefulPolicy = (*wpolicy)(nil)
 )
 
-// SnapshotTag identifies the per-machine SRPT policy wire format.
-func (p *policy) SnapshotTag() string { return "srpt/v1" }
+// SnapshotTag identifies the per-machine SRPT policy wire format. v2
+// switched the waiting index from the ostree treap to the flat implicit
+// B-tree (ostree.Flat); v1 snapshots are refused by the engine's tag check
+// rather than silently misread.
+func (p *policy) SnapshotTag() string { return "srpt/v2" }
 
 // SaveState serializes the preemption counter and each machine's waiting
-// treap. The waiting keys carry state that cannot be re-derived from the job
+// index. The waiting keys carry state that cannot be re-derived from the job
 // table — Key.P is the remaining processing time frozen at the last
-// preemption — and the least-backlog dispatch reads the treap's cached
-// volume sum, so the treap goes on the wire structurally (ostree.Snapshot)
-// for bit-exact restoration.
+// preemption — and the least-backlog dispatch reads the index's cached
+// volume sum, so the index goes on the wire structurally (ostree.Flat's
+// Snapshot) for bit-exact restoration.
 func (p *policy) SaveState(e *snapshot.Encoder) {
 	e.Int(p.res.Preemptions)
 	e.U32(uint32(len(p.mach)))
@@ -34,7 +37,7 @@ func (p *policy) SaveState(e *snapshot.Encoder) {
 	}
 }
 
-// LoadState rebuilds the waiting treaps, validating that every banked
+// LoadState rebuilds the waiting indexes, validating that every banked
 // remainder is a positive finite volume of a known job.
 func (p *policy) LoadState(d *snapshot.Decoder) error {
 	p.res.Preemptions = d.Int()
@@ -83,13 +86,15 @@ func Restore(r io.Reader, opt Options) (*Session, error) {
 	return &Session{Session: es, p: p}, nil
 }
 
-// SnapshotTag identifies the migratory weighted-SRPT policy wire format.
-func (p *wpolicy) SnapshotTag() string { return "wsrpt/v1" }
+// SnapshotTag identifies the migratory weighted-SRPT policy wire format. v2
+// switched the density pool from the ostree treap to ostree.Flat, as
+// srpt/v2 did for the waiting indexes.
+func (p *wpolicy) SnapshotTag() string { return "wsrpt/v2" }
 
 // SaveState serializes the migratory pool state: the preemption/migration
 // tallies, the dense per-job (remaining fraction, cached min-proc, last
 // machine) triples, and the global density pool — structurally, like every
-// treap in a snapshot, so the restored pool is bit-for-bit the donor's.
+// index in a snapshot, so the restored pool is bit-for-bit the donor's.
 func (p *wpolicy) SaveState(e *snapshot.Encoder) {
 	e.Int(p.res.Preemptions)
 	e.Int(p.res.Migrations)

@@ -17,11 +17,11 @@
 //   - Dispatching: at the arrival of job j, dispatch to the machine
 //     minimizing its remaining backlog plus p_ij (frozen waiting volumes,
 //     the running job's true remainder), ties to the lowest index. The
-//     argmin shards across the internal/dispatch pool like the λ-dispatch
+//     argmin runs on the internal/dispatch pool like the λ-dispatch
 //     schedulers.
 //   - Scheduling: each machine runs SRPT — a shorter arrival preempts the
 //     running job (engine Preempt), whose remainder is banked in the
-//     per-machine waiting treap; whenever a machine idles it resumes the
+//     per-machine waiting index; whenever a machine idles it resumes the
 //     waiting job with the least remaining time. No job is ever rejected
 //     and no job migrates: preempted work resumes where it stopped.
 //
@@ -42,9 +42,9 @@ import (
 // Options configures a run.
 type Options struct {
 	// ParallelDispatch sets the number of workers sharding the arrival-time
-	// least-backlog argmin: 0 selects automatically (sequential below
-	// dispatch.DefaultThreshold machines), 1 forces sequential. The choice
-	// never changes the output (see internal/dispatch).
+	// least-backlog argmin: 0 or 1 scans serially, ≥ 2 starts a worker pool
+	// of that size. The choice never changes the output (see
+	// internal/dispatch).
 	ParallelDispatch int
 	// SizeHint preallocates per-job storage for a stream of about this many
 	// jobs (see engine.Options.SizeHint). Zero is valid — storage grows on
@@ -66,7 +66,7 @@ type Result struct {
 
 // machine is the per-machine policy state (the engine owns the run state).
 type machine struct {
-	waiting *ostree.Tree // Key.P = frozen remaining processing time
+	waiting *ostree.Flat // Key.P = frozen remaining processing time
 }
 
 // policy implements engine.Policy with per-machine preemptive SRPT.
@@ -85,9 +85,9 @@ func newPolicy(opt Options, machines int) *policy {
 	p := &policy{opt: opt, res: &Result{}}
 	p.mach = make([]machine, machines)
 	for i := range p.mach {
-		p.mach[i] = machine{waiting: ostree.New(uint64(0x5e11) + uint64(i))}
+		p.mach[i] = machine{waiting: ostree.NewFlat()}
 	}
-	p.pool = dispatch.NewPool(dispatch.Workers(opt.ParallelDispatch, machines), machines)
+	p.pool = dispatch.NewPool(opt.ParallelDispatch, machines)
 	p.evalFn = p.evalCur
 	return p
 }

@@ -56,7 +56,7 @@ type WeightedResult struct {
 type wpolicy struct {
 	c       *engine.Core
 	res     *WeightedResult
-	pending *ostree.Tree // Key.P = −w/(frac·p̃) (density order), global
+	pending *ostree.Flat // Key.P = −w/(frac·p̃) (density order), global
 	// Dense per-job state, indexed by compact job index.
 	frac     []float64 // remaining fraction of the job's work, in (0,1]
 	pmin     []float64 // cached min_i p_ij
@@ -66,7 +66,7 @@ type wpolicy struct {
 func newWPolicy() *wpolicy {
 	return &wpolicy{
 		res:     &WeightedResult{},
-		pending: ostree.New(0x3197),
+		pending: ostree.NewFlat(),
 	}
 }
 

@@ -47,8 +47,9 @@ type Options struct {
 	// Epsilon ∈ (0,1): the rejected weight budget is 2ε·W.
 	Epsilon float64
 	// ParallelDispatch sets the number of workers sharding the arrival-time
-	// argmin_i λ_ij; 0 selects automatically, 1 forces sequential. The
-	// choice never changes the output (see internal/dispatch).
+	// argmin_i λ_ij: 0 or 1 scans serially, ≥ 2 starts a worker pool of
+	// that size. The choice never changes the output (see
+	// internal/dispatch).
 	ParallelDispatch int
 	// SizeHint preallocates per-job storage for a stream of about this many
 	// jobs (see engine.Options.SizeHint). Zero is valid — storage grows on
@@ -111,7 +112,7 @@ func newPolicy(opt Options, machines, hint int) *wpolicy {
 			byProc:  ostree.NewFlatHint(pendingHint(hint, machines)),
 		}
 	}
-	p.pool = dispatch.NewPool(dispatch.Workers(opt.ParallelDispatch, machines), machines)
+	p.pool = dispatch.NewPool(opt.ParallelDispatch, machines)
 	p.evalFn = p.evalCur
 	return p
 }

@@ -1,7 +1,10 @@
 // Package dispatch provides the shared arrival-time machine-selection core
-// of the λ-dispatch schedulers (internal/core/flowtime, wflow, speedscale):
-// an argmin_i f(i) over all machines, optionally sharded across a persistent
-// worker pool when the machine count is large.
+// of the λ-dispatch schedulers (internal/core/flowtime, wflow, speedscale)
+// and per-machine SRPT: an argmin_i f(i) over all machines, scanned serially
+// unless the caller asks for a persistent worker pool of two or more
+// workers. No caller asks by default: on a 2-core host the pool measured
+// about twice the serial scan's time even at 128 machines (DESIGN.md,
+// "Negative results").
 //
 // Determinism contract: ArgMin returns exactly the machine the canonical
 // sequential loop
@@ -23,43 +26,8 @@ package dispatch
 
 import (
 	"math"
-	"runtime"
 	"sync"
 )
-
-// DefaultThreshold is the machine count at which the automatic worker policy
-// (Workers with requested == 0) switches from sequential to sharded
-// dispatch. Below it, the per-arrival handoff to the pool costs more than
-// the λ evaluations it parallelizes.
-const DefaultThreshold = 32
-
-// Workers resolves a requested parallelism against the machine count:
-// 0 selects automatically — sequential below DefaultThreshold machines or
-// when GOMAXPROCS gives no parallelism, otherwise one worker per
-// DefaultThreshold/4 machines capped at GOMAXPROCS. 1 forces sequential.
-// Explicit requests ≥ 2 are honored as given (capped only at one worker per
-// machine), so tests can exercise the sharded path on any host. The result
-// is ≥ 1.
-func Workers(requested, machines int) int {
-	w := requested
-	if w == 0 {
-		p := runtime.GOMAXPROCS(0)
-		if machines < DefaultThreshold || p < 2 {
-			return 1
-		}
-		w = machines / (DefaultThreshold / 4)
-		if w > p {
-			w = p
-		}
-	}
-	if w > machines {
-		w = machines
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
 
 // Pool evaluates argmin over [0, n) on a fixed set of worker goroutines that
 // persist across calls; per-call cost is one channel send per worker plus a
@@ -79,7 +47,8 @@ type Pool struct {
 }
 
 // NewPool starts a pool of the given size for argmin calls over [0, n).
-// workers is clamped to [1, n].
+// workers is clamped to [1, n]; 0 and 1 both give the serial scan, and only
+// ≥ 2 starts goroutines.
 func NewPool(workers, n int) *Pool {
 	if workers > n {
 		workers = n
@@ -103,9 +72,6 @@ func NewPool(workers, n int) *Pool {
 	}
 	return p
 }
-
-// Parallel reports whether the pool shards across goroutines.
-func (p *Pool) Parallel() bool { return p.workers > 1 }
 
 // Close stops the worker goroutines. The pool must not be used afterwards.
 // Close on a sequential (1-worker) pool is a no-op.

@@ -3,7 +3,6 @@ package dispatch
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -79,29 +78,5 @@ func TestPoolReuseAcrossCalls(t *testing.T) {
 		if gi != wi {
 			t.Fatalf("trial %d: got %d want %d (%v)", trial, gi, wi, vals)
 		}
-	}
-}
-
-func TestWorkersPolicy(t *testing.T) {
-	if got := Workers(0, DefaultThreshold-1); got != 1 {
-		t.Fatalf("auto below threshold: got %d workers, want 1", got)
-	}
-	if got := Workers(1, 1000); got != 1 {
-		t.Fatalf("explicit sequential: got %d", got)
-	}
-	// Explicit requests are honored regardless of GOMAXPROCS so tests can
-	// drive the sharded path anywhere, capped at one worker per machine.
-	if got := Workers(4, 64); got != 4 {
-		t.Fatalf("explicit 4 workers: got %d", got)
-	}
-	if got := Workers(8, 3); got != 3 {
-		t.Fatalf("workers capped by machines: got %d", got)
-	}
-	if p := runtime.GOMAXPROCS(0); p >= 2 {
-		if got := Workers(0, 10*DefaultThreshold); got < 2 || got > p {
-			t.Fatalf("auto wide: got %d workers, want in [2,%d]", got, p)
-		}
-	} else if got := Workers(0, 10*DefaultThreshold); got != 1 {
-		t.Fatalf("auto wide on 1 cpu: got %d workers, want 1", got)
 	}
 }

@@ -14,12 +14,12 @@
 // preemption chain, so a policy cannot silently lose or duplicate work.
 //
 // The engine is consumed through a Session, a true streaming API: jobs are
-// fed one at a time in release order (Feed), simulated time advances either
-// implicitly as later jobs arrive or explicitly (AdvanceTo), and Close
-// drains the remaining events and audits the run. A batch run over a full
-// sched.Instance is just a session fed from a slice — the core packages'
-// Run functions are exactly that thin wrapper, with outputs bit-identical
-// to the pre-engine implementations.
+// fed in release order, in batches of any size (FeedBatch; Feed is a batch
+// of one), simulated time advances either implicitly as later jobs arrive
+// or explicitly (AdvanceTo), and Close drains the remaining events and
+// audits the run. A batch run over a full sched.Instance is just a session
+// fed from a slice — the core packages' Run functions are exactly that thin
+// wrapper, with outputs bit-identical to the pre-engine implementations.
 //
 // Determinism: events pop in (Time, Kind, insertion-seq) order exactly as in
 // a batch run, because a session only drains events that can no longer be

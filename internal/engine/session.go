@@ -44,39 +44,10 @@ func NewSession(pol Policy, opt Options) (*Session, error) {
 	return s, nil
 }
 
-// Feed accepts the next job of the stream. It validates the job against the
-// same structural rules as sched.Instance.Validate (machine-count-many
-// positive finite processing times, positive weight, sane release and
-// deadline, unique id, release order within Eps) and then advances the
-// simulation through every event that can no longer be preceded by a future
-// arrival. Validation errors leave the session usable; the offending job is
-// simply not admitted.
-func (s *Session) Feed(j sched.Job) error {
-	if s.closed {
-		return ErrClosed
-	}
-	c := &s.core
-	if err := sched.ValidateJob(&j, len(c.mach), s.last); err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-	if j.Release < s.floor {
-		return fmt.Errorf("engine: job %d released at %v before the AdvanceTo watermark %v", j.ID, j.Release, s.floor)
-	}
-	jk, ok := c.ids.add(j.ID)
-	if !ok {
-		return fmt.Errorf("engine: duplicate job id %d", j.ID)
-	}
-	c.jobs = append(c.jobs, j)
-	c.done = append(c.done, 0)
-	c.rec.Add()
-	c.q.Push(eventq.Event{Time: j.Release, Kind: eventq.KindArrival, Job: int32(jk), Machine: -1})
-	if j.Release > s.last {
-		s.last = j.Release
-	}
-	c.tel.Fed.Inc()
-	s.drain(s.last - sched.Eps)
-	return nil
-}
+// Feed accepts the next job of the stream: it is FeedBatch of that one job.
+// Validation errors leave the session usable; the offending job is simply
+// not admitted.
+func (s *Session) Feed(j sched.Job) error { return s.FeedBatch([]sched.Job{j}) }
 
 // feedChunk bounds how many arrivals FeedBatch admits between drains. One
 // drain per batch would be wrong-headed for huge batches: the event heap
@@ -91,19 +62,22 @@ func (s *Session) Feed(j sched.Job) error {
 // constant).
 const feedChunk = 16
 
-// FeedBatch accepts the next jobs of the stream in one call, amortizing the
-// per-job ingestion overhead: the batch is validated job by job against the
-// same rules as Feed (so release order is still checked once per job,
-// against the running watermark), per-job storage grows once for the whole
-// batch, and the simulation drains once per feedChunk admitted jobs instead
-// of once per job.
+// FeedBatch accepts the next jobs of the stream in one call. Each job is
+// validated against the same structural rules as sched.Instance.Validate
+// (machine-count-many positive finite processing times, positive weight,
+// sane release and deadline, unique id, release order within Eps, checked
+// against the running watermark) and the AdvanceTo floor. Per-job storage
+// grows once for the whole batch, and the simulation advances through every
+// event that can no longer be preceded by a future arrival once per
+// feedChunk admitted jobs and once at the end of the batch.
 //
-// FeedBatch is observably identical to feeding the same jobs one Feed call
-// at a time: the event pop order depends only on the (Time, Kind,
-// insertion-seq) total order, arrivals keep their relative feed order, and
-// kinds never compare by seq across each other — so postponing a drain to
-// any later boundary replays exactly the same event sequence, and the final
-// Outcome is bit-identical (pinned by the batch-split equivalence tests).
+// FeedBatch is observably identical however the stream is cut into
+// batches, down to one job per call: the event pop order depends only on
+// the (Time, Kind, insertion-seq) total order, arrivals keep their relative
+// feed order, and kinds never compare by seq across each other — so
+// postponing a drain to any later boundary replays exactly the same event
+// sequence, and the final Outcome is bit-identical (pinned by the
+// batch-split equivalence tests).
 //
 // On a validation error the jobs before the offending one remain admitted
 // and simulated — exactly the state a Feed loop would have left — and the

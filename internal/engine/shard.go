@@ -9,21 +9,17 @@ import (
 	"repro/internal/sched"
 )
 
-// Feeder consumes a stream of jobs in release order. engine.Session and the
-// scheduler sessions of internal/core (flowtime, wflow, speedscale, srpt)
-// all implement it.
+// Feeder consumes a stream of jobs in release order, a batch per call.
+// engine.Session and the scheduler sessions of internal/core (which embed
+// it) implement it; FeedBatch must be observably identical however the
+// stream is cut into batches.
 type Feeder interface {
-	Feed(j sched.Job) error
-}
-
-// BatchFeeder is a Feeder that can ingest a release-ordered batch of jobs in
-// one call, amortizing per-job overhead. engine.Session and the scheduler
-// sessions of internal/core all implement it; FeedBatch must be observably
-// identical to feeding the batch one Feed call at a time.
-type BatchFeeder interface {
-	Feeder
 	FeedBatch(jobs []sched.Job) error
 }
+
+// BatchFeeder is Feeder's former name, still spelled by the benchmark
+// harness (benchmark/layers.go).
+type BatchFeeder = Feeder
 
 // RouteFunc picks the shard in [0, shards) for a job. Routes must be pure:
 // the same job always lands on the same shard, so each shard observes a
@@ -146,9 +142,8 @@ type Shard struct {
 	snaps [][]byte
 }
 
-// NewShardOpts starts one worker per feeder. Feeders that implement
-// BatchFeeder (all session types in this repository) ingest each slab in one
-// FeedBatch call; plain Feeders get the slab replayed job by job.
+// NewShardOpts starts one worker per feeder; each slab reaches its feeder in
+// one FeedBatch call.
 func NewShardOpts(feeders []Feeder, opt ShardOptions) *Shard {
 	return newShard(feeders, opt.Route, slabJobs, slabCount)
 }
@@ -177,20 +172,11 @@ func newShard(feeders []Feeder, route RouteFunc, slabJobs, slabs int) *Shard {
 		sh.wg.Add(1)
 		go func(ln *shardLane, f Feeder) {
 			defer sh.wg.Done()
-			bf, batched := f.(BatchFeeder)
 			for slab := range ln.work {
 				if ln.err == nil {
 					// Past the first error order is broken; keep draining so
 					// the producer never wedges on a full lane.
-					if batched {
-						ln.err = bf.FeedBatch(slab)
-					} else {
-						for i := range slab {
-							if ln.err = f.Feed(slab[i]); ln.err != nil {
-								break
-							}
-						}
-					}
+					ln.err = f.FeedBatch(slab)
 				}
 				// The slab has left the buffer whether or not every job was
 				// admitted: Depth measures buffering, not admission.

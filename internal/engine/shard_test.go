@@ -100,15 +100,10 @@ func TestShardFeedErrorSurfacesInWait(t *testing.T) {
 	}
 }
 
-// plainFeeder hides FeedBatch so the worker takes the per-job fallback.
-type plainFeeder struct{ s *Session }
-
-func (p plainFeeder) Feed(j sched.Job) error { return p.s.Feed(j) }
-
 // TestShardOptionsMatchReference pins that the slab geometry is not
-// behaviour: one-job and never-filling slabs, one slab and many, the fixed
-// production geometry, and the per-job fallback for feeders without
-// FeedBatch all produce outcomes bit-identical to inline sequential routing.
+// behaviour: one-job and never-filling slabs, one slab and many, and the
+// fixed production geometry all produce outcomes bit-identical to inline
+// sequential routing.
 func TestShardOptionsMatchReference(t *testing.T) {
 	cfg := workload.DefaultConfig(500, 3, 5)
 	cfg.Load = 1.3
@@ -138,31 +133,24 @@ func TestShardOptionsMatchReference(t *testing.T) {
 		{4096, 4},
 		{slabJobs, slabCount},
 	}
-	for _, plain := range []bool{false, true} {
-		for _, g := range geometries {
-			sessions, feeders := shardSetup(t, K, ins.Machines)
-			if plain {
-				for k := range feeders {
-					feeders[k] = plainFeeder{sessions[k]}
-				}
-			}
-			sh := newShard(feeders, nil, g.slabJobs, g.slabs)
-			for k := range ins.Jobs {
-				if err := sh.Feed(ins.Jobs[k]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := sh.Wait(); err != nil {
+	for _, g := range geometries {
+		sessions, feeders := shardSetup(t, K, ins.Machines)
+		sh := newShard(feeders, nil, g.slabJobs, g.slabs)
+		for k := range ins.Jobs {
+			if err := sh.Feed(ins.Jobs[k]); err != nil {
 				t.Fatal(err)
 			}
-			for k, s := range sessions {
-				out, err := s.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(out, refOut[k]) {
-					t.Fatalf("geometry %+v plain=%v: shard %d outcome diverges from sequential routing", g, plain, k)
-				}
+		}
+		if err := sh.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		for k, s := range sessions {
+			out, err := s.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(out, refOut[k]) {
+				t.Fatalf("geometry %+v: shard %d outcome diverges from sequential routing", g, k)
 			}
 		}
 	}

@@ -398,18 +398,12 @@ func restoreInto(sr *snapshot.Reader, s *Session, sp StatefulPolicy) error {
 	return sr.End()
 }
 
-// KeyIndex is the read side any order-statistic pending index exposes for
-// restore-time validation: both ostree.Tree and ostree.Flat satisfy it.
-type KeyIndex interface {
-	Ascend(func(ostree.Key) bool)
-}
-
-// ValidateTreeIDs walks a restored ostree index (treap or flat) and fails
-// the decoder when a key references a job the session never fed — a later
-// IndexOf on such a key would hand the policy a -1 index and panic deep
-// inside an event handler, far from the corrupt snapshot that caused it.
-// what names the index in the error (e.g. "machine 3 pending").
-func ValidateTreeIDs(c *Core, t KeyIndex, d *snapshot.Decoder, what string) error {
+// ValidateTreeIDs walks a restored pending index and fails the decoder when
+// a key references a job the session never fed — a later IndexOf on such a
+// key would hand the policy a -1 index and panic deep inside an event
+// handler, far from the corrupt snapshot that caused it. what names the
+// index in the error (e.g. "machine 3 pending").
+func ValidateTreeIDs(c *Core, t *ostree.Flat, d *snapshot.Decoder, what string) error {
 	bad, found := 0, false
 	t.Ascend(func(k ostree.Key) bool {
 		if c.IndexOf(k.ID) < 0 {

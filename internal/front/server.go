@@ -89,12 +89,6 @@ type Config struct {
 
 	SizeHint int // expected total jobs across all streams (split per shard via engine.PerShardHint; 0 grows on demand; never changes outcomes)
 
-	// EventQueue names the engine's event-queue implementation for every
-	// shard session (engine.EventQueueHeap or engine.EventQueueCalendar;
-	// empty selects the heap). Performance-only: reports are bit-identical
-	// either way.
-	EventQueue string
-
 	// CheckpointPath roots the checkpoint lineage (snapshot.Lineage: members
 	// P.<seq>.full / P.<seq>.delta plus the manifest P.lineage); "" disables
 	// checkpointing.
@@ -309,8 +303,8 @@ func New(cfg Config) (*Server, error) {
 }
 
 // openSession constructs (restore == nil) or restores one shard's scheduler
-// session through the policy registry. Dispatch runs sequentially inside
-// each session: the shard fleet is the parallelism. sizeHint preallocates
+// session through the policy registry. Dispatch runs serially inside each
+// session: the shard fleet is the parallelism. sizeHint preallocates
 // per-job storage for a stream of about that many jobs (0 grows on demand);
 // a restored session sizes itself from the snapshot.
 func openSession(cfg *Config, sizeHint int, restore io.Reader) (policy.Session, error) {
@@ -318,7 +312,7 @@ func openSession(cfg *Config, sizeHint int, restore io.Reader) (policy.Session, 
 	if !ok {
 		return nil, fmt.Errorf("front: policy %q cannot serve (use %s)", cfg.Policy, policy.Usage())
 	}
-	p := policy.Params{Epsilon: cfg.Epsilon, Alpha: cfg.Alpha, ParallelDispatch: 1, SizeHint: sizeHint, EventQueue: cfg.EventQueue}
+	p := policy.Params{Epsilon: cfg.Epsilon, Alpha: cfg.Alpha, SizeHint: sizeHint}
 	if restore != nil {
 		return e.Restore(restore, p)
 	}
@@ -909,30 +903,9 @@ func (s *Server) doResize(to int) error {
 	old := s.sessions
 	fresh := make([]policy.Session, to)
 	fleet, err := engine.ResizeFleet(s.fleet, to, engine.ShardOptions{Route: s.route},
-		func(k int, _ engine.Feeder) error {
-			ps := old[k]
-			facts := make(map[int]jobFact, ps.Fed())
-			ps.EachFed(func(j *sched.Job) {
-				facts[j.ID] = jobFact{release: j.Release, weight: j.Weight}
-			})
-			out, err := ps.Close()
-			if err != nil {
-				return err
-			}
-			for gid, t := range out.Completed {
-				f := facts[gid]
-				s.carried = append(s.carried, verdictRow{gid: gid, release: f.release, weight: f.weight, t: t})
-			}
-			for gid, t := range out.Rejected {
-				f := facts[gid]
-				s.carried = append(s.carried, verdictRow{gid: gid, release: f.release, weight: f.weight, t: t, rejected: true})
-			}
-			for i := range out.Intervals {
-				if end := out.Intervals[i].End; end > s.carriedMakespan {
-					s.carriedMakespan = end
-				}
-			}
-			return nil
+		func(k int, _ engine.Feeder) (err error) {
+			s.carried, s.carriedMakespan, err = closeSession(old[k], s.carried, s.carriedMakespan)
+			return err
 		},
 		func(k int) (engine.Feeder, error) {
 			ps, err := openSession(&s.cfg, engine.PerShardHint(s.cfg.SizeHint, to), nil)
@@ -989,6 +962,38 @@ type jobFact struct {
 	weight  float64
 }
 
+// closeSession closes one shard session and appends a verdict row for every
+// job it completed or rejected, carrying the release and weight the session
+// was fed. It returns the grown rows and the later of makespan and the
+// session's last interval end. Call it only on a session whose shard has
+// quiesced or closed.
+func closeSession(ps policy.Session, rows []verdictRow, makespan float64) ([]verdictRow, float64, error) {
+	facts := make(map[int]jobFact, ps.Fed())
+	ps.EachFed(func(j *sched.Job) {
+		facts[j.ID] = jobFact{release: j.Release, weight: j.Weight}
+	})
+	out, err := ps.Close()
+	if err != nil {
+		return rows, makespan, err
+	}
+	for _, v := range []struct {
+		at       map[int]float64
+		rejected bool
+	}{{out.Completed, false}, {out.Rejected, true}} {
+		for gid, t := range v.at {
+			f, ok := facts[gid]
+			if !ok {
+				return rows, makespan, fmt.Errorf("front: outcome holds job %d the front door never fed", gid)
+			}
+			rows = append(rows, verdictRow{gid: gid, release: f.release, weight: f.weight, t: t, rejected: v.rejected})
+		}
+	}
+	for k := range out.Intervals {
+		makespan = max(makespan, out.Intervals[k].End)
+	}
+	return rows, makespan, nil
+}
+
 // buildReport freezes the fleet (final checkpoint when configured), closes
 // every session, and folds the outcomes and admission ledgers into the
 // deterministic report. All floating-point accumulation runs in sorted gid
@@ -1002,49 +1007,24 @@ func (s *Server) buildReport() (*Report, error) {
 	} else if err := s.fleet.Quiesce(); err != nil {
 		return nil, err
 	}
-	fed := 0
-	for _, ps := range s.sessions {
-		fed += ps.Fed()
-	}
-	facts := make(map[int]jobFact, fed)
-	for _, ps := range s.sessions {
-		ps.EachFed(func(j *sched.Job) {
-			facts[j.ID] = jobFact{release: j.Release, weight: j.Weight}
-		})
-	}
 	if err := s.fleet.Wait(); err != nil {
 		return nil, err
 	}
 
 	// Live sessions yield their outcomes now; sessions retired by a resize
-	// already folded theirs into the carried ledger (with release/weight
-	// facts attached — their sessions are gone). The union is every decided
-	// job exactly once: a gid feeds exactly one session in its lifetime.
-	rows := make([]verdictRow, 0, len(facts)+len(s.carried))
+	// already folded theirs into the carried ledger through the same
+	// closeSession. The union is every decided job exactly once: a gid
+	// feeds exactly one session in its lifetime.
+	fed := 0
+	for _, ps := range s.sessions {
+		fed += ps.Fed()
+	}
+	rows := make([]verdictRow, 0, fed+len(s.carried))
 	makespan := s.carriedMakespan
 	for _, ps := range s.sessions {
-		out, err := ps.Close()
-		if err != nil {
+		var err error
+		if rows, makespan, err = closeSession(ps, rows, makespan); err != nil {
 			return nil, err
-		}
-		for gid, t := range out.Completed {
-			f, ok := facts[gid]
-			if !ok {
-				return nil, fmt.Errorf("front: outcome holds job %d the front door never fed", gid)
-			}
-			rows = append(rows, verdictRow{gid: gid, release: f.release, weight: f.weight, t: t})
-		}
-		for gid, t := range out.Rejected {
-			f, ok := facts[gid]
-			if !ok {
-				return nil, fmt.Errorf("front: outcome holds job %d the front door never fed", gid)
-			}
-			rows = append(rows, verdictRow{gid: gid, release: f.release, weight: f.weight, t: t, rejected: true})
-		}
-		for k := range out.Intervals {
-			if end := out.Intervals[k].End; end > makespan {
-				makespan = end
-			}
 		}
 	}
 	rows = append(rows, s.carried...)

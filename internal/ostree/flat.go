@@ -3,9 +3,10 @@ package ostree
 // Flat is a cache-resident order-statistic index satisfying the same
 // contract as Tree (Insert/Delete/DeleteMin/DeleteMax/Min/Max, RankStats /
 // RankStatsVals, the P- and value-pair aggregates, Ascend) over the same
-// Key order. Where the treap chases pointers through log n randomly placed
-// nodes, Flat is an implicit B-tree laid out for the hardware prefetcher —
-// three levels, all flat slices, no pointers:
+// Key order, and it is the index every scheduler uses. Where the treap
+// chases pointers through log n randomly placed nodes, Flat is an implicit
+// B-tree laid out for the hardware prefetcher — three levels, all flat
+// slices, no pointers:
 //
 //   - The bottom level is an arena of fixed-capacity sorted leaves
 //     (leafCap keys each) addressed by dense int32 ids and recycled through
@@ -30,7 +31,7 @@ package ostree
 // delete, canonical recompute only when a leaf or group splits), so their
 // exact bits are history-dependent — Snapshot serializes all of them
 // verbatim along with the exact leaf partition, which is what the engine's
-// bit-identical-resume guarantee requires (see Tree.Snapshot for the
+// bit-identical-resume guarantee requires (see Snapshot for the
 // rationale). Counts and max keys are exact (integers and key copies) and
 // are recomputed on restore. There is no PRNG: future structure is a pure
 // function of the restored state and the operation stream.

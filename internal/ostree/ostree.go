@@ -1,18 +1,21 @@
-// Package ostree implements an order-statistic treap augmented with subtree
-// sums. It backs the per-machine pending queues of the flow-time scheduler
-// (internal/core/flowtime): at every job arrival the dispatch rule needs, for
-// a hypothetical insertion position in the shortest-processing-time order,
-// the prefix sum Σ_{ℓ≺j} p_iℓ and the count |{ℓ ≻ j}| — both O(log n) here —
-// plus delete-min (start next job) and delete-max (Rejection Rule 2).
+// Package ostree implements order-statistic indexes augmented with prefix
+// sums. They back the per-machine pending queues of the schedulers: at every
+// job arrival the flow-time dispatch rule needs, for a hypothetical
+// insertion position in the shortest-processing-time order, the prefix sum
+// Σ_{ℓ≺j} p_iℓ and the count |{ℓ ≻ j}|, plus delete-min (start next job) and
+// delete-max (Rejection Rule 2).
 //
 // Keys order by (P, Release, ID), all strict, so the order is total whenever
 // IDs are unique.
 //
 // Each element may carry an auxiliary value pair aggregated alongside the
 // P-sums (InsertVals / RankStatsVals); the weighted scheduler stores
-// (processing time, weight) there while keying by density. Nodes are
-// allocated from an internal chunked arena and recycled through a free list,
-// so steady-state insert/delete cycles do not allocate.
+// (processing time, weight) there while keying by density.
+//
+// Flat (flat.go) is the index the schedulers use and the only one with a
+// snapshot. Tree, the treap below, is the reference implementation Flat is
+// fuzzed against: its nodes come from a chunked arena recycled through a
+// free list, so steady-state insert/delete cycles do not allocate.
 package ostree
 
 // Key identifies an element in SPT order: processing time first, then

@@ -4,172 +4,18 @@ import (
 	"repro/internal/snapshot"
 )
 
-// Snapshot serializes the exact treap — not just its elements. A pre-order
-// structural walk records every node's key, heap priority, auxiliary values
-// and cached subtree aggregates, plus the tree's PRNG state.
-//
-// Fidelity at this level is what the engine's bit-identical-resume guarantee
-// needs: the cached sums are floating-point accumulations whose exact values
-// depend on the insert/delete history, and rank queries (RankStats and
-// friends) accumulate prefix sums in descent order, which depends on the
-// shape. Rebuilding "the same set" from sorted entries would reproduce
-// neither — answers could drift by an ulp and tip an argmin tie — and a
-// fresh PRNG would shape all *future* inserts differently. Restore therefore
-// reproduces shape, priorities, cached aggregates and the priority stream
-// exactly.
-func (t *Tree) Snapshot(e *snapshot.Encoder) {
-	e.U64(t.rng)
-	e.U64(uint64(t.Len()))
-	var walk func(nd *node)
-	walk = func(nd *node) {
-		var flags uint8
-		if nd.left != nil {
-			flags |= 1
-		}
-		if nd.right != nil {
-			flags |= 2
-		}
-		e.U8(flags)
-		e.F64(nd.key.P)
-		e.F64(nd.key.Release)
-		e.Int(nd.key.ID)
-		e.U64(nd.prio)
-		e.F64(nd.valA)
-		e.F64(nd.valB)
-		e.F64(nd.sumP)
-		e.F64(nd.sumA)
-		e.F64(nd.sumB)
-		if nd.left != nil {
-			walk(nd.left)
-		}
-		if nd.right != nil {
-			walk(nd.right)
-		}
-	}
-	if t.root != nil {
-		walk(t.root)
-	}
-}
+// flatGroupWire is the fixed per-group payload of Flat.Snapshot (leaf count
+// word + three cached sums); it bounds the declared group count against the
+// section size.
+const flatGroupWire = 4 + 3*8
 
-// nodeWireBytes is the per-node payload size Snapshot writes: one flags
-// byte, the key triple, the priority, and the five float fields.
-const nodeWireBytes = 1 + 3*8 + 8 + 5*8
-
-// maxRestoreDepth bounds the recursion of Restore's structural build.
-const maxRestoreDepth = 10_000
-
-// Restore reconstructs a treap serialized by Snapshot into this (empty)
-// tree. Structure is validated as it decodes — the declared node count must
-// match the walk exactly, priorities must satisfy the heap property, and
-// keys must satisfy the in-order bounds of their position — so corrupt bytes
-// fail with a positioned error instead of building a silently misbehaving
-// tree. Cached aggregates are restored verbatim: they are the donor's exact
-// state, not derived data. Counts are recomputed (integer arithmetic is
-// exact) rather than trusted from the wire.
-func (t *Tree) Restore(d *snapshot.Decoder) error {
-	if t.root != nil {
-		d.Failf("ostree: restore into a non-empty tree")
-		return d.Err()
-	}
-	rng := d.U64()
-	n := d.Count(nodeWireBytes)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	remaining := n
-	depth := 0
-	var build func(maxPrio uint64, lo, hi *Key) *node
-	build = func(maxPrio uint64, lo, hi *Key) *node {
-		if remaining == 0 {
-			d.Failf("ostree: structure walks past its declared %d nodes", n)
-			return nil
-		}
-		// Depth bound: a treap under random priorities has expected depth
-		// ~3·log₂(n) and an astronomically thin tail, but a hostile
-		// snapshot can encode a pure spine whose recursion would exhaust
-		// the goroutine stack — an unrecoverable fatal error, not an error
-		// return. 10k levels is orders of magnitude beyond any legitimate
-		// tree and a few MB of stack at worst.
-		if depth++; depth > maxRestoreDepth {
-			d.Failf("ostree: structure deeper than %d levels", maxRestoreDepth)
-			return nil
-		}
-		defer func() { depth-- }()
-		remaining--
-		flags := d.U8()
-		key := Key{P: d.F64(), Release: d.F64(), ID: d.Int()}
-		prio := d.U64()
-		valA, valB := d.F64(), d.F64()
-		sumP, sumA, sumB := d.F64(), d.F64(), d.F64()
-		if d.Err() != nil {
-			return nil
-		}
-		if flags > 3 {
-			d.Failf("ostree: invalid structure flags %#x", flags)
-			return nil
-		}
-		if prio > maxPrio {
-			d.Failf("ostree: node priority above its parent's (heap violation)")
-			return nil
-		}
-		if (lo != nil && !lo.Less(key)) || (hi != nil && !key.Less(*hi)) {
-			d.Failf("ostree: node key out of search order")
-			return nil
-		}
-		nd := t.alloc(key, valA, valB)
-		nd.prio = prio
-		if flags&1 != 0 {
-			nd.left = build(prio, lo, &nd.key)
-		}
-		if flags&2 != 0 {
-			nd.right = build(prio, &nd.key, hi)
-		}
-		if d.Err() != nil {
-			return nil
-		}
-		nd.count = 1
-		if nd.left != nil {
-			nd.count += nd.left.count
-		}
-		if nd.right != nil {
-			nd.count += nd.right.count
-		}
-		nd.sumP, nd.sumA, nd.sumB = sumP, sumA, sumB
-		return nd
-	}
-	if n > 0 {
-		t.root = build(^uint64(0), nil, nil)
-	}
-	if d.Err() != nil {
-		t.root = nil
-		return d.Err()
-	}
-	if remaining != 0 {
-		t.root = nil
-		d.Failf("ostree: structure holds %d of the declared %d nodes", n-remaining, n)
-		return d.Err()
-	}
-	t.rng = rng
-	return nil
-}
-
-// flatElemWire is the per-element payload of Flat.Snapshot: the key triple
-// plus the auxiliary value pair. flatGroupWire is the fixed per-group
-// payload (leaf count word + three cached sums); flatLeafMinWire is the
-// smallest possible serialized leaf (count word, three cached sums, one
-// element). Both bound declared counts against the section size.
-const (
-	flatElemWire    = 3*8 + 2*8
-	flatGroupWire   = 4 + 3*8
-	flatLeafMinWire = 4 + 3*8 + flatElemWire
-)
-
-// Snapshot serializes the flat index with the same fidelity contract as
-// Tree.Snapshot: enough to make every future answer of a restored index
-// bit-identical to the donor's. That means the exact leaf and group
-// partition (rank queries accumulate whole-group and whole-leaf sums, so
-// where the boundaries fall changes the float association order) and every
-// cached sum verbatim — global, per-group and per-leaf alike are
+// Snapshot serializes the flat index with enough fidelity to make every
+// future answer of a restored index bit-identical to the donor's, which is
+// what the engine's bit-identical-resume guarantee needs: an ulp of drift
+// in a cached sum can tip a later argmin tie. That means the exact leaf and
+// group partition (rank queries accumulate whole-group and whole-leaf sums,
+// so where the boundaries fall changes the float association order) and
+// every cached sum verbatim — global, per-group and per-leaf alike are
 // history-dependent incremental accumulations, not derivable from content.
 // Counts and max keys ARE derivable (integer arithmetic and key copies are
 // exact), so Restore recomputes them instead of trusting the wire. There

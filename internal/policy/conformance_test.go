@@ -2,8 +2,11 @@ package policy
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -29,7 +32,8 @@ import (
 // in either direction — must yield the batch Run's typed Result bit for bit, compared
 // with reflect.DeepEqual over every field (outcome, rule counters, rejected
 // weight, preemption and migration tallies, dual report), and a snapshot
-// must refuse to resume under a different ε/α/γ/dual echo.
+// must refuse to resume under a different ε/α/γ/dual echo or from a retired
+// wire format.
 //
 // A policy inherits all of it by being one row of suites: its package's Run,
 // NewSession and Restore, the instances that stress it, and the option sets
@@ -43,11 +47,13 @@ type suiteRow struct {
 	run    func(t *testing.T)
 }
 
-// echo is the option-echo refusal case: a snapshot taken under donor must
-// not restore under any of bad.
+// echo is the refusal case: a snapshot taken under donor must not restore
+// under any of bad, and one recorded under the policy's retired wire-format
+// tag old (testdata/<old with "/" as "_">.snap) must fail the tag check.
 type echo[O any] struct {
 	donor O
 	bad   []O
+	old   string
 }
 
 var queues = []string{engine.EventQueueHeap, engine.EventQueueCalendar}
@@ -161,9 +167,7 @@ func conform[O any, S typed[R], R any](policy string,
 								t.Fatal(err)
 							}
 						}
-						if err := s.Feed(ins.Jobs[k]); err != nil {
-							t.Fatal(err)
-						}
+						feed(t, s, ins.Jobs[k:k+1])
 					}
 					if res := finish(t, s); !reflect.DeepEqual(golden, res) {
 						t.Errorf("advance %v: streamed result diverges from batch", advance)
@@ -320,7 +324,7 @@ func conform[O any, S typed[R], R any](policy string,
 			})
 		})
 
-		if len(refuse.bad) > 0 {
+		if len(refuse.bad) > 0 || refuse.old != "" {
 			t.Run("echo", func(t *testing.T) {
 				ins := instances[0]
 				donor, snap := freeze(t, ins, refuse.donor, ins.Jobs[:100])
@@ -329,6 +333,16 @@ func conform[O any, S typed[R], R any](policy string,
 					if _, err := restore(bytes.NewReader(snap), bad); err == nil ||
 						!strings.Contains(err.Error(), "snapshot taken with") {
 						t.Errorf("option mismatch %+v accepted: %v", bad, err)
+					}
+				}
+				if refuse.old != "" {
+					snap, err := os.ReadFile(filepath.Join("testdata", strings.ReplaceAll(refuse.old, "/", "_")+".snap"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := restore(bytes.NewReader(snap), refuse.donor); err == nil ||
+						!strings.Contains(err.Error(), fmt.Sprintf("taken with policy %q", refuse.old)) {
+						t.Errorf("%s snapshot not refused by the tag check: %v", refuse.old, err)
 					}
 				}
 			})
@@ -441,10 +455,10 @@ var suites = []suiteRow{
 		}),
 	conform("srpt", srpt.Run, srpt.NewSession, srpt.Restore, preemptive(),
 		fixed(srpt.Options{}, srpt.Options{ParallelDispatch: 4}),
-		echo[srpt.Options]{}),
+		echo[srpt.Options]{old: "srpt/v1"}),
 	conform("wsrpt", srpt.RunWeighted, srpt.NewWeightedSession, srpt.RestoreWeighted, preemptive(),
 		fixed(srpt.WeightedOptions{}),
-		echo[srpt.WeightedOptions]{}),
+		echo[srpt.WeightedOptions]{old: "wsrpt/v1"}),
 }
 
 func TestConformance(t *testing.T) {

@@ -20,21 +20,18 @@ import (
 
 // Params is the union of the options the registered policies take. A policy
 // ignores the fields it has no use for (ε for the SRPT comparators, α for
-// everything but speedscale).
+// everything but speedscale). Sessions built here scan the dispatch argmin
+// serially and run on the heap event queue.
 type Params struct {
-	Epsilon float64 // rejection parameter ε
-	Alpha   float64 // power exponent α (speedscale)
-
-	// Performance-only: none of these changes an outcome.
-	ParallelDispatch int    // argmin workers (0 auto, 1 sequential)
-	SizeHint         int    // expected stream length, preallocated
-	EventQueue       string // engine.EventQueueHeap or engine.EventQueueCalendar ("" = heap)
+	Epsilon  float64 // rejection parameter ε
+	Alpha    float64 // power exponent α (speedscale)
+	SizeHint int     // expected stream length, preallocated; never changes an outcome
 }
 
 // stream is what every policy session promotes from its embedded
 // *engine.Session.
 type stream interface {
-	engine.BatchFeeder
+	engine.Feeder
 	AdvanceTo(t float64) error
 	Fed() int
 	Pending() int
@@ -61,7 +58,7 @@ type Entry struct {
 	New func(machines int, p Params) (Session, error)
 	// Restore reconstructs a session from a snapshot taken under the same
 	// ε and α (the snapshot's option echo refuses anything else); the
-	// performance-only Params may differ from the donor's.
+	// snapshot, not SizeHint, sizes the session.
 	Restore func(r io.Reader, p Params) (Session, error)
 }
 
@@ -128,31 +125,31 @@ var table = []Entry{
 	row("flowtime", sched.ValidateMode{RequireUnitSpeed: true},
 		flowtime.NewSession, flowtime.Restore,
 		func(p Params) flowtime.Options {
-			return flowtime.Options{Epsilon: p.Epsilon, ParallelDispatch: p.ParallelDispatch, SizeHint: p.SizeHint, EventQueue: p.EventQueue}
+			return flowtime.Options{Epsilon: p.Epsilon, SizeHint: p.SizeHint}
 		},
 		func(r *flowtime.Result) *sched.Outcome { return r.Outcome }),
 	row("wflow", sched.ValidateMode{RequireUnitSpeed: true},
 		wflow.NewSession, wflow.Restore,
 		func(p Params) wflow.Options {
-			return wflow.Options{Epsilon: p.Epsilon, ParallelDispatch: p.ParallelDispatch, SizeHint: p.SizeHint, EventQueue: p.EventQueue}
+			return wflow.Options{Epsilon: p.Epsilon, SizeHint: p.SizeHint}
 		},
 		func(r *wflow.Result) *sched.Outcome { return r.Outcome }),
 	row("speedscale", sched.ValidateMode{},
 		speedscale.NewSession, speedscale.Restore,
 		func(p Params) speedscale.Options {
-			return speedscale.Options{Epsilon: p.Epsilon, Alpha: p.Alpha, ParallelDispatch: p.ParallelDispatch, SizeHint: p.SizeHint, EventQueue: p.EventQueue}
+			return speedscale.Options{Epsilon: p.Epsilon, Alpha: p.Alpha, SizeHint: p.SizeHint}
 		},
 		func(r *speedscale.Result) *sched.Outcome { return r.Outcome }),
 	row("srpt", sched.ValidateMode{RequireUnitSpeed: true, AllowPreemption: true},
 		srpt.NewSession, srpt.Restore,
 		func(p Params) srpt.Options {
-			return srpt.Options{ParallelDispatch: p.ParallelDispatch, SizeHint: p.SizeHint, EventQueue: p.EventQueue}
+			return srpt.Options{SizeHint: p.SizeHint}
 		},
 		func(r *srpt.Result) *sched.Outcome { return r.Outcome }),
 	row("wsrpt", sched.ValidateMode{RequireUnitSpeed: true, AllowMigration: true},
 		srpt.NewWeightedSession, srpt.RestoreWeighted,
 		func(p Params) srpt.WeightedOptions {
-			return srpt.WeightedOptions{SizeHint: p.SizeHint, EventQueue: p.EventQueue}
+			return srpt.WeightedOptions{SizeHint: p.SizeHint}
 		},
 		func(r *srpt.WeightedResult) *sched.Outcome { return r.Outcome }),
 }

@@ -51,12 +51,6 @@ func TestRegistry(t *testing.T) {
 				t.Fatalf("batch outcome fails its own audit mode: %v", err)
 			}
 
-			bogus := p
-			bogus.EventQueue = "bogus"
-			if _, err := e.New(ins.Machines, bogus); err == nil {
-				t.Fatal("unknown event queue accepted: the row does not thread Params.EventQueue")
-			}
-
 			cut := len(ins.Jobs) / 2
 			donor, err := e.New(ins.Machines, p)
 			if err != nil {

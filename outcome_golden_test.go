@@ -10,12 +10,11 @@ import (
 )
 
 // goldenParams are the per-policy parameters of the cross-policy goldens
-// (this file and resize_golden_test.go): each paper algorithm at its own ε,
-// the shared power exponent speedscale needs (the others ignore it), and the
-// event queue under test.
-func goldenParams(name, eventQueue string) policy.Params {
+// (this file and resize_golden_test.go): each paper algorithm at its own ε
+// and the shared power exponent speedscale needs (the others ignore it).
+func goldenParams(name string) policy.Params {
 	eps := map[string]float64{"flowtime": 0.2, "wflow": 0.25, "speedscale": 0.3}
-	return policy.Params{Epsilon: eps[name], Alpha: 2, EventQueue: eventQueue}
+	return policy.Params{Epsilon: eps[name], Alpha: 2}
 }
 
 // TestDenseOutcomeGoldens pins the dense outcome-recording path (the
@@ -42,7 +41,7 @@ func TestDenseOutcomeGoldens(t *testing.T) {
 	for _, name := range policy.Names() {
 		t.Run(name, func(t *testing.T) {
 			e, _ := policy.Lookup(name)
-			p := goldenParams(name, "")
+			p := goldenParams(name)
 
 			// Golden: one session, one FeedBatch.
 			s, err := e.New(m, p)

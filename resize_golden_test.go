@@ -11,15 +11,15 @@ import (
 	"repro/internal/workload"
 )
 
-// openResizeSession constructs one shard session for the named policy with
-// the event queue under test. Parameters mirror the front door's defaults so
-// the goldens here and the serving path exercise the same session shapes.
-func openResizeSession(name string, machines int, eq string) (policy.Session, error) {
+// openResizeSession constructs one shard session for the named policy.
+// Parameters mirror the front door's defaults so the goldens here and the
+// serving path exercise the same session shapes.
+func openResizeSession(name string, machines int) (policy.Session, error) {
 	e, ok := policy.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown policy %q", name)
 	}
-	return e.New(machines, goldenParams(name, eq))
+	return e.New(machines, goldenParams(name))
 }
 
 // cutSegments slices a release-ordered stream into n contiguous segments.
@@ -39,8 +39,8 @@ func cutSegments(jobs []sched.Job, n int) [][]sched.Job {
 }
 
 // TestResizeFleetGoldens pins the resize-equivalence contract of
-// engine.ResizeFleet across all five policies and both event-queue
-// implementations: after resizing a fleet from K to K′, the post-resize
+// engine.ResizeFleet across all five policies: after resizing a fleet from
+// K to K′, the post-resize
 // segment must play out bit-identically to a fresh fleet born at K′ and fed
 // only that segment. The argument is by construction — retire closes every
 // old session (its outcome is sealed; no future job routes to it), and the
@@ -67,18 +67,16 @@ func TestResizeFleetGoldens(t *testing.T) {
 	// uses it across a resize.
 	route := engine.RouteByTenant(func(j *sched.Job) int { return j.ID })
 
-	policies := policy.Names()
-	queues := []string{engine.EventQueueHeap, engine.EventQueueCalendar}
 	chains := [][]int{{2, 3}, {3, 2}, {2, 2}, {2, 3, 2}}
 
 	// freshOutcomes runs a fleet born at shards on one segment and returns
 	// its per-shard Outcomes — the golden for that (segment, count) pair.
-	freshOutcomes := func(t *testing.T, name, eq string, shards int, seg []sched.Job) []*sched.Outcome {
+	freshOutcomes := func(t *testing.T, name string, shards int, seg []sched.Job) []*sched.Outcome {
 		t.Helper()
 		sessions := make([]policy.Session, shards)
 		feeders := make([]engine.Feeder, shards)
 		for k := range sessions {
-			s, err := openResizeSession(name, machines, eq)
+			s, err := openResizeSession(name, machines)
 			if err != nil {
 				t.Fatalf("opening fresh shard %d: %v", k, err)
 			}
@@ -102,79 +100,79 @@ func TestResizeFleetGoldens(t *testing.T) {
 		return outs
 	}
 
-	for _, eq := range queues {
-		for _, name := range policies {
-			for _, chain := range chains {
-				t.Run(fmt.Sprintf("%s/%s/%v", eq, name, chain), func(t *testing.T) {
-					segs := cutSegments(jobs, len(chain))
+	// Subtests keep their heap/ prefix: the registry's sessions all run on
+	// the heap event queue.
+	for _, name := range policy.Names() {
+		for _, chain := range chains {
+			t.Run(fmt.Sprintf("heap/%s/%v", name, chain), func(t *testing.T) {
+				segs := cutSegments(jobs, len(chain))
 
-					// The resized universe: one fleet carried through the
-					// whole chain, retiring and rebuilding at each boundary.
-					cur := make([]policy.Session, chain[0])
-					feeders := make([]engine.Feeder, chain[0])
-					for k := range cur {
-						s, err := openResizeSession(name, machines, eq)
-						if err != nil {
-							t.Fatalf("opening shard %d: %v", k, err)
-						}
-						cur[k], feeders[k] = s, s
+				// The resized universe: one fleet carried through the
+				// whole chain, retiring and rebuilding at each boundary.
+				cur := make([]policy.Session, chain[0])
+				feeders := make([]engine.Feeder, chain[0])
+				for k := range cur {
+					s, err := openResizeSession(name, machines)
+					if err != nil {
+						t.Fatalf("opening shard %d: %v", k, err)
 					}
-					fleet := engine.NewShardOpts(feeders, engine.ShardOptions{Route: route})
+					cur[k], feeders[k] = s, s
+				}
+				fleet := engine.NewShardOpts(feeders, engine.ShardOptions{Route: route})
 
-					got := make([][]*sched.Outcome, len(chain))
-					for i := range chain {
-						if err := fleet.FeedBatch(segs[i]); err != nil {
-							t.Fatalf("segment %d: feeding: %v", i, err)
-						}
-						got[i] = make([]*sched.Outcome, chain[i])
-						if i+1 < len(chain) {
-							next := make([]policy.Session, chain[i+1])
-							var err error
-							fleet, err = engine.ResizeFleet(fleet, chain[i+1], engine.ShardOptions{Route: route},
-								func(k int, _ engine.Feeder) error {
-									out, err := cur[k].Close()
-									if err != nil {
-										return err
-									}
-									got[i][k] = out
-									return nil
-								},
-								func(k int) (engine.Feeder, error) {
-									s, err := openResizeSession(name, machines, eq)
-									if err != nil {
-										return nil, err
-									}
-									next[k] = s
-									return s, nil
-								})
-							if err != nil {
-								t.Fatalf("segment %d: resize %d→%d: %v", i, chain[i], chain[i+1], err)
-							}
-							cur = next
-						} else {
-							if err := fleet.Wait(); err != nil {
-								t.Fatalf("closing final fleet: %v", err)
-							}
-							for k, s := range cur {
-								out, err := s.Close()
+				got := make([][]*sched.Outcome, len(chain))
+				for i := range chain {
+					if err := fleet.FeedBatch(segs[i]); err != nil {
+						t.Fatalf("segment %d: feeding: %v", i, err)
+					}
+					got[i] = make([]*sched.Outcome, chain[i])
+					if i+1 < len(chain) {
+						next := make([]policy.Session, chain[i+1])
+						var err error
+						fleet, err = engine.ResizeFleet(fleet, chain[i+1], engine.ShardOptions{Route: route},
+							func(k int, _ engine.Feeder) error {
+								out, err := cur[k].Close()
 								if err != nil {
-									t.Fatalf("sealing final shard %d: %v", k, err)
+									return err
 								}
 								got[i][k] = out
+								return nil
+							},
+							func(k int) (engine.Feeder, error) {
+								s, err := openResizeSession(name, machines)
+								if err != nil {
+									return nil, err
+								}
+								next[k] = s
+								return s, nil
+							})
+						if err != nil {
+							t.Fatalf("segment %d: resize %d→%d: %v", i, chain[i], chain[i+1], err)
+						}
+						cur = next
+					} else {
+						if err := fleet.Wait(); err != nil {
+							t.Fatalf("closing final fleet: %v", err)
+						}
+						for k, s := range cur {
+							out, err := s.Close()
+							if err != nil {
+								t.Fatalf("sealing final shard %d: %v", k, err)
 							}
+							got[i][k] = out
 						}
 					}
+				}
 
-					// Every segment of the chain must match a fleet born at
-					// that segment's count and fed only that segment.
-					for i, K := range chain {
-						want := freshOutcomes(t, name, eq, K, segs[i])
-						if !reflect.DeepEqual(got[i], want) {
-							t.Fatalf("segment %d (fleet of %d): resized fleet's outcomes differ from a %d-born fleet fed the same segment", i, K, K)
-						}
+				// Every segment of the chain must match a fleet born at
+				// that segment's count and fed only that segment.
+				for i, K := range chain {
+					want := freshOutcomes(t, name, K, segs[i])
+					if !reflect.DeepEqual(got[i], want) {
+						t.Fatalf("segment %d (fleet of %d): resized fleet's outcomes differ from a %d-born fleet fed the same segment", i, K, K)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
