@@ -47,10 +47,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -63,7 +63,6 @@ import (
 	"repro/internal/front"
 	"repro/internal/obs"
 	"repro/internal/policy"
-	"repro/internal/snapshot"
 )
 
 func main() {
@@ -99,12 +98,13 @@ func main() {
 		crashAtResize = flag.String("crash-at-resize", "", "fault injection: exit 137 at this resize point (pre|mid|post)")
 
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (empty disables telemetry)")
-		progress  = flag.Duration("progress", 0, "print a periodic status line to stderr (0 disables; needs -debug-addr)")
+		progress  = flag.Duration("progress", 0, "print a periodic status line to stderr (0 disables)")
 	)
 	flag.Parse()
 
+	lg := log.New(os.Stderr, "schedserve: ", 0)
 	var reg *obs.Registry
-	if *debugAddr != "" {
+	if *debugAddr != "" || *progress > 0 {
 		reg = obs.NewRegistry()
 	}
 
@@ -136,40 +136,7 @@ func main() {
 		Obs:              reg,
 	}
 
-	var (
-		srv *front.Server
-		err error
-	)
-	if *resume != "" {
-		// Recover the newest intact payload, falling back along the chain
-		// past torn or corrupt members, and restore from the reassembled
-		// bytes.
-		payload, info, rerr := snapshot.RecoverLineage(*resume)
-		if rerr != nil {
-			fatal(rerr)
-		}
-		if info.FellBack {
-			fmt.Fprintf(os.Stderr, "schedserve: lineage fell back to seq %d (%d newer checkpoints dropped as corrupt)\n",
-				info.Seq, info.Dropped)
-		}
-		if reg != nil {
-			// Seed the recovery counters so the first scrape already tells
-			// the story of how this process came back.
-			if info.FellBack {
-				reg.Counter("lineage_fallbacks_total").Inc()
-			}
-			reg.Counter("lineage_dropped_total").Add(int64(info.Dropped))
-			reg.Counter("lineage_deltas_applied_total").Add(int64(info.Applied))
-			reg.Gauge("lineage_recovered_seq").Set(float64(info.Seq))
-		}
-		srv, err = front.Restore(cfg, snapshot.InPlace(payload))
-		if err == nil {
-			fmt.Fprintf(os.Stderr, "schedserve: resumed from %s: %d fed, %d pre-rejected\n",
-				*resume, srv.Stats().Fed, srv.Stats().PreRejected)
-		}
-	} else {
-		srv, err = front.New(cfg)
-	}
+	srv, err := front.Open(cfg, *resume, lg)
 	if err != nil {
 		fatal(err)
 	}
@@ -190,9 +157,9 @@ func main() {
 		}()
 		fmt.Fprintf(os.Stderr, "schedserve: telemetry on %s (/metrics, /debug/vars, /debug/pprof)\n", *debugAddr)
 	}
-	stopProgress := make(chan struct{})
-	if *progress > 0 && reg != nil {
-		go progressLoop(reg, srv, *progress, stopProgress)
+	stopProgress := func() {}
+	if *progress > 0 {
+		stopProgress = srv.Progress(lg, *progress)
 	}
 
 	sigC := make(chan os.Signal, 1)
@@ -207,14 +174,12 @@ func main() {
 	// Graceful drain: the front door refuses new streams, finishes verdicts,
 	// quiesces the fleet, writes the final checkpoint, and the report goes to
 	// stdout — then the HTTP listener closes.
-	close(stopProgress)
 	rep, err := srv.Drain()
+	stopProgress()
 	if err != nil {
 		fatal(err)
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
+	if err := rep.WriteIndented(os.Stdout); err != nil {
 		fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -247,35 +212,6 @@ func debugMux(reg *obs.Registry) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// progressLoop prints one status line per interval from the registry's
-// counters — fed/shed totals, events per second, sequencer busy
-// fraction — until stopped.
-func progressLoop(reg *obs.Registry, srv *front.Server, every time.Duration, stop <-chan struct{}) {
-	tick := time.NewTicker(every)
-	defer tick.Stop()
-	fed := reg.Counter("front_fed_total")
-	shed := reg.Counter("front_prerejected_total")
-	events := reg.Counter("engine_events_total")
-	busy := reg.Counter("front_sequencer_busy_ns_total")
-	lastEvents, lastBusy := int64(0), int64(0)
-	last := time.Now()
-	for {
-		select {
-		case <-stop:
-			return
-		case now := <-tick.C:
-			wall := now.Sub(last)
-			ev, bz := events.Value(), busy.Value()
-			st := srv.Stats()
-			fmt.Fprintf(os.Stderr, "schedserve: progress fed=%d shed=%d depth=%d events/s=%.0f busy=%.2f state=%s\n",
-				fed.Value(), shed.Value(), st.Depth,
-				float64(ev-lastEvents)/wall.Seconds(),
-				float64(bz-lastBusy)/float64(wall), st.State)
-			lastEvents, lastBusy, last = ev, bz, now
-		}
-	}
 }
 
 func fatal(err error) {

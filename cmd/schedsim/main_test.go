@@ -1,0 +1,187 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/front"
+	"repro/internal/trace"
+	"repro/internal/workload"
+)
+
+// writeTrace writes a generated NDJSON trace (header α = 2, as tracegen
+// stamps it) to a temp file and returns its path.
+func writeTrace(t *testing.T, n int, seed int64, weighted bool) string {
+	t.Helper()
+	cfg := workload.DefaultConfig(n, 4, seed)
+	cfg.Load = 1.2
+	cfg.Weighted = weighted
+	ins := workload.Random(cfg)
+	ins.Alpha = 2
+	var buf bytes.Buffer
+	if err := trace.WriteInstanceNDJSON(&buf, ins); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.ndjson")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// schedsim runs the command and returns its exit status, stdout and stderr.
+func schedsim(args ...string) (int, string, string) {
+	var stdout, stderr bytes.Buffer
+	code := run(args, strings.NewReader(""), &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+func TestFrontConfig(t *testing.T) {
+	feed, err := front.NewFeed(strings.NewReader(`{"machines":3,"alpha":2.5,"jobs":7}` + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := options{policy: "speedscale", eps: 0.3, ckpt: "ck", ckptEvery: 5, ckptDeltas: 2, ckptKeep: 3, stopAfter: 9}
+	got := o.frontConfig(feed)
+	want := front.Config{
+		Policy: "speedscale", Epsilon: 0.3, Alpha: 2.5, Machines: 3, SizeHint: 7,
+		CheckpointPath: "ck", CheckpointEvery: 5, CheckpointDeltas: 2, CheckpointKeep: 3,
+		AckTimeout: time.Hour,
+	}
+	if got != want {
+		t.Fatalf("-alpha 0:\n got %+v\nwant %+v", got, want)
+	}
+	o.alpha, o.progress = 3, time.Second
+	got = o.frontConfig(feed)
+	if got.Alpha != 3 || got.Obs == nil {
+		t.Fatalf("-alpha 3 -progress 1s: α %v, registry %v", got.Alpha, got.Obs)
+	}
+}
+
+// drainOverHTTP feeds the trace at path to a fresh front.Server as tenant 0
+// through its HTTP handler and returns the drained report as schedserve
+// prints it.
+func drainOverHTTP(t *testing.T, cfg front.Config, path string) string {
+	t.Helper()
+	srv, err := front.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	body, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer body.Close()
+	resp, err := http.Post(ts.URL+"/v1/feed?tenant=0", "application/x-ndjson", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acks, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || !bytes.HasSuffix(acks, []byte(`{"done":true}`+"\n")) {
+		t.Fatalf("feed did not finish cleanly (%v): ...%s", err, acks[max(0, len(acks)-200):])
+	}
+	resp, err = http.Post(ts.URL+"/v1/drain", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var rep front.Report
+	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.MarshalIndent(&rep, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out) + "\n"
+}
+
+// TestStreamMatchesServer: schedsim -stream prints the bytes a front.Server
+// fed the same trace over HTTP drains to.
+func TestStreamMatchesServer(t *testing.T) {
+	for _, tc := range []struct {
+		policy   string
+		eps      float64
+		weighted bool
+	}{
+		{"flowtime", 0.2, false},
+		{"wsrpt", 0.2, true},
+		{"speedscale", 0.3, true},
+	} {
+		t.Run(tc.policy, func(t *testing.T) {
+			path := writeTrace(t, 1500, 5, tc.weighted)
+			code, got, stderr := schedsim("-stream", "-policy", tc.policy, "-eps", fmt.Sprint(tc.eps), path)
+			if code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr)
+			}
+			want := drainOverHTTP(t, front.Config{Policy: tc.policy, Epsilon: tc.eps, Alpha: 2, Machines: 4}, path)
+			if got != want {
+				t.Fatalf("schedsim -stream report differs from the server's:\n got %s\nwant %s", got, want)
+			}
+		})
+	}
+}
+
+// TestStopResumeMatchesStraightRun: -stop-after drains to a checkpoint and
+// prints nothing; -resume replays the trace and prints the straight run's
+// report, and a replay that is not the checkpointed trace fails.
+func TestStopResumeMatchesStraightRun(t *testing.T) {
+	path := writeTrace(t, 2000, 1, false)
+	ck := filepath.Join(t.TempDir(), "ck")
+	_, straight, _ := schedsim("-stream", "-policy", "flowtime", path)
+
+	code, out, stderr := schedsim("-stream", "-policy", "flowtime", "-checkpoint", ck, "-checkpoint-every", "300", "-stop-after", "1000", path)
+	if code != 0 || out != "" || !strings.Contains(stderr, "stopped after 1000 jobs") {
+		t.Fatalf("stop: exit %d, stdout %q, stderr %q", code, out, stderr)
+	}
+	code, resumed, stderr := schedsim("-stream", "-policy", "flowtime", "-resume", ck, path)
+	if code != 0 || resumed != straight {
+		t.Fatalf("resume: exit %d (%s), report\n%s\nwant\n%s", code, stderr, resumed, straight)
+	}
+
+	for name, trace := range map[string]string{
+		"shorter":    writeTrace(t, 800, 1, false),
+		"other-seed": writeTrace(t, 2000, 2, false),
+	} {
+		code, _, stderr := schedsim("-stream", "-policy", "flowtime", "-resume", ck, trace)
+		if code != 1 || !strings.Contains(stderr, "resuming against a different trace?") {
+			t.Errorf("%s trace: exit %d, stderr %q", name, code, stderr)
+		}
+	}
+}
+
+// TestResumeRefusesBareSessionCheckpoint: testdata/bare.ck is the lineage
+// an older schedsim -stream left at -stop-after 20 on testdata/bare40.ndjson
+// — a bare engine session, not a front-door container.
+func TestResumeRefusesBareSessionCheckpoint(t *testing.T) {
+	code, _, stderr := schedsim("-stream", "-policy", "flowtime", "-resume", "testdata/bare.ck", "testdata/bare40.ndjson")
+	if code != 1 || !strings.Contains(stderr, "bare-session checkpoint from an older schedsim -stream") {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+}
+
+func TestStreamRefusals(t *testing.T) {
+	for _, args := range [][]string{
+		{"-stream", "-dump", "out.json"},
+		{"-stream", "-gantt"},
+		{"-stream", "-batch", "1"},
+		{"-stream", "-stop-after", "5"},
+		{"-stream", "-policy", "greedy"},
+	} {
+		if code, _, _ := schedsim(args...); code != 2 {
+			t.Errorf("schedsim %v: exit %d, want 2", args, code)
+		}
+	}
+}

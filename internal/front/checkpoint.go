@@ -3,6 +3,7 @@ package front
 import (
 	"fmt"
 	"io"
+	"log"
 
 	"repro/internal/admission"
 	"repro/internal/engine"
@@ -116,9 +117,18 @@ func Restore(cfg Config, r io.Reader) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := sr.Section(tagFront)
-	if err != nil {
+	// The first section names the writer. "SESS" opens a bare engine session
+	// container, what schedsim -stream checkpointed before it drove a Server.
+	tag, d, err := sr.Next()
+	switch {
+	case err == io.EOF:
+		return nil, fmt.Errorf("snapshot: want section %q, stream already ended", tagFront)
+	case err != nil:
 		return nil, err
+	case tag == "SESS":
+		return nil, fmt.Errorf("front: this is a bare-session checkpoint from an older schedsim -stream, which this build cannot resume; start the run over")
+	case tag != tagFront:
+		return nil, fmt.Errorf("snapshot: want section %q, found %q", tagFront, tag)
 	}
 	polName := d.Str()
 	machines := int(d.U32())
@@ -278,5 +288,33 @@ func Restore(cfg Config, r io.Reader) (*Server, error) {
 		s.adm.RestoreTenant(t)
 	}
 	go s.sequence()
+	return s, nil
+}
+
+// Open builds a fresh server, or with resume set restores one from the newest
+// intact checkpoint of the lineage rooted there, falling back along the chain
+// past torn or corrupt members. The fallback and the restored counts are
+// logged through lg; with Config.Obs set the lineage_* metrics are seeded, so
+// the first scrape already tells how this process came back.
+func Open(cfg Config, resume string, lg *log.Logger) (*Server, error) {
+	if resume == "" {
+		return New(cfg)
+	}
+	payload, info, err := snapshot.RecoverLineage(resume)
+	if err != nil {
+		return nil, err
+	}
+	if info.FellBack {
+		lg.Printf("lineage fell back to seq %d (%d newer checkpoints dropped as corrupt)", info.Seq, info.Dropped)
+		cfg.Obs.Counter("lineage_fallbacks_total").Inc()
+	}
+	cfg.Obs.Counter("lineage_dropped_total").Add(int64(info.Dropped))
+	cfg.Obs.Counter("lineage_deltas_applied_total").Add(int64(info.Applied))
+	cfg.Obs.Gauge("lineage_recovered_seq").Set(float64(info.Seq))
+	s, err := Restore(cfg, snapshot.InPlace(payload))
+	if err != nil {
+		return nil, fmt.Errorf("resuming from %s: %w", resume, err)
+	}
+	lg.Printf("resumed from %s: %d fed, %d pre-rejected", resume, s.fedN.Value(), s.preRejN.Value())
 	return s, nil
 }

@@ -10,9 +10,6 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/sched"
-	"repro/internal/trace"
 )
 
 // Handler serves the front door's wire protocol (documented in
@@ -76,23 +73,15 @@ func writeAcks(acks <-chan Ack, w io.Writer, flush func() error) error {
 
 // deadlineReader arms the connection's read deadline before every read of
 // the request body, so the timeout bounds each wait on the client and frames
-// already buffered cost nothing. Every read may block on the socket, so it
-// first runs beforeRead, when set: the parser's hand-off of the jobs it has
-// decoded so far, so no job waits on the client's next bytes.
+// already buffered cost nothing.
 type deadlineReader struct {
-	body       io.Reader
-	rc         *http.ResponseController
-	timeout    time.Duration
-	expired    atomic.Bool
-	beforeRead func() error
+	body    io.Reader
+	rc      *http.ResponseController
+	timeout time.Duration
+	expired atomic.Bool
 }
 
 func (d *deadlineReader) Read(p []byte) (int, error) {
-	if d.beforeRead != nil {
-		if err := d.beforeRead(); err != nil {
-			return 0, err
-		}
-	}
 	d.rc.SetReadDeadline(time.Now().Add(d.timeout))
 	if d.expired.Load() {
 		// expire ran before or during the arming above, which may have
@@ -107,10 +96,6 @@ func (d *deadlineReader) expire() {
 	d.expired.Store(true)
 	d.rc.SetReadDeadline(time.Now())
 }
-
-// feedBatch is the most parsed jobs a feed connection holds before handing
-// them to its stream.
-const feedBatch = 64
 
 // handleFeed is the ingestion endpoint: it parses the tenant's NDJSON
 // stream through the strict reader (duplicate ids and release dips are
@@ -139,16 +124,15 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 	// parser. (HTTP/2 is duplex by nature; an unsupported error is fine.)
 	rc.EnableFullDuplex()
 	body := &deadlineReader{body: r.Body, rc: rc, timeout: s.cfg.ReadTimeout}
-	nr, err := trace.NewNDJSONReader(body)
+	feed, err := NewFeed(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if nr.Machines() != s.cfg.Machines {
-		httpError(w, http.StatusBadRequest, "stream header declares %d machines, server runs %d", nr.Machines(), s.cfg.Machines)
+	if feed.Machines() != s.cfg.Machines {
+		httpError(w, http.StatusBadRequest, "stream header declares %d machines, server runs %d", feed.Machines(), s.cfg.Machines)
 		return
 	}
-	nr = nr.Strict()
 	st, err := s.OpenStream(tenant)
 	switch {
 	case errors.Is(err, ErrTenantBusy):
@@ -168,45 +152,12 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 
 	// The parser goroutine owns the request body (and its read deadline);
 	// this goroutine owns the response. parseErr is read only after
-	// parserDone closes. Parsed jobs are handed to the stream in batches:
-	// when feedBatch of them are ready, and before every read of the body.
+	// parserDone closes.
 	var parseErr error
 	parserDone := make(chan struct{})
-	batch := make([]sched.Job, 0, feedBatch)
-	var pushErr error // the stream refused a batch: killed or draining
-	handOff := func() error {
-		if len(batch) > 0 && pushErr == nil {
-			pushErr = st.PushBatch(batch)
-			batch = batch[:0]
-		}
-		return pushErr
-	}
-	body.beforeRead = handOff
 	go func() {
 		defer close(parserDone)
-		for {
-			j, err := nr.Next()
-			if err != nil {
-				switch {
-				case handOff() != nil:
-					// Stream killed or server draining; the ack loop
-					// reports it.
-				case errors.Is(err, io.EOF):
-					st.CloseSend()
-				case st.Err() != nil:
-					// The stream was already killed or drained and the read
-					// below was cut short to unblock this goroutine; the real
-					// error is the stream's, not this read's.
-				default:
-					parseErr = err
-					st.Abort()
-				}
-				return
-			}
-			if batch = append(batch, j); len(batch) == feedBatch && handOff() != nil {
-				return
-			}
-		}
+		_, parseErr = feed.Into(st, 0)
 	}()
 
 	writeErr := writeAcks(st.Acks(), w, rc.Flush)

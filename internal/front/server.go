@@ -52,6 +52,7 @@
 package front
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -1197,6 +1198,14 @@ type Report struct {
 	Makespan       float64 `json:"makespan"`
 
 	Tenants []TenantReport `json:"tenants"`
+}
+
+// WriteIndented writes the report as indented JSON, the form both commands
+// print.
+func (r *Report) WriteIndented(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r)
 }
 
 // TenantReport is one tenant's slice of the report.

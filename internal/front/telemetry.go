@@ -1,9 +1,11 @@
 package front
 
 import (
+	"log"
 	"strconv"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
@@ -97,6 +99,46 @@ func newServerObs(r *obs.Registry, s *Server) *serverObs {
 // fleet-wide; the depth gauge is per shard.
 func (s *Server) shardTelemetry(k int) engine.Telemetry {
 	return engine.NewTelemetry(s.cfg.Obs, strconv.Itoa(k))
+}
+
+// Progress logs a status line through lg every interval — fed and shed
+// totals, admission depth, engine events per second, sequencer busy fraction,
+// admission state — until the returned stop is called, which logs one last
+// line (so a run shorter than the interval still leaves one) and returns once
+// it has landed. It reads only atomics, never the sequencer's state. Depth,
+// events and busy come from Config.Obs and read 0 without it.
+func (s *Server) Progress(lg *log.Logger, every time.Duration) (stop func()) {
+	reg := s.cfg.Obs
+	events, busy, depth := reg.Counter("engine_events_total"), reg.Counter("front_sequencer_busy_ns_total"), reg.Gauge("front_depth")
+	lastEvents, lastBusy, last := int64(0), int64(0), time.Now()
+	emit := func(now time.Time) {
+		wall := max(now.Sub(last), time.Nanosecond)
+		ev, bz := events.Value(), busy.Value()
+		lg.Printf("progress fed=%d shed=%d depth=%d events/s=%.0f busy=%.2f state=%s",
+			s.fedN.Value(), s.preRejN.Value(), int64(depth.Value()),
+			float64(ev-lastEvents)/wall.Seconds(), float64(bz-lastBusy)/float64(wall),
+			admission.State(s.lastState.Load()))
+		lastEvents, lastBusy, last = ev, bz, now
+	}
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(every)
+		defer tick.Stop()
+		for {
+			select {
+			case <-quit:
+				emit(time.Now())
+				return
+			case now := <-tick.C:
+				emit(now)
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
+	}
 }
 
 // sendAck delivers one verdict, timing it when telemetry is on. The

@@ -197,34 +197,6 @@ func (r *NDJSONReader) firstSeen(id int) (line int, ok bool) {
 	return line, ok
 }
 
-// NextBatch appends up to max jobs (≤ 0 selects 256) from the trace to buf
-// and returns the extended slice — the batched counterpart of Next, sized
-// for feeding engine sessions via FeedBatch with one call per slab. The
-// final partial batch comes back together with io.EOF, so the canonical loop
-// feeds first and stops after:
-//
-//	for {
-//		batch, err := r.NextBatch(batch[:0], 512)
-//		feed(batch)
-//		if err != nil { break } // io.EOF, or a permanent decode error
-//	}
-//
-// Any non-EOF error is positioned (line number) and permanent; jobs decoded
-// before the error are still appended and are valid to feed.
-func (r *NDJSONReader) NextBatch(buf []sched.Job, max int) ([]sched.Job, error) {
-	if max <= 0 {
-		max = 256
-	}
-	for n := 0; n < max; n++ {
-		j, err := r.Next()
-		if err != nil {
-			return buf, err
-		}
-		buf = append(buf, j)
-	}
-	return buf, nil
-}
-
 // strictUnmarshal decodes one JSON value rejecting unknown fields and
 // trailing garbage, matching the batch decoder's strictness.
 func strictUnmarshal(b []byte, v any) error {

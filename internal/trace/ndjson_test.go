@@ -139,63 +139,6 @@ func TestNDJSONWriterMatchesJSON(t *testing.T) {
 	}
 }
 
-// TestNextBatchMatchesNext pins the batched reader against the per-job one:
-// every slab size reassembles the identical job sequence, the final partial
-// slab arrives together with io.EOF, and a drained reader keeps returning
-// io.EOF with no jobs.
-func TestNextBatchMatchesNext(t *testing.T) {
-	cfg := workload.DefaultConfig(130, 3, 11)
-	ins := workload.Random(cfg)
-	var raw bytes.Buffer
-	if err := WriteInstanceNDJSON(&raw, ins); err != nil {
-		t.Fatal(err)
-	}
-
-	ref, err := NewNDJSONReader(bytes.NewReader(raw.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []sched.Job
-	for {
-		j, err := ref.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, j)
-	}
-
-	for _, size := range []int{1, 7, 64, 1000, 0 /* default */} {
-		r, err := NewNDJSONReader(bytes.NewReader(raw.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []sched.Job
-		batch := make([]sched.Job, 0, 16)
-		sawEOF := false
-		for !sawEOF {
-			batch, err = r.NextBatch(batch[:0], size)
-			if err == io.EOF {
-				sawEOF = true
-			} else if err != nil {
-				t.Fatalf("size %d: %v", size, err)
-			}
-			got = append(got, batch...)
-			if size > 0 && len(batch) > size {
-				t.Fatalf("size %d: batch of %d jobs", size, len(batch))
-			}
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("size %d: batched read diverges (%d vs %d jobs)", size, len(got), len(want))
-		}
-		if more, err := r.NextBatch(nil, 4); err != io.EOF || len(more) != 0 {
-			t.Fatalf("size %d: drained reader returned %d jobs, err %v", size, len(more), err)
-		}
-	}
-}
-
 func TestNDJSONRoundTrip(t *testing.T) {
 	cfg := workload.DefaultConfig(80, 3, 5)
 	cfg.Weighted = true

@@ -144,8 +144,8 @@ func canonicalTrace(t testing.TB, n, machines int) []byte {
 // TestSlabRowsNeverAlias pins the slab's safety rules: rows of consecutive
 // jobs are disjoint with capacity clipped to machines (an append on one
 // copies instead of writing into its neighbour), a declined or refused line
-// neither consumes a row nor disturbs a committed one, and jobs from
-// NextBatch keep their values after the reader moves on to later slabs.
+// neither consumes a row nor disturbs a committed one, and jobs keep their
+// values after the reader moves on to later slabs.
 func TestSlabRowsNeverAlias(t *testing.T) {
 	const machines = 3
 	in := `{"machines":3}
@@ -200,7 +200,7 @@ func TestSlabRowsNeverAlias(t *testing.T) {
 		}
 	}
 
-	// Across slabs: a batch spanning three slabs, re-read after the reader
+	// Across slabs: every job of a four-slab trace, re-read after the reader
 	// has gone on to allocate more.
 	const n = 4*slabRows + 17
 	raw := canonicalTrace(t, n, machines)
@@ -212,15 +212,18 @@ func TestSlabRowsNeverAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := r.NextBatch(nil, 2*slabRows+5)
-	if err != nil {
-		t.Fatal(err)
+	var got []sched.Job
+	for {
+		j, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, j)
 	}
-	rest, err := r.NextBatch(nil, n)
-	if err != io.EOF {
-		t.Fatalf("second batch: err = %v, want io.EOF", err)
-	}
-	for k, j := range append(first, rest...) {
+	for k, j := range got {
 		if fmt.Sprint(j) != fmt.Sprint(want.Jobs[k]) {
 			t.Fatalf("job %d = %v, want %v", k, j, want.Jobs[k])
 		}
