@@ -58,108 +58,98 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/admission"
-	"repro/internal/chaos"
 	"repro/internal/front"
 	"repro/internal/obs"
 	"repro/internal/policy"
 )
 
+// options is schedserve's command line: the front door's Config, bound
+// flag by flag, plus what the process itself serves and resumes from.
+type options struct {
+	cfg       front.Config
+	listen    string
+	resume    string
+	debugAddr string
+	progress  time.Duration
+}
+
+// parseFlags maps the command line onto options. Telemetry is on — Obs is a
+// fresh registry — when -debug-addr serves it or -progress prints from it.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	cfg := &o.cfg
+	fs.StringVar(&o.listen, "listen", ":8080", "HTTP listen address")
+	fs.StringVar(&cfg.Policy, "policy", "flowtime", policy.Usage())
+	fs.Float64Var(&cfg.Epsilon, "eps", 0.2, "scheduler rejection parameter ε")
+	fs.Float64Var(&cfg.Alpha, "alpha", 0, "power exponent (speedscale)")
+	fs.IntVar(&cfg.Machines, "machines", 8, "machines per shard session")
+	fs.IntVar(&cfg.Shards, "shards", 1, "scheduler shard count")
+	fs.IntVar(&cfg.SizeHint, "size-hint", 0, "expected total jobs across all streams (preallocation hint, 0 grows on demand)")
+
+	adm := &cfg.Admission
+	fs.IntVar(&adm.ThrottleDepth, "throttle-depth", 0, "depth watermark: accept → throttle (0 disables)")
+	fs.IntVar(&adm.RejectDepth, "reject-depth", 0, "depth watermark: throttle → pre-reject (0 disables)")
+	fs.IntVar(&adm.ResumeDepth, "resume-depth", 0, "hysteresis floor back to accept (0: half the low watermark)")
+	fs.Float64Var(&adm.Epsilon, "adm-eps", 0, "per-tenant pre-rejection budget rate (ε·fed weight)")
+	fs.Float64Var(&adm.Burst, "adm-burst", 0, "initial per-tenant pre-rejection allowance (weight)")
+	fs.Float64Var(&adm.MaxQueuedWeight, "max-queued-weight", 0, "per-tenant queued-weight cap (0: unlimited)")
+
+	fs.IntVar(&cfg.QueueDepth, "queue-depth", 256, "per-stream sequencer queue depth (jobs)")
+	fs.IntVar(&cfg.AwaitTenants, "await-tenants", 0, "hold the merge until this many tenants connect")
+	fs.DurationVar(&cfg.ReadTimeout, "read-timeout", 30*time.Second, "deadline of each read on a feed connection")
+	fs.DurationVar(&cfg.ThrottleDelay, "throttle-delay", time.Millisecond, "per-job intake delay while throttling")
+
+	fs.StringVar(&cfg.CheckpointPath, "checkpoint", "", "root a checkpoint lineage at this path (P.N.full, P.N.delta, P.lineage)")
+	fs.IntVar(&cfg.CheckpointEvery, "checkpoint-every", 0, "checkpoint every N fed jobs (0: resizes and final drain only)")
+	fs.IntVar(&cfg.CheckpointDeltas, "checkpoint-deltas", 0, "up to N delta checkpoints between fulls (0: fulls only)")
+	fs.IntVar(&cfg.CheckpointKeep, "checkpoint-keep", 0, "retain only the newest N full generations (0: 2)")
+	fs.StringVar(&o.resume, "resume", "", "restore the server from the checkpoint lineage rooted at this path before serving")
+
+	fs.IntVar(&cfg.Stall.Every, "stall-every", 0, "fault injection: stall each shard feeder every N jobs (0 disables)")
+	fs.DurationVar(&cfg.Stall.Delay, "stall-delay", 0, "fault injection: stall duration")
+	fs.StringVar(&cfg.CrashAtResize, "crash-at-resize", "", "fault injection: exit 137 at this resize point (pre|mid|post)")
+
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (empty disables telemetry)")
+	fs.DurationVar(&o.progress, "progress", 0, "print a periodic status line to stderr (0 disables)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if o.debugAddr != "" || o.progress > 0 {
+		cfg.Obs = obs.NewRegistry()
+	}
+	return o, nil
+}
+
 func main() {
-	var (
-		listen   = flag.String("listen", ":8080", "HTTP listen address")
-		polName  = flag.String("policy", "flowtime", policy.Usage())
-		eps      = flag.Float64("eps", 0.2, "scheduler rejection parameter ε")
-		alpha    = flag.Float64("alpha", 0, "power exponent (speedscale)")
-		machines = flag.Int("machines", 8, "machines per shard session")
-		shards   = flag.Int("shards", 1, "scheduler shard count")
-		sizeHint = flag.Int("size-hint", 0, "expected total jobs across all streams (preallocation hint, 0 grows on demand)")
-
-		throttleDepth = flag.Int("throttle-depth", 0, "depth watermark: accept → throttle (0 disables)")
-		rejectDepth   = flag.Int("reject-depth", 0, "depth watermark: throttle → pre-reject (0 disables)")
-		resumeDepth   = flag.Int("resume-depth", 0, "hysteresis floor back to accept (0: half the low watermark)")
-		admEps        = flag.Float64("adm-eps", 0, "per-tenant pre-rejection budget rate (ε·fed weight)")
-		admBurst      = flag.Float64("adm-burst", 0, "initial per-tenant pre-rejection allowance (weight)")
-		maxQueuedW    = flag.Float64("max-queued-weight", 0, "per-tenant queued-weight cap (0: unlimited)")
-
-		queueDepth    = flag.Int("queue-depth", 256, "per-stream sequencer queue depth (jobs)")
-		awaitTenants  = flag.Int("await-tenants", 0, "hold the merge until this many tenants connect")
-		readTimeout   = flag.Duration("read-timeout", 30*time.Second, "deadline of each read on a feed connection")
-		throttleDelay = flag.Duration("throttle-delay", time.Millisecond, "per-job intake delay while throttling")
-
-		ckpt       = flag.String("checkpoint", "", "root a checkpoint lineage at this path (P.N.full, P.N.delta, P.lineage)")
-		ckptN      = flag.Int("checkpoint-every", 0, "checkpoint every N fed jobs (0: resizes and final drain only)")
-		ckptDeltas = flag.Int("checkpoint-deltas", 0, "up to N delta checkpoints between fulls (0: fulls only)")
-		ckptKeep   = flag.Int("checkpoint-keep", 0, "retain only the newest N full generations (0: 2)")
-		resume     = flag.String("resume", "", "restore the server from the checkpoint lineage rooted at this path before serving")
-
-		stallEvery    = flag.Int("stall-every", 0, "fault injection: stall each shard feeder every N jobs (0 disables)")
-		stallDelay    = flag.Duration("stall-delay", 0, "fault injection: stall duration")
-		crashAtResize = flag.String("crash-at-resize", "", "fault injection: exit 137 at this resize point (pre|mid|post)")
-
-		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (empty disables telemetry)")
-		progress  = flag.Duration("progress", 0, "print a periodic status line to stderr (0 disables)")
-	)
-	flag.Parse()
-
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
 	lg := log.New(os.Stderr, "schedserve: ", 0)
-	var reg *obs.Registry
-	if *debugAddr != "" || *progress > 0 {
-		reg = obs.NewRegistry()
-	}
-
-	cfg := front.Config{
-		Policy:   *polName,
-		Epsilon:  *eps,
-		Alpha:    *alpha,
-		Machines: *machines,
-		Shards:   *shards,
-		SizeHint: *sizeHint,
-		Admission: admission.Config{
-			ThrottleDepth:   *throttleDepth,
-			RejectDepth:     *rejectDepth,
-			ResumeDepth:     *resumeDepth,
-			Epsilon:         *admEps,
-			Burst:           *admBurst,
-			MaxQueuedWeight: *maxQueuedW,
-		},
-		QueueDepth:       *queueDepth,
-		AwaitTenants:     *awaitTenants,
-		ReadTimeout:      *readTimeout,
-		ThrottleDelay:    *throttleDelay,
-		CheckpointPath:   *ckpt,
-		CheckpointEvery:  *ckptN,
-		CheckpointDeltas: *ckptDeltas,
-		CheckpointKeep:   *ckptKeep,
-		Stall:            chaos.Stall{Every: *stallEvery, Delay: *stallDelay},
-		CrashAtResize:    *crashAtResize,
-		Obs:              reg,
-	}
-
-	srv, err := front.Open(cfg, *resume, lg)
+	srv, err := front.Open(o.cfg, o.resume, lg)
 	if err != nil {
 		fatal(err)
 	}
 
-	hs := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	hs := &http.Server{Addr: o.listen, Handler: srv.Handler()}
 	httpDone := make(chan error, 1)
 	go func() { httpDone <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "schedserve: %s ε=%v on %s (m=%d × %d shards)\n",
-		*polName, *eps, *listen, *machines, *shards)
+		o.cfg.Policy, o.cfg.Epsilon, o.listen, o.cfg.Machines, o.cfg.Shards)
 
 	var ds *http.Server
-	if *debugAddr != "" {
-		ds = &http.Server{Addr: *debugAddr, Handler: debugMux(reg)}
+	if o.debugAddr != "" {
+		ds = &http.Server{Addr: o.debugAddr, Handler: debugMux(o.cfg.Obs)}
 		go func() {
 			if err := ds.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintln(os.Stderr, "schedserve: debug listener:", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "schedserve: telemetry on %s (/metrics, /debug/vars, /debug/pprof)\n", *debugAddr)
+		fmt.Fprintf(os.Stderr, "schedserve: telemetry on %s (/metrics, /debug/vars, /debug/pprof)\n", o.debugAddr)
 	}
 	stopProgress := func() {}
-	if *progress > 0 {
-		stopProgress = srv.Progress(lg, *progress)
+	if o.progress > 0 {
+		stopProgress = srv.Progress(lg, o.progress)
 	}
 
 	sigC := make(chan os.Signal, 1)

@@ -104,20 +104,6 @@ func (f *StallFeeder) AppendSnapshot(dst []byte) ([]byte, error) {
 	return dst, fmt.Errorf("chaos: inner feeder %T cannot be snapshotted", f.inner)
 }
 
-// CorruptFile flips one byte at off (mod the file's size) in path — the
-// bit-rot injection for checkpoint recovery tests.
-func CorruptFile(path string, off int64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(data) == 0 {
-		return fmt.Errorf("chaos: %s is empty, nothing to corrupt", path)
-	}
-	data[off%int64(len(data))] ^= 0x01
-	return os.WriteFile(path, data, 0o644)
-}
-
 // TruncateFile cuts path to frac of its current size — the torn-write
 // injection (a crash landing mid-write on a filesystem without atomic
 // rename, or a partially synced page).

@@ -162,9 +162,10 @@ type policy struct {
 	track bool
 }
 
-// newPolicy builds the policy for the given machine count; hint preallocates
-// per-job state for a batch run of about that many jobs.
-func newPolicy(opt Options, machines, hint int) *policy {
+// newPolicy is the policy's engine.Host: it builds the policy for the given
+// machine count, with per-job state preallocated for a run of about hint
+// jobs.
+func (opt Options) newPolicy(machines, hint int) (engine.Policy, func(*sched.Outcome) *Result) {
 	p := &policy{
 		opt:   opt,
 		res:   &Result{},
@@ -183,7 +184,7 @@ func newPolicy(opt Options, machines, hint int) *policy {
 	}
 	p.pool = dispatch.NewPool(opt.ParallelDispatch, machines)
 	p.evalFn = p.evalCur
-	return p
+	return p, p.result
 }
 
 // pendingHint sizes a per-machine pending index for a run of about hint jobs

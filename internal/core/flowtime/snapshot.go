@@ -148,13 +148,5 @@ func Restore(r io.Reader, opt Options) (*Session, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	var p *policy
-	es, err := engine.RestoreOpts(r, engine.Options{EventQueue: opt.EventQueue}, func(machines int) (engine.Policy, error) {
-		p = newPolicy(opt, machines, 0)
-		return p, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Session{Session: es, p: p}, nil
+	return engine.RestoreTyped(r, engine.Options{EventQueue: opt.EventQueue}, opt.newPolicy)
 }

@@ -172,17 +172,9 @@ func (p *spolicy) LoadState(d *snapshot.Decoder) error {
 // which the snapshot's configuration echo verifies; ParallelDispatch is
 // performance-only and may differ.
 func Restore(r io.Reader, opt Options) (*Session, error) {
-	gamma, err := opt.validate()
+	opt, err := opt.resolve()
 	if err != nil {
 		return nil, err
 	}
-	var p *spolicy
-	es, err := engine.RestoreOpts(r, engine.Options{EventQueue: opt.EventQueue}, func(machines int) (engine.Policy, error) {
-		p = newPolicy(opt, opt.Alpha, gamma, machines, 0)
-		return p, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Session{Session: es, p: p}, nil
+	return engine.RestoreTyped(r, engine.Options{EventQueue: opt.EventQueue}, opt.newPolicy)
 }

@@ -69,23 +69,22 @@ type Options struct {
 	EventQueue string
 }
 
-// validate checks the option ranges and resolves γ (zero selects
-// DefaultGamma).
-func (o Options) validate() (gamma float64, err error) {
+// resolve checks the option ranges and returns the options with γ resolved
+// (zero selects DefaultGamma).
+func (o Options) resolve() (Options, error) {
 	if !(o.Epsilon > 0 && o.Epsilon < 1) {
-		return 0, fmt.Errorf("speedscale: epsilon must be in (0,1), got %v", o.Epsilon)
+		return o, fmt.Errorf("speedscale: epsilon must be in (0,1), got %v", o.Epsilon)
 	}
 	if !(o.Alpha > 1) {
-		return 0, fmt.Errorf("speedscale: alpha must exceed 1, got %v", o.Alpha)
+		return o, fmt.Errorf("speedscale: alpha must exceed 1, got %v", o.Alpha)
 	}
-	gamma = o.Gamma
-	if gamma == 0 {
-		gamma = DefaultGamma(o.Epsilon, o.Alpha)
+	if o.Gamma == 0 {
+		o.Gamma = DefaultGamma(o.Epsilon, o.Alpha)
 	}
-	if !(gamma > 0) {
-		return 0, fmt.Errorf("speedscale: gamma must be positive, got %v", gamma)
+	if !(o.Gamma > 0) {
+		return o, fmt.Errorf("speedscale: gamma must be positive, got %v", o.Gamma)
 	}
-	return gamma, nil
+	return o, nil
 }
 
 // DefaultGamma returns the paper's γ(ε, α) (with the documented fallback for
@@ -176,18 +175,21 @@ type spolicy struct {
 	slab   execSlab // execRecord storage behind dual
 }
 
-func newPolicy(opt Options, alpha, gamma float64, machines, hint int) *spolicy {
-	p := &spolicy{opt: opt, alpha: alpha, gamma: gamma}
-	p.res = &Result{Gamma: gamma, Alpha: alpha}
+// newPolicy is the policy's engine.Host for resolved options: it builds the
+// policy for the given machine count, with the dual bookkeeping preallocated
+// for a run of about hint jobs.
+func (opt Options) newPolicy(machines, hint int) (engine.Policy, func(*sched.Outcome) *Result) {
+	p := &spolicy{opt: opt, alpha: opt.Alpha, gamma: opt.Gamma}
+	p.res = &Result{Gamma: opt.Gamma, Alpha: opt.Alpha}
 	if opt.TrackDual {
 		p.snap = make([]float64, 0, hint)
-		p.dual = newDualReport(opt.Epsilon, alpha, gamma, hint)
+		p.dual = newDualReport(opt.Epsilon, opt.Alpha, opt.Gamma, hint)
 		p.slab = make(execSlab, 0, hint)
 	}
 	p.mach = make([]smachine, machines)
 	p.pool = dispatch.NewPool(opt.ParallelDispatch, machines)
 	p.evalFn = p.evalCur
-	return p
+	return p, p.result
 }
 
 func (p *spolicy) Bind(c *engine.Core) { p.c = c }

@@ -75,15 +75,7 @@ func (p *policy) LoadState(d *snapshot.Decoder) error {
 // written by Session.Snapshot. The machine count comes from the snapshot;
 // opt.ParallelDispatch is performance-only and may differ from the donor's.
 func Restore(r io.Reader, opt Options) (*Session, error) {
-	var p *policy
-	es, err := engine.RestoreOpts(r, engine.Options{EventQueue: opt.EventQueue}, func(machines int) (engine.Policy, error) {
-		p = newPolicy(opt, machines)
-		return p, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Session{Session: es, p: p}, nil
+	return engine.RestoreTyped(r, engine.Options{EventQueue: opt.EventQueue}, opt.newPolicy)
 }
 
 // SnapshotTag identifies the migratory weighted-SRPT policy wire format. v2
@@ -169,13 +161,5 @@ func (p *wpolicy) LoadState(d *snapshot.Decoder) error {
 // RestoreWeighted reconstructs a streaming migratory weighted-SRPT session
 // from a snapshot written by WeightedSession.Snapshot.
 func RestoreWeighted(r io.Reader, opt WeightedOptions) (*WeightedSession, error) {
-	var p *wpolicy
-	es, err := engine.RestoreOpts(r, engine.Options{EventQueue: opt.EventQueue}, func(machines int) (engine.Policy, error) {
-		p = newWPolicy()
-		return p, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &WeightedSession{Session: es, p: p}, nil
+	return engine.RestoreTyped(r, engine.Options{EventQueue: opt.EventQueue}, opt.newPolicy)
 }

@@ -81,7 +81,9 @@ type policy struct {
 	evalFn func(int) float64 // evalCur bound once per run (a method value allocates)
 }
 
-func newPolicy(opt Options, machines int) *policy {
+// newPolicy is the policy's engine.Host; the waiting indexes grow on demand,
+// so the size hint goes unused.
+func (opt Options) newPolicy(machines, _ int) (engine.Policy, func(*sched.Outcome) *Result) {
 	p := &policy{opt: opt, res: &Result{}}
 	p.mach = make([]machine, machines)
 	for i := range p.mach {
@@ -89,7 +91,7 @@ func newPolicy(opt Options, machines int) *policy {
 	}
 	p.pool = dispatch.NewPool(opt.ParallelDispatch, machines)
 	p.evalFn = p.evalCur
-	return p
+	return p, p.result
 }
 
 func (p *policy) Bind(c *engine.Core) { p.c = c }

@@ -63,11 +63,17 @@ type wpolicy struct {
 	lastMach []int32   // machine of the previous segment, -1 before the first
 }
 
-func newWPolicy() *wpolicy {
-	return &wpolicy{
-		res:     &WeightedResult{},
-		pending: ostree.NewFlat(),
+// newPolicy is the policy's engine.Host: the pool is global, so only the
+// dense per-job state is preallocated, for a run of about hint jobs.
+func (opt WeightedOptions) newPolicy(_, hint int) (engine.Policy, func(*sched.Outcome) *WeightedResult) {
+	p := &wpolicy{
+		res:      &WeightedResult{},
+		pending:  ostree.NewFlat(),
+		frac:     make([]float64, 0, hint),
+		pmin:     make([]float64, 0, hint),
+		lastMach: make([]int32, 0, hint),
 	}
+	return p, p.result
 }
 
 func (p *wpolicy) Bind(c *engine.Core) { p.c = c }

@@ -1,73 +1,38 @@
 package wflow
 
 import (
-	"fmt"
-
 	"repro/internal/engine"
 	"repro/internal/sched"
 )
 
 // Session is a streaming run of the weighted extension: jobs are fed one at
-// a time in release order and scheduled online. The embedded engine session
-// supplies Feed, FeedBatch, AdvanceTo, Fed, Pending, EachFed, SetTelemetry
-// and Snapshot; only Close is typed here. A session with the same options
-// produces a Result bit-identical to a batch Run over the same jobs (pinned
-// by internal/policy's conformance suite).
-type Session struct {
-	*engine.Session
-	p *wpolicy
-}
+// a time in release order and scheduled online. It is the engine's hosted
+// session with Close returning this package's Result; a session with the
+// same options produces a Result bit-identical to a batch Run over the same
+// jobs (pinned by internal/policy's conformance suite).
+type Session = engine.Typed[*Result]
 
 // NewSession starts a streaming run on the given number of machines,
 // preallocating per-job storage when Options.SizeHint announces the
 // expected stream size.
 func NewSession(machines int, opt Options) (*Session, error) {
-	return newSession(machines, opt, opt.SizeHint)
-}
-
-func newSession(machines int, opt Options, hint int) (*Session, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	if hint < 0 {
-		hint = 0
-	}
-	if machines <= 0 {
-		return nil, fmt.Errorf("wflow: session needs at least one machine, got %d", machines)
-	}
-	p := newPolicy(opt, machines, hint)
-	es, err := engine.NewSession(p, engine.Options{Machines: machines, SizeHint: hint, EventQueue: opt.EventQueue})
-	if err != nil {
-		p.Close()
-		return nil, err
-	}
-	return &Session{Session: es, p: p}, nil
+	return engine.NewTyped(engine.Options{Machines: machines, SizeHint: opt.SizeHint, EventQueue: opt.EventQueue}, opt.newPolicy)
 }
 
-// Close drains the run to completion and returns the audited result.
-func (s *Session) Close() (*Result, error) {
-	out, err := s.Session.Close()
-	if err != nil {
-		return nil, err
-	}
-	res := s.p.res
-	res.Outcome = out
-	return res, nil
-}
-
-// Run executes the weighted extension on the instance: a thin wrapper over
-// a Session fed the instance's job slice in one batch.
+// Run executes the weighted extension on the instance: a Session sized for
+// the instance and fed all of it in one batch.
 func Run(ins *sched.Instance, opt Options) (*Result, error) {
-	if err := ins.Validate(); err != nil {
-		return nil, err
-	}
-	s, err := newSession(ins.Machines, opt, len(ins.Jobs))
-	if err != nil {
-		return nil, err
-	}
-	if err := s.FeedBatch(ins.Jobs); err != nil {
-		s.Close() // release the dispatch pool; the feed error wins
-		return nil, err
-	}
-	return s.Close()
+	return engine.RunBatch(ins, func(machines, hint int) (*Session, error) {
+		opt.SizeHint = hint
+		return NewSession(machines, opt)
+	})
+}
+
+// result completes the policy's Result with the drained outcome.
+func (p *wpolicy) result(out *sched.Outcome) *Result {
+	p.res.Outcome = out
+	return p.res
 }

@@ -103,7 +103,10 @@ type wpolicy struct {
 	evalFn func(int) float64 // evalCur bound once per run (a method value allocates)
 }
 
-func newPolicy(opt Options, machines, hint int) *wpolicy {
+// newPolicy is the policy's engine.Host: it builds the policy for the given
+// machine count, with the pending indexes presized for a run of about hint
+// jobs.
+func (opt Options) newPolicy(machines, hint int) (engine.Policy, func(*sched.Outcome) *Result) {
 	p := &wpolicy{opt: opt, res: &Result{}}
 	p.mach = make([]wmachine, machines)
 	for i := range p.mach {
@@ -114,7 +117,7 @@ func newPolicy(opt Options, machines, hint int) *wpolicy {
 	}
 	p.pool = dispatch.NewPool(opt.ParallelDispatch, machines)
 	p.evalFn = p.evalCur
-	return p
+	return p, p.result
 }
 
 // pendingHint sizes a per-machine pending index for a run of about hint

@@ -300,10 +300,6 @@ func (c *Core) Bookkeep(t float64, i, jk int) {
 	c.q.Push(eventq.Event{Time: t, Kind: eventq.KindBookkeeping, Job: int32(jk), Machine: int32(i)})
 }
 
-// GrowEvents reserves heap capacity for n additional events beyond the
-// current backlog, for policies that know their bookkeeping volume upfront.
-func (c *Core) GrowEvents(n int) { c.q.Grow(n) }
-
 // handle routes one popped event.
 func (c *Core) handle(e eventq.Event) {
 	switch e.Kind {

@@ -60,7 +60,7 @@ const (
 // live and can keep feeding afterwards, so periodic checkpoints of a long
 // stream are cheap and safe at any watermark between feeds.
 //
-// The policy must implement StatefulPolicy; engine.Restore with a freshly
+// The policy must implement StatefulPolicy; RestoreOpts with a freshly
 // constructed policy of the same configuration rebuilds a session whose
 // future behavior — and final Outcome — is bit-identical to this one's.
 //
@@ -175,7 +175,7 @@ func snapshotOutcome(e *snapshot.Encoder, c *Core) {
 	}
 }
 
-// Restore reconstructs a streaming session from a snapshot written by
+// RestoreOpts reconstructs a streaming session from a snapshot written by
 // Session.Snapshot. newPolicy is called once with the snapshot's machine
 // count and must return a freshly constructed policy configured exactly as
 // the donor's was (same options; performance-only knobs like dispatch
@@ -190,17 +190,14 @@ func snapshotOutcome(e *snapshot.Encoder, c *Core) {
 // session continues precisely where the donor stopped: feeding the remaining
 // stream and closing yields an Outcome bit-identical to an uninterrupted
 // run's.
-func Restore(r io.Reader, newPolicy func(machines int) (Policy, error)) (*Session, error) {
-	return RestoreOpts(r, Options{}, newPolicy)
-}
-
-// RestoreOpts is Restore with performance-only options carried into the
-// rebuilt session: opt.EventQueue selects the event-queue implementation
-// (both speak the same EVTQ wire format, so a snapshot taken under either
-// restores under either) and opt.EventHint presizes it. Machines and
-// SizeHint come from the snapshot itself; opt's values for them are ignored.
-// r is read once into memory (snapshot.NewReader); a snapshot.InPlace
-// reader is decoded where it lies, and the session keeps no reference to it.
+//
+// Only performance options carry into the rebuilt session: opt.EventQueue
+// selects the event-queue implementation (both speak the same EVTQ wire
+// format, so a snapshot taken under either restores under either) and
+// opt.EventHint presizes it. Machines and SizeHint come from the snapshot
+// itself; opt's values for them are ignored. r is read once into memory
+// (snapshot.NewReader); a snapshot.InPlace reader is decoded where it lies,
+// and the session keeps no reference to it.
 func RestoreOpts(r io.Reader, opt Options, newPolicy func(machines int) (Policy, error)) (*Session, error) {
 	sr, err := snapshot.NewReader(r)
 	if err != nil {

@@ -140,7 +140,7 @@ func TestSnapshotRestoreContinueBitIdentical(t *testing.T) {
 				snap, donor, _ := snapshotAt(t, ins, rejectAfter, cut)
 
 				var rp *statefulFifo
-				rs, err := Restore(bytes.NewReader(snap), func(machines int) (Policy, error) {
+				rs, err := RestoreOpts(bytes.NewReader(snap), Options{}, func(machines int) (Policy, error) {
 					rp = newStatefulFifo(machines, rejectAfter)
 					return rp, nil
 				})
@@ -211,7 +211,7 @@ func TestSnapshotRequiresStatefulPolicy(t *testing.T) {
 	ins := snapInstance(t, 50, 2, 1)
 	snap, donor, _ := snapshotAt(t, ins, 0, 25)
 	donor.Close()
-	if _, err := Restore(bytes.NewReader(snap), func(machines int) (Policy, error) {
+	if _, err := RestoreOpts(bytes.NewReader(snap), Options{}, func(machines int) (Policy, error) {
 		return newFifo(machines, 0), nil
 	}); err == nil || !strings.Contains(err.Error(), "StatefulPolicy") {
 		t.Fatalf("restore into plain policy: %v", err)
@@ -223,7 +223,7 @@ func TestRestoreRejectsWrongPolicyTag(t *testing.T) {
 	ins := snapInstance(t, 60, 3, 2)
 	snap, donor, _ := snapshotAt(t, ins, 3, 30)
 	donor.Close()
-	if _, err := Restore(bytes.NewReader(snap), func(machines int) (Policy, error) {
+	if _, err := RestoreOpts(bytes.NewReader(snap), Options{}, func(machines int) (Policy, error) {
 		return &wrongTagFifo{newStatefulFifo(machines, 3)}, nil
 	}); err == nil || !strings.Contains(err.Error(), "taken with policy") {
 		t.Fatalf("tag mismatch accepted: %v", err)
@@ -242,7 +242,7 @@ func TestRestoreRejectsTruncationAndCorruption(t *testing.T) {
 	snap, donor, _ := snapshotAt(t, ins, 2, 60)
 	donor.Close()
 	restore := func(b []byte) error {
-		s, err := Restore(bytes.NewReader(b), func(machines int) (Policy, error) {
+		s, err := RestoreOpts(bytes.NewReader(b), Options{}, func(machines int) (Policy, error) {
 			return newStatefulFifo(machines, 2), nil
 		})
 		if err == nil {
@@ -325,7 +325,7 @@ func TestShardSnapshotRestoreFleet(t *testing.T) {
 
 	restored := make([]*Session, 0, shards)
 	n, err := RestoreFleet(bytes.NewReader(snap), func(shard int, r io.Reader) error {
-		s, err := Restore(r, func(machines int) (Policy, error) {
+		s, err := RestoreOpts(r, Options{}, func(machines int) (Policy, error) {
 			return newStatefulFifo(machines, 0), nil
 		})
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/engine"
-	"repro/internal/policy"
 	"repro/internal/snapshot"
 )
 
@@ -249,7 +248,7 @@ func Restore(cfg Config, r io.Reader) (*Server, error) {
 	}
 
 	// The header echo above pinned cfg to the donor's policy, m, ε and α.
-	sessions := make([]policy.Session, shards)
+	sessions := make([]*engine.Session, shards)
 	got, err := engine.RestoreFleet(snapshot.InPlace(fleetBytes), func(k int, r io.Reader) (err error) {
 		sessions[k], err = openSession(&cfg, 0, r)
 		return err

@@ -194,7 +194,7 @@ type Server struct {
 	// Sequencer-owned state (single goroutine; read by others only after
 	// the drained barrier).
 	fleet     *engine.Shard
-	sessions  []policy.Session
+	sessions  []*engine.Session
 	adm       *admission.Controller
 	decided   map[int]*idSet // per tenant: local ids of every acked verdict (fed or pre-rejected)
 	preRej    []preReject
@@ -308,7 +308,7 @@ func New(cfg Config) (*Server, error) {
 // session: the shard fleet is the parallelism. sizeHint preallocates
 // per-job storage for a stream of about that many jobs (0 grows on demand);
 // a restored session sizes itself from the snapshot.
-func openSession(cfg *Config, sizeHint int, restore io.Reader) (policy.Session, error) {
+func openSession(cfg *Config, sizeHint int, restore io.Reader) (*engine.Session, error) {
 	e, ok := policy.Lookup(cfg.Policy)
 	if !ok {
 		return nil, fmt.Errorf("front: policy %q cannot serve (use %s)", cfg.Policy, policy.Usage())
@@ -322,14 +322,14 @@ func openSession(cfg *Config, sizeHint int, restore io.Reader) (policy.Session, 
 
 // build assembles the server around pre-restored sessions (nil for fresh).
 // The caller starts the sequencer once any restore-time state is in place.
-func build(cfg Config, restored []policy.Session) (*Server, error) {
+func build(cfg Config, restored []*engine.Session) (*Server, error) {
 	adm, err := admission.New(cfg.Admission)
 	if err != nil {
 		return nil, err
 	}
 	sessions := restored
 	if sessions == nil {
-		sessions = make([]policy.Session, cfg.Shards)
+		sessions = make([]*engine.Session, cfg.Shards)
 		for k := range sessions {
 			sessions[k], err = openSession(&cfg, engine.PerShardHint(cfg.SizeHint, cfg.Shards), nil)
 			if err != nil {
@@ -902,7 +902,7 @@ func (s *Server) doResize(to int) error {
 	s.crashPoint("pre")
 
 	old := s.sessions
-	fresh := make([]policy.Session, to)
+	fresh := make([]*engine.Session, to)
 	fleet, err := engine.ResizeFleet(s.fleet, to, engine.ShardOptions{Route: s.route},
 		func(k int, _ engine.Feeder) (err error) {
 			s.carried, s.carriedMakespan, err = closeSession(old[k], s.carried, s.carriedMakespan)
@@ -968,7 +968,7 @@ type jobFact struct {
 // was fed. It returns the grown rows and the later of makespan and the
 // session's last interval end. Call it only on a session whose shard has
 // quiesced or closed.
-func closeSession(ps policy.Session, rows []verdictRow, makespan float64) ([]verdictRow, float64, error) {
+func closeSession(ps *engine.Session, rows []verdictRow, makespan float64) ([]verdictRow, float64, error) {
 	facts := make(map[int]jobFact, ps.Fed())
 	ps.EachFed(func(j *sched.Job) {
 		facts[j.ID] = jobFact{release: j.Release, weight: j.Weight}

@@ -206,28 +206,6 @@ func (r *Registry) RegisterCounter(name string, c *Counter) {
 	e.c = c
 }
 
-// RegisterGauge attaches an externally owned gauge under name.
-func (r *Registry) RegisterGauge(name string, g *Gauge) {
-	if r == nil || g == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.lookup(name, kindGauge)
-	e.g = g
-}
-
-// RegisterHistogram attaches an externally owned histogram under name.
-func (r *Registry) RegisterHistogram(name string, h *Histogram) {
-	if r == nil || h == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.lookup(name, kindHistogram)
-	e.h = h
-}
-
 // splitName separates "base{k=\"v\"}" into base and the inner label
 // string (without braces). Names without labels return labels == "".
 func splitName(name string) (base, labels string) {

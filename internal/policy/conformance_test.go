@@ -76,15 +76,15 @@ func outcomeOf(res any) *sched.Outcome {
 	return reflect.ValueOf(res).Elem().FieldByName("Outcome").Interface().(*sched.Outcome)
 }
 
-func conform[O any, S typed[R], R any](policy string,
+func conform[O, R any](policy string,
 	run func(*sched.Instance, O) (R, error),
-	open func(int, O) (S, error),
-	restore func(io.Reader, O) (S, error),
+	open func(int, O) (*engine.Typed[R], error),
+	restore func(io.Reader, O) (*engine.Typed[R], error),
 	instances []*sched.Instance,
 	variants func(ins *sched.Instance) []O,
 	refuse echo[O]) suiteRow {
 
-	finish := func(t *testing.T, s S) R {
+	finish := func(t *testing.T, s *engine.Typed[R]) R {
 		t.Helper()
 		res, err := s.Close()
 		if err != nil {
@@ -92,7 +92,7 @@ func conform[O any, S typed[R], R any](policy string,
 		}
 		return res
 	}
-	start := func(t *testing.T, ins *sched.Instance, opt O) S {
+	start := func(t *testing.T, ins *sched.Instance, opt O) *engine.Typed[R] {
 		t.Helper()
 		s, err := open(ins.Machines, opt)
 		if err != nil {
@@ -100,14 +100,14 @@ func conform[O any, S typed[R], R any](policy string,
 		}
 		return s
 	}
-	feed := func(t *testing.T, s S, jobs []sched.Job) {
+	feed := func(t *testing.T, s *engine.Typed[R], jobs []sched.Job) {
 		t.Helper()
 		if err := s.FeedBatch(jobs); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// freeze feeds jobs to a fresh session and returns it with its snapshot.
-	freeze := func(t *testing.T, ins *sched.Instance, opt O, jobs []sched.Job) (S, []byte) {
+	freeze := func(t *testing.T, ins *sched.Instance, opt O, jobs []sched.Job) (*engine.Typed[R], []byte) {
 		t.Helper()
 		s := start(t, ins, opt)
 		feed(t, s, jobs)

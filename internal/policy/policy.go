@@ -28,130 +28,75 @@ type Params struct {
 	SizeHint int     // expected stream length, preallocated; never changes an outcome
 }
 
-// stream is what every policy session promotes from its embedded
-// *engine.Session.
-type stream interface {
-	engine.Feeder
-	AdvanceTo(t float64) error
-	Fed() int
-	Pending() int
-	EachFed(f func(j *sched.Job))
-	SetTelemetry(t engine.Telemetry)
-	Snapshot(w io.Writer) error
-	AppendSnapshot(dst []byte) ([]byte, error)
-}
-
-// Session is a live streaming run of a registered policy, with the
-// policy-specific result erased to the shared Outcome.
-type Session interface {
-	stream
-	Close() (*sched.Outcome, error)
-}
-
-// Entry is one registered policy.
+// Entry is one registered policy. Its sessions are the bare engine sessions
+// of the policy package's typed ones: the registry's callers need only the
+// Outcome the engine's Close returns, and the typed result (duals, rule
+// counters) stays with the package's own constructors.
 type Entry struct {
 	Name string
-	// Mode is the audit sched.ValidateOutcome applies to this policy's
+	// Mode is the audit sched.ValidateMode applies to this policy's
 	// outcomes.
 	Mode sched.ValidateMode
-	// New starts a streaming session on the given number of machines.
-	New func(machines int, p Params) (Session, error)
-	// Restore reconstructs a session from a snapshot taken under the same
-	// ε and α (the snapshot's option echo refuses anything else); the
-	// snapshot, not SizeHint, sizes the session.
-	Restore func(r io.Reader, p Params) (Session, error)
+	// open starts a session on the given number of machines (r == nil) or
+	// restores one from the snapshot r.
+	open func(machines int, p Params, r io.Reader) (*engine.Session, error)
+}
+
+// New starts a streaming session on the given number of machines.
+func (e Entry) New(machines int, p Params) (*engine.Session, error) {
+	return e.open(machines, p, nil)
+}
+
+// Restore reconstructs a session from a snapshot taken under the same ε and
+// α (the snapshot's option echo refuses anything else); the snapshot, not
+// SizeHint, sizes the session.
+func (e Entry) Restore(r io.Reader, p Params) (*engine.Session, error) {
+	return e.open(0, p, r)
 }
 
 // Run is the batch form of the policy: a session sized for the instance and
-// fed all of it, which is exactly what the policy packages' typed Run
-// functions do.
+// fed all of it, exactly as the policy packages' typed Run functions do.
 func (e Entry) Run(ins *sched.Instance, p Params) (*sched.Outcome, error) {
-	if err := ins.Validate(); err != nil {
-		return nil, err
+	return engine.RunBatch(ins, func(machines, hint int) (*engine.Session, error) {
+		p.SizeHint = hint
+		return e.New(machines, p)
+	})
+}
+
+// open starts (r == nil) or restores a policy package's typed session under
+// opt and hands out its engine session.
+func open[O, R any](machines int, r io.Reader, opt O,
+	newFn func(int, O) (*engine.Typed[R], error), restoreFn func(io.Reader, O) (*engine.Typed[R], error)) (*engine.Session, error) {
+	var s *engine.Typed[R]
+	var err error
+	if r != nil {
+		s, err = restoreFn(r, opt)
+	} else {
+		s, err = newFn(machines, opt)
 	}
-	p.SizeHint = len(ins.Jobs)
-	s, err := e.New(ins.Machines, p)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.FeedBatch(ins.Jobs); err != nil {
-		s.Close() // release the dispatch pool; the feed error wins
-		return nil, err
-	}
-	return s.Close()
-}
-
-// typed is a policy package's own session: the promoted stream plus a Close
-// returning that package's result type.
-type typed[R any] interface {
-	stream
-	Close() (R, error)
-}
-
-// erased adapts a typed session to Session.
-type erased[R any] struct {
-	typed[R]
-	outcome func(R) *sched.Outcome
-}
-
-func (s erased[R]) Close() (*sched.Outcome, error) {
-	res, err := s.typed.Close()
-	if err != nil {
-		return nil, err
-	}
-	return s.outcome(res), nil
-}
-
-// row builds an Entry from a policy package's constructor pair, its mapping
-// from Params to its own options, and the Outcome field of its result.
-func row[O any, S typed[R], R any](name string, mode sched.ValidateMode,
-	newFn func(int, O) (S, error), restoreFn func(io.Reader, O) (S, error),
-	opts func(Params) O, outcome func(R) *sched.Outcome) Entry {
-	erase := func(s S, err error) (Session, error) {
-		if err != nil {
-			return nil, err
-		}
-		return erased[R]{s, outcome}, nil
-	}
-	return Entry{
-		Name:    name,
-		Mode:    mode,
-		New:     func(m int, p Params) (Session, error) { return erase(newFn(m, opts(p))) },
-		Restore: func(r io.Reader, p Params) (Session, error) { return erase(restoreFn(r, opts(p))) },
-	}
+	return s.Session, nil
 }
 
 var table = []Entry{
-	row("flowtime", sched.ValidateMode{RequireUnitSpeed: true},
-		flowtime.NewSession, flowtime.Restore,
-		func(p Params) flowtime.Options {
-			return flowtime.Options{Epsilon: p.Epsilon, SizeHint: p.SizeHint}
-		},
-		func(r *flowtime.Result) *sched.Outcome { return r.Outcome }),
-	row("wflow", sched.ValidateMode{RequireUnitSpeed: true},
-		wflow.NewSession, wflow.Restore,
-		func(p Params) wflow.Options {
-			return wflow.Options{Epsilon: p.Epsilon, SizeHint: p.SizeHint}
-		},
-		func(r *wflow.Result) *sched.Outcome { return r.Outcome }),
-	row("speedscale", sched.ValidateMode{},
-		speedscale.NewSession, speedscale.Restore,
-		func(p Params) speedscale.Options {
-			return speedscale.Options{Epsilon: p.Epsilon, Alpha: p.Alpha, SizeHint: p.SizeHint}
-		},
-		func(r *speedscale.Result) *sched.Outcome { return r.Outcome }),
-	row("srpt", sched.ValidateMode{RequireUnitSpeed: true, AllowPreemption: true},
-		srpt.NewSession, srpt.Restore,
-		func(p Params) srpt.Options {
-			return srpt.Options{SizeHint: p.SizeHint}
-		},
-		func(r *srpt.Result) *sched.Outcome { return r.Outcome }),
-	row("wsrpt", sched.ValidateMode{RequireUnitSpeed: true, AllowMigration: true},
-		srpt.NewWeightedSession, srpt.RestoreWeighted,
-		func(p Params) srpt.WeightedOptions {
-			return srpt.WeightedOptions{SizeHint: p.SizeHint}
-		},
-		func(r *srpt.WeightedResult) *sched.Outcome { return r.Outcome }),
+	{"flowtime", sched.ValidateMode{RequireUnitSpeed: true}, func(m int, p Params, r io.Reader) (*engine.Session, error) {
+		return open(m, r, flowtime.Options{Epsilon: p.Epsilon, SizeHint: p.SizeHint}, flowtime.NewSession, flowtime.Restore)
+	}},
+	{"wflow", sched.ValidateMode{RequireUnitSpeed: true}, func(m int, p Params, r io.Reader) (*engine.Session, error) {
+		return open(m, r, wflow.Options{Epsilon: p.Epsilon, SizeHint: p.SizeHint}, wflow.NewSession, wflow.Restore)
+	}},
+	{"speedscale", sched.ValidateMode{}, func(m int, p Params, r io.Reader) (*engine.Session, error) {
+		opt := speedscale.Options{Epsilon: p.Epsilon, Alpha: p.Alpha, SizeHint: p.SizeHint}
+		return open(m, r, opt, speedscale.NewSession, speedscale.Restore)
+	}},
+	{"srpt", sched.ValidateMode{RequireUnitSpeed: true, AllowPreemption: true}, func(m int, p Params, r io.Reader) (*engine.Session, error) {
+		return open(m, r, srpt.Options{SizeHint: p.SizeHint}, srpt.NewSession, srpt.Restore)
+	}},
+	{"wsrpt", sched.ValidateMode{RequireUnitSpeed: true, AllowMigration: true}, func(m int, p Params, r io.Reader) (*engine.Session, error) {
+		return open(m, r, srpt.WeightedOptions{SizeHint: p.SizeHint}, srpt.NewWeightedSession, srpt.RestoreWeighted)
+	}},
 }
 
 // Lookup returns the entry registered under name.

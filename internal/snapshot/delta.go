@@ -586,29 +586,6 @@ func overlay(pd *Decoder, leaf []byte, chunk int) error {
 	return pd.Done()
 }
 
-// PeekDelta reports whether data is a delta container (first section DLTA)
-// and, if so, its chain info. A plain full checkpoint returns ok=false.
-func PeekDelta(data []byte) (info DeltaInfo, ok bool) {
-	sr, err := newReader(data)
-	if err != nil {
-		return info, false
-	}
-	sr.AllowDuplicates()
-	tag, d, err := sr.Next()
-	if err != nil || tag != tagDeltaHdr {
-		return info, false
-	}
-	info.BaseSeq = d.U64()
-	info.Seq = d.U64()
-	d.U32() // chunk
-	info.BaseCRC = d.U32()
-	info.NewCRC = d.U32()
-	if d.Err() != nil {
-		return DeltaInfo{}, false
-	}
-	return info, true
-}
-
 // VerifyContainer fully parses data as a snapshot container — every frame's
 // CRC, the END terminator, no trailing bytes. It is the integrity check the
 // lineage recovery runs on a full checkpoint before trusting it. Nested

@@ -161,25 +161,6 @@ func TestDeltaCorruptionRejected(t *testing.T) {
 	}
 }
 
-func TestPeekDelta(t *testing.T) {
-	base := buildContainer(t, sec("DATA", []byte("base")))
-	next := buildContainer(t, sec("DATA", []byte("next")))
-	var buf bytes.Buffer
-	if _, err := EncodeDelta(&buf, base, next, 7, 8, 0); err != nil {
-		t.Fatal(err)
-	}
-	info, ok := PeekDelta(buf.Bytes())
-	if !ok || info.BaseSeq != 7 || info.Seq != 8 {
-		t.Fatalf("PeekDelta on a delta = %+v, %v", info, ok)
-	}
-	if _, ok := PeekDelta(base); ok {
-		t.Fatal("PeekDelta claimed a full container is a delta")
-	}
-	if _, ok := PeekDelta([]byte("not a container at all")); ok {
-		t.Fatal("PeekDelta claimed garbage is a delta")
-	}
-}
-
 func TestVerifyContainer(t *testing.T) {
 	good := buildContainer(t, sec("DATA", []byte("payload")))
 	if err := VerifyContainer(good); err != nil {

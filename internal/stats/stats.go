@@ -7,46 +7,8 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
-
-// Summary holds distribution statistics of a sample.
-type Summary struct {
-	N             int
-	Mean, Std     float64
-	Min, Max      float64
-	P50, P90, P99 float64
-	Sum           float64
-}
-
-// Summarize computes a Summary. An empty sample yields the zero Summary.
-func Summarize(xs []float64) Summary {
-	var s Summary
-	s.N = len(xs)
-	if s.N == 0 {
-		return s
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Min, s.Max = sorted[0], sorted[s.N-1]
-	for _, x := range sorted {
-		s.Sum += x
-	}
-	s.Mean = s.Sum / float64(s.N)
-	var varsum float64
-	for _, x := range sorted {
-		d := x - s.Mean
-		varsum += d * d
-	}
-	if s.N > 1 {
-		s.Std = math.Sqrt(varsum / float64(s.N-1))
-	}
-	s.P50 = Percentile(sorted, 0.50)
-	s.P90 = Percentile(sorted, 0.90)
-	s.P99 = Percentile(sorted, 0.99)
-	return s
-}
 
 // Percentile returns the p-quantile (0 ≤ p ≤ 1) of a sorted sample using the
 // nearest-rank method.
@@ -62,22 +24,6 @@ func Percentile(sorted []float64, p float64) float64 {
 		idx = len(sorted) - 1
 	}
 	return sorted[idx]
-}
-
-// GeoMean returns the geometric mean of positive samples (0 if any sample is
-// non-positive or the slice is empty).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logsum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logsum += math.Log(x)
-	}
-	return math.Exp(logsum / float64(len(xs)))
 }
 
 // Table is a simple column-aligned table with a title, rendered by String.

@@ -170,6 +170,17 @@ func (r *NDJSONReader) Next() (sched.Job, error) {
 			}
 			if j.ID == len(r.seenRun) {
 				r.seenRun = append(r.seenRun, r.line)
+				// Ids parked out of order now extend the run, keeping
+				// their first-seen lines, so one swap does not send every
+				// later id to the map.
+				for len(r.seen) > 0 {
+					line, ok := r.seen[len(r.seenRun)]
+					if !ok {
+						break
+					}
+					delete(r.seen, len(r.seenRun))
+					r.seenRun = append(r.seenRun, line)
+				}
 			} else {
 				r.seen[j.ID] = r.line
 			}

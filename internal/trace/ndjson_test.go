@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -272,6 +273,42 @@ func TestNDJSONOutOfOrderPositioned(t *testing.T) {
 	}
 }
 
+// TestNDJSONStrictRunAbsorbsSwaps pins the strict reader's id state on a
+// nearly ordered stream: once the run reaches an id parked out of order, the
+// parked ids rejoin the run, so a single early swap leaves no map entries
+// behind instead of one per later job.
+func TestNDJSONStrictRunAbsorbsSwaps(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("{\"machines\":1}\n")
+	for k := 0; k < 10000; k++ {
+		id := k
+		switch k {
+		case 1:
+			id = 2
+		case 2:
+			id = 1
+		}
+		fmt.Fprintf(&b, "{\"id\":%d,\"release\":0,\"proc\":[1]}\n", id)
+	}
+	r, err := NewNDJSONReader(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Strict()
+	for err == nil {
+		_, err = r.Next()
+	}
+	if err != io.EOF {
+		t.Fatal(err)
+	}
+	if len(r.seen) != 0 || len(r.seenRun) != 10000 {
+		t.Fatalf("%d ids left in the map, run of %d, want 0 and 10000", len(r.seen), len(r.seenRun))
+	}
+	if line, _ := r.firstSeen(2); line != 3 {
+		t.Fatalf("id 2 first seen on line %d, want 3", line)
+	}
+}
+
 // TestNDJSONStrictMode pins the hardened reader: duplicate job ids and
 // sub-Eps release regressions — both legal (or deferred to the session) in
 // lenient mode — are refused with positioned errors naming the offending
@@ -316,6 +353,8 @@ func TestNDJSONStrictMode(t *testing.T) {
 		{"7 -3 0 7", "line 5: duplicate job id 7 (first seen on line 2)"},
 		{"-1 0 1 -1", "line 5: duplicate job id -1 (first seen on line 2)"},
 		{"1 0 1", "line 4: duplicate job id 1 (first seen on line 2)"},
+		{"0 2 1 3 4 2", "line 7: duplicate job id 2 (first seen on line 3)"},
+		{"0 3 2 1 4 3", "line 7: duplicate job id 3 (first seen on line 3)"},
 	} {
 		in := "{\"machines\":1}\n"
 		for _, id := range strings.Fields(tc.ids) {

@@ -83,16 +83,6 @@ func ReadInstance(r io.Reader) (*sched.Instance, error) {
 	return ins, nil
 }
 
-// SaveInstance writes an instance to a file.
-func SaveInstance(path string, ins *sched.Instance) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return WriteInstance(f, ins)
-}
-
 // LoadInstance reads an instance from a file.
 func LoadInstance(path string) (*sched.Instance, error) {
 	f, err := os.Open(path)

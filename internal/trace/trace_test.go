@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -141,7 +142,11 @@ func TestSaveLoadFiles(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ins.json")
 	ins := workload.Random(workload.DefaultConfig(10, 2, 1))
-	if err := SaveInstance(path, ins); err != nil {
+	var buf bytes.Buffer
+	if err := WriteInstance(&buf, ins); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadInstance(path)

@@ -14,7 +14,7 @@ import (
 // openResizeSession constructs one shard session for the named policy.
 // Parameters mirror the front door's defaults so the goldens here and the
 // serving path exercise the same session shapes.
-func openResizeSession(name string, machines int) (policy.Session, error) {
+func openResizeSession(name string, machines int) (*engine.Session, error) {
 	e, ok := policy.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown policy %q", name)
@@ -73,7 +73,7 @@ func TestResizeFleetGoldens(t *testing.T) {
 	// its per-shard Outcomes — the golden for that (segment, count) pair.
 	freshOutcomes := func(t *testing.T, name string, shards int, seg []sched.Job) []*sched.Outcome {
 		t.Helper()
-		sessions := make([]policy.Session, shards)
+		sessions := make([]*engine.Session, shards)
 		feeders := make([]engine.Feeder, shards)
 		for k := range sessions {
 			s, err := openResizeSession(name, machines)
@@ -109,7 +109,7 @@ func TestResizeFleetGoldens(t *testing.T) {
 
 				// The resized universe: one fleet carried through the
 				// whole chain, retiring and rebuilding at each boundary.
-				cur := make([]policy.Session, chain[0])
+				cur := make([]*engine.Session, chain[0])
 				feeders := make([]engine.Feeder, chain[0])
 				for k := range cur {
 					s, err := openResizeSession(name, machines)
@@ -127,7 +127,7 @@ func TestResizeFleetGoldens(t *testing.T) {
 					}
 					got[i] = make([]*sched.Outcome, chain[i])
 					if i+1 < len(chain) {
-						next := make([]policy.Session, chain[i+1])
+						next := make([]*engine.Session, chain[i+1])
 						var err error
 						fleet, err = engine.ResizeFleet(fleet, chain[i+1], engine.ShardOptions{Route: route},
 							func(k int, _ engine.Feeder) error {
