@@ -440,7 +440,8 @@ const (
 // for its lifetime, and the per-shard snapshots are framed into one fleet
 // container in shard order. A periodic checkpoint therefore re-encodes each
 // session into storage it already owns and copies each byte once more, into
-// dst. Feeding may resume after AppendSnapshot returns.
+// dst; each byte is CRC'd once, by the session's own frame. Feeding may
+// resume after AppendSnapshot returns.
 //
 // The route function and slab sizing are not serialized (routes are code,
 // and slab knobs are performance-only): RestoreFleet's caller reattaches the
@@ -451,10 +452,22 @@ func (sh *Shard) AppendSnapshot(dst []byte) ([]byte, error) {
 	if err := sh.capture(); err != nil {
 		return dst, err
 	}
+	need := 64 // the fleet header and framing
+	for _, b := range sh.snaps {
+		need += len(b) + 12
+	}
+	if cap(dst)-len(dst) < need {
+		// One allocation for the whole fleet rather than a regrow per shard,
+		// with headroom so a growing fleet reuses it for a few checkpoints.
+		dst = append(make([]byte, 0, len(dst)+need+need/2), dst...)
+	}
 	sw := snapshot.AppendWriter(dst)
 	sw.Section(tagFleet, func(e *snapshot.Encoder) { e.U32(uint32(len(sh.snaps))) })
 	for _, b := range sh.snaps {
-		sw.Frame(tagShard, b)
+		// Nest, not Frame: the SHRD frame's CRC comes from the CRCs the
+		// session's own frames store, so the captured bytes are copied
+		// once and not read again.
+		sw.Nest(tagShard, func(dst []byte) ([]byte, error) { return append(dst, b...), nil })
 	}
 	err := sw.Close()
 	return sw.Bytes(), err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
 
@@ -59,14 +60,18 @@ const maxDeltaNodes = 1 << 22
 
 // deltaNode is one section of a parsed container: a leaf holds its payload,
 // a container holds its children (its payload is their serialization).
-// Payloads alias the parsed bytes. occ is the section's occurrence index
-// among its same-tag siblings: (tag, occ) at every level names a section by
-// role ("FLTB#0/SHRD#2/JOBS#0"), so two checkpoints' leaves match by role
-// even where sibling tags repeat (the fleet's SHRD frames).
+// Payloads alias the parsed bytes, at offset off in them, and sum is each
+// payload's CRC32-C. occ is the section's occurrence index among its
+// same-tag siblings: (tag, occ) at every level names a section by role
+// ("FLTB#0/SHRD#2/JOBS#0"), so two checkpoints' leaves match by role even
+// where sibling tags repeat (the fleet's SHRD frames). The root is the whole
+// container: off 0, payload and sum those of the parsed bytes.
 type deltaNode struct {
 	tag      string
 	occ      int
+	off      int
 	payload  []byte
+	sum      uint32
 	children []deltaNode
 	isLeaf   bool
 	byRole   map[role]int // children by role, built on the first lookup that misses its hint
@@ -78,47 +83,78 @@ type role struct {
 }
 
 // parseDeltaTree parses data as a snapshot container, recursing into any
-// section whose payload is itself a well-formed container. It fails only
-// when data's top level is not a valid container — exactly the torn-write /
-// bit-flip / trailing-garbage detector the lineage recovery needs.
+// section whose payload is itself a well-formed container, and verifies
+// every frame in the same walk with one read of the bytes: a leaf's payload
+// CRC is computed, a nested container's is derived from its frames (see
+// crc.go), and each frame's stored CRC is compared with the CRC of exactly
+// its tag and payload. It fails only when data's top level is not a valid
+// container — exactly the torn-write / bit-flip / trailing-garbage detector
+// the lineage recovery needs.
 func parseDeltaTree(data []byte) (*deltaNode, error) {
-	root := &deltaNode{}
-	if err := root.parse(data); err != nil {
+	root := &deltaNode{payload: data}
+	sum, err := root.parse(data)
+	if err != nil {
 		return nil, err
 	}
+	root.sum = sum
 	return root, nil
 }
 
-// parse fills n's children from the container bytes data.
-func (n *deltaNode) parse(data []byte) error {
+// parse fills n's children from the container bytes data (n's payload) and
+// returns data's CRC32-C.
+func (n *deltaNode) parse(data []byte) (uint32, error) {
 	sr, err := newReader(data)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	sr.AllowDuplicates()
+	sum := headerSum
 	var seen map[string]int
 	for {
-		tag, d, err := sr.Next()
-		if err == io.EOF {
-			return nil
-		}
+		at := sr.off
+		tag, payload, stored, err := sr.frame()
 		if err != nil {
 			n.children = nil
-			return err
+			return 0, err
 		}
-		if seen == nil {
-			seen = make(map[string]int, 8)
-		}
-		child := deltaNode{tag: tag, occ: seen[tag], payload: d.Rest(), isLeaf: true}
-		seen[tag]++
+		child := deltaNode{tag: tag, off: n.off + at + 8, payload: payload, isLeaf: true}
 		// A nested container always starts with the 8-byte magic; a leaf
 		// payload cannot collide with it by accident (its first 8 bytes
 		// would have to spell "SCHSNAP\0"), and even then the full parse
 		// below arbitrates: only a completely well-formed container recurses.
-		if len(child.payload) >= 10 && bytes.Equal(child.payload[:8], magic[:]) && child.parse(child.payload) == nil {
-			child.isLeaf = false
+		if len(payload) >= 10 && bytes.Equal(payload[:8], magic[:]) {
+			if s, err := child.parse(payload); err == nil {
+				child.sum, child.isLeaf = s, false
+			}
 		}
+		if child.isLeaf {
+			child.sum = Checksum(payload)
+		}
+		err = sr.accept(tag, payload, stored, child.sum)
+		sum = appendFrameSum(sum, data[at:at+12+len(payload)], child.sum)
+		if err == io.EOF {
+			return sum, nil
+		}
+		if err != nil {
+			n.children = nil
+			return 0, err
+		}
+		if seen == nil {
+			seen = make(map[string]int, 8)
+		}
+		child.occ = seen[tag]
+		seen[tag]++
 		n.children = append(n.children, child)
+	}
+}
+
+// repoint aims the tree at data, a byte-equal copy of the bytes it was
+// parsed from, so it outlives them.
+func (n *deltaNode) repoint(data []byte) {
+	end := n.off + len(n.payload)
+	n.payload = data[n.off:end:end]
+	for k := range n.children {
+		n.children[k].repoint(data)
 	}
 }
 
@@ -187,6 +223,7 @@ func encodeSkeleton(e *Encoder, n *deltaNode, depth int) {
 // leafPlan is how one leaf of the new container is carried by the delta.
 type leafPlan struct {
 	payload []byte // the new leaf
+	sum     uint32 // its CRC32-C
 	mode    uint8
 	dirty   []int // chunk indexes to patch (leafPatch)
 }
@@ -198,7 +235,7 @@ func planDelta(n, base *deltaNode, chunk int, plans []leafPlan) []leafPlan {
 		c := &n.children[k]
 		b := base.counterpart(c.tag, c.occ, c.isLeaf, k)
 		if c.isLeaf {
-			plans = append(plans, planLeaf(c.payload, b, chunk))
+			plans = append(plans, planLeaf(c, b, chunk))
 		} else {
 			plans = planDelta(c, b, chunk, plans)
 		}
@@ -206,9 +243,10 @@ func planDelta(n, base *deltaNode, chunk int, plans []leafPlan) []leafPlan {
 	return plans
 }
 
-// planLeaf diffs one leaf against its base counterpart (nil: none).
-func planLeaf(payload []byte, b *deltaNode, chunk int) leafPlan {
-	p := leafPlan{payload: payload, mode: leafWhole}
+// planLeaf diffs the leaf c against its base counterpart (nil: none).
+func planLeaf(c, b *deltaNode, chunk int) leafPlan {
+	payload := c.payload
+	p := leafPlan{payload: payload, sum: c.sum, mode: leafWhole}
 	if b == nil {
 		return p
 	}
@@ -252,7 +290,15 @@ func planLeaf(payload []byte, b *deltaNode, chunk int) leafPlan {
 // It returns the number of leaves emitted as patches or whole payloads
 // (0 means the two containers are byte-identical outside framing).
 func EncodeDelta(w io.Writer, baseData, newData []byte, baseSeq, seq uint64, chunk int) (changed int, err error) {
-	out, changed, err := appendDelta(nil, baseData, newData, baseSeq, seq, chunk)
+	base, err := parseDeltaTree(baseData)
+	if err != nil {
+		return 0, fmt.Errorf("snapshot: delta base is not a valid container: %w", err)
+	}
+	next, err := parseDeltaTree(newData)
+	if err != nil {
+		return 0, fmt.Errorf("snapshot: delta target is not a valid container: %w", err)
+	}
+	out, _, changed, err := appendDelta(nil, base, next, baseSeq, seq, chunk)
 	if err != nil {
 		return 0, err
 	}
@@ -262,31 +308,24 @@ func EncodeDelta(w io.Writer, baseData, newData []byte, baseSeq, seq uint64, chu
 	return changed, nil
 }
 
-// appendDelta is EncodeDelta appending the delta container to dst.
-func appendDelta(dst, baseData, newData []byte, baseSeq, seq uint64, chunk int) ([]byte, int, error) {
+// appendDelta is EncodeDelta over parsed trees, appending the delta
+// container to dst. It also returns the delta container's CRC32-C.
+func appendDelta(dst []byte, base, next *deltaNode, baseSeq, seq uint64, chunk int) ([]byte, uint32, int, error) {
 	if chunk <= 0 {
 		chunk = DefaultDeltaChunk
 	}
-	baseTree, err := parseDeltaTree(baseData)
-	if err != nil {
-		return dst, 0, fmt.Errorf("snapshot: delta base is not a valid container: %w", err)
-	}
-	newTree, err := parseDeltaTree(newData)
-	if err != nil {
-		return dst, 0, fmt.Errorf("snapshot: delta target is not a valid container: %w", err)
-	}
-	plans := planDelta(newTree, baseTree, chunk, nil)
+	plans := planDelta(next, base, chunk, nil)
 
 	sw := AppendWriter(dst)
 	sw.Section(tagDeltaHdr, func(e *Encoder) {
 		e.U64(baseSeq)
 		e.U64(seq)
 		e.U32(uint32(chunk))
-		e.U32(Checksum(baseData))
-		e.U32(Checksum(newData))
-		e.U64(uint64(len(newData)))
-		e.U64(uint64(countNodes(newTree)))
-		encodeSkeleton(e, newTree, 0)
+		e.U32(base.sum)
+		e.U32(next.sum)
+		e.U64(uint64(len(next.payload)))
+		e.U64(uint64(countNodes(next)))
+		encodeSkeleton(e, next, 0)
 		e.U64(uint64(len(plans)))
 		for i := range plans {
 			e.U8(plans[i].mode)
@@ -298,7 +337,7 @@ func appendDelta(dst, baseData, newData []byte, baseSeq, seq uint64, chunk int) 
 		p := &plans[i]
 		switch p.mode {
 		case leafWhole:
-			sw.Frame(tagWhole, p.payload)
+			sw.Frame(tagWhole, p.payload, p.sum)
 		case leafPatch:
 			sw.Section(tagPatch, func(e *Encoder) {
 				e.U64(uint64(len(p.dirty)))
@@ -315,8 +354,8 @@ func appendDelta(dst, baseData, newData []byte, baseSeq, seq uint64, chunk int) 
 		}
 		changed++
 	}
-	err = sw.Close()
-	return sw.Bytes(), changed, err
+	err := sw.Close()
+	return sw.Bytes(), sw.sum, changed, err
 }
 
 // DeltaInfo reports what a parsed delta chains to.
@@ -353,6 +392,37 @@ func skeletonLeaves(d *Decoder, n int) (int, error) {
 	return leaves, nil
 }
 
+// deltaHeader reads the fixed fields that open a DLTA section: the chain
+// info, the chunk size, the rebuilt container's length and its node count.
+func deltaHeader(d *Decoder) (info DeltaInfo, chunk int, totalLen, nNodes uint64) {
+	info.BaseSeq = d.U64()
+	info.Seq = d.U64()
+	chunk = int(d.U32())
+	info.BaseCRC = d.U32()
+	info.NewCRC = d.U32()
+	totalLen = d.U64()
+	nNodes = d.U64()
+	return info, chunk, totalLen, nNodes
+}
+
+// deltaLen returns the length of the container a delta rebuilds, as its
+// header declares it, or 0 when the header does not read.
+func deltaLen(delta []byte) int {
+	sr, err := newReader(delta)
+	if err != nil {
+		return 0
+	}
+	d, err := sr.Section(tagDeltaHdr)
+	if err != nil {
+		return 0
+	}
+	_, _, n, _ := deltaHeader(d)
+	if d.Err() != nil || n > math.MaxInt {
+		return 0
+	}
+	return int(n)
+}
+
 // ApplyDelta reconstructs the full container a delta was encoded against:
 // baseData must be the checkpoint the delta chained to (verified by CRC
 // before any patch is applied), and the returned bytes are verified against
@@ -363,15 +433,19 @@ func ApplyDelta(baseData []byte, delta io.Reader) ([]byte, DeltaInfo, error) {
 	if err != nil {
 		return nil, DeltaInfo{}, fmt.Errorf("snapshot: reading delta: %w", err)
 	}
-	return applyDelta(nil, baseData, data)
+	return applyDelta(nil, baseData, nil, data)
 }
 
 // applyDelta is ApplyDelta over an in-memory delta, reassembling into dst's
-// storage when it is large enough (its contents are discarded). The result
-// is written once: unchanged and patched leaves are copied from the base
-// straight into their frames in the output, patch chunks are overlaid there,
-// and nested containers are framed in place around their children.
-func applyDelta(dst, baseData, delta []byte) ([]byte, DeltaInfo, error) {
+// storage when it is large enough (its contents are discarded). base is
+// baseData's parsed tree, or nil to parse it here. The result is written
+// once: unchanged and patched leaves are copied from the base straight into
+// their frames in the output, patch chunks are overlaid there, and nested
+// containers are framed in place around their children. Only patched leaves
+// are CRC'd: an unchanged leaf's CRC comes from the base tree, a whole
+// leaf's from its verified WHOL frame, and a nested frame's and the result's
+// from the frames inside them.
+func applyDelta(dst, baseData []byte, base *deltaNode, delta []byte) ([]byte, DeltaInfo, error) {
 	var info DeltaInfo
 	sr, err := newReader(delta)
 	if err != nil {
@@ -382,13 +456,7 @@ func applyDelta(dst, baseData, delta []byte) ([]byte, DeltaInfo, error) {
 	if err != nil {
 		return nil, info, err
 	}
-	info.BaseSeq = d.U64()
-	info.Seq = d.U64()
-	chunk := int(d.U32())
-	info.BaseCRC = d.U32()
-	info.NewCRC = d.U32()
-	totalLen := d.U64()
-	nNodes := d.U64()
+	info, chunk, totalLen, nNodes := deltaHeader(d)
 	if err := d.Err(); err != nil {
 		return nil, info, err
 	}
@@ -407,9 +475,19 @@ func applyDelta(dst, baseData, delta []byte) ([]byte, DeltaInfo, error) {
 		d.Failf("delta declares a %d-byte result from a %d-byte base and a %d-byte delta", totalLen, len(baseData), len(delta))
 		return nil, info, d.Err()
 	}
-	if got := Checksum(baseData); got != info.BaseCRC {
+	var baseErr error
+	if base == nil {
+		base, baseErr = parseDeltaTree(baseData)
+	}
+	var baseSum uint32
+	if base != nil {
+		baseSum = base.sum
+	} else {
+		baseSum = Checksum(baseData) // a base that does not parse has no tree to take it from
+	}
+	if baseSum != info.BaseCRC {
 		return nil, info, fmt.Errorf("snapshot: delta %d chains to base %d with CRC %08x, supplied base has %08x",
-			info.Seq, info.BaseSeq, info.BaseCRC, got)
+			info.Seq, info.BaseSeq, info.BaseCRC, baseSum)
 	}
 	skelStart := d.off
 	nLeaves, err := skeletonLeaves(d, int(nNodes))
@@ -439,9 +517,8 @@ func applyDelta(dst, baseData, delta []byte) ([]byte, DeltaInfo, error) {
 	if nLeaves != len(descs) {
 		return nil, info, fmt.Errorf("snapshot: delta skeleton holds %d leaves, descriptor table %d", nLeaves, len(descs))
 	}
-	baseTree, err := parseDeltaTree(baseData)
-	if err != nil {
-		return nil, info, fmt.Errorf("snapshot: delta base is not a valid container: %w", err)
+	if baseErr != nil {
+		return nil, info, fmt.Errorf("snapshot: delta base is not a valid container: %w", baseErr)
 	}
 
 	// Reassemble pre-order, consuming PTCH/WHOL sections in the order they
@@ -460,7 +537,7 @@ func applyDelta(dst, baseData, delta []byte) ([]byte, DeltaInfo, error) {
 		seen  map[string]int
 		next  int // children so far
 	}
-	stack := []level{{base: baseTree}}
+	stack := []level{{base: base}}
 	path := func(tag string, occ int) string {
 		var b strings.Builder
 		for _, lv := range stack[1:] {
@@ -505,7 +582,7 @@ func applyDelta(dst, baseData, delta []byte) ([]byte, DeltaInfo, error) {
 			if uint64(len(b.payload)) != desc.size {
 				return nil, info, fmt.Errorf("snapshot: delta leaf %s declares %d bytes, base holds %d", path(tag, occ), desc.size, len(b.payload))
 			}
-			sw.Frame(tag, b.payload)
+			sw.Frame(tag, b.payload, b.sum)
 		case leafWhole:
 			pd, err := sr.Section(tagWhole)
 			if err != nil {
@@ -515,7 +592,7 @@ func applyDelta(dst, baseData, delta []byte) ([]byte, DeltaInfo, error) {
 			if uint64(len(body)) != desc.size {
 				return nil, info, fmt.Errorf("snapshot: delta leaf %s declares %d bytes, whole payload holds %d", path(tag, occ), desc.size, len(body))
 			}
-			sw.Frame(tag, body)
+			sw.Frame(tag, body, pd.sum)
 		case leafPatch:
 			if b == nil {
 				return nil, info, fmt.Errorf("snapshot: delta patches leaf %s but the base has no such section", path(tag, occ))
@@ -537,7 +614,7 @@ func applyDelta(dst, baseData, delta []byte) ([]byte, DeltaInfo, error) {
 			if err := overlay(pd, sw.enc.buf[lo:], chunk); err != nil {
 				return nil, info, err
 			}
-			sw.seal(tag, start)
+			sw.seal(tag, start, Checksum(sw.enc.buf[lo:]))
 		}
 	}
 	for len(stack) > 1 {
@@ -555,7 +632,7 @@ func applyDelta(dst, baseData, delta []byte) ([]byte, DeltaInfo, error) {
 	if uint64(len(out)) != totalLen {
 		return nil, info, fmt.Errorf("snapshot: delta reassembled %d bytes, expected %d", len(out), totalLen)
 	}
-	if got := Checksum(out); got != info.NewCRC {
+	if got := sw.sum; got != info.NewCRC {
 		return nil, info, fmt.Errorf("snapshot: delta reassembly CRC %08x does not match the recorded %08x", got, info.NewCRC)
 	}
 	return out, info, nil
@@ -584,25 +661,4 @@ func overlay(pd *Decoder, leaf []byte, chunk int) error {
 		copy(leaf[lo:], b)
 	}
 	return pd.Done()
-}
-
-// VerifyContainer fully parses data as a snapshot container — every frame's
-// CRC, the END terminator, no trailing bytes. It is the integrity check the
-// lineage recovery runs on a full checkpoint before trusting it. Nested
-// containers need no walk of their own: their bytes are inside a frame whose
-// CRC covers them.
-func VerifyContainer(data []byte) error {
-	sr, err := newReader(data)
-	if err != nil {
-		return err
-	}
-	sr.AllowDuplicates()
-	for {
-		if _, _, err := sr.Next(); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-	}
 }

@@ -161,21 +161,35 @@ func TestDeltaCorruptionRejected(t *testing.T) {
 	}
 }
 
-func TestVerifyContainer(t *testing.T) {
-	good := buildContainer(t, sec("DATA", []byte("payload")))
-	if err := VerifyContainer(good); err != nil {
-		t.Fatalf("VerifyContainer on clean bytes: %v", err)
-	}
-	if err := VerifyContainer(good[:len(good)-4]); err == nil {
-		t.Fatal("truncated container verified")
-	}
-	mut := append([]byte(nil), good...)
-	mut[12] ^= 1
-	if err := VerifyContainer(mut); err == nil {
-		t.Fatal("bit-flipped container verified")
-	}
-	if err := VerifyContainer(append(append([]byte(nil), good...), 0xEE)); err == nil {
-		t.Fatal("trailing garbage verified")
+// TestDeltaTreeVerifies pins the tree walk as a full integrity check — every
+// frame's CRC at every nesting level, the END terminator, no trailing bytes —
+// whose whole-container CRC is the bytes' own.
+func TestDeltaTreeVerifies(t *testing.T) {
+	inner := buildContainer(t, sec("SESS", []byte("shard state")), sec("JOBS", bytes.Repeat([]byte{4}, 300)))
+	for name, good := range map[string][]byte{
+		"flat":   buildContainer(t, sec("DATA", []byte("payload"))),
+		"nested": buildContainer(t, sec("FLET", []byte{1}), sec("SHRD", inner)),
+	} {
+		tree, err := parseDeltaTree(good)
+		if err != nil {
+			t.Fatalf("%s: walk of clean bytes: %v", name, err)
+		}
+		if tree.sum != Checksum(good) {
+			t.Fatalf("%s: walk CRC %08x, bytes %08x", name, tree.sum, Checksum(good))
+		}
+		if _, err := parseDeltaTree(good[:len(good)-4]); err == nil {
+			t.Fatalf("%s: truncated container verified", name)
+		}
+		for _, off := range []int{12, len(good) / 2, len(good) - 20} {
+			mut := append([]byte(nil), good...)
+			mut[off] ^= 1
+			if _, err := parseDeltaTree(mut); err == nil {
+				t.Fatalf("%s: bit flip at %d of %d verified", name, off, len(good))
+			}
+		}
+		if _, err := parseDeltaTree(append(append([]byte(nil), good...), 0xEE)); err == nil {
+			t.Fatalf("%s: trailing garbage verified", name)
+		}
 	}
 }
 

@@ -57,6 +57,9 @@ func FuzzReader(f *testing.F) {
 	})
 }
 
+// leaf frames payload, summed the slow way.
+func leaf(w *Writer, tag string, payload []byte) { w.Frame(tag, payload, Checksum(payload)) }
+
 // fuzzContainer builds a checkpoint-shaped container from src: flat (three
 // leaves) when shards is 0, else a FLET header plus shards nested SHRD
 // containers — the fleet's repeated tag — each holding two leaves. Leaf
@@ -66,19 +69,19 @@ func fuzzContainer(src []byte, shards int) []byte {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	if shards == 0 {
-		w.Frame("SESS", cut(src, 0, 3))
-		w.Frame("JOBS", cut(src, 1, 3))
-		w.Frame("POLI", cut(src, 2, 3))
+		leaf(w, "SESS", cut(src, 0, 3))
+		leaf(w, "JOBS", cut(src, 1, 3))
+		leaf(w, "POLI", cut(src, 2, 3))
 	} else {
 		w.Section("FLET", func(e *Encoder) { e.U32(uint32(shards)) })
 		for k := 0; k < shards; k++ {
 			part := cut(src, k, shards)
 			var inner bytes.Buffer
 			iw := NewWriter(&inner)
-			iw.Frame("SESS", cut(part, 0, 2))
-			iw.Frame("JOBS", cut(part, 1, 2))
+			leaf(iw, "SESS", cut(part, 0, 2))
+			leaf(iw, "JOBS", cut(part, 1, 2))
 			iw.Close()
-			w.Frame("SHRD", inner.Bytes())
+			leaf(w, "SHRD", inner.Bytes())
 		}
 	}
 	w.Close()
@@ -122,7 +125,116 @@ func FuzzDelta(f *testing.F) {
 			if err == nil && Checksum(out) != info.NewCRC {
 				t.Fatalf("damaged delta applied to %d bytes off its recorded CRC", len(out))
 			}
-			VerifyContainer(bad)
+			parseDeltaTree(bad)
 		}
 	})
+}
+
+// appendContainer builds fuzzContainer's bytes with an AppendWriter, framing
+// each nested shard the way how selects: 0 openNested/closeNested (the delta
+// reassembly's running sum), 1 Nest over a shard appended in place (the
+// checkpoint capture's sum from stored frame CRCs), 2 Frame over a separately
+// built shard with its Checksum. It returns the bytes and the Writer's
+// running CRC of them.
+func appendContainer(src []byte, shards int, how uint8) ([]byte, uint32) {
+	cut := func(b []byte, k, of int) []byte { return b[len(b)*k/of : len(b)*(k+1)/of] }
+	w := AppendWriter(nil)
+	if shards == 0 {
+		leaf(w, "SESS", cut(src, 0, 3))
+		w.Section("JOBS", func(e *Encoder) { e.Raw(cut(src, 1, 3)) })
+		leaf(w, "POLI", cut(src, 2, 3))
+	} else {
+		w.Section("FLET", func(e *Encoder) { e.U32(uint32(shards)) })
+		for k := 0; k < shards; k++ {
+			part := cut(src, k, shards)
+			switch how {
+			case 0:
+				start, _ := w.openNested("SHRD")
+				leaf(w, "SESS", cut(part, 0, 2))
+				leaf(w, "JOBS", cut(part, 1, 2))
+				w.closeNested("SHRD", start)
+			case 1:
+				w.Nest("SHRD", func(dst []byte) ([]byte, error) {
+					iw := AppendWriter(dst)
+					leaf(iw, "SESS", cut(part, 0, 2))
+					iw.Section("JOBS", func(e *Encoder) { e.Raw(cut(part, 1, 2)) })
+					err := iw.Close()
+					return iw.Bytes(), err
+				})
+			default:
+				iw := AppendWriter(nil)
+				leaf(iw, "SESS", cut(part, 0, 2))
+				leaf(iw, "JOBS", cut(part, 1, 2))
+				iw.Close()
+				leaf(w, "SHRD", iw.Bytes())
+			}
+		}
+	}
+	w.Close()
+	return w.Bytes(), w.sum
+}
+
+// FuzzFrameSums checks the CRCs that nested frames derive from their frames,
+// instead of reading their bytes, against CRCs read the slow way, over
+// Writer-built flat and nested containers: the Writer's running CRC and the
+// tree walk's must each equal Checksum of the bytes, every way of building
+// the container must give the same bytes, and flipping any single byte must
+// fail both the tree walk and a Reader walk.
+func FuzzFrameSums(f *testing.F) {
+	f.Add([]byte("state before the checkpoint"), uint8(0), uint8(0), uint8(1))
+	f.Add(bytes.Repeat([]byte{7}, 300), uint8(2), uint8(1), uint8(0x80))
+	f.Add([]byte("three shards of state, nested"), uint8(3), uint8(2), uint8(0xFF))
+	f.Add(append([]byte("SCHSNAP\x00\x01\x00"), "a leaf that looks nested"...), uint8(1), uint8(0), uint8(4))
+
+	f.Fuzz(func(t *testing.T, src []byte, shards, how, flip uint8) {
+		if len(src) > 256 {
+			src = src[:256] // every byte is flipped and re-walked: keep it small
+		}
+		data, sum := appendContainer(src, int(shards%4), how%3)
+		want := Checksum(data)
+		if sum != want {
+			t.Fatalf("Writer running CRC %08x, bytes %08x", sum, want)
+		}
+		if ref := fuzzContainer(src, int(shards%4)); !bytes.Equal(data, ref) {
+			t.Fatalf("append-mode build (%d bytes) differs from the stream-mode one (%d)", len(data), len(ref))
+		}
+		tree, err := parseDeltaTree(data)
+		if err != nil {
+			t.Fatalf("walk of clean bytes: %v", err)
+		}
+		if tree.sum != want {
+			t.Fatalf("walk CRC %08x, bytes %08x", tree.sum, want)
+		}
+		if k := len(data) / 2; crcShift(Checksum(data[:k]), len(data)-k)^Checksum(data[k:]) != want {
+			t.Fatalf("combine of the two halves at %d is not the whole's CRC", k)
+		}
+
+		bad := append([]byte(nil), data...)
+		for i := range bad {
+			bad[i] ^= flip | 1
+			if _, err := parseDeltaTree(bad); err == nil {
+				t.Fatalf("walk accepted a flip of byte %d of %d", i, len(bad))
+			}
+			if err := readAllSections(bad); err == nil {
+				t.Fatalf("Reader accepted a flip of byte %d of %d", i, len(bad))
+			}
+			bad[i] = data[i]
+		}
+	})
+}
+
+// readAllSections walks every top-level section of data with a Reader.
+func readAllSections(data []byte) error {
+	r, err := NewReader(InPlace(data))
+	if err != nil {
+		return err
+	}
+	r.AllowDuplicates()
+	for {
+		if _, _, err := r.Next(); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return err
+		}
+	}
 }

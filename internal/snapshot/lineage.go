@@ -71,7 +71,8 @@ type Lineage struct {
 
 	nextSeq   uint64
 	sinceFull int
-	prev      []byte // last written (or recovered) payload, the delta base; nil while DeltaEvery is 0
+	prev      []byte     // last written (or recovered) payload, the delta base; nil while DeltaEvery is 0
+	prevTree  *deltaNode // prev parsed, aliasing it; nil until a delta write needs it
 	prevSeq   uint64
 
 	// Scratch reused by every delta Write: the encoded delta, and the
@@ -202,25 +203,31 @@ func (l *Lineage) entryName(seq uint64, kind string) string {
 // apply reproduce payload bit-exactly — a failed self-check quietly
 // downgrades to a full, trading bytes for certainty); forceFull overrides
 // the cadence (resize barriers and final drains always write fulls).
+//
+// With deltas on, payload is parsed once, every frame verified on the way:
+// its tree is the delta's target and, re-pointed at the retained copy, the
+// next write's base, so no write parses its base again.
 func (l *Lineage) Write(payload []byte, forceFull bool) (LineageEntry, error) {
+	var tree *deltaNode
+	if l.opt.DeltaEvery > 0 {
+		tree, _ = parseDeltaTree(payload) // nil: not a container, so written as a full
+	}
 	kind, fileBytes := "full", payload
-	if !forceFull && l.prev != nil && l.opt.DeltaEvery > 0 && l.sinceFull < l.opt.DeltaEvery {
-		delta, _, err := appendDelta(l.delta[:0], l.prev, payload, l.prevSeq, l.nextSeq, l.opt.Chunk)
-		l.delta = delta
-		if err == nil {
-			back, _, aerr := applyDelta(l.spare, l.prev, delta)
-			if back != nil {
-				l.spare = back
-			}
-			if aerr == nil && bytes.Equal(back, payload) {
-				kind, fileBytes = "delta", delta
-			}
+	var crc uint32
+	if tree != nil {
+		crc = tree.sum
+	} else {
+		crc = Checksum(payload)
+	}
+	if tree != nil && !forceFull && l.prev != nil && l.sinceFull < l.opt.DeltaEvery {
+		if delta, sum, ok := l.encodeDelta(payload, tree); ok {
+			kind, fileBytes, crc = "delta", delta, sum
 		}
 	}
 	seq := l.nextSeq
 	entry := LineageEntry{
 		Seq: seq, Kind: kind, File: l.entryName(seq, kind),
-		CRC: Checksum(fileBytes), Size: int64(len(fileBytes)),
+		CRC: crc, Size: int64(len(fileBytes)),
 	}
 	if kind == "delta" {
 		entry.Base = l.prevSeq
@@ -228,9 +235,15 @@ func (l *Lineage) Write(payload []byte, forceFull bool) (LineageEntry, error) {
 	if err := writeFileAtomic(l.memberPath(entry), fileBytes); err != nil {
 		return LineageEntry{}, err
 	}
+	kept := l.entries
 	l.entries = append(l.entries, entry)
 	pruned := l.prune()
 	if err := l.writeManifest(); err != nil {
+		// The manifest on disk still lists the old entries, so memory must
+		// too: the next write reuses this seq, and a list that kept it would
+		// name it twice. The member no manifest names goes with it.
+		l.entries = kept
+		os.Remove(l.memberPath(entry))
 		return LineageEntry{}, err
 	}
 	// Old generations leave the disk only after the manifest that no longer
@@ -249,12 +262,44 @@ func (l *Lineage) Write(payload []byte, forceFull bool) (LineageEntry, error) {
 		l.prevSeq = seq
 		l.sinceFull++
 	}
+	if tree != nil {
+		tree.repoint(l.prev)
+	}
+	l.prevTree = tree
 	return entry, nil
 }
 
-// setBase retains payload as the base the next delta encodes against. A
-// fulls-only lineage never encodes one, so it holds no second copy of the
-// state it checkpoints.
+// encodeDelta encodes payload, parsed as next, as a delta against the base
+// into l.delta and self-checks it: applying it to the base must rebuild
+// payload bit-exactly. The rebuild lands in l.spare, ready to become the
+// next base. It returns the delta and its CRC32-C, or ok false to write a
+// full instead.
+func (l *Lineage) encodeDelta(payload []byte, next *deltaNode) (delta []byte, sum uint32, ok bool) {
+	if l.prevTree == nil { // a recovered base is parsed by the first write that needs it
+		if l.prevTree, _ = parseDeltaTree(l.prev); l.prevTree == nil {
+			return nil, 0, false
+		}
+	}
+	delta, sum, _, err := appendDelta(l.delta[:0], l.prevTree, next, l.prevSeq, l.nextSeq, l.opt.Chunk)
+	l.delta = delta
+	if err != nil {
+		return nil, 0, false
+	}
+	if cap(l.spare) < len(payload) {
+		// Headroom, so the two buffers a growing stream alternates between
+		// are reused rather than reallocated at every write.
+		l.spare = make([]byte, 0, len(payload)+len(payload)/4)
+	}
+	back, _, err := applyDelta(l.spare, l.prev, l.prevTree, delta)
+	if back != nil {
+		l.spare = back
+	}
+	return delta, sum, err == nil && bytes.Equal(back, payload)
+}
+
+// setBase retains a copy of payload as the base the next delta encodes
+// against; the caller sets prevTree. A fulls-only lineage never encodes one,
+// so it holds no second copy of the state it checkpoints.
 func (l *Lineage) setBase(payload []byte, seq uint64) {
 	if l.opt.DeltaEvery > 0 {
 		l.prev = append(l.prev[:0], payload...)
@@ -263,7 +308,9 @@ func (l *Lineage) setBase(payload []byte, seq uint64) {
 }
 
 // prune trims entries beyond the Keep newest full generations, returning
-// the dropped entries for deletion after the manifest lands.
+// the dropped entries for deletion after the manifest lands. The kept
+// entries are resliced, not moved, so a caller holding the old list can
+// restore it.
 func (l *Lineage) prune() []LineageEntry {
 	if l.opt.Keep <= 0 {
 		return nil
@@ -282,8 +329,8 @@ func (l *Lineage) prune() []LineageEntry {
 	if fulls < l.opt.Keep || cut == 0 {
 		return nil
 	}
-	dropped := append([]LineageEntry(nil), l.entries[:cut]...)
-	l.entries = append(l.entries[:0], l.entries[cut:]...)
+	dropped := l.entries[:cut:cut]
+	l.entries = l.entries[cut:]
 	return dropped
 }
 
@@ -329,8 +376,9 @@ func (l *Lineage) Recover() ([]byte, RecoverInfo, error) {
 	for _, gi := range gens {
 		full := entries[gi]
 		payload, err := l.readVerified(full)
+		var tree *deltaNode
 		if err == nil {
-			err = VerifyContainer(payload)
+			tree, err = parseDeltaTree(payload)
 		}
 		if err != nil {
 			if firstErr == nil {
@@ -339,41 +387,60 @@ func (l *Lineage) Recover() ([]byte, RecoverInfo, error) {
 			continue
 		}
 		info := RecoverInfo{Seq: full.Seq}
-		cur := payload
-		curSeq := full.Seq
+		cur, curSeq, base := payload, full.Seq, tree
 		// Apply this generation's deltas in order; stop at the first bad one.
+		// They are read up front so that the two buffers the chain is rebuilt
+		// in, alternately, are sized once, for its longest result.
 		tail := entries[gi+1:]
 		for k, e := range tail {
 			if e.Kind != "delta" {
-				break // next generation's full; anything after belongs to it
+				tail = tail[:k] // the next generation's full and what follows it
+				break
 			}
-			data, err := l.readVerified(e)
+		}
+		data := make([][]byte, len(tail))
+		errs := make([]error, len(tail))
+		need, bound := 0, len(payload)
+		for k, e := range tail {
+			data[k], errs[k] = l.readVerified(e)
+			// ApplyDelta refuses a result longer than its base plus five times
+			// the delta, so bound caps what a corrupt header can make us size.
+			bound += 5*len(data[k]) + 10
+			need = max(need, min(deltaLen(data[k]), bound))
+		}
+		var bufs [2][]byte
+		for k, e := range tail {
+			err := errs[k]
 			if err == nil {
+				if cap(bufs[k%2]) < need {
+					bufs[k%2] = make([]byte, 0, need)
+				}
 				var next []byte
 				var dinfo DeltaInfo
-				next, dinfo, err = applyDelta(nil, cur, data)
+				next, dinfo, err = applyDelta(bufs[k%2], cur, base, data[k])
 				if err == nil && dinfo.BaseSeq != curSeq {
 					err = fmt.Errorf("delta %d chains to seq %d, chain is at %d", e.Seq, dinfo.BaseSeq, curSeq)
 				}
 				if err == nil {
-					cur, curSeq = next, e.Seq
+					cur, curSeq, base = next, e.Seq, nil
 					info.Seq = e.Seq
 					info.Applied++
 					continue
 				}
 			}
 			// This delta (and everything after it) is unusable.
-			info.Dropped = len(tail) - k
-			info.FellBack = true
 			break
 		}
 		// Everything newer than what we applied — this generation's bad
 		// tail plus any newer generations whose fulls failed — is dropped.
 		info.Dropped = len(entries) - gi - 1 - info.Applied
-		if info.Dropped > 0 {
-			info.FellBack = true
-		}
+		info.FellBack = info.Dropped > 0
 		l.setBase(cur, curSeq)
+		l.prevTree = nil
+		if base != nil && l.prev != nil { // the full itself: its tree is the base's
+			base.repoint(l.prev)
+			l.prevTree = base
+		}
 		// The recovered generation already holds Applied deltas, which count
 		// toward DeltaEvery like deltas this process wrote. After a fallback
 		// the next write is a full: the dropped tail may still sit on disk,

@@ -372,3 +372,74 @@ func TestLineageFullsOnlyRetainsNoBase(t *testing.T) {
 		t.Fatalf("recovery across the switch: %v (info %+v)", err, info)
 	}
 }
+
+// TestLineageManifestFailureRollsBack pins that a write whose manifest does
+// not land leaves the lineage as the manifest on disk has it: the retry
+// reuses the seq, nothing is listed twice, and the chain recovers whole.
+func TestLineageManifestFailureRollsBack(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt")
+	l := openL(t, path, LineageOptions{DeltaEvery: 4})
+	for i := 0; i < 2; i++ {
+		if _, err := l.Write(payloadN(t, i), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	block := manifestPath(path) + ".tmp" // a directory where the temp manifest goes
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Write(payloadN(t, 2), false); err == nil {
+		t.Fatal("a write whose manifest could not land succeeded")
+	}
+	if got := l.Entries(); len(got) != 2 {
+		t.Fatalf("after the failed write the lineage lists %+v, want the 2 entries on disk", got)
+	}
+	if err := os.Remove(block); err != nil {
+		t.Fatal(err)
+	}
+	e, err := l.Write(payloadN(t, 3), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Seq != 2 || e.Kind != "delta" || e.Base != 1 {
+		t.Fatalf("retried write = %+v, want delta seq 2 on base 1", e)
+	}
+	got, info, err := RecoverLineage(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payloadN(t, 3)) || info.FellBack || info.Dropped != 0 || info.Applied != 2 {
+		t.Fatalf("recovery after the retried write: info %+v, payload match %v", info, bytes.Equal(got, payloadN(t, 3)))
+	}
+}
+
+// TestLineageManifestFailureKeepsPruned pins that a generation the failed
+// write would have pruned stays listed and on disk.
+func TestLineageManifestFailureKeepsPruned(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt")
+	l := openL(t, path, LineageOptions{DeltaEvery: 1, Keep: 1})
+	for i := 0; i < 2; i++ { // full 0, delta 1
+		if _, err := l.Write(payloadN(t, i), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(manifestPath(path)+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Write(payloadN(t, 2), false); err == nil { // full 2 would prune 0 and 1
+		t.Fatal("a write whose manifest could not land succeeded")
+	}
+	entries := l.Entries()
+	if len(entries) != 2 {
+		t.Fatalf("after the failed write the lineage lists %+v, want seqs 0 and 1", entries)
+	}
+	for _, e := range entries {
+		if _, err := os.Stat(l.memberPath(e)); err != nil {
+			t.Fatalf("member %s of the surviving manifest: %v", e.File, err)
+		}
+	}
+	got, _, err := RecoverLineage(path)
+	if err != nil || !bytes.Equal(got, payloadN(t, 1)) {
+		t.Fatalf("recovery after the failed write: %v", err)
+	}
+}

@@ -33,7 +33,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 )
@@ -48,8 +47,6 @@ var magic = [8]byte{'S', 'C', 'H', 'S', 'N', 'A', 'P', 0}
 
 // EndTag terminates the section stream.
 const EndTag = "END\x00"
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Encoder appends one section's payload. Writer.Section hands one to its
 // fill, appending straight into the frame being written.
@@ -98,7 +95,11 @@ func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
 // Writer frames sections in place: a section reserves its 8-byte header in
 // the output, the payload is appended directly after it, and the frame is
 // closed by patching in the length and appending the CRC. Every payload byte
-// is therefore encoded once, into its final position, and CRC'd once.
+// is therefore encoded once, into its final position, and CRC'd once: a
+// section's payload is read when its frame is sealed, and a frame around a
+// nested container seals from the container's CRC — the running sum the
+// Writer keeps of it (openNested), or the sum its frames already store (Nest)
+// — never by reading the nested bytes again (see crc.go).
 //
 // AppendWriter builds the whole container in one caller-owned slice (a
 // checkpoint capture buffer that is reused across captures). NewWriter sends
@@ -110,6 +111,8 @@ func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
 type Writer struct {
 	w      io.Writer // nil: append mode, the output is enc.buf
 	enc    Encoder   // the output (append mode) or the frame being written
+	sum    uint32    // running CRC32-C of the innermost open container
+	outer  []uint32  // running CRCs of the containers enclosing it (openNested)
 	err    error
 	closed bool
 }
@@ -120,10 +123,13 @@ func appendHeader(b []byte) []byte {
 	return binary.LittleEndian.AppendUint16(b, Version)
 }
 
+// headerSum is the CRC32-C of the stream header.
+var headerSum = Checksum(appendHeader(nil))
+
 // NewWriter writes the stream header to w and returns a section writer that
 // writes each section to w as one frame.
 func NewWriter(w io.Writer) *Writer {
-	sw := &Writer{w: w}
+	sw := &Writer{w: w, sum: headerSum}
 	if _, err := w.Write(appendHeader(nil)); err != nil {
 		sw.err = fmt.Errorf("snapshot: writing header: %w", err)
 	}
@@ -133,7 +139,7 @@ func NewWriter(w io.Writer) *Writer {
 // AppendWriter returns a section writer that appends the stream header and
 // then every section to dst. Bytes returns the result.
 func AppendWriter(dst []byte) *Writer {
-	return &Writer{enc: Encoder{buf: appendHeader(dst)}}
+	return &Writer{enc: Encoder{buf: appendHeader(dst)}, sum: headerSum}
 }
 
 // Bytes returns what an AppendWriter has built: dst followed by the stream
@@ -148,25 +154,28 @@ func (sw *Writer) Section(tag string, fill func(e *Encoder)) error {
 		return err
 	}
 	fill(&sw.enc)
-	return sw.seal(tag, start)
+	return sw.seal(tag, start, Checksum(sw.enc.buf[start+8:]))
 }
 
-// Frame writes one section whose payload is already encoded (e.g. a nested
-// per-shard snapshot captured elsewhere), copying it straight into the frame.
-func (sw *Writer) Frame(tag string, payload []byte) error {
+// Frame writes one section whose payload is already encoded and whose
+// CRC32-C, sum, is already known (a leaf of a parsed container), copying the
+// payload straight into the frame. sum must be Checksum(payload): the frame
+// stores the CRC derived from it without reading the payload.
+func (sw *Writer) Frame(tag string, payload []byte, sum uint32) error {
 	start, err := sw.open(tag)
 	if err != nil {
 		return err
 	}
 	sw.enc.buf = append(sw.enc.buf, payload...)
-	return sw.seal(tag, start)
+	return sw.seal(tag, start, sum)
 }
 
 // Nest writes one section whose payload fill appends to dst in place — a
 // nested container built by an append-style encoder such as
 // engine.Shard.AppendSnapshot — so the nested bytes land in their final
 // position with no intermediate buffer. fill returns dst extended by the
-// payload; its error poisons the writer.
+// payload; its error poisons the writer. The frame's CRC comes from the CRCs
+// the nested container's frames store, so its bytes are not read again.
 func (sw *Writer) Nest(tag string, fill func(dst []byte) ([]byte, error)) error {
 	start, err := sw.open(tag)
 	if err != nil {
@@ -178,7 +187,7 @@ func (sw *Writer) Nest(tag string, fill func(dst []byte) ([]byte, error)) error 
 		return err
 	}
 	sw.enc.buf = b
-	return sw.seal(tag, start)
+	return sw.seal(tag, start, containerSum(b[start+8:]))
 }
 
 // open reserves a frame header for tag and returns its offset in enc.buf.
@@ -201,10 +210,11 @@ func (sw *Writer) open(tag string) (int, error) {
 	return start, nil
 }
 
-// seal closes the frame opened at start: it patches the payload length into
-// the header, appends the CRC over tag and payload, and in stream mode writes
-// the frame out.
-func (sw *Writer) seal(tag string, start int) error {
+// seal closes the frame opened at start, whose payload has CRC32-C sum: it
+// patches the payload length into the header, appends the frame's CRC over
+// tag and payload, folds the frame into the container's running CRC, and in
+// stream mode writes the frame out.
+func (sw *Writer) seal(tag string, start int, sum uint32) error {
 	b := sw.enc.buf
 	n := len(b) - start - 8
 	if uint64(n) > math.MaxUint32 {
@@ -212,8 +222,9 @@ func (sw *Writer) seal(tag string, start int) error {
 		return sw.err
 	}
 	binary.LittleEndian.PutUint32(b[start+4:], uint32(n))
-	crc := crc32.Update(crc32.Checksum(b[start:start+4], crcTable), crcTable, b[start+8:])
-	sw.enc.buf = binary.LittleEndian.AppendUint32(b, crc)
+	b = binary.LittleEndian.AppendUint32(b, frameCRC(b[start:start+4], sum, n))
+	sw.sum = appendFrameSum(sw.sum, b[start:], sum)
+	sw.enc.buf = b
 	if sw.w != nil {
 		if _, err := sw.w.Write(sw.enc.buf); err != nil {
 			sw.err = fmt.Errorf("snapshot: writing section %q: %w", tag, err)
@@ -232,20 +243,26 @@ func (sw *Writer) openNested(tag string) (int, error) {
 		return 0, err
 	}
 	sw.enc.buf = appendHeader(sw.enc.buf)
+	sw.outer = append(sw.outer, sw.sum)
+	sw.sum = headerSum
 	return start, nil
 }
 
 // closeNested ends the nested container opened at start with its end
-// section and seals the enclosing frame.
+// section and seals the enclosing frame from the nested container's running
+// CRC.
 func (sw *Writer) closeNested(tag string, start int) error {
 	end, err := sw.open(EndTag)
 	if err != nil {
 		return err
 	}
-	if err := sw.seal(EndTag, end); err != nil {
+	if err := sw.seal(EndTag, end, 0); err != nil {
 		return err
 	}
-	return sw.seal(tag, start)
+	inner := sw.sum
+	sw.sum = sw.outer[len(sw.outer)-1]
+	sw.outer = sw.outer[:len(sw.outer)-1]
+	return sw.seal(tag, start, inner)
 }
 
 // Close writes the end section. It does not close the underlying writer.
@@ -261,13 +278,8 @@ func (sw *Writer) Close() error {
 		return err
 	}
 	sw.closed = true
-	return sw.seal(EndTag, start)
+	return sw.seal(EndTag, start, 0)
 }
-
-// Checksum returns the CRC32-C of b — the same polynomial that guards every
-// section frame, exposed for whole-file integrity records (the checkpoint
-// lineage manifest stores one per checkpoint file).
-func Checksum(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
 
 // Reader walks the sections of a snapshot held in one byte slice. Payloads
 // are never copied: every Decoder reads a subslice of the input, and a nested
@@ -384,49 +396,69 @@ var errTruncated = errors.New("unexpected end of snapshot (truncated)")
 // checking that no trailing bytes follow. A length prefix beyond the bytes
 // remaining fails here, before anything is allocated.
 func (sr *Reader) Next() (string, *Decoder, error) {
+	tag, payload, stored, err := sr.frame()
+	if err != nil {
+		return "", nil, err
+	}
+	sum := Checksum(payload)
+	if err := sr.accept(tag, payload, stored, sum); err != nil {
+		return "", nil, err
+	}
+	return tag, &Decoder{tag: tag, buf: payload, sum: sum}, nil
+}
+
+// frame splits the next section frame off the input without verifying it:
+// its tag, its payload and the CRC it stores. It returns io.EOF once the end
+// section has been accepted.
+func (sr *Reader) frame() (string, []byte, uint32, error) {
 	if sr.ended {
-		return "", nil, io.EOF
+		return "", nil, 0, io.EOF
 	}
 	rest := sr.data[sr.off:]
 	if len(rest) < 8 {
-		return "", nil, fmt.Errorf("snapshot: reading section header: %w", errTruncated)
+		return "", nil, 0, fmt.Errorf("snapshot: reading section header: %w", errTruncated)
 	}
 	tag := string(rest[:4])
 	n := uint64(binary.LittleEndian.Uint32(rest[4:8]))
 	if avail := uint64(len(rest) - 8); n > avail {
-		return "", nil, fmt.Errorf("snapshot: section %q: payload truncated (want %d bytes, %d remain): %w", tag, n, avail, errTruncated)
+		return "", nil, 0, fmt.Errorf("snapshot: section %q: payload truncated (want %d bytes, %d remain): %w", tag, n, avail, errTruncated)
 	}
 	end := 8 + int(n)
 	payload := rest[8:end:end] // capped: an append through it cannot clobber the CRC
 	if len(rest)-end < 4 {
-		return "", nil, fmt.Errorf("snapshot: section %q: reading checksum: %w", tag, errTruncated)
+		return "", nil, 0, fmt.Errorf("snapshot: section %q: reading checksum: %w", tag, errTruncated)
 	}
-	want := binary.LittleEndian.Uint32(rest[end:])
-	got := crc32.Update(crc32.Checksum(rest[:4], crcTable), crcTable, payload)
-	if got != want {
-		return "", nil, fmt.Errorf("snapshot: section %q: checksum mismatch (stored %08x, computed %08x): snapshot corrupted", tag, want, got)
+	return tag, payload, binary.LittleEndian.Uint32(rest[end:]), nil
+}
+
+// accept checks the frame that frame split off against sum, the CRC32-C of
+// its payload, and steps past it. At the end section it returns io.EOF after
+// checking that no trailing bytes follow.
+func (sr *Reader) accept(tag string, payload []byte, stored, sum uint32) error {
+	if got := frameCRC(sr.data[sr.off:sr.off+4], sum, len(payload)); got != stored {
+		return fmt.Errorf("snapshot: section %q: checksum mismatch (stored %08x, computed %08x): snapshot corrupted", tag, stored, got)
 	}
-	sr.off += end + 4
+	sr.off += 12 + len(payload)
 	if tag == EndTag {
 		sr.ended = true
-		if n != 0 {
-			return "", nil, fmt.Errorf("snapshot: end section carries %d payload bytes", n)
+		if len(payload) != 0 {
+			return fmt.Errorf("snapshot: end section carries %d payload bytes", len(payload))
 		}
 		if sr.off != len(sr.data) {
-			return "", nil, fmt.Errorf("snapshot: trailing data after end section")
+			return fmt.Errorf("snapshot: trailing data after end section")
 		}
-		return "", nil, io.EOF
+		return io.EOF
 	}
 	if !sr.anyDup && !sr.repeat[tag] {
 		if sr.seen[tag] {
-			return "", nil, fmt.Errorf("snapshot: duplicate section %q: snapshot corrupted", tag)
+			return fmt.Errorf("snapshot: duplicate section %q: snapshot corrupted", tag)
 		}
 		if sr.seen == nil {
 			sr.seen = make(map[string]bool, 8)
 		}
 		sr.seen[tag] = true
 	}
-	return tag, &Decoder{tag: tag, buf: payload}, nil
+	return nil
 }
 
 // Section reads the next section and requires its tag, enforcing the strict
@@ -466,6 +498,7 @@ type Decoder struct {
 	buf []byte
 	off int
 	err error
+	sum uint32 // CRC32-C of the whole payload, as verified by Reader.Next
 }
 
 // Err returns the first decoding error, or nil.
