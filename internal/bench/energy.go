@@ -52,7 +52,7 @@ func weightedWorkload(n int, seed int64, alpha float64) *sched.Instance {
 func runE6(cfg Config) (fmt.Stringer, error) {
 	n := cfg.scale(800, 120)
 	t := stats.NewTable("E6 — Theorem 2 budget & ratio (n="+fmt.Sprint(n)+", m=3)",
-		"alpha", "eps", "wflow+energy", "ratio vs solo LB", "ratio (γ=1)", "vs fixed-speed HDF", "rejW%", "budget ε%", "envelope (1+1/ε)^(α/(α−1))")
+		"alpha", "eps", "wflow+energy", "ratio vs solo LB", "ratio (γ=1)", "vs fixed-speed HDF", "rejW%", "budget ε%", "rejW ≤ εW", "envelope (1+1/ε)^(α/(α−1))")
 	for _, alpha := range []float64{1.5, 2, 3} {
 		ins := weightedWorkload(n, 31, alpha)
 		fixed, err := baseline.FixedSpeedHDF(ins, alpha)
@@ -88,6 +88,7 @@ func runE6(cfg Config) (fmt.Stringer, error) {
 				m.WeightedFlowPlusEnergy()/mFixed.WeightedFlowPlusEnergy(),
 				100*res.RejectedWeight/ins.TotalWeight(),
 				100*eps,
+				okMark(res.RejectedWeight <= eps*ins.TotalWeight()),
 				speedscale.TheoryEnvelope(eps, alpha))
 		}
 	}

@@ -37,3 +37,17 @@ func BenchmarkRunWithDualTracking(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRunDeepPending runs at the engine benchmark's shape rather than
+// load 1.1: 16 machines at load 1.3 with weighted Pareto sizes, where the
+// pending lists λ_ij reads are tens of entries deep.
+func BenchmarkRunDeepPending(b *testing.B) {
+	ins := deepInstance(20000, 3, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(ins, Options{Epsilon: 0.3}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

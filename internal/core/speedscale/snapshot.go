@@ -20,9 +20,9 @@ func (p *spolicy) SnapshotTag() string { return "speedscale/v1" }
 // actually resolved, since it scales every execution speed — the rejection
 // tallies, and per machine the weighted victim counter, the remnant-time
 // accumulator and the pending list as compact job indices in density order
-// (every pitem field re-derives bit-identically from the job table). Under
-// TrackDual the per-job dispatch snapshots and the dual execution records
-// ride along.
+// (every pitem field, the cached suffix weight included, re-derives
+// bit-identically from the job table). Under TrackDual the per-job dispatch
+// snapshots and the dual execution records ride along.
 func (p *spolicy) SaveState(e *snapshot.Encoder) {
 	e.F64(p.opt.Epsilon)
 	e.F64(p.alpha)
@@ -92,6 +92,19 @@ func (p *spolicy) LoadState(d *snapshot.Decoder) error {
 		return err
 	}
 	njobs := p.c.NumJobs()
+	// pend marks the jobs the restored lists hold so far; running jobs are
+	// marked up front, so no job can be both pending and running, or
+	// pending twice, on one machine or across two.
+	const (
+		isRunning = 1 + iota
+		isPending
+	)
+	pend := make([]uint8, njobs)
+	for i := range p.mach {
+		if r := p.c.Machine(i).Running; r >= 0 {
+			pend[r] = isRunning
+		}
+	}
 	for i := range p.mach {
 		m := &p.mach[i]
 		m.victimW = d.F64()
@@ -106,6 +119,20 @@ func (p *spolicy) LoadState(d *snapshot.Decoder) error {
 				d.Failf("machine %d pends job index %d of %d", i, jk, njobs)
 				return d.Err()
 			}
+			switch mach, open := p.c.Placement(jk); {
+			case pend[jk] == isPending:
+				d.Failf("machine %d pends job %d, already pending", i, p.c.ID(jk))
+			case pend[jk] == isRunning:
+				d.Failf("machine %d pends job %d, which is running", i, p.c.ID(jk))
+			case !open:
+				d.Failf("machine %d pends job %d, which is already decided", i, p.c.ID(jk))
+			case mach != i:
+				d.Failf("machine %d pends job %d, assigned to machine %d", i, p.c.ID(jk), mach)
+			}
+			if d.Err() != nil {
+				return d.Err()
+			}
+			pend[jk] = isPending
 			j := p.c.Job(jk)
 			m.pending = append(m.pending, pitem{
 				id: jk, w: j.Weight, p: j.Proc[i], density: j.Weight / j.Proc[i], release: j.Release,
@@ -119,6 +146,7 @@ func (p *spolicy) LoadState(d *snapshot.Decoder) error {
 				return d.Err()
 			}
 		}
+		m.resum(len(m.pending) - 1)
 	}
 	if p.dual != nil {
 		n := d.Count(8)

@@ -34,7 +34,6 @@ package speedscale
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/dispatch"
 	"repro/internal/engine"
@@ -118,12 +117,17 @@ type Result struct {
 
 // pitem is one pending job; id is the compact job index (feed order), the
 // same key space events and the engine's run state use, so the hypothetical
-// merge in lambdaFor and the real insert order can never disagree.
+// slot in lambdaFor and the real insert order can never disagree.
 type pitem struct {
 	id      int // compact job index
 	w, p    float64
 	density float64
 	release float64
+	// suf is the entry's suffix weight Σ_{x≥k} w_x over its machine's list
+	// (k its slot), summed from the tail toward the head starting at 0.0 —
+	// the order a full reverse pass adds the weights in, so the cached value
+	// has the bits of a fresh re-sum (see smachine.resum).
+	suf float64
 }
 
 func pless(a, b pitem) bool {
@@ -147,11 +151,45 @@ type smachine struct {
 	remTimeAcc float64
 }
 
+// slot returns the position job it takes in the density order: the number
+// of pending entries that precede it.
+func (m *smachine) slot(it *pitem) int {
+	lo, hi := 0, len(m.pending)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if pless(m.pending[h], *it) {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
+}
+
+// insert places it at its density slot k and refreshes the suffix weights
+// of entries 0..k, the only ones whose suffix it joins: O(k) per arrival,
+// on the chosen machine only. Popping the head (startNext) leaves every
+// other entry's suffix unchanged.
 func (m *smachine) insert(it pitem) {
-	k := sort.Search(len(m.pending), func(x int) bool { return !pless(m.pending[x], it) })
+	k := m.slot(&it)
 	m.pending = append(m.pending, pitem{})
 	copy(m.pending[k+1:], m.pending[k:])
 	m.pending[k] = it
+	m.resum(k)
+}
+
+// resum recomputes the suffix weights of entries k, k−1, …, 0, continuing
+// the tail-to-head chain from entry k+1's (0.0 past the tail): suf_x =
+// suf_{x+1} + w_x, each sum in the order a full reverse pass performs it.
+func (m *smachine) resum(k int) {
+	s := 0.0
+	if k+1 < len(m.pending) {
+		s = m.pending[k+1].suf
+	}
+	for x := k; x >= 0; x-- {
+		s += m.pending[x].w
+		m.pending[x].suf = s
+	}
 }
 
 // spolicy implements engine.Policy with the §3 rules.
@@ -160,8 +198,10 @@ type spolicy struct {
 	opt   Options
 	alpha float64
 	gamma float64
-	res   *Result
-	mach  []smachine
+	// invAlpha is 1/α, the root every projected speed takes.
+	invAlpha float64
+	res      *Result
+	mach     []smachine
 	// snap holds per-job dispatch-time snapshots of the machine remnant
 	// accumulator, indexed by compact job index. Like the accumulators it
 	// snapshots, it only exists under TrackDual: its sole consumers are the
@@ -179,7 +219,7 @@ type spolicy struct {
 // policy for the given machine count, with the dual bookkeeping preallocated
 // for a run of about hint jobs.
 func (opt Options) newPolicy(machines, hint int) (engine.Policy, func(*sched.Outcome) *Result) {
-	p := &spolicy{opt: opt, alpha: opt.Alpha, gamma: opt.Gamma}
+	p := &spolicy{opt: opt, alpha: opt.Alpha, gamma: opt.Gamma, invAlpha: 1 / opt.Alpha}
 	p.res = &Result{Gamma: opt.Gamma, Alpha: opt.Alpha}
 	if opt.TrackDual {
 		p.snap = make([]float64, 0, hint)
@@ -206,43 +246,41 @@ func (p *spolicy) Audit() error {
 }
 
 // lambdaFor evaluates λ_ij for a hypothetical dispatch of job jk to machine
-// i. One backwards pass accumulates the suffix weights W_ℓ = Σ_{ℓ'⪰ℓ} w_ℓ'.
+// i. The suffix weights come from the list's cache: j's slot k is a binary
+// search, Σ_{ℓ≻j} w_ℓ is entry k's cached suffix and W_j adds w_j to it;
+// only the k denser entries ℓ ≺ j, whose W_ℓ gains w_j, are walked, the
+// running sum continuing from W_j exactly as a reverse pass over
+// pending ∪ {j} would, so λ_ij keeps its bits. O(log n + k).
 // Read-only, safe for concurrent machine shards.
 func (p *spolicy) lambdaFor(j *sched.Job, jk, i int) float64 {
 	m := &p.mach[i]
 	pp, w := j.Proc[i], j.Weight
 	it := pitem{id: jk, w: w, p: pp, density: w / pp, release: j.Release}
+	k := m.slot(&it)
 
-	// Suffix pass over pending ∪ {j} in reverse density order.
-	var sumAfterW float64   // Σ_{ℓ≻j} w_ℓ
-	var sumPrefTime float64 // Σ_{ℓ⪯j} p_iℓ/(γ W_ℓ^{1/α})
-	var wj float64          // W_j
-	suffix := 0.0           // running suffix weight
-	placedSelf := false     // j handled
-	handle := func(e pitem) {
+	var sumAfterW float64 // Σ_{ℓ≻j} w_ℓ
+	if k < len(m.pending) {
+		sumAfterW = m.pending[k].suf
+	}
+	suffix := sumAfterW + w // W_j, then W_ℓ + w_j for each denser ℓ
+	rootJ := p.root(suffix)
+	sumPrefTime := pp / (p.gamma * rootJ) // Σ_{ℓ⪯j} p_iℓ/(γ W_ℓ^{1/α})
+	for x := k - 1; x >= 0; x-- {
+		e := &m.pending[x]
 		suffix += e.w
-		if e.id == jk {
-			wj = suffix
-			sumPrefTime += e.p / (p.gamma * math.Pow(suffix, 1/p.alpha))
-			placedSelf = true
-		} else if placedSelf {
-			// e precedes j (we iterate in reverse order)
-			sumPrefTime += e.p / (p.gamma * math.Pow(suffix, 1/p.alpha))
-		} else {
-			sumAfterW += e.w
-		}
+		sumPrefTime += e.p / (p.gamma * p.root(suffix))
 	}
-	// reverse iteration with j merged in
-	k := len(m.pending) - 1
-	for k >= 0 && pless(it, m.pending[k]) {
-		handle(m.pending[k])
-		k--
+	return w*(pp/p.opt.Epsilon+sumPrefTime) + sumAfterW*pp/(p.gamma*rootJ)
+}
+
+// root returns x^(1/α). At α = 2 it is math.Sqrt, which is what math.Pow
+// returns for the exponent 0.5 on every positive finite x (the two differ
+// only at −0 and −Inf, which no weight sum reaches).
+func (p *spolicy) root(x float64) float64 {
+	if p.invAlpha == 0.5 {
+		return math.Sqrt(x)
 	}
-	handle(it)
-	for ; k >= 0; k-- {
-		handle(m.pending[k])
-	}
-	return w*(pp/p.opt.Epsilon+sumPrefTime) + sumAfterW*pp/(p.gamma*math.Pow(wj, 1/p.alpha))
+	return math.Pow(x, p.invAlpha)
 }
 
 // evalCur adapts lambdaFor to the dispatch pool's eval signature for the job
@@ -306,7 +344,7 @@ func (p *spolicy) startNext(i int, t float64) {
 	for _, e := range m.pending {
 		totalW += e.w
 	}
-	speed := p.gamma * math.Pow(totalW, 1/p.alpha)
+	speed := p.gamma * p.root(totalW)
 	m.victimW = 0
 	p.c.Start(i, t, it.id, it.p, speed)
 }

@@ -217,6 +217,14 @@ func (c *Core) IndexOf(id int) int { return c.ids.of(id) }
 // Assign records the dispatch of job jk to machine i in the outcome.
 func (c *Core) Assign(jk, i int) { c.rec.Assign(jk, i) }
 
+// Placement reports what the outcome records of job jk: the machine it was
+// dispatched to (sched.NoMachine if none) and whether it is still open —
+// neither completed nor rejected. Restore paths use it to cross-check a
+// policy's pending lists against the engine's record.
+func (c *Core) Placement(jk int) (machine int, open bool) {
+	return int(c.rec.Machine(jk)), c.rec.State(jk) == sched.JobOpen
+}
+
 // Start begins executing job jk on machine i at time t with the given
 // processing volume and (frozen) speed, bumping the machine's start version
 // and scheduling the matching completion event at t + vol/speed.
