@@ -27,6 +27,9 @@ type Session struct {
 	last   float64 // latest fed release
 	floor  float64 // AdvanceTo watermark: future releases must be ≥ floor
 	closed bool
+	// polBytes is the policy section's size at the last AppendSnapshot; it
+	// sizes the next capture's policy section (see snapshotSize).
+	polBytes int
 }
 
 // NewSession starts a streaming run of the given policy. The policy must be

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -76,18 +77,65 @@ func (s *Session) Snapshot(w io.Writer) error {
 
 // AppendSnapshot appends the snapshot Snapshot would write to dst, encoding
 // every section straight into it, and returns the extended slice. Bytes are
-// identical to Snapshot's; a capture loop that passes the previous result
-// back in (truncated to length 0) snapshots with no allocation once the
-// buffer has grown to the session's size.
+// identical to Snapshot's. The snapshot's size is known before a byte is
+// written (snapshotSize), so dst grows at most once, by snapshot.Grow, and
+// then with room for every job the job table has room for: a session
+// presized by a SizeHint is captured into one buffer for its whole stream. A
+// capture loop that passes the previous result back in (truncated to length
+// 0) therefore snapshots with no allocation until the state outgrows it.
 func (s *Session) AppendSnapshot(dst []byte) ([]byte, error) {
 	sp, err := s.stateful()
 	if err != nil {
 		return dst, err
 	}
-	sw := snapshot.AppendWriter(dst)
+	c := &s.core
+	fixed := s.snapshotSize(sp)
+	need, want := fixed+s.polBytes, 0
+	if n := len(c.jobs); n > 0 {
+		// A job to come costs its record, conservation entry and outcome
+		// slot, and at least one interval.
+		ivs := max(1, (len(c.rec.Intervals())+n-1)/n)
+		want = need + (cap(c.jobs)-n)*(jobRecord(len(c.mach))+8+slotRecord+ivs*intervalRecord)
+	}
+	start := len(dst)
+	sw := snapshot.AppendWriter(snapshot.Grow(dst, need, want))
 	err = s.encode(sw, sp)
-	return sw.Bytes(), err
+	out := sw.Bytes()
+	if err == nil {
+		s.polBytes = len(out) - start - fixed
+	}
+	return out, err
 }
+
+// snapshotSize is the exact size of the snapshot encode writes, less the
+// policy section's payload beyond its tag: every other section is a count
+// plus fixed-size records, so its size follows from the job, machine,
+// interval and queue counts. AppendSnapshot adds the policy section's size
+// at the previous capture.
+func (s *Session) snapshotSize(sp StatefulPolicy) int {
+	c := &s.core
+	n, m := len(c.jobs), len(c.mach)
+	size := snapshot.HeaderBytes + 8*snapshot.FrameBytes // seven sections and the end
+	size += 4 + 8 + 3*8                                  // SESS
+	size += 8 + n*jobRecord(m)                           // JOBS
+	size += 8 + 8*n                                      // DONE
+	size += 4 + 5*8*m                                    // MACH
+	size += eventq.SnapshotBytes(c.q.Len())              // EVTQ
+	size += 8 + len(c.rec.Intervals())*intervalRecord    // OUTC
+	size += 8 + n*slotRecord
+	return size + 4 + len(sp.SnapshotTag()) // POLI's tag
+}
+
+// The fixed-size records of the JOBS and OUTC sections: a job (id, release,
+// weight, deadline, one processing time per machine), an interval (job,
+// machine, start, end, speed) and an outcome slot (state, decision time,
+// machine).
+const (
+	intervalRecord = 8 + 4 + 3*8
+	slotRecord     = 1 + 8 + 4
+)
+
+func jobRecord(machines int) int { return 4*8 + 8*machines }
 
 // stateful returns the session's policy as a StatefulPolicy, failing when
 // the session is closed or the policy cannot be snapshotted.
@@ -102,7 +150,9 @@ func (s *Session) stateful() (StatefulPolicy, error) {
 	return sp, nil
 }
 
-// encode writes the session's sections to sw and closes it.
+// encode writes the session's sections to sw and closes it. The job table,
+// the conservation vector and the outcome record are runs of fixed-size
+// records, each encoded into a span reserved once (Encoder.Extend).
 func (s *Session) encode(sw *snapshot.Writer, sp StatefulPolicy) error {
 	c := &s.core
 	sw.Section(tagSession, func(e *snapshot.Encoder) {
@@ -114,21 +164,25 @@ func (s *Session) encode(sw *snapshot.Writer, sp StatefulPolicy) error {
 	})
 	sw.Section(tagJobs, func(e *snapshot.Encoder) {
 		e.U64(uint64(len(c.jobs)))
+		size := jobRecord(len(c.mach))
+		b := e.Extend(len(c.jobs) * size)
 		for k := range c.jobs {
 			j := &c.jobs[k]
-			e.I64(int64(j.ID))
-			e.F64(j.Release)
-			e.F64(j.Weight)
-			e.F64(j.Deadline)
-			for _, p := range j.Proc {
-				e.F64(p)
+			r := b[k*size : (k+1)*size]
+			le.PutUint64(r, uint64(j.ID))
+			putF64(r[8:], j.Release)
+			putF64(r[16:], j.Weight)
+			putF64(r[24:], j.Deadline)
+			for i, p := range j.Proc {
+				putF64(r[32+8*i:], p)
 			}
 		}
 	})
 	sw.Section(tagDone, func(e *snapshot.Encoder) {
 		e.U64(uint64(len(c.done)))
-		for _, d := range c.done {
-			e.F64(d)
+		b := e.Extend(8 * len(c.done))
+		for k, d := range c.done {
+			putF64(b[8*k:], d)
 		}
 	})
 	sw.Section(tagMach, func(e *snapshot.Encoder) {
@@ -151,6 +205,12 @@ func (s *Session) encode(sw *snapshot.Writer, sp StatefulPolicy) error {
 	return sw.Close()
 }
 
+// le is the byte order of every snapshot field.
+var le = binary.LittleEndian
+
+// putF64 writes the IEEE-754 bit pattern of v, as Encoder.F64 does.
+func putF64(b []byte, v float64) { le.PutUint64(b, math.Float64bits(v)) }
+
 // snapshotOutcome serializes the dense outcome record: the interval log
 // followed by one (state, decision time, machine) triple per fed job in
 // feed order. The dense form is already canonical — slot order is feed
@@ -158,20 +218,24 @@ func (s *Session) encode(sw *snapshot.Writer, sp StatefulPolicy) error {
 func snapshotOutcome(e *snapshot.Encoder, c *Core) {
 	ivs := c.rec.Intervals()
 	e.U64(uint64(len(ivs)))
+	b := e.Extend(len(ivs) * intervalRecord)
 	for k := range ivs {
 		iv := &ivs[k]
-		e.I64(int64(iv.Job))
-		e.U32(uint32(iv.Machine))
-		e.F64(iv.Start)
-		e.F64(iv.End)
-		e.F64(iv.Speed)
+		r := b[k*intervalRecord : (k+1)*intervalRecord]
+		le.PutUint64(r, uint64(iv.Job))
+		le.PutUint32(r[8:], uint32(iv.Machine))
+		putF64(r[12:], iv.Start)
+		putF64(r[20:], iv.End)
+		putF64(r[28:], iv.Speed)
 	}
 	n := c.rec.Len()
 	e.U64(uint64(n))
+	b = e.Extend(n * slotRecord)
 	for jk := 0; jk < n; jk++ {
-		e.U8(c.rec.State(jk))
-		e.F64(c.rec.When(jk))
-		e.U32(uint32(c.rec.Machine(jk)))
+		r := b[jk*slotRecord : (jk+1)*slotRecord]
+		r[0] = c.rec.State(jk)
+		putF64(r[1:], c.rec.When(jk))
+		le.PutUint32(r[9:], uint32(c.rec.Machine(jk)))
 	}
 }
 
@@ -260,8 +324,7 @@ func restoreInto(sr *snapshot.Reader, s *Session, sp StatefulPolicy) error {
 	if err != nil {
 		return err
 	}
-	perJob := 4*8 + 8*machines
-	n := d.Count(perJob)
+	n := d.Count(jobRecord(machines))
 	lastRelease := math.Inf(-1)
 	for k := 0; k < n; k++ {
 		j := sched.Job{
@@ -440,7 +503,8 @@ const (
 // for its lifetime, and the per-shard snapshots are framed into one fleet
 // container in shard order. A periodic checkpoint therefore re-encodes each
 // session into storage it already owns and copies each byte once more, into
-// dst; each byte is CRC'd once, by the session's own frame. Feeding may
+// dst; each byte is CRC'd once, by the session's own frame. dst grows at most
+// once, by snapshot.Grow, to the sessions' buffers' capacity. Feeding may
 // resume after AppendSnapshot returns.
 //
 // The route function and slab sizing are not serialized (routes are code,
@@ -452,16 +516,18 @@ func (sh *Shard) AppendSnapshot(dst []byte) ([]byte, error) {
 	if err := sh.capture(); err != nil {
 		return dst, err
 	}
-	need := 64 // the fleet header and framing
+	// The fleet header, FLET and end sections, then what a nesting caller
+	// closes around the fleet (its frame's CRC and its own end section), so
+	// that closing them never moves the buffer. Room to spare mirrors the
+	// sessions' capture buffers: the fleet buffer regrows when they do.
+	need := snapshot.HeaderBytes + snapshot.FrameBytes + 4 + snapshot.FrameBytes
+	need += 4 + snapshot.FrameBytes
+	want := need
 	for _, b := range sh.snaps {
-		need += len(b) + 12
+		need += snapshot.FrameBytes + len(b)
+		want += snapshot.FrameBytes + cap(b)
 	}
-	if cap(dst)-len(dst) < need {
-		// One allocation for the whole fleet rather than a regrow per shard,
-		// with headroom so a growing fleet reuses it for a few checkpoints.
-		dst = append(make([]byte, 0, len(dst)+need+need/2), dst...)
-	}
-	sw := snapshot.AppendWriter(dst)
+	sw := snapshot.AppendWriter(snapshot.Grow(dst, need, want))
 	sw.Section(tagFleet, func(e *snapshot.Encoder) { e.U32(uint32(len(sh.snaps))) })
 	for _, b := range sh.snaps {
 		// Nest, not Frame: the SHRD frame's CRC comes from the CRCs the
@@ -575,7 +641,7 @@ func validateEvents(q eventq.Interface, d *snapshot.Decoder, njobs, machines int
 // rejected, and at most njobs decisions exist.
 func restoreOutcome(d *snapshot.Decoder, c *Core) error {
 	njobs := len(c.jobs)
-	n := d.Count(8 + 4 + 3*8)
+	n := d.Count(intervalRecord)
 	c.rec.GrowIntervals(n)
 	for k := 0; k < n; k++ {
 		iv := sched.Interval{
@@ -594,7 +660,7 @@ func restoreOutcome(d *snapshot.Decoder, c *Core) error {
 		}
 		c.rec.AppendInterval(iv)
 	}
-	if slots := d.Count(1 + 8 + 4); slots != njobs {
+	if slots := d.Count(slotRecord); slots != njobs {
 		d.Failf("%d outcome slots for %d jobs", slots, njobs)
 		return d.Err()
 	}

@@ -64,16 +64,18 @@ func (s *Typed[R]) Close() (R, error) {
 	return s.result(out), nil
 }
 
-// RunBatch is the batch form of a session: it validates the instance, opens
-// a session sized for it, feeds it whole and closes it.
+// RunBatch is the batch form of a session: it opens a session sized for the
+// instance, feeds it whole and closes it. The feed is the only validation:
+// FeedBatch applies Instance.Validate's rules (sched.ValidateJob in release
+// order, then id uniqueness) as it goes, and opening the session refuses a
+// machine count below one. So an invalid instance fails with an "engine:"
+// error naming the offending job, after the jobs before it have been fed and
+// run.
 func RunBatch[R any, S interface {
 	Feeder
 	Close() (R, error)
 }](ins *sched.Instance, open func(machines, hint int) (S, error)) (R, error) {
 	var zero R
-	if err := ins.Validate(); err != nil {
-		return zero, err
-	}
 	s, err := open(ins.Machines, len(ins.Jobs))
 	if err != nil {
 		return zero, err

@@ -78,8 +78,9 @@ func TestTypedLifecycle(t *testing.T) {
 		t.Fatalf("restored session diverges from the uninterrupted run: %v", err)
 	}
 
-	// An instance that fails validation opens nothing; a feed error closes
-	// the session it opened and is the error returned.
+	// The feed is the validation: an invalid instance fails at the offending
+	// job, in the session it opened, which is closed; the feed error is the
+	// error returned.
 	bad := *ins
 	bad.Jobs = append([]sched.Job(nil), ins.Jobs...)
 	bad.Jobs[150].ID = bad.Jobs[10].ID
@@ -90,8 +91,9 @@ func TestTypedLifecycle(t *testing.T) {
 			return NewTyped(Options{Machines: machines + extra, SizeHint: hint}, h.host)
 		}
 	}
-	if _, err := RunBatch(&bad, open(0)); err == nil || !strings.Contains(err.Error(), "duplicate") || opened != 0 {
-		t.Fatalf("invalid instance: err %v, %d sessions opened", err, opened)
+	if _, err := RunBatch(&bad, open(0)); err == nil || !strings.Contains(err.Error(), "engine: duplicate job id") ||
+		opened != 1 || h.built[len(h.built)-1].closed != 1 {
+		t.Fatalf("invalid instance: err %v, %d sessions opened, policy closed %d times", err, opened, h.built[len(h.built)-1].closed)
 	}
 	if _, err := RunBatch(ins, open(1)); err == nil || !strings.Contains(err.Error(), "processing times") ||
 		h.built[len(h.built)-1].closed != 1 {

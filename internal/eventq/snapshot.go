@@ -33,6 +33,10 @@ func (q *Queue) Snapshot(e *snapshot.Encoder) {
 // validate counts before allocating.
 const eventWireBytes = 8 + 8 + 4 + 4 + 4
 
+// SnapshotBytes is the size of the payload Snapshot writes for n pending
+// events — either implementation's, since they share the wire format.
+func SnapshotBytes(n int) int { return 16 + n*eventWireBytes }
+
 // Restore replaces the queue's contents with a snapshot written by Snapshot,
 // validating as it decodes: the count is bounds-checked against the section,
 // every ord must carry a known Kind and an insertion sequence below the

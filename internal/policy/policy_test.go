@@ -2,6 +2,7 @@ package policy
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -84,5 +85,43 @@ func TestRegistry(t *testing.T) {
 				t.Fatal("restored session diverges from the batch run")
 			}
 		})
+	}
+}
+
+// TestRunRejectsInvalidInstances pins that a batch Run validates through its
+// feed alone: each malformed instance fails every registry policy's Run with
+// an engine error that names the offending job (or, for a machine count
+// below one, the count).
+func TestRunRejectsInvalidInstances(t *testing.T) {
+	const k = 40 // the job each case spoils
+	base := random(200, 3, 5, 1.2, true, 2)
+	if base.Jobs[k-1].Release < 1 {
+		t.Fatalf("job %d released at %v; the out-of-order case needs a release ≥ 1 before it", k-1, base.Jobs[k-1].Release)
+	}
+	id := base.Jobs[k].ID
+	for _, tc := range []struct {
+		name  string
+		spoil func(ins *sched.Instance)
+		want  string
+	}{
+		{"duplicate id", func(ins *sched.Instance) { ins.Jobs[k].ID = ins.Jobs[3].ID },
+			fmt.Sprintf("engine: duplicate job id %d", base.Jobs[3].ID)},
+		{"release out of order", func(ins *sched.Instance) { ins.Jobs[k].Release = ins.Jobs[k-1].Release - 1 },
+			fmt.Sprintf("engine: job %d released at", id)},
+		{"proc length", func(ins *sched.Instance) { ins.Jobs[k].Proc = ins.Jobs[k].Proc[:2] },
+			fmt.Sprintf("engine: job %d has 2 processing times, want 3", id)},
+		{"non-positive weight", func(ins *sched.Instance) { ins.Jobs[k].Weight = 0 },
+			fmt.Sprintf("engine: job %d has non-positive weight", id)},
+		{"zero machines", func(ins *sched.Instance) { ins.Machines = 0 },
+			"engine: session needs at least one machine, got 0"},
+	} {
+		ins := base.Clone()
+		tc.spoil(ins)
+		for _, e := range table {
+			_, err := e.Run(ins, Params{Epsilon: 0.2, Alpha: ins.Alpha})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, %s: Run returned %v, want an error containing %q", tc.name, e.Name, err, tc.want)
+			}
+		}
 	}
 }

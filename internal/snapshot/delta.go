@@ -315,8 +315,9 @@ func appendDelta(dst []byte, base, next *deltaNode, baseSeq, seq uint64, chunk i
 		chunk = DefaultDeltaChunk
 	}
 	plans := planDelta(next, base, chunk, nil)
+	nodes := countNodes(next)
 
-	sw := AppendWriter(dst)
+	sw := AppendWriter(Grow(dst, deltaSize(plans, nodes, chunk), 0))
 	sw.Section(tagDeltaHdr, func(e *Encoder) {
 		e.U64(baseSeq)
 		e.U64(seq)
@@ -324,7 +325,7 @@ func appendDelta(dst []byte, base, next *deltaNode, baseSeq, seq uint64, chunk i
 		e.U32(base.sum)
 		e.U32(next.sum)
 		e.U64(uint64(len(next.payload)))
-		e.U64(uint64(countNodes(next)))
+		e.U64(uint64(nodes))
 		encodeSkeleton(e, next, 0)
 		e.U64(uint64(len(plans)))
 		for i := range plans {
@@ -356,6 +357,27 @@ func appendDelta(dst []byte, base, next *deltaNode, baseSeq, seq uint64, chunk i
 	}
 	err := sw.Close()
 	return sw.Bytes(), sw.sum, changed, err
+}
+
+// deltaSize is the exact size of the delta appendDelta writes for plans
+// over a container of nodes sections: the header section (fixed fields, a
+// 6-byte skeleton entry per section, a 9-byte descriptor per leaf), one
+// frame per changed leaf, and the end section.
+func deltaSize(plans []leafPlan, nodes, chunk int) int {
+	size := HeaderBytes + FrameBytes + 8 + 8 + 4 + 4 + 4 + 8 + 8 + 6*nodes + 8 + 9*len(plans)
+	for i := range plans {
+		p := &plans[i]
+		switch p.mode {
+		case leafWhole:
+			size += FrameBytes + len(p.payload)
+		case leafPatch:
+			size += FrameBytes + 8
+			for _, c := range p.dirty {
+				size += 8 + min(chunk, len(p.payload)-c*chunk)
+			}
+		}
+	}
+	return size + FrameBytes
 }
 
 // DeltaInfo reports what a parsed delta chains to.

@@ -107,6 +107,15 @@ func FuzzDelta(f *testing.F) {
 			t.Fatalf("EncodeDelta: %v", err)
 		}
 		delta := buf.Bytes()
+		baseTree, _ := parseDeltaTree(base)
+		nextTree, _ := parseDeltaTree(next)
+		c := int(chunk % 64)
+		if c == 0 {
+			c = DefaultDeltaChunk
+		}
+		if size := deltaSize(planDelta(nextTree, baseTree, c, nil), countNodes(nextTree), c); size != len(delta) {
+			t.Fatalf("deltaSize %d for a %d-byte delta", size, len(delta))
+		}
 		got, info, err := ApplyDelta(base, bytes.NewReader(delta))
 		if err != nil {
 			t.Fatalf("ApplyDelta: %v", err)

@@ -77,7 +77,9 @@ type Lineage struct {
 
 	// Scratch reused by every delta Write: the encoded delta, and the
 	// self-check's reconstruction, which becomes the next base when it
-	// matches the payload (the old base becomes the next scratch).
+	// matches the payload (the old base becomes the next scratch). All
+	// three buffers grow by the one rule, Grow: delta sized exactly from its
+	// plan (appendDelta), prev and spare by grow.
 	delta []byte
 	spare []byte
 }
@@ -206,7 +208,10 @@ func (l *Lineage) entryName(seq uint64, kind string) string {
 //
 // With deltas on, payload is parsed once, every frame verified on the way:
 // its tree is the delta's target and, re-pointed at the retained copy, the
-// next write's base, so no write parses its base again.
+// next write's base, so no write parses its base again. The base and
+// self-check buffers the lineage keeps take payload's capacity when they
+// must grow (see grow), so a caller that captures every checkpoint into one
+// buffer sized for its stream has them allocated once too.
 func (l *Lineage) Write(payload []byte, forceFull bool) (LineageEntry, error) {
 	var tree *deltaNode
 	if l.opt.DeltaEvery > 0 {
@@ -285,11 +290,7 @@ func (l *Lineage) encodeDelta(payload []byte, next *deltaNode) (delta []byte, su
 	if err != nil {
 		return nil, 0, false
 	}
-	if cap(l.spare) < len(payload) {
-		// Headroom, so the two buffers a growing stream alternates between
-		// are reused rather than reallocated at every write.
-		l.spare = make([]byte, 0, len(payload)+len(payload)/4)
-	}
+	l.spare = l.grow(l.spare, payload)
 	back, _, err := applyDelta(l.spare, l.prev, l.prevTree, delta)
 	if back != nil {
 		l.spare = back
@@ -302,9 +303,20 @@ func (l *Lineage) encodeDelta(payload []byte, next *deltaNode) (delta []byte, su
 // so it holds no second copy of the state it checkpoints.
 func (l *Lineage) setBase(payload []byte, seq uint64) {
 	if l.opt.DeltaEvery > 0 {
-		l.prev = append(l.prev[:0], payload...)
+		l.prev = append(l.grow(l.prev, payload), payload...)
 		l.prevSeq = seq
 	}
+}
+
+// grow empties b, one of the two payload-sized buffers the lineage keeps,
+// and gives it room for payload. When it must grow, it takes payload's
+// capacity where that is larger than Grow's headroom: a caller that reuses
+// one capture buffer sized for its stream (engine.Session.AppendSnapshot
+// sizes it from the size hint) gets bases and self-check buffers sized the
+// same, so both are reallocated only when the capture buffer is, and never
+// after one another as they trade places.
+func (l *Lineage) grow(b, payload []byte) []byte {
+	return Grow(b[:0], len(payload), cap(payload))
 }
 
 // prune trims entries beyond the Keep newest full generations, returning

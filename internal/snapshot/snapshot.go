@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Version is the format version this build writes. Readers reject files with
@@ -91,6 +92,40 @@ func (e *Encoder) Str(s string) {
 // payload is an embedded byte blob; the section frame itself carries the
 // length.
 func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
+
+// Extend appends n bytes and returns them for the caller to fill in place:
+// a run of fixed-size records takes one capacity check, and each field is
+// written at its fixed offset with binary.LittleEndian.Put*. The bytes are
+// not cleared first, so the caller writes every one of them.
+func (e *Encoder) Extend(n int) []byte {
+	l := len(e.buf)
+	e.buf = slices.Grow(e.buf, n)[:l+n]
+	return e.buf[l : l+n : l+n]
+}
+
+// HeaderBytes and FrameBytes are a container's fixed overheads: the stream
+// header, and the tag, length and CRC around each section's payload (the end
+// section is one more frame). They let a writer size its buffer for a
+// container before encoding it.
+const (
+	HeaderBytes = 10
+	FrameBytes  = 12
+)
+
+// Grow is the growth rule of every checkpoint buffer: it returns dst with
+// room for n more bytes. When dst lacks the room, its bytes move once into a
+// fresh buffer with room for max(n+n/2, want) more. A buffer that a growing
+// stream refills is therefore reallocated once per half again of growth, or
+// not at all while want (the size a hint predicts, or the capacity of the
+// buffer it copies) covers the stream.
+func Grow(dst []byte, n, want int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	b := make([]byte, len(dst), len(dst)+max(n+n/2, want))
+	copy(b, dst)
+	return b
+}
 
 // Writer frames sections in place: a section reserves its 8-byte header in
 // the output, the payload is appended directly after it, and the frame is
@@ -375,7 +410,7 @@ func readAll(r io.Reader) ([]byte, error) {
 
 // newReader checks the stream header of data and returns a Reader over it.
 func newReader(data []byte) (*Reader, error) {
-	if len(data) < 10 {
+	if len(data) < HeaderBytes {
 		return nil, fmt.Errorf("snapshot: reading header: %w", errTruncated)
 	}
 	if !bytes.Equal(data[:8], magic[:]) {
