@@ -124,8 +124,9 @@ func TestGreedyNearBruteForceOnTinyInstances(t *testing.T) {
 func TestAVRFullWindowOnly(t *testing.T) {
 	ins := deadlineInstance(25, 3, 2)
 	res := mustRun(t, ins, Options{FullWindowOnly: true})
+	ix := ins.Index()
 	for id, pl := range res.Placements {
-		j := ins.JobByID(id)
+		j := ix.JobByID(id)
 		r := int(math.Ceil(j.Release - sched.Eps))
 		d := int(math.Floor(j.Deadline + sched.Eps))
 		if pl.Start != r || pl.Length != d-r {

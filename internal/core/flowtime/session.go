@@ -20,11 +20,7 @@ func NewSession(machines int, opt Options) (*Session, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	eh := 0
-	if opt.TrackDual && opt.SizeHint > 0 {
-		eh = 2*opt.SizeHint + machines + 1 // one C̃ exit event per job on top of arrivals
-	}
-	return engine.NewTyped(engine.Options{Machines: machines, SizeHint: opt.SizeHint, EventHint: eh, EventQueue: opt.EventQueue}, opt.newPolicy)
+	return engine.NewTyped(engine.Options{Machines: machines, SizeHint: opt.SizeHint, EventQueue: opt.EventQueue}, opt.newPolicy)
 }
 
 // Run executes the algorithm on the instance and returns the audited

@@ -16,10 +16,11 @@
 // The engine is consumed through a Session, a true streaming API: jobs are
 // fed in release order, in batches of any size (FeedBatch; Feed is a batch
 // of one), simulated time advances either implicitly as later jobs arrive
-// or explicitly (AdvanceTo), and Close drains the remaining events and
-// audits the run. A batch run over a full sched.Instance is just a session
-// fed from a slice — the core packages' Run functions are exactly that thin
-// wrapper, with outputs bit-identical to the pre-engine implementations.
+// or explicitly (AdvanceTo), and Finish drains the remaining events and
+// audits the run (Close is Finish plus the Outcome maps). A batch run over a
+// full sched.Instance is just a session fed from a slice — the core
+// packages' Run functions are exactly that thin wrapper, with outputs
+// bit-identical to the pre-engine implementations.
 //
 // Determinism: events pop in (Time, Kind, insertion-seq) order exactly as in
 // a batch run, because a session only drains events that can no longer be
@@ -27,7 +28,7 @@
 // queued event at time ≤ r − sched.Eps is safe — later feeds must release at
 // ≥ r − Eps, and at equal times arrivals sort after completions (by Kind)
 // and after earlier-fed arrivals (by insertion seq). The drain horizon
-// therefore trails the last fed release by Eps; Close (or AdvanceTo, which
+// therefore trails the last fed release by Eps; Finish (or AdvanceTo, which
 // is a caller promise that no earlier release will ever be fed) releases
 // the tail.
 //
@@ -36,8 +37,8 @@
 // slice with a map fallback for sparse ID spaces; outcome decisions are
 // recorded densely by compact index (sched.OutcomeRecorder) and the public
 // Outcome maps materialize once at Close; with a SizeHint the session
-// preallocates the job table, outcome arrays and event heap so a
-// batch-sized run allocates no more than the pre-engine code did.
+// preallocates the job table and outcome arrays so a batch-sized run
+// allocates no more than the pre-engine code did.
 package engine
 
 import (
@@ -77,7 +78,7 @@ type Policy interface {
 	// queue drains), complementing the engine's own sanity audit.
 	Audit() error
 	// Close releases policy resources (dispatch worker pools). The engine
-	// calls it exactly once, from Session.Close.
+	// calls it exactly once, from Session.Finish.
 	Close()
 }
 
@@ -131,14 +132,12 @@ func newEventQueue(kind string) (eventq.Interface, error) {
 type Options struct {
 	// Machines is the number of unrelated machines (≥ 1).
 	Machines int
-	// SizeHint preallocates per-job storage (job table, outcome maps,
-	// event heap) for a run of about this many jobs. Zero is valid: all
-	// storage grows on demand, which is the streaming mode of operation.
+	// SizeHint preallocates per-job storage (job table, outcome record)
+	// for a run of about this many jobs. Zero is valid: all storage grows
+	// on demand, which is the streaming mode of operation. The event heap
+	// is never presized: FeedBatch drains every feedChunk jobs, so it holds
+	// tens of events, not one per job, and grows with what it holds.
 	SizeHint int
-	// EventHint overrides the event-heap preallocation when the policy
-	// schedules extra per-job events (e.g. dual bookkeeping exits); zero
-	// derives a default from SizeHint and Machines.
-	EventHint int
 	// EventQueue names the event-queue implementation (EventQueueHeap or
 	// EventQueueCalendar; empty selects the heap). Both satisfy the same
 	// deterministic pop-order contract and one shared snapshot format, so
@@ -186,11 +185,6 @@ func (c *Core) init(pol Policy, opt Options) error {
 	c.done = make([]float64, 0, opt.SizeHint)
 	c.ids.reserve(opt.SizeHint)
 	c.rec = sched.NewOutcomeRecorder(opt.SizeHint)
-	eh := opt.EventHint
-	if eh == 0 {
-		eh = opt.SizeHint + opt.Machines + 1
-	}
-	c.q.Grow(eh)
 	return nil
 }
 

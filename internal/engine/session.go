@@ -11,7 +11,7 @@ import (
 	"repro/internal/sched"
 )
 
-// ErrClosed is returned by session operations after Close.
+// ErrClosed is returned by session operations after Finish or Close.
 var ErrClosed = errors.New("engine: session closed")
 
 // Session is the streaming front-end of the engine: an online run that
@@ -26,7 +26,10 @@ type Session struct {
 	core   Core
 	last   float64 // latest fed release
 	floor  float64 // AdvanceTo watermark: future releases must be ≥ floor
-	closed bool
+	closed bool    // Finish ran: the stream is over
+	// spent is set once Close has handed out the Outcome, or once Finish
+	// failed its audits: there is no outcome left to hand out.
+	spent bool
 	// polBytes is the policy section's size at the last AppendSnapshot; it
 	// sizes the next capture's policy section (see snapshotSize).
 	polBytes int
@@ -34,7 +37,8 @@ type Session struct {
 
 // NewSession starts a streaming run of the given policy. The policy must be
 // freshly constructed for this session; it is bound to the engine core
-// before the first event and closed exactly once by Session.Close.
+// before the first event and closed exactly once, by Session.Finish (which
+// Close runs).
 func NewSession(pol Policy, opt Options) (*Session, error) {
 	if opt.Machines <= 0 {
 		return nil, fmt.Errorf("engine: session needs at least one machine, got %d", opt.Machines)
@@ -171,39 +175,71 @@ func (s *Session) Pending() int {
 // is the session's copy — read it, don't retain or mutate it. A network
 // front door uses this to rebuild its duplicate-suppression ledger from a
 // restored snapshot (the session's job table is the authoritative record of
-// what was fed) and to compute per-job flow metrics at drain time without
-// keeping a parallel fact log. Like every session method it must be called
-// from the goroutine that owns the session — for sessions behind a Shard,
-// only after Quiesce or Wait.
+// what was fed). Like every session method it must be called from the
+// goroutine that owns the session — for sessions behind a Shard, only after
+// Quiesce or Wait.
 func (s *Session) EachFed(f func(j *sched.Job)) {
 	for k := range s.core.jobs {
 		f(&s.core.jobs[k])
 	}
 }
 
-// Close ends the stream: the remaining events drain (every fed job runs to
+// Finish ends the stream: the remaining events drain (every fed job runs to
 // completion or rejection), the policy releases its resources, and both the
-// policy and engine invariants are audited. The outcome records exactly
-// what the online run did, in the same form as a batch run.
-func (s *Session) Close() (*sched.Outcome, error) {
+// policy and engine invariants are audited. It is Close without building the
+// Outcome maps: after Finish every slot is decided, and a caller that folds
+// the run itself reads the dense record in place through Decision and
+// Intervals. Close may still follow to materialize the Outcome.
+func (s *Session) Finish() error {
 	if s.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	s.closed = true
 	c := &s.core
 	s.drain(math.Inf(1))
 	c.pol.Close()
-	if err := c.pol.Audit(); err != nil {
-		return nil, err
+	err := c.pol.Audit()
+	if err == nil {
+		err = c.audit()
 	}
-	if err := c.audit(); err != nil {
-		return nil, err
+	s.spent = err != nil
+	return err
+}
+
+// Close ends the stream (Finish, unless it already ran) and returns the
+// outcome: exactly what the online run did, in the same form as a batch run.
+// A second Close fails with ErrClosed.
+func (s *Session) Close() (*sched.Outcome, error) {
+	if s.spent {
+		return nil, ErrClosed
 	}
+	if !s.closed {
+		if err := s.Finish(); err != nil {
+			return nil, err
+		}
+	}
+	s.spent = true
 	// Materialize the public map form exactly once, after the audits: the
 	// whole run recorded densely, so this is the only point where per-job
 	// map inserts happen.
+	c := &s.core
 	return c.rec.Finalize(func(jk int) int { return c.jobs[jk].ID }), nil
 }
+
+// Decision reports slot k of the session (feed order, 0 ≤ k < Fed()): the
+// session's copy of the job — read it, don't retain or mutate it — its
+// decision state (sched.JobOpen, JobCompleted or JobRejected) and its
+// completion or rejection time. After Finish every slot is decided. Like
+// every session method it must be called from the goroutine that owns the
+// session.
+func (s *Session) Decision(k int) (j *sched.Job, state uint8, t float64) {
+	c := &s.core
+	return &c.jobs[k], c.rec.State(k), c.rec.When(k)
+}
+
+// Intervals exposes the executions recorded so far, read-only: the schedule
+// a finished session ran, including the partial executions of rejected jobs.
+func (s *Session) Intervals() []sched.Interval { return s.core.rec.Intervals() }
 
 // drain pops and handles every queued event at time ≤ horizon. Events tied
 // at the horizon are safe: a future arrival at the same instant sorts after

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -225,6 +227,80 @@ func TestSessionCloseIsFinal(t *testing.T) {
 	}
 	if err := s.AdvanceTo(1); err != ErrClosed {
 		t.Fatalf("AdvanceTo after Close: %v, want ErrClosed", err)
+	}
+	if p.closed != 1 {
+		t.Fatalf("policy closed %d times", p.closed)
+	}
+}
+
+// TestSessionFinishThenRead pins the split close: Finish decides every slot
+// and audits without building maps, Decision and Intervals read the record
+// in place, and a Close after it still hands out the same Outcome a plain
+// Close would — once.
+func TestSessionFinishThenRead(t *testing.T) {
+	jobs := []sched.Job{job(7, 0, 10), job(3, 1, 1), job(5, 2, 2), job(9, 2, 1)}
+	run := func() *Session {
+		s, err := NewSession(newFifo(1, 2), Options{Machines: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.FeedBatch(jobs); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	want, err := run().Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newFifo(1, 2)
+	s, _ := NewSession(p, Options{Machines: 1})
+	if err := s.FeedBatch(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Finish(); err != ErrClosed {
+		t.Fatalf("second Finish: %v, want ErrClosed", err)
+	}
+	if err := s.Feed(job(1, 3, 1)); err != ErrClosed {
+		t.Fatalf("Feed after Finish: %v, want ErrClosed", err)
+	}
+	for k := range s.Fed() {
+		j, st, at := s.Decision(k)
+		if j.ID != jobs[k].ID {
+			t.Fatalf("slot %d holds job %d, want %d", k, j.ID, jobs[k].ID)
+		}
+		switch st {
+		case sched.JobCompleted:
+			if c, ok := want.Completed[j.ID]; !ok || c != at {
+				t.Fatalf("job %d completed at %v, Close says %v (%v)", j.ID, at, c, ok)
+			}
+		case sched.JobRejected:
+			if r, ok := want.Rejected[j.ID]; !ok || r != at {
+				t.Fatalf("job %d rejected at %v, Close says %v (%v)", j.ID, at, r, ok)
+			}
+		default:
+			t.Fatalf("job %d undecided after Finish", j.ID)
+		}
+	}
+	if len(want.Rejected) == 0 {
+		t.Fatal("fixture rejects nothing; the rejected branch went unchecked")
+	}
+	got, err := s.Close()
+	if err != nil {
+		t.Fatalf("Close after Finish: %v", err)
+	}
+	if !slices.Equal(got.Intervals, want.Intervals) || !maps.Equal(got.Completed, want.Completed) ||
+		!maps.Equal(got.Rejected, want.Rejected) || !maps.Equal(got.Assigned, want.Assigned) {
+		t.Fatalf("Close after Finish gave %+v, want %+v", got, want)
+	}
+	if !slices.Equal(s.Intervals(), want.Intervals) {
+		t.Fatalf("Intervals %v, want %v", s.Intervals(), want.Intervals)
+	}
+	if _, err := s.Close(); err != ErrClosed {
+		t.Fatalf("second Close: %v, want ErrClosed", err)
 	}
 	if p.closed != 1 {
 		t.Fatalf("policy closed %d times", p.closed)

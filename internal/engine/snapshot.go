@@ -257,11 +257,11 @@ func snapshotOutcome(e *snapshot.Encoder, c *Core) {
 //
 // Only performance options carry into the rebuilt session: opt.EventQueue
 // selects the event-queue implementation (both speak the same EVTQ wire
-// format, so a snapshot taken under either restores under either) and
-// opt.EventHint presizes it. Machines and SizeHint come from the snapshot
-// itself; opt's values for them are ignored. r is read once into memory
-// (snapshot.NewReader); a snapshot.InPlace reader is decoded where it lies,
-// and the session keeps no reference to it.
+// format, so a snapshot taken under either restores under either). Machines
+// and SizeHint come from the snapshot itself; opt's values for them are
+// ignored. r is read once into memory (snapshot.NewReader); a
+// snapshot.InPlace reader is decoded where it lies, and the session keeps no
+// reference to it.
 func RestoreOpts(r io.Reader, opt Options, newPolicy func(machines int) (Policy, error)) (*Session, error) {
 	sr, err := snapshot.NewReader(r)
 	if err != nil {
@@ -300,8 +300,7 @@ func RestoreOpts(r io.Reader, opt Options, newPolicy func(machines int) (Policy,
 	}
 	s := &Session{last: last, floor: floor}
 	if err := s.core.init(pol, Options{
-		Machines: machines, SizeHint: int(njobs),
-		EventHint: opt.EventHint, EventQueue: opt.EventQueue,
+		Machines: machines, SizeHint: int(njobs), EventQueue: opt.EventQueue,
 	}); err != nil {
 		pol.Close()
 		return nil, err

@@ -12,6 +12,8 @@
 // depth, and keeps the hot comparison inlineable.
 package eventq
 
+import "slices"
+
 // Kind orders simultaneous events. Lower kinds pop first.
 type Kind int8
 
@@ -68,14 +70,10 @@ func (q *Queue) Push(e Event) {
 	q.siftUp(len(q.h) - 1)
 }
 
-// Grow ensures capacity for n additional events without reallocation.
-func (q *Queue) Grow(n int) {
-	if free := cap(q.h) - len(q.h); free < n {
-		nh := make([]Event, len(q.h), len(q.h)+n)
-		copy(nh, q.h)
-		q.h = nh
-	}
-}
+// Grow ensures capacity for n additional events without reallocation. It
+// grows the way append does, so a queue that keeps growing past what its
+// callers reserve still reallocates only O(log n) times.
+func (q *Queue) Grow(n int) { q.h = slices.Grow(q.h, n) }
 
 // Pop removes and returns the earliest event. It panics on an empty queue;
 // guard with Len.

@@ -282,8 +282,8 @@ func (s *Server) markDecided(gid int) {
 
 // verdictRow is one decided job: its identity, the release/weight facts the
 // report's flow math needs, the decision time, and which way it went. Rows
-// of retired sessions live in Server.carried; live sessions produce theirs
-// at drain.
+// of retired sessions live in Server.carried; live sessions are read in
+// place at drain (walkDecided), one row at a time.
 type verdictRow struct {
 	gid      int
 	release  float64
@@ -904,10 +904,7 @@ func (s *Server) doResize(to int) error {
 	old := s.sessions
 	fresh := make([]*engine.Session, to)
 	fleet, err := engine.ResizeFleet(s.fleet, to, engine.ShardOptions{Route: s.route},
-		func(k int, _ engine.Feeder) (err error) {
-			s.carried, s.carriedMakespan, err = closeSession(old[k], s.carried, s.carriedMakespan)
-			return err
-		},
+		func(k int, _ engine.Feeder) error { return old[k].Finish() },
 		func(k int) (engine.Feeder, error) {
 			ps, err := openSession(&s.cfg, engine.PerShardHint(s.cfg.SizeHint, to), nil)
 			if err != nil {
@@ -926,9 +923,9 @@ func (s *Server) doResize(to int) error {
 		// and poison future feeds by leaving the closed fleet in place.
 		return err
 	}
-	// Checkpoint bytes must be deterministic: map iteration filled carried
-	// in arbitrary order.
-	slices.SortFunc(s.carried, func(a, b verdictRow) int { return a.gid - b.gid })
+	if err := s.carry(old); err != nil {
+		return err
+	}
 	s.sessions = fresh
 	s.mu.Lock() // fleet, shard count and history are read by HTTP goroutines
 	s.fleet = fleet
@@ -957,45 +954,38 @@ func (s *Server) shutdown() {
 	close(s.drained)
 }
 
-// jobFact is the per-job footprint needed to turn outcome times into flows.
-type jobFact struct {
-	release float64
-	weight  float64
-}
-
-// closeSession closes one shard session and appends a verdict row for every
-// job it completed or rejected, carrying the release and weight the session
-// was fed. It returns the grown rows and the later of makespan and the
-// session's last interval end. Call it only on a session whose shard has
-// quiesced or closed.
-func closeSession(ps *engine.Session, rows []verdictRow, makespan float64) ([]verdictRow, float64, error) {
-	facts := make(map[int]jobFact, ps.Fed())
-	ps.EachFed(func(j *sched.Job) {
-		facts[j.ID] = jobFact{release: j.Release, weight: j.Weight}
+// carry folds the finished sessions a resize retires into the carried
+// ledger: their decided jobs merge with its rows by gid, so the ledger stays
+// sorted (checkpoint bytes must be deterministic), and their last interval
+// end raises its makespan.
+func (s *Server) carry(retired []*engine.Session) error {
+	n := len(s.carried)
+	for _, ps := range retired {
+		n += ps.Fed()
+		s.carriedMakespan = makespanOf(ps, s.carriedMakespan)
+	}
+	carried := make([]verdictRow, 0, n)
+	err := walkDecided(retired, s.carried, func(v *verdictRow) error {
+		carried = append(carried, *v)
+		return nil
 	})
-	out, err := ps.Close()
 	if err != nil {
-		return rows, makespan, err
+		return err
 	}
-	for _, v := range []struct {
-		at       map[int]float64
-		rejected bool
-	}{{out.Completed, false}, {out.Rejected, true}} {
-		for gid, t := range v.at {
-			f, ok := facts[gid]
-			if !ok {
-				return rows, makespan, fmt.Errorf("front: outcome holds job %d the front door never fed", gid)
-			}
-			rows = append(rows, verdictRow{gid: gid, release: f.release, weight: f.weight, t: t, rejected: v.rejected})
-		}
-	}
-	for k := range out.Intervals {
-		makespan = max(makespan, out.Intervals[k].End)
-	}
-	return rows, makespan, nil
+	s.carried = carried
+	return nil
 }
 
-// buildReport freezes the fleet (final checkpoint when configured), closes
+// makespanOf returns the later of makespan and the last interval end of a
+// finished session.
+func makespanOf(ps *engine.Session, makespan float64) float64 {
+	for _, iv := range ps.Intervals() {
+		makespan = max(makespan, iv.End)
+	}
+	return makespan
+}
+
+// buildReport freezes the fleet (final checkpoint when configured), finishes
 // every session, and folds the outcomes and admission ledgers into the
 // deterministic report. All floating-point accumulation runs in sorted gid
 // order, so the same decided job set always produces the same bytes.
@@ -1012,25 +1002,13 @@ func (s *Server) buildReport() (*Report, error) {
 		return nil, err
 	}
 
-	// Live sessions yield their outcomes now; sessions retired by a resize
-	// already folded theirs into the carried ledger through the same
-	// closeSession. The union is every decided job exactly once: a gid
-	// feeds exactly one session in its lifetime.
-	fed := 0
-	for _, ps := range s.sessions {
-		fed += ps.Fed()
-	}
-	rows := make([]verdictRow, 0, fed+len(s.carried))
 	makespan := s.carriedMakespan
 	for _, ps := range s.sessions {
-		var err error
-		if rows, makespan, err = closeSession(ps, rows, makespan); err != nil {
+		if err := ps.Finish(); err != nil {
 			return nil, err
 		}
+		makespan = makespanOf(ps, makespan)
 	}
-	rows = append(rows, s.carried...)
-	slices.SortFunc(rows, func(a, b verdictRow) int { return a.gid - b.gid })
-
 	rep := &Report{
 		Policy:           s.cfg.Policy,
 		Machines:         s.cfg.Machines,
@@ -1057,10 +1035,13 @@ func (s *Server) buildReport() (*Report, error) {
 		rep.PreRejected += t.PreRejected
 		rep.RejectedWeight += t.PreRejectedWeight
 	}
-	for _, v := range rows {
+	// Live sessions are read in place; sessions retired by a resize already
+	// folded theirs into the carried ledger. The union is every decided job
+	// exactly once: a gid feeds exactly one session in its lifetime.
+	err := walkDecided(s.sessions, s.carried, func(v *verdictRow) error {
 		tr := tens[v.gid>>32]
 		if tr == nil {
-			return nil, fmt.Errorf("front: job %d belongs to tenant %d with no admission ledger", v.gid, v.gid>>32)
+			return fmt.Errorf("front: job %d belongs to tenant %d with no admission ledger", v.gid, v.gid>>32)
 		}
 		flow := v.t - v.release
 		rep.TotalFlow += flow
@@ -1078,6 +1059,10 @@ func (s *Server) buildReport() (*Report, error) {
 			rep.Completed++
 			tr.Completed++
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if rep.Completed+rep.Rejected != rep.Fed {
 		return nil, fmt.Errorf("front: %d jobs fed but %d completed + %d rejected — the fleet dropped jobs",

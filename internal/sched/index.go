@@ -77,7 +77,7 @@ func (ix *Index) Of(id int) int {
 func (ix *Index) Job(k int) *Job { return &ix.jobs[k] }
 
 // JobByID returns the job with the given ID, or nil if the instance has no
-// such job. O(1), unlike Instance.JobByID's linear scan.
+// such job. O(1).
 func (ix *Index) JobByID(id int) *Job {
 	k := ix.Of(id)
 	if k < 0 {

@@ -119,16 +119,6 @@ func (ins *Instance) TotalWeight() float64 {
 	return w
 }
 
-// JobByID returns the job with the given id, or nil.
-func (ins *Instance) JobByID(id int) *Job {
-	for k := range ins.Jobs {
-		if ins.Jobs[k].ID == id {
-			return &ins.Jobs[k]
-		}
-	}
-	return nil
-}
-
 // MinProc returns min_i Proc[i] for job j.
 func (j *Job) MinProc() float64 {
 	m := math.Inf(1)
@@ -219,14 +209,3 @@ func (o *Outcome) FlowTime(j *Job) (float64, error) {
 
 // RejectedCount returns the number of rejected jobs.
 func (o *Outcome) RejectedCount() int { return len(o.Rejected) }
-
-// RejectedWeight sums the weights of rejected jobs.
-func (o *Outcome) RejectedWeight(ins *Instance) float64 {
-	var w float64
-	for id := range o.Rejected {
-		if j := ins.JobByID(id); j != nil {
-			w += j.Weight
-		}
-	}
-	return w
-}
