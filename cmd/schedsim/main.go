@@ -181,7 +181,7 @@ func (o *options) runBatch(path string, stdout io.Writer) error {
 		out, err = e.Run(ins, policy.Params{Epsilon: o.eps, Alpha: cmp.Or(o.alpha, ins.Alpha)})
 		mode = e.Mode
 	} else {
-		// Batch-only comparators that are not hosted on the engine.
+		// Batch-only comparators outside the policy registry.
 		switch o.policy {
 		case "energymin", "avr":
 			var res *energymin.Result

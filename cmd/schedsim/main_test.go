@@ -185,3 +185,35 @@ func TestStreamRefusals(t *testing.T) {
 		}
 	}
 }
+
+// TestComparatorParamsRefused: a NaN, infinite or non-positive comparator
+// parameter fails the run instead of printing a NaN (or zero) total flow or
+// silently switching a rejection rule off.
+func TestComparatorParamsRefused(t *testing.T) {
+	var buf bytes.Buffer
+	if err := trace.WriteInstance(&buf, workload.Random(workload.DefaultConfig(50, 2, 3))); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, out, errOut := schedsim("-policy", "speedaug", path); code != 0 {
+		t.Fatalf("valid speedaug run: exit %d\n%s%s", code, out, errOut)
+	}
+	if code, out, errOut := schedsim("-policy", "immediate", path); code != 0 {
+		t.Fatalf("valid immediate run: exit %d\n%s%s", code, out, errOut)
+	}
+	for _, args := range [][]string{
+		{"-policy", "speedaug", "-epsS", "NaN"}, {"-policy", "speedaug", "-epsS", "Inf"},
+		{"-policy", "speedaug", "-epsS", "0"}, {"-policy", "speedaug", "-eps", "NaN"},
+		{"-policy", "speedaug", "-eps", "-Inf"},
+		{"-policy", "immediate", "-eps", "NaN"}, {"-policy", "immediate", "-eps", "Inf"},
+		{"-policy", "immediate", "-eps", "0"},
+	} {
+		args = append(args, path)
+		if code, out, _ := schedsim(args...); code == 0 {
+			t.Errorf("schedsim %v: exit 0, want non-zero\n%s", args, out)
+		}
+	}
+}

@@ -13,15 +13,17 @@
 //     at arrival time (the Lemma 1 regime): it rejects an arriving job when
 //     it is an outlier versus history and the rejection budget allows.
 //
-// All baselines share one deterministic event-loop engine and produce
-// audited sched.Outcome values.
+// Every baseline is one engine.Policy run on internal/engine, like the
+// paper's algorithms: the engine owns the event loop, the run state, the
+// outcome record and the end-of-run audit, so the comparators and the
+// algorithms they are measured against share one event order and one audit.
 package baseline
 
 import (
 	"fmt"
 	"math"
 
-	"repro/internal/eventq"
+	"repro/internal/engine"
 	"repro/internal/ostree"
 	"repro/internal/sched"
 )
@@ -50,7 +52,7 @@ const (
 	OrderHDF
 )
 
-// Config parameterizes the shared engine.
+// Config parameterizes the baseline policy.
 type Config struct {
 	Dispatch DispatchRule
 	Order    ServiceOrder
@@ -90,8 +92,8 @@ func LeastLoaded(ins *sched.Instance) (*sched.Outcome, error) {
 // SpeedAugmented runs the [5]-style comparator with speed 1+epsS and a
 // Rule-1-style rejection threshold ⌈1/epsR⌉.
 func SpeedAugmented(ins *sched.Instance, epsS, epsR float64) (*sched.Outcome, error) {
-	if epsS <= 0 || epsR <= 0 {
-		return nil, fmt.Errorf("baseline: epsS and epsR must be positive")
+	if !positiveFinite(epsS) || !positiveFinite(epsR) {
+		return nil, fmt.Errorf("baseline: epsS and epsR must be positive and finite, got %v and %v", epsS, epsR)
 	}
 	return Run(ins, Config{
 		Dispatch: DispatchBacklog, Order: OrderSPT,
@@ -123,13 +125,13 @@ func FixedSpeedHDF(ins *sched.Instance, alpha float64) (*sched.Outcome, error) {
 // its best machine exceeds outlier×(running mean of arrivals so far) and
 // fewer than eps·(arrivals so far) jobs have been rejected.
 func ImmediateReject(ins *sched.Instance, eps, outlier float64) (*sched.Outcome, error) {
+	if !positiveFinite(eps) || !positiveFinite(outlier) {
+		return nil, fmt.Errorf("baseline: eps and outlier must be positive and finite, got %v and %v", eps, outlier)
+	}
 	return Run(ins, Config{
 		Dispatch: DispatchBacklog, Order: OrderSPT, Speed: 1,
 		ImmediateReject: func(t float64, j *sched.Job, seen int, meanProc float64, rejected int) bool {
-			if seen == 0 {
-				return false
-			}
-			if float64(rejected+1) > eps*float64(seen+1) {
+			if seen == 0 || float64(rejected+1) > eps*float64(seen+1) {
 				return false
 			}
 			return j.MinProc() > outlier*meanProc
@@ -137,155 +139,141 @@ func ImmediateReject(ins *sched.Instance, eps, outlier float64) (*sched.Outcome,
 	})
 }
 
-type bmachine struct {
+// machine is the per-machine policy state; the engine owns the run state.
+type machine struct {
 	pending   *ostree.Flat
 	queueWork float64 // Σ p over pending (on this machine)
-
-	running  int
-	runStart float64
-	runEnd   float64
-	runSpeed float64
-	runSeq   int
-	victims  int
+	victims   int     // dispatches to the machine during its running job
 }
 
-func (m *bmachine) remnant(t float64) float64 {
-	if m.running == -1 {
-		return 0
-	}
-	if t >= m.runEnd {
-		return 0
-	}
-	return m.runEnd - t
+// policy implements engine.Policy for every Config.
+type policy struct {
+	c    *engine.Core
+	cfg  Config
+	mach []machine
+	// Arrival history handed to cfg.ImmediateReject: arrivals so far, the
+	// sum of their best processing times, and immediate rejections.
+	seen, rejected int
+	sumProc        float64
 }
 
-// Run executes the configured baseline on the instance.
+// newPolicy is the policy's engine.Host; the pending indexes grow on
+// demand, so the size hint goes unused. The result is the bare outcome.
+func (cfg Config) newPolicy(machines, _ int) (engine.Policy, func(*sched.Outcome) *sched.Outcome) {
+	p := &policy{cfg: cfg, mach: make([]machine, machines)}
+	for i := range p.mach {
+		p.mach[i].pending = ostree.NewFlat()
+	}
+	return p, func(o *sched.Outcome) *sched.Outcome { return o }
+}
+
+// Run executes the configured baseline on the instance: an engine session
+// sized for the instance and fed all of it in one batch, so an invalid
+// instance fails with the feed's "engine:" error.
 func Run(ins *sched.Instance, cfg Config) (*sched.Outcome, error) {
-	if err := ins.Validate(); err != nil {
-		return nil, err
+	if !positiveFinite(cfg.Speed) {
+		return nil, fmt.Errorf("baseline: speed must be positive and finite, got %v", cfg.Speed)
 	}
-	if cfg.Speed <= 0 {
-		return nil, fmt.Errorf("baseline: speed must be positive, got %v", cfg.Speed)
-	}
-	out := sched.NewOutcomeSized(len(ins.Jobs))
-	// Events carry compact job indices (always < n, so they fit the int32
-	// payload regardless of the instance's ID space); index keys and the
-	// outcome keep real job IDs.
-	ix := ins.Index()
-	machines := make([]*bmachine, ins.Machines)
-	for i := range machines {
-		machines[i] = &bmachine{pending: ostree.NewFlat(), running: -1}
-	}
-	var q eventq.Queue
-	q.Grow(2 * len(ins.Jobs))
-	for k := range ins.Jobs {
-		q.Push(eventq.Event{Time: ins.Jobs[k].Release, Kind: eventq.KindArrival, Job: int32(k), Machine: -1})
-	}
-	key := func(j *sched.Job, i int) ostree.Key {
-		switch cfg.Order {
-		case OrderFCFS:
-			return ostree.Key{P: j.Release, Release: j.Release, ID: j.ID}
-		case OrderHDF:
-			return ostree.Key{P: -j.Weight / j.Proc[i], Release: j.Release, ID: j.ID}
-		default:
-			return ostree.Key{P: j.Proc[i], Release: j.Release, ID: j.ID}
-		}
-	}
-	seq := 0
-	startNext := func(i int, t float64) {
-		m := machines[i]
-		k, ok := m.pending.DeleteMin()
-		if !ok {
-			return
-		}
-		j := ix.JobByID(k.ID)
-		m.queueWork -= j.Proc[i]
-		speed := cfg.Speed
-		if cfg.JobSpeed != nil {
-			speed = cfg.JobSpeed(j, i)
-		}
-		m.running = k.ID
-		m.runStart = t
-		m.runEnd = t + j.Proc[i]/speed
-		m.runSpeed = speed
-		m.victims = 0
-		seq++
-		m.runSeq = seq
-		q.Push(eventq.Event{Time: m.runEnd, Kind: eventq.KindCompletion, Job: int32(ix.Of(k.ID)), Machine: int32(i), Version: int32(seq)})
-	}
+	return engine.RunBatch(ins, func(machines, hint int) (*engine.Typed[*sched.Outcome], error) {
+		return engine.NewTyped(engine.Options{Machines: machines, SizeHint: hint}, cfg.newPolicy)
+	})
+}
 
-	var seen, rejected int
-	var sumProc float64
-	for q.Len() > 0 {
-		e := q.Pop()
-		switch e.Kind {
-		case eventq.KindArrival:
-			j := ix.Job(int(e.Job))
-			if cfg.ImmediateReject != nil {
-				mean := 0.0
-				if seen > 0 {
-					mean = sumProc / float64(seen)
-				}
-				if cfg.ImmediateReject(e.Time, j, seen, mean, rejected) {
-					out.Rejected[j.ID] = e.Time
-					rejected++
-					seen++
-					sumProc += j.MinProc()
-					continue
-				}
-			}
-			seen++
-			sumProc += j.MinProc()
-			best, bestCost := 0, math.Inf(1)
-			for i := 0; i < ins.Machines; i++ {
-				m := machines[i]
-				var cost float64
-				switch cfg.Dispatch {
-				case DispatchBacklog:
-					cost = m.queueWork + m.remnant(e.Time) + j.Proc[i]
-				case DispatchLeastLoaded:
-					cost = m.queueWork + m.remnant(e.Time)
-				case DispatchMinProc:
-					cost = j.Proc[i]
-				}
-				if cost < bestCost {
-					best, bestCost = i, cost
-				}
-			}
-			m := machines[best]
-			out.Assigned[j.ID] = best
-			m.pending.Insert(key(j, best))
-			m.queueWork += j.Proc[best]
-			if m.running != -1 && cfg.Rule1Threshold > 0 {
-				m.victims++
-				if m.victims >= cfg.Rule1Threshold {
-					// reject the running job, speed-augmented style
-					if e.Time > m.runStart+sched.Eps {
-						out.Intervals = append(out.Intervals, sched.Interval{
-							Job: m.running, Machine: best, Start: m.runStart, End: e.Time, Speed: m.runSpeed,
-						})
-					}
-					out.Rejected[m.running] = e.Time
-					m.running = -1
-					startNext(best, e.Time)
-				}
-			}
-			if m.running == -1 {
-				startNext(best, e.Time)
-			}
-		case eventq.KindCompletion:
-			m := machines[e.Machine]
-			id := ix.ID(int(e.Job))
-			if m.running != id || m.runSeq != int(e.Version) {
-				continue
-			}
-			out.Intervals = append(out.Intervals, sched.Interval{
-				Job: id, Machine: int(e.Machine), Start: m.runStart, End: e.Time, Speed: m.runSpeed,
-			})
-			out.Completed[id] = e.Time
-			m.running = -1
-			startNext(int(e.Machine), e.Time)
+// positiveFinite reports 0 < x < +Inf; NaN fails it.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// The engine's audit covers the policy: a job left pending is a job neither
+// completed nor rejected, which the engine refuses at the end of the run.
+func (p *policy) Audit() error                       { return nil }
+func (p *policy) Bind(c *engine.Core)                { p.c = c }
+func (p *policy) Close()                             {}
+func (p *policy) OnCompletion(t float64, i, jk int)  {}
+func (p *policy) OnIdle(t float64, i int)            { p.startNext(i, t) }
+func (p *policy) OnBookkeeping(t float64, i, jk int) {}
+
+// key is the service-order key of job j queued on machine i.
+func (p *policy) key(j *sched.Job, i int) ostree.Key {
+	switch p.cfg.Order {
+	case OrderFCFS:
+		return ostree.Key{P: j.Release, Release: j.Release, ID: j.ID}
+	case OrderHDF:
+		return ostree.Key{P: -j.Weight / j.Proc[i], Release: j.Release, ID: j.ID}
+	default:
+		return ostree.Key{P: j.Proc[i], Release: j.Release, ID: j.ID}
+	}
+}
+
+// remnant is the time machine i still needs for its running job at t.
+func (p *policy) remnant(i int, t float64) float64 {
+	if ms := p.c.Machine(i); !ms.Idle() {
+		if end := ms.RunStart + ms.RunVol/ms.RunSpeed; t < end {
+			return end - t
 		}
 	}
-	return out, nil
+	return 0
+}
+
+// startNext starts the first pending job of the idle machine i.
+func (p *policy) startNext(i int, t float64) {
+	m := &p.mach[i]
+	k, ok := m.pending.DeleteMin()
+	if !ok {
+		return
+	}
+	jk := p.c.IndexOf(k.ID)
+	j := p.c.Job(jk)
+	m.queueWork -= j.Proc[i]
+	speed := p.cfg.Speed
+	if p.cfg.JobSpeed != nil {
+		speed = p.cfg.JobSpeed(j, i)
+	}
+	m.victims = 0
+	p.c.Start(i, t, jk, j.Proc[i], speed)
+}
+
+func (p *policy) OnArrival(t float64, jk int) {
+	j := p.c.Job(jk)
+	reject := false
+	if p.cfg.ImmediateReject != nil {
+		mean := 0.0
+		if p.seen > 0 {
+			mean = p.sumProc / float64(p.seen)
+		}
+		reject = p.cfg.ImmediateReject(t, j, p.seen, mean, p.rejected)
+	}
+	p.seen++
+	p.sumProc += j.MinProc()
+	if reject {
+		p.c.RejectPending(jk, t)
+		p.rejected++
+		return
+	}
+	best, bestCost := 0, math.Inf(1)
+	for i := range p.mach {
+		var cost float64
+		switch p.cfg.Dispatch {
+		case DispatchBacklog:
+			cost = p.mach[i].queueWork + p.remnant(i, t) + j.Proc[i]
+		case DispatchLeastLoaded:
+			cost = p.mach[i].queueWork + p.remnant(i, t)
+		case DispatchMinProc:
+			cost = j.Proc[i]
+		}
+		if cost < bestCost {
+			best, bestCost = i, cost
+		}
+	}
+	m := &p.mach[best]
+	p.c.Assign(jk, best)
+	m.pending.Insert(p.key(j, best))
+	m.queueWork += j.Proc[best]
+	if !p.c.Machine(best).Idle() && p.cfg.Rule1Threshold > 0 {
+		if m.victims++; m.victims >= p.cfg.Rule1Threshold {
+			// Reject the running job, speed-augmented style.
+			p.c.RejectRunning(best, t)
+		}
+	}
+	if p.c.Machine(best).Idle() {
+		p.startNext(best, t)
+	}
 }

@@ -190,11 +190,25 @@ func TestFixedSpeedHDFServesDenseFirst(t *testing.T) {
 
 func TestRunRejectsBadConfig(t *testing.T) {
 	ins := workload.Random(workload.DefaultConfig(10, 2, 1))
-	if _, err := Run(ins, Config{Speed: 0}); err == nil {
-		t.Fatal("zero speed accepted")
-	}
-	if _, err := SpeedAugmented(ins, 0, 0.5); err == nil {
-		t.Fatal("zero epsS accepted")
+	// NaN passes an `x <= 0` check: a NaN speed makes every time NaN, a
+	// NaN epsR would turn Rule 1 off, and a NaN immediate-reject eps would
+	// switch the rejection budget off.
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Run(ins, Config{Speed: bad}); err == nil {
+			t.Errorf("speed %v accepted", bad)
+		}
+		if _, err := SpeedAugmented(ins, bad, 0.5); err == nil {
+			t.Errorf("epsS %v accepted", bad)
+		}
+		if _, err := SpeedAugmented(ins, 0.5, bad); err == nil {
+			t.Errorf("epsR %v accepted", bad)
+		}
+		if _, err := ImmediateReject(ins, bad, 3); err == nil {
+			t.Errorf("immediate-reject eps %v accepted", bad)
+		}
+		if _, err := ImmediateReject(ins, 0.5, bad); err == nil {
+			t.Errorf("immediate-reject outlier %v accepted", bad)
+		}
 	}
 	bad := &sched.Instance{Machines: 0}
 	if _, err := GreedySPT(bad); err == nil {

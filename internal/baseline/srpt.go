@@ -15,10 +15,8 @@ import (
 // flow time on a single machine). Outcomes validate only with
 // sched.ValidateMode{AllowPreemption: true}.
 //
-// The policy is hosted on internal/engine via internal/core/srpt — the
-// private event loop that used to live here is gone, and the golden
-// equivalence test in that package pins the engine-hosted outcomes
-// bit-identical to it. Use srpt.Run directly for the preemption counters or
+// The policy is internal/core/srpt's, hosted on internal/engine like every
+// baseline. Use srpt.Run directly for the preemption counters or
 // srpt.NewSession for the streaming form.
 func PreemptiveSRPT(ins *sched.Instance) (*sched.Outcome, error) {
 	res, err := srpt.Run(ins, srpt.Options{})

@@ -124,9 +124,10 @@ func TestGreedyNearBruteForceOnTinyInstances(t *testing.T) {
 func TestAVRFullWindowOnly(t *testing.T) {
 	ins := deadlineInstance(25, 3, 2)
 	res := mustRun(t, ins, Options{FullWindowOnly: true})
-	ix := ins.Index()
+	var ix sched.IDs
+	ix.Build(ins.Jobs)
 	for id, pl := range res.Placements {
-		j := ix.JobByID(id)
+		j := &ins.Jobs[ix.Of(id)]
 		r := int(math.Ceil(j.Release - sched.Eps))
 		d := int(math.Floor(j.Deadline + sched.Eps))
 		if pl.Start != r || pl.Length != d-r {

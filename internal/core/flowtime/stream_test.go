@@ -61,12 +61,13 @@ func TestDualTrackingWithinEpsReleases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := ins.Index()
+	var ix sched.IDs
+	ix.Build(ins.Jobs)
 	for _, id := range []int{0, 1, 2} {
 		if _, ok := res.Dual.Lambda[id]; !ok {
 			t.Fatalf("dual report missing λ for job %d", id)
 		}
-		if res.Dual.CTilde[id] < ix.JobByID(id).Release {
+		if res.Dual.CTilde[id] < ins.Jobs[ix.Of(id)].Release {
 			t.Fatalf("job %d: C̃ %v before release", id, res.Dual.CTilde[id])
 		}
 	}

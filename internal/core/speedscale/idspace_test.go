@@ -9,7 +9,7 @@ import (
 
 // TestOutcomeInvariantUnderIDRelabeling pins the compact-index plumbing: the
 // schedule must not depend on the numeric job IDs beyond their role as
-// labels. Relabeling IDs far outside int32 range (forcing the sched.Index
+// labels. Relabeling IDs far outside int32 range (forcing the sched.IDs
 // map fallback and exercising the int32 event payloads) must yield the
 // identical outcome modulo relabeling.
 func TestOutcomeInvariantUnderIDRelabeling(t *testing.T) {

@@ -12,8 +12,8 @@ import (
 )
 
 // legacyPreemptiveSRPT is the pre-engine baseline.PreemptiveSRPT event loop,
-// preserved verbatim as the reference of the golden equivalence test below.
-// It is the last private event loop the repo ever had; the engine-hosted
+// preserved verbatim (its id lookups aside, which go through sched.IDs) as
+// the reference of the golden equivalence test below. The engine-hosted
 // policy in srpt.go must reproduce its outcomes bit for bit, which is what
 // licensed deleting it from internal/baseline.
 func legacyPreemptiveSRPT(ins *sched.Instance) (*sched.Outcome, error) {
@@ -21,7 +21,8 @@ func legacyPreemptiveSRPT(ins *sched.Instance) (*sched.Outcome, error) {
 		return nil, err
 	}
 	out := sched.NewOutcomeSized(len(ins.Jobs))
-	ix := ins.Index()
+	var ix sched.IDs
+	ix.Build(ins.Jobs)
 
 	type pmachine struct {
 		waiting *ostree.Tree // Key.P = frozen remaining time
@@ -60,7 +61,7 @@ func legacyPreemptiveSRPT(ins *sched.Instance) (*sched.Outcome, error) {
 		e := q.Pop()
 		switch e.Kind {
 		case eventq.KindArrival:
-			j := ix.Job(int(e.Job))
+			j := &ins.Jobs[e.Job]
 			best, bestCost := 0, math.Inf(1)
 			for i := 0; i < ins.Machines; i++ {
 				m := machines[i]
@@ -87,14 +88,14 @@ func legacyPreemptiveSRPT(ins *sched.Instance) (*sched.Outcome, error) {
 						Job: m.running, Machine: best, Start: m.runStart, End: e.Time, Speed: 1,
 					})
 				}
-				m.waiting.Insert(ostree.Key{P: curRem, Release: ix.JobByID(m.running).Release, ID: m.running})
+				m.waiting.Insert(ostree.Key{P: curRem, Release: ins.Jobs[ix.Of(m.running)].Release, ID: m.running})
 				start(best, e.Time, j.ID, p)
 			} else {
 				m.waiting.Insert(ostree.Key{P: p, Release: j.Release, ID: j.ID})
 			}
 		case eventq.KindCompletion:
 			m := machines[e.Machine]
-			id := ix.ID(int(e.Job))
+			id := ins.Jobs[e.Job].ID
 			if m.running != id || m.runSeq != int(e.Version) {
 				continue // preempted; stale completion
 			}

@@ -1,11 +1,13 @@
 // Package engine is the shared event-loop core of the online λ-dispatch
-// schedulers (internal/core/flowtime, wflow, speedscale). It owns everything
-// those algorithms used to re-implement privately — the deterministic event
-// queue wiring, the per-machine run state with the runSeq version guard that
-// invalidates completion events of interrupted executions, the completion
-// and rejection recording into a sched.Outcome, and the end-of-run sanity
-// audit — and drives a Policy that supplies the algorithmic decisions
-// (dispatch, service order, preemption, rejection rules, dual bookkeeping).
+// schedulers (internal/core/flowtime, wflow, speedscale), the preemptive
+// references (internal/core/srpt) and the baseline comparators
+// (internal/baseline). It owns everything those schedulers used to
+// re-implement privately — the deterministic event queue wiring, the
+// per-machine run state with the runSeq version guard that invalidates
+// completion events of interrupted executions, the completion and
+// rejection recording into a sched.Outcome, and the end-of-run sanity audit
+// — and drives a Policy that supplies the algorithmic decisions (dispatch,
+// service order, preemption, rejection rules, dual bookkeeping).
 //
 // Preemption is first-class: Core.Preempt stops a running job, returns its
 // remaining volume and leaves it re-startable — on the same machine or,
@@ -33,11 +35,11 @@
 // the tail.
 //
 // Hot-path discipline (see DESIGN.md): per-job state is dense, indexed by
-// the compact feed-order index; the id→index map is a growable direct-lookup
-// slice with a map fallback for sparse ID spaces; outcome decisions are
-// recorded densely by compact index (sched.OutcomeRecorder) and the public
-// Outcome maps materialize once at Close; with a SizeHint the session
-// preallocates the job table and outcome arrays so a batch-sized run
+// the compact feed-order index; ids resolve through sched.IDs, a growable
+// direct-lookup table with a map fallback for sparse ID spaces; outcome
+// decisions are recorded densely by compact index (sched.OutcomeRecorder)
+// and the public Outcome maps materialize once at Close; with a SizeHint the
+// session preallocates the job table and outcome arrays so a batch-sized run
 // allocates no more than the pre-engine code did.
 package engine
 
@@ -159,7 +161,7 @@ type Core struct {
 	// end-of-run conservation audit: completed jobs must reach exactly 1
 	// across their whole preemption chain, and no job may exceed 1.
 	done []float64
-	ids  idIndex
+	ids  sched.IDs
 	// rec is the dense recording path of the outcome: decisions are written
 	// by compact index into flat arrays inside the event loop; the public
 	// map form is materialized exactly once, at Session.Close.
@@ -183,7 +185,7 @@ func (c *Core) init(pol Policy, opt Options) error {
 	}
 	c.jobs = make([]sched.Job, 0, opt.SizeHint)
 	c.done = make([]float64, 0, opt.SizeHint)
-	c.ids.reserve(opt.SizeHint)
+	c.ids.Reset(opt.SizeHint)
 	c.rec = sched.NewOutcomeRecorder(opt.SizeHint)
 	return nil
 }
@@ -206,7 +208,7 @@ func (c *Core) Job(jk int) *sched.Job { return &c.jobs[jk] }
 func (c *Core) ID(jk int) int { return c.jobs[jk].ID }
 
 // IndexOf returns the compact index of the job with external id, or -1.
-func (c *Core) IndexOf(id int) int { return c.ids.of(id) }
+func (c *Core) IndexOf(id int) int { return c.ids.Of(id) }
 
 // Assign records the dispatch of job jk to machine i in the outcome.
 func (c *Core) Assign(jk, i int) { c.rec.Assign(jk, i) }

@@ -3,87 +3,85 @@ package engine
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/sched"
 )
 
+// The engine's job table is a sched.IDs grown one feed at a time; these
+// tests drive it in that incremental mode (Reset, then Add per job). The
+// layout checks (which id streams stay on the direct table) live with the
+// type, in internal/sched.
+
 func TestIDIndexDense(t *testing.T) {
-	var ix idIndex
-	ix.reserve(16)
+	var ix sched.IDs
+	ix.Reset(16)
 	for i := 0; i < 100; i++ {
-		k, ok := ix.add(i)
+		k, ok := ix.Add(i)
 		if !ok || k != i {
 			t.Fatalf("add(%d) = (%d, %v)", i, k, ok)
 		}
 	}
 	for i := 0; i < 100; i++ {
-		if got := ix.of(i); got != i {
+		if got := ix.Of(i); got != i {
 			t.Fatalf("of(%d) = %d", i, got)
 		}
 	}
-	if ix.of(100) != -1 || ix.of(-1) != -1 {
+	if ix.Of(100) != -1 || ix.Of(-1) != -1 {
 		t.Fatal("missing ids must resolve to -1")
-	}
-	if ix.byID != nil {
-		t.Fatal("dense id space should not fall back to a map")
 	}
 }
 
 func TestIDIndexDuplicate(t *testing.T) {
-	var ix idIndex
-	if _, ok := ix.add(7); !ok {
+	var ix sched.IDs
+	if _, ok := ix.Add(7); !ok {
 		t.Fatal("first add rejected")
 	}
-	if _, ok := ix.add(7); ok {
+	if _, ok := ix.Add(7); ok {
 		t.Fatal("duplicate accepted on dense path")
 	}
-	ix.toMap()
-	if _, ok := ix.add(7); ok {
+	ix.Add(1 << 40) // migrates to the map
+	if _, ok := ix.Add(7); ok {
 		t.Fatal("duplicate accepted on map path")
 	}
 }
 
 func TestIDIndexHolesAndOffsetBase(t *testing.T) {
-	var ix idIndex
+	var ix sched.IDs
 	ids := []int{1000, 1004, 1001, 1010}
 	for k, id := range ids {
-		got, ok := ix.add(id)
+		got, ok := ix.Add(id)
 		if !ok || got != k {
 			t.Fatalf("add(%d) = (%d, %v), want %d", id, got, ok, k)
 		}
 	}
 	for k, id := range ids {
-		if ix.of(id) != k {
-			t.Fatalf("of(%d) = %d, want %d", id, ix.of(id), k)
+		if ix.Of(id) != k {
+			t.Fatalf("of(%d) = %d, want %d", id, ix.Of(id), k)
 		}
 	}
-	if ix.of(1002) != -1 {
+	if ix.Of(1002) != -1 {
 		t.Fatal("hole must resolve to -1")
 	}
 }
 
 func TestIDIndexSparseFallsBackToMap(t *testing.T) {
-	var ix idIndex
-	ix.add(0)
-	if _, ok := ix.add(1 << 40); !ok {
+	var ix sched.IDs
+	ix.Add(0)
+	if _, ok := ix.Add(1 << 40); !ok {
 		t.Fatal("sparse id rejected")
 	}
-	if ix.byID == nil {
-		t.Fatal("sparse id space must migrate to the map")
-	}
-	if ix.of(0) != 0 || ix.of(1<<40) != 1 {
+	if ix.Of(0) != 0 || ix.Of(1<<40) != 1 {
 		t.Fatal("lookups broken after migration")
 	}
 }
 
 func TestIDIndexBelowBaseFallsBackToMap(t *testing.T) {
-	var ix idIndex
-	ix.add(100)
-	if k, ok := ix.add(5); !ok || k != 1 {
+	var ix sched.IDs
+	ix.Add(100)
+	if k, ok := ix.Add(5); !ok || k != 1 {
 		t.Fatalf("add below base = (%d, %v)", k, ok)
 	}
-	if ix.byID == nil {
-		t.Fatal("id below base must migrate to the map")
-	}
-	if ix.of(100) != 0 || ix.of(5) != 1 {
+	if ix.Of(100) != 0 || ix.Of(5) != 1 {
 		t.Fatal("lookups broken after below-base migration")
 	}
 }
@@ -93,7 +91,7 @@ func TestIDIndexBelowBaseFallsBackToMap(t *testing.T) {
 func TestIDIndexRandomizedVsMap(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var ix idIndex
+		var ix sched.IDs
 		ref := map[int]int{}
 		n := 0
 		for step := 0; step < 2000; step++ {
@@ -101,7 +99,7 @@ func TestIDIndexRandomizedVsMap(t *testing.T) {
 			if seed%2 == 1 && rng.Intn(50) == 0 {
 				id = rng.Intn(1 << 30) // occasionally very sparse
 			}
-			k, ok := ix.add(id)
+			k, ok := ix.Add(id)
 			if _, dup := ref[id]; dup {
 				if ok {
 					t.Fatalf("seed %d: duplicate %d accepted", seed, id)
@@ -115,7 +113,7 @@ func TestIDIndexRandomizedVsMap(t *testing.T) {
 			n++
 		}
 		for id, want := range ref {
-			if got := ix.of(id); got != want {
+			if got := ix.Of(id); got != want {
 				t.Fatalf("seed %d: of(%d) = %d, want %d", seed, id, got, want)
 			}
 		}

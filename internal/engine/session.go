@@ -114,7 +114,7 @@ func (s *Session) FeedBatch(jobs []sched.Job) error {
 			err = fmt.Errorf("engine: job %d released at %v before the AdvanceTo watermark %v", j.ID, j.Release, s.floor)
 			break
 		}
-		jk, ok := c.ids.add(j.ID)
+		jk, ok := c.ids.Add(j.ID)
 		if !ok {
 			err = fmt.Errorf("engine: duplicate job id %d", j.ID)
 			break

@@ -348,7 +348,7 @@ func restoreInto(sr *snapshot.Reader, s *Session, sp StatefulPolicy) error {
 		if j.Release > lastRelease {
 			lastRelease = j.Release
 		}
-		if _, ok := c.ids.add(j.ID); !ok {
+		if _, ok := c.ids.Add(j.ID); !ok {
 			d.Failf("duplicate job id %d", j.ID)
 			return d.Err()
 		}
@@ -653,7 +653,7 @@ func restoreOutcome(d *snapshot.Decoder, c *Core) error {
 		if d.Err() != nil {
 			return d.Err()
 		}
-		if c.ids.of(iv.Job) < 0 || iv.Machine < 0 || iv.Machine >= len(c.mach) {
+		if c.ids.Of(iv.Job) < 0 || iv.Machine < 0 || iv.Machine >= len(c.mach) {
 			d.Failf("interval %d references unknown job %d or machine %d", k, iv.Job, iv.Machine)
 			return d.Err()
 		}

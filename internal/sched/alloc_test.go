@@ -5,11 +5,11 @@ package sched
 import "testing"
 
 // TestScratchAuditAllocatesNothing pins the claim that lets a fleet audit
-// every shard after every run: validation plus metrics on a held Scratch
+// every shard after every run: validation plus metrics on a held scratch
 // reuse its arenas and allocate nothing once they have grown to the instance.
 func TestScratchAuditAllocatesNothing(t *testing.T) {
 	ins, o := scratchInstance(5000, 0, 1, 8)
-	var s Scratch
+	var s scratch
 	audit := func() {
 		if err := s.ValidateOutcome(ins, o, ValidateMode{RequireUnitSpeed: true}); err != nil {
 			t.Fatal(err)
@@ -19,6 +19,6 @@ func TestScratchAuditAllocatesNothing(t *testing.T) {
 		}
 	}
 	if a := testing.AllocsPerRun(5, audit); a != 0 {
-		t.Fatalf("audit + metrics of 5000 jobs on a held Scratch: %v allocs/run, want 0", a)
+		t.Fatalf("audit + metrics of 5000 jobs on a held scratch: %v allocs/run, want 0", a)
 	}
 }

@@ -119,12 +119,12 @@ func TestComputeMetricsFlowsMatchesSummary(t *testing.T) {
 		Rejected:  map[int]float64{},
 		Assigned:  map[int]int{0: 0, 1: 1, 2: 0},
 	}
-	var s Scratch
+	var s scratch
 	plain, err := s.ComputeMetrics(ins, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withFlows, err := s.ComputeMetricsFlows(ins, o)
+	withFlows, err := s.computeMetricsFlows(ins, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +139,7 @@ func TestComputeMetricsFlowsMatchesSummary(t *testing.T) {
 		t.Fatalf("flows %v, want %v", withFlows.Flows, want)
 	}
 	// Reusing the scratch must not mutate the returned samples.
+	o.Completed[2] = 9
 	if _, err := s.ComputeMetrics(ins, o); err != nil {
 		t.Fatal(err)
 	}

@@ -113,11 +113,10 @@ func quantileP99(sorted []float64) float64 {
 // intervals per machine, so overlapping executions (allowed in the §4 model)
 // cost (Σ speeds)^α.
 //
-// The computation runs on a pooled Scratch; hold your own Scratch and call
-// its ComputeMetrics to pin the arenas when auditing many outcomes in a
-// loop.
+// The computation runs on pooled arenas and allocates nothing once they have
+// grown to the instance.
 func ComputeMetrics(ins *Instance, o *Outcome) (Metrics, error) {
-	s := scratchPool.Get().(*Scratch)
+	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
 	return s.ComputeMetrics(ins, o)
 }
@@ -128,16 +127,27 @@ func ComputeMetrics(ins *Instance, o *Outcome) (Metrics, error) {
 // Metrics), so the plain ComputeMetrics remains the allocation-free path for
 // callers that only need the summary.
 func ComputeMetricsFlows(ins *Instance, o *Outcome) (Metrics, error) {
-	s := scratchPool.Get().(*Scratch)
+	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
-	return s.ComputeMetricsFlows(ins, o)
+	return s.computeMetricsFlows(ins, o)
+}
+
+// computeMetricsFlows copies the samples out: the arena recycles its flow
+// buffer across calls, and Metrics must not alias it.
+func (s *scratch) computeMetricsFlows(ins *Instance, o *Outcome) (Metrics, error) {
+	m, err := s.ComputeMetrics(ins, o)
+	if err != nil {
+		return m, err
+	}
+	m.Flows = append(make([]float64, 0, len(s.flows)), s.flows...)
+	return m, nil
 }
 
 // EnergyOf integrates Σ_i ∫ P_i(speed_i(t)) dt with P(s) = s^Alpha over the
 // given intervals, summing speeds of concurrently running intervals on the
-// same machine. Runs on a pooled Scratch (see Scratch.EnergyOf).
+// same machine. Runs on pooled arenas.
 func EnergyOf(ins *Instance, ivs []Interval) float64 {
-	s := scratchPool.Get().(*Scratch)
+	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
 	return s.EnergyOf(ins, ivs)
 }
@@ -182,10 +192,10 @@ type ValidateMode struct {
 //   - machines run at most one job at a time unless AllowParallel;
 //   - deadlines hold when RequireDeadlines.
 //
-// The audit runs on a pooled Scratch; hold your own Scratch and call its
-// ValidateOutcome to pin the arenas when auditing many outcomes in a loop.
+// The audit runs on pooled arenas and allocates nothing once they have
+// grown to the instance.
 func ValidateOutcome(ins *Instance, o *Outcome, mode ValidateMode) error {
-	s := scratchPool.Get().(*Scratch)
+	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
 	return s.ValidateOutcome(ins, o, mode)
 }

@@ -87,19 +87,22 @@ func ValidateJob(j *Job, machines int, lastRelease float64) error {
 	return nil
 }
 
-// Validate checks structural well-formedness of the instance.
+// Validate checks structural well-formedness of the instance. Ids go
+// through a pooled IDs table, which locates the first repeated id; the loop
+// reports it at that job, so the first error is the first failing job's.
 func (ins *Instance) Validate() error {
 	if ins.Machines <= 0 {
 		return errors.New("sched: instance needs at least one machine")
 	}
-	seen := make(map[int]bool, len(ins.Jobs))
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	dup := s.ids.Build(ins.Jobs)
 	last := math.Inf(-1)
 	for k := range ins.Jobs {
 		j := &ins.Jobs[k]
-		if seen[j.ID] {
+		if k == dup {
 			return fmt.Errorf("sched: duplicate job id %d", j.ID)
 		}
-		seen[j.ID] = true
 		if err := ValidateJob(j, ins.Machines, last); err != nil {
 			return fmt.Errorf("sched: %w", err)
 		}

@@ -219,6 +219,24 @@ func TestValidateOutcomeCatchesViolations(t *testing.T) {
 		},
 		"wrong machine": func(o *Outcome) { o.Assigned[0] = 1 },
 		"no execution":  func(o *Outcome) { o.Intervals = o.Intervals[:1] },
+		// A speed-augmented run at speed 1+NaN: every interval and
+		// completion time is NaN.
+		"nan run": func(o *Outcome) {
+			for k := range o.Intervals {
+				o.Intervals[k].End, o.Intervals[k].Speed = math.NaN(), math.NaN()
+			}
+			o.Completed[0], o.Completed[1] = math.NaN(), math.NaN()
+		},
+		"nan start":      func(o *Outcome) { o.Intervals[0].Start = math.NaN() },
+		"nan end":        func(o *Outcome) { o.Intervals[0].End = math.NaN() },
+		"nan speed":      func(o *Outcome) { o.Intervals[0].Speed = math.NaN() },
+		"infinite speed": func(o *Outcome) { o.Intervals[0].Speed = math.Inf(1) },
+		"nan completion": func(o *Outcome) { o.Completed[0] = math.NaN() },
+		"nan rejection": func(o *Outcome) {
+			delete(o.Completed, 1)
+			o.Intervals = o.Intervals[:1]
+			o.Rejected[1] = math.NaN()
+		},
 	}
 	for name, mut := range cases {
 		o := validOutcome(in)
@@ -353,43 +371,5 @@ func TestFlowTimeErrors(t *testing.T) {
 	f, err := o.FlowTime(j)
 	if err != nil || f != 2 {
 		t.Fatalf("FlowTime = %v, %v", f, err)
-	}
-}
-
-func TestIndexExtremeIDSpan(t *testing.T) {
-	// maxID-minID+1 overflows int for this pair; the span math must not
-	// wrap into a spuriously valid dense-table size.
-	ins := &Instance{Machines: 1, Jobs: []Job{
-		{ID: -4611686018427387904, Release: 0, Weight: 1, Deadline: NoDeadline, Proc: []float64{1}},
-		{ID: 4611686018427387904, Release: 1, Weight: 1, Deadline: NoDeadline, Proc: []float64{1}},
-	}}
-	ix := ins.Index()
-	if ix.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", ix.Len())
-	}
-	for k := range ins.Jobs {
-		if got := ix.Of(ins.Jobs[k].ID); got != k {
-			t.Fatalf("Of(%d) = %d, want %d", ins.Jobs[k].ID, got, k)
-		}
-	}
-	if ix.Of(0) != -1 {
-		t.Fatalf("Of(absent) = %d, want -1", ix.Of(0))
-	}
-}
-
-func TestIndexDenseAndSparse(t *testing.T) {
-	ins := &Instance{Machines: 1, Jobs: []Job{
-		{ID: 100, Release: 0, Weight: 1, Deadline: NoDeadline, Proc: []float64{1}},
-		{ID: 102, Release: 1, Weight: 1, Deadline: NoDeadline, Proc: []float64{1}},
-		{ID: 101, Release: 2, Weight: 1, Deadline: NoDeadline, Proc: []float64{1}},
-	}}
-	ix := ins.Index()
-	for k := range ins.Jobs {
-		if ix.Of(ins.Jobs[k].ID) != k || ix.ID(k) != ins.Jobs[k].ID || ix.Job(k).ID != ins.Jobs[k].ID {
-			t.Fatalf("round trip failed at %d", k)
-		}
-	}
-	if ix.Of(99) != -1 || ix.Of(103) != -1 {
-		t.Fatal("absent IDs must map to -1")
 	}
 }

@@ -7,27 +7,22 @@ import (
 	"sync"
 )
 
-// Scratch holds the reusable arenas of the reporting pipeline: metrics,
+// scratch holds the reusable arenas of the reporting pipeline: metrics,
 // validation and energy integration over an Outcome. The package-level
-// ComputeMetrics / ValidateOutcome / EnergyOf draw a Scratch from an
-// internal pool, so one-shot callers get the allocation-free path without
-// holding state; pipelines that audit many outcomes (schedsim -compare, the
-// experiment suite, shard aggregation) can hold their own Scratch and reuse
-// it across calls.
+// ComputeMetrics / ValidateOutcome / EnergyOf (and Instance.Validate's id
+// table) draw one from an internal pool, so callers get the
+// allocation-free path without holding state.
 //
 // All grouping is dense: intervals are counting-sorted into a reused buffer
-// keyed by the compact job index (an id→index table rebuilt O(n) per call
-// into reused storage — never cached across calls, so a mutated or freshly
+// keyed by the compact job index (the IDs table rebuilt O(n) per call into
+// reused storage — never cached across calls, so a mutated or freshly
 // allocated instance can't meet a stale index), then re-sorted by machine
 // for the overlap sweep, replacing the map[int][]Interval + sorted-copy
 // passes that dominated the old allocation profile.
 //
-// A Scratch is not safe for concurrent use; the zero value is ready.
-type Scratch struct {
-	// id→compact-index table, rebuilt per call into reused storage.
-	dense []int32
-	byID  map[int]int32
-	minID int
+// A scratch is not safe for concurrent use; the zero value is ready.
+type scratch struct {
+	ids IDs // id→compact-index table, rebuilt per call into reused storage
 
 	counts []int32    // counting-sort histogram / cursors
 	offs   []int32    // group offsets, len = groups+1
@@ -43,59 +38,7 @@ type edge struct {
 	speed float64
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
-
-// index rebuilds the id→compact-index mapping for the instance's jobs. It
-// follows sched.Index's density rule (direct table while the id span stays
-// within a constant factor of n, map fallback otherwise) but recycles the
-// table across calls instead of allocating per instance.
-func (s *Scratch) index(ins *Instance) {
-	n := len(ins.Jobs)
-	s.byID = nil
-	if n == 0 {
-		s.dense = s.dense[:0]
-		return
-	}
-	minID, maxID := ins.Jobs[0].ID, ins.Jobs[0].ID
-	for k := 1; k < n; k++ {
-		if id := ins.Jobs[k].ID; id < minID {
-			minID = id
-		} else if id > maxID {
-			maxID = id
-		}
-	}
-	if span := uint64(maxID) - uint64(minID) + 1; span <= uint64(4*n+1024) {
-		s.minID = minID
-		s.dense = growTo(s.dense, int(span))
-		for i := range s.dense {
-			s.dense[i] = -1
-		}
-		for k := range ins.Jobs {
-			s.dense[ins.Jobs[k].ID-minID] = int32(k)
-		}
-		return
-	}
-	s.dense = s.dense[:0]
-	s.byID = make(map[int]int32, n)
-	for k := range ins.Jobs {
-		s.byID[ins.Jobs[k].ID] = int32(k)
-	}
-}
-
-// of resolves an external job id against the index built by the last call
-// to index, returning -1 for unknown ids.
-func (s *Scratch) of(id int) int {
-	if s.byID != nil {
-		if k, ok := s.byID[id]; ok {
-			return int(k)
-		}
-		return -1
-	}
-	if k := id - s.minID; k >= 0 && k < len(s.dense) {
-		return int(s.dense[k])
-	}
-	return -1
-}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // growTo returns a slice of exactly length n backed by s when it has the
 // capacity, recycling the arena across calls. Contents are unspecified.
@@ -110,7 +53,7 @@ func growTo[T any](s []T, n int) []T {
 // arenas. It never mutates its arguments. Energy integrates machine power
 // over the breakpoint sweep of all intervals per machine, so overlapping
 // executions (allowed in the §4 model) cost (Σ speeds)^α.
-func (s *Scratch) ComputeMetrics(ins *Instance, o *Outcome) (Metrics, error) {
+func (s *scratch) ComputeMetrics(ins *Instance, o *Outcome) (Metrics, error) {
 	var m Metrics
 	flows := growTo(s.flows, len(ins.Jobs))[:0]
 	for k := range ins.Jobs {
@@ -152,24 +95,11 @@ func (s *Scratch) ComputeMetrics(ins *Instance, o *Outcome) (Metrics, error) {
 	return m, nil
 }
 
-// ComputeMetricsFlows is ComputeMetrics plus a copy of the sorted per-job
-// flow samples in Metrics.Flows (see the package-level ComputeMetricsFlows).
-// The copy is deliberate: the scratch arena recycles its flow buffer across
-// calls, and Metrics must not alias it.
-func (s *Scratch) ComputeMetricsFlows(ins *Instance, o *Outcome) (Metrics, error) {
-	m, err := s.ComputeMetrics(ins, o)
-	if err != nil {
-		return m, err
-	}
-	m.Flows = append(make([]float64, 0, len(s.flows)), s.flows...)
-	return m, nil
-}
-
 // EnergyOf integrates Σ_i ∫ P_i(speed_i(t)) dt with P(s) = s^Alpha over the
 // given intervals, summing speeds of concurrently running intervals on the
 // same machine. The per-machine edge lists live in the scratch arena and
 // are recycled across calls.
-func (s *Scratch) EnergyOf(ins *Instance, ivs []Interval) float64 {
+func (s *scratch) EnergyOf(ins *Instance, ivs []Interval) float64 {
 	counts := growTo(s.counts, ins.Machines+1)
 	for i := range counts {
 		counts[i] = 0
@@ -231,7 +161,7 @@ func (s *Scratch) EnergyOf(ins *Instance, ivs []Interval) float64 {
 // buffer grouped by key (group offsets land in s.offs, the copy in s.ivs),
 // then sorts each group by (Start, Job). key must map every interval into
 // [0, groups) — callers resolve job ids or machines first.
-func (s *Scratch) groupIntervals(ivs []Interval, groups int, key func(*Interval) int) {
+func (s *scratch) groupIntervals(ivs []Interval, groups int, key func(*Interval) int) {
 	counts := growTo(s.counts, groups+1)
 	for i := range counts[:groups] {
 		counts[i] = 0
@@ -279,15 +209,17 @@ func (s *Scratch) groupIntervals(ivs []Interval, groups int, key func(*Interval)
 // arenas: one pass checks interval well-formedness and resolves jobs, a
 // counting sort groups executions per job for the structural checks, and a
 // second grouping per machine drives the overlap sweep.
-func (s *Scratch) ValidateOutcome(ins *Instance, o *Outcome, mode ValidateMode) error {
-	s.index(ins)
+func (s *scratch) ValidateOutcome(ins *Instance, o *Outcome, mode ValidateMode) error {
+	s.ids.Build(ins.Jobs)
+	// Every bound below is written so that a NaN fails it: a comparison
+	// with NaN is false, so each check states what must hold and negates.
 	for k := range o.Intervals {
 		iv := &o.Intervals[k]
-		if iv.Start < -Eps || iv.End < iv.Start-Eps {
+		if !(iv.Start >= -Eps && iv.End >= iv.Start-Eps) || math.IsInf(iv.End, 1) {
 			return fmt.Errorf("sched: interval %+v malformed", *iv)
 		}
-		if iv.Speed <= 0 {
-			return fmt.Errorf("sched: interval %+v has non-positive speed", *iv)
+		if !(iv.Speed > 0) || math.IsInf(iv.Speed, 1) {
+			return fmt.Errorf("sched: interval %+v has non-positive or infinite speed", *iv)
 		}
 		if iv.Machine < 0 || iv.Machine >= ins.Machines {
 			return fmt.Errorf("sched: interval %+v on unknown machine", *iv)
@@ -295,11 +227,11 @@ func (s *Scratch) ValidateOutcome(ins *Instance, o *Outcome, mode ValidateMode) 
 		if mode.RequireUnitSpeed && math.Abs(iv.Speed-1) > Eps {
 			return fmt.Errorf("sched: interval %+v not unit speed", *iv)
 		}
-		if s.of(iv.Job) < 0 {
+		if s.ids.Of(iv.Job) < 0 {
 			return fmt.Errorf("sched: interval references unknown job %d", iv.Job)
 		}
 	}
-	s.groupIntervals(o.Intervals, len(ins.Jobs), func(iv *Interval) int { return s.of(iv.Job) })
+	s.groupIntervals(o.Intervals, len(ins.Jobs), func(iv *Interval) int { return s.ids.Of(iv.Job) })
 	// The group buffers are only safe until the next grouping call (the
 	// overlap sweep below re-sorts them by machine), so the per-job loop
 	// runs to completion first.
@@ -327,7 +259,7 @@ func (s *Scratch) ValidateOutcome(ins *Instance, o *Outcome, mode ValidateMode) 
 		machine, completing := -1, -1
 		for i := range ivs {
 			iv := &ivs[i]
-			if iv.Start < j.Release-Eps {
+			if !(iv.Start >= j.Release-Eps) {
 				return fmt.Errorf("sched: job %d started %v before release %v", j.ID, iv.Start, j.Release)
 			}
 			if machine == -1 {
@@ -382,7 +314,7 @@ func (s *Scratch) ValidateOutcome(ins *Instance, o *Outcome, mode ValidateMode) 
 					return fmt.Errorf("sched: job %d got work %v on machine %d, needs %v", j.ID, work, machine, need)
 				}
 			}
-			if c := o.Completed[j.ID]; math.Abs(c-lastEnd) > Eps*(1+c) {
+			if c := o.Completed[j.ID]; !(math.Abs(c-lastEnd) <= Eps*(1+c)) {
 				return fmt.Errorf("sched: job %d completion %v != last interval end %v", j.ID, c, lastEnd)
 			}
 			if mode.RequireDeadlines && o.Completed[j.ID] > j.Deadline+Eps*(1+j.Deadline) {
@@ -393,7 +325,7 @@ func (s *Scratch) ValidateOutcome(ins *Instance, o *Outcome, mode ValidateMode) 
 			}
 		} else { // rejected
 			if len(ivs) > 0 {
-				if lastEnd > rejT+Eps*(1+rejT) {
+				if !(lastEnd <= rejT+Eps*(1+rejT)) {
 					return fmt.Errorf("sched: rejected job %d executed past its rejection time", j.ID)
 				}
 				if mode.AllowMigration {
@@ -404,7 +336,7 @@ func (s *Scratch) ValidateOutcome(ins *Instance, o *Outcome, mode ValidateMode) 
 					return fmt.Errorf("sched: rejected job %d over-processed", j.ID)
 				}
 			}
-			if rejT < j.Release-Eps {
+			if !(rejT >= j.Release-Eps) || math.IsInf(rejT, 1) {
 				return fmt.Errorf("sched: job %d rejected at %v before release %v", j.ID, rejT, j.Release)
 			}
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 // scratchPairInstance builds a tiny valid instance/outcome pair whose job
-// ids are idBase and idBase+stride, so consecutive Scratch calls see
+// ids are idBase and idBase+stride, so consecutive scratch calls see
 // different id spaces and a large stride forces the sparse map fallback.
 func scratchPairInstance(idBase, stride, machines int) (*Instance, *Outcome) {
 	return scratchInstance(2, idBase, stride, machines)
@@ -34,12 +34,12 @@ func scratchInstance(n, idBase, stride, machines int) (*Instance, *Outcome) {
 	return ins, o
 }
 
-// TestScratchReuseAcrossInstances drives one Scratch across instances of
+// TestScratchReuseAcrossInstances drives one scratch across instances of
 // different sizes, id bases and machine counts: the recycled arenas must
 // never leak state between calls (stale index entries, unzeroed histograms,
 // leftover group offsets).
 func TestScratchReuseAcrossInstances(t *testing.T) {
-	var s Scratch
+	var s scratch
 	for _, shape := range []struct{ base, stride, machines int }{
 		{0, 1, 2}, {1000, 1, 4}, {5, 1, 1},
 		{7, 1 << 40, 3}, // id span ≫ 4n+1024: forces the map fallback
@@ -57,9 +57,9 @@ func TestScratchReuseAcrossInstances(t *testing.T) {
 			t.Fatalf("base %d: metrics %+v", shape.base, m)
 		}
 	}
-	// A fresh pooled wrapper call must agree with the held Scratch.
+	// A fresh pooled wrapper call must agree with the held scratch.
 	ins, o := scratchPairInstance(7, 1, 2)
-	held := Scratch{}
+	held := scratch{}
 	m1, err := held.ComputeMetrics(ins, o)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestScratchEnergyMatchesPooled(t *testing.T) {
 		{Job: 1, Machine: 0, Start: 1, End: 3, Speed: 1},
 		{Job: 2, Machine: 1, Start: 0, End: 1, Speed: 2},
 	}
-	var s Scratch
+	var s scratch
 	want := 1 + 4 + 1 + 4.0 // machine 0: 1² + 2² + 1², machine 1: 2²
 	for trial := 0; trial < 3; trial++ {
 		if got := s.EnergyOf(in, ivs); math.Abs(got-want) > 1e-9 {
