@@ -1,18 +1,20 @@
-// Command schedsim runs one scheduling policy on a JSON trace (produced by
-// cmd/tracegen) and reports the audited metrics.
+// Command schedsim runs one scheduling policy on an NDJSON trace (produced by
+// cmd/tracegen, see internal/trace) and reports the audited metrics. Every
+// mode reads its trace from the one path argument, or from stdin when it is
+// "-" or absent.
 //
 // Usage:
 //
-//	schedsim -policy flowtime -eps 0.2 trace.json
-//	schedsim -policy wflow -eps 0.2 trace.json
-//	schedsim -policy speedscale -eps 0.3 -alpha 2 trace.json
-//	schedsim -policy srpt trace.json
-//	schedsim -policy energymin deadline.json
-//	schedsim -policy greedy trace.json
-//	schedsim -policy flowtime -eps 0.2 -dump out.json trace.json
+//	schedsim -policy flowtime -eps 0.2 trace.ndjson
+//	schedsim -policy wflow -eps 0.2 trace.ndjson
+//	schedsim -policy speedscale -eps 0.3 -alpha 2 trace.ndjson
+//	schedsim -policy srpt trace.ndjson
+//	schedsim -policy energymin deadline.ndjson
+//	schedsim -policy greedy trace.ndjson
+//	schedsim -policy flowtime -eps 0.2 -dump out.json trace.ndjson
+//	tracegen -n 2000 | schedsim -policy flowtime -eps 0.2 -
 //
-// With -stream the trace is NDJSON (tracegen -ndjson), read incrementally
-// from a file or stdin ("-" or no argument) into an in-process front door
+// With -stream the trace is read incrementally into an in-process front door
 // (internal/front) with one tenant and one shard — schedserve's feed loop,
 // sequencer, checkpoints and report, never materializing the instance. At the
 // end of the trace the server drains and its report is printed as indented
@@ -29,18 +31,18 @@
 // run's. A replay that misses checkpointed jobs or releases new ones before
 // them is a different trace and fails.
 //
-//	tracegen -ndjson -n 100000 | schedsim -stream -policy flowtime -eps 0.2
+//	tracegen -n 100000 | schedsim -stream -policy flowtime -eps 0.2
 //	schedsim -stream -policy flowtime -eps 0.2 -checkpoint ck -stop-after 300000 big.ndjson
 //	schedsim -stream -policy flowtime -eps 0.2 -resume ck big.ndjson
 //
 // With -compare the chosen non-preemptive policy (flowtime or wflow), its
-// preemptive engine-hosted counterpart (srpt or migratory wsrpt) and the
-// pooled preemptive SRPT lower bound all run on the same instance, and the
-// report adds the empirical "price of non-preemption" — the ratio of the
-// non-preemptive cost to the preemptive one on the matching objective:
+// preemptive engine-hosted counterpart (srpt or migratory wsrpt), greedy SPT
+// and the pooled preemptive SRPT lower bound all run on the same instance
+// (bench.Compare, the code of experiment E15), and the report adds the
+// empirical "price of non-preemption" on the matching objective:
 //
-//	schedsim -compare -policy flowtime -eps 0.2 trace.json
-//	schedsim -compare -policy wflow -eps 0.2 trace.json
+//	schedsim -compare -policy flowtime -eps 0.2 trace.ndjson
+//	schedsim -compare -policy wflow -eps 0.2 trace.ndjson
 package main
 
 import (
@@ -56,10 +58,8 @@ import (
 	"time"
 
 	"repro/internal/baseline"
+	"repro/internal/bench"
 	"repro/internal/core/energymin"
-	"repro/internal/core/flowtime"
-	"repro/internal/core/srpt"
-	"repro/internal/core/wflow"
 	"repro/internal/front"
 	"repro/internal/gantt"
 	"repro/internal/lowerbound"
@@ -107,7 +107,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.Float64Var(&o.eps, "eps", 0.2, "rejection parameter ε")
 	fs.Float64Var(&o.alpha, "alpha", 0, "power exponent override (0: use trace)")
 	fs.Float64Var(&o.epsS, "epsS", 0.2, "speed augmentation (speedaug)")
-	fs.BoolVar(&o.stream, "stream", false, "consume an NDJSON trace incrementally (file or stdin)")
+	fs.BoolVar(&o.stream, "stream", false, "consume the trace incrementally")
 	fs.StringVar(&o.ckpt, "checkpoint", "", "stream mode: root a checkpoint lineage at this path (P.N.full, P.N.delta, P.lineage)")
 	fs.IntVar(&o.ckptEvery, "checkpoint-every", 0, "stream mode: checkpoint every N fed jobs")
 	fs.IntVar(&o.ckptDeltas, "checkpoint-deltas", 0, "stream mode: up to N delta checkpoints between fulls (0: fulls only)")
@@ -134,49 +134,53 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 }
 
 func (o *options) run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
-	if o.compare {
-		if o.stream || o.dump != "" || o.gantt {
-			return usage("-compare runs several schedulers on the full instance and does not combine with -stream, -dump or -gantt")
-		}
-		if len(args) != 1 {
-			return usage("usage: schedsim -compare [-policy flowtime|wflow] [flags] trace.json")
-		}
-		return runCompare(stdout, o.policy, o.eps, args[0])
-	}
-	if o.stream {
-		if len(args) > 1 {
-			return usage("usage: schedsim -stream [flags] [trace.ndjson|-]")
-		}
-		if o.gantt || o.dump != "" {
-			return usage("-gantt and -dump need the full instance and do not combine with -stream")
-		}
-		if (o.ckptEvery > 0 || o.stopAfter > 0 || o.ckptDeltas > 0 || o.ckptKeep > 0) && o.ckpt == "" {
-			return usage("-checkpoint-every/-checkpoint-deltas/-checkpoint-keep/-stop-after need -checkpoint FILE")
-		}
-		if _, ok := policy.Lookup(o.policy); !ok {
-			return usage("policy %q does not support -stream (use %s)", o.policy, policy.Usage())
-		}
-		return o.runStream(args, stdin, stdout, log.New(stderr, "schedsim: ", 0))
-	}
-	if o.ckpt != "" || o.ckptEvery > 0 || o.ckptDeltas > 0 || o.ckptKeep > 0 || o.stopAfter > 0 || o.resume != "" {
+	streamOnly := o.ckpt != "" || o.ckptEvery > 0 || o.ckptDeltas > 0 || o.ckptKeep > 0 || o.stopAfter > 0 || o.resume != ""
+	_, registered := policy.Lookup(o.policy)
+	switch {
+	case len(args) > 1:
+		return usage("usage: schedsim [flags] [trace.ndjson|-]")
+	case o.compare && (o.stream || o.dump != "" || o.gantt):
+		return usage("-compare runs several schedulers on the full instance and does not combine with -stream, -dump or -gantt")
+	case o.compare && o.policy != "flowtime" && o.policy != "wflow":
+		return usage("-compare pairs flowtime or wflow with a preemptive counterpart, not %q", o.policy)
+	case o.stream && (o.gantt || o.dump != ""):
+		return usage("-gantt and -dump need the full instance and do not combine with -stream")
+	case o.stream && o.ckpt == "" && (o.ckptEvery > 0 || o.stopAfter > 0 || o.ckptDeltas > 0 || o.ckptKeep > 0):
+		return usage("-checkpoint-every/-checkpoint-deltas/-checkpoint-keep/-stop-after need -checkpoint FILE")
+	case o.stream && !registered:
+		return usage("policy %q does not support -stream (use %s)", o.policy, policy.Usage())
+	case !o.stream && streamOnly:
 		return usage("-checkpoint/-checkpoint-every/-stop-after/-resume only apply to -stream")
 	}
-	if len(args) != 1 {
-		return usage("usage: schedsim [flags] trace.json")
-	}
-	return o.runBatch(args[0], stdout)
-}
 
-// runBatch loads the whole instance, runs the policy on it, audits the
-// outcome and prints its metrics.
-func (o *options) runBatch(path string, stdout io.Writer) error {
-	ins, err := trace.LoadInstance(path)
+	in, name := stdin, "stdin"
+	if len(args) == 1 && args[0] != "-" {
+		f, err := os.Open(args[0])
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		in, name = f, args[0]
+	}
+	if o.stream {
+		return o.runStream(in, stdout, log.New(stderr, "schedsim: ", 0))
+	}
+	ins, err := trace.ReadInstance(in)
 	if err != nil {
 		return err
 	}
+	if o.compare {
+		return o.runCompare(ins, name, stdout)
+	}
+	return o.runBatch(ins, name, stdout)
+}
 
+// runBatch runs the policy on the instance read from name, audits the
+// outcome and prints its metrics.
+func (o *options) runBatch(ins *sched.Instance, name string, stdout io.Writer) error {
 	var out *sched.Outcome
-	mode := sched.ValidateMode{}
+	var mode sched.ValidateMode
+	var err error
 	if e, ok := policy.Lookup(o.policy); ok {
 		out, err = e.Run(ins, policy.Params{Epsilon: o.eps, Alpha: cmp.Or(o.alpha, ins.Alpha)})
 		mode = e.Mode
@@ -206,12 +210,15 @@ func (o *options) runBatch(path string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	m, err := audit(ins, out, mode, "")
+	if err := sched.ValidateOutcome(ins, out, mode); err != nil {
+		return fmt.Errorf("outcome failed audit: %w", err)
+	}
+	m, err := sched.ComputeMetrics(ins, out)
 	if err != nil {
 		return err
 	}
 
-	t := stats.NewTable(fmt.Sprintf("schedsim: %s on %s (n=%d, m=%d)", o.policy, path, len(ins.Jobs), ins.Machines),
+	t := stats.NewTable(fmt.Sprintf("schedsim: %s on %s (n=%d, m=%d)", o.policy, name, len(ins.Jobs), ins.Machines),
 		"metric", "value")
 	t.AddRowf("total flow", m.TotalFlow)
 	t.AddRowf("weighted flow", m.WeightedFlow)
@@ -234,15 +241,14 @@ func (o *options) runBatch(path string, stdout io.Writer) error {
 		fmt.Fprint(stdout, gantt.Render(ins, out, 100, 0))
 	}
 
-	if o.dump != "" {
-		f, err := os.Create(o.dump)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return trace.WriteOutcome(f, out)
+	if o.dump == "" {
+		return nil
 	}
-	return nil
+	f, err := os.Create(o.dump)
+	if err != nil {
+		return err
+	}
+	return errors.Join(trace.WriteOutcome(f, out), f.Close())
 }
 
 // frontConfig maps the flags and the trace header onto the one-tenant,
@@ -266,20 +272,10 @@ func (o *options) frontConfig(h *front.Feed) front.Config {
 	return cfg
 }
 
-// runStream feeds the NDJSON trace named by args (stdin when none or "-") to
-// an in-process front door as tenant 0, then drains it and prints the report
-// — or, at -stop-after or on a signal, drains it to its checkpoint and prints
-// none.
-func (o *options) runStream(args []string, stdin io.Reader, stdout io.Writer, lg *log.Logger) error {
-	in := stdin
-	if len(args) == 1 && args[0] != "-" {
-		f, err := os.Open(args[0])
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		in = f
-	}
+// runStream feeds the trace in to an in-process front door as tenant 0, then
+// drains it and prints the report — or, at -stop-after or on a signal,
+// drains it to its checkpoint and prints none.
+func (o *options) runStream(in io.Reader, stdout io.Writer, lg *log.Logger) error {
 	feed, err := front.NewFeed(in)
 	if err != nil {
 		return err
@@ -341,118 +337,45 @@ func (o *options) runStream(args []string, stdin io.Reader, stdout io.Writer, lg
 	return rep.WriteIndented(stdout)
 }
 
-// runCompare runs a non-preemptive policy, its preemptive engine-hosted
-// counterpart and the pooled preemptive SRPT lower bound on the same
-// instance: flowtime pairs with per-machine SRPT on total flow time, wflow
-// with migratory weighted SRPT on weighted flow time. Every outcome is
-// audited before its metrics count.
-//
-// Two headline ratios come out. The clean "price of non-preemption" divides
-// non-preemptive greedy SPT (which, like the preemptive comparator, serves
-// every job) by the preemptive cost — what the ability to preempt alone
-// buys. The "rejection vs preemption" ratio divides the paper algorithm's
-// cost by the preemptive cost; since its rejected jobs pay flow only until
-// their rejection instant (the paper's accounting), this ratio can dip
-// below 1 under overload — rejection substituting for preemption, the §1
-// claim E15 quantifies across workload families.
-func runCompare(stdout io.Writer, polName string, eps float64, path string) error {
-	ins, err := trace.LoadInstance(path)
+// runCompare prints bench.Compare's measurement of the policy on the
+// instance read from name; a failed audit fails the run.
+func (o *options) runCompare(ins *sched.Instance, name string, stdout io.Writer) error {
+	c, err := bench.Compare(ins, o.policy, o.eps)
 	if err != nil {
 		return err
 	}
-
-	var (
-		nonName, preName string
-		nonOut, preOut   *sched.Outcome
-		preMode          sched.ValidateMode
-		rejected         int
-		preempt, migrate int
-		objective        string
-		costOf           func(sched.Metrics) float64
-	)
-	switch polName {
-	case "flowtime":
-		nonName, preName, objective = "flowtime (non-preemptive)", "srpt (preemptive)", "total flow"
-		costOf = func(m sched.Metrics) float64 { return m.TotalFlow }
-		nres, err := flowtime.Run(ins, flowtime.Options{Epsilon: eps})
-		if err != nil {
-			return err
-		}
-		pres, err := srpt.Run(ins, srpt.Options{})
-		if err != nil {
-			return err
-		}
-		nonOut, preOut = nres.Outcome, pres.Outcome
-		rejected, preempt = nres.Rule1Rejections+nres.Rule2Rejections, pres.Preemptions
-		preMode = sched.ValidateMode{AllowPreemption: true, RequireUnitSpeed: true}
-	case "wflow":
+	if c.Audit != nil {
+		return c.Audit
+	}
+	nonName, preName, objective := "flowtime (non-preemptive)", "srpt (preemptive)", "total flow"
+	cost := func(m sched.Metrics) float64 { return m.TotalFlow }
+	if o.policy == "wflow" {
 		nonName, preName, objective = "wflow (non-preemptive)", "wsrpt (preemptive, migratory)", "weighted flow"
-		costOf = func(m sched.Metrics) float64 { return m.WeightedFlow }
-		nres, err := wflow.Run(ins, wflow.Options{Epsilon: eps})
-		if err != nil {
-			return err
-		}
-		pres, err := srpt.RunWeighted(ins, srpt.WeightedOptions{})
-		if err != nil {
-			return err
-		}
-		nonOut, preOut = nres.Outcome, pres.Outcome
-		rejected, preempt, migrate = nres.Rule1Rejections+nres.Rule2Rejections, pres.Preemptions, pres.Migrations
-		preMode = sched.ValidateMode{AllowMigration: true, RequireUnitSpeed: true}
-	default:
-		return usage("-compare pairs flowtime or wflow with a preemptive counterpart, not %q", polName)
+		cost = func(m sched.Metrics) float64 { return m.WeightedFlow }
 	}
+	nonCost, preCost, greedyCost := cost(c.Policy), cost(c.Preemptive), cost(c.Greedy)
 
-	greedyOut, err := baseline.GreedySPT(ins)
-	if err != nil {
-		return err
-	}
-	unit := sched.ValidateMode{RequireUnitSpeed: true}
-	nm, err := audit(ins, nonOut, unit, "non-preemptive ")
-	if err != nil {
-		return err
-	}
-	pm, err := audit(ins, preOut, preMode, "preemptive ")
-	if err != nil {
-		return err
-	}
-	gm, err := audit(ins, greedyOut, unit, "greedy ")
-	if err != nil {
-		return err
-	}
-	nonCost, preCost, greedyCost := costOf(nm), costOf(pm), costOf(gm)
-	bound := lowerbound.SRPTBound(ins)
-
-	t := stats.NewTable(fmt.Sprintf("schedsim -compare: %s on %s (n=%d, m=%d, ε=%v)", polName, path, len(ins.Jobs), ins.Machines, eps),
+	t := stats.NewTable(fmt.Sprintf("schedsim -compare: %s on %s (n=%d, m=%d, ε=%v)", o.policy, name, len(ins.Jobs), ins.Machines, o.eps),
 		"metric", "value")
 	t.AddRowf(fmt.Sprintf("%s %s", nonName, objective), nonCost)
 	t.AddRowf(fmt.Sprintf("greedy SPT (non-preemptive, no rejections) %s", objective), greedyCost)
 	t.AddRowf(fmt.Sprintf("%s %s", preName, objective), preCost)
-	t.AddRowf("LB pooled SRPT (total flow)", bound)
+	t.AddRowf("LB pooled SRPT (total flow)", c.Bound)
 	if preCost > 0 {
 		t.AddRowf("price of non-preemption (greedy/preemptive)", greedyCost/preCost)
 		t.AddRowf("rejection vs preemption (policy/preemptive)", nonCost/preCost)
 	}
 	// The pooled SRPT bound holds for total flow only, so the LB ratios are
 	// always on total flow — even when the headline objective is weighted.
-	if bound > 0 {
-		t.AddRowf(fmt.Sprintf("%s total flow / LB", preName), pm.TotalFlow/bound)
-		t.AddRowf(fmt.Sprintf("%s total flow / LB", nonName), nm.TotalFlow/bound)
+	if c.Bound > 0 {
+		t.AddRowf(fmt.Sprintf("%s total flow / LB", preName), c.Preemptive.TotalFlow/c.Bound)
+		t.AddRowf(fmt.Sprintf("%s total flow / LB", nonName), c.Policy.TotalFlow/c.Bound)
 	}
-	t.AddRowf("rejected (non-preemptive)", rejected)
-	t.AddRowf("preemptions", preempt)
-	if polName == "wflow" {
-		t.AddRowf("migrations", migrate)
+	t.AddRowf("rejected (non-preemptive)", c.Policy.Rejected)
+	t.AddRowf("preemptions", c.Preemptions)
+	if o.policy == "wflow" {
+		t.AddRowf("migrations", c.Migrations)
 	}
 	fmt.Fprintln(stdout, t)
 	return nil
-}
-
-// audit validates an outcome against its instance under mode and computes
-// its metrics; what names the outcome in the error.
-func audit(ins *sched.Instance, out *sched.Outcome, mode sched.ValidateMode, what string) (sched.Metrics, error) {
-	if err := sched.ValidateOutcome(ins, out, mode); err != nil {
-		return sched.Metrics{}, fmt.Errorf("%soutcome failed audit: %w", what, err)
-	}
-	return sched.ComputeMetrics(ins, out)
 }

@@ -18,30 +18,43 @@ import (
 	"repro/internal/workload"
 )
 
-// writeTrace writes a generated NDJSON trace (header α = 2, as tracegen
-// stamps it) to a temp file and returns its path.
+// writeTrace writes a generated trace (header α = 2, as tracegen stamps
+// it) to a temp file and returns its path.
 func writeTrace(t *testing.T, n int, seed int64, weighted bool) string {
 	t.Helper()
 	cfg := workload.DefaultConfig(n, 4, seed)
 	cfg.Load = 1.2
 	cfg.Weighted = weighted
+	path, _ := saveTrace(t, cfg)
+	return path
+}
+
+// saveTrace writes the instance cfg generates, with α = 2, to a temp file
+// and returns its path and bytes.
+func saveTrace(t *testing.T, cfg workload.RandomConfig) (string, []byte) {
+	t.Helper()
 	ins := workload.Random(cfg)
 	ins.Alpha = 2
 	var buf bytes.Buffer
-	if err := trace.WriteInstanceNDJSON(&buf, ins); err != nil {
+	if err := trace.WriteInstance(&buf, ins); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "trace.ndjson")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return path
+	return path, buf.Bytes()
 }
 
 // schedsim runs the command and returns its exit status, stdout and stderr.
 func schedsim(args ...string) (int, string, string) {
+	return schedsimIn(strings.NewReader(""), args...)
+}
+
+// schedsimIn is schedsim with the given stdin.
+func schedsimIn(stdin io.Reader, args ...string) (int, string, string) {
 	var stdout, stderr bytes.Buffer
-	code := run(args, strings.NewReader(""), &stdout, &stderr)
+	code := run(args, stdin, &stdout, &stderr)
 	return code, stdout.String(), stderr.String()
 }
 
@@ -190,14 +203,7 @@ func TestStreamRefusals(t *testing.T) {
 // parameter fails the run instead of printing a NaN (or zero) total flow or
 // silently switching a rejection rule off.
 func TestComparatorParamsRefused(t *testing.T) {
-	var buf bytes.Buffer
-	if err := trace.WriteInstance(&buf, workload.Random(workload.DefaultConfig(50, 2, 3))); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "trace.json")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := writeTrace(t, 50, 3, false)
 	if code, out, errOut := schedsim("-policy", "speedaug", path); code != 0 {
 		t.Fatalf("valid speedaug run: exit %d\n%s%s", code, out, errOut)
 	}
@@ -215,5 +221,56 @@ func TestComparatorParamsRefused(t *testing.T) {
 		if code, out, _ := schedsim(args...); code == 0 {
 			t.Errorf("schedsim %v: exit 0, want non-zero\n%s", args, out)
 		}
+	}
+}
+
+// TestCompareGolden pins -compare's table below its title line for both
+// policy pairs on one small weighted instance (tracegen -n 60 -m 3 -seed 4
+// -weighted -load 1.2), read from a file and from stdin. The goldens were
+// recorded before the comparison moved into bench.Compare.
+func TestCompareGolden(t *testing.T) {
+	cfg := workload.DefaultConfig(60, 3, 4)
+	cfg.Load, cfg.Weighted = 1.2, true
+	path, raw := saveTrace(t, cfg)
+	for _, pol := range []string{"flowtime", "wflow"} {
+		want, err := os.ReadFile("testdata/compare_" + pol + ".golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []struct{ arg, name string }{{path, path}, {"-", "stdin"}} {
+			code, out, stderr := schedsimIn(bytes.NewReader(raw), "-compare", "-policy", pol, "-eps", "0.25", src.arg)
+			title, body, _ := strings.Cut(out, "\n")
+			if code != 0 || body != string(want) {
+				t.Fatalf("%s from %s: exit %d (%s), table\n%s\nwant\n%s", pol, src.name, code, stderr, body, want)
+			}
+			if !strings.Contains(title, pol+" on "+src.name+" (n=60, m=3, ε=0.25)") {
+				t.Fatalf("%s from %s: title %q", pol, src.name, title)
+			}
+		}
+	}
+	if code, _, _ := schedsim("-compare", "-policy", "speedscale", path); code != 2 {
+		t.Fatalf("-compare -policy speedscale: exit %d, want 2", code)
+	}
+}
+
+// TestDumpWritesOutcome: -dump writes the audited outcome, every job
+// completed or rejected.
+func TestDumpWritesOutcome(t *testing.T) {
+	path := writeTrace(t, 40, 2, false)
+	dump := filepath.Join(t.TempDir(), "out.json")
+	if code, _, stderr := schedsim("-policy", "flowtime", "-dump", dump, path); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	f, err := os.Open(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	out, err := trace.ReadOutcome(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(out.Completed) + len(out.Rejected); n != 40 {
+		t.Fatalf("dump records %d finished jobs, want 40", n)
 	}
 }

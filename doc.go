@@ -8,10 +8,10 @@
 //
 //   - cmd/schedbench — regenerate the paper-derived tables and figures of
 //     EXPERIMENTS.md
-//   - cmd/tracegen, cmd/schedsim — generate workload traces and replay them
-//     under any implemented policy, in batch or streaming (-stream, NDJSON)
-//     form; schedsim -compare prices non-preemption against the
-//     engine-hosted preemptive SRPT comparators
+//   - cmd/tracegen, cmd/schedsim — generate NDJSON workload traces and
+//     replay them under any implemented policy, in batch or streaming
+//     (-stream) form; schedsim -compare prices non-preemption against the
+//     engine-hosted preemptive SRPT comparators with experiment E15's code
 //   - cmd/schedserve, cmd/loadgen — the network front door and its load
 //     driver
 //   - examples/* — six runnable scenarios built on the library API

@@ -6,6 +6,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core/flowtime"
 	"repro/internal/core/srpt"
+	"repro/internal/core/wflow"
 	"repro/internal/lowerbound"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -21,16 +22,8 @@ func init() {
 	})
 }
 
-// runE15 measures the empirical price of non-preemption across workload
-// families, the schedsim -compare pipeline in experiment form. On each
-// instance three audited schedulers run — non-preemptive greedy SPT (serves
-// everything), the paper's §2 algorithm (non-preemptive with rejections,
-// rejected jobs paying flow until their rejection instant), and the
-// engine-hosted preemptive SRPT comparator — plus the pooled preemptive
-// SRPT lower bound. Two ratios matter: greedy/SRPT is the clean price of
-// non-preemption (both serve every job), and A/SRPT shows how far the
-// rejection budget substitutes for the ability to preempt (the paper's §1
-// claim; under overload it dips below 1 because rejected flow is truncated).
+// runE15 tabulates Compare with the paper's §2 algorithm (flowtime) on
+// four workload families; Comparison explains the ratios.
 func runE15(cfg Config) (fmt.Stringer, error) {
 	const eps = 0.2
 	type family struct {
@@ -65,12 +58,53 @@ func runE15(cfg Config) (fmt.Stringer, error) {
 	t := stats.NewTable(fmt.Sprintf("E15 — price of non-preemption (ε=%v)", eps),
 		"family", "n", "greedy/SRPT", "A/SRPT", "SRPT/LB", "rejected", "preempts", "audits")
 	for _, f := range families {
-		ins := f.ins
-		greedy, err := baseline.GreedySPT(ins)
+		c, err := Compare(f.ins, "flowtime", eps)
 		if err != nil {
 			return nil, err
 		}
-		ares, err := flowtime.Run(ins, flowtime.Options{Epsilon: eps})
+		pre := c.Preemptive.TotalFlow
+		t.AddRowf(f.name, len(f.ins.Jobs),
+			c.Greedy.TotalFlow/pre, c.Policy.TotalFlow/pre, pre/c.Bound,
+			c.Policy.Rejected, c.Preemptions, okMark(c.Audit == nil))
+	}
+	return t, nil
+}
+
+// Comparison is the price of non-preemption on one instance: the metrics of
+// non-preemptive greedy SPT (serves every job), of a non-preemptive policy
+// with rejections and of its preemptive counterpart, plus the pooled SRPT
+// lower bound.
+//
+// Two ratios matter. Greedy over preemptive is the clean price of
+// non-preemption: both serve every job, so it is what the ability to preempt
+// alone buys. Policy over preemptive shows how far rejection substitutes for
+// preemption; since rejected jobs pay flow only until their rejection
+// instant (the paper's accounting), it can dip below 1 under overload.
+type Comparison struct {
+	Greedy, Policy, Preemptive sched.Metrics
+	// Preemptions and Migrations count the preemptive comparator's
+	// (per-machine SRPT never migrates).
+	Preemptions, Migrations int
+	// Bound is lowerbound.SRPTBound, a bound on total flow only.
+	Bound float64
+	// Audit is the first failed outcome audit, nil when all three pass.
+	Audit error
+}
+
+// Compare runs the comparison for policy on ins: flowtime pairs with
+// engine-hosted per-machine SRPT (total flow time), wflow with migratory
+// weighted SRPT (weighted flow time); eps is the policy's rejection
+// parameter. Every outcome is audited under its model at unit speed, and
+// its metrics are computed either way.
+func Compare(ins *sched.Instance, policy string, eps float64) (*Comparison, error) {
+	var (
+		c        Comparison
+		pol, pre *sched.Outcome
+		preMode  sched.ValidateMode
+	)
+	switch policy {
+	case "flowtime":
+		res, err := flowtime.Run(ins, flowtime.Options{Epsilon: eps})
 		if err != nil {
 			return nil, err
 		}
@@ -78,25 +112,44 @@ func runE15(cfg Config) (fmt.Stringer, error) {
 		if err != nil {
 			return nil, err
 		}
-		audits := sched.ValidateOutcome(ins, greedy, sched.ValidateMode{RequireUnitSpeed: true}) == nil &&
-			sched.ValidateOutcome(ins, ares.Outcome, sched.ValidateMode{RequireUnitSpeed: true}) == nil &&
-			sched.ValidateOutcome(ins, pres.Outcome, sched.ValidateMode{AllowPreemption: true, RequireUnitSpeed: true}) == nil
-		gm, err := sched.ComputeMetrics(ins, greedy)
+		pol, pre, c.Preemptions = res.Outcome, pres.Outcome, pres.Preemptions
+		preMode = sched.ValidateMode{AllowPreemption: true, RequireUnitSpeed: true}
+	case "wflow":
+		res, err := wflow.Run(ins, wflow.Options{Epsilon: eps})
 		if err != nil {
 			return nil, err
 		}
-		am, err := sched.ComputeMetrics(ins, ares.Outcome)
+		pres, err := srpt.RunWeighted(ins, srpt.WeightedOptions{})
 		if err != nil {
 			return nil, err
 		}
-		pm, err := sched.ComputeMetrics(ins, pres.Outcome)
-		if err != nil {
-			return nil, err
-		}
-		lb := lowerbound.SRPTBound(ins)
-		t.AddRowf(f.name, len(ins.Jobs),
-			gm.TotalFlow/pm.TotalFlow, am.TotalFlow/pm.TotalFlow, pm.TotalFlow/lb,
-			am.Rejected, pres.Preemptions, okMark(audits))
+		pol, pre, c.Preemptions, c.Migrations = res.Outcome, pres.Outcome, pres.Preemptions, pres.Migrations
+		preMode = sched.ValidateMode{AllowMigration: true, RequireUnitSpeed: true}
+	default:
+		return nil, fmt.Errorf("bench: %q has no preemptive counterpart (flowtime or wflow)", policy)
 	}
-	return t, nil
+	greedy, err := baseline.GreedySPT(ins)
+	if err != nil {
+		return nil, err
+	}
+	unit := sched.ValidateMode{RequireUnitSpeed: true}
+	for _, r := range []struct {
+		what string
+		out  *sched.Outcome
+		mode sched.ValidateMode
+		m    *sched.Metrics
+	}{
+		{"non-preemptive", pol, unit, &c.Policy},
+		{"preemptive", pre, preMode, &c.Preemptive},
+		{"greedy", greedy, unit, &c.Greedy},
+	} {
+		if err := sched.ValidateOutcome(ins, r.out, r.mode); err != nil && c.Audit == nil {
+			c.Audit = fmt.Errorf("%s outcome failed audit: %w", r.what, err)
+		}
+		if *r.m, err = sched.ComputeMetrics(ins, r.out); err != nil {
+			return nil, err
+		}
+	}
+	c.Bound = lowerbound.SRPTBound(ins)
+	return &c, nil
 }

@@ -10,44 +10,13 @@ import (
 	"repro/internal/workload"
 )
 
-// FuzzReadInstance ensures the decoder never panics and never returns an
-// invalid instance on arbitrary input. The seed corpus covers the valid
-// shape, boundary values and assorted malformations; `go test` replays the
-// corpus, `go test -fuzz=FuzzReadInstance` explores further.
-func FuzzReadInstance(f *testing.F) {
-	var buf bytes.Buffer
-	if err := WriteInstance(&buf, workload.Random(workload.DefaultConfig(5, 2, 1))); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.String())
-	f.Add(`{"machines":1,"jobs":[{"id":0,"release":0,"proc":[1]}]}`)
-	f.Add(`{"machines":0,"jobs":[]}`)
-	f.Add(`{"machines":1,"jobs":[{"id":0,"release":-1,"proc":[1]}]}`)
-	f.Add(`{"machines":1,"jobs":[{"id":0,"release":0,"proc":[0]}]}`)
-	f.Add(`{"machines":1,"jobs":[{"id":0,"release":0,"deadline":-5,"proc":[1]}]}`)
-	f.Add(`{"machines":2,"jobs":[{"id":0,"release":0,"proc":[1]}]}`)
-	f.Add(`]]]`)
-	f.Add(``)
-	f.Add(`{"machines":1e309}`)
-	f.Fuzz(func(t *testing.T, data string) {
-		ins, err := ReadInstance(strings.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Whatever decodes must satisfy the model invariants.
-		if err := ins.Validate(); err != nil {
-			t.Fatalf("decoder returned invalid instance: %v\ninput: %q", err, data)
-		}
-	})
-}
-
 // FuzzNDJSON ensures the streaming reader never panics and only yields jobs
 // that satisfy the model invariants (positive finite processing times,
 // positive weight, monotone releases), so a fuzzer-crafted trace can never
 // push an invalid job into a scheduler session.
 func FuzzNDJSON(f *testing.F) {
 	var buf bytes.Buffer
-	if err := WriteInstanceNDJSON(&buf, workload.Random(workload.DefaultConfig(5, 2, 1))); err != nil {
+	if err := WriteInstance(&buf, workload.Random(workload.DefaultConfig(5, 2, 1))); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.String())

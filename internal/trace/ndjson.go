@@ -12,13 +12,13 @@ import (
 	"repro/internal/sched"
 )
 
-// NDJSON trace format: the incremental counterpart of the instance JSON,
-// consumable one job at a time so streaming schedulers (engine.Session and
-// the scheduler sessions of internal/core) never materialize the instance.
+// NDJSON trace format: the repo's one instance file, consumable one job at a
+// time so streaming schedulers (engine.Session and the scheduler sessions of
+// internal/core) never materialize the instance, while ReadInstance
+// materializes it for the batch schedulers.
 //
 // Line 1 is a header object {"machines": M, "alpha": A, "jobs": N}; every
-// following non-blank line is one job in the same shape as the "jobs"
-// entries of the batch format, in non-decreasing release order:
+// following non-blank line is one job, in non-decreasing release order:
 //
 //	{"machines":4,"alpha":2,"jobs":2}
 //	{"id":0,"release":0,"weight":1,"proc":[3,1,4,1]}
@@ -44,9 +44,9 @@ type ndjsonHeader struct {
 const maxNDJSONLine = 16 << 20
 
 // NDJSONReader streams jobs from an NDJSON trace. Next validates each job
-// against the same structural rules as the batch decoder — machine-count
-// matching positive finite processing times, defaulted weight, sane release
-// and deadline — and enforces non-decreasing releases (within sched.Eps,
+// against the instance rules (sched.ValidateJob) — machine-count matching
+// positive finite processing times, defaulted weight, sane release and
+// deadline — and enforces non-decreasing releases (within sched.Eps,
 // the instance tolerance), so a well-typed stream can be fed straight into
 // a scheduler session. By default duplicate-id detection is left to the
 // session, which tracks ids anyway, and releases may dip below the watermark
@@ -209,7 +209,7 @@ func (r *NDJSONReader) firstSeen(id int) (line int, ok bool) {
 }
 
 // strictUnmarshal decodes one JSON value rejecting unknown fields and
-// trailing garbage, matching the batch decoder's strictness.
+// trailing garbage.
 func strictUnmarshal(b []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
@@ -312,43 +312,3 @@ func appendFloat(b []byte, f float64) []byte {
 
 // Flush flushes the underlying buffer.
 func (w *NDJSONWriter) Flush() error { return w.w.Flush() }
-
-// WriteInstanceNDJSON encodes a whole instance in NDJSON form. The header
-// carries the instance's exact job count as the advisory size hint.
-func WriteInstanceNDJSON(w io.Writer, ins *sched.Instance) error {
-	nw, err := NewNDJSONWriterHint(w, ins.Machines, ins.Alpha, len(ins.Jobs))
-	if err != nil {
-		return err
-	}
-	for k := range ins.Jobs {
-		if err := nw.Write(&ins.Jobs[k]); err != nil {
-			return err
-		}
-	}
-	return nw.Flush()
-}
-
-// ReadInstanceNDJSON materializes an NDJSON trace into a validated
-// instance — the batch convenience over the streaming reader.
-func ReadInstanceNDJSON(r io.Reader) (*sched.Instance, error) {
-	nr, err := NewNDJSONReader(r)
-	if err != nil {
-		return nil, err
-	}
-	ins := &sched.Instance{Machines: nr.Machines(), Alpha: nr.Alpha()}
-	for {
-		j, err := nr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		ins.Jobs = append(ins.Jobs, j)
-	}
-	ins.SortJobs()
-	if err := ins.Validate(); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	return ins, nil
-}

@@ -22,7 +22,7 @@ import (
 func TestNDJSONJobsHint(t *testing.T) {
 	ins := workload.Random(workload.DefaultConfig(17, 3, 5))
 	var raw bytes.Buffer
-	if err := WriteInstanceNDJSON(&raw, ins); err != nil {
+	if err := WriteInstance(&raw, ins); err != nil {
 		t.Fatal(err)
 	}
 	r, err := NewNDJSONReader(bytes.NewReader(raw.Bytes()))
@@ -147,42 +147,15 @@ func TestNDJSONRoundTrip(t *testing.T) {
 	ins.Alpha = 2.5
 
 	var buf bytes.Buffer
-	if err := WriteInstanceNDJSON(&buf, ins); err != nil {
+	if err := WriteInstance(&buf, ins); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadInstanceNDJSON(&buf)
+	got, err := ReadInstance(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ins, got) {
 		t.Fatal("NDJSON round trip altered the instance")
-	}
-}
-
-// TestNDJSONMatchesBatchFormat pins that both trace formats decode to the
-// same instance: a trace written with WriteInstance and rewritten as NDJSON
-// describes identical jobs.
-func TestNDJSONMatchesBatchFormat(t *testing.T) {
-	ins := workload.RandomDeadline(workload.DeadlineConfig{
-		N: 40, M: 2, Seed: 3, Horizon: 100, MinVol: 1, MaxVol: 5, Slack: 2, Alpha: 2,
-	})
-	var batch, nd bytes.Buffer
-	if err := WriteInstance(&batch, ins); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteInstanceNDJSON(&nd, ins); err != nil {
-		t.Fatal(err)
-	}
-	a, err := ReadInstance(&batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ReadInstanceNDJSON(&nd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("batch and NDJSON decodings diverge")
 	}
 }
 

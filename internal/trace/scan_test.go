@@ -135,7 +135,7 @@ func TestScanWideRowsTakeJSONPath(t *testing.T) {
 // floats with ids 0..n-1, the shape loadgen and the benchmark feed.
 func canonicalTrace(t testing.TB, n, machines int) []byte {
 	var buf bytes.Buffer
-	if err := WriteInstanceNDJSON(&buf, workload.Random(workload.DefaultConfig(n, machines, 1))); err != nil {
+	if err := WriteInstance(&buf, workload.Random(workload.DefaultConfig(n, machines, 1))); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -204,7 +204,7 @@ func TestSlabRowsNeverAlias(t *testing.T) {
 	// has gone on to allocate more.
 	const n = 4*slabRows + 17
 	raw := canonicalTrace(t, n, machines)
-	want, err := ReadInstanceNDJSON(bytes.NewReader(raw))
+	want, err := ReadInstance(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
-// Package trace serializes instances and outcomes to JSON so experiments can
-// be generated, archived and replayed by the cmd/tracegen and cmd/schedsim
-// tools. Infinite deadlines round-trip as the absent field.
+// Package trace serializes instances and outcomes for the cmd/tracegen and
+// cmd/schedsim tools. An instance file is an NDJSON trace (ndjson.go), the
+// online model's arrival sequence, read by batch and streaming consumers
+// alike; outcomes are indented JSON. Infinite deadlines are absent fields.
 package trace
 
 import (
@@ -43,40 +44,40 @@ func wireJob(j *sched.Job) jobJSON {
 	return jj
 }
 
-type instanceJSON struct {
-	Machines int       `json:"machines"`
-	Alpha    float64   `json:"alpha,omitempty"`
-	Jobs     []jobJSON `json:"jobs"`
-}
-
-// WriteInstance encodes an instance as indented JSON.
+// WriteInstance encodes an instance as an NDJSON trace whose header carries
+// the exact job count as the advisory size hint.
 func WriteInstance(w io.Writer, ins *sched.Instance) error {
-	out := instanceJSON{Machines: ins.Machines, Alpha: ins.Alpha}
-	for k := range ins.Jobs {
-		out.Jobs = append(out.Jobs, wireJob(&ins.Jobs[k]))
+	nw, err := NewNDJSONWriterHint(w, ins.Machines, ins.Alpha, len(ins.Jobs))
+	if err != nil {
+		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	for k := range ins.Jobs {
+		if err := nw.Write(&ins.Jobs[k]); err != nil {
+			return err
+		}
+	}
+	return nw.Flush()
 }
 
-// ReadInstance decodes an instance and validates it.
+// ReadInstance materializes an NDJSON trace into a validated instance, jobs
+// in file order. A release out of order is the reader's positioned error; a
+// repeated id is Validate's.
 func ReadInstance(r io.Reader) (*sched.Instance, error) {
-	var in instanceJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
-		return nil, fmt.Errorf("trace: decode instance: %w", err)
+	nr, err := NewNDJSONReader(r)
+	if err != nil {
+		return nil, err
 	}
-	ins := &sched.Instance{Machines: in.Machines, Alpha: in.Alpha}
-	for k := range in.Jobs {
-		j := in.Jobs[k].job()
-		if j.Weight == 0 {
-			j.Weight = 1
+	ins := &sched.Instance{Machines: nr.Machines(), Alpha: nr.Alpha()}
+	for {
+		j, err := nr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
 		}
 		ins.Jobs = append(ins.Jobs, j)
 	}
-	ins.SortJobs()
 	if err := ins.Validate(); err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,12 +14,12 @@ import (
 	"repro/internal/workload"
 )
 
+// TestInstanceRoundTrip: an instance written by WriteInstance reads back
+// identical, deadlines and α included.
 func TestInstanceRoundTrip(t *testing.T) {
-	cfg := workload.DefaultConfig(40, 3, 5)
-	cfg.Weighted = true
-	ins := workload.Random(cfg)
-	ins.Alpha = 2.5
-
+	ins := workload.RandomDeadline(workload.DeadlineConfig{
+		N: 40, M: 2, Seed: 3, Horizon: 100, MinVol: 1, MaxVol: 5, Slack: 2, Alpha: 2,
+	})
 	var buf bytes.Buffer
 	if err := WriteInstance(&buf, ins); err != nil {
 		t.Fatal(err)
@@ -27,19 +28,8 @@ func TestInstanceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Machines != ins.Machines || got.Alpha != ins.Alpha || len(got.Jobs) != len(ins.Jobs) {
-		t.Fatalf("header mismatch: %+v", got)
-	}
-	for k := range ins.Jobs {
-		a, b := ins.Jobs[k], got.Jobs[k]
-		if a.ID != b.ID || a.Release != b.Release || a.Weight != b.Weight {
-			t.Fatalf("job %d mismatch: %+v vs %+v", k, a, b)
-		}
-		for i := range a.Proc {
-			if a.Proc[i] != b.Proc[i] {
-				t.Fatalf("job %d proc mismatch", k)
-			}
-		}
+	if !reflect.DeepEqual(ins, got) {
+		t.Fatal("round trip altered the instance")
 	}
 }
 
@@ -68,22 +58,20 @@ func TestInfiniteDeadlineRoundTrip(t *testing.T) {
 }
 
 func TestReadInstanceValidates(t *testing.T) {
-	bad := strings.NewReader(`{"machines": 0, "jobs": []}`)
-	if _, err := ReadInstance(bad); err == nil {
-		t.Fatal("accepted zero machines")
-	}
-	garbage := strings.NewReader(`{"machines": 1, "unknown_field": 3}`)
-	if _, err := ReadInstance(garbage); err == nil {
-		t.Fatal("accepted unknown fields")
-	}
-	notJSON := strings.NewReader(`]]]`)
-	if _, err := ReadInstance(notJSON); err == nil {
-		t.Fatal("accepted malformed JSON")
+	for name, in := range map[string]string{
+		"zero machines":  "{\"machines\":0}\n",
+		"unknown field":  "{\"machines\":1,\"unknown_field\":3}\n",
+		"malformed JSON": "]]]",
+		"duplicate id":   "{\"machines\":1}\n{\"id\":0,\"release\":0,\"proc\":[1]}\n{\"id\":0,\"release\":1,\"proc\":[1]}\n",
+	} {
+		if _, err := ReadInstance(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: accepted %q", name, in)
+		}
 	}
 }
 
 func TestReadInstanceDefaultsWeight(t *testing.T) {
-	r := strings.NewReader(`{"machines":1,"jobs":[{"id":0,"release":0,"proc":[2]}]}`)
+	r := strings.NewReader("{\"machines\":1}\n{\"id\":0,\"release\":0,\"proc\":[2]}\n")
 	ins, err := ReadInstance(r)
 	if err != nil {
 		t.Fatal(err)
@@ -93,16 +81,15 @@ func TestReadInstanceDefaultsWeight(t *testing.T) {
 	}
 }
 
-func TestReadInstanceSorts(t *testing.T) {
-	r := strings.NewReader(`{"machines":1,"jobs":[
-		{"id":1,"release":5,"proc":[1]},
-		{"id":0,"release":2,"proc":[1]}]}`)
-	ins, err := ReadInstance(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ins.Jobs[0].ID != 0 {
-		t.Fatal("jobs not sorted by release")
+// TestReadInstanceRefusesUnsorted: jobs arrive in file order, so a release
+// out of order is refused at its line rather than sorted into place.
+func TestReadInstanceRefusesUnsorted(t *testing.T) {
+	r := strings.NewReader(`{"machines":1}
+{"id":1,"release":5,"proc":[1]}
+{"id":0,"release":2,"proc":[1]}
+`)
+	if _, err := ReadInstance(r); err == nil || !strings.Contains(err.Error(), "ndjson line 3: job 0 released at 2") {
+		t.Fatalf("err = %v, want the positioned release-order refusal", err)
 	}
 }
 
@@ -140,7 +127,7 @@ func TestOutcomeRoundTrip(t *testing.T) {
 
 func TestSaveLoadFiles(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "ins.json")
+	path := filepath.Join(dir, "ins.ndjson")
 	ins := workload.Random(workload.DefaultConfig(10, 2, 1))
 	var buf bytes.Buffer
 	if err := WriteInstance(&buf, ins); err != nil {
@@ -156,7 +143,7 @@ func TestSaveLoadFiles(t *testing.T) {
 	if len(got.Jobs) != 10 {
 		t.Fatalf("loaded %d jobs", len(got.Jobs))
 	}
-	if _, err := LoadInstance(filepath.Join(dir, "missing.json")); err == nil {
+	if _, err := LoadInstance(filepath.Join(dir, "missing.ndjson")); err == nil {
 		t.Fatal("loaded a missing file")
 	}
 }
