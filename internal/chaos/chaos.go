@@ -62,8 +62,9 @@ type Stall struct {
 func (s Stall) Enabled() bool { return s.Every > 0 && s.Delay > 0 }
 
 // StallFeeder wraps a shard feeder with a Stall. It forwards FeedBatch and
-// AppendSnapshot, so a stalled fleet still checkpoints (engine.Shard requires
-// its feeders to be SessionSnapshotters). The stall runs on the shard
+// the in-place capture (SnapshotSize, SnapshotInto), so a stalled fleet
+// still checkpoints (engine.Shard requires its feeders to be
+// SessionSnapshotters). The stall runs on the shard
 // worker's goroutine — exactly where a real slow worker would burn the time.
 type StallFeeder struct {
 	inner engine.Feeder
@@ -96,12 +97,29 @@ func (f *StallFeeder) FeedBatch(jobs []sched.Job) error {
 	return f.inner.FeedBatch(jobs)
 }
 
-// AppendSnapshot forwards to the inner feeder's in-place capture.
-func (f *StallFeeder) AppendSnapshot(dst []byte) ([]byte, error) {
-	if ss, ok := f.inner.(engine.SessionSnapshotter); ok {
-		return ss.AppendSnapshot(dst)
+// SnapshotSize forwards to the inner feeder's capture sizing.
+func (f *StallFeeder) SnapshotSize() (size, want int, err error) {
+	ss, err := f.snapshotter()
+	if err != nil {
+		return 0, 0, err
 	}
-	return dst, fmt.Errorf("chaos: inner feeder %T cannot be snapshotted", f.inner)
+	return ss.SnapshotSize()
+}
+
+// SnapshotInto forwards to the inner feeder's in-place capture.
+func (f *StallFeeder) SnapshotInto(dst []byte) error {
+	ss, err := f.snapshotter()
+	if err != nil {
+		return err
+	}
+	return ss.SnapshotInto(dst)
+}
+
+func (f *StallFeeder) snapshotter() (engine.SessionSnapshotter, error) {
+	if ss, ok := f.inner.(engine.SessionSnapshotter); ok {
+		return ss, nil
+	}
+	return nil, fmt.Errorf("chaos: inner feeder %T cannot be snapshotted", f.inner)
 }
 
 // TruncateFile cuts path to frac of its current size — the torn-write

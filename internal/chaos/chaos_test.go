@@ -53,12 +53,21 @@ type countFeeder struct {
 
 func (c *countFeeder) FeedBatch(jobs []sched.Job) error { c.fed += len(jobs); return nil }
 
-func (c *countFeeder) AppendSnapshot(dst []byte) ([]byte, error) {
-	return fmt.Appendf(dst, "fed=%d", c.fed), nil
+func (c *countFeeder) SnapshotSize() (size, want int, err error) {
+	n := len(fmt.Sprintf("fed=%d", c.fed))
+	return n, 2 * n, nil
+}
+
+func (c *countFeeder) SnapshotInto(dst []byte) error {
+	if got := fmt.Appendf(dst[:0], "fed=%d", c.fed); len(got) != len(dst) {
+		return fmt.Errorf("%d-byte region for a %d-byte snapshot", len(dst), len(got))
+	}
+	return nil
 }
 
 // TestStallFeederForwards pins that the wrapper forwards batches of any
-// size, counts stall boundaries across batches, and forwards AppendSnapshot.
+// size, counts stall boundaries across batches, and forwards the in-place
+// capture, sizing and writing.
 func TestStallFeederForwards(t *testing.T) {
 	inner := &countFeeder{}
 	f := NewStallFeeder(inner, Stall{Every: 4, Delay: time.Microsecond})
@@ -73,8 +82,16 @@ func TestStallFeederForwards(t *testing.T) {
 	if inner.fed != 8 {
 		t.Fatalf("inner saw %d jobs, want 8", inner.fed)
 	}
-	if got, err := f.AppendSnapshot([]byte("kept ")); err != nil || string(got) != "kept fed=8" {
+	size, want, err := f.SnapshotSize()
+	if err != nil || size != 5 || want != 10 {
+		t.Fatalf("SnapshotSize = %d, %d, %v; want 5, 10", size, want, err)
+	}
+	got := []byte("kept .....")
+	if err := f.SnapshotInto(got[5:]); err != nil || string(got) != "kept fed=8" {
 		t.Fatalf("snapshot %q: %v", got, err)
+	}
+	if err := NewStallFeeder(nil, Stall{}).SnapshotInto(got); err == nil {
+		t.Fatal("a feeder with nothing to snapshot captured")
 	}
 }
 

@@ -204,5 +204,5 @@ func Restore(r io.Reader, opt Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return engine.RestoreTyped(r, engine.Options{EventQueue: opt.EventQueue}, opt.newPolicy)
+	return engine.RestoreTyped(r, engine.Options{SizeHint: opt.SizeHint, EventQueue: opt.EventQueue}, opt.newPolicy)
 }

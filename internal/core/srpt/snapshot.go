@@ -75,7 +75,7 @@ func (p *policy) LoadState(d *snapshot.Decoder) error {
 // written by Session.Snapshot. The machine count comes from the snapshot;
 // opt.ParallelDispatch is performance-only and may differ from the donor's.
 func Restore(r io.Reader, opt Options) (*Session, error) {
-	return engine.RestoreTyped(r, engine.Options{EventQueue: opt.EventQueue}, opt.newPolicy)
+	return engine.RestoreTyped(r, engine.Options{SizeHint: opt.SizeHint, EventQueue: opt.EventQueue}, opt.newPolicy)
 }
 
 // SnapshotTag identifies the migratory weighted-SRPT policy wire format. v2
@@ -161,5 +161,5 @@ func (p *wpolicy) LoadState(d *snapshot.Decoder) error {
 // RestoreWeighted reconstructs a streaming migratory weighted-SRPT session
 // from a snapshot written by WeightedSession.Snapshot.
 func RestoreWeighted(r io.Reader, opt WeightedOptions) (*WeightedSession, error) {
-	return engine.RestoreTyped(r, engine.Options{EventQueue: opt.EventQueue}, opt.newPolicy)
+	return engine.RestoreTyped(r, engine.Options{SizeHint: opt.SizeHint, EventQueue: opt.EventQueue}, opt.newPolicy)
 }

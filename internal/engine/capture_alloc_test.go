@@ -17,20 +17,21 @@ import (
 // TestCheckpointAllocationOnGrowingStream pins what a stream that keeps
 // growing costs in checkpoint buffers. flowtime sessions, sized by the
 // stream's hint as a server's -size-hint sizes them, are checkpointed
-// through a delta lineage after each of 12 increments. Every buffer that
-// holds a whole checkpoint is allocated once, at the hinted size: the
-// capture buffer, the lineage's base and its self-check buffer, and for a
-// fleet the fleet buffer the shard frames the sessions' captures into. So
-// capture plus Lineage.Write allocate at most one final payload per such
-// buffer, plus one for the deltas and the hint's slack: 4× for a session,
-// 5× for a fleet. Buffers regrown at each capture or each delta write cost
-// several times more.
+// through a delta lineage after each of 12 increments, capturing into the
+// buffer Lineage.Recycle hands back, as the front door does. Two buffers
+// hold a whole checkpoint, the capture and the lineage's base, and they
+// trade places at every write; each is allocated once, at the hinted size.
+// The sessions encode straight into the capture, fleet or not, and keep no
+// buffer of their own beyond their policy section's scratch. So capture
+// plus Lineage.Write allocate at most one final payload per such buffer,
+// plus one for the deltas and the hint's slack: 3×. Buffers regrown at each
+// capture or each delta write cost several times more.
 func TestCheckpointAllocationOnGrowingStream(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		shards int
 		limit  float64
-	}{{"session", 0, 4}, {"fleet", 2, 5}} {
+	}{{"session", 0, 3}, {"fleet", 2, 3}} {
 		t.Run(tc.name, func(t *testing.T) {
 			const m, n, increments = 8, 24000, 12
 			entry, _ := policy.Lookup("flowtime")
@@ -46,7 +47,7 @@ func TestCheckpointAllocationOnGrowingStream(t *testing.T) {
 			// feed hands the fleet or the session an increment and returns
 			// once it is decided; capture appends the checkpoint to dst.
 			feed := sessions[0].FeedBatch
-			capture := sessions[0].(engine.SessionSnapshotter).AppendSnapshot
+			capture := sessions[0].(*engine.Session).AppendSnapshot
 			if tc.shards > 0 {
 				sh := engine.NewShardOpts(sessions, engine.ShardOptions{})
 				defer sh.Wait()
@@ -69,25 +70,33 @@ func TestCheckpointAllocationOnGrowingStream(t *testing.T) {
 			var buf []byte
 			var allocated uint64
 			var before, after runtime.MemStats
+			payload := 0
 			for k := 0; k < increments; k++ {
 				if err := feed(jobs[k*n/increments : (k+1)*n/increments]); err != nil {
 					t.Fatal(err)
 				}
 				runtime.ReadMemStats(&before)
-				buf, err = capture(buf[:0])
+				buf, err = capture(buf)
 				if err != nil {
 					t.Fatal(err)
 				}
 				e, err := l.Write(buf, false)
+				payload = len(buf)
+				buf = l.Recycle(buf)
 				runtime.ReadMemStats(&after)
 				if err != nil || (k > 0 && e.Kind != "delta") {
 					t.Fatalf("checkpoint %d: %+v, %v", k, e, err)
 				}
 				allocated += after.TotalAlloc - before.TotalAlloc
 			}
-			if ratio := float64(allocated) / float64(len(buf)); ratio > tc.limit {
+			if ratio := float64(allocated) / float64(payload); ratio > tc.limit {
 				t.Errorf("%d checkpoints allocated %d bytes, %.1f× the final %d-byte payload; want ≤ %v×",
-					increments, allocated, ratio, len(buf), tc.limit)
+					increments, allocated, ratio, payload, tc.limit)
+			}
+			for k, f := range sessions {
+				if held := engine.CaptureScratch(f.(*engine.Session)); held > payload/50 {
+					t.Errorf("session %d holds a %d-byte capture scratch after a %d-byte checkpoint", k, held, payload)
+				}
 			}
 		})
 	}

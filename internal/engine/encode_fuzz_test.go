@@ -22,9 +22,8 @@ var encodeMachines = []int{1, 3, 8}
 // machines, feeds it the first stop%(n+1) of a 1+n%400-job instance drawn
 // from seed (every other job with a deadline when deadlines is set), and
 // checks that AppendSnapshot writes the per-field reference's bytes: into a
-// fresh buffer with a prefix, again into that buffer once the policy
-// section's size is known (exactly the size predicted, in place), and in
-// stream form through Snapshot. It returns the snapshot and the jobs fed.
+// fresh buffer with a prefix, again into that buffer (exactly the size
+// SnapshotSize predicts, in place), and in stream form through Snapshot. It returns the snapshot and the jobs fed.
 func encodeCase(t *testing.T, seed int64, pol, mi uint8, n, stop uint16, deadlines bool) ([]byte, []sched.Job) {
 	t.Helper()
 	names := policy.Names()
@@ -61,7 +60,7 @@ func encodeCase(t *testing.T, seed int64, pol, mi uint8, n, stop uint16, deadlin
 	if err != nil || !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
 		t.Fatalf("%s, m=%d, %d jobs: first capture differs from the per-field encoding (err %v)", entry.Name, m, len(jobs), err)
 	}
-	predicted := engine.PredictedSnapshotSize(s)
+	predicted, _, _ := s.SnapshotSize()
 	again, err := s.AppendSnapshot(got[:0])
 	if len(again) != predicted || &again[0] != &got[0] {
 		t.Fatalf("%s, m=%d, %d jobs: second capture of %d bytes, %d predicted; moved %v",

@@ -3,18 +3,27 @@ package engine
 import "repro/internal/snapshot"
 
 // AppendSnapshotPerField exposes the reference encoder to the external
-// FuzzSessionEncode, which needs the policy registry and so cannot live in
-// this package.
+// FuzzSessionEncode and FuzzFleetCapture, which need the policy registry and
+// so cannot live in this package.
 var AppendSnapshotPerField = (*Session).appendSnapshotPerField
 
-// PredictedSnapshotSize exposes the size AppendSnapshot reserves before it
-// encodes: exact once the policy section's size is known.
-func PredictedSnapshotSize(s *Session) int {
-	sp, err := s.stateful()
-	if err != nil {
-		return -1
+// CaptureScratch is the capacity of the one buffer a session keeps for
+// checkpoint capture, its policy section's scratch.
+func CaptureScratch(s *Session) int { return cap(s.pol.Bytes()) }
+
+// AppendFleetNested is fleet capture the way Shard.AppendSnapshot did it
+// before its sessions encoded in place: each session encoded into a buffer of
+// its own (here by the per-field reference), then copied into its SHRD frame
+// by Nest. It is the reference the in-place fleet capture's bytes are held
+// to, and is kept here only for that. The sessions must be quiesced.
+func AppendFleetNested(sessions []*Session, dst []byte) ([]byte, error) {
+	sw := snapshot.AppendWriter(dst)
+	sw.Section(tagFleet, func(e *snapshot.Encoder) { e.U32(uint32(len(sessions))) })
+	for _, s := range sessions {
+		sw.Nest(tagShard, s.appendSnapshotPerField)
 	}
-	return s.snapshotSize(sp) + s.polBytes
+	err := sw.Close()
+	return sw.Bytes(), err
 }
 
 // appendSnapshotPerField is session capture written one Encoder call per

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/eventq"
 	"repro/internal/sched"
+	"repro/internal/snapshot"
 )
 
 // ErrClosed is returned by session operations after Finish or Close.
@@ -30,9 +31,12 @@ type Session struct {
 	// spent is set once Close has handed out the Outcome, or once Finish
 	// failed its audits: there is no outcome left to hand out.
 	spent bool
-	// polBytes is the policy section's size at the last AppendSnapshot; it
-	// sizes the next capture's policy section (see snapshotSize).
-	polBytes int
+	// pol is the policy section SnapshotSize encoded, with its CRC32-C;
+	// polFor is one more than the job count it was encoded at, and 0 once
+	// SnapshotInto has used it.
+	pol    snapshot.Encoder
+	polSum uint32
+	polFor int
 }
 
 // NewSession starts a streaming run of the given policy. The policy must be

@@ -136,10 +136,6 @@ type Shard struct {
 	// routed is the job Feed hands the route func: passing the address of
 	// Feed's own parameter to a func value would move every job to the heap.
 	routed sched.Job
-	// snaps are the per-session capture buffers of AppendSnapshot, kept
-	// for the shard's lifetime so a periodic checkpoint encodes into
-	// storage it already owns.
-	snaps [][]byte
 }
 
 // NewShardOpts starts one worker per feeder; each slab reaches its feeder in

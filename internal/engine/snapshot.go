@@ -68,51 +68,87 @@ const (
 // Snapshot writes to w once per section. AppendSnapshot is the in-place form
 // that checkpoint capture uses.
 func (s *Session) Snapshot(w io.Writer) error {
-	sp, err := s.stateful()
-	if err != nil {
+	if _, _, err := s.SnapshotSize(); err != nil {
 		return err
 	}
-	return s.encode(snapshot.NewWriter(w), sp)
+	s.polFor = 0
+	return s.encode(snapshot.NewWriter(w))
 }
 
 // AppendSnapshot appends the snapshot Snapshot would write to dst, encoding
 // every section straight into it, and returns the extended slice. Bytes are
-// identical to Snapshot's. The snapshot's size is known before a byte is
-// written (snapshotSize), so dst grows at most once, by snapshot.Grow, and
-// then with room for every job the job table has room for: a session
-// presized by a SizeHint is captured into one buffer for its whole stream. A
-// capture loop that passes the previous result back in (truncated to length
-// 0) therefore snapshots with no allocation until the state outgrows it.
+// identical to Snapshot's. SnapshotSize sizes the snapshot exactly before a
+// byte is written, so dst grows at most once, by snapshot.Grow, and then with
+// room for every job the job table has room for: a session presized by a
+// SizeHint is captured into one buffer for its whole stream. A capture loop
+// that passes the previous result back in (truncated to length 0) therefore
+// snapshots with no allocation until the state outgrows it.
 func (s *Session) AppendSnapshot(dst []byte) ([]byte, error) {
-	sp, err := s.stateful()
+	size, want, err := s.SnapshotSize()
 	if err != nil {
 		return dst, err
 	}
+	out := snapshot.Grow(dst, size, want)
+	at := len(out)
+	out = out[:at+size]
+	if err := s.SnapshotInto(out[at:]); err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
+// SnapshotSize readies a capture and sizes it: it encodes the policy section
+// into a scratch the session keeps (the one section whose size does not
+// follow from counts), and returns the exact size of the snapshot the next
+// SnapshotInto writes, and want, the size it would have with the job table
+// full to its capacity — the room a capture buffer should leave for the rest
+// of a hinted stream. The session must not be fed between the two calls.
+func (s *Session) SnapshotSize() (size, want int, err error) {
+	sp, err := s.stateful()
+	if err != nil {
+		return 0, 0, err
+	}
 	c := &s.core
-	fixed := s.snapshotSize(sp)
-	need, want := fixed+s.polBytes, 0
+	s.pol.Reset()
+	s.pol.Str(sp.SnapshotTag())
+	sp.SaveState(&s.pol)
+	s.polSum = snapshot.Checksum(s.pol.Bytes())
+	s.polFor = len(c.jobs) + 1
+	size = s.snapshotSize() + len(s.pol.Bytes())
+	want = size
 	if n := len(c.jobs); n > 0 {
 		// A job to come costs its record, conservation entry and outcome
 		// slot, and at least one interval.
 		ivs := max(1, (len(c.rec.Intervals())+n-1)/n)
-		want = need + (cap(c.jobs)-n)*(jobRecord(len(c.mach))+8+slotRecord+ivs*intervalRecord)
+		want += (cap(c.jobs) - n) * (jobRecord(len(c.mach)) + 8 + slotRecord + ivs*intervalRecord)
 	}
-	start := len(dst)
-	sw := snapshot.AppendWriter(snapshot.Grow(dst, need, want))
-	err = s.encode(sw, sp)
-	out := sw.Bytes()
-	if err == nil {
-		s.polBytes = len(out) - start - fixed
+	return size, want, nil
+}
+
+// SnapshotInto writes the snapshot the preceding SnapshotSize sized into dst,
+// whose length must be that size, and nothing outside it: sessions of a
+// fleet write their snapshots concurrently, each into its own region of one
+// buffer (Shard.AppendSnapshot).
+func (s *Session) SnapshotInto(dst []byte) error {
+	if s.polFor != len(s.core.jobs)+1 {
+		return fmt.Errorf("engine: SnapshotInto without a SnapshotSize since the last feed")
 	}
-	return out, err
+	s.polFor = 0
+	sw := snapshot.AppendWriter(dst[:0:len(dst)])
+	if err := s.encode(sw); err != nil {
+		return err
+	}
+	if out := sw.Bytes(); len(out) != len(dst) || &out[0] != &dst[0] {
+		return fmt.Errorf("engine: snapshot of %d bytes does not fill its %d-byte region", len(out), len(dst))
+	}
+	return nil
 }
 
 // snapshotSize is the exact size of the snapshot encode writes, less the
-// policy section's payload beyond its tag: every other section is a count
-// plus fixed-size records, so its size follows from the job, machine,
-// interval and queue counts. AppendSnapshot adds the policy section's size
-// at the previous capture.
-func (s *Session) snapshotSize(sp StatefulPolicy) int {
+// policy section's payload: every other section is a count plus fixed-size
+// records, so its size follows from the job, machine, interval and queue
+// counts.
+func (s *Session) snapshotSize() int {
 	c := &s.core
 	n, m := len(c.jobs), len(c.mach)
 	size := snapshot.HeaderBytes + 8*snapshot.FrameBytes // seven sections and the end
@@ -122,8 +158,7 @@ func (s *Session) snapshotSize(sp StatefulPolicy) int {
 	size += 4 + 5*8*m                                    // MACH
 	size += eventq.SnapshotBytes(c.q.Len())              // EVTQ
 	size += 8 + len(c.rec.Intervals())*intervalRecord    // OUTC
-	size += 8 + n*slotRecord
-	return size + 4 + len(sp.SnapshotTag()) // POLI's tag
+	return size + 8 + n*slotRecord
 }
 
 // The fixed-size records of the JOBS and OUTC sections: a job (id, release,
@@ -150,10 +185,11 @@ func (s *Session) stateful() (StatefulPolicy, error) {
 	return sp, nil
 }
 
-// encode writes the session's sections to sw and closes it. The job table,
-// the conservation vector and the outcome record are runs of fixed-size
-// records, each encoded into a span reserved once (Encoder.Extend).
-func (s *Session) encode(sw *snapshot.Writer, sp StatefulPolicy) error {
+// encode writes the session's sections to sw and closes it, the policy
+// section from the payload SnapshotSize encoded. The job table, the
+// conservation vector and the outcome record are runs of fixed-size records,
+// each encoded into a span reserved once (Encoder.Extend).
+func (s *Session) encode(sw *snapshot.Writer) error {
 	c := &s.core
 	sw.Section(tagSession, func(e *snapshot.Encoder) {
 		e.U32(uint32(len(c.mach)))
@@ -198,10 +234,7 @@ func (s *Session) encode(sw *snapshot.Writer, sp StatefulPolicy) error {
 	})
 	sw.Section(tagQueue, func(e *snapshot.Encoder) { c.q.Snapshot(e) })
 	sw.Section(tagOutcome, func(e *snapshot.Encoder) { snapshotOutcome(e, c) })
-	sw.Section(tagPolicy, func(e *snapshot.Encoder) {
-		e.Str(sp.SnapshotTag())
-		sp.SaveState(e)
-	})
+	sw.Frame(tagPolicy, s.pol.Bytes(), s.polSum)
 	return sw.Close()
 }
 
@@ -257,9 +290,11 @@ func snapshotOutcome(e *snapshot.Encoder, c *Core) {
 //
 // Only performance options carry into the rebuilt session: opt.EventQueue
 // selects the event-queue implementation (both speak the same EVTQ wire
-// format, so a snapshot taken under either restores under either). Machines
-// and SizeHint come from the snapshot itself; opt's values for them are
-// ignored. r is read once into memory (snapshot.NewReader); a
+// format, so a snapshot taken under either restores under either), and
+// opt.SizeHint presizes per-job storage for a stream of that many jobs when
+// it exceeds the snapshot's job count (a resumed stream grows on into the
+// room it had before the restart). Machines come from the snapshot itself;
+// opt's value is ignored. r is read once into memory (snapshot.NewReader); a
 // snapshot.InPlace reader is decoded where it lies, and the session keeps no
 // reference to it.
 func RestoreOpts(r io.Reader, opt Options, newPolicy func(machines int) (Policy, error)) (*Session, error) {
@@ -300,7 +335,7 @@ func RestoreOpts(r io.Reader, opt Options, newPolicy func(machines int) (Policy,
 	}
 	s := &Session{last: last, floor: floor}
 	if err := s.core.init(pol, Options{
-		Machines: machines, SizeHint: int(njobs), EventQueue: opt.EventQueue,
+		Machines: machines, SizeHint: max(int(njobs), opt.SizeHint), EventQueue: opt.EventQueue,
 	}); err != nil {
 		pol.Close()
 		return nil, err
@@ -324,6 +359,10 @@ func restoreInto(sr *snapshot.Reader, s *Session, sp StatefulPolicy) error {
 		return err
 	}
 	n := d.Count(jobRecord(machines))
+	// Every job's processing times share one array: a resumed session
+	// allocates its job table in a few objects, not one per job. Count has
+	// bounded n by the bytes in the section.
+	procs := make([]float64, n*machines)
 	lastRelease := math.Inf(-1)
 	for k := 0; k < n; k++ {
 		j := sched.Job{
@@ -331,7 +370,7 @@ func restoreInto(sr *snapshot.Reader, s *Session, sp StatefulPolicy) error {
 			Release:  d.F64(),
 			Weight:   d.F64(),
 			Deadline: d.F64(),
-			Proc:     make([]float64, machines),
+			Proc:     procs[k*machines : (k+1)*machines : (k+1)*machines],
 		}
 		for i := range j.Proc {
 			j.Proc[i] = d.F64()
@@ -477,13 +516,15 @@ func ValidateTreeIDs(c *Core, t *ostree.Flat, d *snapshot.Decoder, what string) 
 	return d.Err()
 }
 
-// SessionSnapshotter is a Feeder whose state can be captured in place with
-// AppendSnapshot — engine.Session, every scheduler session of internal/core
-// (which embed it) and the chaos stall wrapper implement it.
-// Shard.AppendSnapshot requires it of each of its feeders.
+// SessionSnapshotter is a Feeder whose state can be captured into a region
+// of a buffer it does not own, sized first and then written —
+// engine.Session, every scheduler session of internal/core (which embed it)
+// and the chaos stall wrapper implement it. Shard.AppendSnapshot requires it
+// of each of its feeders, and holds no capture buffer of its own.
 type SessionSnapshotter interface {
 	Feeder
-	AppendSnapshot(dst []byte) ([]byte, error)
+	SnapshotSize() (size, want int, err error)
+	SnapshotInto(dst []byte) error
 }
 
 // Fleet snapshot tags: a fleet header followed by one nested session
@@ -496,15 +537,15 @@ const (
 
 // AppendSnapshot freezes the whole fleet, appending the fleet container to
 // dst: the shard quiesces (pending slabs flush and every worker drains, so
-// each session is at a consistent watermark), every session is then encoded
-// concurrently — one goroutine per shard, safe because quiesced workers are
-// parked on their empty work queues — into a capture buffer the Shard keeps
-// for its lifetime, and the per-shard snapshots are framed into one fleet
-// container in shard order. A periodic checkpoint therefore re-encodes each
-// session into storage it already owns and copies each byte once more, into
-// dst; each byte is CRC'd once, by the session's own frame. dst grows at most
-// once, by snapshot.Grow, to the sessions' buffers' capacity. Feeding may
-// resume after AppendSnapshot returns.
+// each session is at a consistent watermark), every session sizes its
+// snapshot exactly (SnapshotSize, encoding its policy section into a small
+// scratch), dst grows at most once, by snapshot.Grow, and every session then
+// encodes straight into its own SHRD frame of dst (SnapshotInto). Both steps
+// run concurrently, one goroutine per shard — safe because quiesced workers
+// are parked on their empty work queues. Each byte of the fleet is written
+// once, into its final place, and CRC'd once, by the session's own frame: no
+// session keeps a capture buffer, and nothing is copied into dst afterwards.
+// Feeding may resume after AppendSnapshot returns.
 //
 // The route function and slab sizing are not serialized (routes are code,
 // and slab knobs are performance-only): RestoreFleet's caller reattaches the
@@ -512,54 +553,54 @@ const (
 // as it supplied it to NewShardOpts. Restoring under a different route would
 // break the per-shard release-order invariant and fail at the first feed.
 func (sh *Shard) AppendSnapshot(dst []byte) ([]byte, error) {
-	if err := sh.capture(); err != nil {
+	if err := sh.Quiesce(); err != nil {
+		return dst, err
+	}
+	ss := make([]SessionSnapshotter, len(sh.feeders))
+	for k, f := range sh.feeders {
+		var ok bool
+		if ss[k], ok = f.(SessionSnapshotter); !ok {
+			return dst, fmt.Errorf("engine: shard %d feeder %T cannot be snapshotted", k, f)
+		}
+	}
+	sizes, wants := make([]int, len(ss)), make([]int, len(ss))
+	if err := eachShard(len(ss), func(k int) (err error) {
+		sizes[k], wants[k], err = ss[k].SnapshotSize()
+		return err
+	}); err != nil {
 		return dst, err
 	}
 	// The fleet header, FLET and end sections, then what a nesting caller
 	// closes around the fleet (its frame's CRC and its own end section), so
-	// that closing them never moves the buffer. Room to spare mirrors the
-	// sessions' capture buffers: the fleet buffer regrows when they do.
+	// that closing them never moves the buffer. Room to spare is what the
+	// sessions expect to grow to.
 	need := snapshot.HeaderBytes + snapshot.FrameBytes + 4 + snapshot.FrameBytes
 	need += 4 + snapshot.FrameBytes
 	want := need
-	for _, b := range sh.snaps {
-		need += snapshot.FrameBytes + len(b)
-		want += snapshot.FrameBytes + cap(b)
+	for k := range ss {
+		need += snapshot.FrameBytes + sizes[k]
+		want += snapshot.FrameBytes + wants[k]
 	}
 	sw := snapshot.AppendWriter(snapshot.Grow(dst, need, want))
-	sw.Section(tagFleet, func(e *snapshot.Encoder) { e.U32(uint32(len(sh.snaps))) })
-	for _, b := range sh.snaps {
-		// Nest, not Frame: the SHRD frame's CRC comes from the CRCs the
-		// session's own frames store, so the captured bytes are copied
-		// once and not read again.
-		sw.Nest(tagShard, func(dst []byte) ([]byte, error) { return append(dst, b...), nil })
-	}
+	sw.Section(tagFleet, func(e *snapshot.Encoder) { e.U32(uint32(len(ss))) })
+	sw.NestEach(tagShard, sizes, func(regions [][]byte) error {
+		return eachShard(len(ss), func(k int) error { return ss[k].SnapshotInto(regions[k]) })
+	})
 	err := sw.Close()
 	return sw.Bytes(), err
 }
 
-// capture quiesces the shard and encodes every session into its reused
-// capture buffer, concurrently.
-func (sh *Shard) capture() error {
-	if err := sh.Quiesce(); err != nil {
-		return err
-	}
-	for k, f := range sh.feeders {
-		if _, ok := f.(SessionSnapshotter); !ok {
-			return fmt.Errorf("engine: shard %d feeder %T cannot be snapshotted", k, f)
-		}
-	}
-	if len(sh.snaps) != len(sh.feeders) {
-		sh.snaps = make([][]byte, len(sh.feeders))
-	}
-	errs := make([]error, len(sh.feeders))
+// eachShard runs f(k) for every shard k concurrently and returns the first
+// error, naming its shard.
+func eachShard(shards int, f func(k int) error) error {
+	errs := make([]error, shards)
 	var wg sync.WaitGroup
-	for k := range sh.feeders {
+	for k := range errs {
 		wg.Add(1)
-		go func(k int) {
+		go func() {
 			defer wg.Done()
-			sh.snaps[k], errs[k] = sh.feeders[k].(SessionSnapshotter).AppendSnapshot(sh.snaps[k][:0])
-		}(k)
+			errs[k] = f(k)
+		}()
 	}
 	wg.Wait()
 	for k, err := range errs {

@@ -40,7 +40,9 @@ func NewTyped[R any](opt Options, host Host[R]) (*Typed[R], error) {
 }
 
 // RestoreTyped is RestoreOpts for a hosted policy: host builds the policy for
-// the snapshot's machine count, unsized, since the snapshot sizes the session.
+// the snapshot's machine count, unsized, since LoadState sizes the policy's
+// state from the snapshot; opt.SizeHint sizes the engine's per-job storage
+// as RestoreOpts says.
 func RestoreTyped[R any](r io.Reader, opt Options, host Host[R]) (*Typed[R], error) {
 	var result func(*sched.Outcome) R
 	s, err := RestoreOpts(r, opt, func(machines int) (Policy, error) {

@@ -4,8 +4,12 @@ package front
 
 import (
 	"bytes"
+	"io"
+	"log"
+	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -89,9 +93,9 @@ func TestIngestAllocsPerJob(t *testing.T) {
 
 // TestCaptureReusesBuffers pins the steady state of checkpoint capture: a
 // second capture at the same merged prefix, with nothing fed in between,
-// re-encodes every session into the capture buffer its shard kept and frames
-// the fleet into the reused checkpoint buffer — O(shards) small allocations,
-// and under 1/8 of the checkpoint's size in bytes.
+// encodes every session straight into its region of the reused checkpoint
+// buffer — O(shards) small allocations, and under 1/8 of the checkpoint's
+// size in bytes.
 func TestCaptureReusesBuffers(t *testing.T) {
 	const shards = 4
 	cfg := testConfig(2, shards)
@@ -173,5 +177,97 @@ func TestDrainAllocs(t *testing.T) {
 	}
 	if b, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*2*jobs+64<<10); b > limit {
 		t.Errorf("drain allocated %d bytes for %d fed jobs (%.1f B/job), want ≤ %d", b, 2*jobs, float64(b)/(2*jobs), limit)
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after a full collection.
+func liveHeap() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestCheckpointRetainsTwoPayloads pins what checkpointing keeps between
+// checkpoints on a growing stream with deltas on, fresh and then resumed
+// from its own lineage with the stream growing on: the server's capture
+// buffer and the lineage's base, each payload-sized, and the lineage's delta
+// buffer. Nothing else: the live heap a fresh checkpointing server holds,
+// less those buffers, is the heap of the same server run without
+// checkpoints — the sessions keep no capture buffer — and dropping the
+// capture buffer and the lineage frees those three buffers and no more.
+func TestCheckpointRetainsTwoPayloads(t *testing.T) {
+	const machines, n, every = 8, 15000, 2000 // n jobs a tenant a phase
+	phase := func(p int) map[int][]sched.Job {
+		jobs := map[int][]sched.Job{}
+		for tenant := 0; tenant < 2; tenant++ {
+			jobs[tenant] = shiftJobs(genJobs(uint64(10*p+tenant+1), n, machines), p*n, float64(p)*1e5)
+		}
+		return jobs
+	}
+	cfg := testConfig(machines, 2)
+	cfg.AwaitTenants = 2
+	plain, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedInProcess(t, plain, phase(0))
+	plainHeap := liveHeap()
+	if _, err := plain.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	plain = nil
+
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "front.ck")
+	cfg.CheckpointEvery = every
+	cfg.CheckpointDeltas = 4
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < 2; p++ {
+		if p == 1 {
+			if s, err = Open(cfg, cfg.CheckpointPath, log.New(io.Discard, "", 0)); err != nil {
+				t.Fatal(err)
+			}
+			feedInProcess(t, s, phase(0)) // the replay: every job a dup
+		}
+		resumed := s.Stats().Fed
+		feedInProcess(t, s, phase(p))
+		// The checkpoint a job triggers lands after its ack.
+		for deadline := time.Now().Add(10 * time.Second); s.Stats().Checkpoints < (s.Stats().Fed-resumed)/every; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the periodic checkpoints did not land")
+			}
+		}
+		payload, err := s.appendSnapshot(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := len(payload)
+		payload = nil
+		capacity := cap(s.ckptBuf)
+		base, retired, delta := s.lineage.Held()
+		if retired != 0 || capacity < size || base < size || delta == 0 || delta >= size {
+			t.Fatalf("phase %d: capture %d, base %d, retired %d, delta %d bytes of capacity for a %d-byte checkpoint; want a capture and a base of a payload each, and a delta buffer",
+				p, capacity, base, retired, delta, size)
+		}
+		held := int64(capacity + base + delta)
+		withBuffers := int64(liveHeap())
+		if extra := withBuffers - held - int64(plainHeap); p == 0 && extra > int64(size)/20 {
+			t.Errorf("less its checkpoint buffers, the checkpointing server holds %d bytes more than the plain one, with %d-byte checkpoints: a capture buffer outside them", extra, size)
+		}
+		// Kill the server: it writes no checkpoint from here on, and lets go
+		// of its capture buffer and its lineage.
+		s.mu.Lock()
+		s.cfg.CheckpointPath = ""
+		s.ckptBuf, s.lineage = nil, nil
+		s.mu.Unlock()
+		defer s.Drain()
+		if freed, slack := withBuffers-int64(liveHeap()), int64(1<<20); freed > held+slack || freed < held-slack {
+			t.Errorf("phase %d: dropping the capture buffer and the lineage freed %d bytes; they hold %d (capture %d, base %d, delta %d)",
+				p, freed, held, capacity, base, delta)
+		}
 	}
 }

@@ -38,8 +38,8 @@ const (
 // Sequencer-owned state is read directly: this runs on the sequencer
 // goroutine (periodic cadence or drain), never concurrently with processing.
 // The fleet container is framed in place inside FLTB (Shard.AppendSnapshot
-// appends it straight into dst), so each session's bytes are encoded once
-// into the shard's capture buffer and copied once, into dst.
+// appends it straight into dst), and each session encodes straight into its
+// own region of it: every byte is written once, into dst.
 func (s *Server) appendSnapshot(dst []byte) ([]byte, error) {
 	sw := snapshot.AppendWriter(dst)
 	sw.Section(tagFront, func(e *snapshot.Encoder) {
@@ -109,8 +109,16 @@ func (s *Server) appendSnapshot(dst []byte) ([]byte, error) {
 //
 // r is read into memory once (snapshot.NewReader), or not at all when it is
 // a snapshot.InPlace reader; every nested session restores from a view of
-// those bytes, and the restored server keeps no reference to them.
+// those bytes, and the restored server keeps no reference to them. Each
+// restored session is sized for the larger of its share of cfg.SizeHint and
+// the jobs it holds.
 func Restore(cfg Config, r io.Reader) (*Server, error) {
+	return restore(cfg, r, nil)
+}
+
+// restore is Restore onto the lineage the checkpoint was recovered from
+// (nil: build opens one at cfg.CheckpointPath, if set).
+func restore(cfg Config, r io.Reader, lineage *snapshot.Lineage) (*Server, error) {
 	cfg.defaults()
 	sr, err := snapshot.NewReader(r)
 	if err != nil {
@@ -250,7 +258,7 @@ func Restore(cfg Config, r io.Reader) (*Server, error) {
 	// The header echo above pinned cfg to the donor's policy, m, ε and α.
 	sessions := make([]*engine.Session, shards)
 	got, err := engine.RestoreFleet(snapshot.InPlace(fleetBytes), func(k int, r io.Reader) (err error) {
-		sessions[k], err = openSession(&cfg, 0, r)
+		sessions[k], err = openSession(&cfg, engine.PerShardHint(cfg.SizeHint, shards), r)
 		return err
 	})
 	if err != nil {
@@ -260,7 +268,7 @@ func Restore(cfg Config, r io.Reader) (*Server, error) {
 		return nil, fmt.Errorf("front: checkpoint header declares %d shards, fleet snapshot holds %d", shards, got)
 	}
 
-	s, err := build(cfg, sessions)
+	s, err := build(cfg, sessions, lineage)
 	if err != nil {
 		return nil, err
 	}
@@ -295,11 +303,25 @@ func Restore(cfg Config, r io.Reader) (*Server, error) {
 // past torn or corrupt members. The fallback and the restored counts are
 // logged through lg; with Config.Obs set the lineage_* metrics are seeded, so
 // the first scrape already tells how this process came back.
+//
+// When the server checkpoints into the lineage it resumes from
+// (Config.CheckpointPath is resume), it recovers through the lineage it goes
+// on writing: the recovered checkpoint is that lineage's delta base, so the
+// first checkpoint after a restart is a delta chained to it, unless recovery
+// fell back or the generation's deltas are used up.
 func Open(cfg Config, resume string, lg *log.Logger) (*Server, error) {
 	if resume == "" {
 		return New(cfg)
 	}
-	payload, info, err := snapshot.RecoverLineage(resume)
+	opt := snapshot.LineageOptions{}
+	if cfg.CheckpointPath == resume {
+		opt = lineageOptions(cfg)
+	}
+	l, err := snapshot.OpenLineage(resume, opt)
+	if err != nil {
+		return nil, err
+	}
+	payload, info, err := l.Recover()
 	if err != nil {
 		return nil, err
 	}
@@ -310,7 +332,10 @@ func Open(cfg Config, resume string, lg *log.Logger) (*Server, error) {
 	cfg.Obs.Counter("lineage_dropped_total").Add(int64(info.Dropped))
 	cfg.Obs.Counter("lineage_deltas_applied_total").Add(int64(info.Applied))
 	cfg.Obs.Gauge("lineage_recovered_seq").Set(float64(info.Seq))
-	s, err := Restore(cfg, snapshot.InPlace(payload))
+	if cfg.CheckpointPath != resume {
+		l = nil
+	}
+	s, err := restore(cfg, snapshot.InPlace(payload), l)
 	if err != nil {
 		return nil, fmt.Errorf("resuming from %s: %w", resume, err)
 	}

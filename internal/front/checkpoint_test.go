@@ -1,14 +1,18 @@
 package front
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
+	"log"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/snapshot"
 )
 
 // mergedPrefix returns how many jobs of tenant streams a and b (tenants 0
@@ -98,5 +102,67 @@ func TestCheckpointTelemetrySplit(t *testing.T) {
 	}
 	if capture.Sum <= 0 || persist.Sum <= 0 || capture.Sum+persist.Sum > total.Sum {
 		t.Fatalf("capture %v ns + persist %v ns against a total of %v ns", capture.Sum, persist.Sum, total.Sum)
+	}
+}
+
+// TestResumeChainsDeltaToRecovered pins that a server resumed onto the
+// lineage it goes on writing keeps the chain going: killed after a full and
+// a delta, resumed, killed again after one periodic checkpoint, and resumed
+// once more, the server replays into the straight-through report byte for
+// byte, and the checkpoint written after the first restart is a delta on
+// the recovered seq, not a full.
+func TestResumeChainsDeltaToRecovered(t *testing.T) {
+	const machines = 2
+	a, b := genJobs(11, 600, machines), genJobs(99, 560, machines)
+	all := map[int][]sched.Job{0: a, 9: b}
+	prefix := func(n int) map[int][]sched.Job {
+		na, nb := mergedPrefix(a, b, n)
+		return map[int][]sched.Job{0: a[:na], 9: b[:nb]}
+	}
+	cfg := testConfig(machines, 2)
+	cfg.AwaitTenants = 2
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedInProcess(t, ref, all)
+	want := drainJSON(t, ref)
+
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "front.ck")
+	cfg.CheckpointEvery = 100
+	cfg.CheckpointDeltas = 4
+	lg := log.New(io.Discard, "", 0)
+	// A killed server's sequencer parks; draining it after the test's checks
+	// lets it exit.
+	first, err := Open(cfg, "", lg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Drain()
+	feedInProcess(t, first, prefix(250)) // checkpoints 0 (full) and 1 (delta)
+	second, err := Open(cfg, cfg.CheckpointPath, lg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Drain()
+	feedInProcess(t, second, prefix(380)) // 250 dups, then checkpoint 2 at the 100th new job
+	if n := second.Stats().Checkpoints; n != 1 {
+		t.Fatalf("the resumed server wrote %d checkpoints, want 1", n)
+	}
+	l, err := snapshot.OpenLineage(cfg.CheckpointPath, snapshot.LineageOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := l.Entries()
+	if len(entries) != 3 || entries[2].Kind != "delta" || entries[2].Base != 1 {
+		t.Fatalf("lineage after one checkpoint past a restart: %+v; want its seq 2 a delta on the recovered seq 1", entries)
+	}
+	third, err := Open(cfg, cfg.CheckpointPath, lg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedInProcess(t, third, all)
+	if got := drainJSON(t, third); !bytes.Equal(got, want) {
+		t.Fatalf("report after two restarts diverged from the uninterrupted run:\n%s\nvs\n%s", got, want)
 	}
 }

@@ -182,9 +182,9 @@ type Server struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	streams  map[int]*Stream
-	queued   int // jobs buffered across all stream queues
-	await    int // sequencer start barrier countdown
+	streams  []*Stream // open streams, one per tenant, in no particular order
+	queued   int       // jobs buffered across all stream queues
+	await    int       // sequencer start barrier countdown
 	draining bool
 	resize   *resizeReq // pending Resize, handed to the sequencer
 	report   *Report
@@ -201,7 +201,7 @@ type Server struct {
 	watermark float64
 	sinceCkpt int
 	lineage   *snapshot.Lineage // non-nil when CheckpointPath is set
-	ckptBuf   []byte            // checkpoint capture buffer, reused by every checkpoint
+	ckptBuf   []byte            // the next checkpoint's capture buffer (Lineage.Recycle)
 
 	// Carried outcome ledger: verdicts of sessions retired by a resize.
 	// Their sessions are gone by drain time, so release/weight ride along
@@ -295,7 +295,7 @@ type verdictRow struct {
 // New builds a fresh server fleet and starts its sequencer.
 func New(cfg Config) (*Server, error) {
 	cfg.defaults()
-	s, err := build(cfg, nil)
+	s, err := build(cfg, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +307,8 @@ func New(cfg Config) (*Server, error) {
 // session through the policy registry. Dispatch runs serially inside each
 // session: the shard fleet is the parallelism. sizeHint preallocates
 // per-job storage for a stream of about that many jobs (0 grows on demand);
-// a restored session sizes itself from the snapshot.
+// a restored session takes the larger of the hint and the snapshot's job
+// count.
 func openSession(cfg *Config, sizeHint int, restore io.Reader) (*engine.Session, error) {
 	e, ok := policy.Lookup(cfg.Policy)
 	if !ok {
@@ -320,9 +321,11 @@ func openSession(cfg *Config, sizeHint int, restore io.Reader) (*engine.Session,
 	return e.New(cfg.Machines, p)
 }
 
-// build assembles the server around pre-restored sessions (nil for fresh).
-// The caller starts the sequencer once any restore-time state is in place.
-func build(cfg Config, restored []*engine.Session) (*Server, error) {
+// build assembles the server around pre-restored sessions (nil for fresh)
+// and the checkpoint lineage it resumed from (nil: open one at
+// CheckpointPath when that is set). The caller starts the sequencer once any
+// restore-time state is in place.
+func build(cfg Config, restored []*engine.Session, lineage *snapshot.Lineage) (*Server, error) {
 	adm, err := admission.New(cfg.Admission)
 	if err != nil {
 		return nil, err
@@ -352,7 +355,6 @@ func build(cfg Config, restored []*engine.Session) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		route:     route,
-		streams:   make(map[int]*Stream),
 		await:     cfg.AwaitTenants,
 		fleet:     engine.NewShardOpts(feeders, engine.ShardOptions{Route: route}),
 		sessions:  sessions,
@@ -372,14 +374,15 @@ func build(cfg Config, restored []*engine.Session) (*Server, error) {
 		adm.SetTelemetry(admission.NewTelemetry(cfg.Obs))
 	}
 	if cfg.CheckpointPath != "" {
-		l, err := snapshot.OpenLineage(cfg.CheckpointPath, lineageOptions(cfg))
-		if err != nil {
-			for _, ps := range sessions {
-				ps.Close()
+		if lineage == nil {
+			if lineage, err = snapshot.OpenLineage(cfg.CheckpointPath, lineageOptions(cfg)); err != nil {
+				for _, ps := range sessions {
+					ps.Close()
+				}
+				return nil, err
 			}
-			return nil, err
 		}
-		s.lineage = l
+		s.lineage = lineage
 	}
 	for _, ps := range sessions {
 		ps.EachFed(func(j *sched.Job) {
@@ -445,11 +448,13 @@ func (s *Server) OpenStream(tenant int) (*Stream, error) {
 	if s.draining {
 		return nil, ErrDraining
 	}
-	if _, busy := s.streams[tenant]; busy {
-		return nil, ErrTenantBusy
+	for _, c := range s.streams {
+		if c.tenant == tenant {
+			return nil, ErrTenantBusy
+		}
 	}
 	st := &Stream{srv: s, tenant: tenant, acks: make(chan Ack, 2*s.cfg.QueueDepth), qGauge: qg}
-	s.streams[tenant] = st
+	s.streams = append(s.streams, st)
 	s.cond.Broadcast()
 	return st, nil
 }
@@ -608,8 +613,9 @@ func (st *Stream) ack(a Ack) {
 }
 
 // headLess orders two stream heads under the merge's total order:
-// (release, tenant). Local ids never tie-break — tenants are unique map
-// keys and one tenant's releases arrive pre-sorted.
+// (release, tenant). Local ids never tie-break — a tenant has one open
+// stream and one tenant's releases arrive pre-sorted. The order is total, so
+// the order nextHead scans the streams in cannot change its pick.
 func headLess(a, b *Stream) bool {
 	ra, rb := a.peek().Release, b.peek().Release
 	if ra != rb {
@@ -683,12 +689,13 @@ func (s *Server) sequence() {
 			// the re-arm, merge order across a second wave would depend on
 			// connection timing — the sequencer would race ahead of late
 			// connectors and restamp their early releases nondeterministically.
-			for t, c := range s.streams {
+			s.streams = slices.DeleteFunc(s.streams, func(c *Stream) bool {
 				if c.closed && c.size() == 0 {
-					delete(s.streams, t)
 					close(c.acks)
+					return true
 				}
-			}
+				return false
+			})
 			if len(s.streams) == 0 && !s.draining {
 				s.await = s.cfg.AwaitTenants
 			}
@@ -1091,26 +1098,30 @@ func (s *Server) writeCheckpoint(forceFull bool) error {
 		t0 = time.Now()
 	}
 	buf, err := s.appendSnapshot(s.ckptBuf[:0])
-	s.ckptBuf = buf
 	if o != nil {
 		t1 = time.Now()
 		o.ckptCaptureNS.Record(float64(t1.Sub(t0)))
 	}
 	if err != nil {
+		s.ckptBuf = buf
 		if o != nil {
 			o.ckptNS.Record(float64(t1.Sub(t0)))
 		}
 		return fmt.Errorf("front: writing checkpoint: %w", err)
 	}
-	entry, err := s.lineage.Write(s.ckptBuf, forceFull)
+	// With deltas on, a written capture is the lineage's next delta base:
+	// the next capture goes into the base it retired (Recycle), never over
+	// this one.
+	entry, err := s.lineage.Write(buf, forceFull)
+	s.ckptBuf = s.lineage.Recycle(buf)
 	if o != nil {
 		t2 := time.Now()
 		o.ckptPersistNS.Record(float64(t2.Sub(t1)))
 		o.ckptNS.Record(float64(t2.Sub(t0)))
 		if err == nil {
 			o.ckptBytes.Record(float64(entry.Size))
-			if entry.Kind == "delta" && len(s.ckptBuf) > 0 {
-				o.deltaRatio.Set(float64(entry.Size) / float64(len(s.ckptBuf)))
+			if entry.Kind == "delta" && len(buf) > 0 {
+				o.deltaRatio.Set(float64(entry.Size) / float64(len(buf)))
 			}
 		}
 	}

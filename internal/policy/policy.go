@@ -48,8 +48,8 @@ func (e Entry) New(machines int, p Params) (*engine.Session, error) {
 }
 
 // Restore reconstructs a session from a snapshot taken under the same ε and
-// α (the snapshot's option echo refuses anything else); the snapshot, not
-// SizeHint, sizes the session.
+// α (the snapshot's option echo refuses anything else), sized for the larger
+// of SizeHint and the snapshot's job count.
 func (e Entry) Restore(r io.Reader, p Params) (*engine.Session, error) {
 	return e.open(0, p, r)
 }

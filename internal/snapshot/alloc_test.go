@@ -73,15 +73,19 @@ func allocs(f func()) (objs, bytes uint64) {
 	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
-// TestLineageDeltaWriteSteadyState pins a steady-state delta write: the base
-// tree is kept from the previous write, so only the new payload is parsed,
-// and the delta and self-check buffers are reused — O(sections) objects and
-// under 1/8 of the payload in bytes.
+// TestLineageDeltaWriteSteadyState pins a steady-state delta write: the
+// write keeps its payload itself as the next base, with the tree it parsed
+// from it, so no base is copied or parsed again; the self-check compares
+// instead of rebuilding; and the delta buffer is reused. That is
+// O(sections) objects and under 1/16 of the payload in bytes. Recycle then
+// hands back the base the write retired, and only that.
 func TestLineageDeltaWriteSteadyState(t *testing.T) {
 	const shards, sections = 4, 2 + 4*8 + 1
 	l := openL(t, filepath.Join(t.TempDir(), "ckpt"), LineageOptions{DeltaEvery: 100})
-	for n := 0; n < 5; n++ { // a full, then deltas until both buffers have grown
-		if _, err := l.Write(fleetPayload(t, shards, n), false); err != nil {
+	var prev []byte
+	for n := 0; n < 5; n++ { // a full, then deltas until the delta buffer has grown
+		prev = fleetPayload(t, shards, n)
+		if _, err := l.Write(prev, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,21 +99,34 @@ func TestLineageDeltaWriteSteadyState(t *testing.T) {
 	if limit := uint64(20*sections + 200); objs > limit {
 		t.Errorf("delta write allocated %d objects, want ≤ %d (O(sections))", objs, limit)
 	}
-	if b > uint64(len(payload)/8) {
-		t.Errorf("delta write allocated %d bytes for a %d-byte payload, want under 1/8", b, len(payload))
+	if b > uint64(len(payload)/16) {
+		t.Errorf("delta write allocated %d bytes for a %d-byte payload, want under 1/16", b, len(payload))
 	}
-	if l.prevTree == nil || &l.prevTree.payload[0] != &l.prev[0] {
-		t.Error("the write did not keep its payload's tree, aimed at the retained base, for the next write")
+	if !aliases(l.prev, payload) || len(l.prev) != len(payload) || l.prevTree == nil || !aliases(l.prevTree.payload, payload) {
+		t.Error("the write did not keep its payload, and the tree parsed from it, as the next base")
+	}
+	if got := l.Recycle(payload); !aliases(got, prev) || len(got) != 0 {
+		t.Error("Recycle of the base did not hand back the base the write retired, emptied")
+	}
+	if got := l.Recycle(payload); got != nil {
+		t.Errorf("a second Recycle of the base handed out %d bytes of capacity again", cap(got))
+	}
+	other := make([]byte, 10, 20)
+	if got := l.Recycle(other); !aliases(got, other) || len(got) != 0 {
+		t.Error("Recycle of a buffer the lineage does not hold did not hand it back, emptied")
 	}
 }
 
-// TestLineageRecoverReusesBuffers pins recovery of a full plus k deltas at
-// two reassembly buffers, alternated: beyond the files it reads, it
-// allocates about two payloads, not one per delta.
+// TestLineageRecoverReusesBuffers pins recovery of a full plus k deltas into
+// a lineage that goes on writing deltas: the chain is rebuilt in two
+// reassembly buffers, alternated, and the last one rebuilt becomes the base
+// as it is. Beyond the files it reads, recovery allocates about two
+// payloads: not one per delta, and no copy for the base. The next write is a
+// delta chained to the recovered seq.
 func TestLineageRecoverReusesBuffers(t *testing.T) {
 	const shards, k = 2, 5
 	path := filepath.Join(t.TempDir(), "ckpt")
-	l := openL(t, path, LineageOptions{DeltaEvery: k})
+	l := openL(t, path, LineageOptions{DeltaEvery: 2 * k})
 	var last []byte
 	for n := 0; n <= k; n++ {
 		last = fleetPayload(t, shards, n)
@@ -121,15 +138,23 @@ func TestLineageRecoverReusesBuffers(t *testing.T) {
 	for _, e := range l.Entries() {
 		files += e.Size
 	}
+	l2 := openL(t, path, LineageOptions{DeltaEvery: 2 * k})
 	var got []byte
 	var info RecoverInfo
 	var err error
-	_, b := allocs(func() { got, info, err = RecoverLineage(path) })
+	_, b := allocs(func() { got, info, err = l2.Recover() })
 	if err != nil || info.Applied != k || !bytes.Equal(got, last) {
 		t.Fatalf("recover: %v (info %+v)", err, info)
 	}
 	if limit := uint64(files) + uint64(2.25*float64(len(last))); b > limit {
 		t.Errorf("recovering a full and %d deltas allocated %d bytes: %d of files read and %.2f payloads more (limit 2.25)",
 			k, b, files, float64(int64(b)-files)/float64(len(last)))
+	}
+	if !aliases(l2.prev, got) || len(l2.prev) != len(got) {
+		t.Error("the recovered payload is not the lineage's base as it is")
+	}
+	e, err := l2.Write(fleetPayload(t, shards, k+1), false)
+	if err != nil || e.Kind != "delta" || e.Base != info.Seq {
+		t.Fatalf("first write after recovering seq %d: %+v, %v; want a delta on it", info.Seq, e, err)
 	}
 }

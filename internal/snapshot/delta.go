@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -145,16 +146,6 @@ func (n *deltaNode) parse(data []byte) (uint32, error) {
 		child.occ = seen[tag]
 		seen[tag]++
 		n.children = append(n.children, child)
-	}
-}
-
-// repoint aims the tree at data, a byte-equal copy of the bytes it was
-// parsed from, so it outlives them.
-func (n *deltaNode) repoint(data []byte) {
-	end := n.off + len(n.payload)
-	n.payload = data[n.off:end:end]
-	for k := range n.children {
-		n.children[k].repoint(data)
 	}
 }
 
@@ -455,19 +446,21 @@ func ApplyDelta(baseData []byte, delta io.Reader) ([]byte, DeltaInfo, error) {
 	if err != nil {
 		return nil, DeltaInfo{}, fmt.Errorf("snapshot: reading delta: %w", err)
 	}
-	return applyDelta(nil, baseData, nil, data)
+	return applyDelta(&buildSink{}, baseData, nil, data)
 }
 
-// applyDelta is ApplyDelta over an in-memory delta, reassembling into dst's
-// storage when it is large enough (its contents are discarded). base is
-// baseData's parsed tree, or nil to parse it here. The result is written
-// once: unchanged and patched leaves are copied from the base straight into
-// their frames in the output, patch chunks are overlaid there, and nested
-// containers are framed in place around their children. Only patched leaves
-// are CRC'd: an unchanged leaf's CRC comes from the base tree, a whole
-// leaf's from its verified WHOL frame, and a nested frame's and the result's
-// from the frames inside them.
-func applyDelta(dst, baseData []byte, base *deltaNode, delta []byte) ([]byte, DeltaInfo, error) {
+// applyDelta is ApplyDelta over an in-memory delta, handing the container it
+// rebuilds to out: a buildSink writes it, a checkSink compares it with the
+// payload it must equal. base is baseData's parsed tree, or nil to parse it
+// here. The result is rebuilt once, in order: unchanged and patched leaves
+// come from the base straight into their frames in the output, patch chunks
+// are overlaid there, and nested containers are framed in place around their
+// children. Only patched leaves are CRC'd: an unchanged leaf's CRC comes from
+// the base tree, a whole leaf's from its verified WHOL frame, and a nested
+// frame's and the result's from the frames inside them. Both sinks get the
+// same checks: the base CRC, the skeleton, the descriptors, the length and
+// the result CRC.
+func applyDelta(out deltaSink, baseData []byte, base *deltaNode, delta []byte) ([]byte, DeltaInfo, error) {
 	var info DeltaInfo
 	sr, err := newReader(delta)
 	if err != nil {
@@ -547,10 +540,9 @@ func applyDelta(dst, baseData []byte, base *deltaNode, delta []byte) ([]byte, De
 	// were emitted. stack[d] is the open container at depth d with its base
 	// counterpart; the Writer's framing is canonical, so the result is the
 	// donor's exact bytes — verified by the recorded CRC.
-	if uint64(cap(dst)) < totalLen {
-		dst = make([]byte, 0, totalLen)
+	if err := out.start(int(totalLen)); err != nil {
+		return nil, info, err
 	}
-	sw := AppendWriter(dst[:0])
 	type level struct {
 		tag   string
 		occ   int
@@ -575,7 +567,7 @@ func applyDelta(dst, baseData []byte, base *deltaNode, delta []byte) ([]byte, De
 		isLeaf := skel.U8() == 1
 		for len(stack) > depth+1 {
 			top := stack[len(stack)-1]
-			sw.closeNested(top.tag, top.start)
+			out.closeNested(top.tag, top.start)
 			stack = stack[:len(stack)-1]
 		}
 		lv := &stack[depth]
@@ -587,7 +579,7 @@ func applyDelta(dst, baseData []byte, base *deltaNode, delta []byte) ([]byte, De
 		b := lv.base.counterpart(tag, occ, isLeaf, lv.next)
 		lv.next++
 		if !isLeaf {
-			start, err := sw.openNested(tag)
+			start, err := out.openNested(tag)
 			if err != nil {
 				return nil, info, err
 			}
@@ -604,7 +596,7 @@ func applyDelta(dst, baseData []byte, base *deltaNode, delta []byte) ([]byte, De
 			if uint64(len(b.payload)) != desc.size {
 				return nil, info, fmt.Errorf("snapshot: delta leaf %s declares %d bytes, base holds %d", path(tag, occ), desc.size, len(b.payload))
 			}
-			sw.Frame(tag, b.payload, b.sum)
+			out.Frame(tag, b.payload, b.sum)
 		case leafWhole:
 			pd, err := sr.Section(tagWhole)
 			if err != nil {
@@ -614,7 +606,7 @@ func applyDelta(dst, baseData []byte, base *deltaNode, delta []byte) ([]byte, De
 			if uint64(len(body)) != desc.size {
 				return nil, info, fmt.Errorf("snapshot: delta leaf %s declares %d bytes, whole payload holds %d", path(tag, occ), desc.size, len(body))
 			}
-			sw.Frame(tag, body, pd.sum)
+			out.Frame(tag, body, pd.sum)
 		case leafPatch:
 			if b == nil {
 				return nil, info, fmt.Errorf("snapshot: delta patches leaf %s but the base has no such section", path(tag, occ))
@@ -623,47 +615,251 @@ func applyDelta(dst, baseData []byte, base *deltaNode, delta []byte) ([]byte, De
 			if err != nil {
 				return nil, info, fmt.Errorf("snapshot: delta leaf %s: %w", path(tag, occ), err)
 			}
-			start, err := sw.open(tag)
-			if err != nil {
+			if err := out.patch(tag, b.payload, int(desc.size), pd, chunk); err != nil {
 				return nil, info, err
 			}
-			size := int(desc.size)
-			lo := len(sw.enc.buf)
-			sw.enc.buf = append(sw.enc.buf, b.payload[:min(len(b.payload), size)]...)
-			if size > len(b.payload) {
-				sw.enc.buf = append(sw.enc.buf, make([]byte, size-len(b.payload))...)
-			}
-			if err := overlay(pd, sw.enc.buf[lo:], chunk); err != nil {
-				return nil, info, err
-			}
-			sw.seal(tag, start, Checksum(sw.enc.buf[lo:]))
 		}
 	}
 	for len(stack) > 1 {
 		top := stack[len(stack)-1]
-		sw.closeNested(top.tag, top.start)
+		out.closeNested(top.tag, top.start)
 		stack = stack[:len(stack)-1]
 	}
 	if err := sr.End(); err != nil {
 		return nil, info, err
 	}
-	if err := sw.Close(); err != nil {
+	if err := out.Close(); err != nil {
 		return nil, info, err
 	}
-	out := sw.Bytes()
-	if uint64(len(out)) != totalLen {
-		return nil, info, fmt.Errorf("snapshot: delta reassembled %d bytes, expected %d", len(out), totalLen)
+	res, sum := out.result()
+	if uint64(len(res)) != totalLen {
+		return nil, info, fmt.Errorf("snapshot: delta reassembled %d bytes, expected %d", len(res), totalLen)
 	}
-	if got := sw.sum; got != info.NewCRC {
-		return nil, info, fmt.Errorf("snapshot: delta reassembly CRC %08x does not match the recorded %08x", got, info.NewCRC)
+	if sum != info.NewCRC {
+		return nil, info, fmt.Errorf("snapshot: delta reassembly CRC %08x does not match the recorded %08x", sum, info.NewCRC)
 	}
-	return out, info, nil
+	return res, info, nil
 }
 
-// overlay applies one PTCH section's chunks to leaf, which already holds the
-// base leaf's bytes at the new length.
-func overlay(pd *Decoder, leaf []byte, chunk int) error {
+// deltaSink receives the container applyDelta rebuilds, section by section
+// in order, with the Writer's framing calls. Errors other than start's and
+// patch's decode errors are sticky and surface at Close.
+type deltaSink interface {
+	// start announces the rebuilt container's length and writes its header.
+	start(n int) error
+	openNested(tag string) (int, error)
+	closeNested(tag string, start int) error
+	Frame(tag string, payload []byte, sum uint32) error
+	// patch emits a leaf of size bytes: base's bytes, zero-extended to
+	// size, overlaid with the PTCH section pd's chunks.
+	patch(tag string, base []byte, size int, pd *Decoder, chunk int) error
+	Close() error
+	// result returns the rebuilt container and its CRC32-C.
+	result() ([]byte, uint32)
+}
+
+// buildSink writes the rebuilt container, into dst's storage when it is
+// large enough (its contents are discarded).
+type buildSink struct {
+	*Writer
+	dst []byte
+}
+
+func (b *buildSink) start(n int) error {
+	if cap(b.dst) < n {
+		b.dst = make([]byte, 0, n)
+	}
+	b.Writer = AppendWriter(b.dst[:0])
+	return nil
+}
+
+func (b *buildSink) patch(tag string, base []byte, size int, pd *Decoder, chunk int) error {
+	start, err := b.open(tag)
+	if err != nil {
+		return err
+	}
+	lo := len(b.enc.buf)
+	b.enc.buf = append(b.enc.buf, base[:min(len(base), size)]...)
+	if size > len(base) {
+		b.enc.buf = append(b.enc.buf, make([]byte, size-len(base))...)
+	}
+	leaf := b.enc.buf[lo:]
+	if err := eachChunk(pd, size, chunk, func(at int, p []byte) { copy(leaf[at:], p) }); err != nil {
+		return err
+	}
+	return b.seal(tag, start, Checksum(leaf))
+}
+
+func (b *buildSink) result() ([]byte, uint32) { return b.Bytes(), b.sum }
+
+// checkSink is the lineage's self-check: instead of writing the container a
+// delta rebuilds, it compares every byte a buildSink would write — framing,
+// leaves, patch chunks — with want, the payload the delta was encoded from,
+// at the same offset, and keeps the running CRCs the Writer would. So the
+// check builds nothing, and applyDelta's own checks run on it unchanged. The
+// first difference is a sticky error.
+type checkSink struct {
+	want  []byte
+	off   int      // bytes of want matched so far
+	sum   uint32   // running CRC32-C of the innermost open container
+	outer []uint32 // running CRCs of the containers enclosing it
+	err   error
+}
+
+func (c *checkSink) failf(format string, args ...any) error {
+	if c.err == nil {
+		c.err = fmt.Errorf("snapshot: delta self-check: "+format, args...)
+	}
+	return c.err
+}
+
+// match compares b with the next len(b) bytes of want and steps past them.
+func (c *checkSink) match(b []byte) {
+	if c.err != nil {
+		return
+	}
+	if len(c.want)-c.off < len(b) || !bytes.Equal(c.want[c.off:c.off+len(b)], b) {
+		c.failf("rebuilt bytes differ from the payload at or after byte %d", c.off)
+		return
+	}
+	c.off += len(b)
+}
+
+// zeros matches n zero bytes: the tail a patched leaf grows by beyond its
+// base.
+func (c *checkSink) zeros(n int) {
+	if c.err != nil {
+		return
+	}
+	if len(c.want)-c.off < n {
+		c.failf("rebuilt bytes run past the payload's %d", len(c.want))
+		return
+	}
+	for _, v := range c.want[c.off : c.off+n] {
+		if v != 0 {
+			c.failf("rebuilt bytes differ from the payload at or after byte %d", c.off)
+			return
+		}
+	}
+	c.off += n
+}
+
+func (c *checkSink) start(n int) error {
+	if n != len(c.want) {
+		return c.failf("delta rebuilds %d bytes, the payload holds %d", n, len(c.want))
+	}
+	c.match(streamHeader)
+	c.sum = headerSum
+	return c.err
+}
+
+// open matches a frame's tag and steps over its length field, which seal
+// checks once the payload is matched; it returns the frame's offset.
+func (c *checkSink) open(tag string) int {
+	start := c.off
+	if c.err == nil && (len(c.want)-c.off < 8 || string(c.want[c.off:c.off+4]) != tag) {
+		c.failf("rebuilt section %q differs from the payload's at byte %d", tag, c.off)
+	}
+	if c.err == nil {
+		c.off += 8
+	}
+	return start
+}
+
+// seal checks the length and CRC fields of the frame at start, whose payload
+// with CRC32-C sum has been matched, and folds the frame into the running
+// CRC, as Writer.seal writes and folds them.
+func (c *checkSink) seal(tag string, start int, sum uint32) error {
+	if c.err != nil {
+		return c.err
+	}
+	n := c.off - start - 8
+	if uint64(n) > math.MaxUint32 || len(c.want)-c.off < 4 ||
+		binary.LittleEndian.Uint32(c.want[start+4:]) != uint32(n) ||
+		binary.LittleEndian.Uint32(c.want[c.off:]) != frameCRC(c.want[start:start+4], sum, n) {
+		return c.failf("rebuilt frame of section %q differs from the payload's at byte %d", tag, start)
+	}
+	c.off += 4
+	c.sum = appendFrameSum(c.sum, c.want[start:c.off], sum)
+	return nil
+}
+
+func (c *checkSink) openNested(tag string) (int, error) {
+	start := c.open(tag)
+	c.match(streamHeader)
+	c.outer = append(c.outer, c.sum)
+	c.sum = headerSum
+	return start, c.err
+}
+
+func (c *checkSink) closeNested(tag string, start int) error {
+	c.Frame(EndTag, nil, 0)
+	inner := c.sum
+	c.sum = c.outer[len(c.outer)-1]
+	c.outer = c.outer[:len(c.outer)-1]
+	return c.seal(tag, start, inner)
+}
+
+func (c *checkSink) Frame(tag string, payload []byte, sum uint32) error {
+	start := c.open(tag)
+	c.match(payload)
+	return c.seal(tag, start, sum)
+}
+
+func (c *checkSink) patch(tag string, base []byte, size int, pd *Decoder, chunk int) error {
+	start := c.open(tag)
+	lo, pos := c.off, 0
+	// gap matches the leaf from pos up to to as the buildSink lays it down
+	// before any chunk: the base's bytes, then zeros.
+	gap := func(to int) {
+		if k := min(to, len(base)); pos < k {
+			c.match(base[pos:k])
+			pos = k
+		}
+		if pos < to {
+			c.zeros(to - pos)
+			pos = to
+		}
+	}
+	if err := eachChunk(pd, size, chunk, func(at int, p []byte) {
+		gap(at)
+		c.match(p)
+		pos = at + len(p)
+	}); err != nil {
+		return err
+	}
+	gap(size)
+	if c.err == nil { // else sticky: Close reports it
+		c.seal(tag, start, Checksum(c.want[lo:c.off]))
+	}
+	return nil
+}
+
+func (c *checkSink) Close() error {
+	c.Frame(EndTag, nil, 0)
+	if c.err == nil && c.off != len(c.want) {
+		c.failf("rebuilt %d bytes of the payload's %d", c.off, len(c.want))
+	}
+	return c.err
+}
+
+func (c *checkSink) result() ([]byte, uint32) { return c.want[:c.off], c.sum }
+
+// checkDelta is the lineage's self-check: it runs applyDelta in compare
+// mode, so it fails unless the delta, applied to baseData (parsed as base),
+// rebuilds want byte for byte.
+func checkDelta(want, baseData []byte, base *deltaNode, delta []byte) error {
+	_, _, err := applyDelta(&checkSink{want: want}, baseData, base, delta)
+	return err
+}
+
+// eachChunk walks one PTCH section's chunks over a leaf of size bytes,
+// handing each chunk's offset in the leaf and its bytes to f. Chunks must
+// come in ascending index order, as the encoder writes them, each within the
+// leaf and exactly its extent long.
+func eachChunk(pd *Decoder, size, chunk int, f func(at int, p []byte)) error {
 	nPatch := pd.Count(8)
+	prev := -1
 	for k := 0; k < nPatch; k++ {
 		idx := int(pd.U32())
 		ln := int(pd.U32())
@@ -672,15 +868,20 @@ func overlay(pd *Decoder, leaf []byte, chunk int) error {
 			return pd.Err()
 		}
 		lo := idx * chunk
-		if lo < 0 || lo > len(leaf) || lo+ln > len(leaf) {
-			pd.Failf("patch chunk %d ([%d,%d)) outside leaf of %d bytes", idx, lo, lo+ln, len(leaf))
+		if lo < 0 || lo > size || lo+ln > size {
+			pd.Failf("patch chunk %d ([%d,%d)) outside leaf of %d bytes", idx, lo, lo+ln, size)
 			return pd.Err()
 		}
-		if wantLn := min(chunk, len(leaf)-lo); ln != wantLn {
+		if wantLn := min(chunk, size-lo); ln != wantLn {
 			pd.Failf("patch chunk %d carries %d bytes, extent is %d", idx, ln, wantLn)
 			return pd.Err()
 		}
-		copy(leaf[lo:], b)
+		if idx <= prev {
+			pd.Failf("patch chunk %d after chunk %d: chunks out of order", idx, prev)
+			return pd.Err()
+		}
+		prev = idx
+		f(lo, b)
 	}
 	return pd.Done()
 }

@@ -92,7 +92,10 @@ func fuzzContainer(src []byte, shards int) []byte {
 // containers, flat and nested, with any chunk size: applying the encoded
 // delta must give back the target exactly, and a bit-flipped or truncated
 // delta must fail or reproduce a payload matching its recorded CRC — never
-// panic.
+// panic. It also holds the self-check's compare mode to the materialising
+// apply: over the clean delta, flipped and truncated deltas, a wrong base
+// and a flipped target, compare mode accepts exactly when applyDelta's
+// rebuild equals the payload it is compared with.
 func FuzzDelta(f *testing.F) {
 	f.Add([]byte("state before the checkpoint"), []byte("state after the checkpoint, grown"), uint8(0), uint8(0), uint8(3), uint32(40))
 	f.Add(bytes.Repeat([]byte{7}, 300), append(bytes.Repeat([]byte{7}, 290), 1, 2, 3), uint8(2), uint8(2), uint8(16), uint32(9))
@@ -127,6 +130,21 @@ func FuzzDelta(f *testing.F) {
 			t.Fatalf("chain info %+v", info)
 		}
 
+		// compare runs both sinks of applyDelta over (baseData, d): compare
+		// mode against want must accept exactly when the rebuild equals it.
+		compare := func(what string, want, baseData []byte, tree *deltaNode, d []byte) bool {
+			built, _, err := applyDelta(&buildSink{}, baseData, tree, d)
+			rebuilt := err == nil && bytes.Equal(built, want)
+			checked := checkDelta(want, baseData, tree, d)
+			if rebuilt != (checked == nil) {
+				t.Fatalf("%s: rebuild equal to the payload %v (apply error %v), compare mode error %v", what, rebuilt, err, checked)
+			}
+			return rebuilt
+		}
+		if !compare("clean delta", next, base, nil, delta) || !compare("clean delta, parsed base", next, base, baseTree, delta) {
+			t.Fatal("the clean delta does not rebuild its target")
+		}
+
 		flipped := append([]byte(nil), delta...)
 		flipped[int(mut>>8)%len(flipped)] ^= byte(mut) | 1
 		for _, bad := range [][]byte{flipped, delta[:int(mut)%len(delta)]} {
@@ -135,7 +153,18 @@ func FuzzDelta(f *testing.F) {
 				t.Fatalf("damaged delta applied to %d bytes off its recorded CRC", len(out))
 			}
 			parseDeltaTree(bad)
+			compare("damaged delta", next, base, nil, bad)
 		}
+		wrongBase := fuzzContainer(append(append([]byte(nil), a...), byte(mut)), int(baseShards%4))
+		if compare("wrong base", next, wrongBase, nil, delta) && !bytes.Equal(wrongBase, base) {
+			t.Fatal("a delta applied to a base it was not encoded against")
+		}
+		wrongTarget := append([]byte(nil), next...)
+		wrongTarget[int(mut>>4)%len(wrongTarget)] ^= byte(mut>>24) | 1
+		if compare("flipped target", wrongTarget, base, baseTree, delta) {
+			t.Fatal("compare mode accepted a payload the delta does not rebuild")
+		}
+		compare("truncated target", next[:int(mut>>12)%len(next)], base, baseTree, delta)
 	})
 }
 

@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -71,17 +70,19 @@ type Lineage struct {
 
 	nextSeq   uint64
 	sinceFull int
-	prev      []byte     // last written (or recovered) payload, the delta base; nil while DeltaEvery is 0
-	prevTree  *deltaNode // prev parsed, aliasing it; nil until a delta write needs it
-	prevSeq   uint64
-
-	// Scratch reused by every delta Write: the encoded delta, and the
-	// self-check's reconstruction, which becomes the next base when it
-	// matches the payload (the old base becomes the next scratch). All
-	// three buffers grow by the one rule, Grow: delta sized exactly from its
-	// plan (appendDelta), prev and spare by grow.
+	// The delta base: the payload of the last Write, or the one Recover
+	// rebuilt, kept as handed over — never copied — with its parsed tree
+	// (aliasing it; nil until a delta write needs it). nil while DeltaEvery
+	// is 0.
+	prev     []byte
+	prevTree *deltaNode
+	prevSeq  uint64
+	// retired is the base the last Write replaced, which Recycle hands back
+	// for the next capture.
+	retired []byte
+	// delta is the scratch every delta Write encodes into, sized exactly from
+	// its plan (appendDelta).
 	delta []byte
-	spare []byte
 }
 
 // manifestPath returns the manifest file for a lineage base path.
@@ -201,18 +202,28 @@ func (l *Lineage) entryName(seq uint64, kind string) string {
 
 // Write appends one checkpoint to the lineage. payload must be a complete
 // snapshot container. The entry is a delta when a base is available, the
-// cadence allows it and the delta round-trips (EncodeDelta + verification
-// apply reproduce payload bit-exactly — a failed self-check quietly
-// downgrades to a full, trading bytes for certainty); forceFull overrides
-// the cadence (resize barriers and final drains always write fulls).
+// cadence allows it and the delta round-trips (the self-check: applying the
+// delta to the base must rebuild payload bit-exactly — a failed self-check
+// quietly downgrades to a full, trading bytes for certainty); forceFull
+// overrides the cadence (resize barriers and final drains always write
+// fulls).
 //
 // With deltas on, payload is parsed once, every frame verified on the way:
-// its tree is the delta's target and, re-pointed at the retained copy, the
-// next write's base, so no write parses its base again. The base and
-// self-check buffers the lineage keeps take payload's capacity when they
-// must grow (see grow), so a caller that captures every checkpoint into one
-// buffer sized for its stream has them allocated once too.
+// its tree is the delta's target and then, with payload itself, the next
+// write's base, so no write parses or copies its base. Retention contract:
+// after a successful Write with deltas on, the lineage holds payload as its
+// base, and the caller must not modify it; Recycle hands back a buffer the
+// lineage no longer needs, the base this write retired, for the next
+// capture. So a caller that captures into what Recycle returns keeps two
+// payload-sized buffers in play, the base and the capture, and the lineage
+// adds only the delta buffer. After a failed Write the lineage holds nothing
+// of payload.
 func (l *Lineage) Write(payload []byte, forceFull bool) (LineageEntry, error) {
+	if aliases(payload, l.prev) {
+		// Captured over the base: the base's bytes are gone, so nothing can
+		// chain to it. The payload is written whole and becomes the base.
+		l.prev, l.prevTree = nil, nil
+	}
 	var tree *deltaNode
 	if l.opt.DeltaEvery > 0 {
 		tree, _ = parseDeltaTree(payload) // nil: not a container, so written as a full
@@ -258,27 +269,48 @@ func (l *Lineage) Write(payload []byte, forceFull bool) (LineageEntry, error) {
 	}
 	l.nextSeq = seq + 1
 	if kind == "full" {
-		l.setBase(payload, seq)
 		l.sinceFull = 0
 	} else {
-		// The self-check's reconstruction is byte-equal to payload: it is
-		// the next base, with no copy.
-		l.prev, l.spare = l.spare, l.prev
-		l.prevSeq = seq
 		l.sinceFull++
 	}
-	if tree != nil {
-		tree.repoint(l.prev)
+	if l.opt.DeltaEvery > 0 {
+		// A fulls-only lineage never encodes a delta, so it keeps no base.
+		l.retired, l.prev, l.prevTree, l.prevSeq = l.prev, payload, tree, seq
 	}
-	l.prevTree = tree
 	return entry, nil
 }
 
+// Recycle returns a buffer, emptied, to capture the next checkpoint into:
+// buf itself when the lineage does not hold it, else — buf is the base the
+// last Write kept — the base that Write retired, or nil when there was none.
+// A capture loop that writes buf and then captures into Recycle(buf) cycles
+// two buffers, and never modifies the base.
+func (l *Lineage) Recycle(buf []byte) []byte {
+	if !aliases(buf, l.prev) {
+		return buf[:0]
+	}
+	b := l.retired
+	l.retired = nil
+	return b[:0]
+}
+
+// Held returns the capacities of the buffers the lineage keeps between
+// writes: its delta base, the retired base Recycle has yet to hand back, and
+// the delta scratch.
+func (l *Lineage) Held() (base, retired, delta int) {
+	return cap(l.prev), cap(l.retired), cap(l.delta)
+}
+
+// aliases reports whether a and b start at the same byte of one array.
+func aliases(a, b []byte) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
+}
+
 // encodeDelta encodes payload, parsed as next, as a delta against the base
-// into l.delta and self-checks it: applying it to the base must rebuild
-// payload bit-exactly. The rebuild lands in l.spare, ready to become the
-// next base. It returns the delta and its CRC32-C, or ok false to write a
-// full instead.
+// into l.delta and self-checks it: applyDelta in compare mode (checkDelta)
+// must find that the delta, applied to the base, rebuilds payload byte for
+// byte. It returns the delta and its CRC32-C, or ok false to write a full
+// instead.
 func (l *Lineage) encodeDelta(payload []byte, next *deltaNode) (delta []byte, sum uint32, ok bool) {
 	if l.prevTree == nil { // a recovered base is parsed by the first write that needs it
 		if l.prevTree, _ = parseDeltaTree(l.prev); l.prevTree == nil {
@@ -290,33 +322,7 @@ func (l *Lineage) encodeDelta(payload []byte, next *deltaNode) (delta []byte, su
 	if err != nil {
 		return nil, 0, false
 	}
-	l.spare = l.grow(l.spare, payload)
-	back, _, err := applyDelta(l.spare, l.prev, l.prevTree, delta)
-	if back != nil {
-		l.spare = back
-	}
-	return delta, sum, err == nil && bytes.Equal(back, payload)
-}
-
-// setBase retains a copy of payload as the base the next delta encodes
-// against; the caller sets prevTree. A fulls-only lineage never encodes one,
-// so it holds no second copy of the state it checkpoints.
-func (l *Lineage) setBase(payload []byte, seq uint64) {
-	if l.opt.DeltaEvery > 0 {
-		l.prev = append(l.grow(l.prev, payload), payload...)
-		l.prevSeq = seq
-	}
-}
-
-// grow empties b, one of the two payload-sized buffers the lineage keeps,
-// and gives it room for payload. When it must grow, it takes payload's
-// capacity where that is larger than Grow's headroom: a caller that reuses
-// one capture buffer sized for its stream (engine.Session.AppendSnapshot
-// sizes it from the size hint) gets bases and self-check buffers sized the
-// same, so both are reallocated only when the capture buffer is, and never
-// after one another as they trade places.
-func (l *Lineage) grow(b, payload []byte) []byte {
-	return Grow(b[:0], len(payload), cap(payload))
+	return delta, sum, checkDelta(payload, l.prev, l.prevTree, delta) == nil
 }
 
 // prune trims entries beyond the Keep newest full generations, returning
@@ -364,8 +370,9 @@ type RecoverInfo struct {
 }
 
 // Recover reconstructs the newest verifiable checkpoint payload and primes
-// the lineage so the next Write may chain a delta off it. See the package
-// comment for the fallback walk.
+// the lineage so the next Write may chain a delta off it: with deltas on, the
+// returned payload is also the lineage's base, kept as it is, and the caller
+// must not modify it. See the package comment for the fallback walk.
 func (l *Lineage) Recover() ([]byte, RecoverInfo, error) {
 	entries := l.entries
 	if len(entries) == 0 {
@@ -429,7 +436,7 @@ func (l *Lineage) Recover() ([]byte, RecoverInfo, error) {
 				}
 				var next []byte
 				var dinfo DeltaInfo
-				next, dinfo, err = applyDelta(bufs[k%2], cur, base, data[k])
+				next, dinfo, err = applyDelta(&buildSink{dst: bufs[k%2]}, cur, base, data[k])
 				if err == nil && dinfo.BaseSeq != curSeq {
 					err = fmt.Errorf("delta %d chains to seq %d, chain is at %d", e.Seq, dinfo.BaseSeq, curSeq)
 				}
@@ -447,11 +454,10 @@ func (l *Lineage) Recover() ([]byte, RecoverInfo, error) {
 		// tail plus any newer generations whose fulls failed — is dropped.
 		info.Dropped = len(entries) - gi - 1 - info.Applied
 		info.FellBack = info.Dropped > 0
-		l.setBase(cur, curSeq)
-		l.prevTree = nil
-		if base != nil && l.prev != nil { // the full itself: its tree is the base's
-			base.repoint(l.prev)
-			l.prevTree = base
+		if l.opt.DeltaEvery > 0 {
+			// base is the full's tree when no delta applied, else nil: the
+			// first delta write parses the rebuilt payload.
+			l.prev, l.prevTree, l.prevSeq = cur, base, curSeq
 		}
 		// The recovered generation already holds Applied deltas, which count
 		// toward DeltaEvery like deltas this process wrote. After a fallback

@@ -443,3 +443,28 @@ func TestLineageManifestFailureKeepsPruned(t *testing.T) {
 		t.Fatalf("recovery after the failed write: %v", err)
 	}
 }
+
+// TestLineageWriteOverBaseIsFull pins the guard on the retention contract: a
+// payload captured over the buffer the lineage holds as its base leaves
+// nothing to chain a delta to, so it is written whole, and the lineage
+// recovers it.
+func TestLineageWriteOverBaseIsFull(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt")
+	l := openL(t, path, LineageOptions{DeltaEvery: 4})
+	buf := payloadN(t, 0)
+	if _, err := l.Write(buf, false); err != nil {
+		t.Fatal(err)
+	}
+	next := buildContainer(t, sec("SESS", bytes.Repeat([]byte{9}, 64)), sec("JOBS", bytes.Repeat([]byte{0x4A}, 50000)))
+	if len(next) != len(buf) {
+		t.Fatalf("a %d-byte payload cannot overwrite the %d-byte base", len(next), len(buf))
+	}
+	copy(buf, next)
+	e, err := l.Write(buf, false)
+	if err != nil || e.Kind != "full" {
+		t.Fatalf("write over the base: %+v, %v; want a full", e, err)
+	}
+	if got, _, err := RecoverLineage(path); err != nil || !bytes.Equal(got, next) {
+		t.Fatalf("recovery after a write over the base: %v", err)
+	}
+}

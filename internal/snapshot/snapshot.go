@@ -103,6 +103,14 @@ func (e *Encoder) Extend(n int) []byte {
 	return e.buf[l : l+n : l+n]
 }
 
+// Bytes returns what e has appended since it was last Reset: the payload of
+// a section encoded outside any Writer, such as a session's policy section,
+// which a capture encodes before it can size the snapshot around it.
+func (e *Encoder) Bytes() []byte { return e.buf }
+
+// Reset empties e, keeping its storage for the next payload.
+func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+
 // HeaderBytes and FrameBytes are a container's fixed overheads: the stream
 // header, and the tag, length and CRC around each section's payload (the end
 // section is one more frame). They let a writer size its buffer for a
@@ -158,8 +166,11 @@ func appendHeader(b []byte) []byte {
 	return binary.LittleEndian.AppendUint16(b, Version)
 }
 
-// headerSum is the CRC32-C of the stream header.
-var headerSum = Checksum(appendHeader(nil))
+// streamHeader is the stream header, and headerSum its CRC32-C.
+var (
+	streamHeader = appendHeader(nil)
+	headerSum    = Checksum(streamHeader)
+)
 
 // NewWriter writes the stream header to w and returns a section writer that
 // writes each section to w as one frame.
@@ -225,6 +236,43 @@ func (sw *Writer) Nest(tag string, fill func(dst []byte) ([]byte, error)) error 
 	return sw.seal(tag, start, containerSum(b[start+8:]))
 }
 
+// NestEach writes one section tagged tag per entry of sizes, each a nested
+// container of exactly sizes[k] bytes that fill encodes in place: the frames
+// are laid out first, fill gets every payload region at once — so it may
+// encode them concurrently, and must fill each one completely — and the
+// frames are then sealed in order, each from the CRCs its nested container's
+// frames store, so no payload byte is read again. fill's error poisons the
+// writer. Append mode only.
+func (sw *Writer) NestEach(tag string, sizes []int, fill func(payloads [][]byte) error) error {
+	if sw.w != nil {
+		panic("snapshot: NestEach needs an AppendWriter")
+	}
+	starts := make([]int, len(sizes))
+	for k, n := range sizes {
+		start, err := sw.open(tag)
+		if err != nil {
+			return err
+		}
+		starts[k] = start
+		sw.enc.Extend(n + 4) // the payload and the frame's CRC
+	}
+	payloads := make([][]byte, len(sizes))
+	for k, n := range sizes {
+		at := starts[k] + 8
+		payloads[k] = sw.enc.buf[at : at+n : at+n]
+	}
+	if err := fill(payloads); err != nil {
+		sw.err = err
+		return err
+	}
+	for k, p := range payloads {
+		if err := sw.sealAt(tag, starts[k], len(p), containerSum(p)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // open reserves a frame header for tag and returns its offset in enc.buf.
 func (sw *Writer) open(tag string) (int, error) {
 	if len(tag) != 4 {
@@ -250,16 +298,22 @@ func (sw *Writer) open(tag string) (int, error) {
 // tag and payload, folds the frame into the container's running CRC, and in
 // stream mode writes the frame out.
 func (sw *Writer) seal(tag string, start int, sum uint32) error {
+	n := len(sw.enc.buf) - start - 8
+	sw.enc.buf = append(sw.enc.buf, 0, 0, 0, 0)
+	return sw.sealAt(tag, start, n, sum)
+}
+
+// sealAt closes the frame at start whose n-byte payload and CRC slot are
+// already in place: seal's work for a frame NestEach laid out.
+func (sw *Writer) sealAt(tag string, start, n int, sum uint32) error {
 	b := sw.enc.buf
-	n := len(b) - start - 8
 	if uint64(n) > math.MaxUint32 {
 		sw.err = fmt.Errorf("snapshot: section %q payload of %d bytes exceeds the u32 frame limit", tag, n)
 		return sw.err
 	}
 	binary.LittleEndian.PutUint32(b[start+4:], uint32(n))
-	b = binary.LittleEndian.AppendUint32(b, frameCRC(b[start:start+4], sum, n))
-	sw.sum = appendFrameSum(sw.sum, b[start:], sum)
-	sw.enc.buf = b
+	binary.LittleEndian.PutUint32(b[start+8+n:], frameCRC(b[start:start+4], sum, n))
+	sw.sum = appendFrameSum(sw.sum, b[start:start+12+n], sum)
 	if sw.w != nil {
 		if _, err := sw.w.Write(sw.enc.buf); err != nil {
 			sw.err = fmt.Errorf("snapshot: writing section %q: %w", tag, err)
