@@ -35,6 +35,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"os"
 	"sync"
@@ -48,95 +50,155 @@ import (
 )
 
 func main() {
-	var (
-		server   = flag.String("server", "http://127.0.0.1:8080", "schedserve base URL")
-		tenants  = flag.Int("tenants", 4, "concurrent tenant streams")
-		jobs     = flag.Int("jobs", 2000, "jobs per tenant")
-		machines = flag.Int("machines", 8, "machine count (must match the server)")
-		load     = flag.Float64("load", 1.2, "workload load factor")
-		seed     = flag.Int64("seed", 7, "workload base seed (tenant t uses seed+t)")
-		rate     = flag.Float64("rate", 0, "per-tenant pacing, jobs/sec (0: unpaced)")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-		kills    = flag.Int("kills", 0, "per tenant: connections to kill mid-batch")
-		truncs   = flag.Int("truncations", 0, "per tenant: frames to truncate")
-		window   = flag.Int("window", 200, "inject each fault within this many jobs of stream start")
-		attempts = flag.Int("max-attempts", 32, "per tenant: connection attempt budget")
+// options holds loadgen's flags.
+type options struct {
+	server                  string
+	tenants, jobs, machines int
+	load, rate, relBase     float64
+	seed                    int64
+	kills, truncs, window   int
+	attempts, idBase        int
+	resizeTo, expShards     int
+	scrape, reportOut       string
+	scrapeEvery, wait       time.Duration
+	noFeed, drain, verbose  bool
+}
 
-		idBase   = flag.Int("id-base", 0, "add this to every tenant-local job id (later phases of a multi-phase run)")
-		relBase  = flag.Float64("release-base", 0, "add this to every release time (lift a later phase past the merge watermark)")
-		resizeTo = flag.Int("resize-to", 0, "after feeding, resize the server's shard fleet to this count (0: no resize)")
+// parse maps the command line onto options. On a syntax error or a value
+// out of range it prints the problem, naming the flag, and returns nil.
+func parse(args []string, stderr io.Writer) *options {
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	fs.StringVar(&o.server, "server", "http://127.0.0.1:8080", "schedserve base URL")
+	fs.IntVar(&o.tenants, "tenants", 4, "concurrent tenant streams")
+	fs.IntVar(&o.jobs, "jobs", 2000, "jobs per tenant")
+	fs.IntVar(&o.machines, "machines", 8, "machine count (must match the server)")
+	fs.Float64Var(&o.load, "load", 1.2, "workload load factor")
+	fs.Int64Var(&o.seed, "seed", 7, "workload base seed (tenant t uses seed+t)")
+	fs.Float64Var(&o.rate, "rate", 0, "per-tenant pacing, jobs/sec (0: unpaced)")
 
-		scrape      = flag.String("scrape", "", "schedserve debug base URL (its -debug-addr): poll /metrics and print a live table while feeding")
-		scrapeEvery = flag.Duration("scrape-every", time.Second, "live-table poll interval (requires -scrape)")
+	fs.IntVar(&o.kills, "kills", 0, "per tenant: connections to kill mid-batch")
+	fs.IntVar(&o.truncs, "truncations", 0, "per tenant: frames to truncate")
+	fs.IntVar(&o.window, "window", 200, "inject each fault within this many jobs of stream start")
+	fs.IntVar(&o.attempts, "max-attempts", 32, "per tenant: connection attempt budget")
 
-		wait      = flag.Duration("wait-ready", 10*time.Second, "poll /healthz this long before feeding")
-		noFeed    = flag.Bool("no-feed", false, "skip feeding (use with -drain to audit a server fed earlier)")
-		drain     = flag.Bool("drain", false, "drain the server afterwards and audit the final report")
-		reportOut = flag.String("report-out", "", "write the drained report JSON here (requires -drain)")
-		expShards = flag.Int("expect-shards", 0, "audit: the drained report must show this live shard count (requires -drain)")
-		verbose   = flag.Bool("v", false, "log per-tenant progress")
-	)
-	flag.Parse()
-	if *reportOut != "" && !*drain {
-		fatal(fmt.Errorf("-report-out needs -drain"))
+	fs.IntVar(&o.idBase, "id-base", 0, "add this to every tenant-local job id (later phases of a multi-phase run)")
+	fs.Float64Var(&o.relBase, "release-base", 0, "add this to every release time (lift a later phase past the merge watermark)")
+	fs.IntVar(&o.resizeTo, "resize-to", 0, "after feeding, resize the server's shard fleet to this count (0: no resize)")
+
+	fs.StringVar(&o.scrape, "scrape", "", "schedserve debug base URL (its -debug-addr): poll /metrics and print a live table while feeding")
+	fs.DurationVar(&o.scrapeEvery, "scrape-every", time.Second, "live-table poll interval (requires -scrape)")
+
+	fs.DurationVar(&o.wait, "wait-ready", 10*time.Second, "poll /healthz this long before feeding")
+	fs.BoolVar(&o.noFeed, "no-feed", false, "skip feeding (use with -drain to audit a server fed earlier)")
+	fs.BoolVar(&o.drain, "drain", false, "drain the server afterwards and audit the final report")
+	fs.StringVar(&o.reportOut, "report-out", "", "write the drained report JSON here (requires -drain)")
+	fs.IntVar(&o.expShards, "expect-shards", 0, "audit: the drained report must show this live shard count (requires -drain)")
+	fs.BoolVar(&o.verbose, "v", false, "log per-tenant progress")
+	if err := fs.Parse(args); err != nil {
+		return nil
 	}
-	if *expShards > 0 && !*drain {
-		fatal(fmt.Errorf("-expect-shards needs -drain"))
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	for _, c := range []struct {
+		flag, want string
+		ok         bool
+	}{
+		{"tenants", "a positive integer", o.tenants > 0},
+		{"jobs", "a positive integer", o.jobs > 0},
+		{"machines", "a positive integer", o.machines > 0},
+		{"load", "positive and finite", o.load > 0 && finite(o.load)},
+		{"rate", "non-negative and finite", o.rate >= 0 && finite(o.rate)},
+		{"report-out", "used with -drain", o.reportOut == "" || o.drain},
+		{"expect-shards", "used with -drain", o.expShards <= 0 || o.drain},
+	} {
+		if !c.ok {
+			fmt.Fprintf(stderr, "loadgen: -%s must be %s, got %s\n", c.flag, c.want, fs.Lookup(c.flag).Value)
+			return nil
+		}
 	}
+	return &o
+}
 
+// run is the command: it parses args, then feeds, resizes, drains and
+// audits as the flags ask, and returns the exit status: 2 for a bad flag,
+// before any connection is made; 1 for a failed run or audit.
+func run(args []string, stdout, stderr io.Writer) int {
+	o := parse(args, stderr)
+	if o == nil {
+		return 2
+	}
+	if err := o.drive(stderr); err != nil {
+		fmt.Fprintln(stderr, "loadgen:", err)
+		return 1
+	}
+	return 0
+}
+
+// auditFailed is the error of a drained report that fails the audit.
+func auditFailed(format string, args ...any) error {
+	return fmt.Errorf("AUDIT FAILED: "+format, args...)
+}
+
+// drive runs the load the options describe against the server, logging to
+// stderr, and audits the drained report when -drain asks for one.
+func (o *options) drive(stderr io.Writer) error {
 	ctx := context.Background()
-	if err := chaos.WaitReady(ctx, nil, *server, *wait); err != nil {
-		fatal(err)
+	if err := chaos.WaitReady(ctx, nil, o.server, o.wait); err != nil {
+		return err
 	}
 
 	// The live table and the final-scrape audit both read the server's
 	// telemetry via its -debug-addr /metrics endpoint.
-	if *scrape != "" {
-		if _, err := scrapeOnce(*scrape); err != nil {
-			fatal(fmt.Errorf("-scrape: %w", err))
+	if o.scrape != "" {
+		if _, err := scrapeOnce(o.scrape); err != nil {
+			return fmt.Errorf("-scrape: %w", err)
 		}
 	}
 
 	var attemptsC, failuresC obs.Counter // fleet-wide retry accounting across tenants
 
 	submitted := 0
-	if !*noFeed {
+	if !o.noFeed {
 		stopScrape := make(chan struct{})
 		var scrapeDone sync.WaitGroup
-		if *scrape != "" {
+		if o.scrape != "" {
 			scrapeDone.Add(1)
 			go func() {
 				defer scrapeDone.Done()
-				liveTable(*scrape, *scrapeEvery, stopScrape)
+				liveTable(stderr, o.scrape, o.scrapeEvery, stopScrape)
 			}()
 		}
 
 		var wg sync.WaitGroup
-		results := make([]*chaos.Result, *tenants)
-		errs := make([]error, *tenants)
-		for t := 0; t < *tenants; t++ {
-			c := workload.DefaultConfig(*jobs, *machines, *seed+int64(t))
-			c.Load = *load
+		results := make([]*chaos.Result, o.tenants)
+		errs := make([]error, o.tenants)
+		for t := 0; t < o.tenants; t++ {
+			c := workload.DefaultConfig(o.jobs, o.machines, o.seed+int64(t))
+			c.Load = o.load
 			trace := workload.Random(c).Jobs
 			for k := range trace {
-				trace[k].ID += *idBase
-				trace[k].Release += *relBase
+				trace[k].ID += o.idBase
+				trace[k].Release += o.relBase
 			}
 			cl := &chaos.Client{
-				Server:      *server,
+				Server:      o.server,
 				Tenant:      t,
-				Machines:    *machines,
-				MaxAttempts: *attempts,
-				Rate:        *rate,
-				Faults:      chaos.Faults{Kills: *kills, Truncations: *truncs, Window: *window},
-				Seed:        uint64(*seed) + uint64(t)*0x9e3779b97f4a7c15,
+				Machines:    o.machines,
+				MaxAttempts: o.attempts,
+				Rate:        o.rate,
+				Faults:      chaos.Faults{Kills: o.kills, Truncations: o.truncs, Window: o.window},
+				Seed:        uint64(o.seed) + uint64(t)*0x9e3779b97f4a7c15,
 				AttemptsC:   &attemptsC,
 				FailuresC:   &failuresC,
 			}
-			if *verbose {
+			if o.verbose {
 				tt := t
 				cl.Log = func(format string, args ...any) {
-					fmt.Fprintf(os.Stderr, "loadgen: tenant %d: %s\n", tt, fmt.Sprintf(format, args...))
+					fmt.Fprintf(stderr, "loadgen: tenant %d: %s\n", tt, fmt.Sprintf(format, args...))
 				}
 			}
 			wg.Add(1)
@@ -150,7 +212,7 @@ func main() {
 		scrapeDone.Wait()
 		for t, err := range errs {
 			if err != nil {
-				fatal(fmt.Errorf("tenant %d: %w", t, err))
+				return fmt.Errorf("tenant %d: %w", t, err)
 			}
 		}
 		for t, res := range results {
@@ -160,79 +222,75 @@ func main() {
 			if res.FailedAttempts > 0 {
 				line += fmt.Sprintf(", %d failed — last: %s", res.FailedAttempts, res.LastErr)
 			}
-			fmt.Fprintln(os.Stderr, line+")")
+			fmt.Fprintln(stderr, line+")")
 		}
 		if a, f := attemptsC.Value(), failuresC.Value(); f > 0 {
-			fmt.Fprintf(os.Stderr, "loadgen: retries: %d attempts, %d failed across %d tenants\n", a, f, *tenants)
+			fmt.Fprintf(stderr, "loadgen: retries: %d attempts, %d failed across %d tenants\n", a, f, o.tenants)
 		}
-		if submitted != *tenants**jobs {
-			fatal(fmt.Errorf("clients account for %d jobs, submitted %d", submitted, *tenants**jobs))
+		if submitted != o.tenants*o.jobs {
+			return fmt.Errorf("clients account for %d jobs, submitted %d", submitted, o.tenants*o.jobs)
 		}
 	}
 
-	if *resizeTo > 0 {
-		raw, err := chaos.Resize(ctx, nil, *server, *resizeTo)
+	if o.resizeTo > 0 {
+		raw, err := chaos.Resize(ctx, nil, o.server, o.resizeTo)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "loadgen: resized: %s\n", bytes.TrimSpace(raw))
+		fmt.Fprintf(stderr, "loadgen: resized: %s\n", bytes.TrimSpace(raw))
 	}
 
-	if !*drain {
-		return
+	if !o.drain {
+		return nil
 	}
-	raw, err := chaos.Drain(ctx, nil, *server)
+	raw, err := chaos.Drain(ctx, nil, o.server)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var rep front.Report
 	if err := json.Unmarshal(raw, &rep); err != nil {
-		fatal(fmt.Errorf("decoding drained report: %w", err))
+		return fmt.Errorf("decoding drained report: %w", err)
 	}
-	if *reportOut != "" {
-		if err := os.WriteFile(*reportOut, raw, 0o644); err != nil {
-			fatal(err)
+	if o.reportOut != "" {
+		if err := os.WriteFile(o.reportOut, raw, 0o644); err != nil {
+			return err
 		}
 	}
 
 	// The audit. Conservation against the client's own ledger runs only when
 	// this process fed the jobs; the structural invariants always hold.
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "loadgen: AUDIT FAILED: %s\n", fmt.Sprintf(format, args...))
-		os.Exit(1)
-	}
-	if !*noFeed && rep.Fed+rep.PreRejected != submitted {
-		fail("server decided %d jobs (%d fed + %d pre-rejected), clients submitted %d",
+	if !o.noFeed && rep.Fed+rep.PreRejected != submitted {
+		return auditFailed("server decided %d jobs (%d fed + %d pre-rejected), clients submitted %d",
 			rep.Fed+rep.PreRejected, rep.Fed, rep.PreRejected, submitted)
 	}
 	if rep.Completed+rep.Rejected != rep.Fed {
-		fail("fed %d but completed %d + rejected %d — the fleet dropped jobs",
+		return auditFailed("fed %d but completed %d + rejected %d — the fleet dropped jobs",
 			rep.Fed, rep.Completed, rep.Rejected)
 	}
-	if *expShards > 0 && rep.Shards != *expShards {
-		fail("report shows %d shards (history %v), expected %d", rep.Shards, rep.ShardHistory, *expShards)
+	if o.expShards > 0 && rep.Shards != o.expShards {
+		return auditFailed("report shows %d shards (history %v), expected %d", rep.Shards, rep.ShardHistory, o.expShards)
 	}
 	if n := len(rep.ShardHistory); n == 0 || rep.ShardHistory[n-1] != rep.Shards {
-		fail("shard history %v does not end at the live count %d", rep.ShardHistory, rep.Shards)
+		return auditFailed("shard history %v does not end at the live count %d", rep.ShardHistory, rep.Shards)
 	}
 	acfg := admission.Config{Epsilon: rep.AdmissionEpsilon, Burst: rep.AdmissionBurst}
 	for _, tr := range rep.Tenants {
 		ten := admission.Tenant{ID: tr.ID, Fed: tr.Fed, FedWeight: tr.FedWeight,
 			PreRejected: tr.PreRejected, PreRejectedWeight: tr.PreRejectedWeight}
 		if err := admission.BudgetInvariant(acfg, ten, 1e-9); err != nil {
-			fail("%v", err)
+			return auditFailed("%v", err)
 		}
 		if tr.Completed+tr.Rejected != tr.Fed {
-			fail("tenant %d: fed %d but completed %d + rejected %d", tr.ID, tr.Fed, tr.Completed, tr.Rejected)
+			return auditFailed("tenant %d: fed %d but completed %d + rejected %d", tr.ID, tr.Fed, tr.Completed, tr.Rejected)
 		}
 	}
 	// Telemetry-vs-report cross-check: a final scrape of the server's live
 	// counters must agree with the drained report. A divergence means the
 	// metrics pipeline is lying about the system it instruments.
-	if *scrape != "" {
-		sc, err := scrapeOnce(*scrape)
+	if o.scrape != "" {
+		sc, err := scrapeOnce(o.scrape)
 		if err != nil {
-			fail("final scrape: %v", err)
+			return auditFailed("final scrape: %v", err)
 		}
 		for _, chk := range []struct {
 			series string
@@ -242,16 +300,17 @@ func main() {
 			{"front_prerejected_total", rep.PreRejected},
 		} {
 			if !sc.Has(chk.series) {
-				fail("final scrape is missing %s", chk.series)
+				return auditFailed("final scrape is missing %s", chk.series)
 			}
 			if got := int(sc.Value(chk.series)); got != chk.want {
-				fail("scraped %s = %d, drained report says %d", chk.series, got, chk.want)
+				return auditFailed("scraped %s = %d, drained report says %d", chk.series, got, chk.want)
 			}
 		}
-		fmt.Fprintf(os.Stderr, "loadgen: scrape audit ok: /metrics agrees with the drained report\n")
+		fmt.Fprintf(stderr, "loadgen: scrape audit ok: /metrics agrees with the drained report\n")
 	}
-	fmt.Fprintf(os.Stderr, "loadgen: audit ok: %d fed, %d pre-rejected, %d completed, %d rejected (weight %.6g)\n",
+	fmt.Fprintf(stderr, "loadgen: audit ok: %d fed, %d pre-rejected, %d completed, %d rejected (weight %.6g)\n",
 		rep.Fed, rep.PreRejected, rep.Completed, rep.Rejected, rep.RejectedWeight)
+	return nil
 }
 
 // scrapeOnce fetches and parses one /metrics exposition from the server's
@@ -273,13 +332,13 @@ func scrapeOnce(base string) (obs.Scrape, error) {
 // decide latency, and the sequencer busy fraction over the poll window
 // (busy-ns delta over wall delta — the saturation signal; at 1.00 the
 // single-threaded sequencer is the wall).
-func liveTable(base string, every time.Duration, stop <-chan struct{}) {
+func liveTable(stderr io.Writer, base string, every time.Duration, stop <-chan struct{}) {
 	if every <= 0 {
 		every = time.Second
 	}
 	t := time.NewTicker(every)
 	defer t.Stop()
-	fmt.Fprintf(os.Stderr, "loadgen: %10s %12s %12s %12s %6s\n", "fed", "admit_w", "shed_w", "decide_p99", "busy")
+	fmt.Fprintf(stderr, "loadgen: %10s %12s %12s %12s %6s\n", "fed", "admit_w", "shed_w", "decide_p99", "busy")
 	var lastBusy float64
 	last := time.Now()
 	first := true
@@ -290,7 +349,7 @@ func liveTable(base string, every time.Duration, stop <-chan struct{}) {
 		case now := <-t.C:
 			sc, err := scrapeOnce(base)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "loadgen: scrape: %v\n", err)
+				fmt.Fprintf(stderr, "loadgen: scrape: %v\n", err)
 				continue
 			}
 			busy := sc.Value("front_sequencer_busy_ns_total")
@@ -300,7 +359,7 @@ func liveTable(base string, every time.Duration, stop <-chan struct{}) {
 				frac = sc.Value("front_sequencer_busy_fraction")
 				first = false
 			}
-			fmt.Fprintf(os.Stderr, "loadgen: %10.0f %12.1f %12.1f %10.2fms %6.2f\n",
+			fmt.Fprintf(stderr, "loadgen: %10.0f %12.1f %12.1f %10.2fms %6.2f\n",
 				sc.Value("front_fed_total"),
 				sc.Value("admission_fed_weight"),
 				sc.Value("admission_tokens_spent_weight"),
@@ -308,9 +367,4 @@ func liveTable(base string, every time.Duration, stop <-chan struct{}) {
 				frac)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "loadgen:", err)
-	os.Exit(1)
 }

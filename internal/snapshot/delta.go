@@ -88,12 +88,13 @@ type role struct {
 // every frame in the same walk with one read of the bytes: a leaf's payload
 // CRC is computed, a nested container's is derived from its frames (see
 // crc.go), and each frame's stored CRC is compared with the CRC of exactly
-// its tag and payload. It fails only when data's top level is not a valid
-// container — exactly the torn-write / bit-flip / trailing-garbage detector
-// the lineage recovery needs.
+// its tag and payload. Sections of at least parallelMin bytes are verified
+// on worker goroutines (see parse). It fails only when data's top level is
+// not a valid container — exactly the torn-write / bit-flip /
+// trailing-garbage detector the lineage recovery needs.
 func parseDeltaTree(data []byte) (*deltaNode, error) {
 	root := &deltaNode{payload: data}
-	sum, err := root.parse(data)
+	sum, err := root.parse(data, newWorkers())
 	if err != nil {
 		return nil, err
 	}
@@ -102,38 +103,67 @@ func parseDeltaTree(data []byte) (*deltaNode, error) {
 }
 
 // parse fills n's children from the container bytes data (n's payload) and
-// returns data's CRC32-C.
-func (n *deltaNode) parse(data []byte) (uint32, error) {
+// returns data's CRC32-C. It goes over the frames three times: it splits
+// them off, reading only their framing; it verifies each section, the ones
+// of at least parallelMin bytes on w's helpers as well as here; then it
+// accepts the frames in order, each against its section's CRC. So the
+// checks and the first error are those of a frame-by-frame walk.
+func (n *deltaNode) parse(data []byte, w *workers) (uint32, error) {
 	sr, err := newReader(data)
 	if err != nil {
 		return 0, err
 	}
 	sr.AllowDuplicates()
+	// Split, up to the end frame or the first frame that does not split (the
+	// accept loop meets its error again). The end frame gets a node too, so
+	// that node k is frame k, and is dropped once accepted.
+	split := *sr
+	var large []int
+	for {
+		at := split.off
+		tag, payload, _, err := split.frame()
+		if err != nil {
+			break
+		}
+		if len(payload) >= parallelMin {
+			large = append(large, len(n.children))
+		}
+		n.children = append(n.children, deltaNode{tag: tag, off: n.off + at + 8, payload: payload, isLeaf: true})
+		split.off += 12 + len(payload)
+		if tag == EndTag {
+			break
+		}
+	}
+	kids := n.children
+	if len(large) == 0 {
+		for k := range kids {
+			kids[k].verify(w)
+		}
+	} else {
+		// The large sections first: the caller takes the first, helpers the
+		// others, and whoever is free the small ones after them.
+		order := large
+		for k := range kids {
+			if len(kids[k].payload) < parallelMin {
+				order = append(order, k)
+			}
+		}
+		w.each(len(order), len(large)-1, func(k int) { kids[order[k]].verify(w) })
+	}
 	sum := headerSum
 	var seen map[string]int
-	for {
+	for k := 0; ; k++ {
 		at := sr.off
 		tag, payload, stored, err := sr.frame()
 		if err != nil {
 			n.children = nil
 			return 0, err
 		}
-		child := deltaNode{tag: tag, off: n.off + at + 8, payload: payload, isLeaf: true}
-		// A nested container always starts with the 8-byte magic; a leaf
-		// payload cannot collide with it by accident (its first 8 bytes
-		// would have to spell "SCHSNAP\0"), and even then the full parse
-		// below arbitrates: only a completely well-formed container recurses.
-		if len(payload) >= 10 && bytes.Equal(payload[:8], magic[:]) {
-			if s, err := child.parse(payload); err == nil {
-				child.sum, child.isLeaf = s, false
-			}
-		}
-		if child.isLeaf {
-			child.sum = Checksum(payload)
-		}
+		child := &kids[k]
 		err = sr.accept(tag, payload, stored, child.sum)
 		sum = appendFrameSum(sum, data[at:at+12+len(payload)], child.sum)
 		if err == io.EOF {
+			n.children = kids[:k]
 			return sum, nil
 		}
 		if err != nil {
@@ -145,8 +175,23 @@ func (n *deltaNode) parse(data []byte) (uint32, error) {
 		}
 		child.occ = seen[tag]
 		seen[tag]++
-		n.children = append(n.children, child)
 	}
+}
+
+// verify sets n's CRC32-C and, when its payload is a well-formed container,
+// its children.
+func (n *deltaNode) verify(w *workers) {
+	// A nested container always starts with the 8-byte magic; a leaf
+	// payload cannot collide with it by accident (its first 8 bytes would
+	// have to spell "SCHSNAP\0"), and even then the full parse arbitrates:
+	// only a completely well-formed container recurses.
+	if len(n.payload) >= 10 && bytes.Equal(n.payload[:8], magic[:]) {
+		if s, err := n.parse(n.payload, w); err == nil {
+			n.sum, n.isLeaf = s, false
+			return
+		}
+	}
+	n.sum = Checksum(n.payload)
 }
 
 // find returns n's child in role (tag, occ), or nil when n is nil or has
@@ -219,17 +264,40 @@ type leafPlan struct {
 	dirty   []int // chunk indexes to patch (leafPatch)
 }
 
-// planDelta walks the new container n pre-order beside base, its
-// counterpart in the base tree (nil: none), and appends one plan per leaf.
-func planDelta(n, base *deltaNode, chunk int, plans []leafPlan) []leafPlan {
-	for k := range n.children {
-		c := &n.children[k]
-		b := base.counterpart(c.tag, c.occ, c.isLeaf, k)
-		if c.isLeaf {
-			plans = append(plans, planLeaf(c, b, chunk))
-		} else {
-			plans = planDelta(c, b, chunk, plans)
+// planDelta plans every leaf of the new container n against base, its
+// counterpart in the base tree: one plan per leaf, pre-order. One walk here
+// looks up each leaf's base counterpart (the lookups build the base's role
+// maps) and plans the small leaves; the leaves of at least parallelMin bytes
+// are then chunk-compared on workers, each into its own slot of the list.
+func planDelta(n, base *deltaNode, chunk int) []leafPlan {
+	type pending struct {
+		slot int
+		c, b *deltaNode
+	}
+	var plans []leafPlan
+	var large []pending
+	var walk func(n, base *deltaNode)
+	walk = func(n, base *deltaNode) {
+		for k := range n.children {
+			c := &n.children[k]
+			b := base.counterpart(c.tag, c.occ, c.isLeaf, k)
+			switch {
+			case !c.isLeaf:
+				walk(c, b)
+			case len(c.payload) >= parallelMin:
+				large = append(large, pending{len(plans), c, b})
+				plans = append(plans, leafPlan{})
+			default:
+				plans = append(plans, planLeaf(c, b, chunk))
+			}
 		}
+	}
+	walk(n, base)
+	if len(large) > 0 {
+		newWorkers().each(len(large), len(large)-1, func(k int) {
+			p := large[k]
+			plans[p.slot] = planLeaf(p.c, p.b, chunk)
+		})
 	}
 	return plans
 }
@@ -305,7 +373,7 @@ func appendDelta(dst []byte, base, next *deltaNode, baseSeq, seq uint64, chunk i
 	if chunk <= 0 {
 		chunk = DefaultDeltaChunk
 	}
-	plans := planDelta(next, base, chunk, nil)
+	plans := planDelta(next, base, chunk)
 	nodes := countNodes(next)
 
 	sw := AppendWriter(Grow(dst, deltaSize(plans, nodes, chunk), 0))

@@ -101,6 +101,7 @@ func FuzzDelta(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{7}, 300), append(bytes.Repeat([]byte{7}, 290), 1, 2, 3), uint8(2), uint8(2), uint8(16), uint32(9))
 	f.Add([]byte("one shard"), []byte("two shards now"), uint8(1), uint8(2), uint8(0), uint32(1))
 	f.Add([]byte("nested"), []byte("flat"), uint8(3), uint8(0), uint8(5), uint32(77))
+	lowerParallelMin(f, 16) // sections of fuzz size still take the concurrent parse and plan
 
 	f.Fuzz(func(t *testing.T, a, b []byte, baseShards, newShards, chunk uint8, mut uint32) {
 		base := fuzzContainer(a, int(baseShards%4))
@@ -116,7 +117,7 @@ func FuzzDelta(f *testing.F) {
 		if c == 0 {
 			c = DefaultDeltaChunk
 		}
-		if size := deltaSize(planDelta(nextTree, baseTree, c, nil), countNodes(nextTree), c); size != len(delta) {
+		if size := deltaSize(planDelta(nextTree, baseTree, c), countNodes(nextTree), c); size != len(delta) {
 			t.Fatalf("deltaSize %d for a %d-byte delta", size, len(delta))
 		}
 		got, info, err := ApplyDelta(base, bytes.NewReader(delta))
@@ -223,6 +224,7 @@ func FuzzFrameSums(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{7}, 300), uint8(2), uint8(1), uint8(0x80))
 	f.Add([]byte("three shards of state, nested"), uint8(3), uint8(2), uint8(0xFF))
 	f.Add(append([]byte("SCHSNAP\x00\x01\x00"), "a leaf that looks nested"...), uint8(1), uint8(0), uint8(4))
+	lowerParallelMin(f, 16) // sections of fuzz size still take the concurrent parse
 
 	f.Fuzz(func(t *testing.T, src []byte, shards, how, flip uint8) {
 		if len(src) > 256 {

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,9 +19,10 @@ import (
 //	P.<seq>.delta   a delta container chaining to the previous entry
 //	P.lineage       the manifest (JSON, written atomically)
 //
-// Every file lands via temp + fsync + rename, and the manifest is rewritten
-// (atomically) only after its newest file is durable, so a crash at any
-// instant leaves a manifest whose entries all exist and were fully written.
+// Every file lands via temp + fsync + rename + directory fsync, and the
+// manifest is rewritten (atomically) only after its newest file is durable,
+// so a crash at any instant leaves a manifest whose entries all exist and
+// were fully written.
 // Recovery walks generations newest-first: load the generation's full,
 // verify it (whole-file CRC against the manifest, then a full container
 // parse), apply its deltas in order — a torn, truncated or bit-flipped
@@ -218,6 +220,13 @@ func (l *Lineage) entryName(seq uint64, kind string) string {
 // payload-sized buffers in play, the base and the capture, and the lineage
 // adds only the delta buffer. After a failed Write the lineage holds nothing
 // of payload.
+//
+// The parse and the delta plan use every core for a large payload (see
+// parallelMin), and the self-check runs beside the write and fsync of the
+// delta's temp file; all of Write's goroutines have exited when it returns.
+// The durability order is the same on every path: the member's bytes are
+// synced before its rename, the rename is synced before the manifest is
+// written, and the manifest is durable before pruned members are deleted.
 func (l *Lineage) Write(payload []byte, forceFull bool) (LineageEntry, error) {
 	if aliases(payload, l.prev) {
 		// Captured over the base: the base's bytes are gone, so nothing can
@@ -228,27 +237,28 @@ func (l *Lineage) Write(payload []byte, forceFull bool) (LineageEntry, error) {
 	if l.opt.DeltaEvery > 0 {
 		tree, _ = parseDeltaTree(payload) // nil: not a container, so written as a full
 	}
-	kind, fileBytes := "full", payload
-	var crc uint32
-	if tree != nil {
-		crc = tree.sum
-	} else {
-		crc = Checksum(payload)
-	}
+	seq := l.nextSeq
+	var entry LineageEntry
+	staged := false
 	if tree != nil && !forceFull && l.prev != nil && l.sinceFull < l.opt.DeltaEvery {
-		if delta, sum, ok := l.encodeDelta(payload, tree); ok {
-			kind, fileBytes, crc = "delta", delta, sum
+		var err error
+		if entry, staged, err = l.stageDelta(payload, tree); err != nil {
+			return LineageEntry{}, err
 		}
 	}
-	seq := l.nextSeq
-	entry := LineageEntry{
-		Seq: seq, Kind: kind, File: l.entryName(seq, kind),
-		CRC: crc, Size: int64(len(fileBytes)),
+	if !staged {
+		entry = LineageEntry{Seq: seq, Kind: "full", File: l.entryName(seq, "full"), Size: int64(len(payload))}
+		if tree != nil {
+			entry.CRC = tree.sum
+		} else {
+			entry.CRC = Checksum(payload)
+		}
+		if err := writeTemp(l.memberPath(entry), payload); err != nil {
+			return LineageEntry{}, err
+		}
 	}
-	if kind == "delta" {
-		entry.Base = l.prevSeq
-	}
-	if err := writeFileAtomic(l.memberPath(entry), fileBytes); err != nil {
+	if err := commitFile(l.memberPath(entry)); err != nil {
+		os.Remove(l.memberPath(entry)) // a rename not known durable is not a member
 		return LineageEntry{}, err
 	}
 	kept := l.entries
@@ -257,7 +267,9 @@ func (l *Lineage) Write(payload []byte, forceFull bool) (LineageEntry, error) {
 	if err := l.writeManifest(); err != nil {
 		// The manifest on disk still lists the old entries, so memory must
 		// too: the next write reuses this seq, and a list that kept it would
-		// name it twice. The member no manifest names goes with it.
+		// name it twice. The member no manifest names goes with it. (When
+		// only the manifest's directory sync failed, the manifest on disk may
+		// name the removed member; recovery drops it like a torn one.)
 		l.entries = kept
 		os.Remove(l.memberPath(entry))
 		return LineageEntry{}, err
@@ -268,7 +280,7 @@ func (l *Lineage) Write(payload []byte, forceFull bool) (LineageEntry, error) {
 		os.Remove(l.memberPath(e))
 	}
 	l.nextSeq = seq + 1
-	if kind == "full" {
+	if entry.Kind == "full" {
 		l.sinceFull = 0
 	} else {
 		l.sinceFull++
@@ -306,23 +318,42 @@ func aliases(a, b []byte) bool {
 	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
 }
 
-// encodeDelta encodes payload, parsed as next, as a delta against the base
-// into l.delta and self-checks it: applyDelta in compare mode (checkDelta)
-// must find that the delta, applied to the base, rebuilds payload byte for
-// byte. It returns the delta and its CRC32-C, or ok false to write a full
-// instead.
-func (l *Lineage) encodeDelta(payload []byte, next *deltaNode) (delta []byte, sum uint32, ok bool) {
+// selfCheck is the delta self-check Write runs; in-package tests replace it
+// to force a failure.
+var selfCheck = checkDelta
+
+// stageDelta encodes payload, parsed as next, as a delta against the base
+// into l.delta, and writes and fsyncs it to its member's temp file while the
+// self-check runs beside it: applyDelta in compare mode (checkDelta) must
+// find that the delta, applied to the base, rebuilds payload byte for byte.
+// It returns the delta's entry once both have succeeded, for Write to
+// commit. ok false, with no temp file left, means write a full instead; an
+// error is the temp file's write failing under a passing check.
+func (l *Lineage) stageDelta(payload []byte, next *deltaNode) (e LineageEntry, ok bool, err error) {
 	if l.prevTree == nil { // a recovered base is parsed by the first write that needs it
 		if l.prevTree, _ = parseDeltaTree(l.prev); l.prevTree == nil {
-			return nil, 0, false
+			return e, false, nil
 		}
 	}
 	delta, sum, _, err := appendDelta(l.delta[:0], l.prevTree, next, l.prevSeq, l.nextSeq, l.opt.Chunk)
 	l.delta = delta
 	if err != nil {
-		return nil, 0, false
+		return e, false, nil
 	}
-	return delta, sum, checkDelta(payload, l.prev, l.prevTree, delta) == nil
+	seq := l.nextSeq
+	e = LineageEntry{
+		Seq: seq, Kind: "delta", File: l.entryName(seq, "delta"),
+		CRC: sum, Size: int64(len(delta)), Base: l.prevSeq,
+	}
+	checked := make(chan error, 1)
+	go func() { checked <- selfCheck(payload, l.prev, l.prevTree, delta) }()
+	path := l.memberPath(e)
+	err = writeTemp(path, delta)
+	if <-checked != nil {
+		os.Remove(tempPath(path))
+		return e, false, nil
+	}
+	return e, err == nil, err
 }
 
 // prune trims entries beyond the Keep newest full generations, returning
@@ -358,7 +389,11 @@ func (l *Lineage) writeManifest() error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(manifestPath(l.path), append(data, '\n'))
+	path := manifestPath(l.path)
+	if err := writeTemp(path, append(data, '\n')); err != nil {
+		return err
+	}
+	return commitFile(path)
 }
 
 // RecoverInfo reports how a recovery went.
@@ -498,10 +533,13 @@ func RecoverLineage(path string) ([]byte, RecoverInfo, error) {
 	return l.Recover()
 }
 
-// writeFileAtomic lands data at path via temp file, fsync, rename, then
-// fsyncs the directory so the rename itself is durable.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
+// tempPath is the file that path's bytes are written to before the rename.
+func tempPath(path string) string { return path + ".tmp" }
+
+// writeTemp writes data to path's temp file and fsyncs it. On failure the
+// temp file is removed.
+func writeTemp(path string, data []byte) error {
+	tmp := tempPath(path)
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
@@ -520,13 +558,30 @@ func writeFileAtomic(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
+	return nil
+}
+
+// commitFile renames path's synced temp file to path, then fsyncs the
+// directory so the rename itself is durable. A directory that cannot be
+// opened or synced fails it: until then the rename may not survive a crash.
+func commitFile(path string) error {
+	tmp := tempPath(path)
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		dir.Sync()
-		dir.Close()
+	dir := filepath.Dir(path)
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("snapshot: syncing directory %s after renaming %s: %w", dir, filepath.Base(path), err)
 	}
 	return nil
+}
+
+// syncDir fsyncs a directory; in-package tests replace it to fail.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
 }

@@ -2,6 +2,8 @@ package snapshot
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -466,5 +468,101 @@ func TestLineageWriteOverBaseIsFull(t *testing.T) {
 	}
 	if got, _, err := RecoverLineage(path); err != nil || !bytes.Equal(got, next) {
 		t.Fatalf("recovery after a write over the base: %v", err)
+	}
+}
+
+// TestLineageSelfCheckFailureWritesFull forces the self-check that runs
+// beside the delta's write to fail: the temp file it raced is removed, the
+// entry is a full the manifest lists, recovery returns the payload, and the
+// lineage holds no payload-sized buffer beyond its base and the retired one.
+func TestLineageSelfCheckFailureWritesFull(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ckpt")
+	l := openL(t, path, LineageOptions{DeltaEvery: 4})
+	first := payloadN(t, 0)
+	if _, err := l.Write(first, false); err != nil {
+		t.Fatal(err)
+	}
+	check := selfCheck
+	t.Cleanup(func() { selfCheck = check })
+	checks := 0
+	selfCheck = func(want, baseData []byte, base *deltaNode, delta []byte) error {
+		checks++
+		return errors.New("forced self-check failure")
+	}
+	payload := payloadN(t, 1)
+	e, err := l.Write(payload, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checks != 1 || e.Kind != "full" || e.Seq != 1 {
+		t.Fatalf("write under a failing self-check: %+v after %d checks, want full seq 1 after 1", e, checks)
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range des {
+		if strings.HasSuffix(de.Name(), ".delta") || strings.HasSuffix(de.Name(), ".tmp") {
+			t.Errorf("%s is left on disk", de.Name())
+		}
+	}
+	if listed := loadEntries(path); len(listed) != 2 || listed[1] != e {
+		t.Fatalf("manifest lists %+v, want the full %+v last", listed, e)
+	}
+	got, info, err := RecoverLineage(path)
+	if err != nil || !bytes.Equal(got, payload) || info.Seq != 1 || info.FellBack {
+		t.Fatalf("recovery: %v (info %+v, payload match %v)", err, info, bytes.Equal(got, payload))
+	}
+	base, retired, delta := l.Held()
+	if base != cap(payload) || retired != cap(first) || delta > len(payload)/4 {
+		t.Fatalf("lineage holds base %d, retired %d, delta scratch %d bytes; want %d, %d and under %d",
+			base, retired, delta, cap(payload), cap(first), len(payload)/4)
+	}
+}
+
+// TestLineageDirSyncFailureFailsWrite pins that a rename whose directory
+// cannot be synced is not a write: Write fails naming the directory, lists
+// nothing new and leaves no member behind, whether the member's sync or the
+// manifest's fails; the next write reuses the seq and the chain recovers.
+func TestLineageDirSyncFailureFailsWrite(t *testing.T) {
+	sync := syncDir
+	t.Cleanup(func() { syncDir = sync })
+	for _, failAt := range []int{1, 2} { // the member's directory sync, the manifest's
+		t.Run(fmt.Sprintf("sync %d", failAt), func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "ckpt")
+			l := openL(t, path, LineageOptions{DeltaEvery: 4})
+			if _, err := l.Write(payloadN(t, 0), false); err != nil {
+				t.Fatal(err)
+			}
+			calls := 0
+			syncDir = func(d string) error {
+				if calls++; calls == failAt {
+					return errors.New("injected sync failure")
+				}
+				return sync(d)
+			}
+			_, err := l.Write(payloadN(t, 1), false)
+			syncDir = sync
+			if err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "injected") {
+				t.Fatalf("write under a failing directory sync: %v, want an error naming %s", err, dir)
+			}
+			if got := l.Entries(); len(got) != 1 {
+				t.Fatalf("after the failed write the lineage lists %+v", got)
+			}
+			for _, name := range []string{"ckpt.1.delta", "ckpt.1.full", "ckpt.1.delta.tmp"} {
+				if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+					t.Errorf("%s after the failed write: %v", name, err)
+				}
+			}
+			e, err := l.Write(payloadN(t, 2), false)
+			if err != nil || e.Seq != 1 || e.Kind != "delta" || e.Base != 0 {
+				t.Fatalf("retried write = %+v, %v; want delta seq 1 on base 0", e, err)
+			}
+			if got, info, err := RecoverLineage(path); err != nil || !bytes.Equal(got, payloadN(t, 2)) || info.FellBack {
+				t.Fatalf("recovery after the retried write: %v (info %+v)", err, info)
+			}
+		})
 	}
 }
