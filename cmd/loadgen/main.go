@@ -147,7 +147,7 @@ func auditFailed(format string, args ...any) error {
 // stderr, and audits the drained report when -drain asks for one.
 func (o *options) drive(stderr io.Writer) error {
 	ctx := context.Background()
-	if err := chaos.WaitReady(ctx, nil, o.server, o.wait); err != nil {
+	if err := chaos.WaitReady(ctx, o.server, o.wait); err != nil {
 		return err
 	}
 
@@ -233,7 +233,7 @@ func (o *options) drive(stderr io.Writer) error {
 	}
 
 	if o.resizeTo > 0 {
-		raw, err := chaos.Resize(ctx, nil, o.server, o.resizeTo)
+		raw, err := chaos.Resize(ctx, o.server, o.resizeTo)
 		if err != nil {
 			return err
 		}
@@ -243,7 +243,7 @@ func (o *options) drive(stderr io.Writer) error {
 	if !o.drain {
 		return nil
 	}
-	raw, err := chaos.Drain(ctx, nil, o.server)
+	raw, err := chaos.Drain(ctx, o.server)
 	if err != nil {
 		return err
 	}

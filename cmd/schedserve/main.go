@@ -27,7 +27,6 @@
 // with feed traffic for the accept queue:
 //
 //	GET /metrics             Prometheus text exposition (internal/obs)
-//	GET /debug/vars          the same registry as expvar-style JSON
 //	GET /debug/pprof/...     net/http/pprof (profile, heap, trace, ...)
 //
 // -checkpoint P roots a checkpoint lineage at P (members P.N.full /
@@ -109,7 +108,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.DurationVar(&cfg.Stall.Delay, "stall-delay", 0, "fault injection: stall duration")
 	fs.StringVar(&cfg.CrashAtResize, "crash-at-resize", "", "fault injection: exit 137 at this resize point (pre|mid|post)")
 
-	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (empty disables telemetry)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics and /debug/pprof on this address (empty disables telemetry)")
 	fs.DurationVar(&o.progress, "progress", 0, "print a periodic status line to stderr (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
@@ -145,7 +144,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "schedserve: debug listener:", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "schedserve: telemetry on %s (/metrics, /debug/vars, /debug/pprof)\n", o.debugAddr)
+		fmt.Fprintf(os.Stderr, "schedserve: telemetry on %s (/metrics, /debug/pprof)\n", o.debugAddr)
 	}
 	stopProgress := func() {}
 	if o.progress > 0 {
@@ -183,18 +182,13 @@ func main() {
 }
 
 // debugMux assembles the observability surface: the obs registry as
-// Prometheus text and expvar-style JSON, plus net/http/pprof. Explicit
-// pprof routes (not http.DefaultServeMux) keep the profiling surface
-// off the ingest listener.
+// Prometheus text, plus net/http/pprof. Explicit pprof routes (not
+// http.DefaultServeMux) keep the profiling surface off the ingest listener.
 func debugMux(reg *obs.Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		reg.WriteJSON(w)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"strings"
 
 	"repro/internal/baseline"
 	"repro/internal/core/energymin"
@@ -58,7 +59,7 @@ func lemma1() {
 		}
 		t.AddRowf(l, l*l, imm.TotalFlow/adv.TotalFlow, ma.TotalFlow/adv.TotalFlow)
 	}
-	fmt.Println(t)
+	fmt.Println(unpad(t))
 }
 
 func lemma2() {
@@ -85,8 +86,18 @@ func lemma2() {
 		t.AddRowf(alpha, len(jobs), sc.Energy(), adv, sc.Energy()/adv,
 			energymin.Lemma2Bound(alpha), energymin.TheoryRatio(alpha))
 	}
-	fmt.Println(t)
+	fmt.Println(unpad(t))
 	fmt.Println("Each released job nests inside the window the algorithm just committed")
 	fmt.Println("to, forcing overlap after overlap; the adversary itself serves every")
 	fmt.Println("job at speed 1 with no overlap at all.")
+}
+
+// unpad drops the spaces that pad a table's last column, so each printed
+// line ends in its text, as the Example's // Output: block holds it.
+func unpad(t *stats.Table) string {
+	lines := strings.Split(t.String(), "\n")
+	for i, l := range lines {
+		lines[i] = strings.TrimRight(l, " ")
+	}
+	return strings.Join(lines, "\n")
 }

@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"repro/internal/baseline"
 	"repro/internal/core/flowtime"
@@ -67,7 +68,17 @@ func main() {
 	}
 	add("speed-augmented [ESA'16]", out)
 
-	fmt.Println(t)
+	fmt.Println(unpad(t))
 	fmt.Println("Rejecting a few percent of jobs collapses the tail that no-rejection")
 	fmt.Println("policies accumulate behind elephant jobs — the paper's core point.")
+}
+
+// unpad drops the spaces that pad a table's last column, so each printed
+// line ends in its text, as the Example's // Output: block holds it.
+func unpad(t *stats.Table) string {
+	lines := strings.Split(t.String(), "\n")
+	for i, l := range lines {
+		lines[i] = strings.TrimRight(l, " ")
+	}
+	return strings.Join(lines, "\n")
 }

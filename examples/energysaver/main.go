@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"repro/internal/core/speedscale"
 	"repro/internal/lowerbound"
@@ -46,8 +47,18 @@ func main() {
 			m.WeightedFlowPlusEnergy()/lb,
 			100*res.RejectedWeight/ins.TotalWeight(), 100*eps)
 	}
-	fmt.Println(t)
+	fmt.Println(unpad(t))
 	fmt.Println("The machine speed is frozen per execution at γ·(pending weight)^(1/α):")
 	fmt.Println("backlog raises speed (more energy), idle periods save it, and the")
 	fmt.Println("rejected weight never exceeds the ε budget of Theorem 2.")
+}
+
+// unpad drops the spaces that pad a table's last column, so each printed
+// line ends in its text, as the Example's // Output: block holds it.
+func unpad(t *stats.Table) string {
+	lines := strings.Split(t.String(), "\n")
+	for i, l := range lines {
+		lines[i] = strings.TrimRight(l, " ")
+	}
+	return strings.Join(lines, "\n")
 }

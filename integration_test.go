@@ -114,7 +114,13 @@ func TestPipelineRoundTrip(t *testing.T) {
 		}},
 		{"greedy", sched.ValidateMode{RequireUnitSpeed: true}, baseline.GreedySPT},
 		{"fcfs", sched.ValidateMode{RequireUnitSpeed: true}, baseline.FCFS},
-		{"srpt", sched.ValidateMode{RequireUnitSpeed: true, AllowPreemption: true}, baseline.PreemptiveSRPT},
+		{"srpt", sched.ValidateMode{RequireUnitSpeed: true, AllowPreemption: true}, func(in *sched.Instance) (*sched.Outcome, error) {
+			r, err := srpt.Run(in, srpt.Options{})
+			if err != nil {
+				return nil, err
+			}
+			return r.Outcome, nil
+		}},
 		{"wsrpt", sched.ValidateMode{RequireUnitSpeed: true, AllowMigration: true}, func(in *sched.Instance) (*sched.Outcome, error) {
 			r, err := srpt.RunWeighted(in, srpt.WeightedOptions{})
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core/srpt"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -255,11 +256,11 @@ func TestHugeJobIDsSurviveEventPayload(t *testing.T) {
 			t.Fatalf("job %d missing from outcome", j.ID)
 		}
 	}
-	pre, err := PreemptiveSRPT(ins)
+	res, err := srpt.Run(ins, srpt.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pre.Completed) != len(jobs) {
-		t.Fatalf("SRPT completed %d of %d jobs", len(pre.Completed), len(jobs))
+	if len(res.Outcome.Completed) != len(jobs) {
+		t.Fatalf("SRPT completed %d of %d jobs", len(res.Outcome.Completed), len(jobs))
 	}
 }

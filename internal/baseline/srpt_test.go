@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core/srpt"
 	"repro/internal/lowerbound"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -16,19 +17,19 @@ func TestPreemptiveSRPTHandTrace(t *testing.T) {
 		{ID: 0, Release: 0, Weight: 1, Deadline: sched.NoDeadline, Proc: []float64{4}},
 		{ID: 1, Release: 1, Weight: 1, Deadline: sched.NoDeadline, Proc: []float64{1}},
 	}}
-	out, err := PreemptiveSRPT(ins)
+	res, err := srpt.Run(ins, srpt.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.ValidateOutcome(ins, out, sched.ValidateMode{AllowPreemption: true, RequireUnitSpeed: true}); err != nil {
+	if err := sched.ValidateOutcome(ins, res.Outcome, sched.ValidateMode{AllowPreemption: true, RequireUnitSpeed: true}); err != nil {
 		t.Fatalf("invalid outcome: %v", err)
 	}
-	if out.Completed[1] != 2 || out.Completed[0] != 5 {
-		t.Fatalf("completions %v, want B@2 A@5", out.Completed)
+	if res.Outcome.Completed[1] != 2 || res.Outcome.Completed[0] != 5 {
+		t.Fatalf("completions %v, want B@2 A@5", res.Outcome.Completed)
 	}
 	// Job 0 must have exactly two intervals: [0,1) and [2,5).
 	var segs []sched.Interval
-	for _, iv := range out.Intervals {
+	for _, iv := range res.Outcome.Intervals {
 		if iv.Job == 0 {
 			segs = append(segs, iv)
 		}
@@ -36,7 +37,7 @@ func TestPreemptiveSRPTHandTrace(t *testing.T) {
 	if len(segs) != 2 {
 		t.Fatalf("job 0 ran in %d segments, want 2 (preempted once)", len(segs))
 	}
-	m, err := sched.ComputeMetrics(ins, out)
+	m, err := sched.ComputeMetrics(ins, res.Outcome)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +51,11 @@ func TestPreemptiveSRPTNoPreemptionForLargerJob(t *testing.T) {
 		{ID: 0, Release: 0, Weight: 1, Deadline: sched.NoDeadline, Proc: []float64{2}},
 		{ID: 1, Release: 1, Weight: 1, Deadline: sched.NoDeadline, Proc: []float64{5}},
 	}}
-	out, err := PreemptiveSRPT(ins)
+	res, err := srpt.Run(ins, srpt.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, iv := range out.Intervals {
+	for _, iv := range res.Outcome.Intervals {
 		if iv.Job == 0 && iv.End != 2 {
 			t.Fatalf("running job was preempted by a larger one: %+v", iv)
 		}
@@ -68,14 +69,14 @@ func TestPreemptiveSRPTMatchesBoundOnSingleMachine(t *testing.T) {
 		cfg := workload.DefaultConfig(50, 1, seed)
 		cfg.Load = 1.1
 		ins := workload.Random(cfg)
-		out, err := PreemptiveSRPT(ins)
+		res, err := srpt.Run(ins, srpt.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sched.ValidateOutcome(ins, out, sched.ValidateMode{AllowPreemption: true, RequireUnitSpeed: true}); err != nil {
+		if err := sched.ValidateOutcome(ins, res.Outcome, sched.ValidateMode{AllowPreemption: true, RequireUnitSpeed: true}); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		m, err := sched.ComputeMetrics(ins, out)
+		m, err := sched.ComputeMetrics(ins, res.Outcome)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,18 +93,18 @@ func TestPreemptiveSRPTBeatsNonPreemptiveGreedy(t *testing.T) {
 		cfg.Load = 1.2
 		cfg.Sizes = workload.SizePareto
 		ins := workload.Random(cfg)
-		pre, err := PreemptiveSRPT(ins)
+		res, err := srpt.Run(ins, srpt.Options{})
 		if err != nil {
 			return false
 		}
-		if err := sched.ValidateOutcome(ins, pre, sched.ValidateMode{AllowPreemption: true}); err != nil {
+		if err := sched.ValidateOutcome(ins, res.Outcome, sched.ValidateMode{AllowPreemption: true}); err != nil {
 			return false
 		}
 		non, err := GreedySPT(ins)
 		if err != nil {
 			return false
 		}
-		mp, err := sched.ComputeMetrics(ins, pre)
+		mp, err := sched.ComputeMetrics(ins, res.Outcome)
 		if err != nil {
 			return false
 		}
@@ -125,11 +126,11 @@ func TestPreemptiveSRPTValidatorRejectsWithoutFlag(t *testing.T) {
 		{ID: 0, Release: 0, Weight: 1, Deadline: sched.NoDeadline, Proc: []float64{4}},
 		{ID: 1, Release: 1, Weight: 1, Deadline: sched.NoDeadline, Proc: []float64{1}},
 	}}
-	out, err := PreemptiveSRPT(ins)
+	res, err := srpt.Run(ins, srpt.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sched.ValidateOutcome(ins, out, sched.ValidateMode{}); err == nil {
+	if err := sched.ValidateOutcome(ins, res.Outcome, sched.ValidateMode{}); err == nil {
 		t.Fatal("validator accepted a preempted schedule without AllowPreemption")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core/flowtime"
+	"repro/internal/core/srpt"
 	"repro/internal/lowerbound"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -168,7 +169,13 @@ func runE3(cfg Config) (fmt.Stringer, error) {
 		{"speedaug(εs=0.2,εr=0.2)", func(ins *sched.Instance) (*sched.Outcome, error) {
 			return baseline.SpeedAugmented(ins, 0.2, 0.2)
 		}},
-		{"preemptive-SRPT (ref)", baseline.PreemptiveSRPT},
+		{"preemptive-SRPT (ref)", func(ins *sched.Instance) (*sched.Outcome, error) {
+			r, err := srpt.Run(ins, srpt.Options{})
+			if err != nil {
+				return nil, err
+			}
+			return r.Outcome, nil
+		}},
 	}
 	for _, name := range flowWorkloadOrder {
 		for _, p := range policies {

@@ -12,7 +12,6 @@ package chaos
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/engine"
@@ -120,18 +119,4 @@ func (f *StallFeeder) snapshotter() (engine.SessionSnapshotter, error) {
 		return ss, nil
 	}
 	return nil, fmt.Errorf("chaos: inner feeder %T cannot be snapshotted", f.inner)
-}
-
-// TruncateFile cuts path to frac of its current size — the torn-write
-// injection (a crash landing mid-write on a filesystem without atomic
-// rename, or a partially synced page).
-func TruncateFile(path string, frac float64) error {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	if frac < 0 || frac >= 1 {
-		return fmt.Errorf("chaos: truncation fraction %v outside [0, 1)", frac)
-	}
-	return os.Truncate(path, int64(float64(fi.Size())*frac))
 }

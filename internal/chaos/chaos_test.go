@@ -228,7 +228,7 @@ func TestClientGivesUp(t *testing.T) {
 
 // TestWaitReady pins the startup barrier against dead and live servers.
 func TestWaitReady(t *testing.T) {
-	if err := WaitReady(context.Background(), nil, "http://127.0.0.1:1", 50*time.Millisecond); err == nil {
+	if err := WaitReady(context.Background(), "http://127.0.0.1:1", 50*time.Millisecond); err == nil {
 		t.Fatal("WaitReady succeeded against a dead address")
 	}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -239,7 +239,7 @@ func TestWaitReady(t *testing.T) {
 		http.NotFound(w, r)
 	}))
 	defer ts.Close()
-	if err := WaitReady(context.Background(), nil, ts.URL, time.Second); err != nil {
+	if err := WaitReady(context.Background(), ts.URL, time.Second); err != nil {
 		t.Fatal(err)
 	}
 }

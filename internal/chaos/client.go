@@ -88,8 +88,7 @@ type Client struct {
 	Faults Faults // injected failures
 	Seed   uint64 // PRNG seed for fault points and jitter
 
-	HTTP *http.Client                     // default http.DefaultClient
-	Log  func(format string, args ...any) // optional progress log
+	Log func(format string, args ...any) // optional progress log
 
 	// AttemptsC and FailuresC, when set, count connection attempts and
 	// failed attempts as they happen (nil disables — obs counters are
@@ -312,11 +311,7 @@ func (c *Client) attempt(ctx context.Context, jobs []sched.Job, acked map[int]st
 		pw.Close()
 	}()
 
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	resp, err := httpc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -356,15 +351,12 @@ func (c *Client) attempt(ctx context.Context, jobs []sched.Job, acked map[int]st
 }
 
 // Drain asks the server to drain and returns the raw final report JSON.
-func Drain(ctx context.Context, httpc *http.Client, server string) ([]byte, error) {
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
+func Drain(ctx context.Context, server string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, server+"/v1/drain", nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := httpc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -383,16 +375,13 @@ func Drain(ctx context.Context, httpc *http.Client, server string) ([]byte, erro
 // response ({"shards":K,"history":[...]}). Resizing to the current count is
 // a successful no-op on the server, so retrying after an ambiguous failure
 // is safe.
-func Resize(ctx context.Context, httpc *http.Client, server string, shards int) ([]byte, error) {
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
+func Resize(ctx context.Context, server string, shards int) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		server+"/v1/resize?shards="+strconv.Itoa(shards), nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := httpc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -409,17 +398,14 @@ func Resize(ctx context.Context, httpc *http.Client, server string, shards int) 
 
 // WaitReady polls the server's health endpoint until it answers, ctx
 // expires, or the timeout elapses — the loadgen's startup barrier.
-func WaitReady(ctx context.Context, httpc *http.Client, server string, timeout time.Duration) error {
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
+func WaitReady(ctx context.Context, server string, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, server+"/healthz", nil)
 		if err != nil {
 			return err
 		}
-		resp, err := httpc.Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()

@@ -21,8 +21,7 @@ func reframe(t *testing.T, snap []byte, edit func(pending [][]int, running []int
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	sw := snapshot.NewWriter(&out)
+	sw := snapshot.AppendWriter(nil)
 	var running []int
 	for {
 		tag, d, err := sr.Next()
@@ -100,7 +99,7 @@ func reframe(t *testing.T, snap []byte, edit func(pending [][]int, running []int
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return out.Bytes()
+	return sw.Bytes()
 }
 
 // TestRestoreRefusesInconsistentPending: a snapshot whose pending lists

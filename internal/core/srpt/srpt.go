@@ -10,9 +10,9 @@
 // total flow time on a single machine, so on m=1 its flow equals
 // lowerbound.SRPTBound exactly.
 //
-// Policy of the unweighted variant, identical to the pre-engine
-// baseline.PreemptiveSRPT (the golden equivalence test pins bit-identical
-// outcomes across the migration):
+// Policy of the unweighted variant, identical to the pre-engine reference
+// loop (the golden equivalence test pins bit-identical outcomes across the
+// migration):
 //
 //   - Dispatching: at the arrival of job j, dispatch to the machine
 //     minimizing its remaining backlog plus p_ij (frozen waiting volumes,

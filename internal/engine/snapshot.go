@@ -65,24 +65,25 @@ const (
 // constructed policy of the same configuration rebuilds a session whose
 // future behavior — and final Outcome — is bit-identical to this one's.
 //
-// Snapshot writes to w once per section. AppendSnapshot is the in-place form
-// that checkpoint capture uses.
+// Snapshot builds the snapshot with AppendSnapshot and writes it to w in one
+// Write call.
 func (s *Session) Snapshot(w io.Writer) error {
-	if _, _, err := s.SnapshotSize(); err != nil {
+	b, err := s.AppendSnapshot(nil)
+	if err != nil {
 		return err
 	}
-	s.polFor = 0
-	return s.encode(snapshot.NewWriter(w))
+	_, err = w.Write(b)
+	return err
 }
 
-// AppendSnapshot appends the snapshot Snapshot would write to dst, encoding
-// every section straight into it, and returns the extended slice. Bytes are
-// identical to Snapshot's. SnapshotSize sizes the snapshot exactly before a
-// byte is written, so dst grows at most once, by snapshot.Grow, and then with
-// room for every job the job table has room for: a session presized by a
-// SizeHint is captured into one buffer for its whole stream. A capture loop
-// that passes the previous result back in (truncated to length 0) therefore
-// snapshots with no allocation until the state outgrows it.
+// AppendSnapshot appends the snapshot Snapshot writes to dst, encoding every
+// section straight into it, and returns the extended slice. SnapshotSize
+// sizes the snapshot exactly before a byte is written, so dst grows at most
+// once, by snapshot.Grow, and then with room for every job the job table has
+// room for: a session presized by a SizeHint is captured into one buffer for
+// its whole stream. A capture loop that passes the previous result back in
+// (truncated to length 0) therefore snapshots with no allocation until the
+// state outgrows it.
 func (s *Session) AppendSnapshot(dst []byte) ([]byte, error) {
 	size, want, err := s.SnapshotSize()
 	if err != nil {

@@ -19,15 +19,14 @@ var (
 // implementations: the EVTQ wire format is shared.
 func snapRoundTrip(t *testing.T, src, dst Interface) {
 	t.Helper()
-	var buf bytes.Buffer
-	w := snapshot.NewWriter(&buf)
+	w := snapshot.AppendWriter(nil)
 	if err := w.Section("EVTQ", func(e *snapshot.Encoder) { src.Snapshot(e) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := snapshot.NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := snapshot.NewReader(bytes.NewReader(w.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,15 +222,14 @@ func TestCalendarSnapshotCrossImplementation(t *testing.T) {
 // so there is no heap-property case).
 func TestCalendarRestoreRejectsCorruptSemantics(t *testing.T) {
 	build := func(fill func(e *snapshot.Encoder)) *snapshot.Decoder {
-		var buf bytes.Buffer
-		w := snapshot.NewWriter(&buf)
+		w := snapshot.AppendWriter(nil)
 		if err := w.Section("EVTQ", fill); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		r, err := snapshot.NewReader(bytes.NewReader(buf.Bytes()))
+		r, err := snapshot.NewReader(bytes.NewReader(w.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,8 +304,7 @@ func FuzzCalendarVsHeap(f *testing.F) {
 			if step == int(snapAt) {
 				// Freeze under one impl, resume BOTH from that snapshot — the
 				// cross-impl restore must hand back exactly the same state.
-				var buf bytes.Buffer
-				w := snapshot.NewWriter(&buf)
+				w := snapshot.AppendWriter(nil)
 				var serr error
 				if snapUnderCalendar {
 					serr = w.Section("EVTQ", func(e *snapshot.Encoder) { c.Snapshot(e) })
@@ -318,7 +315,7 @@ func FuzzCalendarVsHeap(f *testing.F) {
 					t.Fatal("snapshot write failed")
 				}
 				restore := func(dst Interface) {
-					r, err := snapshot.NewReader(bytes.NewReader(buf.Bytes()))
+					r, err := snapshot.NewReader(bytes.NewReader(w.Bytes()))
 					if err != nil {
 						t.Fatal(err)
 					}

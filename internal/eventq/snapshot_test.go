@@ -14,15 +14,14 @@ import (
 // error.
 func roundTrip(t *testing.T, q *Queue) *Queue {
 	t.Helper()
-	var buf bytes.Buffer
-	w := snapshot.NewWriter(&buf)
+	w := snapshot.AppendWriter(nil)
 	if err := w.Section("EVTQ", func(e *snapshot.Encoder) { q.Snapshot(e) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := snapshot.NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := snapshot.NewReader(bytes.NewReader(w.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,15 +184,14 @@ func TestRestoreRejectsCorruptSemantics(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			w := snapshot.NewWriter(&buf)
+			w := snapshot.AppendWriter(nil)
 			if err := w.Section("EVTQ", tc.fill); err != nil {
 				t.Fatal(err)
 			}
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			r, err := snapshot.NewReader(bytes.NewReader(buf.Bytes()))
+			r, err := snapshot.NewReader(bytes.NewReader(w.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -16,6 +17,19 @@ import (
 	"repro/internal/sched"
 	"repro/internal/snapshot"
 )
+
+// truncateFile cuts path to frac of its current size: a torn write, the
+// crash landing after a member's first bytes but before its tail.
+func truncateFile(t *testing.T, path string, frac float64) {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, int64(float64(fi.Size())*frac)); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // shiftJobs clones a generated stream into a later phase: distinct ids and
 // releases lifted past the earlier phase's watermark, so a post-resize
@@ -312,9 +326,7 @@ func TestResizeTornCheckpointFallsBack(t *testing.T) {
 	}
 	entries := lin.Entries()
 	newest := entries[len(entries)-1]
-	if err := chaos.TruncateFile(filepath.Join(dir, newest.File), 0.5); err != nil {
-		t.Fatal(err)
-	}
+	truncateFile(t, filepath.Join(dir, newest.File), 0.5)
 
 	payload, info, err := snapshot.RecoverLineage(cfg.CheckpointPath)
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package obs is a dependency-free telemetry core for the serving stack:
 // atomic counters and gauges, a fixed-bucket log-scale histogram with
-// lock-free allocation-free recording, and a registry that renders
-// Prometheus text exposition and expvar-style JSON.
+// lock-free allocation-free recording, and a registry that renders the
+// Prometheus text exposition (and, on the scrape side, parses it back).
 //
 // Every metric method is nil-receiver safe: a nil *Counter, *Gauge or
 // *Histogram is the disabled mode and costs one predictable branch per
@@ -309,55 +309,6 @@ func writeHistogram(b *strings.Builder, base, labels string, s HistSnapshot) {
 	fmt.Fprintf(b, "%s_count%s %d\n", base, suffix, s.Count)
 }
 
-// WriteJSON renders the registry as a flat expvar-style JSON object:
-// series name to value, histograms as {count, sum, buckets}.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	if r == nil {
-		_, err := io.WriteString(w, "{}\n")
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var b strings.Builder
-	b.WriteString("{")
-	first := true
-	for _, e := range r.sortedEntries() {
-		if !first {
-			b.WriteString(",")
-		}
-		first = false
-		b.WriteString("\n  ")
-		b.WriteString(strconv.Quote(e.name))
-		b.WriteString(": ")
-		switch e.kind {
-		case kindCounter:
-			b.WriteString(strconv.FormatInt(e.c.Value(), 10))
-		case kindGauge:
-			b.WriteString(jsonFloat(e.g.Value()))
-		case kindGaugeFunc:
-			b.WriteString(jsonFloat(e.fn()))
-		case kindHistogram:
-			s := e.h.Snapshot()
-			fmt.Fprintf(&b, `{"count": %d, "sum": %s, "buckets": {`, s.Count, jsonFloat(s.Sum))
-			firstB := true
-			for k := 0; k < NumBuckets; k++ {
-				if s.Counts[k] == 0 {
-					continue
-				}
-				if !firstB {
-					b.WriteString(", ")
-				}
-				firstB = false
-				fmt.Fprintf(&b, "%q: %d", formatFloat(BucketUpper(k)), s.Counts[k])
-			}
-			b.WriteString("}}")
-		}
-	}
-	b.WriteString("\n}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // Label builds a labeled series name: Label("x", "tenant", "3") is
@@ -382,11 +333,4 @@ func Label(name string, kv ...string) string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-func jsonFloat(v float64) string {
-	if math.IsInf(v, 0) || math.IsNaN(v) {
-		return strconv.Quote(formatFloat(v))
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -56,9 +55,6 @@ func TestNilSafety(t *testing.T) {
 	r.GaugeFunc("x", func() float64 { return 1 })
 	r.RegisterCounter("x", &Counter{})
 	if err := r.WritePrometheus(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteJSON(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -289,28 +285,6 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 	if got := sc.Quantile("absent", 0.5); got != 0 {
 		t.Fatalf("absent histogram quantile = %g, want 0", got)
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total").Add(3)
-	r.Gauge("b").Set(1.5)
-	r.Histogram("h").Record(10)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-		t.Fatalf("WriteJSON produced invalid JSON: %v\n%s", err, buf.String())
-	}
-	if m["a_total"].(float64) != 3 {
-		t.Fatalf("a_total = %v", m["a_total"])
-	}
-	hist := m["h"].(map[string]any)
-	if hist["count"].(float64) != 1 {
-		t.Fatalf("h.count = %v", hist["count"])
 	}
 }
 

@@ -13,13 +13,12 @@ import (
 // reproduces the donor's bytes exactly (the bit-identical-resume contract).
 func roundTripFlat(t *testing.T, f *Flat) *Flat {
 	t.Helper()
-	var buf bytes.Buffer
-	sw := snapshot.NewWriter(&buf)
+	sw := snapshot.AppendWriter(nil)
 	sw.Section("FLAT", f.Snapshot)
 	if err := sw.Close(); err != nil {
 		t.Fatalf("flat snapshot: %v", err)
 	}
-	sr, err := snapshot.NewReader(bytes.NewReader(buf.Bytes()))
+	sr, err := snapshot.NewReader(bytes.NewReader(sw.Bytes()))
 	if err != nil {
 		t.Fatalf("flat snapshot reader: %v", err)
 	}
@@ -34,13 +33,12 @@ func roundTripFlat(t *testing.T, f *Flat) *Flat {
 	if err := d.Done(); err != nil {
 		t.Fatalf("flat restore trailing: %v", err)
 	}
-	var buf2 bytes.Buffer
-	sw2 := snapshot.NewWriter(&buf2)
+	sw2 := snapshot.AppendWriter(nil)
 	sw2.Section("FLAT", nf.Snapshot)
 	if err := sw2.Close(); err != nil {
 		t.Fatalf("flat re-snapshot: %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+	if !bytes.Equal(sw.Bytes(), sw2.Bytes()) {
 		t.Fatalf("restored flat index re-snapshots to different bytes")
 	}
 	return nf
@@ -220,13 +218,12 @@ func TestFlatLeafChurnRecyclesArena(t *testing.T) {
 // counts must fail with positioned errors, never build a bad index.
 func TestFlatRestoreRejectsCorruption(t *testing.T) {
 	mangle := func(name string, f func(e *snapshot.Encoder)) {
-		var buf bytes.Buffer
-		sw := snapshot.NewWriter(&buf)
+		sw := snapshot.AppendWriter(nil)
 		sw.Section("FLAT", f)
 		if err := sw.Close(); err != nil {
 			t.Fatalf("%s: write: %v", name, err)
 		}
-		sr, err := snapshot.NewReader(bytes.NewReader(buf.Bytes()))
+		sr, err := snapshot.NewReader(bytes.NewReader(sw.Bytes()))
 		if err != nil {
 			t.Fatalf("%s: reader: %v", name, err)
 		}

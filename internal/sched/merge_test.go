@@ -8,11 +8,9 @@ import (
 )
 
 // syntheticPart builds a Metrics part from raw flows, the way a shard's
-// ComputeMetricsFlows would summarize them.
+// ComputeMetrics would summarize them.
 func syntheticPart(flows []float64) Metrics {
 	var m Metrics
-	// Non-nil even when empty: an empty shard still carries (an empty)
-	// sample population, which keeps the merge exact.
 	sorted := append(make([]float64, 0, len(flows)), flows...)
 	slices.Sort(sorted)
 	for _, f := range sorted {
@@ -26,17 +24,14 @@ func syntheticPart(flows []float64) Metrics {
 		m.MeanFlow = m.TotalFlow / float64(len(sorted))
 		m.P99Flow = quantileP99(sorted)
 	}
-	m.Flows = sorted
 	return m
 }
 
-// TestMergeMetricsExactP99 pins the satellite guarantee: merging parts that
-// carry their flow samples yields the whole-population p99 — identical to
-// computing the quantile over the concatenated flows directly — while the
-// sample-less merge only upper-bounds it. The shard split is adversarial for
-// the old bound: the tail lives on a small shard, whose own p99 overshoots
-// the population's.
-func TestMergeMetricsExactP99(t *testing.T) {
+// TestMergeMetricsP99IsMaxOfParts pins the merge's one p99 rule: the merged
+// P99Flow is the largest part's, an upper bound on the whole population's.
+// The shard split is adversarial: the tail lives on a small shard, whose own
+// p99 overshoots the population's, so the bound is strict here.
+func TestMergeMetricsP99IsMaxOfParts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	// Shard 0: 900 fast jobs. Shard 1: 100 slow jobs (the tail). Shard 2:
 	// empty, the degenerate case.
@@ -52,31 +47,21 @@ func TestMergeMetricsExactP99(t *testing.T) {
 
 	merged := MergeMetrics(parts...)
 
+	if merged.P99Flow != parts[1].P99Flow {
+		t.Fatalf("merged p99 %v, want the tail shard's %v", merged.P99Flow, parts[1].P99Flow)
+	}
 	population := append(append([]float64(nil), fast...), slow...)
 	slices.Sort(population)
-	want := quantileP99(population)
-	if merged.P99Flow != want {
-		t.Fatalf("merged p99 %v, population p99 %v", merged.P99Flow, want)
+	if exact := quantileP99(population); !(merged.P99Flow > exact) {
+		t.Fatalf("merged p99 %v not above the population's %v — the test instance is not adversarial", merged.P99Flow, exact)
 	}
-	if !slices.Equal(merged.Flows, population) {
-		t.Fatalf("merged flows are not the sorted population")
-	}
-	// The old upper bound (max of shard p99s) is strictly looser here: the
-	// tail shard's own p99 sits above the population's.
-	loose := MergeMetrics(parts[0], Metrics{
-		TotalFlow: parts[1].TotalFlow, Completed: parts[1].Completed,
-		MaxFlow: parts[1].MaxFlow, P99Flow: parts[1].P99Flow, // no Flows
-	})
-	if !(loose.P99Flow > want) {
-		t.Fatalf("upper-bound fallback %v not above exact %v — the test instance is not adversarial", loose.P99Flow, want)
-	}
-	if loose.Flows != nil {
-		t.Fatal("fallback merge must not fabricate samples")
+	if merged.Completed != len(population) || merged.MaxFlow != population[len(population)-1] {
+		t.Fatalf("merged counts/max wrong: %+v", merged)
 	}
 }
 
 // TestMergeMetricsNests pins that merges compose: merging merged views gives
-// the same exact quantiles as one flat merge.
+// the same p99 and totals as one flat merge.
 func TestMergeMetricsNests(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	mk := func(n int, scale float64) Metrics {
@@ -89,61 +74,10 @@ func TestMergeMetricsNests(t *testing.T) {
 	a, b, c, d := mk(50, 1), mk(70, 5), mk(30, 20), mk(90, 2)
 	flat := MergeMetrics(a, b, c, d)
 	nested := MergeMetrics(MergeMetrics(a, b), MergeMetrics(c, d))
-	if flat.P99Flow != nested.P99Flow || !slices.Equal(flat.Flows, nested.Flows) {
+	if flat.P99Flow != nested.P99Flow || flat.MaxFlow != nested.MaxFlow {
 		t.Fatal("nested merge diverges from flat merge")
 	}
 	if math.Abs(flat.TotalFlow-nested.TotalFlow) > 1e-9*flat.TotalFlow {
 		t.Fatal("nested merge total flow diverges")
-	}
-}
-
-// TestComputeMetricsFlowsMatchesSummary checks the sample-carrying variant
-// against the plain one on a real outcome, and that the samples do not alias
-// the scratch arena.
-func TestComputeMetricsFlowsMatchesSummary(t *testing.T) {
-	ins := &Instance{
-		Machines: 2,
-		Jobs: []Job{
-			{ID: 0, Release: 0, Weight: 1, Deadline: NoDeadline, Proc: []float64{2, 3}},
-			{ID: 1, Release: 1, Weight: 1, Deadline: NoDeadline, Proc: []float64{4, 1}},
-			{ID: 2, Release: 2, Weight: 1, Deadline: NoDeadline, Proc: []float64{1, 5}},
-		},
-	}
-	o := &Outcome{
-		Intervals: []Interval{
-			{Job: 0, Machine: 0, Start: 0, End: 2, Speed: 1},
-			{Job: 1, Machine: 1, Start: 1, End: 2, Speed: 1},
-			{Job: 2, Machine: 0, Start: 2, End: 3, Speed: 1},
-		},
-		Completed: map[int]float64{0: 2, 1: 2, 2: 3},
-		Rejected:  map[int]float64{},
-		Assigned:  map[int]int{0: 0, 1: 1, 2: 0},
-	}
-	var s scratch
-	plain, err := s.ComputeMetrics(ins, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withFlows, err := s.computeMetricsFlows(ins, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Flows != nil {
-		t.Fatal("plain ComputeMetrics must not carry samples")
-	}
-	if withFlows.P99Flow != plain.P99Flow || withFlows.TotalFlow != plain.TotalFlow {
-		t.Fatal("sample-carrying variant changes the summary")
-	}
-	want := []float64{1, 1, 2}
-	if !slices.Equal(withFlows.Flows, want) {
-		t.Fatalf("flows %v, want %v", withFlows.Flows, want)
-	}
-	// Reusing the scratch must not mutate the returned samples.
-	o.Completed[2] = 9
-	if _, err := s.ComputeMetrics(ins, o); err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(withFlows.Flows, want) {
-		t.Fatal("samples alias the scratch arena")
 	}
 }

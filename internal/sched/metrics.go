@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // Metrics summarizes the cost of an outcome under the objectives studied in
 // the paper.
@@ -27,13 +24,6 @@ type Metrics struct {
 	RejectedWeight float64
 	// Makespan is the last completion/rejection instant.
 	Makespan float64
-	// Flows, when non-nil, holds the sorted per-job flow times behind the
-	// summary statistics — the carrier that makes fleet aggregation exact:
-	// MergeMetrics over parts that all have Flows computes the merged
-	// quantiles from the whole population instead of bounding them. Filled
-	// by ComputeMetricsFlows; plain ComputeMetrics leaves it nil to keep the
-	// allocation-free reporting path.
-	Flows []float64
 }
 
 // WeightedFlowPlusEnergy is the Theorem 2 objective.
@@ -44,19 +34,12 @@ func (m Metrics) WeightedFlowPlusEnergy() float64 { return m.WeightedFlow + m.En
 // Makespan take the maximum, MeanFlow is recomputed from the summed flow and
 // job count.
 //
-// P99Flow is exact when every part carries its Flows samples (compute the
-// parts with ComputeMetricsFlows): the samples merge into one sorted
-// population, the fleet p99 is read off it with the same quantile rule the
-// per-shard value uses, and the merged Metrics carries the combined Flows so
-// merges nest. When any part lacks samples, a population quantile cannot be
-// reconstructed from per-shard percentiles, and the merge falls back to the
-// largest shard's value — an upper bound that is exact only when one shard
-// dominates the tail.
+// P99Flow is the largest part's value: a population quantile cannot be
+// reconstructed from per-part percentiles, so the merge reports an upper
+// bound that is exact only when one part dominates the tail.
 func MergeMetrics(parts ...Metrics) Metrics {
 	var m Metrics
 	jobs := 0
-	exact := len(parts) > 0
-	samples := 0
 	for _, p := range parts {
 		m.TotalFlow += p.TotalFlow
 		m.WeightedFlow += p.WeightedFlow
@@ -74,29 +57,15 @@ func MergeMetrics(parts ...Metrics) Metrics {
 			m.Makespan = p.Makespan
 		}
 		jobs += p.Completed + p.Rejected
-		if p.Flows == nil {
-			exact = false
-		}
-		samples += len(p.Flows)
 	}
 	if jobs > 0 {
 		m.MeanFlow = m.TotalFlow / float64(jobs)
-	}
-	if exact {
-		flows := make([]float64, 0, samples)
-		for _, p := range parts {
-			flows = append(flows, p.Flows...)
-		}
-		slices.Sort(flows)
-		m.Flows = flows
-		m.P99Flow = quantileP99(flows)
 	}
 	return m
 }
 
 // quantileP99 reads the 99th percentile off sorted flow samples with the
-// ceil-rank rule ComputeMetrics uses, so per-shard and fleet-level values
-// are directly comparable. Zero for an empty population.
+// ceil-rank rule. Zero for an empty population.
 func quantileP99(sorted []float64) float64 {
 	if len(sorted) == 0 {
 		return 0
@@ -119,28 +88,6 @@ func ComputeMetrics(ins *Instance, o *Outcome) (Metrics, error) {
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
 	return s.ComputeMetrics(ins, o)
-}
-
-// ComputeMetricsFlows is ComputeMetrics plus the sorted per-job flow
-// samples in Metrics.Flows, the input MergeMetrics needs for an exact fleet
-// p99. It allocates one []float64 per call (the samples escape with the
-// Metrics), so the plain ComputeMetrics remains the allocation-free path for
-// callers that only need the summary.
-func ComputeMetricsFlows(ins *Instance, o *Outcome) (Metrics, error) {
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	return s.computeMetricsFlows(ins, o)
-}
-
-// computeMetricsFlows copies the samples out: the arena recycles its flow
-// buffer across calls, and Metrics must not alias it.
-func (s *scratch) computeMetricsFlows(ins *Instance, o *Outcome) (Metrics, error) {
-	m, err := s.ComputeMetrics(ins, o)
-	if err != nil {
-		return m, err
-	}
-	m.Flows = append(make([]float64, 0, len(s.flows)), s.flows...)
-	return m, nil
 }
 
 // EnergyOf integrates Σ_i ∫ P_i(speed_i(t)) dt with P(s) = s^Alpha over the

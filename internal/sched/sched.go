@@ -18,8 +18,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
+
+// The module is 64-bit only (DESIGN.md, "64-bit targets only"): an int holds
+// a front-door gid, tenant<<32 | local id, and every job index. This
+// assertion is the one place a 32-bit build stops, with "bits.UintSize - 64
+// (untyped int constant -32) ... overflows": every package that handles jobs
+// imports this one.
+const _ uint = bits.UintSize - 64
 
 // Eps is the tolerance used for floating-point comparisons of times and
 // processed volumes throughout the package.

@@ -10,15 +10,14 @@ import (
 // (tag, payload); a payload may itself be container bytes (nesting).
 func buildContainer(t *testing.T, sections ...[2][]byte) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := AppendWriter(nil)
 	for _, s := range sections {
 		w.Section(string(s[0]), func(e *Encoder) { e.Raw(s[1]) })
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return w.Bytes()
 }
 
 func sec(tag string, payload []byte) [2][]byte { return [2][]byte{[]byte(tag), payload} }

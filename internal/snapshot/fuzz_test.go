@@ -12,8 +12,7 @@ import (
 // length prefix. Decoding of the payload primitives is exercised on every
 // section that survives the CRC.
 func FuzzReader(f *testing.F) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := AppendWriter(nil)
 	w.Section("SESS", func(e *Encoder) {
 		e.U32(4)
 		e.F64(1.5)
@@ -25,8 +24,8 @@ func FuzzReader(f *testing.F) {
 		e.F64(0.25)
 	})
 	w.Close()
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:11])
+	f.Add(w.Bytes())
+	f.Add(w.Bytes()[:11])
 	f.Add([]byte("SCHSNAP\x00"))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -66,8 +65,7 @@ func leaf(w *Writer, tag string, payload []byte) { w.Frame(tag, payload, Checksu
 // boundaries come from src itself, so the fuzzer moves them.
 func fuzzContainer(src []byte, shards int) []byte {
 	cut := func(b []byte, k, of int) []byte { return b[len(b)*k/of : len(b)*(k+1)/of] }
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := AppendWriter(nil)
 	if shards == 0 {
 		leaf(w, "SESS", cut(src, 0, 3))
 		leaf(w, "JOBS", cut(src, 1, 3))
@@ -76,16 +74,15 @@ func fuzzContainer(src []byte, shards int) []byte {
 		w.Section("FLET", func(e *Encoder) { e.U32(uint32(shards)) })
 		for k := 0; k < shards; k++ {
 			part := cut(src, k, shards)
-			var inner bytes.Buffer
-			iw := NewWriter(&inner)
+			iw := AppendWriter(nil)
 			leaf(iw, "SESS", cut(part, 0, 2))
 			leaf(iw, "JOBS", cut(part, 1, 2))
 			iw.Close()
-			leaf(w, "SHRD", inner.Bytes())
+			leaf(w, "SHRD", iw.Bytes())
 		}
 	}
 	w.Close()
-	return buf.Bytes()
+	return w.Bytes()
 }
 
 // FuzzDelta drives the delta codec over fuzz-built base and target

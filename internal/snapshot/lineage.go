@@ -58,8 +58,6 @@ type LineageOptions struct {
 	Keep int
 	// DeltaEvery writes this many deltas between fulls; 0 writes only fulls.
 	DeltaEvery int
-	// Chunk is the delta chunk granularity; 0 selects DefaultDeltaChunk.
-	Chunk int
 }
 
 // Lineage writes and recovers a checkpoint lineage rooted at a base path.
@@ -85,6 +83,9 @@ type Lineage struct {
 	// delta is the scratch every delta Write encodes into, sized exactly from
 	// its plan (appendDelta).
 	delta []byte
+	// stale lists pruned members whose removal waits for a manifest known
+	// durable: until then a crash may bring back one that names them.
+	stale []LineageEntry
 }
 
 // manifestPath returns the manifest file for a lineage base path.
@@ -219,7 +220,10 @@ func (l *Lineage) entryName(seq uint64, kind string) string {
 // capture. So a caller that captures into what Recycle returns keeps two
 // payload-sized buffers in play, the base and the capture, and the lineage
 // adds only the delta buffer. After a failed Write the lineage holds nothing
-// of payload.
+// of payload. A failed Write lists no new member, with one exception: when
+// only the manifest's directory sync fails, the manifest naming the member
+// is already in place, so the member stays listed and on disk, and its seq
+// is spent.
 //
 // The parse and the delta plan use every core for a large payload (see
 // parallelMin), and the self-check runs beside the write and fsync of the
@@ -257,27 +261,21 @@ func (l *Lineage) Write(payload []byte, forceFull bool) (LineageEntry, error) {
 			return LineageEntry{}, err
 		}
 	}
-	if err := commitFile(l.memberPath(entry)); err != nil {
+	if _, err := commitFile(l.memberPath(entry)); err != nil {
 		os.Remove(l.memberPath(entry)) // a rename not known durable is not a member
 		return LineageEntry{}, err
 	}
-	kept := l.entries
+	kept, stale := l.entries, len(l.stale)
 	l.entries = append(l.entries, entry)
-	pruned := l.prune()
-	if err := l.writeManifest(); err != nil {
+	l.stale = append(l.stale, l.prune()...)
+	renamed, err := l.writeManifest()
+	if err != nil && !renamed {
 		// The manifest on disk still lists the old entries, so memory must
 		// too: the next write reuses this seq, and a list that kept it would
-		// name it twice. The member no manifest names goes with it. (When
-		// only the manifest's directory sync failed, the manifest on disk may
-		// name the removed member; recovery drops it like a torn one.)
-		l.entries = kept
+		// name it twice. The member no manifest names goes with it.
+		l.entries, l.stale = kept, l.stale[:stale]
 		os.Remove(l.memberPath(entry))
 		return LineageEntry{}, err
-	}
-	// Old generations leave the disk only after the manifest that no longer
-	// names them is durable.
-	for _, e := range pruned {
-		os.Remove(l.memberPath(e))
 	}
 	l.nextSeq = seq + 1
 	if entry.Kind == "full" {
@@ -285,6 +283,20 @@ func (l *Lineage) Write(payload []byte, forceFull bool) (LineageEntry, error) {
 	} else {
 		l.sinceFull++
 	}
+	if err != nil {
+		// Only the manifest's directory sync failed: the manifest in place
+		// names the member, so the member stays and its seq is spent. The
+		// write still failed, so the lineage keeps no base of it (the next
+		// write is a full) and no buffer for Recycle to hand back.
+		l.retired, l.prev, l.prevTree = nil, nil, nil
+		return LineageEntry{}, err
+	}
+	// Old generations leave the disk only after the manifest that no longer
+	// names them is durable.
+	for _, e := range l.stale {
+		os.Remove(l.memberPath(e))
+	}
+	l.stale = l.stale[:0]
 	if l.opt.DeltaEvery > 0 {
 		// A fulls-only lineage never encodes a delta, so it keeps no base.
 		l.retired, l.prev, l.prevTree, l.prevSeq = l.prev, payload, tree, seq
@@ -335,7 +347,7 @@ func (l *Lineage) stageDelta(payload []byte, next *deltaNode) (e LineageEntry, o
 			return e, false, nil
 		}
 	}
-	delta, sum, _, err := appendDelta(l.delta[:0], l.prevTree, next, l.prevSeq, l.nextSeq, l.opt.Chunk)
+	delta, sum, _, err := appendDelta(l.delta[:0], l.prevTree, next, l.prevSeq, l.nextSeq, DefaultDeltaChunk)
 	l.delta = delta
 	if err != nil {
 		return e, false, nil
@@ -383,15 +395,16 @@ func (l *Lineage) prune() []LineageEntry {
 	return dropped
 }
 
-// writeManifest rewrites the manifest atomically.
-func (l *Lineage) writeManifest() error {
+// writeManifest rewrites the manifest atomically. renamed reports whether
+// the new manifest is in place, as commitFile's does.
+func (l *Lineage) writeManifest() (renamed bool, err error) {
 	data, err := json.MarshalIndent(lineageManifest{Version: 1, Entries: l.entries}, "", "  ")
 	if err != nil {
-		return err
+		return false, err
 	}
 	path := manifestPath(l.path)
 	if err := writeTemp(path, append(data, '\n')); err != nil {
-		return err
+		return false, err
 	}
 	return commitFile(path)
 }
@@ -564,17 +577,18 @@ func writeTemp(path string, data []byte) error {
 // commitFile renames path's synced temp file to path, then fsyncs the
 // directory so the rename itself is durable. A directory that cannot be
 // opened or synced fails it: until then the rename may not survive a crash.
-func commitFile(path string) error {
+// renamed reports whether path is in place, durable or not.
+func commitFile(path string) (renamed bool, err error) {
 	tmp := tempPath(path)
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return err
+		return false, err
 	}
 	dir := filepath.Dir(path)
 	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("snapshot: syncing directory %s after renaming %s: %w", dir, filepath.Base(path), err)
+		return true, fmt.Errorf("snapshot: syncing directory %s after renaming %s: %w", dir, filepath.Base(path), err)
 	}
-	return nil
+	return true, nil
 }
 
 // syncDir fsyncs a directory; in-package tests replace it to fail.

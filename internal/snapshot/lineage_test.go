@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -522,9 +523,12 @@ func TestLineageSelfCheckFailureWritesFull(t *testing.T) {
 }
 
 // TestLineageDirSyncFailureFailsWrite pins that a rename whose directory
-// cannot be synced is not a write: Write fails naming the directory, lists
-// nothing new and leaves no member behind, whether the member's sync or the
-// manifest's fails; the next write reuses the seq and the chain recovers.
+// cannot be synced fails the write, naming the directory. When the member's
+// sync fails, the write lists nothing new and leaves no member behind, and
+// the next write reuses the seq. When only the manifest's sync fails, the
+// manifest naming the member is already in place: the member stays listed
+// and on disk, recovery returns it with nothing dropped, and the next write
+// takes the next seq and leaves no file the manifest does not list.
 func TestLineageDirSyncFailureFailsWrite(t *testing.T) {
 	sync := syncDir
 	t.Cleanup(func() { syncDir = sync })
@@ -532,7 +536,7 @@ func TestLineageDirSyncFailureFailsWrite(t *testing.T) {
 		t.Run(fmt.Sprintf("sync %d", failAt), func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "ckpt")
-			l := openL(t, path, LineageOptions{DeltaEvery: 4})
+			l := openL(t, path, LineageOptions{DeltaEvery: 4, Keep: 1})
 			if _, err := l.Write(payloadN(t, 0), false); err != nil {
 				t.Fatal(err)
 			}
@@ -543,25 +547,60 @@ func TestLineageDirSyncFailureFailsWrite(t *testing.T) {
 				}
 				return sync(d)
 			}
-			_, err := l.Write(payloadN(t, 1), false)
+			_, err := l.Write(payloadN(t, 1), failAt == 2) // sync 2: a full, and Keep 1 prunes seq 0
 			syncDir = sync
 			if err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "injected") {
 				t.Fatalf("write under a failing directory sync: %v, want an error naming %s", err, dir)
 			}
-			if got := l.Entries(); len(got) != 1 {
-				t.Fatalf("after the failed write the lineage lists %+v", got)
-			}
-			for _, name := range []string{"ckpt.1.delta", "ckpt.1.full", "ckpt.1.delta.tmp"} {
-				if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-					t.Errorf("%s after the failed write: %v", name, err)
+			if failAt == 1 {
+				if got := l.Entries(); len(got) != 1 {
+					t.Fatalf("after the failed write the lineage lists %+v", got)
 				}
+				for _, name := range []string{"ckpt.1.delta", "ckpt.1.full", "ckpt.1.delta.tmp"} {
+					if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+						t.Errorf("%s after the failed write: %v", name, err)
+					}
+				}
+				e, err := l.Write(payloadN(t, 2), false)
+				if err != nil || e.Seq != 1 || e.Kind != "delta" || e.Base != 0 {
+					t.Fatalf("retried write = %+v, %v; want delta seq 1 on base 0", e, err)
+				}
+				if got, info, err := RecoverLineage(path); err != nil || !bytes.Equal(got, payloadN(t, 2)) || info.FellBack {
+					t.Fatalf("recovery after the retried write: %v (info %+v)", err, info)
+				}
+				return
+			}
+			if got := l.Entries(); len(got) != 1 || got[0].Seq != 1 || !slices.Equal(loadEntries(path), got) {
+				t.Fatalf("after the manifest's failed sync the lineage lists %+v, the manifest %+v; want seq 1 in both", got, loadEntries(path))
+			}
+			got, info, err := RecoverLineage(path)
+			if err != nil || !bytes.Equal(got, payloadN(t, 1)) || info.Seq != 1 || info.Dropped != 0 || info.FellBack {
+				t.Fatalf("recovery after the manifest's failed sync: %v (info %+v)", err, info)
 			}
 			e, err := l.Write(payloadN(t, 2), false)
-			if err != nil || e.Seq != 1 || e.Kind != "delta" || e.Base != 0 {
-				t.Fatalf("retried write = %+v, %v; want delta seq 1 on base 0", e, err)
+			if err != nil || e.Seq != 2 || e.Kind != "full" {
+				t.Fatalf("next write = %+v, %v; want full seq 2 (the failed write kept no base)", e, err)
 			}
-			if got, info, err := RecoverLineage(path); err != nil || !bytes.Equal(got, payloadN(t, 2)) || info.FellBack {
-				t.Fatalf("recovery after the retried write: %v (info %+v)", err, info)
+			listed := map[string]bool{filepath.Base(manifestPath(path)): true}
+			seqs := map[uint64]bool{}
+			for _, e := range loadEntries(path) {
+				if seqs[e.Seq] {
+					t.Fatalf("the manifest names seq %d twice", e.Seq)
+				}
+				seqs[e.Seq] = true
+				listed[e.File] = true
+			}
+			des, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, de := range des {
+				if !listed[de.Name()] {
+					t.Errorf("%s is on disk but not in the manifest", de.Name())
+				}
+			}
+			if got, info, err := RecoverLineage(path); err != nil || !bytes.Equal(got, payloadN(t, 2)) || info.Seq != 2 || info.FellBack {
+				t.Fatalf("recovery after the next write: %v (info %+v)", err, info)
 			}
 		})
 	}

@@ -145,17 +145,15 @@ func Grow(dst []byte, n, want int) []byte {
 // — never by reading the nested bytes again (see crc.go).
 //
 // AppendWriter builds the whole container in one caller-owned slice (a
-// checkpoint capture buffer that is reused across captures). NewWriter sends
-// each finished frame to an io.Writer in one Write call, from a scratch
-// buffer that the Writer reuses from section to section.
+// checkpoint capture buffer that is reused across captures); a caller that
+// wants the stream on an io.Writer writes Bytes once at the end.
 //
 // Errors are sticky: the first failure poisons every later call, so callers
 // may check once at Close.
 type Writer struct {
-	w      io.Writer // nil: append mode, the output is enc.buf
-	enc    Encoder   // the output (append mode) or the frame being written
-	sum    uint32    // running CRC32-C of the innermost open container
-	outer  []uint32  // running CRCs of the containers enclosing it (openNested)
+	enc    Encoder  // the output
+	sum    uint32   // running CRC32-C of the innermost open container
+	outer  []uint32 // running CRCs of the containers enclosing it (openNested)
 	err    error
 	closed bool
 }
@@ -171,16 +169,6 @@ var (
 	streamHeader = appendHeader(nil)
 	headerSum    = Checksum(streamHeader)
 )
-
-// NewWriter writes the stream header to w and returns a section writer that
-// writes each section to w as one frame.
-func NewWriter(w io.Writer) *Writer {
-	sw := &Writer{w: w, sum: headerSum}
-	if _, err := w.Write(appendHeader(nil)); err != nil {
-		sw.err = fmt.Errorf("snapshot: writing header: %w", err)
-	}
-	return sw
-}
 
 // AppendWriter returns a section writer that appends the stream header and
 // then every section to dst. Bytes returns the result.
@@ -242,11 +230,8 @@ func (sw *Writer) Nest(tag string, fill func(dst []byte) ([]byte, error)) error 
 // encode them concurrently, and must fill each one completely — and the
 // frames are then sealed in order, each from the CRCs its nested container's
 // frames store, so no payload byte is read again. fill's error poisons the
-// writer. Append mode only.
+// writer.
 func (sw *Writer) NestEach(tag string, sizes []int, fill func(payloads [][]byte) error) error {
-	if sw.w != nil {
-		panic("snapshot: NestEach needs an AppendWriter")
-	}
 	starts := make([]int, len(sizes))
 	for k, n := range sizes {
 		start, err := sw.open(tag)
@@ -285,9 +270,6 @@ func (sw *Writer) open(tag string) (int, error) {
 		sw.err = fmt.Errorf("snapshot: section %q after Close", tag)
 		return 0, sw.err
 	}
-	if sw.w != nil {
-		sw.enc.buf = sw.enc.buf[:0]
-	}
 	start := len(sw.enc.buf)
 	sw.enc.buf = append(append(sw.enc.buf, tag...), 0, 0, 0, 0)
 	return start, nil
@@ -295,8 +277,7 @@ func (sw *Writer) open(tag string) (int, error) {
 
 // seal closes the frame opened at start, whose payload has CRC32-C sum: it
 // patches the payload length into the header, appends the frame's CRC over
-// tag and payload, folds the frame into the container's running CRC, and in
-// stream mode writes the frame out.
+// tag and payload, and folds the frame into the container's running CRC.
 func (sw *Writer) seal(tag string, start int, sum uint32) error {
 	n := len(sw.enc.buf) - start - 8
 	sw.enc.buf = append(sw.enc.buf, 0, 0, 0, 0)
@@ -314,18 +295,12 @@ func (sw *Writer) sealAt(tag string, start, n int, sum uint32) error {
 	binary.LittleEndian.PutUint32(b[start+4:], uint32(n))
 	binary.LittleEndian.PutUint32(b[start+8+n:], frameCRC(b[start:start+4], sum, n))
 	sw.sum = appendFrameSum(sw.sum, b[start:start+12+n], sum)
-	if sw.w != nil {
-		if _, err := sw.w.Write(sw.enc.buf); err != nil {
-			sw.err = fmt.Errorf("snapshot: writing section %q: %w", tag, err)
-		}
-	}
-	return sw.err
+	return nil
 }
 
 // openNested opens a section whose payload is a nested container, writing
 // the container's stream header; the sections that follow land inside it
-// until closeNested. Append mode only: a stream-mode frame is written out
-// whole at seal.
+// until closeNested.
 func (sw *Writer) openNested(tag string) (int, error) {
 	start, err := sw.open(tag)
 	if err != nil {
@@ -354,7 +329,7 @@ func (sw *Writer) closeNested(tag string, start int) error {
 	return sw.seal(tag, start, inner)
 }
 
-// Close writes the end section. It does not close the underlying writer.
+// Close writes the end section.
 func (sw *Writer) Close() error {
 	if sw.err != nil {
 		return sw.err

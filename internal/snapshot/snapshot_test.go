@@ -11,8 +11,7 @@ import (
 // writeSample builds a two-section stream exercising every primitive.
 func writeSample(t *testing.T) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := AppendWriter(nil)
 	err := w.Section("ONE\x00", func(e *Encoder) {
 		e.U8(7)
 		e.Bool(true)
@@ -41,7 +40,7 @@ func writeSample(t *testing.T) []byte {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return w.Bytes()
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -197,15 +196,14 @@ func TestTrailingDataRejected(t *testing.T) {
 }
 
 func TestDecoderStickyAndPositioned(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := AppendWriter(nil)
 	if err := w.Section("SECT", func(e *Encoder) { e.U32(5) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := NewReader(bytes.NewReader(w.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,15 +222,14 @@ func TestDecoderStickyAndPositioned(t *testing.T) {
 }
 
 func TestDoneCatchesTrailingBytes(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := AppendWriter(nil)
 	if err := w.Section("SECT", func(e *Encoder) { e.U64(1); e.U64(2) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := NewReader(bytes.NewReader(w.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,15 +244,14 @@ func TestDoneCatchesTrailingBytes(t *testing.T) {
 }
 
 func TestCountGuardsAllocation(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := AppendWriter(nil)
 	if err := w.Section("SECT", func(e *Encoder) { e.U64(1 << 50) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := NewReader(bytes.NewReader(w.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 
 	"repro/internal/sched"
@@ -82,16 +81,6 @@ func ReadInstance(r io.Reader) (*sched.Instance, error) {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return ins, nil
-}
-
-// LoadInstance reads an instance from a file.
-func LoadInstance(path string) (*sched.Instance, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadInstance(f)
 }
 
 type outcomeJSON struct {

@@ -3,8 +3,6 @@ package trace
 import (
 	"bytes"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -122,29 +120,6 @@ func TestOutcomeRoundTrip(t *testing.T) {
 	}
 	if math.Abs(m1.TotalFlow-m2.TotalFlow) > 1e-9 || m1.Rejected != m2.Rejected {
 		t.Fatalf("metrics drifted: %+v vs %+v", m1, m2)
-	}
-}
-
-func TestSaveLoadFiles(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ins.ndjson")
-	ins := workload.Random(workload.DefaultConfig(10, 2, 1))
-	var buf bytes.Buffer
-	if err := WriteInstance(&buf, ins); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadInstance(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Jobs) != 10 {
-		t.Fatalf("loaded %d jobs", len(got.Jobs))
-	}
-	if _, err := LoadInstance(filepath.Join(dir, "missing.ndjson")); err == nil {
-		t.Fatal("loaded a missing file")
 	}
 }
 
