@@ -242,8 +242,10 @@ func (s *Session) encode(sw *snapshot.Writer) error {
 // le is the byte order of every snapshot field.
 var le = binary.LittleEndian
 
-// putF64 writes the IEEE-754 bit pattern of v, as Encoder.F64 does.
+// putF64 writes the IEEE-754 bit pattern of v, as Encoder.F64 does, and
+// getF64 reads it back, as Decoder.F64 does.
 func putF64(b []byte, v float64) { le.PutUint64(b, math.Float64bits(v)) }
+func getF64(b []byte) float64    { return math.Float64frombits(le.Uint64(b)) }
 
 // snapshotOutcome serializes the dense outcome record: the interval log
 // followed by one (state, decision time, machine) triple per fed job in
@@ -315,13 +317,16 @@ func RestoreOpts(r io.Reader, opt Options, newPolicy func(machines int) (Policy,
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	if machines <= 0 || machines > 1<<24 {
+	// The machine and job counts size the session before the sections that
+	// hold their records are read, so each is checked against the bytes
+	// left: a machine state and a job record need at least 40 bytes each.
+	if machines <= 0 || machines > 1<<24 || machines > sr.Remaining()/40 {
 		return nil, fmt.Errorf("snapshot: session declares %d machines", machines)
 	}
 	if coreSeq < 0 || coreSeq > math.MaxInt32 {
 		return nil, fmt.Errorf("snapshot: session start-version counter %d out of range", coreSeq)
 	}
-	if njobs > math.MaxInt32 {
+	if njobs > math.MaxInt32 || njobs > uint64(sr.Remaining()/jobRecord(machines)) {
 		return nil, fmt.Errorf("snapshot: session declares %d jobs", njobs)
 	}
 
@@ -343,14 +348,23 @@ func RestoreOpts(r io.Reader, opt Options, newPolicy func(machines int) (Policy,
 	}
 	c := &s.core
 	c.seq = int32(coreSeq)
-	if err := restoreInto(sr, s, sp); err != nil {
+	if err := restoreSections(sr, s, sp); err != nil {
 		pol.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
+// restoreSections fills a pre-initialized session from the sections after
+// SESS: restoreInto, or in tests the per-field reference decoder it is held
+// to (decode_ref_test.go).
+var restoreSections = restoreInto
+
 // restoreInto fills the pre-initialized session from the remaining sections.
+// The job table, the conservation vector and the outcome record are runs of
+// fixed-size records, read the way encode writes them: once Count has
+// bounded a run, it is taken as one span (Decoder.Span) and each field read
+// at its fixed offset. A check on one record fails at the byte after it.
 func restoreInto(sr *snapshot.Reader, s *Session, sp StatefulPolicy) error {
 	c := &s.core
 	machines := len(c.mach)
@@ -359,37 +373,38 @@ func restoreInto(sr *snapshot.Reader, s *Session, sp StatefulPolicy) error {
 	if err != nil {
 		return err
 	}
-	n := d.Count(jobRecord(machines))
+	size := jobRecord(machines)
+	n := d.Count(size)
+	at := d.Offset()
+	b := d.Span(n * size)
 	// Every job's processing times share one array: a resumed session
 	// allocates its job table in a few objects, not one per job. Count has
 	// bounded n by the bytes in the section.
 	procs := make([]float64, n*machines)
 	lastRelease := math.Inf(-1)
 	for k := 0; k < n; k++ {
+		r := b[k*size : (k+1)*size : (k+1)*size]
 		j := sched.Job{
-			ID:       d.Int(),
-			Release:  d.F64(),
-			Weight:   d.F64(),
-			Deadline: d.F64(),
+			ID:       int(le.Uint64(r)),
+			Release:  getF64(r[8:]),
+			Weight:   getF64(r[16:]),
+			Deadline: getF64(r[24:]),
 			Proc:     procs[k*machines : (k+1)*machines : (k+1)*machines],
 		}
 		for i := range j.Proc {
-			j.Proc[i] = d.F64()
-		}
-		if d.Err() != nil {
-			return d.Err()
+			j.Proc[i] = getF64(r[32+8*i:])
 		}
 		// The job table must replay cleanly through the same structural
 		// rules Feed enforces; a snapshot can only hold jobs Feed admitted.
 		if verr := sched.ValidateJob(&j, machines, lastRelease); verr != nil {
-			d.Failf("job %d of the snapshot is not feedable: %v", k, verr)
+			d.FailAt(at+(k+1)*size, "job %d of the snapshot is not feedable: %v", k, verr)
 			return d.Err()
 		}
 		if j.Release > lastRelease {
 			lastRelease = j.Release
 		}
 		if _, ok := c.ids.Add(j.ID); !ok {
-			d.Failf("duplicate job id %d", j.ID)
+			d.FailAt(at+(k+1)*size, "duplicate job id %d", j.ID)
 			return d.Err()
 		}
 		c.jobs = append(c.jobs, j)
@@ -408,8 +423,9 @@ func restoreInto(sr *snapshot.Reader, s *Session, sp StatefulPolicy) error {
 		d.Failf("%d conservation entries for %d jobs", got, njobs)
 		return d.Err()
 	}
-	for k := 0; k < njobs; k++ {
-		c.done = append(c.done, d.F64())
+	b = d.Span(8 * njobs)
+	for k := 0; k < len(b); k += 8 {
+		c.done = append(c.done, getF64(b[k:]))
 	}
 	if err := d.Done(); err != nil {
 		return err
@@ -679,24 +695,25 @@ func validateEvents(q eventq.Interface, d *snapshot.Decoder, njobs, machines int
 // against the restored job table so later policy lookups can never index
 // out of range. The single state byte per slot makes the old disjointness
 // and over-accounting checks structural: a job cannot be both completed and
-// rejected, and at most njobs decisions exist.
+// rejected, and at most njobs decisions exist. Both runs are read as
+// snapshotOutcome writes them, one span each.
 func restoreOutcome(d *snapshot.Decoder, c *Core) error {
 	njobs := len(c.jobs)
 	n := d.Count(intervalRecord)
+	at := d.Offset()
+	b := d.Span(n * intervalRecord)
 	c.rec.GrowIntervals(n)
 	for k := 0; k < n; k++ {
+		r := b[k*intervalRecord : (k+1)*intervalRecord : (k+1)*intervalRecord]
 		iv := sched.Interval{
-			Job:     d.Int(),
-			Machine: int(int32(d.U32())),
-			Start:   d.F64(),
-			End:     d.F64(),
-			Speed:   d.F64(),
-		}
-		if d.Err() != nil {
-			return d.Err()
+			Job:     int(le.Uint64(r)),
+			Machine: int(int32(le.Uint32(r[8:]))),
+			Start:   getF64(r[12:]),
+			End:     getF64(r[20:]),
+			Speed:   getF64(r[28:]),
 		}
 		if c.ids.Of(iv.Job) < 0 || iv.Machine < 0 || iv.Machine >= len(c.mach) {
-			d.Failf("interval %d references unknown job %d or machine %d", k, iv.Job, iv.Machine)
+			d.FailAt(at+(k+1)*intervalRecord, "interval %d references unknown job %d or machine %d", k, iv.Job, iv.Machine)
 			return d.Err()
 		}
 		c.rec.AppendInterval(iv)
@@ -705,19 +722,20 @@ func restoreOutcome(d *snapshot.Decoder, c *Core) error {
 		d.Failf("%d outcome slots for %d jobs", slots, njobs)
 		return d.Err()
 	}
+	at = d.Offset()
+	b = d.Span(njobs * slotRecord)
 	for jk := 0; jk < njobs; jk++ {
-		st := d.U8()
-		when := d.F64()
-		mach := int32(d.U32())
-		if d.Err() != nil {
-			return d.Err()
-		}
+		r := b[jk*slotRecord : (jk+1)*slotRecord : (jk+1)*slotRecord]
+		st := r[0]
+		when := getF64(r[1:])
+		mach := int32(le.Uint32(r[9:]))
+		end := at + (jk+1)*slotRecord
 		switch st {
 		case sched.JobOpen:
 			// Open slots must carry the zero timestamp so re-snapshotting a
 			// restored session reproduces the donor's bytes exactly.
 			if when != 0 {
-				d.Failf("open job %d carries decision time %v", c.jobs[jk].ID, when)
+				d.FailAt(end, "open job %d carries decision time %v", c.jobs[jk].ID, when)
 				return d.Err()
 			}
 		case sched.JobCompleted:
@@ -725,12 +743,12 @@ func restoreOutcome(d *snapshot.Decoder, c *Core) error {
 		case sched.JobRejected:
 			c.rec.Reject(jk, when)
 		default:
-			d.Failf("job %d has unknown outcome state %d", c.jobs[jk].ID, st)
+			d.FailAt(end, "job %d has unknown outcome state %d", c.jobs[jk].ID, st)
 			return d.Err()
 		}
 		if mach != sched.NoMachine {
 			if mach < 0 || int(mach) >= len(c.mach) {
-				d.Failf("job %d assigned to unknown machine %d", c.jobs[jk].ID, mach)
+				d.FailAt(end, "job %d assigned to unknown machine %d", c.jobs[jk].ID, mach)
 				return d.Err()
 			}
 			c.rec.Assign(jk, int(mach))

@@ -268,6 +268,58 @@ func TestRestoreRejectsTruncationAndCorruption(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsOversizedSessionCounts pins that the machine and job
+// counts SESS declares are checked against the bytes left in the snapshot
+// before they size anything: a snapshot whose SESS is resealed with a count
+// no later section could hold fails at once, naming the count.
+func TestRestoreRejectsOversizedSessionCounts(t *testing.T) {
+	ins := snapInstance(t, 80, 3, 4)
+	snap, donor, _ := snapshotAt(t, ins, 2, 40)
+	donor.Close()
+	// resealed returns snap with SESS's payload edited and every frame sealed
+	// again, so the edit passes the CRC checks.
+	resealed := func(edit func(sess []byte)) []byte {
+		sr, err := snapshot.NewReader(snapshot.InPlace(snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw := snapshot.AppendWriter(nil)
+		for {
+			tag, d, err := sr.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := append([]byte(nil), d.Rest()...)
+			if tag == tagSession {
+				edit(payload)
+			}
+			sw.Section(tag, func(e *snapshot.Encoder) { e.Raw(payload) })
+		}
+		if err := sw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return sw.Bytes()
+	}
+	for _, c := range []struct {
+		name string
+		edit func(sess []byte)
+		want string
+	}{
+		{"machines", func(b []byte) { le.PutUint32(b, 1<<20) }, "declares 1048576 machines"},
+		{"jobs", func(b []byte) { le.PutUint64(b[4:], 1<<20) }, "declares 1048576 jobs"},
+	} {
+		_, err := RestoreOpts(bytes.NewReader(resealed(c.edit)), Options{}, func(machines int) (Policy, error) {
+			return newStatefulFifo(machines, 2), nil
+		})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: restore error %v, want one that %s", c.name, err, c.want)
+		}
+	}
+}
+
 // TestShardSnapshotRestoreFleet covers the fleet path: a sharded stream is
 // quiesced and snapshotted mid-flight, each shard session is restored in a
 // fresh shard fleet, and the combined final outcomes must equal a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"time"
 
 	"repro/internal/admission"
 	"repro/internal/engine"
@@ -301,8 +302,11 @@ func restore(cfg Config, r io.Reader, lineage *snapshot.Lineage) (*Server, error
 // Open builds a fresh server, or with resume set restores one from the newest
 // intact checkpoint of the lineage rooted there, falling back along the chain
 // past torn or corrupt members. The fallback and the restored counts are
-// logged through lg; with Config.Obs set the lineage_* metrics are seeded, so
-// the first scrape already tells how this process came back.
+// logged through lg, with how long the lineage recover and the restore took;
+// with Config.Obs set the lineage_* metrics are seeded, and the two
+// durations set as gauges (lineage_recover_ns, front_restore_ns), so the
+// first scrape already tells how this process came back and where its
+// resume time went.
 //
 // When the server checkpoints into the lineage it resumes from
 // (Config.CheckpointPath is resume), it recovers through the lineage it goes
@@ -321,10 +325,13 @@ func Open(cfg Config, resume string, lg *log.Logger) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	t0 := time.Now()
 	payload, info, err := l.Recover()
 	if err != nil {
 		return nil, err
 	}
+	recovered := time.Since(t0)
+	cfg.Obs.Gauge("lineage_recover_ns").Set(float64(recovered.Nanoseconds()))
 	if info.FellBack {
 		lg.Printf("lineage fell back to seq %d (%d newer checkpoints dropped as corrupt)", info.Seq, info.Dropped)
 		cfg.Obs.Counter("lineage_fallbacks_total").Inc()
@@ -335,10 +342,14 @@ func Open(cfg Config, resume string, lg *log.Logger) (*Server, error) {
 	if cfg.CheckpointPath != resume {
 		l = nil
 	}
+	t1 := time.Now()
 	s, err := restore(cfg, snapshot.InPlace(payload), l)
 	if err != nil {
 		return nil, fmt.Errorf("resuming from %s: %w", resume, err)
 	}
-	lg.Printf("resumed from %s: %d fed, %d pre-rejected", resume, s.fedN.Value(), s.preRejN.Value())
+	restored := time.Since(t1)
+	cfg.Obs.Gauge("front_restore_ns").Set(float64(restored.Nanoseconds()))
+	lg.Printf("resumed from %s: %d fed, %d pre-rejected (recover %v, restore %v)",
+		resume, s.fedN.Value(), s.preRejN.Value(), recovered.Round(time.Microsecond), restored.Round(time.Microsecond))
 	return s, nil
 }

@@ -8,6 +8,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -102,6 +103,44 @@ func TestCheckpointTelemetrySplit(t *testing.T) {
 	}
 	if capture.Sum <= 0 || persist.Sum <= 0 || capture.Sum+persist.Sum > total.Sum {
 		t.Fatalf("capture %v ns + persist %v ns against a total of %v ns", capture.Sum, persist.Sum, total.Sum)
+	}
+}
+
+// TestResumeTelemetrySplit pins the resume split: a server resumed from a
+// checkpointed run sets how long recovering the lineage and restoring from
+// its payload took as two gauges, and prints both in its "resumed from" line.
+func TestResumeTelemetrySplit(t *testing.T) {
+	const machines = 2
+	a, b := genJobs(11, 200, machines), genJobs(99, 180, machines)
+	cfg := testConfig(machines, 2)
+	cfg.AwaitTenants = 2
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "front.ck")
+	cfg.CheckpointEvery = 64
+	cfg.CheckpointDeltas = 2
+	first, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Drain() // lets the killed server's parked sequencer exit
+	na, nb := mergedPrefix(a, b, 200)
+	feedInProcess(t, first, map[int][]sched.Job{0: a[:na], 9: b[:nb]})
+
+	reg := obs.NewRegistry()
+	resume := cfg.CheckpointPath
+	cfg.Obs, cfg.CheckpointPath = reg, ""
+	var logged bytes.Buffer
+	second, err := Open(cfg, resume, log.New(&logged, "", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Drain()
+	for _, name := range []string{"lineage_recover_ns", "front_restore_ns"} {
+		if v := reg.Gauge(name).Value(); !(v > 0) {
+			t.Errorf("%s = %v after a resume, want a positive duration", name, v)
+		}
+	}
+	if line := logged.String(); !strings.Contains(line, "resumed from") || !strings.Contains(line, "(recover ") || !strings.Contains(line, ", restore ") {
+		t.Errorf("resume logged %q, want both durations on its resumed-from line", line)
 	}
 }
 

@@ -486,17 +486,20 @@ func deltaHeader(d *Decoder) (info DeltaInfo, chunk int, totalLen, nNodes uint64
 	return info, chunk, totalLen, nNodes
 }
 
-// deltaLen returns the length of the container a delta rebuilds, as its
-// header declares it, or 0 when the header does not read.
-func deltaLen(delta []byte) int {
-	sr, err := newReader(delta)
-	if err != nil {
+// deltaHeadBytes is the prefix of a delta container that holds its DLTA
+// section's fixed fields (deltaHeader): the stream header, the section's
+// frame header, and 44 bytes of payload.
+const deltaHeadBytes = HeaderBytes + 8 + 44
+
+// deltaLen returns the length of the container a delta rebuilds, as the
+// fixed fields in head, its first deltaHeadBytes bytes, declare it, or 0
+// when they do not read. Nothing is verified: the section's CRC covers bytes
+// past head, so the length is only a size to reserve.
+func deltaLen(head []byte) int {
+	if len(head) < deltaHeadBytes || !bytes.Equal(head[:8], magic[:]) || string(head[HeaderBytes:HeaderBytes+4]) != tagDeltaHdr {
 		return 0
 	}
-	d, err := sr.Section(tagDeltaHdr)
-	if err != nil {
-		return 0
-	}
+	d := &Decoder{tag: tagDeltaHdr, buf: head[HeaderBytes+8 : deltaHeadBytes]}
 	_, _, n, _ := deltaHeader(d)
 	if d.Err() != nil || n > math.MaxInt {
 		return 0
@@ -747,14 +750,24 @@ func (b *buildSink) patch(tag string, base []byte, size int, pd *Decoder, chunk 
 		return err
 	}
 	lo := len(b.enc.buf)
-	b.enc.buf = append(b.enc.buf, base[:min(len(base), size)]...)
-	if size > len(base) {
-		b.enc.buf = append(b.enc.buf, make([]byte, size-len(base))...)
-	}
+	keep := min(len(base), size)
+	b.enc.buf = append(b.enc.buf, base[:keep]...)
+	// A grown leaf's tail is not cleared up front: the chunks overwrite
+	// most of it, and zeros go only where none lands (chunks ascend and do
+	// not overlap, so zero is the first tail byte not yet written).
+	b.enc.Extend(size - keep)
 	leaf := b.enc.buf[lo:]
-	if err := eachChunk(pd, size, chunk, func(at int, p []byte) { copy(leaf[at:], p) }); err != nil {
+	zero := keep
+	if err := eachChunk(pd, size, chunk, func(at int, p []byte) {
+		if at > zero {
+			clear(leaf[zero:at])
+		}
+		copy(leaf[at:], p)
+		zero = max(zero, at+len(p))
+	}); err != nil {
 		return err
 	}
+	clear(leaf[zero:])
 	return b.seal(tag, start, Checksum(leaf))
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -442,7 +443,7 @@ func (l *Lineage) Recover() ([]byte, RecoverInfo, error) {
 	var firstErr error
 	for _, gi := range gens {
 		full := entries[gi]
-		payload, err := l.readVerified(full)
+		payload, err := l.readVerified(full, nil, 0)
 		var tree *deltaNode
 		if err == nil {
 			tree, err = parseDeltaTree(payload)
@@ -456,8 +457,10 @@ func (l *Lineage) Recover() ([]byte, RecoverInfo, error) {
 		info := RecoverInfo{Seq: full.Seq}
 		cur, curSeq, base := payload, full.Seq, tree
 		// Apply this generation's deltas in order; stop at the first bad one.
-		// They are read up front so that the two buffers the chain is rebuilt
-		// in, alternately, are sized once, for its longest result.
+		// Each is read just before it is applied, into one buffer sized for
+		// the largest, and the two buffers the chain is rebuilt in,
+		// alternately, are sized once, for its longest result, from the
+		// members' headers, read first.
 		tail := entries[gi+1:]
 		for k, e := range tail {
 			if e.Kind != "delta" {
@@ -465,26 +468,27 @@ func (l *Lineage) Recover() ([]byte, RecoverInfo, error) {
 				break
 			}
 		}
-		data := make([][]byte, len(tail))
-		errs := make([]error, len(tail))
-		need, bound := 0, len(payload)
-		for k, e := range tail {
-			data[k], errs[k] = l.readVerified(e)
+		need, bound, largest := 0, len(payload), 0
+		for _, e := range tail {
+			size, n := l.deltaHead(e)
+			largest = max(largest, size)
 			// ApplyDelta refuses a result longer than its base plus five times
 			// the delta, so bound caps what a corrupt header can make us size.
-			bound += 5*len(data[k]) + 10
-			need = max(need, min(deltaLen(data[k]), bound))
+			bound += 5*size + 10
+			need = max(need, min(n, bound))
 		}
+		var read []byte
 		var bufs [2][]byte
 		for k, e := range tail {
-			err := errs[k]
+			delta, err := l.readVerified(e, read, largest)
 			if err == nil {
+				read = delta
 				if cap(bufs[k%2]) < need {
 					bufs[k%2] = make([]byte, 0, need)
 				}
 				var next []byte
 				var dinfo DeltaInfo
-				next, dinfo, err = applyDelta(&buildSink{dst: bufs[k%2]}, cur, base, data[k])
+				next, dinfo, err = applyDelta(&buildSink{dst: bufs[k%2]}, cur, base, delta)
 				if err == nil && dinfo.BaseSeq != curSeq {
 					err = fmt.Errorf("delta %d chains to seq %d, chain is at %d", e.Seq, dinfo.BaseSeq, curSeq)
 				}
@@ -521,19 +525,51 @@ func (l *Lineage) Recover() ([]byte, RecoverInfo, error) {
 }
 
 // readVerified loads an entry's file and checks its whole-file CRC and size
-// against the manifest.
-func (l *Lineage) readVerified(e LineageEntry) ([]byte, error) {
-	data, err := os.ReadFile(l.memberPath(e))
+// against the manifest. It reads into buf's storage when that has room, and
+// otherwise into a new buffer with room for max(e.Size, size) bytes.
+func (l *Lineage) readVerified(e LineageEntry, buf []byte, size int) ([]byte, error) {
+	f, err := os.Open(l.memberPath(e))
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(data)) != e.Size {
-		return nil, fmt.Errorf("snapshot: %s holds %d bytes, manifest records %d", e.File, len(data), e.Size)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if fi.Size() != e.Size {
+		return nil, fmt.Errorf("snapshot: %s holds %d bytes, manifest records %d", e.File, fi.Size(), e.Size)
+	}
+	if int64(cap(buf)) < e.Size {
+		buf = make([]byte, 0, max(int(e.Size), size))
+	}
+	data := buf[:e.Size]
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, err
 	}
 	if got := Checksum(data); got != e.CRC {
 		return nil, fmt.Errorf("snapshot: %s CRC %08x, manifest records %08x", e.File, got, e.CRC)
 	}
 	return data, nil
+}
+
+// deltaHead reads the head of a delta member: its size, when the file holds
+// the bytes the manifest records, and the length of the container it
+// rebuilds, as deltaLen reads it. Either is 0 when it does not read.
+func (l *Lineage) deltaHead(e LineageEntry) (size, n int) {
+	f, err := os.Open(l.memberPath(e))
+	if err != nil {
+		return 0, 0
+	}
+	defer f.Close()
+	if fi, err := f.Stat(); err == nil && fi.Size() == e.Size {
+		size = int(e.Size)
+	}
+	var head [deltaHeadBytes]byte
+	if _, err := io.ReadFull(f, head[:]); err != nil {
+		return size, 0
+	}
+	return size, deltaLen(head[:])
 }
 
 // RecoverLineage is the one-shot read side: open the lineage at path and

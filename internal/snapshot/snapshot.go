@@ -525,6 +525,12 @@ func (sr *Reader) accept(tag string, payload []byte, stored, sum uint32) error {
 	return nil
 }
 
+// Remaining returns the number of input bytes after the sections read so
+// far: a bound on what every later section holds, against which a count
+// declared ahead of the section that carries its records is checked before
+// anything is sized by it.
+func (sr *Reader) Remaining() int { return len(sr.data) - sr.off }
+
 // Section reads the next section and requires its tag, enforcing the strict
 // section order the engine writes.
 func (sr *Reader) Section(tag string) (*Decoder, error) {
@@ -593,9 +599,14 @@ func (d *Decoder) fail(what string) {
 
 // Failf records the first error with its position (for semantic validation
 // by callers, e.g. an out-of-range index).
-func (d *Decoder) Failf(format string, args ...any) {
+func (d *Decoder) Failf(format string, args ...any) { d.FailAt(d.off, format, args...) }
+
+// FailAt is Failf positioned at payload byte off rather than at the current
+// offset: a check on one record of a run read with Span reports the byte
+// after that record, where reading its fields one at a time would stand.
+func (d *Decoder) FailAt(off int, format string, args ...any) {
 	if d.err == nil {
-		d.err = fmt.Errorf("snapshot: section %q: byte %d: %s", d.tag, d.off, fmt.Sprintf(format, args...))
+		d.err = fmt.Errorf("snapshot: section %q: byte %d: %s", d.tag, off, fmt.Sprintf(format, args...))
 	}
 }
 
@@ -610,6 +621,23 @@ func (d *Decoder) take(n int, what string) []byte {
 	b := d.buf[d.off : d.off+n]
 	d.off += n
 	return b
+}
+
+// Offset returns the payload offset of the next unread byte.
+func (d *Decoder) Offset() int { return d.off }
+
+// Span returns the next n payload bytes as one slice and steps past them —
+// the counterpart of Encoder.Extend: a run of fixed-size records whose count
+// Count has bounded takes one bounds check, and each field is read at its
+// fixed offset with binary.LittleEndian. It fails like every read, with the
+// section's positioned error, and returns nil after any error. The slice
+// aliases the payload (see Reader's lifetime rule).
+func (d *Decoder) Span(n int) []byte {
+	if n < 0 {
+		d.Failf("span of %d bytes", n)
+		return nil
+	}
+	return d.take(n, "record run")
 }
 
 // U8 reads one byte.
