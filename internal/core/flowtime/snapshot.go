@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/engine"
+	"repro/internal/ostree"
 	"repro/internal/snapshot"
 )
 
@@ -91,7 +92,8 @@ func (p *policy) LoadState(d *snapshot.Decoder) error {
 		if err := m.pending.Restore(d); err != nil {
 			return err
 		}
-		if err := engine.ValidateTreeIDs(p.c, m.pending, d, fmt.Sprintf("machine %d pending tree", i)); err != nil {
+		key := func(jk int, _ ostree.Key) ostree.Key { return p.key(p.c.Job(jk), i) }
+		if err := engine.ValidateTreeKeys(p.c, m.pending, d, fmt.Sprintf("machine %d pending tree", i), key); err != nil {
 			return err
 		}
 		m.runVictims = d.Int()

@@ -37,8 +37,9 @@ func (p *policy) SaveState(e *snapshot.Encoder) {
 	}
 }
 
-// LoadState rebuilds the waiting indexes, validating that every banked
-// remainder is a positive finite volume of a known job.
+// LoadState rebuilds the waiting indexes, validating that every key carries
+// its job's release and id, and a banked remainder in (0, p_ij]: the
+// remainder is frozen state, but a preemption only ever shrinks it.
 func (p *policy) LoadState(d *snapshot.Decoder) error {
 	p.res.Preemptions = d.Int()
 	if got := int(d.U32()); d.Err() == nil && got != len(p.mach) {
@@ -52,20 +53,23 @@ func (p *policy) LoadState(d *snapshot.Decoder) error {
 		if err := m.waiting.Restore(d); err != nil {
 			return err
 		}
-		if err := engine.ValidateTreeIDs(p.c, m.waiting, d, fmt.Sprintf("machine %d waiting tree", i)); err != nil {
+		key := func(jk int, k ostree.Key) ostree.Key {
+			j := p.c.Job(jk)
+			return ostree.Key{P: k.P, Release: j.Release, ID: j.ID}
+		}
+		if err := engine.ValidateTreeKeys(p.c, m.waiting, d, fmt.Sprintf("machine %d waiting tree", i), key); err != nil {
 			return err
 		}
-		bad := false
 		m.waiting.Ascend(func(k ostree.Key) bool {
 			if !(k.P > 0) || math.IsInf(k.P, 0) {
-				bad = true
-				return false
+				d.Failf("machine %d banks a non-positive remaining volume", i)
+			} else if proc := p.c.Job(p.c.IndexOf(k.ID)).Proc[i]; k.P > proc {
+				d.Failf("machine %d banks job %d's remaining volume %v beyond its processing time %v", i, k.ID, k.P, proc)
 			}
-			return true
+			return d.Err() == nil
 		})
-		if bad {
-			d.Failf("machine %d banks a non-positive remaining volume", i)
-			return d.Err()
+		if err := d.Err(); err != nil {
+			return err
 		}
 	}
 	return d.Err()
@@ -100,8 +104,9 @@ func (p *wpolicy) SaveState(e *snapshot.Encoder) {
 }
 
 // LoadState rebuilds the dense job state and the global density pool,
-// validating every index and that pooled jobs carry usable fractions before
-// their keys are recomputed.
+// validating every index, that pooled jobs carry a usable fraction and
+// their row's min-proc, and that each pooled key is the one key(jk)
+// recomputes from them.
 func (p *wpolicy) LoadState(d *snapshot.Decoder) error {
 	p.res.Preemptions = d.Int()
 	p.res.Migrations = d.Int()
@@ -145,7 +150,7 @@ func (p *wpolicy) LoadState(d *snapshot.Decoder) error {
 	bad := false
 	p.pending.Ascend(func(k ostree.Key) bool {
 		jk := p.c.IndexOf(k.ID)
-		if jk < 0 || jk >= len(p.frac) || !(p.frac[jk] > 0) || !(p.pmin[jk] > 0) {
+		if jk < 0 || jk >= len(p.frac) || !(p.frac[jk] > 0) || p.pmin[jk] != p.c.Job(jk).MinProc() {
 			bad = true
 			return false
 		}
@@ -155,7 +160,7 @@ func (p *wpolicy) LoadState(d *snapshot.Decoder) error {
 		d.Failf("pool holds a job without usable dense state")
 		return d.Err()
 	}
-	return d.Err()
+	return engine.ValidateTreeKeys(p.c, p.pending, d, "pool", func(jk int, _ ostree.Key) ostree.Key { return p.key(jk) })
 }
 
 // RestoreWeighted reconstructs a streaming migratory weighted-SRPT session

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/engine"
+	"repro/internal/ostree"
 	"repro/internal/snapshot"
 )
 
@@ -66,13 +67,15 @@ func (p *wpolicy) LoadState(d *snapshot.Decoder) error {
 		if err := m.pending.Restore(d); err != nil {
 			return err
 		}
-		if err := engine.ValidateTreeIDs(p.c, m.pending, d, fmt.Sprintf("machine %d density tree", i)); err != nil {
+		densityKey := func(jk int, _ ostree.Key) ostree.Key { return p.densityKey(p.c.Job(jk), i) }
+		if err := engine.ValidateTreeKeys(p.c, m.pending, d, fmt.Sprintf("machine %d density tree", i), densityKey); err != nil {
 			return err
 		}
 		if err := m.byProc.Restore(d); err != nil {
 			return err
 		}
-		if err := engine.ValidateTreeIDs(p.c, m.byProc, d, fmt.Sprintf("machine %d processing-time tree", i)); err != nil {
+		procKey := func(jk int, _ ostree.Key) ostree.Key { return p.procKey(p.c.Job(jk), i) }
+		if err := engine.ValidateTreeKeys(p.c, m.byProc, d, fmt.Sprintf("machine %d processing-time tree", i), procKey); err != nil {
 			return err
 		}
 		if m.pending.Len() != m.byProc.Len() {

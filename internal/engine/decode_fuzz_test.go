@@ -3,6 +3,7 @@ package engine_test
 import (
 	"bytes"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -193,7 +194,7 @@ type decodeSeed struct {
 // duals, with a clean snapshot and with mutations aimed at each record run:
 // a processing time's sign bit in JOBS, the count in DONE, the first
 // interval's job id, the last slot's state byte and the section's last byte
-// cut off in OUTC.
+// cut off in OUTC; then come staleKeySeeds.
 func decodeSeeds() (seeds []decodeSeed) {
 	var k int64
 	for pol, name := range policy.Names() {
@@ -216,7 +217,30 @@ func decodeSeeds() (seeds []decodeSeed) {
 			add(decodeFlip, 5, -13, 2, "unknown outcome state")
 		}
 	}
-	return seeds
+	return append(seeds, staleKeySeeds()...)
+}
+
+// staleKeySeeds flip a mantissa bit of p[0] in JOBS (m = 1, so a job record
+// is 40 bytes after the 8-byte count) under a job the policy still holds:
+// the job stays feedable, but its restored key — or, for wsrpt, the cached
+// min-proc its key is made of — no longer matches its row. The wflow seed
+// is an input that once restored on both decoders, after which Close grew
+// the interval log past 1.2 GB: wflow's Delete rebuilds a job's key from
+// its row and never found the stale one. Restore now refuses it, so no
+// session exists to drain.
+func staleKeySeeds() []decodeSeed {
+	pol := func(name string) uint8 { return uint8(slices.Index(policy.Names(), name)) }
+	flip := func(job int32) int32 { return 8 + job*40 + 32 + 3 }
+	return []decodeSeed{
+		{seed: 5, pol: pol("wflow"), n: 298, stop: 89, mode: decodeFlip, sect: 1, at: flip(87), bit: 7,
+			wantErrSubstring: "machine 0 density tree holds job 87 under key"},
+		{seed: 5, pol: pol("flowtime"), n: 240, stop: 150, mode: decodeFlip, sect: 1, at: flip(148), bit: 0,
+			wantErrSubstring: "machine 0 pending tree holds job 148 under key"},
+		{seed: 5, pol: pol("srpt"), n: 240, stop: 150, mode: decodeFlip, sect: 1, at: flip(148), bit: 7,
+			wantErrSubstring: "remaining volume 7.229273210800316 beyond its processing time"},
+		{seed: 5, pol: pol("wsrpt"), n: 240, stop: 150, mode: decodeFlip, sect: 1, at: flip(148), bit: 0,
+			wantErrSubstring: "pool holds a job without usable dense state"},
+	}
 }
 
 // FuzzSessionDecode holds restoreInto's bulk record-run decode to the
@@ -235,7 +259,8 @@ func FuzzSessionDecode(f *testing.F) {
 
 // TestSessionDecodeSeedsCover pins that FuzzSessionDecode's seed corpus
 // reaches the checks inside each record run, where the bulk decode positions
-// its own errors, and that every clean seed restores.
+// its own errors, that every stale-key seed is refused by the policy's key
+// check, and that every clean seed restores.
 func TestSessionDecodeSeedsCover(t *testing.T) {
 	for _, s := range decodeSeeds() {
 		err := decodeCase(t, s.seed, s.pol, s.mi, s.n, s.stop, s.dual, s.mode, s.sect, s.at, s.bit)

@@ -513,23 +513,30 @@ func restoreInto(sr *snapshot.Reader, s *Session, sp StatefulPolicy) error {
 	return sr.End()
 }
 
-// ValidateTreeIDs walks a restored pending index and fails the decoder when
+// ValidateTreeKeys walks a restored pending index and fails the decoder when
 // a key references a job the session never fed — a later IndexOf on such a
 // key would hand the policy a -1 index and panic deep inside an event
-// handler, far from the corrupt snapshot that caused it. what names the
-// index in the error (e.g. "machine 3 pending").
-func ValidateTreeIDs(c *Core, t *ostree.Flat, d *snapshot.Decoder, what string) error {
-	bad, found := 0, false
+// handler, far from the corrupt snapshot that caused it — or when a key
+// differs, bit for bit, from key(jk, k): the key the policy derives for
+// that job (compact index jk) from the restored state, given the restored
+// key k for what only the index holds (srpt's banked remainder). A key
+// that survives while its job row says otherwise is one the policy's
+// Delete can never find: the session then runs on without end. what names
+// the index in the error (e.g. "machine 3 pending").
+func ValidateTreeKeys(c *Core, t *ostree.Flat, d *snapshot.Decoder, what string, key func(jk int, k ostree.Key) ostree.Key) error {
 	t.Ascend(func(k ostree.Key) bool {
-		if c.IndexOf(k.ID) < 0 {
-			bad, found = k.ID, true
+		jk := c.IndexOf(k.ID)
+		if jk < 0 {
+			d.Failf("%s holds unknown job %d", what, k.ID)
+			return false
+		}
+		if want := key(jk, k); math.Float64bits(k.P) != math.Float64bits(want.P) ||
+			math.Float64bits(k.Release) != math.Float64bits(want.Release) || k.ID != want.ID {
+			d.Failf("%s holds job %d under key (%v, %v), its restored row keys it (%v, %v)", what, k.ID, k.P, k.Release, want.P, want.Release)
 			return false
 		}
 		return true
 	})
-	if found {
-		d.Failf("%s holds unknown job %d", what, bad)
-	}
 	return d.Err()
 }
 

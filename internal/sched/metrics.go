@@ -1,7 +1,5 @@
 package sched
 
-import "math"
-
 // Metrics summarizes the cost of an outcome under the objectives studied in
 // the paper.
 type Metrics struct {
@@ -62,19 +60,6 @@ func MergeMetrics(parts ...Metrics) Metrics {
 		m.MeanFlow = m.TotalFlow / float64(jobs)
 	}
 	return m
-}
-
-// quantileP99 reads the 99th percentile off sorted flow samples with the
-// ceil-rank rule. Zero for an empty population.
-func quantileP99(sorted []float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(0.99*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return sorted[idx]
 }
 
 // ComputeMetrics derives Metrics from an outcome. It never mutates its

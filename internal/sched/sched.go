@@ -205,18 +205,5 @@ func NewOutcomeSized(n int) *Outcome {
 	}
 }
 
-// FlowTime returns the flow time of job id: completion (or rejection, per the
-// paper's accounting) time minus release. It returns an error for jobs the
-// outcome knows nothing about.
-func (o *Outcome) FlowTime(j *Job) (float64, error) {
-	if c, ok := o.Completed[j.ID]; ok {
-		return c - j.Release, nil
-	}
-	if c, ok := o.Rejected[j.ID]; ok {
-		return c - j.Release, nil
-	}
-	return 0, fmt.Errorf("sched: job %d neither completed nor rejected", j.ID)
-}
-
 // RejectedCount returns the number of rejected jobs.
 func (o *Outcome) RejectedCount() int { return len(o.Rejected) }

@@ -361,6 +361,9 @@ func TestValidateOutcomeRejectionBeforeRelease(t *testing.T) {
 	}
 }
 
+// TestFlowTimeErrors pins the per-lookup reference's flow rule
+// (report_ref_test.go): an unknown job is an error, a rejected job's flow
+// runs to its rejection.
 func TestFlowTimeErrors(t *testing.T) {
 	o := NewOutcome()
 	j := &Job{ID: 7, Release: 1}

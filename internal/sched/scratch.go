@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -20,16 +21,35 @@ import (
 // for the overlap sweep, replacing the map[int][]Interval + sorted-copy
 // passes that dominated the old allocation profile.
 //
+// The outcome maps are read the same way: view ranges over each map once
+// into columns by compact index, so the per-job loops index slices instead
+// of hashing every job id three to five times. The view is rebuilt on every
+// call, never kept: the maps are public and mutable, and stay the source of
+// truth.
+//
 // A scratch is not safe for concurrent use; the zero value is ready.
 type scratch struct {
 	ids IDs // id→compact-index table, rebuilt per call into reused storage
 
+	// The outcome view, one entry per compact index (13 bytes a job).
+	state []uint8   // viewDone | viewRejected | viewAssigned
+	at    []float64 // completion time if done, else rejection time
+	mach  []int32   // Assigned machine; -1 for a value int32 cannot hold
+
 	counts []int32    // counting-sort histogram / cursors
 	offs   []int32    // group offsets, len = groups+1
 	ivs    []Interval // counting-sorted interval copy
-	flows  []float64  // per-job flow buffer for the percentile sort
+	flows  []float64  // per-job flow buffer for the percentile selection
 	edges  []edge     // EnergyOf sweep edges
 }
+
+// Outcome view state bits: the job is in Completed, in Rejected, in
+// Assigned.
+const (
+	viewDone uint8 = 1 << iota
+	viewRejected
+	viewAssigned
+)
 
 // edge is one endpoint of an execution interval in the energy sweep:
 // +speed at the start, -speed at the end.
@@ -49,50 +69,157 @@ func growTo[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// view builds s.ids over ins.Jobs and gathers the outcome maps into the
+// view columns, ranging over each map once and skipping ids the instance
+// does not hold; with assigned, Assigned too. A job in both Completed and
+// Rejected keeps its completion time in at; its rejection time is read
+// from the map (such an outcome is invalid, so that path is cold).
+func (s *scratch) view(ins *Instance, o *Outcome, assigned bool) {
+	s.ids.Build(ins.Jobs)
+	state := growTo(s.state, s.ids.n)
+	clear(state)
+	at := growTo(s.at, s.ids.n)
+	for id, c := range o.Completed {
+		if x := s.ids.Of(id); x >= 0 {
+			state[x], at[x] = viewDone, c
+		}
+	}
+	for id, c := range o.Rejected {
+		if x := s.ids.Of(id); x >= 0 {
+			if state[x] == 0 {
+				at[x] = c
+			}
+			state[x] |= viewRejected
+		}
+	}
+	if assigned {
+		mach := growTo(s.mach, s.ids.n)
+		for id, m := range o.Assigned {
+			if x := s.ids.Of(id); x >= 0 {
+				state[x] |= viewAssigned
+				if mach[x] = int32(m); int(mach[x]) != m {
+					mach[x] = -1 // never a machine an interval ran on
+				}
+			}
+		}
+		s.mach = mach
+	}
+	s.state, s.at = state, at
+}
+
 // ComputeMetrics derives Metrics from an outcome, reusing the scratch
 // arenas. It never mutates its arguments. Energy integrates machine power
 // over the breakpoint sweep of all intervals per machine, so overlapping
 // executions (allowed in the §4 model) cost (Σ speeds)^α.
 func (s *scratch) ComputeMetrics(ins *Instance, o *Outcome) (Metrics, error) {
 	var m Metrics
+	s.view(ins, o, false)
 	flows := growTo(s.flows, len(ins.Jobs))[:0]
 	for k := range ins.Jobs {
 		j := &ins.Jobs[k]
-		f, err := o.FlowTime(j)
-		if err != nil {
+		x := s.ids.Of(j.ID)
+		st, t := s.state[x], s.at[x]
+		if st&(viewDone|viewRejected) == 0 {
 			s.flows = flows
-			return m, err
+			return m, fmt.Errorf("sched: job %d neither completed nor rejected", j.ID)
 		}
+		// A rejected job's flow runs to its rejection (the paper's
+		// accounting); a job in both maps counts its completion.
+		f := t - j.Release
 		flows = append(flows, f)
 		m.TotalFlow += f
 		m.WeightedFlow += j.Weight * f
 		if f > m.MaxFlow {
 			m.MaxFlow = f
 		}
-		if c, ok := o.Completed[j.ID]; ok {
+		if st&viewDone != 0 {
 			m.Completed++
-			if c > m.Makespan {
-				m.Makespan = c
+			if t > m.Makespan {
+				m.Makespan = t
 			}
 		}
-		if c, ok := o.Rejected[j.ID]; ok {
+		if st&viewRejected != 0 {
 			m.Rejected++
 			m.RejectedWeight += j.Weight
-			if c > m.Makespan {
-				m.Makespan = c
+			if st&viewDone != 0 {
+				t = o.Rejected[j.ID]
+			}
+			if t > m.Makespan {
+				m.Makespan = t
 			}
 		}
 	}
 	if len(flows) > 0 {
 		m.MeanFlow = m.TotalFlow / float64(len(flows))
-		slices.Sort(flows)
-		m.P99Flow = quantileP99(flows)
+		m.P99Flow = p99(flows)
 	}
 	s.flows = flows
 	if ins.Alpha > 0 {
 		m.Energy = s.EnergyOf(ins, o.Intervals)
 	}
 	return m, nil
+}
+
+// p99 returns the element slices.Sort(flows) would leave at the ceil-rank
+// index ⌈0.99n⌉−1, reordering flows. It selects instead of sorting: O(n)
+// expected, not O(n log n). The sort's order ties only equal values, and
+// equal values differ in bits only as −0 beside +0 or as NaNs of different
+// payloads, which the sort may leave in either order; flows holding a −0 or
+// a NaN are sorted as before, so the result is the sort's, bit for bit.
+// Zero for no flows.
+func p99(flows []float64) float64 {
+	if len(flows) == 0 {
+		return 0
+	}
+	k := max(int(math.Ceil(0.99*float64(len(flows))))-1, 0)
+	for _, f := range flows {
+		if f != f || f == 0 && math.Signbit(f) {
+			slices.Sort(flows)
+			return flows[k]
+		}
+	}
+	return selectKth(flows, k)
+}
+
+// selectKth reorders v so that v[k] holds the element of rank k, and returns
+// it: quickselect with a median-of-three pivot and a three-way partition,
+// so runs of equal values cost one pass. A range still unresolved after
+// 2·log₂n partitions is sorted, which bounds the worst case at O(n log n).
+// v must hold no NaN.
+func selectKth(v []float64, k int) float64 {
+	lo, hi := 0, len(v)-1
+	for budget := 2 * bits.Len(uint(len(v))); hi-lo > 16 && budget > 0; budget-- {
+		a, b, c := v[lo], v[lo+(hi-lo)/2], v[hi]
+		if a > b {
+			a, b = b, a
+		}
+		p := max(a, min(b, c)) // median of three
+		// v[lo:lt] < p, v[lt:i] == p, v[gt+1:hi+1] > p.
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch x := v[i]; {
+			case x < p:
+				v[lt], v[i] = x, v[lt]
+				lt++
+				i++
+			case x > p:
+				v[i], v[gt] = v[gt], x
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return v[k]
+		}
+	}
+	slices.Sort(v[lo : hi+1])
+	return v[k]
 }
 
 // EnergyOf integrates Σ_i ∫ P_i(speed_i(t)) dt with P(s) = s^Alpha over the
@@ -206,11 +333,14 @@ func (s *scratch) groupIntervals(ivs []Interval, groups int, key func(*Interval)
 
 // ValidateOutcome audits an outcome against an instance with the same
 // invariants as the package-level ValidateOutcome, reusing the scratch
-// arenas: one pass checks interval well-formedness and resolves jobs, a
-// counting sort groups executions per job for the structural checks, and a
-// second grouping per machine drives the overlap sweep.
+// arenas: the outcome view gathers each job's state, times and assignment,
+// one pass checks interval well-formedness and resolves jobs, a counting
+// sort groups executions per job for the structural checks, and a second
+// grouping per machine drives the overlap sweep.
 func (s *scratch) ValidateOutcome(ins *Instance, o *Outcome, mode ValidateMode) error {
-	s.ids.Build(ins.Jobs)
+	// The assignment cross-check is skipped under AllowMigration, and so is
+	// gathering Assigned.
+	s.view(ins, o, !mode.AllowMigration)
 	// Every bound below is written so that a NaN fails it: a comparison
 	// with NaN is false, so each check states what must hold and negates.
 	for k := range o.Intervals {
@@ -238,8 +368,9 @@ func (s *scratch) ValidateOutcome(ins *Instance, o *Outcome, mode ValidateMode) 
 	ivsByJob, offs := s.ivs, s.offs
 	for k := range ins.Jobs {
 		j := &ins.Jobs[k]
-		_, done := o.Completed[j.ID]
-		rejT, rej := o.Rejected[j.ID]
+		x := s.ids.Of(j.ID)
+		st, t := s.state[x], s.at[x]
+		done, rej := st&viewDone != 0, st&viewRejected != 0
 		if done && rej {
 			return fmt.Errorf("sched: job %d both completed and rejected", j.ID)
 		}
@@ -314,18 +445,18 @@ func (s *scratch) ValidateOutcome(ins *Instance, o *Outcome, mode ValidateMode) 
 					return fmt.Errorf("sched: job %d got work %v on machine %d, needs %v", j.ID, work, machine, need)
 				}
 			}
-			if c := o.Completed[j.ID]; !(math.Abs(c-lastEnd) <= Eps*(1+c)) {
-				return fmt.Errorf("sched: job %d completion %v != last interval end %v", j.ID, c, lastEnd)
+			if !(math.Abs(t-lastEnd) <= Eps*(1+t)) {
+				return fmt.Errorf("sched: job %d completion %v != last interval end %v", j.ID, t, lastEnd)
 			}
-			if mode.RequireDeadlines && o.Completed[j.ID] > j.Deadline+Eps*(1+j.Deadline) {
-				return fmt.Errorf("sched: job %d completed %v after deadline %v", j.ID, o.Completed[j.ID], j.Deadline)
+			if mode.RequireDeadlines && t > j.Deadline+Eps*(1+j.Deadline) {
+				return fmt.Errorf("sched: job %d completed %v after deadline %v", j.ID, t, j.Deadline)
 			}
-			if am, ok := o.Assigned[j.ID]; ok && am != machine && !mode.AllowMigration {
-				return fmt.Errorf("sched: job %d assigned to %d but ran on %d", j.ID, am, machine)
+			if st&viewAssigned != 0 && int(s.mach[x]) != machine && !mode.AllowMigration {
+				return fmt.Errorf("sched: job %d assigned to %d but ran on %d", j.ID, o.Assigned[j.ID], machine)
 			}
 		} else { // rejected
 			if len(ivs) > 0 {
-				if !(lastEnd <= rejT+Eps*(1+rejT)) {
+				if !(lastEnd <= t+Eps*(1+t)) {
 					return fmt.Errorf("sched: rejected job %d executed past its rejection time", j.ID)
 				}
 				if mode.AllowMigration {
@@ -336,8 +467,8 @@ func (s *scratch) ValidateOutcome(ins *Instance, o *Outcome, mode ValidateMode) 
 					return fmt.Errorf("sched: rejected job %d over-processed", j.ID)
 				}
 			}
-			if !(rejT >= j.Release-Eps) || math.IsInf(rejT, 1) {
-				return fmt.Errorf("sched: job %d rejected at %v before release %v", j.ID, rejT, j.Release)
+			if !(t >= j.Release-Eps) || math.IsInf(t, 1) {
+				return fmt.Errorf("sched: job %d rejected at %v before release %v", j.ID, t, j.Release)
 			}
 		}
 	}
