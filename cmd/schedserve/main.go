@@ -30,7 +30,7 @@
 //	GET /debug/pprof/...     net/http/pprof (profile, heap, trace, ...)
 //
 // -checkpoint P roots a checkpoint lineage at P (members P.N.full /
-// P.N.delta plus the manifest P.lineage; see internal/snapshot): every
+// P.N.delta, beside P; see internal/snapshot): every
 // checkpoint is a full unless -checkpoint-deltas allows deltas between
 // fulls, and the newest -checkpoint-keep full generations are retained.
 // -resume P recovers the newest intact checkpoint of that lineage, falling
@@ -98,7 +98,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.DurationVar(&cfg.ReadTimeout, "read-timeout", 30*time.Second, "deadline of each read on a feed connection")
 	fs.DurationVar(&cfg.ThrottleDelay, "throttle-delay", time.Millisecond, "per-job intake delay while throttling")
 
-	fs.StringVar(&cfg.CheckpointPath, "checkpoint", "", "root a checkpoint lineage at this path (P.N.full, P.N.delta, P.lineage)")
+	fs.StringVar(&cfg.CheckpointPath, "checkpoint", "", "root a checkpoint lineage at this path (P.N.full, P.N.delta)")
 	fs.IntVar(&cfg.CheckpointEvery, "checkpoint-every", 0, "checkpoint every N fed jobs (0: resizes and final drain only)")
 	fs.IntVar(&cfg.CheckpointDeltas, "checkpoint-deltas", 0, "up to N delta checkpoints between fulls (0: fulls only)")
 	fs.IntVar(&cfg.CheckpointKeep, "checkpoint-keep", 0, "retain only the newest N full generations (0: 2)")

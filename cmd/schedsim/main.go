@@ -21,8 +21,8 @@
 // JSON, byte for byte what schedserve prints for the same jobs. Only the
 // policies registered in internal/policy stream; -gantt and -dump do not.
 //
-// -checkpoint P roots a checkpoint lineage at P (P.N.full, P.N.delta and the
-// manifest P.lineage; see DESIGN.md), written every -checkpoint-every fed
+// -checkpoint P roots a checkpoint lineage at P (members P.N.full and
+// P.N.delta, beside P; see DESIGN.md), written every -checkpoint-every fed
 // jobs and by the drain. -stop-after N stops after the trace's first N jobs,
 // drains to the checkpoint and exits 0 without a report, modeling a killed
 // process; SIGINT or SIGTERM drains the same way and exits 3. -resume P
@@ -108,7 +108,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.Float64Var(&o.alpha, "alpha", 0, "power exponent override (0: use trace)")
 	fs.Float64Var(&o.epsS, "epsS", 0.2, "speed augmentation (speedaug)")
 	fs.BoolVar(&o.stream, "stream", false, "consume the trace incrementally")
-	fs.StringVar(&o.ckpt, "checkpoint", "", "stream mode: root a checkpoint lineage at this path (P.N.full, P.N.delta, P.lineage)")
+	fs.StringVar(&o.ckpt, "checkpoint", "", "stream mode: root a checkpoint lineage at this path (P.N.full, P.N.delta)")
 	fs.IntVar(&o.ckptEvery, "checkpoint-every", 0, "stream mode: checkpoint every N fed jobs")
 	fs.IntVar(&o.ckptDeltas, "checkpoint-deltas", 0, "stream mode: up to N delta checkpoints between fulls (0: fulls only)")
 	fs.IntVar(&o.ckptKeep, "checkpoint-keep", 0, "stream mode: retain only the newest N full generations (0: 2)")

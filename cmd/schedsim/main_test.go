@@ -176,7 +176,7 @@ func TestStopResumeMatchesStraightRun(t *testing.T) {
 }
 
 // TestResumeRefusesBareSessionCheckpoint: testdata/bare.ck is the lineage
-// an older schedsim -stream left at -stop-after 20 on testdata/bare40.ndjson
+// (one member, bare.ck.0.full) an older schedsim -stream left at -stop-after 20 on testdata/bare40.ndjson
 // — a bare engine session, not a front-door container.
 func TestResumeRefusesBareSessionCheckpoint(t *testing.T) {
 	code, _, stderr := schedsim("-stream", "-policy", "flowtime", "-resume", "testdata/bare.ck", "testdata/bare40.ndjson")

@@ -246,7 +246,7 @@ func TestCheckpointResume(t *testing.T) {
 	}
 	members, _ := filepath.Glob(ckCfg.CheckpointPath + ".*")
 	slices.Sort(members)
-	if want := []string{ckCfg.CheckpointPath + ".1.full", ckCfg.CheckpointPath + ".2.full", ckCfg.CheckpointPath + ".lineage"}; !slices.Equal(members, want) {
+	if want := []string{ckCfg.CheckpointPath + ".1.full", ckCfg.CheckpointPath + ".2.full"}; !slices.Equal(members, want) {
 		t.Fatalf("default retention left %v on disk, want %v", members, want)
 	}
 

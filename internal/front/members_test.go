@@ -14,11 +14,22 @@ import (
 
 var updateMembers = flag.Bool("update-members", false, "rewrite testdata/lineage_members.json from this run")
 
-// membersPath holds the manifest entries of TestLineageMembersPinned's run.
+// membersPath holds the members of TestLineageMembersPinned's run.
 const membersPath = "testdata/lineage_members.json"
 
+// pinnedMember is one line of membersPath: a lineage member and the CRC32-C
+// of its file.
+type pinnedMember struct {
+	Seq  uint64 `json:"seq"`
+	Kind string `json:"kind"`
+	File string `json:"file"`
+	CRC  uint32 `json:"crc"`
+	Size int64  `json:"size"`
+	Base uint64 `json:"base,omitempty"`
+}
+
 // TestLineageMembersPinned pins every member an uninterrupted checkpointed
-// run writes, by the CRC and size the manifest records for it: periodic
+// run writes, by its listing and the CRC of its file: periodic
 // fulls and deltas on two shards, the full pair that brackets a resize to
 // three, more periodic members, and the drain's final full. The capture
 // buffers, the delta base and the self-check may change hands however they
@@ -52,7 +63,15 @@ func TestLineageMembersPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := json.MarshalIndent(l.Entries(), "", "  ")
+	var members []pinnedMember
+	for _, e := range l.Entries() {
+		data, err := os.ReadFile(filepath.Join(filepath.Dir(cfg.CheckpointPath), e.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		members = append(members, pinnedMember{e.Seq, e.Kind, e.File, snapshot.Checksum(data), e.Size, e.Base})
+	}
+	got, err := json.MarshalIndent(members, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,8 +91,7 @@ type Config struct {
 	SizeHint int // expected total jobs across all streams (split per shard via engine.PerShardHint; 0 grows on demand; never changes outcomes)
 
 	// CheckpointPath roots the checkpoint lineage (snapshot.Lineage: members
-	// P.<seq>.full / P.<seq>.delta plus the manifest P.lineage); "" disables
-	// checkpointing.
+	// P.<seq>.full / P.<seq>.delta); "" disables checkpointing.
 	CheckpointPath  string
 	CheckpointEvery int // fed jobs between periodic checkpoints (0: resize brackets and final drain only)
 	// CheckpointDeltas is how many delta checkpoints are written between

@@ -85,7 +85,7 @@ func (s *scratch) computeMetricsPerLookup(ins *Instance, o *Outcome) (Metrics, e
 // validateOutcomePerLookup is ValidateOutcome reading every job's state,
 // completion, rejection and assignment from the outcome maps.
 func (s *scratch) validateOutcomePerLookup(ins *Instance, o *Outcome, mode ValidateMode) error {
-	s.ids.Build(ins.Jobs)
+	dup := s.ids.Build(ins.Jobs)
 	// Every bound below is written so that a NaN fails it: a comparison
 	// with NaN is false, so each check states what must hold and negates.
 	for k := range o.Intervals {
@@ -113,6 +113,9 @@ func (s *scratch) validateOutcomePerLookup(ins *Instance, o *Outcome, mode Valid
 	ivsByJob, offs := s.ivs, s.offs
 	for k := range ins.Jobs {
 		j := &ins.Jobs[k]
+		if k == dup {
+			return fmt.Errorf("sched: duplicate job id %d", j.ID)
+		}
 		_, done := o.Completed[j.ID]
 		rejT, rej := o.Rejected[j.ID]
 		if done && rej {

@@ -23,16 +23,18 @@ func TestInstanceValidateOK(t *testing.T) {
 
 func TestInstanceValidateRejectsBadInput(t *testing.T) {
 	cases := map[string]func(*Instance){
-		"no machines":     func(in *Instance) { in.Machines = 0 },
-		"dup ids":         func(in *Instance) { in.Jobs[1].ID = 0 },
-		"wrong proc len":  func(in *Instance) { in.Jobs[0].Proc = []float64{1} },
-		"zero proc":       func(in *Instance) { in.Jobs[0].Proc[0] = 0 },
-		"negative proc":   func(in *Instance) { in.Jobs[0].Proc[1] = -1 },
-		"nan proc":        func(in *Instance) { in.Jobs[0].Proc[0] = math.NaN() },
-		"zero weight":     func(in *Instance) { in.Jobs[0].Weight = 0 },
-		"negative rel":    func(in *Instance) { in.Jobs[0].Release = -1 },
-		"unsorted":        func(in *Instance) { in.Jobs[0].Release = 5 },
-		"deadline before": func(in *Instance) { in.Jobs[1].Deadline = 0.5 },
+		"no machines":          func(in *Instance) { in.Machines = 0 },
+		"dup ids":              func(in *Instance) { in.Jobs[1].ID = 0 },
+		"wrong proc len":       func(in *Instance) { in.Jobs[0].Proc = []float64{1} },
+		"zero proc":            func(in *Instance) { in.Jobs[0].Proc[0] = 0 },
+		"negative proc":        func(in *Instance) { in.Jobs[0].Proc[1] = -1 },
+		"nan proc":             func(in *Instance) { in.Jobs[0].Proc[0] = math.NaN() },
+		"zero weight":          func(in *Instance) { in.Jobs[0].Weight = 0 },
+		"negative rel":         func(in *Instance) { in.Jobs[0].Release = -1 },
+		"unsorted":             func(in *Instance) { in.Jobs[0].Release = 5 },
+		"deadline before":      func(in *Instance) { in.Jobs[1].Deadline = 0.5 },
+		"deadline at release":  func(in *Instance) { in.Jobs[1].Deadline = in.Jobs[1].Release },
+		"release 1.5 Eps back": func(in *Instance) { in.Jobs[0].Release, in.Jobs[1].Release = 1, 1-1.5*Eps },
 	}
 	for name, mut := range cases {
 		in := twoJobInstance()
@@ -40,6 +42,12 @@ func TestInstanceValidateRejectsBadInput(t *testing.T) {
 		if err := in.Validate(); err == nil {
 			t.Errorf("%s: expected validation error", name)
 		}
+	}
+	// A release may trail the last one by Eps, and no more.
+	in := twoJobInstance()
+	in.Jobs[0].Release, in.Jobs[1].Release = 1, 1-Eps
+	if err := in.Validate(); err != nil {
+		t.Errorf("release Eps back: %v", err)
 	}
 }
 
@@ -358,6 +366,29 @@ func TestValidateOutcomeRejectionBeforeRelease(t *testing.T) {
 	o.Rejected[1] = 0.5 // job 1 releases at 1
 	if err := ValidateOutcome(in, o, ValidateMode{}); err == nil {
 		t.Fatal("accepted rejection before release")
+	}
+}
+
+// TestValidateOutcomeNamesDuplicateID pins that a repeated instance id is
+// reported as such, by ValidateOutcome and by its per-lookup reference,
+// rather than auditing the later job against another job's intervals.
+func TestValidateOutcomeNamesDuplicateID(t *testing.T) {
+	in := &Instance{Machines: 1, Jobs: []Job{
+		{ID: 5, Weight: 1, Deadline: NoDeadline, Proc: []float64{2}},
+		{ID: 5, Weight: 1, Deadline: NoDeadline, Proc: []float64{2}},
+		{ID: 7, Weight: 1, Deadline: NoDeadline, Proc: []float64{2}},
+	}}
+	o := NewOutcome()
+	o.Rejected[5] = 0
+	o.Completed[7] = 2
+	o.Assigned[7] = 0
+	o.Intervals = []Interval{{Job: 7, Machine: 0, Start: 0, End: 2, Speed: 1}}
+	const want = "sched: duplicate job id 5"
+	if err := ValidateOutcome(in, o, ValidateMode{}); err == nil || err.Error() != want {
+		t.Errorf("ValidateOutcome: %v, want %q", err, want)
+	}
+	if err := new(scratch).validateOutcomePerLookup(in, o, ValidateMode{}); err == nil || err.Error() != want {
+		t.Errorf("per-lookup reference: %v, want %q", err, want)
 	}
 }
 

@@ -73,9 +73,11 @@ func growTo[T any](s []T, n int) []T {
 // view columns, ranging over each map once and skipping ids the instance
 // does not hold; with assigned, Assigned too. A job in both Completed and
 // Rejected keeps its completion time in at; its rejection time is read
-// from the map (such an outcome is invalid, so that path is cold).
-func (s *scratch) view(ins *Instance, o *Outcome, assigned bool) {
-	s.ids.Build(ins.Jobs)
+// from the map (such an outcome is invalid, so that path is cold). It
+// returns the position of the first job whose id repeats an earlier one's,
+// or -1, as IDs.Build does.
+func (s *scratch) view(ins *Instance, o *Outcome, assigned bool) (dup int) {
+	dup = s.ids.Build(ins.Jobs)
 	state := growTo(s.state, s.ids.n)
 	clear(state)
 	at := growTo(s.at, s.ids.n)
@@ -105,6 +107,7 @@ func (s *scratch) view(ins *Instance, o *Outcome, assigned bool) {
 		s.mach = mach
 	}
 	s.state, s.at = state, at
+	return dup
 }
 
 // ComputeMetrics derives Metrics from an outcome, reusing the scratch
@@ -340,7 +343,7 @@ func (s *scratch) groupIntervals(ivs []Interval, groups int, key func(*Interval)
 func (s *scratch) ValidateOutcome(ins *Instance, o *Outcome, mode ValidateMode) error {
 	// The assignment cross-check is skipped under AllowMigration, and so is
 	// gathering Assigned.
-	s.view(ins, o, !mode.AllowMigration)
+	dup := s.view(ins, o, !mode.AllowMigration)
 	// Every bound below is written so that a NaN fails it: a comparison
 	// with NaN is false, so each check states what must hold and negates.
 	for k := range o.Intervals {
@@ -368,6 +371,11 @@ func (s *scratch) ValidateOutcome(ins *Instance, o *Outcome, mode ValidateMode) 
 	ivsByJob, offs := s.ivs, s.offs
 	for k := range ins.Jobs {
 		j := &ins.Jobs[k]
+		if k == dup {
+			// Intervals are grouped by compact index but read at instance
+			// position k: the two agree only up to the first repeated id.
+			return fmt.Errorf("sched: duplicate job id %d", j.ID)
+		}
 		x := s.ids.Of(j.ID)
 		st, t := s.state[x], s.at[x]
 		done, rej := st&viewDone != 0, st&viewRejected != 0

@@ -66,8 +66,7 @@ func crcShift(crc uint32, n int) uint32 {
 }
 
 // Checksum returns the CRC32-C of b — the same polynomial that guards every
-// section frame, exposed for whole-file integrity records (the checkpoint
-// lineage manifest stores one per checkpoint file).
+// section frame.
 func Checksum(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
 
 // frameCRC is the CRC a frame stores — over its 4-byte tag and its payload —

@@ -491,20 +491,21 @@ func deltaHeader(d *Decoder) (info DeltaInfo, chunk int, totalLen, nNodes uint64
 // frame header, and 44 bytes of payload.
 const deltaHeadBytes = HeaderBytes + 8 + 44
 
-// deltaLen returns the length of the container a delta rebuilds, as the
-// fixed fields in head, its first deltaHeadBytes bytes, declare it, or 0
-// when they do not read. Nothing is verified: the section's CRC covers bytes
-// past head, so the length is only a size to reserve.
-func deltaLen(head []byte) int {
+// parseDeltaHead returns the seq a delta chains to and the length of the
+// container it rebuilds, as the fixed fields in head, its first
+// deltaHeadBytes bytes, declare them, or zeros when they do not read.
+// Nothing is verified: the section's CRC covers bytes past head, so the seq
+// is only a label and the length only a size to reserve.
+func parseDeltaHead(head []byte) (base uint64, n int) {
 	if len(head) < deltaHeadBytes || !bytes.Equal(head[:8], magic[:]) || string(head[HeaderBytes:HeaderBytes+4]) != tagDeltaHdr {
-		return 0
+		return 0, 0
 	}
 	d := &Decoder{tag: tagDeltaHdr, buf: head[HeaderBytes+8 : deltaHeadBytes]}
-	_, _, n, _ := deltaHeader(d)
-	if d.Err() != nil || n > math.MaxInt {
-		return 0
+	info, _, total, _ := deltaHeader(d)
+	if d.Err() != nil || total > math.MaxInt {
+		return 0, 0
 	}
-	return int(n)
+	return info.BaseSeq, int(total)
 }
 
 // ApplyDelta reconstructs the full container a delta was encoded against:

@@ -1,54 +1,45 @@
 package snapshot
 
 import (
-	"encoding/json"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
 // Checkpoint lineage: a sequence of checkpoint files — full snapshots
-// interleaved with deltas chaining off them — plus a manifest that records
-// the chain. For a base path P the files are
+// interleaved with deltas chaining off them. For a base path P the files are
 //
 //	P.<seq>.full    a complete snapshot container
-//	P.<seq>.delta   a delta container chaining to the previous entry
-//	P.lineage       the manifest (JSON, written atomically)
+//	P.<seq>.delta   a delta container chaining to the previous member
 //
-// Every file lands via temp + fsync + rename + directory fsync, and the
-// manifest is rewritten (atomically) only after its newest file is durable,
-// so a crash at any instant leaves a manifest whose entries all exist and
-// were fully written.
+// and the directory is the lineage: opening one lists these names, and
+// nothing else records which members exist. Every member lands via temp +
+// fsync + rename + directory fsync, so a crash at any instant leaves only
+// members that were fully written, or a member's temp file, which the
+// listing ignores.
 // Recovery walks generations newest-first: load the generation's full,
-// verify it (whole-file CRC against the manifest, then a full container
-// parse), apply its deltas in order — a torn, truncated or bit-flipped
-// entry ends the chain there and the tail is dropped; a bad full falls back
-// to the previous generation. A corrupt or missing manifest degrades to a
-// directory scan (the files are self-describing). Only when no generation
-// yields a verifiable payload does recovery fail.
+// verify it (a full container parse checks every frame's CRC), apply its
+// deltas in order — a torn, truncated or bit-flipped member ends the chain
+// there and the tail is dropped; a bad full falls back to the previous
+// generation. Only when no generation yields a verifiable payload does
+// recovery fail.
 //
-// Retention (Keep > 0) prunes whole generations: the newest Keep fulls and
-// their deltas stay, older files are deleted after the manifest that no
-// longer references them is durable.
+// Retention (Keep > 0) prunes whole generations: once a write commits, the
+// members older than the newest Keep fulls are deleted, oldest first.
 
-// LineageEntry is one checkpoint file in the manifest.
+// LineageEntry is one member of a lineage.
 type LineageEntry struct {
-	Seq  uint64 `json:"seq"`
-	Kind string `json:"kind"` // "full" | "delta"
-	File string `json:"file"` // base name, relative to the manifest's directory
-	CRC  uint32 `json:"crc"`  // CRC32-C of the file bytes
-	Size int64  `json:"size"`
-	Base uint64 `json:"base,omitempty"` // previous seq in the chain (deltas)
-}
-
-type lineageManifest struct {
-	Version int            `json:"version"`
-	Entries []LineageEntry `json:"entries"`
+	Seq  uint64
+	Kind string // "full" | "delta"
+	File string // base name, in the lineage's directory
+	Size int64
+	Base uint64 // the seq a delta chains to, from its DLTA header
 }
 
 // LineageOptions configures a Lineage writer.
@@ -84,60 +75,28 @@ type Lineage struct {
 	// delta is the scratch every delta Write encodes into, sized exactly from
 	// its plan (appendDelta).
 	delta []byte
-	// stale lists pruned members whose removal waits for a manifest known
-	// durable: until then a crash may bring back one that names them.
-	stale []LineageEntry
 }
 
-// manifestPath returns the manifest file for a lineage base path.
-func manifestPath(path string) string { return path + ".lineage" }
-
-// OpenLineage opens (or starts) the lineage rooted at path. An existing
-// manifest is loaded so sequence numbers continue; a corrupt or missing
-// manifest falls back to scanning the directory. The first Write after open
-// is always a full (the delta base is not re-read from disk — Recover
-// primes it).
+// OpenLineage opens (or starts) the lineage rooted at path, listing the
+// members in its directory so sequence numbers continue. The first Write
+// after open is always a full (the delta base is not re-read from disk —
+// Recover primes it).
 func OpenLineage(path string, opt LineageOptions) (*Lineage, error) {
 	if path == "" {
 		return nil, fmt.Errorf("snapshot: lineage needs a base path")
 	}
-	l := &Lineage{path: path, opt: opt}
-	l.entries = loadEntries(path)
-	for _, e := range l.entries {
-		if e.Seq >= l.nextSeq {
-			l.nextSeq = e.Seq + 1
-		}
+	l := &Lineage{path: path, opt: opt, entries: scanLineage(path)}
+	if n := len(l.entries); n > 0 {
+		l.nextSeq = l.entries[n-1].Seq + 1
 	}
 	return l, nil
 }
 
-// loadEntries reads the manifest, falling back to a directory scan when it
-// is missing or corrupt.
-func loadEntries(path string) []LineageEntry {
-	data, err := os.ReadFile(manifestPath(path))
-	if err == nil {
-		var m lineageManifest
-		if json.Unmarshal(data, &m) == nil && m.Version == 1 {
-			ok := true
-			for _, e := range m.Entries {
-				if e.Kind != "full" && e.Kind != "delta" {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return m.Entries
-			}
-		}
-	}
-	return scanLineage(path)
-}
-
-// scanLineage rebuilds the entry list from the files themselves: base name
-// pattern <base>.<seq>.(full|delta), sorted by seq. CRCs are computed from
-// the file bytes (so a scan-recovered manifest still verifies), and a
-// delta's base is taken as the preceding entry — ApplyDelta's recorded base
-// CRC arbitrates if that guess is wrong.
+// scanLineage lists the members of the lineage at path by name — regular
+// files <base>.<seq>.(full|delta), seq in canonical decimal — sorted by seq,
+// with each size taken from the directory. Member contents are not read,
+// except a delta's head, for the seq it chains to; recovery verifies each
+// member as it reads it. Temp files and every other name are ignored.
 func scanLineage(path string) []LineageEntry {
 	dir, base := filepath.Split(path)
 	if dir == "" {
@@ -149,45 +108,32 @@ func scanLineage(path string) []LineageEntry {
 	}
 	var out []LineageEntry
 	for _, de := range des {
-		name := de.Name()
-		if !strings.HasPrefix(name, base+".") {
+		rest, ok := strings.CutPrefix(de.Name(), base+".")
+		if !ok || !de.Type().IsRegular() {
 			continue
 		}
-		rest := strings.TrimPrefix(name, base+".")
-		var kind string
-		var seqStr string
-		switch {
-		case strings.HasSuffix(rest, ".full"):
-			kind, seqStr = "full", strings.TrimSuffix(rest, ".full")
-		case strings.HasSuffix(rest, ".delta"):
-			kind, seqStr = "delta", strings.TrimSuffix(rest, ".delta")
-		default:
-			continue
-		}
+		seqStr, kind, _ := strings.Cut(rest, ".")
 		seq, err := strconv.ParseUint(seqStr, 10, 64)
+		if err != nil || strconv.FormatUint(seq, 10) != seqStr || (kind != "full" && kind != "delta") {
+			continue
+		}
+		fi, err := de.Info()
 		if err != nil {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			continue
+		e := LineageEntry{Seq: seq, Kind: kind, File: de.Name(), Size: fi.Size()}
+		if kind == "delta" {
+			e.Base, _ = deltaHead(filepath.Join(dir, e.File))
 		}
-		out = append(out, LineageEntry{
-			Seq: seq, Kind: kind, File: name,
-			CRC: Checksum(data), Size: int64(len(data)),
-		})
+		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	for i := 1; i < len(out); i++ {
-		if out[i].Kind == "delta" {
-			out[i].Base = out[i-1].Seq
-		}
-	}
+	slices.SortFunc(out, func(a, b LineageEntry) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 
-// Entries returns a copy of the manifest's current entry list (what is
-// kept on disk, oldest first).
+// Entries returns a copy of the lineage's member list: what the directory
+// held at open plus what this Lineage has written since, less what it
+// pruned, oldest first.
 func (l *Lineage) Entries() []LineageEntry {
 	return append([]LineageEntry(nil), l.entries...)
 }
@@ -220,18 +166,16 @@ func (l *Lineage) entryName(seq uint64, kind string) string {
 // lineage no longer needs, the base this write retired, for the next
 // capture. So a caller that captures into what Recycle returns keeps two
 // payload-sized buffers in play, the base and the capture, and the lineage
-// adds only the delta buffer. After a failed Write the lineage holds nothing
-// of payload. A failed Write lists no new member, with one exception: when
-// only the manifest's directory sync fails, the manifest naming the member
-// is already in place, so the member stays listed and on disk, and its seq
-// is spent.
+// adds only the delta buffer.
+//
+// A member is committed once its synced temp file is renamed and the
+// directory synced. A Write that fails before that removes what it staged,
+// lists nothing new, prunes nothing and holds nothing of payload: the
+// lineage is as it was, and the next write reuses the seq.
 //
 // The parse and the delta plan use every core for a large payload (see
 // parallelMin), and the self-check runs beside the write and fsync of the
 // delta's temp file; all of Write's goroutines have exited when it returns.
-// The durability order is the same on every path: the member's bytes are
-// synced before its rename, the rename is synced before the manifest is
-// written, and the manifest is durable before pruned members are deleted.
 func (l *Lineage) Write(payload []byte, forceFull bool) (LineageEntry, error) {
 	if aliases(payload, l.prev) {
 		// Captured over the base: the base's bytes are gone, so nothing can
@@ -242,7 +186,6 @@ func (l *Lineage) Write(payload []byte, forceFull bool) (LineageEntry, error) {
 	if l.opt.DeltaEvery > 0 {
 		tree, _ = parseDeltaTree(payload) // nil: not a container, so written as a full
 	}
-	seq := l.nextSeq
 	var entry LineageEntry
 	staged := false
 	if tree != nil && !forceFull && l.prev != nil && l.sinceFull < l.opt.DeltaEvery {
@@ -252,55 +195,25 @@ func (l *Lineage) Write(payload []byte, forceFull bool) (LineageEntry, error) {
 		}
 	}
 	if !staged {
-		entry = LineageEntry{Seq: seq, Kind: "full", File: l.entryName(seq, "full"), Size: int64(len(payload))}
-		if tree != nil {
-			entry.CRC = tree.sum
-		} else {
-			entry.CRC = Checksum(payload)
-		}
+		entry = LineageEntry{Seq: l.nextSeq, Kind: "full", File: l.entryName(l.nextSeq, "full"), Size: int64(len(payload))}
 		if err := writeTemp(l.memberPath(entry), payload); err != nil {
 			return LineageEntry{}, err
 		}
 	}
-	if _, err := commitFile(l.memberPath(entry)); err != nil {
-		os.Remove(l.memberPath(entry)) // a rename not known durable is not a member
+	if err := commitFile(l.memberPath(entry)); err != nil {
 		return LineageEntry{}, err
 	}
-	kept, stale := l.entries, len(l.stale)
 	l.entries = append(l.entries, entry)
-	l.stale = append(l.stale, l.prune()...)
-	renamed, err := l.writeManifest()
-	if err != nil && !renamed {
-		// The manifest on disk still lists the old entries, so memory must
-		// too: the next write reuses this seq, and a list that kept it would
-		// name it twice. The member no manifest names goes with it.
-		l.entries, l.stale = kept, l.stale[:stale]
-		os.Remove(l.memberPath(entry))
-		return LineageEntry{}, err
-	}
-	l.nextSeq = seq + 1
+	l.prune()
+	l.nextSeq++
 	if entry.Kind == "full" {
 		l.sinceFull = 0
 	} else {
 		l.sinceFull++
 	}
-	if err != nil {
-		// Only the manifest's directory sync failed: the manifest in place
-		// names the member, so the member stays and its seq is spent. The
-		// write still failed, so the lineage keeps no base of it (the next
-		// write is a full) and no buffer for Recycle to hand back.
-		l.retired, l.prev, l.prevTree = nil, nil, nil
-		return LineageEntry{}, err
-	}
-	// Old generations leave the disk only after the manifest that no longer
-	// names them is durable.
-	for _, e := range l.stale {
-		os.Remove(l.memberPath(e))
-	}
-	l.stale = l.stale[:0]
 	if l.opt.DeltaEvery > 0 {
 		// A fulls-only lineage never encodes a delta, so it keeps no base.
-		l.retired, l.prev, l.prevTree, l.prevSeq = l.prev, payload, tree, seq
+		l.retired, l.prev, l.prevTree, l.prevSeq = l.prev, payload, tree, entry.Seq
 	}
 	return entry, nil
 }
@@ -348,16 +261,13 @@ func (l *Lineage) stageDelta(payload []byte, next *deltaNode) (e LineageEntry, o
 			return e, false, nil
 		}
 	}
-	delta, sum, _, err := appendDelta(l.delta[:0], l.prevTree, next, l.prevSeq, l.nextSeq, DefaultDeltaChunk)
+	delta, _, _, err := appendDelta(l.delta[:0], l.prevTree, next, l.prevSeq, l.nextSeq, DefaultDeltaChunk)
 	l.delta = delta
 	if err != nil {
 		return e, false, nil
 	}
 	seq := l.nextSeq
-	e = LineageEntry{
-		Seq: seq, Kind: "delta", File: l.entryName(seq, "delta"),
-		CRC: sum, Size: int64(len(delta)), Base: l.prevSeq,
-	}
+	e = LineageEntry{Seq: seq, Kind: "delta", File: l.entryName(seq, "delta"), Size: int64(len(delta)), Base: l.prevSeq}
 	checked := make(chan error, 1)
 	go func() { checked <- selfCheck(payload, l.prev, l.prevTree, delta) }()
 	path := l.memberPath(e)
@@ -369,45 +279,26 @@ func (l *Lineage) stageDelta(payload []byte, next *deltaNode) (e LineageEntry, o
 	return e, err == nil, err
 }
 
-// prune trims entries beyond the Keep newest full generations, returning
-// the dropped entries for deletion after the manifest lands. The kept
-// entries are resliced, not moved, so a caller holding the old list can
-// restore it.
-func (l *Lineage) prune() []LineageEntry {
+// prune drops the members older than the newest Keep fulls from the list
+// and deletes them, oldest first, so a crash part-way leaves only older
+// members, which the next write prunes again.
+func (l *Lineage) prune() {
 	if l.opt.Keep <= 0 {
-		return nil
+		return
 	}
 	fulls := 0
-	cut := 0 // index of the oldest entry to keep
-	for i := len(l.entries) - 1; i >= 0; i-- {
-		if l.entries[i].Kind == "full" {
-			fulls++
-			if fulls == l.opt.Keep {
-				cut = i
-				break
+	for i := len(l.entries) - 1; i > 0; i-- {
+		if l.entries[i].Kind != "full" {
+			continue
+		}
+		if fulls++; fulls == l.opt.Keep {
+			for _, e := range l.entries[:i] {
+				os.Remove(l.memberPath(e))
 			}
+			l.entries = l.entries[i:]
+			return
 		}
 	}
-	if fulls < l.opt.Keep || cut == 0 {
-		return nil
-	}
-	dropped := l.entries[:cut:cut]
-	l.entries = l.entries[cut:]
-	return dropped
-}
-
-// writeManifest rewrites the manifest atomically. renamed reports whether
-// the new manifest is in place, as commitFile's does.
-func (l *Lineage) writeManifest() (renamed bool, err error) {
-	data, err := json.MarshalIndent(lineageManifest{Version: 1, Entries: l.entries}, "", "  ")
-	if err != nil {
-		return false, err
-	}
-	path := manifestPath(l.path)
-	if err := writeTemp(path, append(data, '\n')); err != nil {
-		return false, err
-	}
-	return commitFile(path)
 }
 
 // RecoverInfo reports how a recovery went.
@@ -426,7 +317,7 @@ func (l *Lineage) Recover() ([]byte, RecoverInfo, error) {
 	entries := l.entries
 	if len(entries) == 0 {
 		if fi, err := os.Stat(l.path); err == nil && fi.Mode().IsRegular() {
-			return nil, RecoverInfo{}, fmt.Errorf("snapshot: %s is a single file, not the root of a checkpoint lineage (no %s or %s.<seq>.full beside it)", l.path, manifestPath(l.path), l.path)
+			return nil, RecoverInfo{}, fmt.Errorf("snapshot: %s is a single file, not the root of a checkpoint lineage (no %s.<seq>.full beside it)", l.path, l.path)
 		}
 		return nil, RecoverInfo{}, fmt.Errorf("snapshot: lineage %s has no checkpoints", l.path)
 	}
@@ -443,7 +334,7 @@ func (l *Lineage) Recover() ([]byte, RecoverInfo, error) {
 	var firstErr error
 	for _, gi := range gens {
 		full := entries[gi]
-		payload, err := l.readVerified(full, nil, 0)
+		payload, err := l.readMember(full, nil, 0)
 		var tree *deltaNode
 		if err == nil {
 			tree, err = parseDeltaTree(payload)
@@ -470,7 +361,8 @@ func (l *Lineage) Recover() ([]byte, RecoverInfo, error) {
 		}
 		need, bound, largest := 0, len(payload), 0
 		for _, e := range tail {
-			size, n := l.deltaHead(e)
+			size := int(e.Size)
+			_, n := deltaHead(l.memberPath(e))
 			largest = max(largest, size)
 			// ApplyDelta refuses a result longer than its base plus five times
 			// the delta, so bound caps what a corrupt header can make us size.
@@ -480,7 +372,7 @@ func (l *Lineage) Recover() ([]byte, RecoverInfo, error) {
 		var read []byte
 		var bufs [2][]byte
 		for k, e := range tail {
-			delta, err := l.readVerified(e, read, largest)
+			delta, err := l.readMember(e, read, largest)
 			if err == nil {
 				read = delta
 				if cap(bufs[k%2]) < need {
@@ -514,7 +406,8 @@ func (l *Lineage) Recover() ([]byte, RecoverInfo, error) {
 		// The recovered generation already holds Applied deltas, which count
 		// toward DeltaEvery like deltas this process wrote. After a fallback
 		// the next write is a full: the dropped tail may still sit on disk,
-		// and a delta chained across it would confuse a later scan.
+		// and recovery stops at its first bad member, so a delta chained
+		// across it could never be applied.
 		l.sinceFull = info.Applied
 		if info.FellBack {
 			l.sinceFull = l.opt.DeltaEvery
@@ -524,10 +417,12 @@ func (l *Lineage) Recover() ([]byte, RecoverInfo, error) {
 	return nil, RecoverInfo{}, fmt.Errorf("snapshot: no generation of lineage %s is recoverable (newest failure: %v)", l.path, firstErr)
 }
 
-// readVerified loads an entry's file and checks its whole-file CRC and size
-// against the manifest. It reads into buf's storage when that has room, and
-// otherwise into a new buffer with room for max(e.Size, size) bytes.
-func (l *Lineage) readVerified(e LineageEntry, buf []byte, size int) ([]byte, error) {
+// readMember loads an entry's file, which must still hold the bytes the
+// listing found. It reads into buf's storage when that has room, and
+// otherwise into a new buffer with room for max(e.Size, size) bytes. The
+// bytes are not verified here: parseDeltaTree and applyDelta check every
+// frame's CRC.
+func (l *Lineage) readMember(e LineageEntry, buf []byte, size int) ([]byte, error) {
 	f, err := os.Open(l.memberPath(e))
 	if err != nil {
 		return nil, err
@@ -538,7 +433,7 @@ func (l *Lineage) readVerified(e LineageEntry, buf []byte, size int) ([]byte, er
 		return nil, err
 	}
 	if fi.Size() != e.Size {
-		return nil, fmt.Errorf("snapshot: %s holds %d bytes, manifest records %d", e.File, fi.Size(), e.Size)
+		return nil, fmt.Errorf("snapshot: %s holds %d bytes, listed with %d", e.File, fi.Size(), e.Size)
 	}
 	if int64(cap(buf)) < e.Size {
 		buf = make([]byte, 0, max(int(e.Size), size))
@@ -547,29 +442,24 @@ func (l *Lineage) readVerified(e LineageEntry, buf []byte, size int) ([]byte, er
 	if _, err := io.ReadFull(f, data); err != nil {
 		return nil, err
 	}
-	if got := Checksum(data); got != e.CRC {
-		return nil, fmt.Errorf("snapshot: %s CRC %08x, manifest records %08x", e.File, got, e.CRC)
-	}
 	return data, nil
 }
 
-// deltaHead reads the head of a delta member: its size, when the file holds
-// the bytes the manifest records, and the length of the container it
-// rebuilds, as deltaLen reads it. Either is 0 when it does not read.
-func (l *Lineage) deltaHead(e LineageEntry) (size, n int) {
-	f, err := os.Open(l.memberPath(e))
+// deltaHead reads the head of the delta member at path: the seq it chains
+// to and the length of the container it rebuilds, as parseDeltaHead reads them.
+// Both are 0 when the head does not read. Nothing is verified: applyDelta
+// checks both against the member's CRCs and the chain.
+func deltaHead(path string) (base uint64, n int) {
+	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0
 	}
 	defer f.Close()
-	if fi, err := f.Stat(); err == nil && fi.Size() == e.Size {
-		size = int(e.Size)
-	}
 	var head [deltaHeadBytes]byte
 	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return size, 0
+		return 0, 0
 	}
-	return size, deltaLen(head[:])
+	return parseDeltaHead(head[:])
 }
 
 // RecoverLineage is the one-shot read side: open the lineage at path and
@@ -612,19 +502,20 @@ func writeTemp(path string, data []byte) error {
 
 // commitFile renames path's synced temp file to path, then fsyncs the
 // directory so the rename itself is durable. A directory that cannot be
-// opened or synced fails it: until then the rename may not survive a crash.
-// renamed reports whether path is in place, durable or not.
-func commitFile(path string) (renamed bool, err error) {
+// opened or synced fails it: until then the rename may not survive a crash,
+// so path is removed again. On failure neither file is left.
+func commitFile(path string) error {
 	tmp := tempPath(path)
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return false, err
+		return err
 	}
 	dir := filepath.Dir(path)
 	if err := syncDir(dir); err != nil {
-		return true, fmt.Errorf("snapshot: syncing directory %s after renaming %s: %w", dir, filepath.Base(path), err)
+		os.Remove(path)
+		return fmt.Errorf("snapshot: syncing directory %s after renaming %s: %w", dir, filepath.Base(path), err)
 	}
-	return true, nil
+	return nil
 }
 
 // syncDir fsyncs a directory; in-package tests replace it to fail.

@@ -3,10 +3,10 @@ package snapshot
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -188,7 +188,7 @@ func TestLineageRetention(t *testing.T) {
 	if fulls != 2 {
 		t.Fatalf("retention kept %d fulls, want 2 (entries %+v)", fulls, entries)
 	}
-	// Every manifest entry exists; nothing else remains on disk.
+	// Every listed member exists; nothing else remains on disk.
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -199,11 +199,10 @@ func TestLineageRetention(t *testing.T) {
 	}
 	for _, e := range entries {
 		if !onDisk[e.File] {
-			t.Fatalf("manifest names %s but it is not on disk", e.File)
+			t.Fatalf("the lineage lists %s but it is not on disk", e.File)
 		}
 		delete(onDisk, e.File)
 	}
-	delete(onDisk, "ckpt.lineage")
 	if len(onDisk) != 0 {
 		t.Fatalf("retention left unreferenced files: %v", onDisk)
 	}
@@ -217,8 +216,13 @@ func TestLineageRetention(t *testing.T) {
 	}
 }
 
-func TestLineageManifestCorruptScansDirectory(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt")
+// TestLineageIgnoresStrayFiles pins that the listing is the members' names
+// and nothing else: a manifest an older build left, temp files, names that
+// are not members and another lineage's members neither list, nor move the
+// next seq, nor change what recovers.
+func TestLineageIgnoresStrayFiles(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ckpt")
 	l := openL(t, path, LineageOptions{DeltaEvery: 2})
 	var last []byte
 	for i := 0; i < 3; i++ {
@@ -227,21 +231,33 @@ func TestLineageManifestCorruptScansDirectory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := os.WriteFile(manifestPath(path), []byte("{torn json"), 0o644); err != nil {
+	want := l.Entries()
+	writeStrays(t, dir)
+	l2 := openL(t, path, LineageOptions{DeltaEvery: 2})
+	if got := l2.Entries(); !slices.Equal(got, want) {
+		t.Fatalf("with strays beside it the lineage lists %+v, want %+v", got, want)
+	}
+	got, info, err := l2.Recover()
+	if err != nil || !bytes.Equal(got, last) || info.FellBack {
+		t.Fatalf("recovery among strays: %v (info %+v)", err, info)
+	}
+	if e, err := l2.Write(payloadN(t, 3), false); err != nil || e.Seq != 3 {
+		t.Fatalf("next write among strays = %+v, %v; want seq 3", e, err)
+	}
+}
+
+// writeStrays puts files that are not members of the lineage "ckpt" in dir:
+// an old manifest, a name whose seq does not parse, a temp file, another
+// lineage's member and a directory with a member's name.
+func writeStrays(t *testing.T, dir string) {
+	t.Helper()
+	for _, name := range []string{"ckpt.lineage", "ckpt.x.full", "ckpt.9.full.tmp", "ckpt.07.full", "other.7.full"} {
+		if err := os.WriteFile(filepath.Join(dir, name), payloadN(t, 9), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "ckpt.8.full"), 0o755); err != nil {
 		t.Fatal(err)
-	}
-	got, _, err := RecoverLineage(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, last) {
-		t.Fatal("scan-mode recovery diverged")
-	}
-	// A missing manifest behaves the same.
-	os.Remove(manifestPath(path))
-	got, _, err = RecoverLineage(path)
-	if err != nil || !bytes.Equal(got, last) {
-		t.Fatalf("manifest-less recovery: %v", err)
 	}
 }
 
@@ -376,27 +392,30 @@ func TestLineageFullsOnlyRetainsNoBase(t *testing.T) {
 	}
 }
 
-// TestLineageManifestFailureRollsBack pins that a write whose manifest does
-// not land leaves the lineage as the manifest on disk has it: the retry
-// reuses the seq, nothing is listed twice, and the chain recovers whole.
-func TestLineageManifestFailureRollsBack(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt")
+// TestLineageStagingFailureRollsBack pins Write's failure rule for a delta
+// whose temp file cannot be made: the write lists nothing and leaves no
+// member, the retry reuses the seq on the same base, and the chain recovers
+// whole.
+func TestLineageStagingFailureRollsBack(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ckpt")
 	l := openL(t, path, LineageOptions{DeltaEvery: 4})
 	for i := 0; i < 2; i++ {
 		if _, err := l.Write(payloadN(t, i), false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	block := manifestPath(path) + ".tmp" // a directory where the temp manifest goes
+	block := filepath.Join(dir, "ckpt.2.delta.tmp") // a directory where the temp file goes
 	if err := os.Mkdir(block, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Write(payloadN(t, 2), false); err == nil {
-		t.Fatal("a write whose manifest could not land succeeded")
+		t.Fatal("a write whose member could not be staged succeeded")
 	}
 	if got := l.Entries(); len(got) != 2 {
-		t.Fatalf("after the failed write the lineage lists %+v, want the 2 entries on disk", got)
+		t.Fatalf("after the failed write the lineage lists %+v, want the 2 members on disk", got)
 	}
+	assertAbsent(t, dir, "ckpt.2.delta", "ckpt.2.full", "ckpt.2.full.tmp")
 	if err := os.Remove(block); err != nil {
 		t.Fatal(err)
 	}
@@ -416,21 +435,25 @@ func TestLineageManifestFailureRollsBack(t *testing.T) {
 	}
 }
 
-// TestLineageManifestFailureKeepsPruned pins that a generation the failed
-// write would have pruned stays listed and on disk.
-func TestLineageManifestFailureKeepsPruned(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt")
+// TestLineageStagingFailureKeepsPruned pins that a full whose temp file
+// cannot be made prunes nothing: the generation it would have dropped stays
+// listed, on disk and recoverable, and the retry takes the same seq and
+// prunes then.
+func TestLineageStagingFailureKeepsPruned(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ckpt")
 	l := openL(t, path, LineageOptions{DeltaEvery: 1, Keep: 1})
 	for i := 0; i < 2; i++ { // full 0, delta 1
 		if _, err := l.Write(payloadN(t, i), false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := os.Mkdir(manifestPath(path)+".tmp", 0o755); err != nil {
+	block := filepath.Join(dir, "ckpt.2.full.tmp")
+	if err := os.Mkdir(block, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Write(payloadN(t, 2), false); err == nil { // full 2 would prune 0 and 1
-		t.Fatal("a write whose manifest could not land succeeded")
+		t.Fatal("a write whose member could not be staged succeeded")
 	}
 	entries := l.Entries()
 	if len(entries) != 2 {
@@ -438,12 +461,29 @@ func TestLineageManifestFailureKeepsPruned(t *testing.T) {
 	}
 	for _, e := range entries {
 		if _, err := os.Stat(l.memberPath(e)); err != nil {
-			t.Fatalf("member %s of the surviving manifest: %v", e.File, err)
+			t.Fatalf("listed member %s: %v", e.File, err)
 		}
 	}
 	got, _, err := RecoverLineage(path)
 	if err != nil || !bytes.Equal(got, payloadN(t, 1)) {
 		t.Fatalf("recovery after the failed write: %v", err)
+	}
+	if err := os.Remove(block); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := l.Write(payloadN(t, 2), false); err != nil || e.Seq != 2 || e.Kind != "full" {
+		t.Fatalf("retried write = %+v, %v; want full seq 2", e, err)
+	}
+	assertAbsent(t, dir, "ckpt.0.full", "ckpt.1.delta")
+}
+
+// assertAbsent fails the test for each named file that exists in dir.
+func assertAbsent(t *testing.T, dir string, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		if _, err := os.Lstat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s is on disk: %v", name, err)
+		}
 	}
 }
 
@@ -474,7 +514,7 @@ func TestLineageWriteOverBaseIsFull(t *testing.T) {
 
 // TestLineageSelfCheckFailureWritesFull forces the self-check that runs
 // beside the delta's write to fail: the temp file it raced is removed, the
-// entry is a full the manifest lists, recovery returns the payload, and the
+// entry is a full the directory lists, recovery returns the payload, and the
 // lineage holds no payload-sized buffer beyond its base and the retired one.
 func TestLineageSelfCheckFailureWritesFull(t *testing.T) {
 	dir := t.TempDir()
@@ -508,8 +548,8 @@ func TestLineageSelfCheckFailureWritesFull(t *testing.T) {
 			t.Errorf("%s is left on disk", de.Name())
 		}
 	}
-	if listed := loadEntries(path); len(listed) != 2 || listed[1] != e {
-		t.Fatalf("manifest lists %+v, want the full %+v last", listed, e)
+	if listed := scanLineage(path); len(listed) != 2 || listed[1] != e {
+		t.Fatalf("the directory lists %+v, want the full %+v last", listed, e)
 	}
 	got, info, err := RecoverLineage(path)
 	if err != nil || !bytes.Equal(got, payload) || info.Seq != 1 || info.FellBack {
@@ -523,85 +563,110 @@ func TestLineageSelfCheckFailureWritesFull(t *testing.T) {
 }
 
 // TestLineageDirSyncFailureFailsWrite pins that a rename whose directory
-// cannot be synced fails the write, naming the directory. When the member's
-// sync fails, the write lists nothing new and leaves no member behind, and
-// the next write reuses the seq. When only the manifest's sync fails, the
-// manifest naming the member is already in place: the member stays listed
-// and on disk, recovery returns it with nothing dropped, and the next write
-// takes the next seq and leaves no file the manifest does not list.
+// cannot be synced fails the write, naming the directory, under the same
+// rule as a staging failure: the write lists nothing new, leaves no member
+// behind and prunes nothing, and the next write reuses the seq — on the same
+// base for a delta, and pruning then for a full.
 func TestLineageDirSyncFailureFailsWrite(t *testing.T) {
 	sync := syncDir
 	t.Cleanup(func() { syncDir = sync })
-	for _, failAt := range []int{1, 2} { // the member's directory sync, the manifest's
-		t.Run(fmt.Sprintf("sync %d", failAt), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		full bool // a full, which Keep 1 has prune seq 0
+		kind string
+	}{{"delta", false, "delta"}, {"pruning full", true, "full"}} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "ckpt")
 			l := openL(t, path, LineageOptions{DeltaEvery: 4, Keep: 1})
 			if _, err := l.Write(payloadN(t, 0), false); err != nil {
 				t.Fatal(err)
 			}
-			calls := 0
-			syncDir = func(d string) error {
-				if calls++; calls == failAt {
-					return errors.New("injected sync failure")
-				}
-				return sync(d)
-			}
-			_, err := l.Write(payloadN(t, 1), failAt == 2) // sync 2: a full, and Keep 1 prunes seq 0
+			syncDir = func(string) error { return errors.New("injected sync failure") }
+			_, err := l.Write(payloadN(t, 1), tc.full)
 			syncDir = sync
 			if err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "injected") {
 				t.Fatalf("write under a failing directory sync: %v, want an error naming %s", err, dir)
 			}
-			if failAt == 1 {
-				if got := l.Entries(); len(got) != 1 {
-					t.Fatalf("after the failed write the lineage lists %+v", got)
-				}
-				for _, name := range []string{"ckpt.1.delta", "ckpt.1.full", "ckpt.1.delta.tmp"} {
-					if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-						t.Errorf("%s after the failed write: %v", name, err)
-					}
-				}
-				e, err := l.Write(payloadN(t, 2), false)
-				if err != nil || e.Seq != 1 || e.Kind != "delta" || e.Base != 0 {
-					t.Fatalf("retried write = %+v, %v; want delta seq 1 on base 0", e, err)
-				}
-				if got, info, err := RecoverLineage(path); err != nil || !bytes.Equal(got, payloadN(t, 2)) || info.FellBack {
-					t.Fatalf("recovery after the retried write: %v (info %+v)", err, info)
-				}
-				return
+			if got := l.Entries(); len(got) != 1 || got[0].Seq != 0 {
+				t.Fatalf("after the failed write the lineage lists %+v, want seq 0", got)
 			}
-			if got := l.Entries(); len(got) != 1 || got[0].Seq != 1 || !slices.Equal(loadEntries(path), got) {
-				t.Fatalf("after the manifest's failed sync the lineage lists %+v, the manifest %+v; want seq 1 in both", got, loadEntries(path))
+			assertAbsent(t, dir, "ckpt.1.delta", "ckpt.1.full", "ckpt.1.delta.tmp", "ckpt.1.full.tmp")
+			if got, info, err := RecoverLineage(path); err != nil || !bytes.Equal(got, payloadN(t, 0)) || info.FellBack {
+				t.Fatalf("recovery after the failed write: %v (info %+v)", err, info)
 			}
-			got, info, err := RecoverLineage(path)
-			if err != nil || !bytes.Equal(got, payloadN(t, 1)) || info.Seq != 1 || info.Dropped != 0 || info.FellBack {
-				t.Fatalf("recovery after the manifest's failed sync: %v (info %+v)", err, info)
+			e, err := l.Write(payloadN(t, 2), tc.full)
+			if err != nil || e.Seq != 1 || e.Kind != tc.kind || e.Base != 0 {
+				t.Fatalf("retried write = %+v, %v; want %s seq 1 on base 0", e, err, tc.kind)
 			}
-			e, err := l.Write(payloadN(t, 2), false)
-			if err != nil || e.Seq != 2 || e.Kind != "full" {
-				t.Fatalf("next write = %+v, %v; want full seq 2 (the failed write kept no base)", e, err)
+			if tc.full {
+				assertAbsent(t, dir, "ckpt.0.full")
 			}
-			listed := map[string]bool{filepath.Base(manifestPath(path)): true}
-			seqs := map[uint64]bool{}
-			for _, e := range loadEntries(path) {
-				if seqs[e.Seq] {
-					t.Fatalf("the manifest names seq %d twice", e.Seq)
-				}
-				seqs[e.Seq] = true
-				listed[e.File] = true
+			if got, info, err := RecoverLineage(path); err != nil || !bytes.Equal(got, payloadN(t, 2)) || info.FellBack {
+				t.Fatalf("recovery after the retried write: %v (info %+v)", err, info)
 			}
-			des, err := os.ReadDir(dir)
+		})
+	}
+}
+
+// TestLineageCorruptionSweep pins that the members' own CRCs catch every
+// flipped byte and every truncation of a lineage's newest full and newest
+// delta: recovery returns the newest payload still intact, marked as a
+// fallback, and never fails while an older generation is intact. Strays sit
+// beside the lineage throughout.
+func TestLineageCorruptionSweep(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ckpt")
+	l := openL(t, path, LineageOptions{DeltaEvery: 2})
+	var payloads [][]byte
+	for i := 0; i < 5; i++ { // full 0, delta 1, delta 2, full 3, delta 4
+		p := buildContainer(t, sec("SESS", bytes.Repeat([]byte{byte(i)}, 64)), sec("JOBS", bytes.Repeat([]byte{0x4A}, 2000+100*i)))
+		if _, err := l.Write(p, false); err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, p)
+	}
+	entries := l.Entries()
+	if kinds := []string{entries[3].Kind, entries[4].Kind}; len(entries) != 5 || !slices.Equal(kinds, []string{"full", "delta"}) {
+		t.Fatalf("lineage = %+v, want full 0, delta 1, delta 2, full 3, delta 4", entries)
+	}
+	writeStrays(t, dir)
+	for _, tc := range []struct {
+		member LineageEntry
+		want   []byte // the newest payload intact without it
+	}{{entries[3], payloads[2]}, {entries[4], payloads[3]}} {
+		file := l.memberPath(tc.member)
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(file, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		check := func(what string, err error) {
+			t.Helper()
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, de := range des {
-				if !listed[de.Name()] {
-					t.Errorf("%s is on disk but not in the manifest", de.Name())
-				}
+			got, info, err := RecoverLineage(path)
+			if err != nil || !bytes.Equal(got, tc.want) || !info.FellBack {
+				t.Fatalf("%s %s: recovery %v (info %+v, want payload match %v)", tc.member.File, what, err, info, bytes.Equal(got, tc.want))
 			}
-			if got, info, err := RecoverLineage(path); err != nil || !bytes.Equal(got, payloadN(t, 2)) || info.Seq != 2 || info.FellBack {
-				t.Fatalf("recovery after the next write: %v (info %+v)", err, info)
+		}
+		for i, b := range data {
+			_, err := f.WriteAt([]byte{b ^ 0xFF}, int64(i))
+			check("byte "+strconv.Itoa(i)+" flipped", err)
+			if _, err := f.WriteAt([]byte{b}, int64(i)); err != nil {
+				t.Fatal(err)
 			}
-		})
+		}
+		for n := len(data) - 1; n >= 0; n-- {
+			check("truncated to "+strconv.Itoa(n)+" bytes", f.Truncate(int64(n)))
+		}
+		if err := os.WriteFile(file, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
