@@ -194,7 +194,10 @@ type decodeSeed struct {
 // duals, with a clean snapshot and with mutations aimed at each record run:
 // a processing time's sign bit in JOBS, the count in DONE, the first
 // interval's job id, the last slot's state byte and the section's last byte
-// cut off in OUTC; then come staleKeySeeds.
+// cut off in OUTC, and the low bit of the first event's time in EVTQ — the
+// pending arrival of the last job fed, which then no longer falls at its
+// job's release — and of that job's slot state, which then records it
+// decided; then come staleKeySeeds.
 func decodeSeeds() (seeds []decodeSeed) {
 	var k int64
 	for pol, name := range policy.Names() {
@@ -215,6 +218,8 @@ func decodeSeeds() (seeds []decodeSeed) {
 			add(decodeTruncate, 5, -1, 0, "exceeds")
 			add(decodeFlip, 5, 8+7, 6, "unknown job")
 			add(decodeFlip, 5, -13, 2, "unknown outcome state")
+			add(decodeFlip, 4, 16, 0, "its release is")
+			add(decodeFlip, 5, -13, 0, "has a pending arrival")
 		}
 	}
 	return append(seeds, staleKeySeeds()...)

@@ -127,10 +127,11 @@ func restoreIntoPerField(sr *snapshot.Reader, s *Session, sp StatefulPolicy) err
 	if err != nil {
 		return err
 	}
-	if err := c.q.Restore(d); err != nil {
+	if err := c.q.Restore(d, &c.arr); err != nil {
 		return err
 	}
-	if err := validateEvents(c.q, d, njobs, machines); err != nil {
+	c.peekNext()
+	if err := validateEvents(c, d); err != nil {
 		return err
 	}
 	if err := d.Done(); err != nil {
@@ -142,6 +143,9 @@ func restoreIntoPerField(sr *snapshot.Reader, s *Session, sp StatefulPolicy) err
 		return err
 	}
 	if err := restoreOutcomePerField(d, c); err != nil {
+		return err
+	}
+	if err := validateArrivalsOpen(c, d); err != nil {
 		return err
 	}
 	if err := d.Done(); err != nil {

@@ -74,7 +74,7 @@ func (s *Session) appendSnapshotPerField(dst []byte) ([]byte, error) {
 			e.F64(m.RunSpeed)
 		}
 	})
-	sw.Section(tagQueue, func(e *snapshot.Encoder) { c.q.Snapshot(e) })
+	sw.Section(tagQueue, func(e *snapshot.Encoder) { c.q.Snapshot(e, c.arrivals()...) })
 	sw.Section(tagOutcome, func(e *snapshot.Encoder) {
 		ivs := c.rec.Intervals()
 		e.U64(uint64(len(ivs)))

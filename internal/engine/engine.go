@@ -32,7 +32,9 @@
 // and after earlier-fed arrivals (by insertion seq). The drain horizon
 // therefore trails the last fed release by Eps; Finish (or AdvanceTo, which
 // is a caller promise that no earlier release will ever be fed) releases
-// the tail.
+// the tail. Arrivals never enter the event queue: fed in release order,
+// they already form a sorted list, which the event loop merges with the
+// queue's completions and bookkeeping under that same order.
 //
 // Hot-path discipline (see DESIGN.md): per-job state is dense, indexed by
 // the compact feed-order index; ids resolve through sched.IDs, a growable
@@ -137,8 +139,9 @@ type Options struct {
 	// SizeHint preallocates per-job storage (job table, outcome record)
 	// for a run of about this many jobs. Zero is valid: all storage grows
 	// on demand, which is the streaming mode of operation. The event heap
-	// is never presized: FeedBatch drains every feedChunk jobs, so it holds
-	// tens of events, not one per job, and grows with what it holds.
+	// is never presized: it holds completions and bookkeeping, never
+	// arrivals, so it grows with the machines and what they run, not with
+	// the jobs.
 	SizeHint int
 	// EventQueue names the event-queue implementation (EventQueueHeap or
 	// EventQueueCalendar; empty selects the heap). Both satisfy the same
@@ -151,10 +154,22 @@ type Options struct {
 // Core is the engine state a Policy interacts with. It is owned by a
 // Session and must not be used after the session closes.
 type Core struct {
-	pol  Policy
-	q    eventq.Interface
-	mach []MachineState
-	jobs []sched.Job
+	pol Policy
+	// q holds the completion and bookkeeping events. Arrivals never enter
+	// it: a session is fed in release order, so they already form a sorted
+	// stream, kept in arr from arrHead on — in pop order, each stamped with
+	// the insertion seq q reserved for it at its feed — and drain merges the
+	// two.
+	q       eventq.Interface
+	arr     []eventq.Event
+	arrHead int
+	// qNext is the time of q's earliest event, +Inf while q is empty, so
+	// step weighs the next arrival against q without a call through the
+	// interface. Every push to q is Start's or Bookkeep's, which lower it;
+	// every pop is step's, which reads it afresh.
+	qNext float64
+	mach  []MachineState
+	jobs  []sched.Job
 	// done[jk] is the fraction of job jk's required work executed so far,
 	// accumulated machine-relatively (each segment contributes its executed
 	// volume divided by the job's Proc on that machine). It feeds the
@@ -179,6 +194,7 @@ func (c *Core) init(pol Policy, opt Options) error {
 	}
 	c.pol = pol
 	c.q = q
+	c.qNext = math.Inf(1)
 	c.mach = make([]MachineState, opt.Machines)
 	for i := range c.mach {
 		c.mach[i].Running = -1
@@ -242,10 +258,12 @@ func (c *Core) Start(i int, t float64, jk int, vol, speed float64) {
 	m.RunSpeed = speed
 	c.seq++
 	m.RunSeq = c.seq
+	end := t + vol/speed
 	c.q.Push(eventq.Event{
-		Time: t + vol/speed, Kind: eventq.KindCompletion,
+		Time: end, Kind: eventq.KindCompletion,
 		Job: int32(jk), Machine: int32(i), Version: c.seq,
 	})
+	c.qNext = min(c.qNext, end)
 }
 
 // Preempt stops machine i's execution at time t without deciding the job's
@@ -302,13 +320,67 @@ func (c *Core) RejectPending(jk int, t float64) {
 // Policy.OnBookkeeping when the simulation reaches t.
 func (c *Core) Bookkeep(t float64, i, jk int) {
 	c.q.Push(eventq.Event{Time: t, Kind: eventq.KindBookkeeping, Job: int32(jk), Machine: int32(i)})
+	c.qNext = min(c.qNext, t)
 }
 
-// handle routes one popped event.
+// pushArrival queues the arrival of job jk, released at r, on the pending
+// list, reserving its insertion seq where pushing it onto q would have.
+func (c *Core) pushArrival(r float64, jk int) {
+	if c.arrHead > 0 && 2*c.arrHead >= len(c.arr) {
+		// Drop the consumed prefix once it is half the list: the list then
+		// stays within a small multiple of the arrivals pending.
+		c.arr = c.arr[:copy(c.arr, c.arr[c.arrHead:])]
+		c.arrHead = 0
+	}
+	c.arr = append(c.arr, eventq.Event{Time: r, Kind: eventq.KindArrival, Job: int32(jk), Machine: -1})
+	c.q.Reserve(&c.arr[len(c.arr)-1])
+	// A release may sit up to sched.Eps below the latest one: move it back
+	// past the larger releases. Equal ones keep feed order, as their seqs do.
+	for k := len(c.arr) - 1; k > c.arrHead && c.arr[k-1].Time > r; k-- {
+		c.arr[k], c.arr[k-1] = c.arr[k-1], c.arr[k]
+	}
+}
+
+// arrivals returns the pending arrivals in pop order.
+func (c *Core) arrivals() []eventq.Event { return c.arr[c.arrHead:] }
+
+// step handles the next event at time ≤ horizon and reports whether there
+// was one. The next arrival goes first only if its release is strictly
+// below q's next event time: at equal times completions and bookkeeping
+// pop first, as their kinds order them in one queue. qNext is +Inf both
+// for an empty q and for one whose next event is at +Inf; the Len calls,
+// reached only when the comparison before them fails, tell the two apart.
+func (c *Core) step(horizon float64) bool {
+	if c.arrHead < len(c.arr) {
+		if a := &c.arr[c.arrHead]; a.Time <= horizon && (a.Time < c.qNext || c.q.Len() == 0) {
+			t, jk := a.Time, int(a.Job)
+			if c.arrHead++; c.arrHead == len(c.arr) {
+				c.arr, c.arrHead = c.arr[:0], 0
+			}
+			c.pol.OnArrival(t, jk)
+			return true
+		}
+	}
+	if c.qNext > horizon || c.q.Len() == 0 {
+		return false
+	}
+	e := c.q.Pop()
+	c.peekNext()
+	c.handle(e)
+	return true
+}
+
+// peekNext reads qNext afresh from q.
+func (c *Core) peekNext() {
+	c.qNext = math.Inf(1)
+	if c.q.Len() > 0 {
+		c.qNext = c.q.Peek().Time
+	}
+}
+
+// handle routes one event popped from q: a completion or bookkeeping.
 func (c *Core) handle(e eventq.Event) {
 	switch e.Kind {
-	case eventq.KindArrival:
-		c.pol.OnArrival(e.Time, int(e.Job))
 	case eventq.KindCompletion:
 		m := &c.mach[e.Machine]
 		if m.Running != e.Job || m.RunSeq != e.Version {

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/eventq"
 	"repro/internal/sched"
 	"repro/internal/snapshot"
 )
@@ -60,17 +59,15 @@ func NewSession(pol Policy, opt Options) (*Session, error) {
 // not admitted.
 func (s *Session) Feed(j sched.Job) error { return s.FeedBatch([]sched.Job{j}) }
 
-// feedChunk bounds how many arrivals FeedBatch admits between drains. One
-// drain per batch would be wrong-headed for huge batches: the event heap
-// would balloon to O(batch) pending arrivals, deepening every sift for the
-// whole drain, and the dispatch of each arrival would run long after its
-// job was staged, cold in cache — A/B on the 10k batch Run measured the
-// single-drain variant ~13% slower than per-job feeding. Draining every
-// feedChunk jobs keeps the heap shallow and the just-copied jobs warm while
-// still amortizing the per-job drain entry and growth checks; 16 was the
-// empirical sweet spot on the batch Run benchmarks (larger chunks only pay
-// off on the producer side of a shard slab, which is independent of this
-// constant).
+// feedChunk bounds how many jobs FeedBatch admits between drains. Arrivals
+// wait in the session's sorted list, not in the event heap, so the cadence
+// no longer sets the heap's depth. What it still sets is how far a batch's
+// dispatches trail the copying of its jobs (a job dispatched long after it
+// was staged is cold in cache) and how long the arrival list grows. In
+// alternating 8-second runs on a 2-core Xeon, five rounds, 16 (engine_batch
+// median 1.32M jobs/s) tied 64 (1.33M) and beat 256 (1.30M) and one drain
+// per batch (1.28M, whose ack_p50_ms rose from 65 to 75 ms); wire_flood
+// could not tell the four apart.
 const feedChunk = 16
 
 // FeedBatch accepts the next jobs of the stream in one call. Each job is
@@ -105,7 +102,6 @@ func (s *Session) FeedBatch(jobs []sched.Job) error {
 	c.jobs = slices.Grow(c.jobs, len(jobs))
 	c.done = slices.Grow(c.done, len(jobs))
 	c.rec.Grow(len(jobs))
-	c.q.Grow(min(len(jobs), feedChunk))
 	var err error
 	sinceDrain, admitted := 0, 0
 	for k := range jobs {
@@ -126,7 +122,7 @@ func (s *Session) FeedBatch(jobs []sched.Job) error {
 		c.jobs = append(c.jobs, *j)
 		c.done = append(c.done, 0)
 		c.rec.Add()
-		c.q.Push(eventq.Event{Time: j.Release, Kind: eventq.KindArrival, Job: int32(jk), Machine: -1})
+		c.pushArrival(j.Release, jk)
 		if j.Release > s.last {
 			s.last = j.Release
 		}
@@ -245,29 +241,28 @@ func (s *Session) Decision(k int) (j *sched.Job, state uint8, t float64) {
 // a finished session ran, including the partial executions of rejected jobs.
 func (s *Session) Intervals() []sched.Interval { return s.core.rec.Intervals() }
 
-// drain pops and handles every queued event at time ≤ horizon. Events tied
-// at the horizon are safe: a future arrival at the same instant sorts after
-// them (larger Kind or later insertion seq), exactly as in a batch heap.
+// drain handles every pending event at time ≤ horizon, arrivals and queued
+// events merged in (Time, Kind, insertion-seq) order (Core.step). Events
+// tied at the horizon are safe: a future arrival at the same instant sorts
+// after them (larger Kind or later insertion seq), exactly as in a batch
+// run.
 //
 // With telemetry attached (tel.DrainNS non-nil) the drain is timed and the
-// pop count, queue depth and per-drain latency are recorded; the untimed
-// loop below stays byte-for-byte the historical hot path, selected by one
-// predictable branch.
+// event count, backlog and per-drain latency are recorded; the untimed loop
+// is selected by one predictable branch.
 func (s *Session) drain(horizon float64) {
 	c := &s.core
 	if c.tel.DrainNS == nil {
-		for c.q.Len() > 0 && c.q.Peek().Time <= horizon {
-			c.handle(c.q.Pop())
+		for c.step(horizon) {
 		}
 		return
 	}
 	start := time.Now()
 	n := 0
-	for c.q.Len() > 0 && c.q.Peek().Time <= horizon {
-		c.handle(c.q.Pop())
+	for c.step(horizon) {
 		n++
 	}
 	c.tel.DrainNS.Record(float64(time.Since(start)))
 	c.tel.Events.Add(int64(n))
-	c.tel.Depth.Set(float64(c.q.Len()))
+	c.tel.Depth.Set(float64(c.q.Len() + len(c.arrivals())))
 }

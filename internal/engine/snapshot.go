@@ -152,13 +152,13 @@ func (s *Session) SnapshotInto(dst []byte) error {
 func (s *Session) snapshotSize() int {
 	c := &s.core
 	n, m := len(c.jobs), len(c.mach)
-	size := snapshot.HeaderBytes + 8*snapshot.FrameBytes // seven sections and the end
-	size += 4 + 8 + 3*8                                  // SESS
-	size += 8 + n*jobRecord(m)                           // JOBS
-	size += 8 + 8*n                                      // DONE
-	size += 4 + 5*8*m                                    // MACH
-	size += eventq.SnapshotBytes(c.q.Len())              // EVTQ
-	size += 8 + len(c.rec.Intervals())*intervalRecord    // OUTC
+	size := snapshot.HeaderBytes + 8*snapshot.FrameBytes        // seven sections and the end
+	size += 4 + 8 + 3*8                                         // SESS
+	size += 8 + n*jobRecord(m)                                  // JOBS
+	size += 8 + 8*n                                             // DONE
+	size += 4 + 5*8*m                                           // MACH
+	size += eventq.SnapshotBytes(c.q.Len() + len(c.arrivals())) // EVTQ
+	size += 8 + len(c.rec.Intervals())*intervalRecord           // OUTC
 	return size + 8 + n*slotRecord
 }
 
@@ -233,7 +233,7 @@ func (s *Session) encode(sw *snapshot.Writer) error {
 			e.F64(m.RunSpeed)
 		}
 	})
-	sw.Section(tagQueue, func(e *snapshot.Encoder) { c.q.Snapshot(e) })
+	sw.Section(tagQueue, func(e *snapshot.Encoder) { c.q.Snapshot(e, c.arrivals()...) })
 	sw.Section(tagOutcome, func(e *snapshot.Encoder) { snapshotOutcome(e, c) })
 	sw.Frame(tagPolicy, s.pol.Bytes(), s.polSum)
 	return sw.Close()
@@ -472,10 +472,11 @@ func restoreInto(sr *snapshot.Reader, s *Session, sp StatefulPolicy) error {
 	if err != nil {
 		return err
 	}
-	if err := c.q.Restore(d); err != nil {
+	if err := c.q.Restore(d, &c.arr); err != nil {
 		return err
 	}
-	if err := validateEvents(c.q, d, njobs, machines); err != nil {
+	c.peekNext()
+	if err := validateEvents(c, d); err != nil {
 		return err
 	}
 	if err := d.Done(); err != nil {
@@ -487,6 +488,9 @@ func restoreInto(sr *snapshot.Reader, s *Session, sp StatefulPolicy) error {
 		return err
 	}
 	if err := restoreOutcome(d, c); err != nil {
+		return err
+	}
+	if err := validateArrivalsOpen(c, d); err != nil {
 		return err
 	}
 	if err := d.Done(); err != nil {
@@ -678,13 +682,17 @@ func RestoreFleet(r io.Reader, restore func(shard int, r io.Reader) error) (int,
 	return shards, sr.End()
 }
 
-// validateEvents bounds-checks the restored queue's payloads against the
+// validateEvents bounds-checks the restored events' payloads against the
 // restored job table and machine count. The queue package already verified
-// kinds, sequence numbers and (for the heap) the heap order; the engine owns
-// the meaning of the payload fields.
-func validateEvents(q eventq.Interface, d *snapshot.Decoder, njobs, machines int) error {
+// kinds, sequence numbers and (for the heap) the serialized heap order; the
+// engine owns the meaning of the payload fields. A pending arrival must
+// name a job, carry no machine, and fall at exactly its job's release: the
+// release is what the job row says, and an arrival elsewhere would pop out
+// of the order the row gives it.
+func validateEvents(c *Core, d *snapshot.Decoder) error {
+	njobs, machines := len(c.jobs), len(c.mach)
 	ok := true
-	q.Scan(func(e *eventq.Event) bool {
+	c.q.Scan(func(e *eventq.Event) bool {
 		if e.Job < -1 || int(e.Job) >= njobs || e.Machine < -1 || int(e.Machine) >= machines {
 			ok = false
 			return false
@@ -694,6 +702,29 @@ func validateEvents(q eventq.Interface, d *snapshot.Decoder, njobs, machines int
 	if !ok {
 		d.Failf("queued event references an unknown job or machine")
 		return d.Err()
+	}
+	for _, a := range c.arrivals() {
+		if a.Job < 0 || int(a.Job) >= njobs || a.Machine != -1 {
+			d.Failf("pending arrival of job index %d on machine %d", a.Job, a.Machine)
+			return d.Err()
+		}
+		if r := c.jobs[a.Job].Release; math.Float64bits(a.Time) != math.Float64bits(r) {
+			d.Failf("pending arrival of job %d at %v, its release is %v", c.jobs[a.Job].ID, a.Time, r)
+			return d.Err()
+		}
+	}
+	return nil
+}
+
+// validateArrivalsOpen checks, once the outcome record is restored, that
+// every job with a pending arrival is open and undispatched: its arrival is
+// what will dispatch it.
+func validateArrivalsOpen(c *Core, d *snapshot.Decoder) error {
+	for _, a := range c.arrivals() {
+		if jk := int(a.Job); c.rec.State(jk) != sched.JobOpen || c.rec.Machine(jk) != sched.NoMachine {
+			d.Failf("job %d has a pending arrival but is decided or dispatched", c.jobs[a.Job].ID)
+			return d.Err()
+		}
 	}
 	return nil
 }

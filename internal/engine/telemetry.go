@@ -11,7 +11,7 @@ import (
 // may be shared across sessions — a sharded fleet feeds one fleet-wide
 // total — while gauges are typically per-shard.
 type Telemetry struct {
-	// Events counts events popped and handled by the core.
+	// Events counts events handled by the core, arrivals included.
 	Events *obs.Counter
 	// Fed counts jobs admitted by Feed/FeedBatch.
 	Fed *obs.Counter
@@ -19,7 +19,8 @@ type Telemetry struct {
 	Completed *obs.Counter
 	// Rejected counts RejectRunning + RejectPending decisions.
 	Rejected *obs.Counter
-	// Depth tracks the event-queue backlog after each drain.
+	// Depth tracks the event backlog after each drain: queued events and
+	// pending arrivals.
 	Depth *obs.Gauge
 	// DrainNS is the wall time of each drain call (ns). Non-nil DrainNS
 	// switches Session.drain onto its timed path; on the batched feed

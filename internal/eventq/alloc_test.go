@@ -15,7 +15,6 @@ import (
 func TestPushPopAllocatesNothing(t *testing.T) {
 	for name, q := range map[string]Interface{"heap": &Queue{}, "calendar": &Calendar{}} {
 		rng := rand.New(rand.NewSource(1))
-		q.Grow(1024)
 		now, i := 0.0, int32(0)
 		step := func() {
 			if q.Len() >= 1024 {

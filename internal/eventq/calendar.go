@@ -82,9 +82,15 @@ func NewCalendar() *Calendar { return &Calendar{} }
 
 // Push inserts an event, assigning the next insertion sequence.
 func (c *Calendar) Push(e Event) {
+	c.Reserve(&e)
+	c.place(e)
+}
+
+// Reserve stamps *e with the next insertion sequence without queuing it, as
+// Queue.Reserve does.
+func (c *Calendar) Reserve(e *Event) {
 	e.ord = uint64(e.Kind)<<ordShift | c.seq
 	c.seq++
-	c.place(e)
 }
 
 // Grow reserves capacity for n additional events in the staging rung. Unlike
@@ -330,21 +336,7 @@ func (c *Calendar) collectSorted() []Event {
 		s = make([]Event, 0, c.n)
 	}
 	c.Scan(func(e *Event) bool { s = append(s, *e); return true })
-	slices.SortFunc(s, func(a, b Event) int {
-		if a.Time != b.Time {
-			if a.Time < b.Time {
-				return -1
-			}
-			return 1
-		}
-		if a.ord != b.ord {
-			if a.ord < b.ord {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(s, compare)
 	c.scratch = s
 	return s
 }

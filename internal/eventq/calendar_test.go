@@ -19,27 +19,7 @@ var (
 // implementations: the EVTQ wire format is shared.
 func snapRoundTrip(t *testing.T, src, dst Interface) {
 	t.Helper()
-	w := snapshot.AppendWriter(nil)
-	if err := w.Section("EVTQ", func(e *snapshot.Encoder) { src.Snapshot(e) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := snapshot.NewReader(bytes.NewReader(w.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := r.Section("EVTQ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dst.Restore(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Done(); err != nil {
-		t.Fatal(err)
-	}
+	restoreEVTQ(t, evtq(t, func(e *snapshot.Encoder) { src.Snapshot(e) }), dst, nil)
 }
 
 // TestCalendarMatchesHeapRandom drives a heap and a calendar through the
@@ -249,7 +229,7 @@ func TestCalendarRestoreRejectsCorruptSemantics(t *testing.T) {
 		e.U32(^uint32(0))
 		e.U32(0)
 	})
-	if err := c.Restore(d); err == nil {
+	if err := c.Restore(d, nil); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 	d = build(func(e *snapshot.Encoder) {
@@ -261,16 +241,16 @@ func TestCalendarRestoreRejectsCorruptSemantics(t *testing.T) {
 		e.U32(^uint32(0))
 		e.U32(0)
 	})
-	if err := c.Restore(d); err == nil {
+	if err := c.Restore(d, nil); err == nil {
 		t.Fatal("seq above counter accepted")
 	}
 }
 
-// FuzzCalendarVsHeap is the differential fuzz of the satellite task: an
-// arbitrary operation stream (pushes with fuzzer-chosen times and kinds,
+// FuzzCalendarVsHeap is the differential fuzz of the two implementations:
+// an arbitrary operation stream (pushes with fuzzer-chosen times and kinds,
 // pops, and a mid-sequence snapshot taken under one implementation and
-// restored under the other) must produce identical pop sequences from both
-// implementations.
+// restored under the other) must produce identical pop sequences from both,
+// and the mid-sequence snapshots of the two must be the same bytes.
 func FuzzCalendarVsHeap(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 200, 5, 6, 255, 8, 9}, uint16(5), false)
 	f.Add([]byte{10, 10, 10, 10, 10, 10, 255, 255}, uint16(2), true)
@@ -304,33 +284,21 @@ func FuzzCalendarVsHeap(f *testing.F) {
 			if step == int(snapAt) {
 				// Freeze under one impl, resume BOTH from that snapshot — the
 				// cross-impl restore must hand back exactly the same state.
-				w := snapshot.AppendWriter(nil)
-				var serr error
+				// Both write pop order, so the same events give the same
+				// bytes whatever layout each implementation holds them in.
+				hb := evtq(t, func(e *snapshot.Encoder) { h.Snapshot(e) })
+				cb := evtq(t, func(e *snapshot.Encoder) { c.Snapshot(e) })
+				if !bytes.Equal(hb, cb) {
+					t.Fatalf("step %d: heap and calendar snapshots of the same events differ", step)
+				}
+				w := hb
 				if snapUnderCalendar {
-					serr = w.Section("EVTQ", func(e *snapshot.Encoder) { c.Snapshot(e) })
-				} else {
-					serr = w.Section("EVTQ", func(e *snapshot.Encoder) { h.Snapshot(e) })
-				}
-				if serr != nil || w.Close() != nil {
-					t.Fatal("snapshot write failed")
-				}
-				restore := func(dst Interface) {
-					r, err := snapshot.NewReader(bytes.NewReader(w.Bytes()))
-					if err != nil {
-						t.Fatal(err)
-					}
-					d, err := r.Section("EVTQ")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := dst.Restore(d); err != nil {
-						t.Fatalf("restore failed: %v", err)
-					}
+					w = cb
 				}
 				var nh Queue
 				var nc Calendar
-				restore(&nh)
-				restore(&nc)
+				restoreEVTQ(t, w, &nh, nil)
+				restoreEVTQ(t, w, &nc, nil)
 				h, c = nh, nc
 			}
 		}

@@ -52,6 +52,18 @@ func less(a, b *Event) bool {
 	return a.ord < b.ord
 }
 
+// compare is less as a three-way comparison, for sorting into pop order.
+// Ords are unique within a queue, so no two of its events compare equal.
+func compare(a, b Event) int {
+	if less(&a, &b) {
+		return -1
+	}
+	if less(&b, &a) {
+		return 1
+	}
+	return 0
+}
+
 // Queue is a deterministic min-heap of events. The zero value is ready to
 // use.
 type Queue struct {
@@ -64,10 +76,21 @@ const arity = 4
 
 // Push inserts an event.
 func (q *Queue) Push(e Event) {
-	e.ord = uint64(e.Kind)<<ordShift | q.seq
-	q.seq++
+	q.Reserve(&e)
 	q.h = append(q.h, e)
 	q.siftUp(len(q.h) - 1)
+}
+
+// Reserve stamps *e with the next insertion sequence, exactly as Push
+// would, without queuing it. A caller that holds some events outside the
+// queue (the engine keeps its release-ordered arrivals in a list of their
+// own) reserves each one's seq where it would have pushed it, so every
+// event keeps the ord a queued one would have had, and hands them to
+// Snapshot. Stamp the event where it is held: one in a local variable
+// escapes to the heap when the call goes through Interface.
+func (q *Queue) Reserve(e *Event) {
+	e.ord = uint64(e.Kind)<<ordShift | q.seq
+	q.seq++
 }
 
 // Grow ensures capacity for n additional events without reallocation. It

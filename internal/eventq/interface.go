@@ -15,10 +15,9 @@ import "repro/internal/snapshot"
 type Interface interface {
 	// Push inserts an event, assigning the next insertion sequence.
 	Push(e Event)
-	// Grow reserves capacity for n additional events where the
-	// implementation can (a heap presizes its array; a calendar presizes its
-	// staging storage — per-bucket capacity is workload-dependent).
-	Grow(n int)
+	// Reserve stamps *e with the next insertion sequence, as Push would,
+	// without queuing it: for an event the caller holds outside the queue.
+	Reserve(e *Event)
 	// Pop removes and returns the earliest event; panics when empty.
 	Pop() Event
 	// Peek returns the earliest event without removing it; panics when
@@ -31,9 +30,13 @@ type Interface interface {
 	// order (NOT pop order), stopping early when fn returns false. Read-only.
 	Scan(fn func(e *Event) bool)
 	// Snapshot serializes the pending events with their ord words into the
-	// shared EVTQ wire format.
-	Snapshot(e *snapshot.Encoder)
+	// shared EVTQ wire format, in pop order, with held — events the caller
+	// holds outside the queue, stamped by Reserve and in pop order — merged
+	// in.
+	Snapshot(e *snapshot.Encoder, held ...Event)
 	// Restore replaces the contents with a snapshot written by any
-	// implementation's Snapshot, validating as it decodes.
-	Restore(d *snapshot.Decoder) error
+	// implementation's Snapshot, validating as it decodes. With a non-nil
+	// held, arrival events are appended to *held in pop order instead of
+	// queued.
+	Restore(d *snapshot.Decoder, held *[]Event) error
 }

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"io"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/snapshot"
@@ -58,15 +61,15 @@ func checkpointingRun(t *testing.T, reg *obs.Registry) (*Server, string) {
 
 // TestCheckpointBytesPinned pins the on-disk format byte for byte: the
 // SHA-256 of every lineage member — fulls and deltas — must equal the
-// digests recorded when the capture path still encoded through an
-// intermediate buffer per nesting level, so any change to how checkpoints
-// are built must leave what they are unchanged.
+// digests recorded when EVTQ sections began listing their events in pop
+// order (sizes unchanged; before that they were the raw heap array), so any
+// change to how checkpoints are built must leave what they are unchanged.
 func TestCheckpointBytesPinned(t *testing.T) {
 	want := map[string]string{
 		"0.full":  "1ae2e44983c9f311937aff77edaa54569e958f47ed2b6a1cd0127426941cf352",
-		"1.delta": "87b555276795a8584bc376389d7c5e2337d9554509c19f2fe5f438112199fb04",
-		"2.delta": "406fb208e1684f417c2f39379d5fa667d433e2e2170aa13b9d45e6e4bfa3f3f3",
-		"3.full":  "c53f5fcf6f106cb32b2eb7ac5b275925e63e36ae96077a66d3949ac3e1edab3a",
+		"1.delta": "f52808c0b0311fcc9c147a7c0cf650ff95e2fd3818ef92fb2de6663a9c8e4071",
+		"2.delta": "734c947e5e485520537574b75353e8bd0e360f9fdaf53ca2c8723cbe4cc33367",
+		"3.full":  "f4c6a81e904ff8f66be14dddc7498da96f9837e1de2898556ee06fc6348ddea6",
 	}
 	_, path := checkpointingRun(t, nil)
 	members, err := filepath.Glob(path + ".*.*")
@@ -204,4 +207,109 @@ func TestResumeChainsDeltaToRecovered(t *testing.T) {
 	if got := drainJSON(t, third); !bytes.Equal(got, want) {
 		t.Fatalf("report after two restarts diverged from the uninterrupted run:\n%s\nvs\n%s", got, want)
 	}
+}
+
+// TestRestoresHeapLayoutCheckpoint: testdata/heaplayout.ck is the lineage
+// (one member, heaplayout.ck.2.full) that TestCheckpointResume's checkpointing
+// run left mid-stream when built from a tree whose event heap still held the
+// pending arrivals and whose EVTQ sections were the raw heap array. Its
+// sessions hold arrivals inside that layout, one section out of pop order.
+// Restored and replayed in full, it must drain to the straight-through
+// report.
+func TestRestoresHeapLayoutCheckpoint(t *testing.T) {
+	data, err := os.ReadFile("testdata/heaplayout.ck.2.full")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "heaplayout.ck.2.full"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck, _, err := snapshot.RecoverLineage(filepath.Join(dir, "heaplayout.ck"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arrivals, unsorted := heapLayoutQueues(t, ck); arrivals == 0 || unsorted == 0 {
+		t.Fatalf("fixture holds %d pending arrivals and %d event sections out of pop order; want some of each", arrivals, unsorted)
+	}
+
+	machines := 2
+	jobs := map[int][]sched.Job{0: genJobs(11, 200, machines), 9: genJobs(99, 180, machines)}
+	cfg := testConfig(machines, 2)
+	cfg.AwaitTenants = 2
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedInProcess(t, ref, jobs)
+	want, err := ref.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.CheckpointPath = filepath.Join(dir, "front.snap")
+	cfg.CheckpointEvery = 64
+	resumed, err := Restore(cfg, bytes.NewReader(ck))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedInProcess(t, resumed, jobs)
+	got, err := resumed.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantB, _ := json.Marshal(want)
+	gotB, _ := json.Marshal(got)
+	if !bytes.Equal(gotB, wantB) {
+		t.Fatalf("report resumed from the heap-layout checkpoint diverged from the uninterrupted run:\n%s\nvs\n%s", gotB, wantB)
+	}
+}
+
+// heapLayoutQueues walks the EVTQ section of every session in a front
+// checkpoint and counts the pending arrivals and the sections whose events
+// are not in (Time, ord) order.
+func heapLayoutQueues(t *testing.T, ck []byte) (arrivals, unsorted int) {
+	t.Helper()
+	section := func(r io.Reader, want string) *snapshot.Decoder {
+		sr, err := snapshot.NewReader(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			tag, d, err := sr.Next()
+			if err != nil {
+				t.Fatalf("no %s section: %v", want, err)
+			}
+			if tag == want {
+				return d
+			}
+		}
+	}
+	fleet := section(snapshot.InPlace(ck), tagFleet).Rest()
+	_, err := engine.RestoreFleet(snapshot.InPlace(fleet), func(_ int, r io.Reader) error {
+		d := section(r, "EVTQ")
+		d.U64()
+		prevT, prevOrd := math.Inf(-1), uint64(0)
+		sorted := true
+		for n := d.Count(28); n > 0; n-- {
+			tm, ord := d.F64(), d.U64()
+			d.U32()
+			d.U32()
+			d.U32()
+			if ord>>56 == 2 {
+				arrivals++
+			}
+			if tm < prevT || tm == prevT && ord < prevOrd {
+				sorted = false
+			}
+			prevT, prevOrd = tm, ord
+		}
+		if !sorted {
+			unsorted++
+		}
+		return d.Err()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arrivals, unsorted
 }

@@ -76,14 +76,15 @@ func ValidateJob(j *Job, machines int, lastRelease float64) error {
 		return fmt.Errorf("job %d has %d processing times, want %d", j.ID, len(j.Proc), machines)
 	}
 	for i, p := range j.Proc {
-		if !(p > 0) || math.IsInf(p, 0) || math.IsNaN(p) {
+		// Positive and finite as one range test: NaN and ±Inf fail it.
+		if !(p > 0 && p <= math.MaxFloat64) {
 			return fmt.Errorf("job %d has invalid p[%d]=%v", j.ID, i, p)
 		}
 	}
 	if j.Weight <= 0 {
 		return fmt.Errorf("job %d has non-positive weight %v", j.ID, j.Weight)
 	}
-	if j.Release < 0 || math.IsNaN(j.Release) {
+	if !(j.Release >= 0) { // NaN fails too
 		return fmt.Errorf("job %d has invalid release %v", j.ID, j.Release)
 	}
 	if j.Release < lastRelease-Eps {

@@ -407,3 +407,37 @@ func TestFlowTimeErrors(t *testing.T) {
 		t.Fatalf("FlowTime = %v, %v", f, err)
 	}
 }
+
+// TestValidateJobFloatEdges pins which processing times and releases
+// ValidateJob accepts at the float edges, and the exact error text of each
+// refusal: a processing time must be positive and finite, a release must be
+// at least zero (+Inf passes, as it always has: the deadline rule then
+// needs an infinite deadline).
+func TestValidateJobFloatEdges(t *testing.T) {
+	tiny := math.SmallestNonzeroFloat64
+	for _, tc := range []struct {
+		v             float64
+		procErr, rErr string // "" means accepted
+	}{
+		{math.NaN(), "job 7 has invalid p[1]=NaN", "job 7 has invalid release NaN"},
+		{math.Inf(1), "job 7 has invalid p[1]=+Inf", ""},
+		{math.Inf(-1), "job 7 has invalid p[1]=-Inf", "job 7 has invalid release -Inf"},
+		{0, "job 7 has invalid p[1]=0", ""},
+		{math.Copysign(0, -1), "job 7 has invalid p[1]=-0", ""},
+		{-1, "job 7 has invalid p[1]=-1", "job 7 has invalid release -1"},
+		{tiny, "", ""},
+		{math.MaxFloat64, "", ""},
+	} {
+		check := func(what string, j Job, want string) {
+			err := ValidateJob(&j, 2, math.Inf(-1))
+			switch {
+			case want == "" && err != nil:
+				t.Errorf("%s %v refused: %v", what, tc.v, err)
+			case want != "" && (err == nil || err.Error() != want):
+				t.Errorf("%s %v: error %v, want %q", what, tc.v, err, want)
+			}
+		}
+		check("p", Job{ID: 7, Weight: 1, Deadline: NoDeadline, Proc: []float64{1, tc.v}}, tc.procErr)
+		check("release", Job{ID: 7, Release: tc.v, Weight: 1, Deadline: NoDeadline, Proc: []float64{1, 1}}, tc.rErr)
+	}
+}
