@@ -16,16 +16,18 @@ var _ engine.StatefulPolicy = (*policy)(nil)
 
 // SnapshotTag identifies the flowtime policy wire format. v2 switched the
 // per-machine pending index from the ostree treap to the flat implicit
-// B-tree (ostree.Flat) and serializes its structural snapshot instead; v1
-// snapshots are refused by the engine's tag check rather than silently
-// misread.
-func (p *policy) SnapshotTag() string { return "flowtime/v2" }
+// B-tree (ostree.Flat) and serializes its structural snapshot instead; v3
+// writes each pending job as its compact index rather than a copy of its
+// key. Older snapshots are refused by the engine's tag check rather than
+// silently misread.
+func (p *policy) SnapshotTag() string { return "flowtime/v3" }
 
 // SaveState serializes every piece of policy state that can influence a
 // future decision: the option echo (so a restore under different semantics
 // fails loudly), the rule counters, each machine's pending SPT index —
 // structurally, via ostree.Flat.Snapshot, because the index's cached sums
-// and leaf partition feed λ and must restore bit-exactly — and the Rule 1/2
+// and leaf partition feed λ and must restore bit-exactly, each job named by
+// its compact index (its key is its row's) — and the Rule 1/2
 // counters, plus, under TrackDual, the dual bookkeeping (occupancy
 // integrals, breakpoint traces and the dense λ/C̃/snapshot slices). Arena
 // free lists and the dispatch pool are performance-only and rebuilt on load.
@@ -40,7 +42,7 @@ func (p *policy) SaveState(e *snapshot.Encoder) {
 	e.U32(uint32(len(p.mach)))
 	for i := range p.mach {
 		m := &p.mach[i]
-		m.pending.Snapshot(e)
+		m.pending.Snapshot(e, func(k ostree.Key) { p.c.WritePending(e, k.ID) })
 		e.Int(m.runVictims)
 		e.Int(m.counter)
 		e.F64(m.remnantAcc)
@@ -89,11 +91,12 @@ func (p *policy) LoadState(d *snapshot.Decoder) error {
 	}
 	for i := range p.mach {
 		m := &p.mach[i]
-		if err := m.pending.Restore(d); err != nil {
-			return err
-		}
-		key := func(jk int, _ ostree.Key) ostree.Key { return p.key(p.c.Job(jk), i) }
-		if err := engine.ValidateTreeKeys(p.c, m.pending, d, fmt.Sprintf("machine %d pending tree", i), key); err != nil {
+		if err := m.pending.Restore(d, func() (ostree.Key, float64, float64) {
+			if jk := p.c.ReadPending(d, i); jk >= 0 {
+				return p.key(p.c.Job(jk), i), 0, 0
+			}
+			return ostree.Key{}, 0, 0
+		}); err != nil {
 			return err
 		}
 		m.runVictims = d.Int()

@@ -63,7 +63,7 @@ func reframe(t *testing.T, snap []byte, edit func(pending [][]int, running []int
 			for i := range acc {
 				acc[i] = [2]float64{d.F64(), d.F64()}
 				for k := d.U64(); k > 0; k-- {
-					pending[i] = append(pending[i], d.Int())
+					pending[i] = append(pending[i], int(d.U32()))
 				}
 			}
 			rest := d.Rest()
@@ -82,7 +82,7 @@ func reframe(t *testing.T, snap []byte, edit func(pending [][]int, running []int
 					e.F64(acc[i][1])
 					e.U64(uint64(len(ids)))
 					for _, id := range ids {
-						e.Int(id)
+						e.U32(uint32(id))
 					}
 				}
 				e.Raw(rest)
@@ -105,9 +105,8 @@ func reframe(t *testing.T, snap []byte, edit func(pending [][]int, running []int
 // TestRestoreRefusesInconsistentPending: a snapshot whose pending lists
 // name a job twice, a running job or a decided one must be refused at
 // Restore with a positioned error, not accepted and found out only at Close
-// after the whole suffix has run (as "401 jobs accounted, want 400"). A
-// repeated entry passes the density-order check — pless(a, a) is false —
-// so it needs its own.
+// after the whole suffix has run (as "401 jobs accounted, want 400"). The
+// density-order check is strict, so it refuses a repeated entry.
 func TestRestoreRefusesInconsistentPending(t *testing.T) {
 	ins := weightedInstance(400, 2, 5, 2)
 	opt := Options{Epsilon: 0.3, Alpha: 2}
@@ -141,11 +140,11 @@ func TestRestoreRefusesInconsistentPending(t *testing.T) {
 		name, want string
 		edit       func(p [][]int, running []int) [][]int
 	}{
-		{"head twice", "already pending", func(p [][]int, _ []int) [][]int {
+		{"head twice", "repeats or leaves density order", func(p [][]int, _ []int) [][]int {
 			p[0] = append([]int{p[0][0]}, p[0]...)
 			return p
 		}},
-		{"pending on both machines", "already pending", func(p [][]int, _ []int) [][]int {
+		{"pending on both machines", "dispatched to machine 0", func(p [][]int, _ []int) [][]int {
 			p[1] = append([]int{p[0][0]}, p[1]...)
 			return p
 		}},
@@ -157,7 +156,7 @@ func TestRestoreRefusesInconsistentPending(t *testing.T) {
 			p[0] = append([]int{0}, p[0]...)
 			return p
 		}},
-		{"assigned elsewhere", "assigned to machine 0", func(p [][]int, _ []int) [][]int {
+		{"assigned elsewhere", "dispatched to machine 0", func(p [][]int, _ []int) [][]int {
 			p[1] = append([]int{p[0][0]}, p[1]...)
 			p[0] = p[0][1:]
 			return p

@@ -13,8 +13,11 @@ import (
 // checkpointed and restored bit-identically.
 var _ engine.StatefulPolicy = (*spolicy)(nil)
 
-// SnapshotTag identifies the speedscale policy wire format.
-func (p *spolicy) SnapshotTag() string { return "speedscale/v1" }
+// SnapshotTag identifies the speedscale policy wire format. v2 writes each
+// pending job's compact index in four bytes, as every policy's pending
+// index does (engine.Core.WritePending), not eight; v1 snapshots are
+// refused by the engine's tag check rather than silently misread.
+func (p *spolicy) SnapshotTag() string { return "speedscale/v2" }
 
 // SaveState serializes the §3 policy state: the (ε, α, γ) echo — γ as
 // actually resolved, since it scales every execution speed — the rejection
@@ -37,7 +40,7 @@ func (p *spolicy) SaveState(e *snapshot.Encoder) {
 		e.F64(m.remTimeAcc)
 		e.U64(uint64(len(m.pending)))
 		for k := range m.pending {
-			e.Int(m.pending[k].id)
+			e.U32(uint32(m.pending[k].id))
 		}
 	}
 	if p.dual != nil {
@@ -92,57 +95,27 @@ func (p *spolicy) LoadState(d *snapshot.Decoder) error {
 		return err
 	}
 	njobs := p.c.NumJobs()
-	// pend marks the jobs the restored lists hold so far; running jobs are
-	// marked up front, so no job can be both pending and running, or
-	// pending twice, on one machine or across two.
-	const (
-		isRunning = 1 + iota
-		isPending
-	)
-	pend := make([]uint8, njobs)
-	for i := range p.mach {
-		if r := p.c.Machine(i).Running; r >= 0 {
-			pend[r] = isRunning
-		}
-	}
 	for i := range p.mach {
 		m := &p.mach[i]
 		m.victimW = d.F64()
 		m.remTimeAcc = d.F64()
-		n := d.Count(8)
+		n := d.Count(4)
 		for k := 0; k < n; k++ {
-			jk := d.Int()
-			if d.Err() != nil {
+			jk := p.c.ReadPending(d, i)
+			if jk < 0 {
 				return d.Err()
 			}
-			if jk < 0 || jk >= njobs {
-				d.Failf("machine %d pends job index %d of %d", i, jk, njobs)
-				return d.Err()
-			}
-			switch mach, open := p.c.Placement(jk); {
-			case pend[jk] == isPending:
-				d.Failf("machine %d pends job %d, already pending", i, p.c.ID(jk))
-			case pend[jk] == isRunning:
-				d.Failf("machine %d pends job %d, which is running", i, p.c.ID(jk))
-			case !open:
-				d.Failf("machine %d pends job %d, which is already decided", i, p.c.ID(jk))
-			case mach != i:
-				d.Failf("machine %d pends job %d, assigned to machine %d", i, p.c.ID(jk), mach)
-			}
-			if d.Err() != nil {
-				return d.Err()
-			}
-			pend[jk] = isPending
 			j := p.c.Job(jk)
 			m.pending = append(m.pending, pitem{
 				id: jk, w: j.Weight, p: j.Proc[i], density: j.Weight / j.Proc[i], release: j.Release,
 			})
 		}
-		// The donor's list was maintained in density order; a permutation
-		// here means the snapshot lied about it.
+		// The donor's list was maintained in strict density order (ids
+		// break ties); a permutation or a repeat here means the snapshot
+		// lied about it.
 		for k := 1; k < len(m.pending); k++ {
-			if pless(m.pending[k], m.pending[k-1]) {
-				d.Failf("machine %d pending list out of density order at entry %d", i, k)
+			if !pless(m.pending[k-1], m.pending[k]) {
+				d.Failf("machine %d pending list repeats or leaves density order at entry %d", i, k)
 				return d.Err()
 			}
 		}

@@ -1,7 +1,6 @@
 package srpt
 
 import (
-	"fmt"
 	"io"
 	"math"
 
@@ -19,26 +18,30 @@ var (
 
 // SnapshotTag identifies the per-machine SRPT policy wire format. v2
 // switched the waiting index from the ostree treap to the flat implicit
-// B-tree (ostree.Flat); v1 snapshots are refused by the engine's tag check
-// rather than silently misread.
-func (p *policy) SnapshotTag() string { return "srpt/v2" }
+// B-tree (ostree.Flat); v3 writes each waiting job as its compact index and
+// banked remainder rather than a copy of its key. Older snapshots are
+// refused by the engine's tag check rather than silently misread.
+func (p *policy) SnapshotTag() string { return "srpt/v3" }
 
 // SaveState serializes the preemption counter and each machine's waiting
-// index. The waiting keys carry state that cannot be re-derived from the job
-// table — Key.P is the remaining processing time frozen at the last
-// preemption — and the least-backlog dispatch reads the index's cached
-// volume sum, so the index goes on the wire structurally (ostree.Flat's
-// Snapshot) for bit-exact restoration.
+// index. The least-backlog dispatch reads the index's cached volume sum, so
+// the index goes on the wire structurally (ostree.Flat's Snapshot) for
+// bit-exact restoration. Each waiting job is its compact index plus the one
+// key field the job table cannot give back: Key.P, the remaining processing
+// time frozen at the last preemption.
 func (p *policy) SaveState(e *snapshot.Encoder) {
 	e.Int(p.res.Preemptions)
 	e.U32(uint32(len(p.mach)))
 	for i := range p.mach {
-		p.mach[i].waiting.Snapshot(e)
+		p.mach[i].waiting.Snapshot(e, func(k ostree.Key) {
+			p.c.WritePending(e, k.ID)
+			e.F64(k.P)
+		})
 	}
 }
 
-// LoadState rebuilds the waiting indexes, validating that every key carries
-// its job's release and id, and a banked remainder in (0, p_ij]: the
+// LoadState rebuilds the waiting indexes, each key from its job's release
+// and id and its banked remainder, which must lie in (0, p_ij]: the
 // remainder is frozen state, but a preemption only ever shrinks it.
 func (p *policy) LoadState(d *snapshot.Decoder) error {
 	p.res.Preemptions = d.Int()
@@ -50,25 +53,20 @@ func (p *policy) LoadState(d *snapshot.Decoder) error {
 	}
 	for i := range p.mach {
 		m := &p.mach[i]
-		if err := m.waiting.Restore(d); err != nil {
-			return err
-		}
-		key := func(jk int, k ostree.Key) ostree.Key {
-			j := p.c.Job(jk)
-			return ostree.Key{P: k.P, Release: j.Release, ID: j.ID}
-		}
-		if err := engine.ValidateTreeKeys(p.c, m.waiting, d, fmt.Sprintf("machine %d waiting tree", i), key); err != nil {
-			return err
-		}
-		m.waiting.Ascend(func(k ostree.Key) bool {
-			if !(k.P > 0) || math.IsInf(k.P, 0) {
-				d.Failf("machine %d banks a non-positive remaining volume", i)
-			} else if proc := p.c.Job(p.c.IndexOf(k.ID)).Proc[i]; k.P > proc {
-				d.Failf("machine %d banks job %d's remaining volume %v beyond its processing time %v", i, k.ID, k.P, proc)
+		if err := m.waiting.Restore(d, func() (ostree.Key, float64, float64) {
+			jk := p.c.ReadPending(d, i)
+			rem := d.F64()
+			if jk < 0 || d.Err() != nil {
+				return ostree.Key{}, 0, 0
 			}
-			return d.Err() == nil
-		})
-		if err := d.Err(); err != nil {
+			j := p.c.Job(jk)
+			if !(rem > 0) || math.IsInf(rem, 0) {
+				d.Failf("machine %d banks a non-positive remaining volume", i)
+			} else if rem > j.Proc[i] {
+				d.Failf("machine %d banks job %d's remaining volume %v beyond its processing time %v", i, j.ID, rem, j.Proc[i])
+			}
+			return ostree.Key{P: rem, Release: j.Release, ID: j.ID}, 0, 0
+		}); err != nil {
 			return err
 		}
 	}
@@ -84,34 +82,34 @@ func Restore(r io.Reader, opt Options) (*Session, error) {
 
 // SnapshotTag identifies the migratory weighted-SRPT policy wire format. v2
 // switched the density pool from the ostree treap to ostree.Flat, as
-// srpt/v2 did for the waiting indexes.
-func (p *wpolicy) SnapshotTag() string { return "wsrpt/v2" }
+// srpt/v2 did for the waiting indexes; v3, as srpt/v3, names each pooled
+// job by its compact index, and leaves the min-proc column off the wire.
+func (p *wpolicy) SnapshotTag() string { return "wsrpt/v3" }
 
 // SaveState serializes the migratory pool state: the preemption/migration
-// tallies, the dense per-job (remaining fraction, cached min-proc, last
-// machine) triples, and the global density pool — structurally, like every
-// index in a snapshot, so the restored pool is bit-for-bit the donor's.
+// tallies, the dense per-job (remaining fraction, last machine) pairs, and
+// the global density pool — structurally, like every index in a snapshot,
+// so the restored pool is bit-for-bit the donor's — each pooled job named
+// by its compact index. The cached min-proc is the job row's MinProc.
 func (p *wpolicy) SaveState(e *snapshot.Encoder) {
 	e.Int(p.res.Preemptions)
 	e.Int(p.res.Migrations)
 	e.U64(uint64(len(p.frac)))
 	for k := range p.frac {
 		e.F64(p.frac[k])
-		e.F64(p.pmin[k])
 		e.I64(int64(p.lastMach[k]))
 	}
-	p.pending.Snapshot(e)
+	p.pending.Snapshot(e, func(k ostree.Key) { p.c.WritePending(e, k.ID) })
 }
 
 // LoadState rebuilds the dense job state and the global density pool,
-// validating every index, that pooled jobs carry a usable fraction and
-// their row's min-proc, and that each pooled key is the one key(jk)
-// recomputes from them.
+// validating every index and that pooled jobs carry a usable fraction;
+// each pooled key is rebuilt by key(jk), as the insert path builds it.
 func (p *wpolicy) LoadState(d *snapshot.Decoder) error {
 	p.res.Preemptions = d.Int()
 	p.res.Migrations = d.Int()
 	njobs := p.c.NumJobs()
-	n := d.Count(8 + 8 + 8)
+	n := d.Count(8 + 8)
 	if d.Err() == nil && n > njobs {
 		d.Failf("dense state for %d jobs, only %d fed", n, njobs)
 	}
@@ -121,7 +119,6 @@ func (p *wpolicy) LoadState(d *snapshot.Decoder) error {
 	machines := p.c.Machines()
 	for k := 0; k < n; k++ {
 		frac := d.F64()
-		pmin := d.F64()
 		lastMach := d.I64()
 		if d.Err() != nil {
 			return d.Err()
@@ -131,7 +128,7 @@ func (p *wpolicy) LoadState(d *snapshot.Decoder) error {
 			return d.Err()
 		}
 		p.frac = append(p.frac, frac)
-		p.pmin = append(p.pmin, pmin)
+		p.pmin = append(p.pmin, p.c.Job(k).MinProc())
 		p.lastMach = append(p.lastMach, int32(lastMach))
 	}
 	// Pad to the full job table: the donor grows the dense state lazily per
@@ -144,23 +141,16 @@ func (p *wpolicy) LoadState(d *snapshot.Decoder) error {
 		p.pmin = append(p.pmin, 0)
 		p.lastMach = append(p.lastMach, -1)
 	}
-	if err := p.pending.Restore(d); err != nil {
-		return err
-	}
-	bad := false
-	p.pending.Ascend(func(k ostree.Key) bool {
-		jk := p.c.IndexOf(k.ID)
-		if jk < 0 || jk >= len(p.frac) || !(p.frac[jk] > 0) || p.pmin[jk] != p.c.Job(jk).MinProc() {
-			bad = true
-			return false
+	return p.pending.Restore(d, func() (ostree.Key, float64, float64) {
+		jk := p.c.ReadPending(d, -1)
+		if jk < 0 {
+			return ostree.Key{}, 0, 0
 		}
-		return true
+		if !(p.frac[jk] > 0) {
+			d.Failf("pool holds job %d with remaining fraction %v", p.c.ID(jk), p.frac[jk])
+		}
+		return p.key(jk), 0, 0
 	})
-	if bad {
-		d.Failf("pool holds a job without usable dense state")
-		return d.Err()
-	}
-	return engine.ValidateTreeKeys(p.c, p.pending, d, "pool", func(jk int, _ ostree.Key) ostree.Key { return p.key(jk) })
 }
 
 // RestoreWeighted reconstructs a streaming migratory weighted-SRPT session

@@ -15,15 +15,17 @@ var _ engine.StatefulPolicy = (*wpolicy)(nil)
 
 // SnapshotTag identifies the wflow policy wire format. v2 switched both
 // per-machine pending indexes from ostree treaps to flat implicit B-trees
-// (ostree.Flat); v1 snapshots are refused by the engine's tag check rather
-// than silently misread.
-func (p *wpolicy) SnapshotTag() string { return "wflow/v2" }
+// (ostree.Flat); v3 writes each pending job as its compact index rather
+// than a copy of its key and (p, w) values. Older snapshots are refused by
+// the engine's tag check rather than silently misread.
+func (p *wpolicy) SnapshotTag() string { return "wflow/v3" }
 
 // SaveState serializes the weighted-rule state: the ε echo, the rejection
 // counters and budget, and per machine the weighted Rule 1/2 counters plus
 // both pending indexes — structurally, via ostree.Flat.Snapshot, because
 // the density index's cached (p, w) aggregates and leaf partition feed the
-// weighted λ and must restore bit-exactly.
+// weighted λ and must restore bit-exactly. Each element is its job's
+// compact index: its keys and (p, w) values are its row's.
 func (p *wpolicy) SaveState(e *snapshot.Encoder) {
 	e.F64(p.opt.Epsilon)
 	e.Int(p.res.Rule1Rejections)
@@ -34,15 +36,16 @@ func (p *wpolicy) SaveState(e *snapshot.Encoder) {
 		m := &p.mach[i]
 		e.F64(m.victimW)
 		e.F64(m.counterW)
-		m.pending.Snapshot(e)
-		m.byProc.Snapshot(e)
+		put := func(k ostree.Key) { p.c.WritePending(e, k.ID) }
+		m.pending.Snapshot(e, put)
+		m.byProc.Snapshot(e, put)
 	}
 }
 
 // LoadState rebuilds the weighted-rule state on a freshly constructed
-// policy, validating the ε echo, restoring both indexes structurally, and
-// resolving every pending id against the restored job table before the
-// policy may look one up.
+// policy, validating the ε echo and restoring both indexes structurally,
+// each element rebuilt from the job its index names, as the insert path
+// builds it.
 func (p *wpolicy) LoadState(d *snapshot.Decoder) error {
 	eps := d.F64()
 	if err := d.Err(); err != nil {
@@ -64,18 +67,21 @@ func (p *wpolicy) LoadState(d *snapshot.Decoder) error {
 		m := &p.mach[i]
 		m.victimW = d.F64()
 		m.counterW = d.F64()
-		if err := m.pending.Restore(d); err != nil {
+		if err := m.pending.Restore(d, func() (ostree.Key, float64, float64) {
+			if jk := p.c.ReadPending(d, i); jk >= 0 {
+				j := p.c.Job(jk)
+				return p.densityKey(j, i), j.Proc[i], j.Weight
+			}
+			return ostree.Key{}, 0, 0
+		}); err != nil {
 			return err
 		}
-		densityKey := func(jk int, _ ostree.Key) ostree.Key { return p.densityKey(p.c.Job(jk), i) }
-		if err := engine.ValidateTreeKeys(p.c, m.pending, d, fmt.Sprintf("machine %d density tree", i), densityKey); err != nil {
-			return err
-		}
-		if err := m.byProc.Restore(d); err != nil {
-			return err
-		}
-		procKey := func(jk int, _ ostree.Key) ostree.Key { return p.procKey(p.c.Job(jk), i) }
-		if err := engine.ValidateTreeKeys(p.c, m.byProc, d, fmt.Sprintf("machine %d processing-time tree", i), procKey); err != nil {
+		if err := m.byProc.Restore(d, func() (ostree.Key, float64, float64) {
+			if jk := p.c.ReadPending(d, i); jk >= 0 {
+				return p.procKey(p.c.Job(jk), i), 0, 0
+			}
+			return ostree.Key{}, 0, 0
+		}); err != nil {
 			return err
 		}
 		if m.pending.Len() != m.byProc.Len() {

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"bytes"
 	"io"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -111,6 +112,13 @@ func decodeCase(t *testing.T, seed int64, pol, mi uint8, n, stop uint16, dual bo
 	cfg.Weighted = seed%3 != 0
 	jobs := workload.Random(cfg).Jobs
 	jobs = jobs[:int(stop)%(len(jobs)+1)]
+	if seed < 0 {
+		// Releases floored to multiples of 10: jobs tie, and several
+		// arrivals pend at the cut.
+		for k := range jobs {
+			jobs[k].Release = 10 * math.Floor(jobs[k].Release/10)
+		}
+	}
 	donor := fleetSession(t, name, m, dual)
 	defer donor.Close()
 	if err := donor.FeedBatch(jobs); err != nil {
@@ -194,10 +202,9 @@ type decodeSeed struct {
 // duals, with a clean snapshot and with mutations aimed at each record run:
 // a processing time's sign bit in JOBS, the count in DONE, the first
 // interval's job id, the last slot's state byte and the section's last byte
-// cut off in OUTC, and the low bit of the first event's time in EVTQ — the
-// pending arrival of the last job fed, which then no longer falls at its
-// job's release — and of that job's slot state, which then records it
-// decided; then come staleKeySeeds.
+// cut off in OUTC, bit 1 of the last pending arrival's index in EVTQ — the
+// last job fed, renamed to one past the job table — and the low bit of that
+// job's slot state, which then records it decided; then come runSeeds.
 func decodeSeeds() (seeds []decodeSeed) {
 	var k int64
 	for pol, name := range policy.Names() {
@@ -218,33 +225,63 @@ func decodeSeeds() (seeds []decodeSeed) {
 			add(decodeTruncate, 5, -1, 0, "exceeds")
 			add(decodeFlip, 5, 8+7, 6, "unknown job")
 			add(decodeFlip, 5, -13, 2, "unknown outcome state")
-			add(decodeFlip, 4, 16, 0, "its release is")
+			add(decodeFlip, 4, -4, 1, "names job index 151 of 150")
 			add(decodeFlip, 5, -13, 0, "has a pending arrival")
 		}
 	}
-	return append(seeds, staleKeySeeds()...)
+	return append(seeds, runSeeds()...)
 }
 
-// staleKeySeeds flip a mantissa bit of p[0] in JOBS (m = 1, so a job record
-// is 40 bytes after the 8-byte count) under a job the policy still holds:
-// the job stays feedable, but its restored key — or, for wsrpt, the cached
-// min-proc its key is made of — no longer matches its row. The wflow seed
-// is an input that once restored on both decoders, after which Close grew
-// the interval log past 1.2 GB: wflow's Delete rebuilds a job's key from
-// its row and never found the stale one. Restore now refuses it, so no
-// session exists to drain.
-func staleKeySeeds() []decodeSeed {
+// runSeeds flip one bit of an index a run names a job by: in a policy's
+// pending index (POLI) so that it names a job unknown, repeated or out of
+// key order, decided, dispatched to another machine, running, or still
+// waiting to arrive; and in the pending-arrival run (EVTQ, seeds < 0 feed
+// tied releases, so several arrivals pend) so that it names a job out of
+// (release, index) order or one already dispatched. Each is a
+// decodeSeeds base (seed k, k%3 machines, 150 of 240 jobs fed).
+//
+// They replace the stale-key seeds, which flipped a processing time in
+// JOBS under a job a policy held, so that the key the index had copied
+// disagreed with its row — once a restore that passed every check and then
+// drained without end. A snapshot no longer copies keys: the row is the
+// key, so that state cannot be written.
+func runSeeds() []decodeSeed {
 	pol := func(name string) uint8 { return uint8(slices.Index(policy.Names(), name)) }
-	flip := func(job int32) int32 { return 8 + job*40 + 32 + 3 }
+	poli := func(seed int64, name string, at int32, bit uint8, want string) decodeSeed {
+		return decodeSeed{seed: seed, pol: pol(name), mi: uint8(seed % 3), n: 240, stop: 150,
+			mode: decodeFlip, sect: 6, at: at, bit: bit, wantErrSubstring: want}
+	}
+	arr := func(name string, at int32, bit uint8, want string) decodeSeed {
+		return decodeSeed{seed: -int64(pol(name)) - 1, pol: pol(name), mi: 1, n: 240, stop: 150,
+			mode: decodeFlip, sect: 4, at: at, bit: bit, wantErrSubstring: want}
+	}
 	return []decodeSeed{
-		{seed: 5, pol: pol("wflow"), n: 298, stop: 89, mode: decodeFlip, sect: 1, at: flip(87), bit: 7,
-			wantErrSubstring: "machine 0 density tree holds job 87 under key"},
-		{seed: 5, pol: pol("flowtime"), n: 240, stop: 150, mode: decodeFlip, sect: 1, at: flip(148), bit: 0,
-			wantErrSubstring: "machine 0 pending tree holds job 148 under key"},
-		{seed: 5, pol: pol("srpt"), n: 240, stop: 150, mode: decodeFlip, sect: 1, at: flip(148), bit: 7,
-			wantErrSubstring: "remaining volume 7.229273210800316 beyond its processing time"},
-		{seed: 5, pol: pol("wsrpt"), n: 240, stop: 150, mode: decodeFlip, sect: 1, at: flip(148), bit: 0,
-			wantErrSubstring: "pool holds a job without usable dense state"},
+		poli(1, "flowtime", 150, 4, "machine 0 holds job index 157 of 150"),
+		poli(1, "flowtime", 154, 1, "flat index element 2 repeats or precedes element 1"),
+		poli(1, "flowtime", 94, 1, "machine 0 holds job 0, which is already decided"),
+		poli(1, "flowtime", 150, 0, "machine 0 holds job 140, dispatched to machine 2"),
+		poli(1, "flowtime", 150, 1, "machine 0 holds job 143, which is running"),
+		poli(1, "flowtime", 154, 2, "machine 0 holds job 149, whose arrival is still pending"),
+		poli(3, "wflow", 132, 2, "machine 0 holds job index 3818770442 of 150"),
+		poli(3, "wflow", 160, 1, "flat index element 1 repeats or precedes element 0"),
+		poli(3, "wflow", 104, 0, "which is already decided"),
+		poli(3, "wflow", 164, 2, "which is running"),
+		poli(3, "wflow", 300, 2, "whose arrival is still pending"),
+		poli(4, "speedscale", 86, 3, "machine 0 pending list repeats or leaves density order"),
+		poli(4, "speedscale", 90, 4, "machine 0 holds job 132, dispatched to machine 2"),
+		poli(6, "srpt", 141, 1, "flat index element 1 repeats or precedes element 0"),
+		poli(6, "srpt", 91, 2, "machine 0 holds job 25, which is already decided"),
+		poli(7, "wsrpt", 2488, 3, "the pool holds job index 897639085 of 150"),
+		poli(7, "wsrpt", 89, 7, "flat index element 43 repeats or precedes element 42"),
+		poli(7, "wsrpt", 2488, 0, "the pool holds job 0, which is already decided"),
+		poli(7, "wsrpt", 2516, 0, "the pool holds job 136, which is running"),
+		poli(7, "wsrpt", 91, 7, "pool holds job 3 with remaining fraction"),
+		{seed: 7, pol: pol("wsrpt"), mi: 1, n: 240, stop: 150, mode: decodeFlip, sect: 4, at: -4, bit: 0,
+			wantErrSubstring: "the pool holds job 148, whose arrival is still pending"},
+		arr("flowtime", -40, 0, "pending arrival 2 (job 141) repeats or precedes arrival 1"),
+		arr("wflow", -20, 1, "pending arrival 1 (job 146) repeats or precedes arrival 0"),
+		arr("srpt", -8, 0, "pending arrival 2 (job 149) repeats or precedes arrival 1"),
+		arr("wflow", -20, 0, "job 144 has a pending arrival but is decided or dispatched"),
 	}
 }
 
@@ -264,8 +301,8 @@ func FuzzSessionDecode(f *testing.F) {
 
 // TestSessionDecodeSeedsCover pins that FuzzSessionDecode's seed corpus
 // reaches the checks inside each record run, where the bulk decode positions
-// its own errors, that every stale-key seed is refused by the policy's key
-// check, and that every clean seed restores.
+// its own errors, that every run seed is refused by the check it aims at,
+// and that every clean seed restores.
 func TestSessionDecodeSeedsCover(t *testing.T) {
 	for _, s := range decodeSeeds() {
 		err := decodeCase(t, s.seed, s.pol, s.mi, s.n, s.stop, s.dual, s.mode, s.sect, s.at, s.bit)

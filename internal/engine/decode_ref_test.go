@@ -127,12 +127,24 @@ func restoreIntoPerField(sr *snapshot.Reader, s *Session, sp StatefulPolicy) err
 	if err != nil {
 		return err
 	}
-	if err := c.q.Restore(d, &c.arr); err != nil {
+	if err := c.q.Restore(d); err != nil {
 		return err
 	}
 	c.peekNext()
 	if err := validateEvents(c, d); err != nil {
 		return err
+	}
+	n = d.Count(4)
+	for k := 0; k < n; k++ {
+		jk := int32(d.U32())
+		if d.Err() != nil {
+			return d.Err()
+		}
+		if f := c.arrivalFault(k, jk); f != "" {
+			d.Failf("%s", f)
+			return d.Err()
+		}
+		c.arr = append(c.arr, jk)
 	}
 	if err := d.Done(); err != nil {
 		return err

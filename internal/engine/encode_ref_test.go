@@ -74,7 +74,13 @@ func (s *Session) appendSnapshotPerField(dst []byte) ([]byte, error) {
 			e.F64(m.RunSpeed)
 		}
 	})
-	sw.Section(tagQueue, func(e *snapshot.Encoder) { c.q.Snapshot(e, c.arrivals()...) })
+	sw.Section(tagQueue, func(e *snapshot.Encoder) {
+		c.q.Snapshot(e)
+		e.U64(uint64(len(c.arrivals())))
+		for _, jk := range c.arrivals() {
+			e.U32(uint32(jk))
+		}
+	})
 	sw.Section(tagOutcome, func(e *snapshot.Encoder) {
 		ivs := c.rec.Intervals()
 		e.U64(uint64(len(ivs)))

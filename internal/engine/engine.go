@@ -24,17 +24,19 @@
 // packages' Run functions are exactly that thin wrapper, with outputs
 // bit-identical to the pre-engine implementations.
 //
-// Determinism: events pop in (Time, Kind, insertion-seq) order exactly as in
-// a batch run, because a session only drains events that can no longer be
-// preceded by a future arrival. After feeding a job released at r, any
+// Determinism: events pop in (Time, Kind, order within the kind) exactly as
+// in a batch run, because a session only drains events that can no longer
+// be preceded by a future arrival. After feeding a job released at r, any
 // queued event at time ≤ r − sched.Eps is safe — later feeds must release at
 // ≥ r − Eps, and at equal times arrivals sort after completions (by Kind)
-// and after earlier-fed arrivals (by insertion seq). The drain horizon
+// and after earlier-fed arrivals (by feed order). The drain horizon
 // therefore trails the last fed release by Eps; Finish (or AdvanceTo, which
 // is a caller promise that no earlier release will ever be fed) releases
 // the tail. Arrivals never enter the event queue: fed in release order,
-// they already form a sorted list, which the event loop merges with the
-// queue's completions and bookkeeping under that same order.
+// they already form a sorted list of compact job indices, which the event
+// loop merges with the queue's completions and bookkeeping under that same
+// order. Since Kind ranks above the queue's insertion seq, an arrival only
+// ever ties against other arrivals, so the list needs no seq of its own.
 //
 // Hot-path discipline (see DESIGN.md): per-job state is dense, indexed by
 // the compact feed-order index; ids resolve through sched.IDs, a growable
@@ -157,11 +159,11 @@ type Core struct {
 	pol Policy
 	// q holds the completion and bookkeeping events. Arrivals never enter
 	// it: a session is fed in release order, so they already form a sorted
-	// stream, kept in arr from arrHead on — in pop order, each stamped with
-	// the insertion seq q reserved for it at its feed — and drain merges the
-	// two.
+	// stream, kept in arr from arrHead on as compact job indices in pop
+	// order — (release, index), the release read from the job table — and
+	// drain merges the two.
 	q       eventq.Interface
-	arr     []eventq.Event
+	arr     []int32
 	arrHead int
 	// qNext is the time of q's earliest event, +Inf while q is empty, so
 	// step weighs the next arrival against q without a call through the
@@ -228,14 +230,6 @@ func (c *Core) IndexOf(id int) int { return c.ids.Of(id) }
 
 // Assign records the dispatch of job jk to machine i in the outcome.
 func (c *Core) Assign(jk, i int) { c.rec.Assign(jk, i) }
-
-// Placement reports what the outcome records of job jk: the machine it was
-// dispatched to (sched.NoMachine if none) and whether it is still open —
-// neither completed nor rejected. Restore paths use it to cross-check a
-// policy's pending lists against the engine's record.
-func (c *Core) Placement(jk int) (machine int, open bool) {
-	return int(c.rec.Machine(jk)), c.rec.State(jk) == sched.JobOpen
-}
 
 // Start begins executing job jk on machine i at time t with the given
 // processing volume and (frozen) speed, bumping the machine's start version
@@ -323,26 +317,26 @@ func (c *Core) Bookkeep(t float64, i, jk int) {
 	c.qNext = min(c.qNext, t)
 }
 
-// pushArrival queues the arrival of job jk, released at r, on the pending
-// list, reserving its insertion seq where pushing it onto q would have.
-func (c *Core) pushArrival(r float64, jk int) {
+// pushArrival queues the arrival of job jk on the pending list.
+func (c *Core) pushArrival(jk int) {
 	if c.arrHead > 0 && 2*c.arrHead >= len(c.arr) {
 		// Drop the consumed prefix once it is half the list: the list then
 		// stays within a small multiple of the arrivals pending.
 		c.arr = c.arr[:copy(c.arr, c.arr[c.arrHead:])]
 		c.arrHead = 0
 	}
-	c.arr = append(c.arr, eventq.Event{Time: r, Kind: eventq.KindArrival, Job: int32(jk), Machine: -1})
-	c.q.Reserve(&c.arr[len(c.arr)-1])
+	c.arr = append(c.arr, int32(jk))
 	// A release may sit up to sched.Eps below the latest one: move it back
-	// past the larger releases. Equal ones keep feed order, as their seqs do.
-	for k := len(c.arr) - 1; k > c.arrHead && c.arr[k-1].Time > r; k-- {
+	// past the larger releases. Equal ones keep feed order, which is index
+	// order.
+	r := c.jobs[jk].Release
+	for k := len(c.arr) - 1; k > c.arrHead && c.jobs[c.arr[k-1]].Release > r; k-- {
 		c.arr[k], c.arr[k-1] = c.arr[k-1], c.arr[k]
 	}
 }
 
-// arrivals returns the pending arrivals in pop order.
-func (c *Core) arrivals() []eventq.Event { return c.arr[c.arrHead:] }
+// arrivals returns the compact indices of the pending arrivals in pop order.
+func (c *Core) arrivals() []int32 { return c.arr[c.arrHead:] }
 
 // step handles the next event at time ≤ horizon and reports whether there
 // was one. The next arrival goes first only if its release is strictly
@@ -352,8 +346,8 @@ func (c *Core) arrivals() []eventq.Event { return c.arr[c.arrHead:] }
 // reached only when the comparison before them fails, tell the two apart.
 func (c *Core) step(horizon float64) bool {
 	if c.arrHead < len(c.arr) {
-		if a := &c.arr[c.arrHead]; a.Time <= horizon && (a.Time < c.qNext || c.q.Len() == 0) {
-			t, jk := a.Time, int(a.Job)
+		jk := int(c.arr[c.arrHead])
+		if t := c.jobs[jk].Release; t <= horizon && (t < c.qNext || c.q.Len() == 0) {
 			if c.arrHead++; c.arrHead == len(c.arr) {
 				c.arr, c.arrHead = c.arr[:0], 0
 			}

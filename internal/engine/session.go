@@ -81,8 +81,8 @@ const feedChunk = 16
 //
 // FeedBatch is observably identical however the stream is cut into
 // batches, down to one job per call: the event pop order depends only on
-// the (Time, Kind, insertion-seq) total order, arrivals keep their relative
-// feed order, and kinds never compare by seq across each other — so
+// the (Time, Kind, order within the kind) total order, arrivals keep their
+// relative feed order, and kinds never compare by seq across each other — so
 // postponing a drain to any later boundary replays exactly the same event
 // sequence, and the final Outcome is bit-identical (pinned by the
 // batch-split equivalence tests).
@@ -122,7 +122,7 @@ func (s *Session) FeedBatch(jobs []sched.Job) error {
 		c.jobs = append(c.jobs, *j)
 		c.done = append(c.done, 0)
 		c.rec.Add()
-		c.pushArrival(j.Release, jk)
+		c.pushArrival(jk)
 		if j.Release > s.last {
 			s.last = j.Release
 		}
@@ -242,10 +242,10 @@ func (s *Session) Decision(k int) (j *sched.Job, state uint8, t float64) {
 func (s *Session) Intervals() []sched.Interval { return s.core.rec.Intervals() }
 
 // drain handles every pending event at time ≤ horizon, arrivals and queued
-// events merged in (Time, Kind, insertion-seq) order (Core.step). Events
-// tied at the horizon are safe: a future arrival at the same instant sorts
-// after them (larger Kind or later insertion seq), exactly as in a batch
-// run.
+// events merged in (Time, Kind, order within the kind) order (Core.step).
+// Events tied at the horizon are safe: a future arrival at the same instant
+// sorts after them (larger Kind, or later in feed order), exactly as in a
+// batch run.
 //
 // With telemetry attached (tel.DrainNS non-nil) the drain is timed and the
 // event count, backlog and per-drain latency are recorded; the untimed loop

@@ -1,14 +1,15 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/eventq"
-	"repro/internal/ostree"
 	"repro/internal/sched"
 	"repro/internal/snapshot"
 )
@@ -21,10 +22,13 @@ import (
 // applied to a freshly constructed policy (same options, same machine count)
 // must leave it in a state from which every future decision is identical to
 // the donor policy's — SaveState therefore has to enumerate every piece of
-// state that can influence a decision, including counters, accumulators and
-// the exact float bit patterns of any cached keys. Derived performance-only
-// state (tree shapes, arena free lists, pool buffers) is deliberately NOT
-// serialized: it is rebuilt on load and cannot influence outcomes.
+// state that can influence a decision and that the restored engine state
+// does not determine: counters, accumulators, history-dependent cached sums.
+// What the job table does determine is named, not copied: a pending job is
+// written as its compact index (WritePending), and LoadState rebuilds its
+// keys from the restored row exactly as the insert path built them. Derived
+// performance-only state (arena free lists, pool buffers) is deliberately
+// NOT serialized: it is rebuilt on load and cannot influence outcomes.
 type StatefulPolicy interface {
 	Policy
 	// SnapshotTag identifies the policy implementation and its wire-format
@@ -152,13 +156,13 @@ func (s *Session) SnapshotInto(dst []byte) error {
 func (s *Session) snapshotSize() int {
 	c := &s.core
 	n, m := len(c.jobs), len(c.mach)
-	size := snapshot.HeaderBytes + 8*snapshot.FrameBytes        // seven sections and the end
-	size += 4 + 8 + 3*8                                         // SESS
-	size += 8 + n*jobRecord(m)                                  // JOBS
-	size += 8 + 8*n                                             // DONE
-	size += 4 + 5*8*m                                           // MACH
-	size += eventq.SnapshotBytes(c.q.Len() + len(c.arrivals())) // EVTQ
-	size += 8 + len(c.rec.Intervals())*intervalRecord           // OUTC
+	size := snapshot.HeaderBytes + 8*snapshot.FrameBytes              // seven sections and the end
+	size += 4 + 8 + 3*8                                               // SESS
+	size += 8 + n*jobRecord(m)                                        // JOBS
+	size += 8 + 8*n                                                   // DONE
+	size += 4 + 5*8*m                                                 // MACH
+	size += eventq.SnapshotBytes(c.q.Len()) + 8 + 4*len(c.arrivals()) // EVTQ
+	size += 8 + len(c.rec.Intervals())*intervalRecord                 // OUTC
 	return size + 8 + n*slotRecord
 }
 
@@ -233,7 +237,15 @@ func (s *Session) encode(sw *snapshot.Writer) error {
 			e.F64(m.RunSpeed)
 		}
 	})
-	sw.Section(tagQueue, func(e *snapshot.Encoder) { c.q.Snapshot(e, c.arrivals()...) })
+	sw.Section(tagQueue, func(e *snapshot.Encoder) {
+		c.q.Snapshot(e)
+		arr := c.arrivals()
+		e.U64(uint64(len(arr)))
+		b := e.Extend(4 * len(arr))
+		for k, jk := range arr {
+			le.PutUint32(b[4*k:], uint32(jk))
+		}
+	})
 	sw.Section(tagOutcome, func(e *snapshot.Encoder) { snapshotOutcome(e, c) })
 	sw.Frame(tagPolicy, s.pol.Bytes(), s.polSum)
 	return sw.Close()
@@ -472,12 +484,23 @@ func restoreInto(sr *snapshot.Reader, s *Session, sp StatefulPolicy) error {
 	if err != nil {
 		return err
 	}
-	if err := c.q.Restore(d, &c.arr); err != nil {
+	if err := c.q.Restore(d); err != nil {
 		return err
 	}
 	c.peekNext()
 	if err := validateEvents(c, d); err != nil {
 		return err
+	}
+	n = d.Count(4)
+	at = d.Offset()
+	b = d.Span(4 * n)
+	for k := 0; k < n; k++ {
+		jk := int32(le.Uint32(b[4*k:]))
+		if f := c.arrivalFault(k, jk); f != "" {
+			d.FailAt(at+4*(k+1), "%s", f)
+			return d.Err()
+		}
+		c.arr = append(c.arr, jk)
 	}
 	if err := d.Done(); err != nil {
 		return err
@@ -517,31 +540,83 @@ func restoreInto(sr *snapshot.Reader, s *Session, sp StatefulPolicy) error {
 	return sr.End()
 }
 
-// ValidateTreeKeys walks a restored pending index and fails the decoder when
-// a key references a job the session never fed — a later IndexOf on such a
-// key would hand the policy a -1 index and panic deep inside an event
-// handler, far from the corrupt snapshot that caused it — or when a key
-// differs, bit for bit, from key(jk, k): the key the policy derives for
-// that job (compact index jk) from the restored state, given the restored
-// key k for what only the index holds (srpt's banked remainder). A key
-// that survives while its job row says otherwise is one the policy's
-// Delete can never find: the session then runs on without end. what names
-// the index in the error (e.g. "machine 3 pending").
-func ValidateTreeKeys(c *Core, t *ostree.Flat, d *snapshot.Decoder, what string, key func(jk int, k ostree.Key) ostree.Key) error {
-	t.Ascend(func(k ostree.Key) bool {
-		jk := c.IndexOf(k.ID)
-		if jk < 0 {
-			d.Failf("%s holds unknown job %d", what, k.ID)
-			return false
+// WritePending writes the job a policy's pending index holds under id as
+// its compact index, which ReadPending reads back.
+func (c *Core) WritePending(e *snapshot.Encoder, id int) { e.U32(uint32(c.ids.Of(id))) }
+
+// ReadPending reads a compact index WritePending wrote and returns it once
+// the restored engine state agrees that the policy may hold that job
+// pending on machine i, or in a pool of all machines when i < 0: the job
+// is known, open, not running and no longer waiting to arrive, and for i ≥
+// 0 it is dispatched to machine i. Otherwise it fails d and returns -1.
+// LoadState runs after every engine section is restored, so the whole
+// engine state is there to check against.
+func (c *Core) ReadPending(d *snapshot.Decoder, i int) int {
+	jk := int(d.U32())
+	if d.Err() != nil {
+		return -1
+	}
+	var fault string
+	switch {
+	case jk >= len(c.jobs):
+		fault = fmt.Sprintf("job index %d of %d", jk, len(c.jobs))
+	case c.rec.State(jk) != sched.JobOpen:
+		fault = fmt.Sprintf("job %d, which is already decided", c.jobs[jk].ID)
+	case c.running(jk):
+		fault = fmt.Sprintf("job %d, which is running", c.jobs[jk].ID)
+	case c.arriving(jk):
+		fault = fmt.Sprintf("job %d, whose arrival is still pending", c.jobs[jk].ID)
+	case i >= 0 && int(c.rec.Machine(jk)) != i:
+		fault = fmt.Sprintf("job %d, dispatched to machine %d", c.jobs[jk].ID, c.rec.Machine(jk))
+	default:
+		return jk
+	}
+	if i < 0 {
+		d.Failf("the pool holds %s", fault)
+	} else {
+		d.Failf("machine %d holds %s", i, fault)
+	}
+	return -1
+}
+
+// running reports whether job jk runs on some machine.
+func (c *Core) running(jk int) bool {
+	for i := range c.mach {
+		if int(c.mach[i].Running) == jk {
+			return true
 		}
-		if want := key(jk, k); math.Float64bits(k.P) != math.Float64bits(want.P) ||
-			math.Float64bits(k.Release) != math.Float64bits(want.Release) || k.ID != want.ID {
-			d.Failf("%s holds job %d under key (%v, %v), its restored row keys it (%v, %v)", what, k.ID, k.P, k.Release, want.P, want.Release)
-			return false
-		}
-		return true
-	})
-	return d.Err()
+	}
+	return false
+}
+
+// arriving reports whether job jk's arrival is pending.
+func (c *Core) arriving(jk int) bool {
+	_, ok := slices.BinarySearchFunc(c.arrivals(), int32(jk), c.arrivalCmp)
+	return ok
+}
+
+// arrivalCmp orders pending arrivals as they pop: by release, then by
+// compact index, which is feed order.
+func (c *Core) arrivalCmp(a, b int32) int {
+	if ra, rb := c.jobs[a].Release, c.jobs[b].Release; ra != rb {
+		return cmp.Compare(ra, rb)
+	}
+	return cmp.Compare(a, b)
+}
+
+// arrivalFault reports what is wrong with jk as entry k of a restored
+// pending-arrival run, the entries before it already in c.arr, or "" when
+// nothing is: it must name a known job, after entry k-1 in pop order — so
+// no job repeats. That the job is open and undispatched is checked once the
+// outcome record is restored (validateArrivalsOpen).
+func (c *Core) arrivalFault(k int, jk int32) string {
+	if jk < 0 || int(jk) >= len(c.jobs) {
+		return fmt.Sprintf("pending arrival %d names job index %d of %d", k, jk, len(c.jobs))
+	}
+	if k > 0 && c.arrivalCmp(c.arr[k-1], jk) >= 0 {
+		return fmt.Sprintf("pending arrival %d (job %d) repeats or precedes arrival %d in (release, index) order", k, c.jobs[jk].ID, k-1)
+	}
+	return ""
 }
 
 // SessionSnapshotter is a Feeder whose state can be captured into a region
@@ -685,44 +760,37 @@ func RestoreFleet(r io.Reader, restore func(shard int, r io.Reader) error) (int,
 // validateEvents bounds-checks the restored events' payloads against the
 // restored job table and machine count. The queue package already verified
 // kinds, sequence numbers and (for the heap) the serialized heap order; the
-// engine owns the meaning of the payload fields. A pending arrival must
-// name a job, carry no machine, and fall at exactly its job's release: the
-// release is what the job row says, and an arrival elsewhere would pop out
-// of the order the row gives it.
+// engine owns the meaning of the payload fields. No arrival is queued, and
+// the pending-arrival run follows the events: builds before that run
+// queued pending arrivals among the events and wrote nothing after them.
+// Such a snapshot is refused by name rather than misread.
 func validateEvents(c *Core, d *snapshot.Decoder) error {
 	njobs, machines := len(c.jobs), len(c.mach)
-	ok := true
+	bad, arrival := false, false
 	c.q.Scan(func(e *eventq.Event) bool {
-		if e.Job < -1 || int(e.Job) >= njobs || e.Machine < -1 || int(e.Machine) >= machines {
-			ok = false
-			return false
-		}
-		return true
+		arrival = e.Kind == eventq.KindArrival
+		bad = e.Job < -1 || int(e.Job) >= njobs || e.Machine < -1 || int(e.Machine) >= machines
+		return !arrival && !bad
 	})
-	if !ok {
+	const older = "a snapshot from an older build, which queued pending arrivals among its events; this build cannot resume it"
+	switch {
+	case arrival:
+		d.Failf("queued event is an arrival: %s", older)
+	case d.Remaining() == 0:
+		d.Failf("no pending-arrival run after the queued events: %s", older)
+	case bad:
 		d.Failf("queued event references an unknown job or machine")
-		return d.Err()
 	}
-	for _, a := range c.arrivals() {
-		if a.Job < 0 || int(a.Job) >= njobs || a.Machine != -1 {
-			d.Failf("pending arrival of job index %d on machine %d", a.Job, a.Machine)
-			return d.Err()
-		}
-		if r := c.jobs[a.Job].Release; math.Float64bits(a.Time) != math.Float64bits(r) {
-			d.Failf("pending arrival of job %d at %v, its release is %v", c.jobs[a.Job].ID, a.Time, r)
-			return d.Err()
-		}
-	}
-	return nil
+	return d.Err()
 }
 
 // validateArrivalsOpen checks, once the outcome record is restored, that
 // every job with a pending arrival is open and undispatched: its arrival is
 // what will dispatch it.
 func validateArrivalsOpen(c *Core, d *snapshot.Decoder) error {
-	for _, a := range c.arrivals() {
-		if jk := int(a.Job); c.rec.State(jk) != sched.JobOpen || c.rec.Machine(jk) != sched.NoMachine {
-			d.Failf("job %d has a pending arrival but is decided or dispatched", c.jobs[a.Job].ID)
+	for _, jk := range c.arrivals() {
+		if c.rec.State(int(jk)) != sched.JobOpen || c.rec.Machine(int(jk)) != sched.NoMachine {
+			d.Failf("job %d has a pending arrival but is decided or dispatched", c.jobs[jk].ID)
 			return d.Err()
 		}
 	}

@@ -82,15 +82,9 @@ func NewCalendar() *Calendar { return &Calendar{} }
 
 // Push inserts an event, assigning the next insertion sequence.
 func (c *Calendar) Push(e Event) {
-	c.Reserve(&e)
-	c.place(e)
-}
-
-// Reserve stamps *e with the next insertion sequence without queuing it, as
-// Queue.Reserve does.
-func (c *Calendar) Reserve(e *Event) {
 	e.ord = uint64(e.Kind)<<ordShift | c.seq
 	c.seq++
+	c.place(e)
 }
 
 // Grow reserves capacity for n additional events in the staging rung. Unlike

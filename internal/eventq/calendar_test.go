@@ -19,7 +19,7 @@ var (
 // implementations: the EVTQ wire format is shared.
 func snapRoundTrip(t *testing.T, src, dst Interface) {
 	t.Helper()
-	restoreEVTQ(t, evtq(t, func(e *snapshot.Encoder) { src.Snapshot(e) }), dst, nil)
+	restoreEVTQ(t, evtq(t, func(e *snapshot.Encoder) { src.Snapshot(e) }), dst)
 }
 
 // TestCalendarMatchesHeapRandom drives a heap and a calendar through the
@@ -229,7 +229,7 @@ func TestCalendarRestoreRejectsCorruptSemantics(t *testing.T) {
 		e.U32(^uint32(0))
 		e.U32(0)
 	})
-	if err := c.Restore(d, nil); err == nil {
+	if err := c.Restore(d); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 	d = build(func(e *snapshot.Encoder) {
@@ -241,7 +241,7 @@ func TestCalendarRestoreRejectsCorruptSemantics(t *testing.T) {
 		e.U32(^uint32(0))
 		e.U32(0)
 	})
-	if err := c.Restore(d, nil); err == nil {
+	if err := c.Restore(d); err == nil {
 		t.Fatal("seq above counter accepted")
 	}
 }
@@ -297,8 +297,8 @@ func FuzzCalendarVsHeap(f *testing.F) {
 				}
 				var nh Queue
 				var nc Calendar
-				restoreEVTQ(t, w, &nh, nil)
-				restoreEVTQ(t, w, &nc, nil)
+				restoreEVTQ(t, w, &nh)
+				restoreEVTQ(t, w, &nc)
 				h, c = nh, nc
 			}
 		}

@@ -74,23 +74,12 @@ type Queue struct {
 // arity is the heap fan-out: child c of node i sits at i*arity+1+c.
 const arity = 4
 
-// Push inserts an event.
+// Push inserts an event, stamping it with the next insertion sequence.
 func (q *Queue) Push(e Event) {
-	q.Reserve(&e)
-	q.h = append(q.h, e)
-	q.siftUp(len(q.h) - 1)
-}
-
-// Reserve stamps *e with the next insertion sequence, exactly as Push
-// would, without queuing it. A caller that holds some events outside the
-// queue (the engine keeps its release-ordered arrivals in a list of their
-// own) reserves each one's seq where it would have pushed it, so every
-// event keeps the ord a queued one would have had, and hands them to
-// Snapshot. Stamp the event where it is held: one in a local variable
-// escapes to the heap when the call goes through Interface.
-func (q *Queue) Reserve(e *Event) {
 	e.ord = uint64(e.Kind)<<ordShift | q.seq
 	q.seq++
+	q.h = append(q.h, e)
+	q.siftUp(len(q.h) - 1)
 }
 
 // Grow ensures capacity for n additional events without reallocation. It

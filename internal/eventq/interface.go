@@ -15,9 +15,6 @@ import "repro/internal/snapshot"
 type Interface interface {
 	// Push inserts an event, assigning the next insertion sequence.
 	Push(e Event)
-	// Reserve stamps *e with the next insertion sequence, as Push would,
-	// without queuing it: for an event the caller holds outside the queue.
-	Reserve(e *Event)
 	// Pop removes and returns the earliest event; panics when empty.
 	Pop() Event
 	// Peek returns the earliest event without removing it; panics when
@@ -30,13 +27,11 @@ type Interface interface {
 	// order (NOT pop order), stopping early when fn returns false. Read-only.
 	Scan(fn func(e *Event) bool)
 	// Snapshot serializes the pending events with their ord words into the
-	// shared EVTQ wire format, in pop order, with held — events the caller
-	// holds outside the queue, stamped by Reserve and in pop order — merged
-	// in.
-	Snapshot(e *snapshot.Encoder, held ...Event)
+	// shared EVTQ wire format, in pop order. The queue is all it writes: a
+	// caller that keeps events of its own outside the queue (the engine's
+	// pending arrivals) writes them itself.
+	Snapshot(e *snapshot.Encoder)
 	// Restore replaces the contents with a snapshot written by any
-	// implementation's Snapshot, validating as it decodes. With a non-nil
-	// held, arrival events are appended to *held in pop order instead of
-	// queued.
-	Restore(d *snapshot.Decoder, held *[]Event) error
+	// implementation's Snapshot, validating as it decodes.
+	Restore(d *snapshot.Decoder) error
 }

@@ -9,10 +9,7 @@ import (
 // Snapshot serializes the queue into one snapshot section payload, the EVTQ
 // wire format both implementations share: the insertion-sequence counter,
 // the event count, then every pending event in pop order — (Time, ord) —
-// with its packed (Kind, seq) ord word. held are events the caller keeps
-// outside the queue, each stamped by Reserve and the run of them in pop
-// order (the engine's pending arrivals); they are written merged into that
-// order, exactly as if they had been queued.
+// with its packed (Kind, seq) ord word.
 //
 // The heap array is sorted in place first. A sorted array is itself a valid
 // heap for any arity, so what pops next does not change, the sort needs no
@@ -26,24 +23,18 @@ import (
 // snapshot and events pushed after the restore resolve exactly as they would
 // have in the uninterrupted run (new pushes continue from the restored
 // counter).
-func (q *Queue) Snapshot(e *snapshot.Encoder, held ...Event) {
+func (q *Queue) Snapshot(e *snapshot.Encoder) {
 	slices.SortFunc(q.h, compare)
-	writeEvents(e, q.seq, q.h, held)
+	writeEvents(e, q.seq, q.h)
 }
 
 // writeEvents writes an EVTQ payload: the counter seq, the event count, then
-// the events of a and b merged into (Time, ord) order, each of the two
-// already in that order.
-func writeEvents(e *snapshot.Encoder, seq uint64, a, b []Event) {
+// the events, already in (Time, ord) order.
+func writeEvents(e *snapshot.Encoder, seq uint64, evs []Event) {
 	e.U64(seq)
-	e.U64(uint64(len(a) + len(b)))
-	for len(a)+len(b) > 0 {
-		var ev *Event
-		if len(b) == 0 || len(a) > 0 && less(&a[0], &b[0]) {
-			ev, a = &a[0], a[1:]
-		} else {
-			ev, b = &b[0], b[1:]
-		}
+	e.U64(uint64(len(evs)))
+	for k := range evs {
+		ev := &evs[k]
 		e.F64(ev.Time)
 		e.U64(ev.ord)
 		e.U32(uint32(ev.Job))
@@ -94,12 +85,8 @@ func readEvent(d *snapshot.Decoder, i int, seq uint64) (Event, bool) {
 // property of the serialized layout is re-verified — corrupt bytes that slip
 // past the container CRC fail loudly here instead of silently popping events
 // out of order. Pop order passes that check, and so does the raw heap layout
-// older builds wrote.
-//
-// With a non-nil held, arrival events are not queued: they are appended to
-// *held in pop order, for the caller to hold outside the queue as it did when
-// Snapshot wrote them. The queue keeps the rest.
-func (q *Queue) Restore(d *snapshot.Decoder, held *[]Event) error {
+// older builds wrote, which the engine then refuses by name.
+func (q *Queue) Restore(d *snapshot.Decoder) error {
 	seq := d.U64()
 	n := d.Count(eventWireBytes)
 	if err := d.Err(); err != nil {
@@ -121,24 +108,6 @@ func (q *Queue) Restore(d *snapshot.Decoder, held *[]Event) error {
 			}
 		}
 		h = append(h, ev)
-	}
-	if held != nil {
-		from, k := len(*held), 0
-		for _, ev := range h {
-			if ev.Kind == KindArrival {
-				*held = append(*held, ev)
-			} else {
-				h[k] = ev
-				k++
-			}
-		}
-		if k < len(h) {
-			// Taking events out of a heap layout leaves no heap; sorted,
-			// the rest is one again.
-			h = h[:k]
-			slices.SortFunc(h, compare)
-			slices.SortFunc((*held)[from:], compare)
-		}
 	}
 	q.h = h
 	q.seq = seq

@@ -3,7 +3,6 @@ package eventq
 import (
 	"bytes"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 
@@ -16,7 +15,7 @@ import (
 func roundTrip(t *testing.T, q *Queue) *Queue {
 	t.Helper()
 	var q2 Queue
-	restoreEVTQ(t, evtq(t, func(e *snapshot.Encoder) { q.Snapshot(e) }), &q2, nil)
+	restoreEVTQ(t, evtq(t, func(e *snapshot.Encoder) { q.Snapshot(e) }), &q2)
 	return &q2
 }
 
@@ -181,7 +180,7 @@ func TestRestoreRejectsCorruptSemantics(t *testing.T) {
 				t.Fatal(err)
 			}
 			var q Queue
-			if err := q.Restore(d, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if err := q.Restore(d); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("want error containing %q, got %v", tc.want, err)
 			}
 		})
@@ -201,8 +200,8 @@ func evtq(t *testing.T, fill func(e *snapshot.Encoder)) []byte {
 	return w.Bytes()
 }
 
-// restoreEVTQ restores the EVTQ section of b into q, arrivals into held.
-func restoreEVTQ(t *testing.T, b []byte, q Interface, held *[]Event) {
+// restoreEVTQ restores the EVTQ section of b into q.
+func restoreEVTQ(t *testing.T, b []byte, q Interface) {
 	t.Helper()
 	r, err := snapshot.NewReader(bytes.NewReader(b))
 	if err != nil {
@@ -212,67 +211,10 @@ func restoreEVTQ(t *testing.T, b []byte, q Interface, held *[]Event) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Restore(d, held); err != nil {
+	if err := q.Restore(d); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
 }
-
-// TestSnapshotHeldArrivals holds arrivals kept outside the queue — stamped
-// by Reserve, handed to Snapshot — to a queue that held them inside: both
-// write the same EVTQ bytes. Restoring those bytes, or the raw heap layout
-// older builds wrote, with a held list hands the arrivals back in pop order
-// and queues only the rest, and popping the two merged by (Time, ord) gives
-// the inside queue's pop order, under either implementation.
-func TestSnapshotHeldArrivals(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 50; trial++ {
-		var inside, layout, outside Queue
-		var held []Event
-		for i := 0; i < 5+rng.Intn(100); i++ {
-			ev := Event{Time: float64(rng.Intn(6)), Kind: Kind(rng.Intn(3)), Job: int32(i), Machine: int32(rng.Intn(4))}
-			if ev.Kind == KindArrival {
-				ev.Machine = -1
-				outside.Reserve(&ev)
-				held = append(held, ev)
-			} else {
-				outside.Push(ev)
-			}
-			inside.Push(ev)
-			layout.Push(ev)
-		}
-		slices.SortFunc(held, compare)
-		sorted := evtq(t, func(e *snapshot.Encoder) { inside.Snapshot(e) })
-		if got := evtq(t, func(e *snapshot.Encoder) { outside.Snapshot(e, held...) }); !bytes.Equal(got, sorted) {
-			t.Fatalf("trial %d: held arrivals snapshot to other bytes than queued ones", trial)
-		}
-		// What older builds wrote: the heap array as it lies.
-		legacy := evtq(t, func(e *snapshot.Encoder) { writeEvents(e, layout.seq, layout.h, nil) })
-		want := drainAll(&inside)
-		for _, b := range [][]byte{sorted, legacy} {
-			for _, q := range []Interface{&Queue{}, NewCalendar()} {
-				var back []Event
-				restoreEVTQ(t, b, q, &back)
-				var got []Event
-				for q.Len() > 0 || len(back) > 0 {
-					if len(back) > 0 && (q.Len() == 0 || less(&back[0], ptr(q.Peek()))) {
-						got, back = append(got, back[0]), back[1:]
-						continue
-					}
-					e := q.Pop()
-					if e.Kind == KindArrival {
-						t.Fatalf("trial %d: %T queued an arrival", trial, q)
-					}
-					got = append(got, e)
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("trial %d, %T: restored with a held list, pops %v, want %v", trial, q, got, want)
-				}
-			}
-		}
-	}
-}
-
-func ptr(e Event) *Event { return &e }

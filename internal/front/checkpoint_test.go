@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"io"
 	"log"
 	"math"
@@ -61,15 +60,16 @@ func checkpointingRun(t *testing.T, reg *obs.Registry) (*Server, string) {
 
 // TestCheckpointBytesPinned pins the on-disk format byte for byte: the
 // SHA-256 of every lineage member — fulls and deltas — must equal the
-// digests recorded when EVTQ sections began listing their events in pop
-// order (sizes unchanged; before that they were the raw heap array), so any
-// change to how checkpoints are built must leave what they are unchanged.
+// digests recorded when snapshots began naming pending jobs by compact index
+// (pending arrivals as one index run after the EVTQ events, each policy
+// index element as its job's index), so any change to how checkpoints are
+// built must leave what they are unchanged.
 func TestCheckpointBytesPinned(t *testing.T) {
 	want := map[string]string{
-		"0.full":  "1ae2e44983c9f311937aff77edaa54569e958f47ed2b6a1cd0127426941cf352",
-		"1.delta": "f52808c0b0311fcc9c147a7c0cf650ff95e2fd3818ef92fb2de6663a9c8e4071",
-		"2.delta": "734c947e5e485520537574b75353e8bd0e360f9fdaf53ca2c8723cbe4cc33367",
-		"3.full":  "f4c6a81e904ff8f66be14dddc7498da96f9837e1de2898556ee06fc6348ddea6",
+		"0.full":  "f1874c3c68e3db9cb9f78f98c83ed4df0899ed48a1affeeb3ec1a0e17343fc17",
+		"1.delta": "04d374e94bc9e52d1da5485ae575cf65f9b0e1247097590deaed3152f3e62406",
+		"2.delta": "4756747a7789bfd8a202613d13806f8a49602c9a4c79c1fbade9d4504c484985",
+		"3.full":  "278ed5b6f3da70279d496124093ffe6ca07fc09053666fd3ec6e4a636f717aa9",
 	}
 	_, path := checkpointingRun(t, nil)
 	members, err := filepath.Glob(path + ".*.*")
@@ -209,14 +209,15 @@ func TestResumeChainsDeltaToRecovered(t *testing.T) {
 	}
 }
 
-// TestRestoresHeapLayoutCheckpoint: testdata/heaplayout.ck is the lineage
+// TestRefusesHeapLayoutCheckpoint: testdata/heaplayout.ck is the lineage
 // (one member, heaplayout.ck.2.full) that TestCheckpointResume's checkpointing
 // run left mid-stream when built from a tree whose event heap still held the
 // pending arrivals and whose EVTQ sections were the raw heap array. Its
 // sessions hold arrivals inside that layout, one section out of pop order.
-// Restored and replayed in full, it must drain to the straight-through
-// report.
-func TestRestoresHeapLayoutCheckpoint(t *testing.T) {
+// This build writes pending arrivals as an index run of their own, and a
+// snapshot is a process-restart artifact, not an archive: restoring it must
+// fail with an error that names the older format, not misread it.
+func TestRefusesHeapLayoutCheckpoint(t *testing.T) {
 	data, err := os.ReadFile("testdata/heaplayout.ck.2.full")
 	if err != nil {
 		t.Fatal(err)
@@ -232,35 +233,15 @@ func TestRestoresHeapLayoutCheckpoint(t *testing.T) {
 	if arrivals, unsorted := heapLayoutQueues(t, ck); arrivals == 0 || unsorted == 0 {
 		t.Fatalf("fixture holds %d pending arrivals and %d event sections out of pop order; want some of each", arrivals, unsorted)
 	}
-
-	machines := 2
-	jobs := map[int][]sched.Job{0: genJobs(11, 200, machines), 9: genJobs(99, 180, machines)}
-	cfg := testConfig(machines, 2)
+	cfg := testConfig(2, 2)
 	cfg.AwaitTenants = 2
-	ref, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	s, err := Restore(cfg, bytes.NewReader(ck))
+	if err == nil {
+		s.Drain()
+		t.Fatal("a checkpoint in the older heap layout restored")
 	}
-	feedInProcess(t, ref, jobs)
-	want, err := ref.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.CheckpointPath = filepath.Join(dir, "front.snap")
-	cfg.CheckpointEvery = 64
-	resumed, err := Restore(cfg, bytes.NewReader(ck))
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedInProcess(t, resumed, jobs)
-	got, err := resumed.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantB, _ := json.Marshal(want)
-	gotB, _ := json.Marshal(got)
-	if !bytes.Equal(gotB, wantB) {
-		t.Fatalf("report resumed from the heap-layout checkpoint diverged from the uninterrupted run:\n%s\nvs\n%s", gotB, wantB)
+	if !strings.Contains(err.Error(), "queued event is an arrival: a snapshot from an older build") {
+		t.Fatalf("refused with %q, want an error naming the older format", err)
 	}
 }
 

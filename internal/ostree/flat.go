@@ -2,7 +2,7 @@ package ostree
 
 // Flat is a cache-resident order-statistic index satisfying the same
 // contract as Tree (Insert/Delete/DeleteMin/DeleteMax/Min/Max, RankStats /
-// RankStatsVals, the P- and value-pair aggregates, Ascend) over the same
+// RankStatsVals, the P- and value-pair aggregates) over the same
 // Key order, and it is the index every scheduler uses. Where the treap
 // chases pointers through log n randomly placed nodes, Flat is an implicit
 // B-tree laid out for the hardware prefetcher — three levels, all flat
@@ -32,9 +32,12 @@ package ostree
 // exact bits are history-dependent — Snapshot serializes all of them
 // verbatim along with the exact leaf partition, which is what the engine's
 // bit-identical-resume guarantee requires (see Snapshot for the
-// rationale). Counts and max keys are exact (integers and key copies) and
-// are recomputed on restore. There is no PRNG: future structure is a pure
-// function of the restored state and the operation stream.
+// rationale). The elements are not copied: the owner writes each as what
+// it names (a scheduler, its job's compact index) and hands back its key
+// and value pair on restore. Counts and max keys are exact (integers and
+// key copies) and are recomputed on restore. There is no PRNG: future
+// structure is a pure function of the restored state and the operation
+// stream.
 type Flat struct {
 	leaves []flatLeaf
 	// order[pos] is the arena id of the pos-th leaf in key order; metas is
@@ -507,24 +510,4 @@ scan:
 		after--
 	}
 	return before, sumPBefore, sumABefore, sumBBefore, after
-}
-
-// Ascend calls fn on every key in order, stopping early if fn returns
-// false.
-func (f *Flat) Ascend(fn func(Key) bool) {
-	for pos := range f.metas {
-		lf := &f.leaves[f.order[pos]]
-		for i := 0; i < int(f.metas[pos].n); i++ {
-			if !fn(lf.keys[i]) {
-				return
-			}
-		}
-	}
-}
-
-// Keys returns all keys in order (testing helper).
-func (f *Flat) Keys() []Key {
-	out := make([]Key, 0, f.n)
-	f.Ascend(func(k Key) bool { out = append(out, k); return true })
-	return out
 }

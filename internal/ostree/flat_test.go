@@ -8,17 +8,39 @@ import (
 	"repro/internal/snapshot"
 )
 
-// roundTripFlat freezes f through the real container format and restores it
-// into a fresh index, checking that re-snapshotting the restored index
-// reproduces the donor's bytes exactly (the bit-identical-resume contract).
-func roundTripFlat(t *testing.T, f *Flat) *Flat {
-	t.Helper()
-	sw := snapshot.AppendWriter(nil)
-	sw.Section("FLAT", f.Snapshot)
-	if err := sw.Close(); err != nil {
-		t.Fatalf("flat snapshot: %v", err)
+// flatKeys returns every key of f in order.
+func flatKeys(f *Flat) []Key {
+	out := make([]Key, 0, f.n)
+	for pos := range f.metas {
+		out = append(out, f.leaves[f.order[pos]].keys[:f.metas[pos].n]...)
 	}
-	sr, err := snapshot.NewReader(bytes.NewReader(sw.Bytes()))
+	return out
+}
+
+// flatRow is what an index owner keeps of one element: its key and value
+// pair, found again by the key's ID — the role a scheduler's job table
+// plays for its pending indexes.
+type flatRow struct {
+	k    Key
+	a, b float64
+}
+
+// roundTripFlat freezes f through the real container format, each element
+// written as its ID, and restores it into a fresh index that takes each
+// element back from rows, checking that re-snapshotting the restored index
+// reproduces the donor's bytes exactly (the bit-identical-resume contract).
+func roundTripFlat(t *testing.T, f *Flat, rows map[int]flatRow) *Flat {
+	t.Helper()
+	snap := func(f *Flat) []byte {
+		sw := snapshot.AppendWriter(nil)
+		sw.Section("FLAT", func(e *snapshot.Encoder) { f.Snapshot(e, func(k Key) { e.U32(uint32(k.ID)) }) })
+		if err := sw.Close(); err != nil {
+			t.Fatalf("flat snapshot: %v", err)
+		}
+		return sw.Bytes()
+	}
+	b := snap(f)
+	sr, err := snapshot.NewReader(bytes.NewReader(b))
 	if err != nil {
 		t.Fatalf("flat snapshot reader: %v", err)
 	}
@@ -27,18 +49,16 @@ func roundTripFlat(t *testing.T, f *Flat) *Flat {
 		t.Fatalf("flat snapshot section: %v", err)
 	}
 	nf := NewFlat()
-	if err := nf.Restore(d); err != nil {
+	if err := nf.Restore(d, func() (Key, float64, float64) {
+		r := rows[int(d.U32())]
+		return r.k, r.a, r.b
+	}); err != nil {
 		t.Fatalf("flat restore: %v", err)
 	}
 	if err := d.Done(); err != nil {
 		t.Fatalf("flat restore trailing: %v", err)
 	}
-	sw2 := snapshot.AppendWriter(nil)
-	sw2.Section("FLAT", nf.Snapshot)
-	if err := sw2.Close(); err != nil {
-		t.Fatalf("flat re-snapshot: %v", err)
-	}
-	if !bytes.Equal(sw.Bytes(), sw2.Bytes()) {
+	if !bytes.Equal(b, snap(nf)) {
 		t.Fatalf("restored flat index re-snapshots to different bytes")
 	}
 	return nf
@@ -56,6 +76,7 @@ func applyOpsFlatVsTreap(t *testing.T, seed uint64, ops []byte) {
 	tr := New(seed)
 	fl := NewFlat()
 	nextID := 0
+	rows := map[int]flatRow{}
 	for pc := 0; pc+1 < len(ops); pc += 2 {
 		op, arg := ops[pc], ops[pc+1]
 		switch op % 6 {
@@ -64,6 +85,7 @@ func applyOpsFlatVsTreap(t *testing.T, seed uint64, ops []byte) {
 			k := Key{P: p, Release: float64(arg % 7), ID: nextID}
 			nextID++
 			a, b := p*2, float64(arg%5)
+			rows[k.ID] = flatRow{k, a, b}
 			tr.InsertVals(k, a, b)
 			fl.InsertVals(k, a, b)
 		case 1: // delete-min
@@ -104,7 +126,7 @@ func applyOpsFlatVsTreap(t *testing.T, seed uint64, ops []byte) {
 					pc, gmin, gminOK, gmax, gmaxOK, wmin, wminOK, wmax, wmaxOK)
 			}
 		case 5: // snapshot + restore the flat index, continue on the copy
-			fl = roundTripFlat(t, fl)
+			fl = roundTripFlat(t, fl, rows)
 		}
 		// Invariants after every op.
 		if fl.Len() != tr.Len() {
@@ -120,7 +142,7 @@ func applyOpsFlatVsTreap(t *testing.T, seed uint64, ops []byte) {
 		}
 	}
 	// Final full-order check.
-	got, want := fl.Keys(), tr.Keys()
+	got, want := flatKeys(fl), tr.Keys()
 	if len(got) != len(want) {
 		t.Fatalf("final: %d keys, want %d", len(got), len(want))
 	}
@@ -232,16 +254,15 @@ func TestFlatRestoreRejectsCorruption(t *testing.T) {
 			t.Fatalf("%s: section: %v", name, err)
 		}
 		nf := NewFlat()
-		if err := nf.Restore(d); err == nil {
+		if err := nf.Restore(d, func() (Key, float64, float64) {
+			return Key{P: d.F64(), ID: int(d.U32())}, 0, 0
+		}); err == nil {
 			t.Fatalf("%s: corrupt flat snapshot restored without error", name)
 		}
 	}
 	elem := func(e *snapshot.Encoder, p float64, id int) {
 		e.F64(p)
-		e.F64(0)
-		e.Int(id)
-		e.F64(0)
-		e.F64(0)
+		e.U32(uint32(id))
 	}
 	sums := func(e *snapshot.Encoder, p float64) {
 		e.F64(p)
@@ -261,6 +282,16 @@ func TestFlatRestoreRejectsCorruption(t *testing.T) {
 		sums(e, 8)
 		elem(e, 5, 1)
 		elem(e, 3, 2) // P goes backwards
+	})
+	mangle("element repeated", func(e *snapshot.Encoder) {
+		e.U64(2)
+		sums(e, 10)
+		e.U64(1)
+		group(e, 1, 10)
+		e.U32(2)
+		sums(e, 10)
+		elem(e, 5, 1)
+		elem(e, 5, 1)
 	})
 	mangle("leaf count above cap", func(e *snapshot.Encoder) {
 		e.U64(leafCap + 1)

@@ -17,11 +17,17 @@ const flatGroupWire = 4 + 3*8
 // so where the boundaries fall changes the float association order) and
 // every cached sum verbatim — global, per-group and per-leaf alike are
 // history-dependent incremental accumulations, not derivable from content.
-// Counts and max keys ARE derivable (integer arithmetic and key copies are
-// exact), so Restore recomputes them instead of trusting the wire. There
+//
+// The elements themselves are not copied: put writes each one, in key
+// order, as what its owner can rebuild it from — for a scheduler, the
+// compact index of the job it holds, plus any key field that is state of
+// its own (srpt's banked remainder). Keys and value pairs are a function of
+// the job row, so Restore asks the owner for them again instead of proving
+// a copy against it. Counts and max keys are derivable too (integer
+// arithmetic and key copies are exact), so Restore recomputes them. There
 // is no PRNG: future structure is a pure function of the restored state
 // and the operation stream.
-func (f *Flat) Snapshot(e *snapshot.Encoder) {
+func (f *Flat) Snapshot(e *snapshot.Encoder, put func(k Key)) {
 	e.U64(uint64(f.n))
 	e.F64(f.sumP)
 	e.F64(f.sumA)
@@ -43,11 +49,7 @@ func (f *Flat) Snapshot(e *snapshot.Encoder) {
 		e.F64(m.sumA)
 		e.F64(m.sumB)
 		for i := 0; i < n; i++ {
-			e.F64(lf.keys[i].P)
-			e.F64(lf.keys[i].Release)
-			e.Int(lf.keys[i].ID)
-			e.F64(lf.valA[i])
-			e.F64(lf.valB[i])
+			put(lf.keys[i])
 		}
 	}
 }
@@ -55,11 +57,13 @@ func (f *Flat) Snapshot(e *snapshot.Encoder) {
 // Restore reconstructs a flat index serialized by Snapshot into this
 // (empty) index, validating as it decodes: per-group leaf counts must lie
 // in [1, groupCap], per-leaf element counts in [1, leafCap], keys must be
-// strictly ascending across the whole walk, and the element total must
-// match the declared length exactly. Cached sums at every level are
-// restored verbatim (donor state, not derived data); counts and max keys
-// are recomputed.
-func (f *Flat) Restore(d *snapshot.Decoder) error {
+// strictly ascending across the whole walk — so no element repeats — and
+// the element total must match the declared length exactly. elem reads one
+// element as Snapshot's put wrote it and returns its key and value pair,
+// built the way the owner's insert path builds them; it reports a bad
+// element by failing d. Cached sums at every level are restored verbatim
+// (donor state, not derived data); counts and max keys are recomputed.
+func (f *Flat) Restore(d *snapshot.Decoder, elem func() (k Key, a, b float64)) error {
 	if f.n != 0 || len(f.metas) != 0 {
 		d.Failf("ostree: restore into a non-empty flat index")
 		return d.Err()
@@ -108,13 +112,12 @@ func (f *Flat) Restore(d *snapshot.Decoder) error {
 		li := f.allocLeaf()
 		lf := &f.leaves[li]
 		for i := 0; i < cnt; i++ {
-			k := Key{P: d.F64(), Release: d.F64(), ID: d.Int()}
-			a, b := d.F64(), d.F64()
+			k, a, b := elem()
 			if d.Err() != nil {
 				return d.Err()
 			}
 			if got > 0 && !prev.Less(k) {
-				d.Failf("ostree: flat index key out of order")
+				d.Failf("ostree: flat index element %d repeats or precedes element %d in key order", got, got-1)
 				return d.Err()
 			}
 			prev = k

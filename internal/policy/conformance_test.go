@@ -48,12 +48,16 @@ type suiteRow struct {
 }
 
 // echo is the refusal case: a snapshot taken under donor must not restore
-// under any of bad, and one recorded under the policy's retired wire-format
-// tag old (testdata/<old with "/" as "_">.snap) must fail the tag check.
+// under any of bad; one whose policy section carries the policy's retired
+// wire-format tag old must fail the tag check; and the snapshot an older
+// build recorded under the retired tag recorded (testdata/<recorded with
+// "/" as "_">.snap) must be refused as an older build's, before its policy
+// section is read.
 type echo[O any] struct {
-	donor O
-	bad   []O
-	old   string
+	donor    O
+	bad      []O
+	old      string
+	recorded string
 }
 
 var queues = []string{engine.EventQueueHeap, engine.EventQueueCalendar}
@@ -324,7 +328,7 @@ func conform[O, R any](policy string,
 			})
 		})
 
-		if len(refuse.bad) > 0 || refuse.old != "" {
+		if len(refuse.bad) > 0 || refuse.old != "" || refuse.recorded != "" {
 			t.Run("echo", func(t *testing.T) {
 				ins := instances[0]
 				donor, snap := freeze(t, ins, refuse.donor, ins.Jobs[:100])
@@ -336,18 +340,58 @@ func conform[O, R any](policy string,
 					}
 				}
 				if refuse.old != "" {
-					snap, err := os.ReadFile(filepath.Join("testdata", strings.ReplaceAll(refuse.old, "/", "_")+".snap"))
+					if _, err := restore(bytes.NewReader(retag(t, snap, refuse.old)), refuse.donor); err == nil ||
+						!strings.Contains(err.Error(), fmt.Sprintf("taken with policy %q", refuse.old)) {
+						t.Errorf("%s snapshot not refused by the tag check: %v", refuse.old, err)
+					}
+				}
+				if refuse.recorded != "" {
+					snap, err := os.ReadFile(filepath.Join("testdata", strings.ReplaceAll(refuse.recorded, "/", "_")+".snap"))
 					if err != nil {
 						t.Fatal(err)
 					}
 					if _, err := restore(bytes.NewReader(snap), refuse.donor); err == nil ||
-						!strings.Contains(err.Error(), fmt.Sprintf("taken with policy %q", refuse.old)) {
-						t.Errorf("%s snapshot not refused by the tag check: %v", refuse.old, err)
+						!strings.Contains(err.Error(), "from an older build") {
+						t.Errorf("%s snapshot not refused as an older build's: %v", refuse.recorded, err)
 					}
 				}
 			})
 		}
 	}}
+}
+
+// retag returns snap with the tag its policy section opens with replaced by
+// tag, every section framed afresh.
+func retag(t *testing.T, snap []byte, tag string) []byte {
+	t.Helper()
+	sr, err := snapshot.NewReader(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := snapshot.AppendWriter(nil)
+	for {
+		name, d, err := sr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "POLI" {
+			d.Str()
+		}
+		payload := d.Rest()
+		sw.Section(name, func(e *snapshot.Encoder) {
+			if name == "POLI" {
+				e.Str(tag)
+			}
+			e.Raw(payload)
+		})
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return sw.Bytes()
 }
 
 // random draws n jobs on m machines at the given load; weighted instances
@@ -416,6 +460,7 @@ var suites = []suiteRow{
 		echo[flowtime.Options]{
 			donor: flowtime.Options{Epsilon: 0.2},
 			bad:   []flowtime.Options{{Epsilon: 0.3}, {Epsilon: 0.2, TrackDual: true}},
+			old:   "flowtime/v2",
 		}),
 	conform("wflow", wflow.Run, wflow.NewSession, wflow.Restore,
 		append(seeds(0, 4, func(s int64) *sched.Instance { return random(500, 5, s, 1.3, true, 0) }),
@@ -428,6 +473,7 @@ var suites = []suiteRow{
 		echo[wflow.Options]{
 			donor: wflow.Options{Epsilon: 0.2},
 			bad:   []wflow.Options{{Epsilon: 0.25}},
+			old:   "wflow/v2",
 		}),
 	// Intervals carry frozen speeds, the most rounding-sensitive state in
 	// the repo: a pop-order or restore difference surfaces here first.
@@ -452,13 +498,14 @@ var suites = []suiteRow{
 				{Epsilon: 0.3, Alpha: 2.5},          // α differs (and with it the default γ)
 				{Epsilon: 0.3, Alpha: 2, Gamma: 42}, // explicit γ differs
 			},
+			old: "speedscale/v1",
 		}),
 	conform("srpt", srpt.Run, srpt.NewSession, srpt.Restore, preemptive(),
 		fixed(srpt.Options{}, srpt.Options{ParallelDispatch: 4}),
-		echo[srpt.Options]{old: "srpt/v1"}),
+		echo[srpt.Options]{old: "srpt/v2", recorded: "srpt/v1"}),
 	conform("wsrpt", srpt.RunWeighted, srpt.NewWeightedSession, srpt.RestoreWeighted, preemptive(),
 		fixed(srpt.WeightedOptions{}),
-		echo[srpt.WeightedOptions]{old: "wsrpt/v1"}),
+		echo[srpt.WeightedOptions]{old: "wsrpt/v2", recorded: "wsrpt/v1"}),
 }
 
 func TestConformance(t *testing.T) {

@@ -176,3 +176,22 @@ func TestLineageRecoverReusesBuffers(t *testing.T) {
 		t.Fatalf("first write after recovering seq %d: %+v, %v; want a delta on it", info.Seq, e, err)
 	}
 }
+
+// TestReadAllOneAllocation pins how a snapshot held by a bytes.Reader (what
+// a resume from memory passes) is read: one allocation, the copy of its
+// bytes, by an append that does not zero what it copies over first.
+func TestReadAllOneAllocation(t *testing.T) {
+	src := bytes.Repeat([]byte{7}, 1<<20)
+	r := bytes.NewReader(src)
+	var dst []byte
+	allocs := testing.AllocsPerRun(10, func() {
+		r.Reset(src)
+		dst = nil
+		if err := readAll(r, &dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 || !bytes.Equal(dst, src) {
+		t.Fatalf("readAll of a %d-byte bytes.Reader: %v allocations, %d bytes read; want 1 allocation and every byte", len(src), allocs, len(dst))
+	}
+}

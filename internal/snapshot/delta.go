@@ -514,8 +514,8 @@ func parseDeltaHead(head []byte) (base uint64, n int) {
 // the CRC recorded at encode time, so the result is bit-identical to the
 // donor's serialization or the call fails.
 func ApplyDelta(baseData []byte, delta io.Reader) ([]byte, DeltaInfo, error) {
-	data, err := readAll(delta)
-	if err != nil {
+	var data []byte
+	if err := readAll(delta, &data); err != nil {
 		return nil, DeltaInfo{}, fmt.Errorf("snapshot: reading delta: %w", err)
 	}
 	return applyDelta(&buildSink{}, baseData, nil, data)

@@ -408,47 +408,71 @@ func (r *inPlace) Read(p []byte) (int, error) {
 
 // NewReader materialises r once and checks the stream header. An InPlace
 // reader is walked where it lies; any other reader is read to its end, in one
-// exact-size read when it reports its length (bytes.Reader, bytes.Buffer,
-// strings.Reader).
+// allocation when it reports its length and writes itself out (bytes.Reader,
+// bytes.Buffer, strings.Reader).
 func NewReader(r io.Reader) (*Reader, error) {
-	data, err := readAll(r)
-	if err != nil {
+	sr := &Reader{}
+	if err := readAll(r, &sr.data); err != nil {
 		return nil, fmt.Errorf("snapshot: reading: %w", err)
 	}
-	return newReader(data)
+	if err := sr.header(); err != nil {
+		return nil, err
+	}
+	return sr, nil
 }
 
-// readAll returns r's remaining bytes, aliasing them for an InPlace reader.
-func readAll(r io.Reader) ([]byte, error) {
+// readAll sets *dst to r's remaining bytes, aliasing them for an InPlace
+// reader. A reader that reports its length and writes itself out hands its
+// bytes to one append into the nil *dst: that allocates them once and, unlike
+// a buffer presized for them, does not zero what it then copies over.
+func readAll(r io.Reader, dst *[]byte) error {
 	if ip, ok := r.(*inPlace); ok {
-		b := ip.b[min(ip.off, len(ip.b)):]
+		*dst = ip.b[min(ip.off, len(ip.b)):]
 		ip.off = len(ip.b)
-		return b, nil
+		return nil
 	}
-	l, ok := r.(interface{ Len() int })
-	if !ok {
-		return io.ReadAll(r)
+	if _, ok := r.(interface{ Len() int }); ok {
+		if wt, ok := r.(io.WriterTo); ok {
+			_, err := wt.WriteTo((*appendWriter)(dst))
+			return err
+		}
 	}
-	// Room for the whole input plus ReadFrom's final probe for EOF, so the
-	// read lands in one allocation.
-	var buf bytes.Buffer
-	buf.Grow(l.Len() + bytes.MinRead)
-	_, err := buf.ReadFrom(r)
-	return buf.Bytes(), err
+	b, err := io.ReadAll(r)
+	*dst = b
+	return err
+}
+
+// appendWriter is an io.Writer that appends to the slice it points at.
+type appendWriter []byte
+
+func (w *appendWriter) Write(p []byte) (int, error) {
+	*w = append(*w, p...)
+	return len(p), nil
 }
 
 // newReader checks the stream header of data and returns a Reader over it.
 func newReader(data []byte) (*Reader, error) {
+	sr := &Reader{data: data}
+	if err := sr.header(); err != nil {
+		return nil, err
+	}
+	return sr, nil
+}
+
+// header checks the stream header and steps past it.
+func (sr *Reader) header() error {
+	data := sr.data
 	if len(data) < HeaderBytes {
-		return nil, fmt.Errorf("snapshot: reading header: %w", errTruncated)
+		return fmt.Errorf("snapshot: reading header: %w", errTruncated)
 	}
 	if !bytes.Equal(data[:8], magic[:]) {
-		return nil, fmt.Errorf("snapshot: bad magic %q (not a snapshot stream)", data[:8])
+		return fmt.Errorf("snapshot: bad magic %q (not a snapshot stream)", data[:8])
 	}
 	if v := binary.LittleEndian.Uint16(data[8:]); v != Version {
-		return nil, fmt.Errorf("snapshot: unsupported format version %d (this build reads version %d)", v, Version)
+		return fmt.Errorf("snapshot: unsupported format version %d (this build reads version %d)", v, Version)
 	}
-	return &Reader{data: data, off: 10}, nil
+	sr.off = 10
+	return nil
 }
 
 // errTruncated is the one descriptive truncation error, so callers never

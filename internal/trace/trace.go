@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 
 	"repro/internal/sched"
 )
@@ -113,7 +114,8 @@ func WriteOutcome(w io.Writer, o *sched.Outcome) error {
 	return enc.Encode(out)
 }
 
-// ReadOutcome decodes an outcome.
+// ReadOutcome decodes an outcome. Job-id keys must be canonical decimal, as
+// WriteOutcome writes them, so that two keys can never name one id.
 func ReadOutcome(r io.Reader) (*sched.Outcome, error) {
 	var in outcomeJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -121,36 +123,30 @@ func ReadOutcome(r io.Reader) (*sched.Outcome, error) {
 	}
 	o := sched.NewOutcome()
 	o.Intervals = in.Intervals
-	for k, v := range in.Completed {
-		id, err := parseID(k)
-		if err != nil {
-			return nil, err
-		}
-		o.Completed[id] = v
+	if err := byID(in.Completed, o.Completed); err != nil {
+		return nil, err
 	}
-	for k, v := range in.Rejected {
-		id, err := parseID(k)
-		if err != nil {
-			return nil, err
-		}
-		o.Rejected[id] = v
+	if err := byID(in.Rejected, o.Rejected); err != nil {
+		return nil, err
 	}
-	for k, v := range in.Assigned {
-		id, err := parseID(k)
-		if err != nil {
-			return nil, err
-		}
-		o.Assigned[id] = v
+	if err := byID(in.Assigned, o.Assigned); err != nil {
+		return nil, err
 	}
 	return o, nil
 }
 
-func parseID(s string) (int, error) {
-	var id int
-	if _, err := fmt.Sscanf(s, "%d", &id); err != nil {
-		return 0, fmt.Errorf("trace: bad job id %q: %w", s, err)
+// byID copies in into out keyed by job id, refusing a key that is not the
+// canonical decimal form of its id: " 12", "012", "+12", "12abc", "1e3" and
+// "0x1F" are not ids.
+func byID[V any](in map[string]V, out map[int]V) error {
+	for k, v := range in {
+		id, err := strconv.Atoi(k)
+		if err != nil || strconv.Itoa(id) != k {
+			return fmt.Errorf("trace: bad job id %q: not a canonical decimal integer", k)
+		}
+		out[id] = v
 	}
-	return id, nil
+	return nil
 }
 
 func sortedIntervals(ivs []sched.Interval) []sched.Interval {

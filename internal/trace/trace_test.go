@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -127,5 +128,51 @@ func TestReadOutcomeBadIDs(t *testing.T) {
 	r := strings.NewReader(`{"intervals":[],"completed":{"notanum":1},"rejected":{},"assigned":{}}`)
 	if _, err := ReadOutcome(r); err == nil {
 		t.Fatal("accepted non-numeric job id")
+	}
+}
+
+// TestReadOutcomeJobIDs pins that an outcome's job-id keys parse only in the
+// canonical decimal form WriteOutcome writes: every other spelling, which a
+// lenient parse read as some id (Sscanf took "12abc" and " 12" as 12, "1e3"
+// as 1, "0x1F" as 0), is refused, so no two keys can land on one id and
+// silently overwrite each other.
+func TestReadOutcomeJobIDs(t *testing.T) {
+	outcome := func(keys ...string) string {
+		var b strings.Builder
+		b.WriteString(`{"intervals":[],"completed":{`)
+		for k, key := range keys {
+			if k > 0 {
+				b.WriteString(",")
+			}
+			fmt.Fprintf(&b, "%q:%d", key, k+1)
+		}
+		b.WriteString(`},"rejected":{},"assigned":{}}`)
+		return b.String()
+	}
+	for _, tc := range []struct {
+		keys []string
+		want map[int]float64 // nil: refused
+	}{
+		{[]string{"12"}, map[int]float64{12: 1}},
+		{[]string{"-7", "0"}, map[int]float64{-7: 1, 0: 2}},
+		{[]string{"12abc"}, nil},
+		{[]string{"1e3"}, nil},
+		{[]string{"0x1F"}, nil},
+		{[]string{" 12"}, nil},
+		{[]string{"+12"}, nil},
+		{[]string{"012"}, nil},
+		{[]string{"-0"}, nil},
+		{[]string{""}, nil},
+		{[]string{"12", "12abc"}, nil}, // once both read as job 12
+	} {
+		o, err := ReadOutcome(strings.NewReader(outcome(tc.keys...)))
+		switch {
+		case tc.want == nil && err == nil:
+			t.Errorf("keys %q: read as %v, want a refusal", tc.keys, o.Completed)
+		case tc.want != nil && err != nil:
+			t.Errorf("keys %q: %v", tc.keys, err)
+		case tc.want != nil && !reflect.DeepEqual(o.Completed, tc.want):
+			t.Errorf("keys %q: read %v, want %v", tc.keys, o.Completed, tc.want)
+		}
 	}
 }
