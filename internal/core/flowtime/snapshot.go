@@ -29,8 +29,10 @@ func (p *policy) SnapshotTag() string { return "flowtime/v3" }
 // and leaf partition feed λ and must restore bit-exactly, each job named by
 // its compact index (its key is its row's) — and the Rule 1/2
 // counters, plus, under TrackDual, the dual bookkeeping (occupancy
-// integrals, breakpoint traces and the dense λ/C̃/snapshot slices). Arena
-// free lists and the dispatch pool are performance-only and rebuilt on load.
+// integrals, breakpoint traces and the dense λ/C̃/snapshot slices). The
+// V_i exits the dual bookkeeping has scheduled are not written: LoadState
+// schedules them again from C̃. Arena free lists and the dispatch pool are
+// performance-only and rebuilt on load.
 func (p *policy) SaveState(e *snapshot.Encoder) {
 	e.F64(p.opt.Epsilon)
 	e.Bool(p.opt.DisableRule1)
@@ -138,6 +140,22 @@ func (p *policy) LoadState(d *snapshot.Decoder) error {
 			p.snap = append(p.snap, 0)
 			p.ctilde = append(p.ctilde, 0)
 			p.lambda = append(p.lambda, 0)
+		}
+		// The exits from V_i still to come: every decided job whose C̃ lies
+		// past the drain horizon leaves its machine's V_i then. OnBookkeeping
+		// reads only the time and the machine, so how simultaneous exits
+		// tie does not matter.
+		h := p.c.Drained()
+		for jk, ct := range p.ctilde {
+			decided, i := p.c.Decided(jk)
+			if !decided || !(ct > h) {
+				continue
+			}
+			if i < 0 {
+				d.Failf("job %d leaves V at %v but names no machine", p.c.ID(jk), ct)
+				return d.Err()
+			}
+			p.c.Bookkeep(ct, i, jk)
 		}
 	}
 	return d.Err()

@@ -137,10 +137,9 @@ func at(log []handled, k int) any {
 }
 
 // TestArrivalListStaysBounded feeds 100k jobs in 256-job slabs and checks,
-// after every slab, that no arrival sits in the event queue and that the
-// arrival list's capacity stays within a small multiple of what one drain
-// cadence leaves pending: a list that only skipped its consumed prefix
-// would grow with the stream.
+// after every slab, that the arrival list's capacity stays within a small
+// multiple of what one drain cadence leaves pending: a list that only
+// skipped its consumed prefix would grow with the stream.
 func TestArrivalListStaysBounded(t *testing.T) {
 	const machines, n, slab = 4, 100000, 256
 	cfg := workload.DefaultConfig(n, machines, 3)
@@ -155,12 +154,6 @@ func TestArrivalListStaysBounded(t *testing.T) {
 		if err := s.FeedBatch(jobs[lo:min(lo+slab, n)]); err != nil {
 			t.Fatal(err)
 		}
-		c.q.Scan(func(e *eventq.Event) bool {
-			if e.Kind == eventq.KindArrival {
-				t.Fatalf("after %d jobs the event queue holds the arrival of job index %d", lo+slab, e.Job)
-			}
-			return true
-		})
 		if cap(c.arr) > 4*feedChunk {
 			t.Fatalf("after %d jobs the arrival list has capacity %d with %d pending", lo+slab, cap(c.arr), len(c.arrivals()))
 		}

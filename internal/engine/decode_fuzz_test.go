@@ -74,8 +74,8 @@ func sections(t *testing.T, snap []byte) (out []section) {
 }
 
 // reframe rewrites a session snapshot with the payload of its section number
-// sect (0 is SESS, 5 is OUTC, 6 is POLI; taken modulo the section count)
-// passed through edit, and every frame sealed afresh.
+// sect (0 is SESS, 3 is MACH, 4 is OUTC, 5 is POLI; taken modulo the section
+// count) passed through edit, and every frame sealed afresh.
 func reframe(t *testing.T, snap []byte, sect uint8, edit func(payload []byte) []byte) []byte {
 	t.Helper()
 	secs := sections(t, snap)
@@ -202,9 +202,10 @@ type decodeSeed struct {
 // duals, with a clean snapshot and with mutations aimed at each record run:
 // a processing time's sign bit in JOBS, the count in DONE, the first
 // interval's job id, the last slot's state byte and the section's last byte
-// cut off in OUTC, bit 1 of the last pending arrival's index in EVTQ — the
-// last job fed, renamed to one past the job table — and the low bit of that
-// job's slot state, which then records it decided; then come runSeeds.
+// cut off in OUTC, the low bit of the last job's slot state, which then
+// records decided a job whose arrival restore derives as pending (the last
+// job fed is released after the drain horizon), and bit 62 of machine 0's
+// running job index in MACH; then come runSeeds.
 func decodeSeeds() (seeds []decodeSeed) {
 	var k int64
 	for pol, name := range policy.Names() {
@@ -222,38 +223,45 @@ func decodeSeeds() (seeds []decodeSeed) {
 			add(decodeClean, 0, 0, 0, "")
 			add(decodeFlip, 1, 8+32+7, 7, "not feedable")
 			add(decodeFlip, 2, 0, 1, "conservation entries")
-			add(decodeTruncate, 5, -1, 0, "exceeds")
-			add(decodeFlip, 5, 8+7, 6, "unknown job")
-			add(decodeFlip, 5, -13, 2, "unknown outcome state")
-			add(decodeFlip, 4, -4, 1, "names job index 151 of 150")
-			add(decodeFlip, 5, -13, 0, "has a pending arrival")
+			add(decodeTruncate, 4, -1, 0, "exceeds")
+			add(decodeFlip, 4, 8+7, 6, "unknown job")
+			add(decodeFlip, 4, -13, 2, "unknown outcome state")
+			add(decodeFlip, 4, -13, 0, "has a pending arrival")
+			add(decodeFlip, 3, 4+7, 6, "machine 0 runs unknown job index")
 		}
 	}
 	return append(seeds, runSeeds()...)
 }
 
-// runSeeds flip one bit of an index a run names a job by: in a policy's
-// pending index (POLI) so that it names a job unknown, repeated or out of
+// runSeeds flip one bit of an index a run names a job by, in a policy's
+// pending index (POLI), so that it names a job unknown, repeated or out of
 // key order, decided, dispatched to another machine, running, or still
-// waiting to arrive; and in the pending-arrival run (EVTQ, seeds < 0 feed
-// tied releases, so several arrivals pend) so that it names a job out of
-// (release, index) order or one already dispatched. Each is a
-// decodeSeeds base (seed k, k%3 machines, 150 of 240 jobs fed).
+// waiting to arrive; and one bit of a running machine's row (MACH), from
+// which restore queues its completion again: so that the completion falls
+// at or before the drain horizon, the run's start version exceeds the
+// session counter, or its speed is negative. Each is a decodeSeeds base
+// (seed k, k%3 machines, 150 of 240 jobs fed).
 //
 // They replace the stale-key seeds, which flipped a processing time in
 // JOBS under a job a policy held, so that the key the index had copied
 // disagreed with its row — once a restore that passed every check and then
 // drained without end. A snapshot no longer copies keys: the row is the
-// key, so that state cannot be written.
+// key, so that state cannot be written. Likewise the seeds that mutated the
+// EVTQ section — a queued event naming an unknown job or machine, a pending
+// arrival naming an unknown job, repeated or out of (release, index) order,
+// or naming a job the pool holds — are retired: no section holds the queue
+// or the arrivals any more (restore derives both from the drain horizon),
+// so none of those states can be written.
 func runSeeds() []decodeSeed {
 	pol := func(name string) uint8 { return uint8(slices.Index(policy.Names(), name)) }
 	poli := func(seed int64, name string, at int32, bit uint8, want string) decodeSeed {
 		return decodeSeed{seed: seed, pol: pol(name), mi: uint8(seed % 3), n: 240, stop: 150,
-			mode: decodeFlip, sect: 6, at: at, bit: bit, wantErrSubstring: want}
+			mode: decodeFlip, sect: 5, at: at, bit: bit, wantErrSubstring: want}
 	}
-	arr := func(name string, at int32, bit uint8, want string) decodeSeed {
-		return decodeSeed{seed: -int64(pol(name)) - 1, pol: pol(name), mi: 1, n: 240, stop: 150,
-			mode: decodeFlip, sect: 4, at: at, bit: bit, wantErrSubstring: want}
+	mach := func(seed int64, name string, at int32, bit uint8, want string) decodeSeed {
+		s := poli(seed, name, at, bit, want)
+		s.sect = 3
+		return s
 	}
 	return []decodeSeed{
 		poli(1, "flowtime", 150, 4, "machine 0 holds job index 157 of 150"),
@@ -276,12 +284,13 @@ func runSeeds() []decodeSeed {
 		poli(7, "wsrpt", 2488, 0, "the pool holds job 0, which is already decided"),
 		poli(7, "wsrpt", 2516, 0, "the pool holds job 136, which is running"),
 		poli(7, "wsrpt", 91, 7, "pool holds job 3 with remaining fraction"),
-		{seed: 7, pol: pol("wsrpt"), mi: 1, n: 240, stop: 150, mode: decodeFlip, sect: 4, at: -4, bit: 0,
-			wantErrSubstring: "the pool holds job 148, whose arrival is still pending"},
-		arr("flowtime", -40, 0, "pending arrival 2 (job 141) repeats or precedes arrival 1"),
-		arr("wflow", -20, 1, "pending arrival 1 (job 146) repeats or precedes arrival 0"),
-		arr("srpt", -8, 0, "pending arrival 2 (job 149) repeats or precedes arrival 1"),
-		arr("wflow", -20, 0, "job 144 has a pending arrival but is decided or dispatched"),
+		// Machine 0's RunVol, sign bit: its completion moves before its start.
+		mach(1, "flowtime", 4+24+7, 7, "machine 0 completes at"),
+		mach(3, "wflow", 4+24+7, 7, "machine 0 completes at"),
+		mach(6, "srpt", 4+24+7, 7, "machine 0 completes at"),
+		// Machine 0's RunSeq, bit 40; then its RunSpeed's sign bit.
+		mach(7, "wsrpt", 4+8+5, 0, "above the session counter"),
+		mach(4, "speedscale", 4+32+7, 7, "running at speed"),
 	}
 }
 

@@ -25,6 +25,7 @@ func RestorePerField[T any](restore func() (T, error)) (T, error) {
 func restoreIntoPerField(sr *snapshot.Reader, s *Session, sp StatefulPolicy) error {
 	c := &s.core
 	machines := len(c.mach)
+	horizon := c.Drained()
 
 	d, err := sr.Section(tagJobs)
 	if err != nil {
@@ -65,6 +66,9 @@ func restoreIntoPerField(sr *snapshot.Reader, s *Session, sp StatefulPolicy) err
 		}
 		c.jobs = append(c.jobs, j)
 		c.rec.Add()
+		if j.Release > horizon {
+			c.pushArrival(k)
+		}
 	}
 	if err := d.Done(); err != nil {
 		return err
@@ -119,38 +123,14 @@ func restoreIntoPerField(sr *snapshot.Reader, s *Session, sp StatefulPolicy) err
 		m.Running = int32(running)
 		m.RunSeq = int32(runSeq)
 	}
-	if err := d.Done(); err != nil {
+	if err := restoreQueue(c, d); err != nil {
 		return err
-	}
-
-	d, err = sr.Section(tagQueue)
-	if err != nil {
-		return err
-	}
-	if err := c.q.Restore(d); err != nil {
-		return err
-	}
-	c.peekNext()
-	if err := validateEvents(c, d); err != nil {
-		return err
-	}
-	n = d.Count(4)
-	for k := 0; k < n; k++ {
-		jk := int32(d.U32())
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if f := c.arrivalFault(k, jk); f != "" {
-			d.Failf("%s", f)
-			return d.Err()
-		}
-		c.arr = append(c.arr, jk)
 	}
 	if err := d.Done(); err != nil {
 		return err
 	}
 
-	d, err = sr.Section(tagOutcome)
+	d, err = outcomeSection(sr)
 	if err != nil {
 		return err
 	}

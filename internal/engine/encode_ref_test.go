@@ -40,8 +40,8 @@ func (s *Session) appendSnapshotPerField(dst []byte) ([]byte, error) {
 	sw.Section(tagSession, func(e *snapshot.Encoder) {
 		e.U32(uint32(len(c.mach)))
 		e.U64(uint64(len(c.jobs)))
-		e.F64(s.last)
-		e.F64(s.floor)
+		e.F64(c.last)
+		e.F64(c.floor)
 		e.I64(int64(c.seq))
 	})
 	sw.Section(tagJobs, func(e *snapshot.Encoder) {
@@ -72,13 +72,6 @@ func (s *Session) appendSnapshotPerField(dst []byte) ([]byte, error) {
 			e.F64(m.RunStart)
 			e.F64(m.RunVol)
 			e.F64(m.RunSpeed)
-		}
-	})
-	sw.Section(tagQueue, func(e *snapshot.Encoder) {
-		c.q.Snapshot(e)
-		e.U64(uint64(len(c.arrivals())))
-		for _, jk := range c.arrivals() {
-			e.U32(uint32(jk))
 		}
 	})
 	sw.Section(tagOutcome, func(e *snapshot.Encoder) {

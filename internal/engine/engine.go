@@ -30,13 +30,17 @@
 // queued event at time ≤ r − sched.Eps is safe — later feeds must release at
 // ≥ r − Eps, and at equal times arrivals sort after completions (by Kind)
 // and after earlier-fed arrivals (by feed order). The drain horizon
-// therefore trails the last fed release by Eps; Finish (or AdvanceTo, which
-// is a caller promise that no earlier release will ever be fed) releases
-// the tail. Arrivals never enter the event queue: fed in release order,
-// they already form a sorted list of compact job indices, which the event
-// loop merges with the queue's completions and bookkeeping under that same
-// order. Since Kind ranks above the queue's insertion seq, an arrival only
-// ever ties against other arrivals, so the list needs no seq of its own.
+// therefore trails the last fed release by Eps, or sits at the AdvanceTo
+// floor (a caller promise that no earlier release will ever be fed) if
+// that is later (Core.Drained); Finish releases the tail. Every drain
+// reaches that horizon, so what is still to come is a function of it and
+// of the rows, which is how a restore rebuilds the queue and the pending
+// arrivals instead of reading them. Arrivals never enter the event queue:
+// fed in release order, they already form a sorted list of compact job
+// indices, which the event loop merges with the queue's completions and
+// bookkeeping under that same order. Since Kind ranks above the queue's
+// insertion seq, an arrival only ever ties against other arrivals, so the
+// list needs no seq of its own.
 //
 // Hot-path discipline (see DESIGN.md): per-job state is dense, indexed by
 // the compact feed-order index; ids resolve through sched.IDs, a growable
@@ -147,9 +151,10 @@ type Options struct {
 	SizeHint int
 	// EventQueue names the event-queue implementation (EventQueueHeap or
 	// EventQueueCalendar; empty selects the heap). Both satisfy the same
-	// deterministic pop-order contract and one shared snapshot format, so
-	// the choice is performance-only: outcomes are bit-identical and a
-	// snapshot taken under either restores under the other.
+	// deterministic pop-order contract, and a snapshot holds no queue (a
+	// restore rebuilds it from the machine rows), so the choice is
+	// performance-only: outcomes are bit-identical and a snapshot taken
+	// under either restores under the other.
 	EventQueue string
 }
 
@@ -184,6 +189,10 @@ type Core struct {
 	// map form is materialized exactly once, at Session.Close.
 	rec *sched.OutcomeRecorder
 	seq int32
+	// last is the latest fed release and floor the AdvanceTo watermark:
+	// every later release is at least last − sched.Eps and at least floor,
+	// so Drained, the larger of the two, is the horizon every drain reaches.
+	last, floor float64
 	// tel is the instrumentation bundle (zero value = disabled). It is
 	// outcome-neutral.
 	tel Telemetry
@@ -231,6 +240,19 @@ func (c *Core) IndexOf(id int) int { return c.ids.Of(id) }
 // Assign records the dispatch of job jk to machine i in the outcome.
 func (c *Core) Assign(jk, i int) { c.rec.Assign(jk, i) }
 
+// Decided reports whether job jk is completed or rejected, and the machine
+// its outcome names (sched.NoMachine if none).
+func (c *Core) Decided(jk int) (decided bool, machine int) {
+	return c.rec.State(jk) != sched.JobOpen, int(c.rec.Machine(jk))
+}
+
+// Drained is the drain horizon: every arrival, completion and bookkeeping
+// event at or before it has been handled, and none after it has. A
+// restore rebuilds what is still to come from it: the arrivals released
+// after it, one completion per running machine, and (a policy's LoadState)
+// the bookkeeping it scheduled past it.
+func (c *Core) Drained() float64 { return max(c.last-sched.Eps, c.floor) }
+
 // Start begins executing job jk on machine i at time t with the given
 // processing volume and (frozen) speed, bumping the machine's start version
 // and scheduling the matching completion event at t + vol/speed.
@@ -252,10 +274,17 @@ func (c *Core) Start(i int, t float64, jk int, vol, speed float64) {
 	m.RunSpeed = speed
 	c.seq++
 	m.RunSeq = c.seq
-	end := t + vol/speed
+	c.pushCompletion(i)
+}
+
+// pushCompletion queues the completion of machine i's execution, at its
+// start plus its volume over its speed and versioned by its RunSeq.
+func (c *Core) pushCompletion(i int) {
+	m := &c.mach[i]
+	end := m.RunStart + m.RunVol/m.RunSpeed
 	c.q.Push(eventq.Event{
 		Time: end, Kind: eventq.KindCompletion,
-		Job: int32(jk), Machine: int32(i), Version: c.seq,
+		Job: m.Running, Machine: int32(i), Version: m.RunSeq,
 	})
 	c.qNext = min(c.qNext, end)
 }

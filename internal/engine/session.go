@@ -24,9 +24,7 @@ var ErrClosed = errors.New("engine: session closed")
 // sessions (see Shard) to scale out.
 type Session struct {
 	core   Core
-	last   float64 // latest fed release
-	floor  float64 // AdvanceTo watermark: future releases must be ≥ floor
-	closed bool    // Finish ran: the stream is over
+	closed bool // Finish ran: the stream is over
 	// spent is set once Close has handed out the Outcome, or once Finish
 	// failed its audits: there is no outcome left to hand out.
 	spent bool
@@ -106,12 +104,12 @@ func (s *Session) FeedBatch(jobs []sched.Job) error {
 	sinceDrain, admitted := 0, 0
 	for k := range jobs {
 		j := &jobs[k]
-		if verr := sched.ValidateJob(j, len(c.mach), s.last); verr != nil {
+		if verr := sched.ValidateJob(j, len(c.mach), c.last); verr != nil {
 			err = fmt.Errorf("engine: %w", verr)
 			break
 		}
-		if j.Release < s.floor {
-			err = fmt.Errorf("engine: job %d released at %v before the AdvanceTo watermark %v", j.ID, j.Release, s.floor)
+		if j.Release < c.floor {
+			err = fmt.Errorf("engine: job %d released at %v before the AdvanceTo watermark %v", j.ID, j.Release, c.floor)
 			break
 		}
 		jk, ok := c.ids.Add(j.ID)
@@ -123,17 +121,17 @@ func (s *Session) FeedBatch(jobs []sched.Job) error {
 		c.done = append(c.done, 0)
 		c.rec.Add()
 		c.pushArrival(jk)
-		if j.Release > s.last {
-			s.last = j.Release
+		if j.Release > c.last {
+			c.last = j.Release
 		}
 		admitted++
 		if sinceDrain++; sinceDrain >= feedChunk {
-			s.drain(s.last - sched.Eps)
+			s.drain(c.Drained())
 			sinceDrain = 0
 		}
 	}
 	c.tel.Fed.Add(int64(admitted))
-	s.drain(s.last - sched.Eps)
+	s.drain(c.Drained())
 	return err
 }
 
@@ -147,10 +145,9 @@ func (s *Session) AdvanceTo(t float64) error {
 	if math.IsNaN(t) {
 		return errors.New("engine: AdvanceTo(NaN)")
 	}
-	if t > s.floor {
-		s.floor = t
-	}
-	s.drain(t)
+	c := &s.core
+	c.floor = max(c.floor, t)
+	s.drain(c.Drained())
 	return nil
 }
 

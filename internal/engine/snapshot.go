@@ -9,7 +9,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/eventq"
 	"repro/internal/sched"
 	"repro/internal/snapshot"
 )
@@ -47,14 +46,14 @@ type StatefulPolicy interface {
 
 // Section tags of the engine snapshot, written (and required on restore) in
 // this order. The policy section comes last so the whole engine state —
-// job table, machine run states, event queue, outcome — is available to
-// LoadState validation.
+// job table, machine run states, outcome — is available to LoadState
+// validation. No section holds the event queue or the pending arrivals:
+// restore derives both (see restoreInto).
 const (
 	tagSession = "SESS"
 	tagJobs    = "JOBS"
 	tagDone    = "DONE"
 	tagMach    = "MACH"
-	tagQueue   = "EVTQ"
 	tagOutcome = "OUTC"
 	tagPolicy  = "POLI"
 )
@@ -151,18 +150,16 @@ func (s *Session) SnapshotInto(dst []byte) error {
 
 // snapshotSize is the exact size of the snapshot encode writes, less the
 // policy section's payload: every other section is a count plus fixed-size
-// records, so its size follows from the job, machine, interval and queue
-// counts.
+// records, so its size follows from the job, machine and interval counts.
 func (s *Session) snapshotSize() int {
 	c := &s.core
 	n, m := len(c.jobs), len(c.mach)
-	size := snapshot.HeaderBytes + 8*snapshot.FrameBytes              // seven sections and the end
-	size += 4 + 8 + 3*8                                               // SESS
-	size += 8 + n*jobRecord(m)                                        // JOBS
-	size += 8 + 8*n                                                   // DONE
-	size += 4 + 5*8*m                                                 // MACH
-	size += eventq.SnapshotBytes(c.q.Len()) + 8 + 4*len(c.arrivals()) // EVTQ
-	size += 8 + len(c.rec.Intervals())*intervalRecord                 // OUTC
+	size := snapshot.HeaderBytes + 7*snapshot.FrameBytes // six sections and the end
+	size += 4 + 8 + 3*8                                  // SESS
+	size += 8 + n*jobRecord(m)                           // JOBS
+	size += 8 + 8*n                                      // DONE
+	size += 4 + 5*8*m                                    // MACH
+	size += 8 + len(c.rec.Intervals())*intervalRecord    // OUTC
 	return size + 8 + n*slotRecord
 }
 
@@ -199,8 +196,8 @@ func (s *Session) encode(sw *snapshot.Writer) error {
 	sw.Section(tagSession, func(e *snapshot.Encoder) {
 		e.U32(uint32(len(c.mach)))
 		e.U64(uint64(len(c.jobs)))
-		e.F64(s.last)
-		e.F64(s.floor)
+		e.F64(c.last)
+		e.F64(c.floor)
 		e.I64(int64(c.seq))
 	})
 	sw.Section(tagJobs, func(e *snapshot.Encoder) {
@@ -235,15 +232,6 @@ func (s *Session) encode(sw *snapshot.Writer) error {
 			e.F64(m.RunStart)
 			e.F64(m.RunVol)
 			e.F64(m.RunSpeed)
-		}
-	})
-	sw.Section(tagQueue, func(e *snapshot.Encoder) {
-		c.q.Snapshot(e)
-		arr := c.arrivals()
-		e.U64(uint64(len(arr)))
-		b := e.Extend(4 * len(arr))
-		for k, jk := range arr {
-			le.PutUint32(b[4*k:], uint32(jk))
 		}
 	})
 	sw.Section(tagOutcome, func(e *snapshot.Encoder) { snapshotOutcome(e, c) })
@@ -297,19 +285,20 @@ func snapshotOutcome(e *snapshot.Encoder, c *Core) {
 //
 // Every layer validates as it decodes: jobs replay the structural rules of
 // Session.Feed (including release order and id uniqueness), machine run
-// states and queued events are bounds-checked against the restored job
-// table, and each section's byte count must be consumed exactly. A restored
-// session continues precisely where the donor stopped: feeding the remaining
-// stream and closing yields an Outcome bit-identical to an uninterrupted
-// run's.
+// states are bounds-checked against the restored job table, and each
+// section's byte count must be consumed exactly. What is still to come is
+// derived rather than read (restoreInto): the pending arrivals and the
+// event queue. A restored session continues precisely where the donor
+// stopped: feeding the remaining stream and closing yields an Outcome
+// bit-identical to an uninterrupted run's.
 //
 // Only performance options carry into the rebuilt session: opt.EventQueue
-// selects the event-queue implementation (both speak the same EVTQ wire
-// format, so a snapshot taken under either restores under either), and
-// opt.SizeHint presizes per-job storage for a stream of that many jobs when
-// it exceeds the snapshot's job count (a resumed stream grows on into the
-// room it had before the restart). Machines come from the snapshot itself;
-// opt's value is ignored. r is read once into memory (snapshot.NewReader); a
+// selects the event-queue implementation the derived queue is built in (a
+// snapshot taken under either restores under either), and opt.SizeHint
+// presizes per-job storage for a stream of that many jobs when it exceeds
+// the snapshot's job count (a resumed stream grows on into the room it had
+// before the restart). Machines come from the snapshot itself; opt's value
+// is ignored. r is read once into memory (snapshot.NewReader); a
 // snapshot.InPlace reader is decoded where it lies, and the session keeps no
 // reference to it.
 func RestoreOpts(r io.Reader, opt Options, newPolicy func(machines int) (Policy, error)) (*Session, error) {
@@ -341,6 +330,9 @@ func RestoreOpts(r io.Reader, opt Options, newPolicy func(machines int) (Policy,
 	if njobs > math.MaxInt32 || njobs > uint64(sr.Remaining()/jobRecord(machines)) {
 		return nil, fmt.Errorf("snapshot: session declares %d jobs", njobs)
 	}
+	if math.IsNaN(last) || math.IsNaN(floor) {
+		return nil, fmt.Errorf("snapshot: session watermarks %v and %v", last, floor)
+	}
 
 	pol, err := newPolicy(machines)
 	if err != nil {
@@ -351,7 +343,7 @@ func RestoreOpts(r io.Reader, opt Options, newPolicy func(machines int) (Policy,
 		pol.Close()
 		return nil, fmt.Errorf("engine: policy %T does not implement StatefulPolicy; snapshot cannot be restored into it", pol)
 	}
-	s := &Session{last: last, floor: floor}
+	s := &Session{}
 	if err := s.core.init(pol, Options{
 		Machines: machines, SizeHint: max(int(njobs), opt.SizeHint), EventQueue: opt.EventQueue,
 	}); err != nil {
@@ -360,6 +352,7 @@ func RestoreOpts(r io.Reader, opt Options, newPolicy func(machines int) (Policy,
 	}
 	c := &s.core
 	c.seq = int32(coreSeq)
+	c.last, c.floor = last, floor
 	if err := restoreSections(sr, s, sp); err != nil {
 		pol.Close()
 		return nil, err
@@ -377,9 +370,17 @@ var restoreSections = restoreInto
 // fixed-size records, read the way encode writes them: once Count has
 // bounded a run, it is taken as one span (Decoder.Span) and each field read
 // at its fixed offset. A check on one record fails at the byte after it.
+//
+// The pending arrivals and the event queue are derived from the drain
+// horizon H (Core.Drained): every event at or before H has been handled and
+// none after it, so the jobs still to arrive are those released after H,
+// and the live events are one completion per running machine (rebuilt by
+// restoreQueue) plus whatever bookkeeping the policy scheduled past H,
+// which its LoadState pushes again.
 func restoreInto(sr *snapshot.Reader, s *Session, sp StatefulPolicy) error {
 	c := &s.core
 	machines := len(c.mach)
+	horizon := c.Drained()
 
 	d, err := sr.Section(tagJobs)
 	if err != nil {
@@ -421,6 +422,9 @@ func restoreInto(sr *snapshot.Reader, s *Session, sp StatefulPolicy) error {
 		}
 		c.jobs = append(c.jobs, j)
 		c.rec.Add()
+		if j.Release > horizon {
+			c.pushArrival(k)
+		}
 	}
 	if err := d.Done(); err != nil {
 		return err
@@ -476,37 +480,14 @@ func restoreInto(sr *snapshot.Reader, s *Session, sp StatefulPolicy) error {
 		m.Running = int32(running)
 		m.RunSeq = int32(runSeq)
 	}
-	if err := d.Done(); err != nil {
+	if err := restoreQueue(c, d); err != nil {
 		return err
-	}
-
-	d, err = sr.Section(tagQueue)
-	if err != nil {
-		return err
-	}
-	if err := c.q.Restore(d); err != nil {
-		return err
-	}
-	c.peekNext()
-	if err := validateEvents(c, d); err != nil {
-		return err
-	}
-	n = d.Count(4)
-	at = d.Offset()
-	b = d.Span(4 * n)
-	for k := 0; k < n; k++ {
-		jk := int32(le.Uint32(b[4*k:]))
-		if f := c.arrivalFault(k, jk); f != "" {
-			d.FailAt(at+4*(k+1), "%s", f)
-			return d.Err()
-		}
-		c.arr = append(c.arr, jk)
 	}
 	if err := d.Done(); err != nil {
 		return err
 	}
 
-	d, err = sr.Section(tagOutcome)
+	d, err = outcomeSection(sr)
 	if err != nil {
 		return err
 	}
@@ -538,6 +519,54 @@ func restoreInto(sr *snapshot.Reader, s *Session, sp StatefulPolicy) error {
 		return err
 	}
 	return sr.End()
+}
+
+// tagRetiredQueue is the event-queue section builds before this one wrote
+// between MACH and OUTC.
+const tagRetiredQueue = "EVTQ"
+
+// outcomeSection opens the OUTC section. Where a snapshot from an older
+// build has its EVTQ section instead, it refuses the snapshot by naming
+// that format rather than by the tag it did not expect.
+func outcomeSection(sr *snapshot.Reader) (*snapshot.Decoder, error) {
+	tag, d, err := sr.Next()
+	switch {
+	case err == io.EOF:
+		err = fmt.Errorf("snapshot: want section %q, stream already ended", tagOutcome)
+	case err == nil && tag == tagRetiredQueue:
+		err = fmt.Errorf("snapshot: an %s section: a snapshot from an older build, which wrote its event queue; this build derives the queue and cannot resume it", tag)
+	case err == nil && tag != tagOutcome:
+		err = fmt.Errorf("snapshot: want section %q, found %q", tagOutcome, tag)
+	}
+	return d, err
+}
+
+// restoreQueue queues the completion of every running machine, in RunSeq
+// order — the order their Starts pushed them, so simultaneous completions
+// tie as they did in the donor. A completion at or before the drain horizon
+// would already have popped, so it marks a corrupt row. The completions of
+// executions a rejection or preemption cut short are not rebuilt: popping
+// them was a no-op.
+func restoreQueue(c *Core, d *snapshot.Decoder) error {
+	var run []int32
+	for i := range c.mach {
+		if !c.mach[i].Idle() {
+			run = append(run, int32(i))
+		}
+	}
+	slices.SortFunc(run, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(c.mach[a].RunSeq, c.mach[b].RunSeq), cmp.Compare(a, b))
+	})
+	horizon := c.Drained()
+	for _, i := range run {
+		m := &c.mach[i]
+		if end := m.RunStart + m.RunVol/m.RunSpeed; !(end > horizon) {
+			d.Failf("machine %d completes at %v, not after the drain horizon %v", i, end, horizon)
+			return d.Err()
+		}
+		c.pushCompletion(int(i))
+	}
+	return nil
 }
 
 // WritePending writes the job a policy's pending index holds under id as
@@ -602,21 +631,6 @@ func (c *Core) arrivalCmp(a, b int32) int {
 		return cmp.Compare(ra, rb)
 	}
 	return cmp.Compare(a, b)
-}
-
-// arrivalFault reports what is wrong with jk as entry k of a restored
-// pending-arrival run, the entries before it already in c.arr, or "" when
-// nothing is: it must name a known job, after entry k-1 in pop order — so
-// no job repeats. That the job is open and undispatched is checked once the
-// outcome record is restored (validateArrivalsOpen).
-func (c *Core) arrivalFault(k int, jk int32) string {
-	if jk < 0 || int(jk) >= len(c.jobs) {
-		return fmt.Sprintf("pending arrival %d names job index %d of %d", k, jk, len(c.jobs))
-	}
-	if k > 0 && c.arrivalCmp(c.arr[k-1], jk) >= 0 {
-		return fmt.Sprintf("pending arrival %d (job %d) repeats or precedes arrival %d in (release, index) order", k, c.jobs[jk].ID, k-1)
-	}
-	return ""
 }
 
 // SessionSnapshotter is a Feeder whose state can be captured into a region
@@ -757,36 +771,9 @@ func RestoreFleet(r io.Reader, restore func(shard int, r io.Reader) error) (int,
 	return shards, sr.End()
 }
 
-// validateEvents bounds-checks the restored events' payloads against the
-// restored job table and machine count. The queue package already verified
-// kinds, sequence numbers and (for the heap) the serialized heap order; the
-// engine owns the meaning of the payload fields. No arrival is queued, and
-// the pending-arrival run follows the events: builds before that run
-// queued pending arrivals among the events and wrote nothing after them.
-// Such a snapshot is refused by name rather than misread.
-func validateEvents(c *Core, d *snapshot.Decoder) error {
-	njobs, machines := len(c.jobs), len(c.mach)
-	bad, arrival := false, false
-	c.q.Scan(func(e *eventq.Event) bool {
-		arrival = e.Kind == eventq.KindArrival
-		bad = e.Job < -1 || int(e.Job) >= njobs || e.Machine < -1 || int(e.Machine) >= machines
-		return !arrival && !bad
-	})
-	const older = "a snapshot from an older build, which queued pending arrivals among its events; this build cannot resume it"
-	switch {
-	case arrival:
-		d.Failf("queued event is an arrival: %s", older)
-	case d.Remaining() == 0:
-		d.Failf("no pending-arrival run after the queued events: %s", older)
-	case bad:
-		d.Failf("queued event references an unknown job or machine")
-	}
-	return d.Err()
-}
-
 // validateArrivalsOpen checks, once the outcome record is restored, that
-// every job with a pending arrival is open and undispatched: its arrival is
-// what will dispatch it.
+// every job with a derived pending arrival is open and undispatched: its
+// arrival is what will dispatch it.
 func validateArrivalsOpen(c *Core, d *snapshot.Decoder) error {
 	for _, jk := range c.arrivals() {
 		if c.rec.State(int(jk)) != sched.JobOpen || c.rec.Machine(int(jk)) != sched.NoMachine {

@@ -1,9 +1,6 @@
 package eventq
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // Calendar is a bucketed ladder ("calendar") queue satisfying the exact
 // deterministic pop-order contract of Queue: events pop in (Time, Kind,
@@ -53,8 +50,6 @@ type Calendar struct {
 	over  []Event   // at/beyond the window end; strictly later than buckets
 	spare [][]Event // retired bucket slices (capacity reuse across reseeds)
 
-	scratch []Event // snapshot staging (sorted emission)
-
 	// Peek/Pop memo: the drain loop peeks then pops, so the min-scan result
 	// is cached and invalidated by any mutation.
 	mloc int8
@@ -80,31 +75,14 @@ const (
 // the constructor exists for symmetry with the engine's factory seam.
 func NewCalendar() *Calendar { return &Calendar{} }
 
-// Push inserts an event, assigning the next insertion sequence.
-func (c *Calendar) Push(e Event) {
-	e.ord = uint64(e.Kind)<<ordShift | c.seq
-	c.seq++
-	c.place(e)
-}
-
-// Grow reserves capacity for n additional events in the staging rung. Unlike
-// the heap the calendar cannot presize individual buckets (their fill is
-// workload-dependent), but the overflow rung is where cold pushes land, so
-// growing it removes the growth allocations of the first window.
-func (c *Calendar) Grow(n int) {
-	if free := cap(c.over) - len(c.over); free < n {
-		no := make([]Event, len(c.over), len(c.over)+n)
-		copy(no, c.over)
-		c.over = no
-	}
-}
-
 // Len reports the number of pending events.
 func (c *Calendar) Len() int { return c.n }
 
-// place routes one ord-carrying event to its rung. It never touches seq, so
-// Restore reuses it for events whose ord must be preserved.
-func (c *Calendar) place(e Event) {
+// Push inserts an event, assigning the next insertion sequence, and routes
+// it to its rung.
+func (c *Calendar) Push(e Event) {
+	e.ord = uint64(e.Kind)<<ordShift | c.seq
+	c.seq++
 	c.n++
 	c.mloc = locNone
 	if math.IsNaN(e.Time) || math.IsInf(e.Time, 0) {
@@ -282,55 +260,4 @@ func (c *Calendar) Peek() Event {
 		return c.low[idx]
 	}
 	return c.buckets[c.cur][idx]
-}
-
-// Scan calls fn on every pending event in rung order (not pop order),
-// stopping early when fn returns false. Read-only, like Queue.Scan.
-func (c *Calendar) Scan(fn func(e *Event) bool) {
-	for i := range c.low {
-		if !fn(&c.low[i]) {
-			return
-		}
-	}
-	for b := range c.buckets {
-		for i := range c.buckets[b] {
-			if !fn(&c.buckets[b][i]) {
-				return
-			}
-		}
-	}
-	for i := range c.over {
-		if !fn(&c.over[i]) {
-			return
-		}
-	}
-}
-
-// clear empties every rung and forgets the window, retaining all storage;
-// Restore sets the sequence counter itself.
-func (c *Calendar) clear() {
-	c.n = 0
-	c.mloc = locNone
-	c.start, c.width, c.invw = 0, 0, 0
-	c.cur = 0
-	c.low = c.low[:0]
-	c.over = c.over[:0]
-	for i := range c.buckets {
-		c.buckets[i] = c.buckets[i][:0]
-	}
-}
-
-// collectSorted gathers every pending event into the scratch slice in
-// (Time, ord) order — the pop order, which is also a valid heap layout for
-// any arity, so the emitted snapshot round-trips through Queue.Restore's
-// parent check.
-func (c *Calendar) collectSorted() []Event {
-	s := c.scratch[:0]
-	if cap(s) < c.n {
-		s = make([]Event, 0, c.n)
-	}
-	c.Scan(func(e *Event) bool { s = append(s, *e); return true })
-	slices.SortFunc(s, compare)
-	c.scratch = s
-	return s
 }

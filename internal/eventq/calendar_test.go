@@ -1,11 +1,8 @@
 package eventq
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
-
-	"repro/internal/snapshot"
 )
 
 // Compile-time check: both implementations satisfy the engine seam.
@@ -13,14 +10,6 @@ var (
 	_ Interface = (*Queue)(nil)
 	_ Interface = (*Calendar)(nil)
 )
-
-// snapRoundTrip snapshots src through a full container cycle and restores
-// into dst, failing the test on any error. src and dst may be different
-// implementations: the EVTQ wire format is shared.
-func snapRoundTrip(t *testing.T, src, dst Interface) {
-	t.Helper()
-	restoreEVTQ(t, evtq(t, func(e *snapshot.Encoder) { src.Snapshot(e) }), dst)
-}
 
 // TestCalendarMatchesHeapRandom drives a heap and a calendar through the
 // same random operation stream — pushes at arbitrary (non-monotone) times,
@@ -127,180 +116,37 @@ func TestCalendarSingleInstant(t *testing.T) {
 	}
 }
 
-// TestCalendarSnapshotCrossImplementation freezes a partially drained run
-// under each implementation and restores it under the other; both resumed
-// queues (and post-restore pushes, which must tie-break against restored
-// events via the preserved seq counter) must replay exactly the uninterrupted
-// heap's tail. This is the bit-identical cross-impl resume contract.
-func TestCalendarSnapshotCrossImplementation(t *testing.T) {
-	rng := rand.New(rand.NewSource(4242))
-	for trial := 0; trial < 30; trial++ {
-		n := 20 + rng.Intn(150)
-		events := make([]Event, n)
-		for i := range events {
-			events[i] = Event{Time: float64(rng.Intn(10)), Kind: Kind(rng.Intn(3)), Job: int32(i), Machine: int32(rng.Intn(4))}
-		}
-		drained := rng.Intn(n)
-		extra := make([]Event, rng.Intn(20))
-		for i := range extra {
-			extra[i] = Event{Time: float64(rng.Intn(10)), Kind: Kind(rng.Intn(3)), Job: int32(2000 + i)}
-		}
-
-		// Oracle: an uninterrupted heap.
-		var oracle Queue
-		for _, e := range events {
-			oracle.Push(e)
-		}
-		for i := 0; i < drained; i++ {
-			oracle.Pop()
-		}
-		for _, e := range extra {
-			oracle.Push(e)
-		}
-		want := make([]Event, 0, oracle.Len())
-		for oracle.Len() > 0 {
-			want = append(want, oracle.Pop())
-		}
-
-		// heap→calendar and calendar→heap, mid-sequence.
-		var h Queue
-		var c Calendar
-		for _, e := range events {
-			h.Push(e)
-			c.Push(e)
-		}
-		for i := 0; i < drained; i++ {
-			h.Pop()
-			c.Pop()
-		}
-		var fromHeap Calendar
-		var fromCal Queue
-		snapRoundTrip(t, &h, &fromHeap)
-		snapRoundTrip(t, &c, &fromCal)
-		for _, e := range extra {
-			fromHeap.Push(e)
-			fromCal.Push(e)
-		}
-		for k, w := range want {
-			a := fromHeap.Pop()
-			b := fromCal.Pop()
-			if a != w {
-				t.Fatalf("trial %d pop %d: heap→calendar resume diverged: got %+v want %+v", trial, k, a, w)
-			}
-			if b != w {
-				t.Fatalf("trial %d pop %d: calendar→heap resume diverged: got %+v want %+v", trial, k, b, w)
-			}
-		}
-		if fromHeap.Len() != 0 || fromCal.Len() != 0 {
-			t.Fatalf("trial %d: leftovers after resume: %d / %d", trial, fromHeap.Len(), fromCal.Len())
-		}
-	}
-}
-
-// TestCalendarRestoreRejectsCorruptSemantics mirrors the heap's validation
-// for the layout-independent checks (the calendar accepts any event order,
-// so there is no heap-property case).
-func TestCalendarRestoreRejectsCorruptSemantics(t *testing.T) {
-	build := func(fill func(e *snapshot.Encoder)) *snapshot.Decoder {
-		w := snapshot.AppendWriter(nil)
-		if err := w.Section("EVTQ", fill); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := snapshot.NewReader(bytes.NewReader(w.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := r.Section("EVTQ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	var c Calendar
-	d := build(func(e *snapshot.Encoder) {
-		e.U64(10)
-		e.U64(1)
-		e.F64(1)
-		e.U64(7 << 56) // unknown kind
-		e.U32(0)
-		e.U32(^uint32(0))
-		e.U32(0)
-	})
-	if err := c.Restore(d); err == nil {
-		t.Fatal("unknown kind accepted")
-	}
-	d = build(func(e *snapshot.Encoder) {
-		e.U64(2)
-		e.U64(1)
-		e.F64(1)
-		e.U64(uint64(KindArrival)<<56 | 5) // seq 5 ≥ counter 2
-		e.U32(0)
-		e.U32(^uint32(0))
-		e.U32(0)
-	})
-	if err := c.Restore(d); err == nil {
-		t.Fatal("seq above counter accepted")
-	}
-}
-
 // FuzzCalendarVsHeap is the differential fuzz of the two implementations:
 // an arbitrary operation stream (pushes with fuzzer-chosen times and kinds,
-// pops, and a mid-sequence snapshot taken under one implementation and
-// restored under the other) must produce identical pop sequences from both,
-// and the mid-sequence snapshots of the two must be the same bytes.
+// and pops) must produce identical pop sequences from both.
 func FuzzCalendarVsHeap(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 200, 5, 6, 255, 8, 9}, uint16(5), false)
-	f.Add([]byte{10, 10, 10, 10, 10, 10, 255, 255}, uint16(2), true)
-	f.Add([]byte{}, uint16(0), false)
-	f.Fuzz(func(t *testing.T, ops []byte, snapAt uint16, snapUnderCalendar bool) {
+	f.Add([]byte{0, 1, 2, 3, 200, 5, 6, 255, 8, 9})
+	f.Add([]byte{10, 10, 10, 10, 10, 10, 255, 255})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 2048 {
 			return
 		}
 		var h Queue
 		var c Calendar
-		step := 0
-		for _, op := range ops {
-			step++
+		for step, op := range ops {
 			if op >= 200 && h.Len() > 0 {
 				a, b := h.Pop(), c.Pop()
 				if a != b {
-					t.Fatalf("step %d: pop diverged: heap %+v calendar %+v", step, a, b)
+					t.Fatalf("step %d: pop diverged: heap %+v calendar %+v", step+1, a, b)
 				}
-			} else {
-				// Times from a coarse grid (op low bits scaled) so exact ties
-				// are common; occasionally huge or fractional to stress window
-				// geometry. Never NaN: the contract excludes it.
-				tt := float64(op&63) * 0.25
-				if op&64 != 0 {
-					tt *= 1e6
-				}
-				ev := Event{Time: tt, Kind: Kind(op % 3), Job: int32(step)}
-				h.Push(ev)
-				c.Push(ev)
+				continue
 			}
-			if step == int(snapAt) {
-				// Freeze under one impl, resume BOTH from that snapshot — the
-				// cross-impl restore must hand back exactly the same state.
-				// Both write pop order, so the same events give the same
-				// bytes whatever layout each implementation holds them in.
-				hb := evtq(t, func(e *snapshot.Encoder) { h.Snapshot(e) })
-				cb := evtq(t, func(e *snapshot.Encoder) { c.Snapshot(e) })
-				if !bytes.Equal(hb, cb) {
-					t.Fatalf("step %d: heap and calendar snapshots of the same events differ", step)
-				}
-				w := hb
-				if snapUnderCalendar {
-					w = cb
-				}
-				var nh Queue
-				var nc Calendar
-				restoreEVTQ(t, w, &nh)
-				restoreEVTQ(t, w, &nc)
-				h, c = nh, nc
+			// Times from a coarse grid (op low bits scaled) so exact ties
+			// are common; occasionally huge or fractional to stress window
+			// geometry. Never NaN: the contract excludes it.
+			tt := float64(op&63) * 0.25
+			if op&64 != 0 {
+				tt *= 1e6
 			}
+			ev := Event{Time: tt, Kind: Kind(op % 3), Job: int32(step + 1)}
+			h.Push(ev)
+			c.Push(ev)
 		}
 		for h.Len() > 0 {
 			a, b := h.Pop(), c.Pop()

@@ -52,18 +52,6 @@ func less(a, b *Event) bool {
 	return a.ord < b.ord
 }
 
-// compare is less as a three-way comparison, for sorting into pop order.
-// Ords are unique within a queue, so no two of its events compare equal.
-func compare(a, b Event) int {
-	if less(&a, &b) {
-		return -1
-	}
-	if less(&b, &a) {
-		return 1
-	}
-	return 0
-}
-
 // Queue is a deterministic min-heap of events. The zero value is ready to
 // use.
 type Queue struct {
@@ -106,18 +94,6 @@ func (q *Queue) Peek() Event { return q.h[0] }
 
 // Len reports the number of pending events.
 func (q *Queue) Len() int { return len(q.h) }
-
-// Scan calls fn on every pending event in heap order (not pop order),
-// stopping early when fn returns false. It exists for read-only audits of
-// the backlog — e.g. the snapshot restore path bounds-checking event
-// payloads — and must not be used to mutate events.
-func (q *Queue) Scan(fn func(e *Event) bool) {
-	for i := range q.h {
-		if !fn(&q.h[i]) {
-			return
-		}
-	}
-}
 
 func (q *Queue) siftUp(i int) {
 	h := q.h

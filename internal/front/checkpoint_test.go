@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"log"
 	"math"
@@ -60,16 +61,16 @@ func checkpointingRun(t *testing.T, reg *obs.Registry) (*Server, string) {
 
 // TestCheckpointBytesPinned pins the on-disk format byte for byte: the
 // SHA-256 of every lineage member — fulls and deltas — must equal the
-// digests recorded when snapshots began naming pending jobs by compact index
-// (pending arrivals as one index run after the EVTQ events, each policy
-// index element as its job's index), so any change to how checkpoints are
-// built must leave what they are unchanged.
+// digests recorded when snapshots stopped writing the event queue and the
+// pending arrivals (no EVTQ section: restore derives both from the drain
+// horizon), so any change to how checkpoints are built must leave what they
+// are unchanged.
 func TestCheckpointBytesPinned(t *testing.T) {
 	want := map[string]string{
-		"0.full":  "f1874c3c68e3db9cb9f78f98c83ed4df0899ed48a1affeeb3ec1a0e17343fc17",
-		"1.delta": "04d374e94bc9e52d1da5485ae575cf65f9b0e1247097590deaed3152f3e62406",
-		"2.delta": "4756747a7789bfd8a202613d13806f8a49602c9a4c79c1fbade9d4504c484985",
-		"3.full":  "278ed5b6f3da70279d496124093ffe6ca07fc09053666fd3ec6e4a636f717aa9",
+		"0.full":  "88d0e499c5d56d0a26f6a8d1dd8295081cd72c1474980eb4748ca885fbc8280e",
+		"1.delta": "f399ed5cc8f8d025bc8a107bedf0b7b7aa81b2828aaea7b77e331b1d7b1f45dc",
+		"2.delta": "8f2a9d513afffa327c3fca9c365f511e89b6709d4e051aa293bd9d54e9fc5b74",
+		"3.full":  "d8cbc82a5b2d9235cb7e19e2754f0b4a250ef540589e052915973ef74fb764a7",
 	}
 	_, path := checkpointingRun(t, nil)
 	members, err := filepath.Glob(path + ".*.*")
@@ -214,33 +215,61 @@ func TestResumeChainsDeltaToRecovered(t *testing.T) {
 // run left mid-stream when built from a tree whose event heap still held the
 // pending arrivals and whose EVTQ sections were the raw heap array. Its
 // sessions hold arrivals inside that layout, one section out of pop order.
-// This build writes pending arrivals as an index run of their own, and a
-// snapshot is a process-restart artifact, not an archive: restoring it must
+// A snapshot is a process-restart artifact, not an archive: restoring it must
 // fail with an error that names the older format, not misread it.
 func TestRefusesHeapLayoutCheckpoint(t *testing.T) {
-	data, err := os.ReadFile("testdata/heaplayout.ck.2.full")
+	ck := recoverFixture(t, "heaplayout.ck", 2)
+	if arrivals, unsorted := heapLayoutQueues(t, ck); arrivals == 0 || unsorted == 0 {
+		t.Fatalf("fixture holds %d pending arrivals and %d event sections out of pop order; want some of each", arrivals, unsorted)
+	}
+	refuseOlderFormat(t, ck)
+}
+
+// TestRefusesQueueSectionCheckpoint: testdata/evtq.ck is a lineage (one
+// member, evtq.ck.1.full) written by a build that kept pending arrivals out
+// of its event heap but still wrote each session's queue and arrival run
+// as an EVTQ section. This build derives both, and refuses that format by
+// name too.
+func TestRefusesQueueSectionCheckpoint(t *testing.T) {
+	ck := recoverFixture(t, "evtq.ck", 1)
+	if arrivals, unsorted := heapLayoutQueues(t, ck); arrivals != 0 || unsorted != 0 {
+		t.Fatalf("fixture holds %d queued arrivals and %d event sections out of pop order; want neither", arrivals, unsorted)
+	}
+	refuseOlderFormat(t, ck)
+}
+
+// recoverFixture recovers the lineage testdata/<name>, whose one member is
+// its full number seq.
+func recoverFixture(t *testing.T, name string, seq int) []byte {
+	t.Helper()
+	member := fmt.Sprintf("%s.%d.full", name, seq)
+	data, err := os.ReadFile(filepath.Join("testdata", member))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "heaplayout.ck.2.full"), data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, member), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ck, _, err := snapshot.RecoverLineage(filepath.Join(dir, "heaplayout.ck"))
+	ck, _, err := snapshot.RecoverLineage(filepath.Join(dir, name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if arrivals, unsorted := heapLayoutQueues(t, ck); arrivals == 0 || unsorted == 0 {
-		t.Fatalf("fixture holds %d pending arrivals and %d event sections out of pop order; want some of each", arrivals, unsorted)
-	}
+	return ck
+}
+
+// refuseOlderFormat requires restoring the front checkpoint ck to fail with
+// an error naming the EVTQ format of older builds.
+func refuseOlderFormat(t *testing.T, ck []byte) {
+	t.Helper()
 	cfg := testConfig(2, 2)
 	cfg.AwaitTenants = 2
 	s, err := Restore(cfg, bytes.NewReader(ck))
 	if err == nil {
 		s.Drain()
-		t.Fatal("a checkpoint in the older heap layout restored")
+		t.Fatal("a checkpoint in an older format restored")
 	}
-	if !strings.Contains(err.Error(), "queued event is an arrival: a snapshot from an older build") {
+	if !strings.Contains(err.Error(), "an EVTQ section: a snapshot from an older build") {
 		t.Fatalf("refused with %q, want an error naming the older format", err)
 	}
 }
