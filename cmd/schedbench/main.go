@@ -8,7 +8,9 @@
 //	schedbench -exp E1 -quick        # scaled-down sizes (CI smoke run)
 //
 // An unknown -exp, a bad flag or a stray argument exits 2 before any
-// experiment runs.
+// experiment runs. An experiment that fails, or whose artifact marks one of
+// its checks VIOLATED, exits 1 after the rest have run; stderr names the
+// experiment and the claim it violates.
 package main
 
 import (
@@ -16,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/bench"
 )
@@ -24,9 +27,13 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// suite lists the experiments -list prints and -exp all runs; tests replace
+// it.
+var suite = bench.All
+
 // run is the command: it parses args, runs the chosen experiments into
 // stdout and returns the exit status (2 for bad usage, 1 for a failed
-// experiment).
+// experiment or a violated claim).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("schedbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -45,12 +52,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *list {
-		for _, e := range bench.All() {
+		for _, e := range suite() {
 			fmt.Fprintf(stdout, "%-4s %-6s %s\n       claim: %s\n", e.ID, e.Kind, e.Title, e.Claim)
 		}
 		return 0
 	}
-	exps := bench.All()
+	exps := suite()
 	if *exp != "all" {
 		e, ok := bench.ByID(*exp)
 		if !ok {
@@ -59,6 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		exps = []bench.Experiment{e}
 	}
+	code := 0
 	for _, e := range exps {
 		out, err := e.Run(bench.Config{Quick: *quick})
 		if err != nil {
@@ -67,9 +75,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if c, ok := out.(interface{ CSV() string }); ok && *csv {
 			fmt.Fprintf(stdout, "# %s %s\n%s\n", e.ID, e.Title, c.CSV())
-			continue
+		} else {
+			fmt.Fprintln(stdout, out)
 		}
-		fmt.Fprintln(stdout, out)
+		if strings.Contains(out.String(), "VIOLATED") {
+			fmt.Fprintf(stderr, "schedbench: %s violates its claim: %s\n", e.ID, e.Claim)
+			code = 1
+		}
 	}
-	return 0
+	return code
 }

@@ -57,6 +57,33 @@ func TestList(t *testing.T) {
 	}
 }
 
+// verdict is an artifact that renders as its own text.
+type verdict string
+
+func (v verdict) String() string { return string(v) }
+
+// TestViolationExits1: an artifact that marks a check VIOLATED is printed
+// like any other, the experiments after it still run, and the command exits
+// 1 naming the experiment and the claim it violates.
+func TestViolationExits1(t *testing.T) {
+	defer func(s func() []bench.Experiment) { suite = s }(suite)
+	experiment := func(id, body string) bench.Experiment {
+		return bench.Experiment{ID: id, Kind: "table", Title: "check", Claim: "Lemma " + id + ": the bound holds",
+			Run: func(bench.Config) (fmt.Stringer, error) { return verdict(id + " " + body), nil }}
+	}
+	suite = func() []bench.Experiment {
+		return []bench.Experiment{experiment("E0", "VIOLATED: excess 1"), experiment("E00", "ok")}
+	}
+	code, stdout, stderr := schedbench("-exp", "all", "-quick")
+	if code != 1 || stdout != "E0 VIOLATED: excess 1\nE00 ok\n" || stderr != "schedbench: E0 violates its claim: Lemma E0: the bound holds\n" {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want 1, both artifacts, and E0's claim named", code, stdout, stderr)
+	}
+	suite = func() []bench.Experiment { return []bench.Experiment{experiment("E00", "ok")} }
+	if code, _, stderr := schedbench("-exp", "all"); code != 0 || stderr != "" {
+		t.Fatalf("no violation: exit %d, stderr %q; want 0 and nothing", code, stderr)
+	}
+}
+
 // TestQuickExperiment: -exp E15 -quick prints the experiment's table, the
 // bytes internal/bench pins, followed by a newline; -csv prints its CSV
 // form under a title line.

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/front"
+	"repro/internal/policy"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -253,24 +254,38 @@ func TestCompareGolden(t *testing.T) {
 	}
 }
 
-// TestDumpWritesOutcome: -dump writes the audited outcome, every job
-// completed or rejected.
+// TestDumpWritesOutcome: -dump writes the outcome of the run it reports,
+// byte for byte what trace.WriteOutcome writes for the same run done in
+// process, every job completed or rejected.
 func TestDumpWritesOutcome(t *testing.T) {
-	path := writeTrace(t, 40, 2, false)
+	cfg := workload.DefaultConfig(40, 4, 2)
+	cfg.Load = 1.2
+	path, raw := saveTrace(t, cfg)
 	dump := filepath.Join(t.TempDir(), "out.json")
-	if code, _, stderr := schedsim("-policy", "flowtime", "-dump", dump, path); code != 0 {
+	if code, _, stderr := schedsim("-policy", "flowtime", "-eps", "0.2", "-dump", dump, path); code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}
-	f, err := os.Open(dump)
+	got, err := os.ReadFile(dump)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	out, err := trace.ReadOutcome(f)
+	ins, err := trace.ReadInstance(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _ := policy.Lookup("flowtime")
+	out, err := e.Run(ins, policy.Params{Epsilon: 0.2, Alpha: ins.Alpha})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := len(out.Completed) + len(out.Rejected); n != 40 {
-		t.Fatalf("dump records %d finished jobs, want 40", n)
+		t.Fatalf("the run finished %d jobs, want 40", n)
+	}
+	var want bytes.Buffer
+	if err := trace.WriteOutcome(&want, out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("-dump wrote\n%s\nwant\n%s", got, want.Bytes())
 	}
 }

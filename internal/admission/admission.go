@@ -169,12 +169,6 @@ func New(cfg Config) (*Controller, error) {
 	return &Controller{cfg: cfg, tenants: make(map[int]*Tenant)}, nil
 }
 
-// Config returns the validated configuration (with defaults resolved).
-func (c *Controller) Config() Config { return c.cfg }
-
-// State returns the current stance.
-func (c *Controller) State() State { return c.state }
-
 // Observe feeds the controller a fresh queue-depth sample and returns the
 // (possibly updated) state. Transitions upward (toward Reject) are immediate;
 // the way back to Accept passes through the ResumeDepth hysteresis floor, so
@@ -244,14 +238,6 @@ func (c *Controller) tenant(id int) *Tenant {
 		c.tel.Budget.Add(c.cfg.Burst)
 	}
 	return t
-}
-
-// Tenant returns a copy of one tenant's ledger (zero-valued if unseen).
-func (c *Controller) Tenant(id int) Tenant {
-	if t := c.tenants[id]; t != nil {
-		return *t
-	}
-	return Tenant{ID: id, Budget: c.cfg.Burst}
 }
 
 // Tenants returns copies of every tenant ledger, sorted by id — the

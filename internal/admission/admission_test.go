@@ -44,7 +44,7 @@ func TestStateMachine(t *testing.T) {
 // watermark) and the disabled-watermark forms.
 func TestStateMachineDefaults(t *testing.T) {
 	c := mustNew(t, Config{ThrottleDepth: 100, RejectDepth: 400, Epsilon: 0.1})
-	if got := c.Config().ResumeDepth; got != 50 {
+	if got := c.cfg.ResumeDepth; got != 50 {
 		t.Fatalf("defaulted ResumeDepth = %d, want 50", got)
 	}
 	// Throttling disabled: Accept until RejectDepth, no intermediate state.
@@ -76,8 +76,8 @@ func TestBudget(t *testing.T) {
 
 	// No budget yet: even in Reject state, the first job must be admitted.
 	c.Observe(10)
-	if c.State() != Reject {
-		t.Fatalf("state %v, want reject", c.State())
+	if c.state != Reject {
+		t.Fatalf("state %v, want reject", c.state)
 	}
 	if d := c.Decide(7, 1); d != Admit {
 		t.Fatalf("first job of a broke tenant: %v, want admit", d)
@@ -90,7 +90,7 @@ func TestBudget(t *testing.T) {
 	if d := c.Decide(7, 1); d != PreReject {
 		t.Fatalf("budget 1.0 ≥ weight 1: %v, want pre-reject", d)
 	}
-	ten := c.Tenant(7)
+	ten := *c.tenants[7]
 	if ten.Fed != 2 || ten.PreRejected != 1 || ten.FedWeight != 2 || ten.PreRejectedWeight != 1 {
 		t.Fatalf("ledger %+v", ten)
 	}
@@ -103,12 +103,12 @@ func TestBudget(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		w := 1 + float64(i%5)
 		c.Decide(7, w)
-		if err := BudgetInvariant(cfg, c.Tenant(7), 1e-9); err != nil {
+		if err := BudgetInvariant(cfg, *c.tenants[7], 1e-9); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}
 	// And shed something: with ε=0.5 the reject state must actually reject.
-	if got := c.Tenant(7); got.PreRejected < 100 {
+	if got := *c.tenants[7]; got.PreRejected < 100 {
 		t.Fatalf("only %d of 1003 jobs shed under sustained overload with ε=0.5", got.PreRejected)
 	}
 
@@ -133,7 +133,7 @@ func TestBurst(t *testing.T) {
 			t.Fatalf("job %d: %v, want %v", i, got, want)
 		}
 	}
-	if err := BudgetInvariant(cfg, c.Tenant(1), 1e-12); err != nil {
+	if err := BudgetInvariant(cfg, *c.tenants[1], 1e-12); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -154,8 +154,8 @@ func TestTenantsSortedAndRestore(t *testing.T) {
 		c2.RestoreTenant(ten)
 	}
 	for _, id := range []int{3, 17, 42} {
-		if c.Tenant(id) != c2.Tenant(id) {
-			t.Fatalf("tenant %d: restored %+v != original %+v", id, c2.Tenant(id), c.Tenant(id))
+		if *c.tenants[id] != *c2.tenants[id] {
+			t.Fatalf("tenant %d: restored %+v != original %+v", id, *c2.tenants[id], *c.tenants[id])
 		}
 	}
 }

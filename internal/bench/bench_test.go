@@ -30,7 +30,7 @@ func TestRegistryComplete(t *testing.T) {
 
 // TestAllExperimentsRunQuick executes every experiment in quick mode and
 // checks the artifact renders with content and without violation markers
-// where the claim is an inequality audit.
+// where the claim is an inequality audit; a violation names the claim.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	for _, e := range All() {
 		e := e
@@ -44,7 +44,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 				t.Fatalf("%s: suspicious artifact:\n%s", e.ID, s)
 			}
 			if strings.Contains(s, "VIOLATED") {
-				t.Fatalf("%s reported a violated invariant:\n%s", e.ID, s)
+				t.Fatalf("%s violates its claim (%s):\n%s", e.ID, e.Claim, s)
 			}
 		})
 	}

@@ -17,7 +17,7 @@ func init() {
 	register(Experiment{
 		ID: "E6", Kind: "table",
 		Title: "Weighted flow + energy: rejected weight and ratio vs (ε, α)",
-		Claim: "Theorem 2: ≤ε·W weight rejected, O((1+1/ε)^(α/(α−1)))-competitive",
+		Claim: "Theorem 2: ≤ε·W weight rejected, O((1+1/ε)^(α/(α−1)))-competitive; Lemma 6: dual feasible",
 		Run:   runE6,
 	})
 	register(Experiment{
@@ -29,7 +29,7 @@ func init() {
 	register(Experiment{
 		ID: "E8", Kind: "table",
 		Title: "Energy minimization: greedy configuration-LP vs AVR vs solo LB",
-		Claim: "Theorem 3: α^α-competitive greedy",
+		Claim: "Theorem 3: greedy is λ/(1−µ)-competitive for (λ,µ)-smooth energy (Definition 1), O(α^α); its dual feasible",
 		Run:   runE8,
 	})
 	register(Experiment{
@@ -52,7 +52,7 @@ func weightedWorkload(n int, seed int64, alpha float64) *sched.Instance {
 func runE6(cfg Config) (fmt.Stringer, error) {
 	n := cfg.scale(800, 120)
 	t := stats.NewTable("E6 — Theorem 2 budget & ratio (n="+fmt.Sprint(n)+", m=3)",
-		"alpha", "eps", "wflow+energy", "ratio vs solo LB", "ratio (γ=1)", "vs fixed-speed HDF", "rejW%", "budget ε%", "rejW ≤ εW", "envelope (1+1/ε)^(α/(α−1))")
+		"alpha", "eps", "wflow+energy", "ratio vs solo LB", "ratio (γ=1)", "vs fixed-speed HDF", "rejW%", "budget ε%", "rejW ≤ εW", "envelope (1+1/ε)^(α/(α−1))", "Lemma 6 dual (first 60 jobs)")
 	for _, alpha := range []float64{1.5, 2, 3} {
 		ins := weightedWorkload(n, 31, alpha)
 		fixed, err := baseline.FixedSpeedHDF(ins, alpha)
@@ -80,6 +80,10 @@ func runE6(cfg Config) (fmt.Stringer, error) {
 			if err != nil {
 				return nil, err
 			}
+			lemma6, err := lemma6Audit(ins, eps)
+			if err != nil {
+				return nil, err
+			}
 			lb := lowerbound.SoloFlowEnergy(ins)
 			t.AddRowf(alpha, eps,
 				m.WeightedFlowPlusEnergy(),
@@ -89,10 +93,36 @@ func runE6(cfg Config) (fmt.Stringer, error) {
 				100*res.RejectedWeight/ins.TotalWeight(),
 				100*eps,
 				okMark(res.RejectedWeight <= eps*ins.TotalWeight()),
-				speedscale.TheoryEnvelope(eps, alpha))
+				speedscale.TheoryEnvelope(eps, alpha),
+				lemma6)
 		}
 	}
 	return t, nil
+}
+
+// lemma6Prefix is how many of an E6 instance's jobs the Lemma 6 audit
+// replays: the audit samples every (job, machine) pair at every job's
+// release and finish instants and sums the potential over every job at each,
+// so its cost grows as n³·m. Run and audit take 30–45 ms at 60 jobs on a
+// 2-core Xeon; by that growth E6's 800 would take over a minute.
+const lemma6Prefix = 60
+
+// lemma6Audit runs speedscale with duals tracked on the first lemma6Prefix
+// jobs of ins and checks the dual constraint of Lemma 6 at every sampled
+// instant, and that every job's fractional weight stays within [0, w_j].
+func lemma6Audit(ins *sched.Instance, eps float64) (string, error) {
+	prefix := &sched.Instance{Machines: ins.Machines, Alpha: ins.Alpha, Jobs: ins.Jobs[:min(lemma6Prefix, len(ins.Jobs))]}
+	res, err := speedscale.Run(prefix, speedscale.Options{Epsilon: eps, TrackDual: true})
+	if err != nil {
+		return "", err
+	}
+	if v := res.Dual.CheckFeasibility(prefix, 24); v.Excess > 1e-9 {
+		return okMarkWhy(false, v.String()), nil
+	}
+	if err := res.Dual.MonotoneV(prefix, 32); err != nil {
+		return okMarkWhy(false, err.Error()), nil
+	}
+	return okMark(true), nil
 }
 
 func runE7(cfg Config) (fmt.Stringer, error) {
@@ -120,8 +150,12 @@ func runE8(cfg Config) (fmt.Stringer, error) {
 	n := cfg.scale(120, 30)
 	horizon := cfg.scale(200, 60)
 	t := stats.NewTable("E8 — deadline energy: greedy vs AVR vs solo LB",
-		"alpha", "slack", "greedy", "AVR", "solo LB", "greedy/LB", "AVR/greedy", "α^α")
+		"alpha", "slack", "greedy", "AVR", "solo LB", "greedy/LB", "AVR/greedy", "α^α", "λ/(1−µ)",
+		"λ smooth", "dual vs full window", "n=3: greedy ≤ λ/(1−µ)·OPT")
 	for _, alpha := range []float64{1.5, 2, 3} {
+		lambda, mu := energymin.LambdaSufficient(alpha), energymin.Mu(alpha)
+		ratio := energymin.RatioFromSmooth(lambda, mu)
+		smooth := okMark(smoothOnPairs(alpha, lambda, mu))
 		for _, slack := range []float64{1.2, 2, 4} {
 			ins := workload.RandomDeadline(workload.DeadlineConfig{
 				N: n, M: 2, Seed: 5, Horizon: horizon,
@@ -135,12 +169,46 @@ func runE8(cfg Config) (fmt.Stringer, error) {
 			if err != nil {
 				return nil, err
 			}
+			audit, err := energymin.AuditConfiguration(ins, energymin.Options{}, energymin.FullWindowConfiguration(ins, horizon))
+			if err != nil {
+				return nil, err
+			}
+			tiny := workload.RandomDeadline(workload.DeadlineConfig{
+				N: 3, M: 2, Seed: 5, Horizon: 7, MinVol: 1, MaxVol: 4, Slack: slack, Alpha: alpha,
+			})
+			tinyGreedy, err := energymin.Run(tiny, energymin.Options{})
+			if err != nil {
+				return nil, err
+			}
+			opt, err := lowerbound.BruteForceEnergy(tiny, 7)
+			if err != nil {
+				return nil, err
+			}
 			lb := lowerbound.SoloEnergy(ins)
 			t.AddRowf(alpha, slack, greedy.Energy, avr.Energy, lb,
-				greedy.Energy/lb, avr.Energy/greedy.Energy, energymin.TheoryRatio(alpha))
+				greedy.Energy/lb, avr.Energy/greedy.Energy, energymin.TheoryRatio(alpha), ratio,
+				smooth,
+				okMarkWhy(audit.GreedyExcess <= 0 && audit.ConfigExcess <= 0,
+					fmt.Sprintf("greedy excess %v, configuration excess %v", audit.GreedyExcess, audit.ConfigExcess)),
+				okMark(tinyGreedy.Energy <= ratio*opt+1e-9))
 		}
 	}
 	return t, nil
+}
+
+// smoothOnPairs reports whether the smooth inequality of Definition 1 holds
+// with constants (λ, µ) on the single-pair family a = (x), b = (1) for x on
+// a grid over [0, 4α], which holds the worst pair: it is the family
+// LambdaSufficient maximizes over, so a λ below its maximum fails here.
+func smoothOnPairs(alpha, lambda, mu float64) bool {
+	const steps = 400
+	for k := 0; k <= steps; k++ {
+		x := 4 * alpha * float64(k) / steps
+		if !energymin.CheckSmooth(alpha, lambda, mu, []float64{x}, []float64{1}) {
+			return false
+		}
+	}
+	return true
 }
 
 func runE9(cfg Config) (fmt.Stringer, error) {

@@ -83,7 +83,7 @@ func init() {
 	register(Experiment{
 		ID: "E5", Kind: "table",
 		Title: "Dual-fitting audit on small instances (LP-exact)",
-		Claim: "Lemma 4 + weak duality: dual feasible, dual ≤ LP*, flow ≤ ((1+ε)/ε)²·dual",
+		Claim: "Lemma 4 + weak duality: dual feasible, dual ≤ LP*, flow ≤ ((1+ε)/ε)²·dual; Theorem 1's occupancy identity",
 		Run:   runE5,
 	})
 	register(Experiment{
@@ -97,7 +97,7 @@ func init() {
 func runE1(cfg Config) (fmt.Stringer, error) {
 	n := cfg.scale(2000, 200)
 	t := stats.NewTable("E1 — Theorem 1 budget & ratio (n="+fmt.Sprint(n)+", m=4)",
-		"workload", "eps", "flow", "rejected%", "budget 2ε%", "ratio vs LB", "theory 2((1+ε)/ε)²")
+		"workload", "eps", "flow", "rejected%", "budget 2ε%", "rejected ≤ 2ε·n", "ratio vs LB", "theory 2((1+ε)/ε)²")
 	for _, name := range flowWorkloadOrder {
 		for _, eps := range []float64{0.1, 0.2, 1.0 / 3, 0.5} {
 			ins := flowWorkloads(n, 4, 7)[name]
@@ -114,6 +114,7 @@ func runE1(cfg Config) (fmt.Stringer, error) {
 				m.TotalFlow,
 				100*float64(m.Rejected)/float64(len(ins.Jobs)),
 				100*2*eps,
+				okMark(float64(m.Rejected) <= 2*eps*float64(len(ins.Jobs))),
 				m.TotalFlow/lb,
 				2*math.Pow((1+eps)/eps, 2))
 		}
@@ -235,7 +236,7 @@ func runE5(cfg Config) (fmt.Stringer, error) {
 	slots := cfg.scale(40, 24)
 	eps := 0.5
 	t := stats.NewTable("E5 — dual-fitting audit (n=6, m=2, LP-exact)",
-		"seed", "LP*", "dual obj", "OPT(brute)", "flow(A)", "flow ≤ ((1+ε)/ε)²·dual", "dual ≤ LP*", "max constr excess")
+		"seed", "LP*", "dual obj", "OPT(brute)", "flow(A)", "flow ≤ ((1+ε)/ε)²·dual", "dual ≤ LP*", "max constr excess", "dual feasible", "occupancy identity")
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		c := workload.DefaultConfig(6, 2, seed)
 		c.MaxSize = 8
@@ -258,10 +259,13 @@ func runE5(cfg Config) (fmt.Stringer, error) {
 		}
 		dual := res.Dual.Objective()
 		v := res.Dual.CheckFeasibility(ins, 16)
+		integral, ctilde := res.Dual.OccupancyIdentity(ins)
 		t.AddRowf(seed, lp, dual, opt, m.TotalFlow,
 			okMark(m.TotalFlow <= math.Pow((1+eps)/eps, 2)*dual+1e-9),
 			okMark(dual <= lp+1e-6),
-			v.Excess)
+			v.Excess,
+			okMarkWhy(v.Excess <= 1e-9, v.String()),
+			okMark(math.Abs(integral-ctilde) <= 1e-9*math.Abs(ctilde)))
 	}
 	return t, nil
 }
@@ -305,4 +309,12 @@ func okMark(ok bool) string {
 		return "ok"
 	}
 	return "VIOLATED"
+}
+
+// okMarkWhy is okMark with what broke the check appended to a violation.
+func okMarkWhy(ok bool, why string) string {
+	if ok {
+		return "ok"
+	}
+	return "VIOLATED: " + why
 }

@@ -14,7 +14,7 @@ import (
 var pinnedQuick = map[string]string{
 	"E3":  "fda6ad9cf859f3fd97e45461318524a2c306379ffb280f49e6c565215fb36108",
 	"E4":  "a7ac9f400f66071c8c0d0553a5029f969042d5668283bc322a845930e7c8a714",
-	"E6":  "25b77816d1b3ffbec94a0ad8fa5d088cbb285e9e05d636f15ca13a2fbf91ad02",
+	"E6":  "c2fbd0f3123abc5b63b67dc3c834861978d91116e6c4c10071137d89f3f03539",
 	"E11": "5a81f945a7c9df585917ab70512bdec769bc05dfe0d413c49d09c29d121fc0a2",
 	"E15": "d77d2e7025952a59ae68225c8af806466fc0768b054b3929fd44d897ae86964d",
 }

@@ -46,28 +46,11 @@ type ConfigAudit struct {
 // Any feasible alternative configuration works; auditing against (an
 // approximation of) the optimal configuration makes the check strongest.
 func AuditConfiguration(ins *sched.Instance, opt Options, alt map[int]Placement) (*ConfigAudit, error) {
-	if err := ins.Validate(); err != nil {
-		return nil, err
-	}
-	if opt.Machines == 0 {
-		opt.Machines = ins.Machines
-	}
-	if opt.Alpha == 0 {
-		opt.Alpha = ins.Alpha
-	}
-	if opt.Horizon == 0 {
-		h := 0.0
-		for k := range ins.Jobs {
-			if d := ins.Jobs[k].Deadline; !math.IsInf(d, 1) && d > h {
-				h = d
-			}
-		}
-		opt.Horizon = int(math.Ceil(h))
-	}
-	s, err := New(opt)
+	s, err := newFor(ins, opt)
 	if err != nil {
 		return nil, err
 	}
+	opt = s.opt
 	audit := &ConfigAudit{
 		GreedyExcess: math.Inf(-1),
 		ConfigExcess: math.Inf(-1),

@@ -212,9 +212,6 @@ func (s *Scheduler) Place(j *sched.Job) (Placement, error) {
 // it equals Σ_i Σ_t u_i(t)^α exactly.
 func (s *Scheduler) Energy() float64 { return s.energy }
 
-// Outcome returns the audited schedule so far.
-func (s *Scheduler) Outcome() *sched.Outcome { return s.out }
-
 // Placements returns the per-job commitments.
 func (s *Scheduler) Placements() map[int]Placement {
 	out := make(map[int]Placement, len(s.placed))
@@ -224,15 +221,10 @@ func (s *Scheduler) Placements() map[int]Placement {
 	return out
 }
 
-// Result is the audited output of Run.
-type Result struct {
-	Outcome    *sched.Outcome
-	Energy     float64
-	Placements map[int]Placement
-}
-
-// Run places every job of a deadline instance in release order.
-func Run(ins *sched.Instance, opt Options) (*Result, error) {
+// newFor validates a deadline instance and builds a scheduler for it, with
+// zero options taken from the instance: its machines, its α and a horizon at
+// its latest deadline.
+func newFor(ins *sched.Instance, opt Options) (*Scheduler, error) {
 	if err := ins.Validate(); err != nil {
 		return nil, err
 	}
@@ -251,7 +243,19 @@ func Run(ins *sched.Instance, opt Options) (*Result, error) {
 		}
 		opt.Horizon = int(math.Ceil(h))
 	}
-	s, err := New(opt)
+	return New(opt)
+}
+
+// Result is the audited output of Run.
+type Result struct {
+	Outcome    *sched.Outcome
+	Energy     float64
+	Placements map[int]Placement
+}
+
+// Run places every job of a deadline instance in release order.
+func Run(ins *sched.Instance, opt Options) (*Result, error) {
+	s, err := newFor(ins, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func TestRule2EmptyPending(t *testing.T) {
 		{ID: 5, Release: 10, Weight: 1, Deadline: sched.NoDeadline, Proc: []float64{1}},
 	}}
 	res := mustRun(t, ins, Options{Epsilon: 0.5}) // Rule 2 threshold 3
-	if res.Outcome.RejectedCount() != 0 {
+	if len(res.Outcome.Rejected) != 0 {
 		t.Fatalf("idle-machine stream must reject nothing: %v", res.Outcome.Rejected)
 	}
 	if len(res.Outcome.Completed) != 6 {
@@ -56,8 +56,8 @@ func TestTinyEpsilonNeverRejects(t *testing.T) {
 	cfg.Load = 2
 	ins := workload.Random(cfg)
 	res := mustRun(t, ins, Options{Epsilon: 0.01}) // thresholds 100, 101 > 50
-	if res.Outcome.RejectedCount() != 0 {
-		t.Fatalf("thresholds exceed n; nothing can be rejected, got %d", res.Outcome.RejectedCount())
+	if len(res.Outcome.Rejected) != 0 {
+		t.Fatalf("thresholds exceed n; nothing can be rejected, got %d", len(res.Outcome.Rejected))
 	}
 }
 

@@ -124,7 +124,7 @@ func TestRejectionBudget(t *testing.T) {
 			cfg.Load = 1.2 // overload to force both rules to fire
 			ins := workload.Random(cfg)
 			res := mustRun(t, ins, Options{Epsilon: eps})
-			frac := float64(res.Outcome.RejectedCount()) / float64(len(ins.Jobs))
+			frac := float64(len(res.Outcome.Rejected)) / float64(len(ins.Jobs))
 			if frac > 2*eps+1e-9 {
 				t.Fatalf("eps=%v seed=%d: rejected fraction %v exceeds 2ε=%v", eps, seed, frac, 2*eps)
 			}
@@ -159,10 +159,10 @@ func TestAblationsDisableRules(t *testing.T) {
 		t.Fatal("Rule 1 fired while disabled")
 	}
 	r0 := mustRun(t, ins, Options{Epsilon: 0.3, DisableRule1: true, DisableRule2: true})
-	if r0.Outcome.RejectedCount() != 0 {
+	if len(r0.Outcome.Rejected) != 0 {
 		t.Fatal("rejections with both rules disabled")
 	}
-	if r0.Outcome.RejectedCount() != 0 && len(r0.Outcome.Completed) != len(ins.Jobs) {
+	if len(r0.Outcome.Rejected) != 0 && len(r0.Outcome.Completed) != len(ins.Jobs) {
 		t.Fatal("not all jobs completed with rejection disabled")
 	}
 }
@@ -286,7 +286,7 @@ func TestQuickValidOnRandomInstances(t *testing.T) {
 		if err := sched.ValidateOutcome(ins, res.Outcome, sched.ValidateMode{RequireUnitSpeed: true}); err != nil {
 			return false
 		}
-		frac := float64(res.Outcome.RejectedCount()) / float64(n)
+		frac := float64(len(res.Outcome.Rejected)) / float64(n)
 		return frac <= 2*eps+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

@@ -1,43 +1,10 @@
 package flowtime
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/sched"
-	"repro/internal/workload"
 )
-
-// TestSessionFinalAdvance pins that AdvanceTo far beyond the horizon drains
-// everything before Close, and Close still audits cleanly.
-func TestSessionFinalAdvance(t *testing.T) {
-	cfg := workload.DefaultConfig(200, 3, 2)
-	cfg.Load = 1.4
-	ins := workload.Random(cfg)
-	s, err := NewSession(ins.Machines, Options{Epsilon: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range ins.Jobs {
-		if err := s.Feed(ins.Jobs[k]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.AdvanceTo(1e12); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := Run(ins, Options{Epsilon: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(batch.Outcome, res.Outcome) {
-		t.Fatal("outcome diverges after a final AdvanceTo")
-	}
-}
 
 // TestDualTrackingWithinEpsReleases regresses the arrival-order/feed-order
 // mismatch: Instance.Validate (and Session.Feed) admit releases that

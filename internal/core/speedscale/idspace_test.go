@@ -1,6 +1,7 @@
 package speedscale
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sched"
@@ -19,7 +20,7 @@ func TestOutcomeInvariantUnderIDRelabeling(t *testing.T) {
 	ins := workload.Random(cfg)
 	ins.Alpha = 2
 
-	relabeled := ins.Clone()
+	relabeled := &sched.Instance{Machines: ins.Machines, Alpha: ins.Alpha, Jobs: slices.Clone(ins.Jobs)}
 	newID := make(map[int]int, len(ins.Jobs))
 	for k := range relabeled.Jobs {
 		// Sparse, non-monotone, far beyond int32.

@@ -36,7 +36,7 @@ func TestHDFOrder(t *testing.T) {
 		{ID: 2, Release: 0.6, Weight: 10, Deadline: sched.NoDeadline, Proc: []float64{4}}, // density 2.5
 	}}
 	res := mustRun(t, ins, 0.05) // tiny ε: no rejections
-	if res.Outcome.RejectedCount() != 0 {
+	if len(res.Outcome.Rejected) != 0 {
 		t.Fatalf("unexpected rejections: %v", res.Outcome.Rejected)
 	}
 	if res.Outcome.Completed[2] >= res.Outcome.Completed[1] {
@@ -51,7 +51,7 @@ func TestReducesToUnweightedLambda(t *testing.T) {
 	cfg.Load = 0.5 // light load: no rejections in either algorithm
 	ins := workload.Random(cfg)
 	res := mustRun(t, ins, 0.01)
-	if res.Outcome.RejectedCount() != 0 {
+	if len(res.Outcome.Rejected) != 0 {
 		t.Fatal("light load should reject nothing")
 	}
 	// Density order with w=1 is 1/p order == SPT order.
@@ -179,7 +179,7 @@ func TestLambdaUnitWeightMatchesPaperFormula(t *testing.T) {
 	if math.IsNaN(res.RejectedWeight) {
 		t.Fatal("nan weight")
 	}
-	if res.Outcome.Completed[1] >= res.Outcome.Completed[2] && res.Outcome.RejectedCount() == 0 {
+	if res.Outcome.Completed[1] >= res.Outcome.Completed[2] && len(res.Outcome.Rejected) == 0 {
 		t.Fatalf("SPT-equivalent order violated: %v", res.Outcome.Completed)
 	}
 }

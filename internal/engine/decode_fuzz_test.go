@@ -205,7 +205,9 @@ type decodeSeed struct {
 // cut off in OUTC, the low bit of the last job's slot state, which then
 // records decided a job whose arrival restore derives as pending (the last
 // job fed is released after the drain horizon), and bit 62 of machine 0's
-// running job index in MACH; then come runSeeds.
+// running job index in MACH; then come runSeeds, and one seed that sets
+// SESS's retired floor slot, which only a build with Session.AdvanceTo
+// wrote nonzero.
 func decodeSeeds() (seeds []decodeSeed) {
 	var k int64
 	for pol, name := range policy.Names() {
@@ -230,7 +232,9 @@ func decodeSeeds() (seeds []decodeSeed) {
 			add(decodeFlip, 3, 4+7, 6, "machine 0 runs unknown job index")
 		}
 	}
-	return append(seeds, runSeeds()...)
+	seeds = append(seeds, runSeeds()...)
+	return append(seeds, decodeSeed{seed: 1, n: 240, stop: 150, mode: decodeFlip, sect: 0, at: 4 + 8 + 8 + 7, bit: 6,
+		wantErrSubstring: "written by a build with Session.AdvanceTo"})
 }
 
 // runSeeds flip one bit of an index a run names a job by, in a policy's

@@ -41,7 +41,7 @@ func (s *Session) appendSnapshotPerField(dst []byte) ([]byte, error) {
 		e.U32(uint32(len(c.mach)))
 		e.U64(uint64(len(c.jobs)))
 		e.F64(c.last)
-		e.F64(c.floor)
+		e.F64(0)
 		e.I64(int64(c.seq))
 	})
 	sw.Section(tagJobs, func(e *snapshot.Encoder) {

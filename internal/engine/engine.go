@@ -17,12 +17,11 @@
 //
 // The engine is consumed through a Session, a true streaming API: jobs are
 // fed in release order, in batches of any size (FeedBatch; Feed is a batch
-// of one), simulated time advances either implicitly as later jobs arrive
-// or explicitly (AdvanceTo), and Finish drains the remaining events and
-// audits the run (Close is Finish plus the Outcome maps). A batch run over a
-// full sched.Instance is just a session fed from a slice — the core
-// packages' Run functions are exactly that thin wrapper, with outputs
-// bit-identical to the pre-engine implementations.
+// of one), simulated time advances as later jobs arrive, and Finish drains
+// the remaining events and audits the run (Close is Finish plus the Outcome
+// maps). A batch run over a full sched.Instance is just a session fed from
+// a slice — the core packages' Run functions are exactly that thin wrapper,
+// with outputs bit-identical to the pre-engine implementations.
 //
 // Determinism: events pop in (Time, Kind, order within the kind) exactly as
 // in a batch run, because a session only drains events that can no longer
@@ -30,17 +29,16 @@
 // queued event at time ≤ r − sched.Eps is safe — later feeds must release at
 // ≥ r − Eps, and at equal times arrivals sort after completions (by Kind)
 // and after earlier-fed arrivals (by feed order). The drain horizon
-// therefore trails the last fed release by Eps, or sits at the AdvanceTo
-// floor (a caller promise that no earlier release will ever be fed) if
-// that is later (Core.Drained); Finish releases the tail. Every drain
-// reaches that horizon, so what is still to come is a function of it and
-// of the rows, which is how a restore rebuilds the queue and the pending
-// arrivals instead of reading them. Arrivals never enter the event queue:
-// fed in release order, they already form a sorted list of compact job
-// indices, which the event loop merges with the queue's completions and
-// bookkeeping under that same order. Since Kind ranks above the queue's
-// insertion seq, an arrival only ever ties against other arrivals, so the
-// list needs no seq of its own.
+// therefore trails the last fed release by Eps and never falls below 0
+// (Core.Drained); Finish releases the tail. Every drain reaches that
+// horizon, so what is still to come is a function of it and of the rows,
+// which is how a restore rebuilds the queue and the pending arrivals
+// instead of reading them. Arrivals never enter the event queue: fed in
+// release order, they already form a sorted list of compact job indices,
+// which the event loop merges with the queue's completions and bookkeeping
+// under that same order. Since Kind ranks above the queue's insertion seq,
+// an arrival only ever ties against other arrivals, so the list needs no
+// seq of its own.
 //
 // Hot-path discipline (see DESIGN.md): per-job state is dense, indexed by
 // the compact feed-order index; ids resolve through sched.IDs, a growable
@@ -189,10 +187,10 @@ type Core struct {
 	// map form is materialized exactly once, at Session.Close.
 	rec *sched.OutcomeRecorder
 	seq int32
-	// last is the latest fed release and floor the AdvanceTo watermark:
-	// every later release is at least last − sched.Eps and at least floor,
-	// so Drained, the larger of the two, is the horizon every drain reaches.
-	last, floor float64
+	// last is the latest fed release: every later release is at least
+	// last − sched.Eps and at least 0, so Drained, the larger of the two,
+	// is the horizon every drain reaches.
+	last float64
 	// tel is the instrumentation bundle (zero value = disabled). It is
 	// outcome-neutral.
 	tel Telemetry
@@ -251,7 +249,7 @@ func (c *Core) Decided(jk int) (decided bool, machine int) {
 // restore rebuilds what is still to come from it: the arrivals released
 // after it, one completion per running machine, and (a policy's LoadState)
 // the bookkeeping it scheduled past it.
-func (c *Core) Drained() float64 { return max(c.last-sched.Eps, c.floor) }
+func (c *Core) Drained() float64 { return max(c.last-sched.Eps, 0) }
 
 // Start begins executing job jk on machine i at time t with the given
 // processing volume and (frozen) speed, bumping the machine's start version

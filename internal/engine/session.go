@@ -72,10 +72,10 @@ const feedChunk = 16
 // validated against the same structural rules as sched.Instance.Validate
 // (machine-count-many positive finite processing times, positive weight,
 // sane release and deadline, unique id, release order within Eps, checked
-// against the running watermark) and the AdvanceTo floor. Per-job storage
-// grows once for the whole batch, and the simulation advances through every
-// event that can no longer be preceded by a future arrival once per
-// feedChunk admitted jobs and once at the end of the batch.
+// against the running watermark). Per-job storage grows once for the whole
+// batch, and the simulation advances through every event that can no longer
+// be preceded by a future arrival once per feedChunk admitted jobs and once
+// at the end of the batch.
 //
 // FeedBatch is observably identical however the stream is cut into
 // batches, down to one job per call: the event pop order depends only on
@@ -108,10 +108,6 @@ func (s *Session) FeedBatch(jobs []sched.Job) error {
 			err = fmt.Errorf("engine: %w", verr)
 			break
 		}
-		if j.Release < c.floor {
-			err = fmt.Errorf("engine: job %d released at %v before the AdvanceTo watermark %v", j.ID, j.Release, c.floor)
-			break
-		}
 		jk, ok := c.ids.Add(j.ID)
 		if !ok {
 			err = fmt.Errorf("engine: duplicate job id %d", j.ID)
@@ -133,22 +129,6 @@ func (s *Session) FeedBatch(jobs []sched.Job) error {
 	c.tel.Fed.Add(int64(admitted))
 	s.drain(c.Drained())
 	return err
-}
-
-// AdvanceTo declares that no job released before t will ever be fed and
-// advances the simulation through every event at time ≤ t. Subsequent Feed
-// calls with a release below t fail.
-func (s *Session) AdvanceTo(t float64) error {
-	if s.closed {
-		return ErrClosed
-	}
-	if math.IsNaN(t) {
-		return errors.New("engine: AdvanceTo(NaN)")
-	}
-	c := &s.core
-	c.floor = max(c.floor, t)
-	s.drain(c.Drained())
-	return nil
 }
 
 // Fed reports the number of jobs admitted so far (valid after Close too).

@@ -181,38 +181,6 @@ func TestSessionFeedValidation(t *testing.T) {
 	}
 }
 
-func TestSessionAdvanceToFloor(t *testing.T) {
-	p := newFifo(1, 0)
-	s, err := NewSession(p, Options{Machines: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Feed(job(0, 0, 4)); err != nil {
-		t.Fatal(err)
-	}
-	// Nothing drains at the release watermark alone...
-	if n := s.core.rec.CompletedCount(); n != 0 {
-		t.Fatalf("completions before AdvanceTo: %d", n)
-	}
-	// ...but advancing past the completion time materializes it mid-stream.
-	if err := s.AdvanceTo(5); err != nil {
-		t.Fatal(err)
-	}
-	if st, c := s.core.rec.State(0), s.core.rec.When(0); st != sched.JobCompleted || c != 4 {
-		t.Fatalf("state %d completion %v after AdvanceTo(5)", st, c)
-	}
-	// The advance is a promise: earlier releases are now rejected.
-	if err := s.Feed(job(1, 3, 1)); err == nil || !strings.Contains(err.Error(), "watermark") {
-		t.Fatalf("feed below the watermark: err = %v", err)
-	}
-	if err := s.Feed(job(1, 5, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSessionCloseIsFinal(t *testing.T) {
 	p := newFifo(1, 0)
 	s, _ := NewSession(p, Options{Machines: 1})
@@ -224,9 +192,6 @@ func TestSessionCloseIsFinal(t *testing.T) {
 	}
 	if err := s.Feed(job(0, 0, 1)); err != ErrClosed {
 		t.Fatalf("Feed after Close: %v, want ErrClosed", err)
-	}
-	if err := s.AdvanceTo(1); err != ErrClosed {
-		t.Fatalf("AdvanceTo after Close: %v, want ErrClosed", err)
 	}
 	if p.closed != 1 {
 		t.Fatalf("policy closed %d times", p.closed)

@@ -234,30 +234,14 @@ func (sh *Shard) flush() {
 	}
 }
 
-// Depth reports, per shard, the number of jobs admitted by Feed but not yet
-// drained into the shard's session — producer-side slab contents plus slabs
-// in flight to (or inside) the worker. It is the fleet-level queue-depth
-// signal of the ROADMAP's backpressure item: a producer can throttle, spill
-// or pre-reject when a lane's depth grows. Call it from the producer
-// goroutine (the worker side is read atomically, so the signal is fresh
-// within one slab).
-//
-// Depth measures ingestion buffering only; jobs already inside a session but
-// not yet completed are reported by that session's own Pending method.
-func (sh *Shard) Depth() []int {
-	out := make([]int, len(sh.lanes))
-	for k := range sh.lanes {
-		ln := &sh.lanes[k]
-		out[k] = ln.fed - int(ln.drained.Load())
-	}
-	return out
-}
-
-// DepthTotal reports the total ingestion backlog across all lanes — the sum
-// of Depth without the per-lane slice. It is the allocation-free form an
-// admission controller polls once per admitted job: the producer-side
-// counters are plain reads (producer goroutine only) and the drained side is
-// atomic, so the signal is fresh within one slab.
+// DepthTotal reports the total ingestion backlog across all lanes: jobs
+// admitted by Feed but not yet drained into a shard's session —
+// producer-side slab contents plus slabs in flight to (or inside) a worker.
+// It is the signal an admission controller polls once per admitted job, and
+// it allocates nothing: the producer-side counters are plain reads
+// (producer goroutine only) and the drained side is atomic, so the signal
+// is fresh within one slab. Jobs already inside a session but not yet
+// completed are reported by that session's own Pending method.
 func (sh *Shard) DepthTotal() int {
 	total := 0
 	for k := range sh.lanes {

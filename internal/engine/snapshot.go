@@ -197,7 +197,7 @@ func (s *Session) encode(sw *snapshot.Writer) error {
 		e.U32(uint32(len(c.mach)))
 		e.U64(uint64(len(c.jobs)))
 		e.F64(c.last)
-		e.F64(c.floor)
+		e.F64(0) // the slot of a retired AdvanceTo watermark
 		e.I64(int64(c.seq))
 	})
 	sw.Section(tagJobs, func(e *snapshot.Encoder) {
@@ -330,8 +330,11 @@ func RestoreOpts(r io.Reader, opt Options, newPolicy func(machines int) (Policy,
 	if njobs > math.MaxInt32 || njobs > uint64(sr.Remaining()/jobRecord(machines)) {
 		return nil, fmt.Errorf("snapshot: session declares %d jobs", njobs)
 	}
-	if math.IsNaN(last) || math.IsNaN(floor) {
-		return nil, fmt.Errorf("snapshot: session watermarks %v and %v", last, floor)
+	if math.IsNaN(last) {
+		return nil, fmt.Errorf("snapshot: session watermark %v", last)
+	}
+	if floor != 0 {
+		return nil, fmt.Errorf("snapshot: session watermark floor %v: written by a build with Session.AdvanceTo, which this one does not have", floor)
 	}
 
 	pol, err := newPolicy(machines)
@@ -352,7 +355,7 @@ func RestoreOpts(r io.Reader, opt Options, newPolicy func(machines int) (Policy,
 	}
 	c := &s.core
 	c.seq = int32(coreSeq)
-	c.last, c.floor = last, floor
+	c.last = last
 	if err := restoreSections(sr, s, sp); err != nil {
 		pol.Close()
 		return nil, err

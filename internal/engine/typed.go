@@ -14,10 +14,10 @@ import (
 type Host[R any] func(machines, hint int) (Policy, func(*sched.Outcome) R)
 
 // Typed is a policy package's session: the embedded engine session supplies
-// Feed, FeedBatch, AdvanceTo, Fed, Pending, EachFed, SetTelemetry and the
-// snapshots, and Close returns the policy's result R (rule counters, duals)
-// instead of the bare Outcome. A session and a batch run of the same policy
-// and options produce bit-identical results.
+// Feed, FeedBatch, Fed, Pending, EachFed, SetTelemetry and the snapshots,
+// and Close returns the policy's result R (rule counters, duals) instead of
+// the bare Outcome. A session and a batch run of the same policy and options
+// produce bit-identical results.
 type Typed[R any] struct {
 	*Session
 	result func(*sched.Outcome) R

@@ -94,7 +94,8 @@ func TestCheckpointBytesPinned(t *testing.T) {
 
 // TestCheckpointTelemetrySplit pins the checkpoint layer's two halves: after
 // a drained checkpointing run, capture and persist each timed every
-// checkpoint, and together they fit inside the total.
+// checkpoint, and together they fit inside the total; and the lineage's
+// held buffers are the lineage_held_bytes gauge.
 func TestCheckpointTelemetrySplit(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, _ := checkpointingRun(t, reg)
@@ -107,6 +108,10 @@ func TestCheckpointTelemetrySplit(t *testing.T) {
 	}
 	if capture.Sum <= 0 || persist.Sum <= 0 || capture.Sum+persist.Sum > total.Sum {
 		t.Fatalf("capture %v ns + persist %v ns against a total of %v ns", capture.Sum, persist.Sum, total.Sum)
+	}
+	base, retired, delta := s.lineage.Held()
+	if held := reg.Gauge("lineage_held_bytes").Value(); !(held > 0) || held != float64(base+retired+delta) {
+		t.Fatalf("lineage_held_bytes %v, the lineage holds %d + %d + %d bytes", held, base, retired, delta)
 	}
 }
 

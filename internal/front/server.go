@@ -1123,6 +1123,8 @@ func (s *Server) writeCheckpoint(forceFull bool) error {
 				o.deltaRatio.Set(float64(entry.Size) / float64(len(buf)))
 			}
 		}
+		base, retired, delta := s.lineage.Held()
+		o.lineageHeld.Set(float64(base + retired + delta))
 	}
 	return err
 }

@@ -52,6 +52,10 @@ type serverObs struct {
 	// deltaRatio is delta-checkpoint size over full payload size for
 	// the most recent delta (1 would mean deltas save nothing).
 	deltaRatio *obs.Gauge
+	// lineageHeld is the capacity, in bytes, of the payload-sized buffers
+	// the checkpoint lineage keeps between writes (Lineage.Held): its delta
+	// base, a retired base not yet recycled, and the delta scratch.
+	lineageHeld *obs.Gauge
 
 	start time.Time
 }
@@ -72,6 +76,7 @@ func newServerObs(r *obs.Registry, s *Server) *serverObs {
 		busyNS:        r.Counter("front_sequencer_busy_ns_total"),
 		depth:         r.Gauge("front_depth"),
 		deltaRatio:    r.Gauge("front_checkpoint_delta_ratio"),
+		lineageHeld:   r.Gauge("lineage_held_bytes"),
 		start:         time.Now(),
 	}
 	r.RegisterCounter("front_fed_total", &s.fedN)

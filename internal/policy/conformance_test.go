@@ -24,13 +24,12 @@ import (
 
 // The conformance suite is the one executable statement of what it means to
 // be an engine-hosted policy. Every path from a job sequence to a result —
-// streamed job by job (with and without AdvanceTo promises), fed in random
-// batch splits, killed at a snapshot and resumed in a fresh session (captured
-// and restored in place or through a copy), run
-// under either event queue, frozen under one queue and thawed under the
-// other, observed by live telemetry, presized from a size hint that is wrong
-// in either direction — must yield the batch Run's typed Result bit for bit, compared
-// with reflect.DeepEqual over every field (outcome, rule counters, rejected
+// streamed job by job, fed in random batch splits, killed at a snapshot and
+// resumed in a fresh session (captured and restored in place or through a
+// copy), run under either event queue, frozen under one queue and thawed
+// under the other, observed by live telemetry, presized from a size hint
+// that is wrong in either direction — must yield the batch Run's typed
+// Result bit for bit, compared with reflect.DeepEqual over every field (outcome, rule counters, rejected
 // weight, preemption and migration tallies, dual report), and a snapshot
 // must refuse to resume under a different ε/α/γ/dual echo or from a retired
 // wire format.
@@ -160,22 +159,12 @@ func conform[O, R any](policy string,
 				if err := sched.ValidateOutcome(ins, outcomeOf(golden), entry.Mode); err != nil {
 					t.Errorf("batch outcome fails the registered audit mode: %v", err)
 				}
-				for _, advance := range []bool{false, true} {
-					s := start(t, ins, opt)
-					for k := range ins.Jobs {
-						if advance && k%3 == 0 {
-							// Promise nothing earlier than this release will
-							// arrive, which advances the simulation right up
-							// to the next arrival.
-							if err := s.AdvanceTo(ins.Jobs[k].Release); err != nil {
-								t.Fatal(err)
-							}
-						}
-						feed(t, s, ins.Jobs[k:k+1])
-					}
-					if res := finish(t, s); !reflect.DeepEqual(golden, res) {
-						t.Errorf("advance %v: streamed result diverges from batch", advance)
-					}
+				s := start(t, ins, opt)
+				for k := range ins.Jobs {
+					feed(t, s, ins.Jobs[k:k+1])
+				}
+				if res := finish(t, s); !reflect.DeepEqual(golden, res) {
+					t.Error("streamed result diverges from batch")
 				}
 			})
 		})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -115,7 +116,7 @@ func TestRunRejectsInvalidInstances(t *testing.T) {
 		{"zero machines", func(ins *sched.Instance) { ins.Machines = 0 },
 			"engine: session needs at least one machine, got 0"},
 	} {
-		ins := base.Clone()
+		ins := &sched.Instance{Machines: base.Machines, Alpha: base.Alpha, Jobs: slices.Clone(base.Jobs)}
 		tc.spoil(ins)
 		for _, e := range table {
 			_, err := e.Run(ins, Params{Epsilon: 0.2, Alpha: ins.Alpha})

@@ -75,15 +75,6 @@ func ComputeMetrics(ins *Instance, o *Outcome) (Metrics, error) {
 	return s.ComputeMetrics(ins, o)
 }
 
-// EnergyOf integrates Σ_i ∫ P_i(speed_i(t)) dt with P(s) = s^Alpha over the
-// given intervals, summing speeds of concurrently running intervals on the
-// same machine. Runs on pooled arenas.
-func EnergyOf(ins *Instance, ivs []Interval) float64 {
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	return s.EnergyOf(ins, ivs)
-}
-
 // ValidateMode selects which invariants ValidateOutcome enforces.
 type ValidateMode struct {
 	// AllowParallel permits overlapping executions on one machine (the §4

@@ -142,17 +142,6 @@ func (j *Job) MinProc() float64 {
 	return m
 }
 
-// Clone deep-copies the instance.
-func (ins *Instance) Clone() *Instance {
-	out := &Instance{Machines: ins.Machines, Alpha: ins.Alpha, Jobs: make([]Job, len(ins.Jobs))}
-	for k, j := range ins.Jobs {
-		nj := j
-		nj.Proc = append([]float64(nil), j.Proc...)
-		out.Jobs[k] = nj
-	}
-	return out
-}
-
 // SortJobs sorts jobs by (release, id), restoring the instance invariant
 // after generators mutate the job list.
 func (ins *Instance) SortJobs() {
@@ -205,6 +194,3 @@ func NewOutcomeSized(n int) *Outcome {
 		Assigned:  make(map[int]int, n),
 	}
 }
-
-// RejectedCount returns the number of rejected jobs.
-func (o *Outcome) RejectedCount() int { return len(o.Rejected) }

@@ -61,15 +61,6 @@ func TestTotalWeightAndMinProc(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	in := twoJobInstance()
-	c := in.Clone()
-	c.Jobs[0].Proc[0] = 99
-	if in.Jobs[0].Proc[0] == 99 {
-		t.Fatal("Clone shares Proc slices")
-	}
-}
-
 func TestSortJobs(t *testing.T) {
 	in := &Instance{Machines: 1, Jobs: []Job{
 		{ID: 1, Release: 5, Weight: 1, Deadline: NoDeadline, Proc: []float64{1}},
@@ -149,7 +140,7 @@ func TestEnergyOfDisjointIntervals(t *testing.T) {
 		{Job: 0, Machine: 0, Start: 0, End: 2, Speed: 3},
 		{Job: 1, Machine: 0, Start: 2, End: 3, Speed: 1},
 	}
-	got := EnergyOf(in, ivs)
+	got := new(scratch).EnergyOf(in, ivs)
 	want := 2*9.0 + 1*1.0
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("EnergyOf = %v, want %v", got, want)
@@ -163,11 +154,11 @@ func TestEnergyOfOverlapIsSuperadditive(t *testing.T) {
 		{Job: 1, Machine: 0, Start: 1, End: 3, Speed: 2},
 	}
 	// [0,1): 1²; [1,2): (1+2)²=9; [2,3): 2²=4 → 14
-	got := EnergyOf(in, ivs)
+	got := new(scratch).EnergyOf(in, ivs)
 	if math.Abs(got-14) > 1e-9 {
 		t.Fatalf("EnergyOf = %v, want 14", got)
 	}
-	solo := EnergyOf(in, ivs[:1]) + EnergyOf(in, ivs[1:])
+	solo := new(scratch).EnergyOf(in, ivs[:1]) + new(scratch).EnergyOf(in, ivs[1:])
 	if got < solo {
 		t.Fatalf("overlap energy %v below sum of solo energies %v", got, solo)
 	}
@@ -179,7 +170,7 @@ func TestEnergyOfSeparatesMachines(t *testing.T) {
 		{Job: 0, Machine: 0, Start: 0, End: 1, Speed: 2},
 		{Job: 1, Machine: 1, Start: 0, End: 1, Speed: 2},
 	}
-	if got := EnergyOf(in, ivs); math.Abs(got-8) > 1e-9 {
+	if got := new(scratch).EnergyOf(in, ivs); math.Abs(got-8) > 1e-9 {
 		t.Fatalf("EnergyOf = %v, want 8 (4 per machine)", got)
 	}
 }

@@ -10,9 +10,9 @@ import (
 
 // scratch holds the reusable arenas of the reporting pipeline: metrics,
 // validation and energy integration over an Outcome. The package-level
-// ComputeMetrics / ValidateOutcome / EnergyOf (and Instance.Validate's id
-// table) draw one from an internal pool, so callers get the
-// allocation-free path without holding state.
+// ComputeMetrics / ValidateOutcome (and Instance.Validate's id table) draw
+// one from an internal pool, so callers get the allocation-free path without
+// holding state.
 //
 // All grouping is dense: intervals are counting-sorted into a reused buffer
 // keyed by the compact job index (the IDs table rebuilt O(n) per call into

@@ -75,28 +75,3 @@ func FuzzScanVsJSON(f *testing.F) {
 		scanVsJSON(t, line, 4)
 	})
 }
-
-// FuzzReadOutcome ensures outcome decoding never panics.
-func FuzzReadOutcome(f *testing.F) {
-	o := sched.NewOutcome()
-	o.Completed[0] = 1
-	o.Intervals = []sched.Interval{{Job: 0, Machine: 0, Start: 0, End: 1, Speed: 1}}
-	var buf bytes.Buffer
-	if err := WriteOutcome(&buf, o); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.String())
-	f.Add(`{"intervals":[],"completed":{"x":1},"rejected":{},"assigned":{}}`)
-	f.Add(`{"intervals":[{"Job":0,"Machine":-3,"Start":5,"End":1,"Speed":-2}]}`)
-	f.Add(`null`)
-	f.Add(`[1,2,3]`)
-	f.Fuzz(func(t *testing.T, data string) {
-		out, err := ReadOutcome(strings.NewReader(data))
-		if err != nil {
-			return
-		}
-		if out.Completed == nil || out.Rejected == nil || out.Assigned == nil {
-			t.Fatalf("decoder returned nil maps on input %q", data)
-		}
-	})
-}

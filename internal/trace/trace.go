@@ -10,7 +10,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strconv"
 
 	"repro/internal/sched"
 )
@@ -112,41 +111,6 @@ func WriteOutcome(w io.Writer, o *sched.Outcome) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// ReadOutcome decodes an outcome. Job-id keys must be canonical decimal, as
-// WriteOutcome writes them, so that two keys can never name one id.
-func ReadOutcome(r io.Reader) (*sched.Outcome, error) {
-	var in outcomeJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("trace: decode outcome: %w", err)
-	}
-	o := sched.NewOutcome()
-	o.Intervals = in.Intervals
-	if err := byID(in.Completed, o.Completed); err != nil {
-		return nil, err
-	}
-	if err := byID(in.Rejected, o.Rejected); err != nil {
-		return nil, err
-	}
-	if err := byID(in.Assigned, o.Assigned); err != nil {
-		return nil, err
-	}
-	return o, nil
-}
-
-// byID copies in into out keyed by job id, refusing a key that is not the
-// canonical decimal form of its id: " 12", "012", "+12", "12abc", "1e3" and
-// "0x1F" are not ids.
-func byID[V any](in map[string]V, out map[int]V) error {
-	for k, v := range in {
-		id, err := strconv.Atoi(k)
-		if err != nil || strconv.Itoa(id) != k {
-			return fmt.Errorf("trace: bad job id %q: not a canonical decimal integer", k)
-		}
-		out[id] = v
-	}
-	return nil
 }
 
 func sortedIntervals(ivs []sched.Interval) []sched.Interval {
